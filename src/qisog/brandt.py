@@ -8,6 +8,7 @@ short-vector searches inside equivalence testing stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import ideals as idl
 from .errors import CapExceeded, PreconditionError
@@ -22,6 +23,8 @@ class ClassSet:
     order0: QOrder
     representatives: list  # primitive left O0-ideals, pairwise inequivalent
     unit_sizes: list  # a_j = |O_R(I_j)^x| / 2
+    ell: int
+    brandt: list  # b_ij = number of ell-neighbors of I_i equivalent to I_j
 
     @property
     def class_number(self) -> int:
@@ -36,7 +39,13 @@ def ell_neighbors(I: QIdeal, ell: int, seed: int = idl.DEFAULT_SEED) -> list[QId
 
 def enumerate_classes(O0: QOrder, ell: int, depth_cap: int | None = None,
                       seed: int = idl.DEFAULT_SEED) -> ClassSet:
-    """BFS over ell-neighbors from O0, collecting left ideal classes."""
+    """BFS over ell-neighbors from O0, collecting left ideal classes and the
+    Brandt matrix in one pass: each reduced neighbor of I_i is matched to the
+    first equivalent representative, or becomes a new one.  Representatives
+    are pairwise inequivalent, so that first match is its class for good.
+
+    The mass formula sum 1/a_j = (p-1)/12, the row sums ell+1 and the
+    relation a_j b_ij = a_i b_ji are checked before returning."""
     p = O0.algebra.p
     if ell == p:
         raise PreconditionError("ell must differ from p")
@@ -44,6 +53,7 @@ def enumerate_classes(O0: QOrder, ell: int, depth_cap: int | None = None,
         depth_cap = 2 * (p // 6 + 8)
     start = QIdeal(O0.lattice)
     reps = [start]
+    rows: list[list[int]] = []  # rows[i]: class index of each neighbor of I_i
     frontier = [start]
     depth = 0
     while frontier:
@@ -52,35 +62,37 @@ def enumerate_classes(O0: QOrder, ell: int, depth_cap: int | None = None,
             raise CapExceeded("class-set BFS depth cap exceeded")
         new = []
         for I in frontier:
+            row = []
             for J in ell_neighbors(I, ell, seed=seed):
                 J = idl.reduce_ideal(J)
-                if all(idl.is_equivalent(R, J) is None for R in reps):
+                j = next((n for n, R in enumerate(reps) if idl.is_equivalent(R, J) is not None), None)
+                if j is None:
+                    j = len(reps)
                     reps.append(J)
                     new.append(J)
+                row.append(j)
+            rows.append(row)
         frontier = new
+    h = len(reps)
+    b = [[row.count(j) for j in range(h)] for row in rows]
     units = [len(R.right_order.lattice.min_norm_elements(1)) for R in reps]
-    return ClassSet(order0=O0, representatives=reps, unit_sizes=units)
+    assert sum(Fraction(1, a) for a in units) == Fraction(p - 1, 12), "mass formula fails"
+    assert all(sum(row) == ell + 1 for row in b), "Brandt row sum is not ell+1"
+    assert all(units[j] * b[i][j] == units[i] * b[j][i] for i in range(h) for j in range(h)), \
+        "Brandt relation a_j b_ij = a_i b_ji fails"
+    return ClassSet(order0=O0, representatives=reps, unit_sizes=units, ell=ell, brandt=b)
 
 
-def _class_index(cs: ClassSet, J: QIdeal) -> int:
-    for n, R in enumerate(cs.representatives):
-        if idl.is_equivalent(R, J) is not None:
-            return n
-    raise AssertionError("ideal does not match any class representative")
-
-
-def brandt_matrix(cs: ClassSet, ell: int, cross_check: bool = True,
-                  seed: int = idl.DEFAULT_SEED) -> list[list[int]]:
-    """b_ij = number of ell-neighbors of I_i equivalent to I_j.
+def brandt_matrix(cs: ClassSet, ell: int, cross_check: bool = True) -> list[list[int]]:
+    """b_ij = number of ell-neighbors of I_i equivalent to I_j, as recorded by
+    enumerate_classes.
 
     With cross_check the counting formula through elements of I_j^{-1} I_i of
     the right norm, divided by twice the unit size, must agree entrywise.
     """
-    n = cs.class_number
-    b = [[0] * n for _ in range(n)]
-    for i, I in enumerate(cs.representatives):
-        for J in ell_neighbors(I, ell, seed=seed):
-            b[i][_class_index(cs, idl.reduce_ideal(J))] += 1
+    if ell != cs.ell:
+        raise PreconditionError(f"class set was enumerated for ell={cs.ell}, not {ell}")
+    b = cs.brandt
     if cross_check:
         for i, I in enumerate(cs.representatives):
             for j, Jrep in enumerate(cs.representatives):
@@ -93,8 +105,8 @@ def brandt_matrix(cs: ClassSet, ell: int, cross_check: bool = True,
     return b
 
 
-def brandt_graph(cs: ClassSet, ell: int, seed: int = idl.DEFAULT_SEED) -> MultiGraph:
-    b = brandt_matrix(cs, ell, cross_check=False, seed=seed)
+def brandt_graph(cs: ClassSet, ell: int) -> MultiGraph:
+    b = brandt_matrix(cs, ell, cross_check=False)
     g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": ell, "kind": "brandt"})
     for i in range(cs.class_number):
         g.add_vertex(i, nrd=str(cs.representatives[i].nrd()))
@@ -123,7 +135,7 @@ def right_orders_conjugate(O1: QOrder, O2: QOrder) -> bool:
     return _is_principal(idl.primitive_part(P * C))
 
 
-def type_graph(cs: ClassSet, ell: int, seed: int = idl.DEFAULT_SEED) -> MultiGraph:
+def type_graph(cs: ClassSet, ell: int) -> MultiGraph:
     """Quotient of the Brandt graph grouping classes with conjugate right
     orders; edges are those of one representative class per type."""
     n = cs.class_number
@@ -138,7 +150,7 @@ def type_graph(cs: ClassSet, ell: int, seed: int = idl.DEFAULT_SEED) -> MultiGra
         else:
             type_of[i] = len(types)
             types.append(i)
-    b = brandt_matrix(cs, ell, cross_check=False, seed=seed)
+    b = brandt_matrix(cs, ell, cross_check=False)
     g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": ell, "kind": "type"})
     for t in range(len(types)):
         g.add_vertex(t)
@@ -199,8 +211,8 @@ def check_graph_isomorphism(G: MultiGraph, H: MultiGraph):
     return dict(mapping) if backtrack(0) else None
 
 
-def class_set_json(cs: ClassSet, ell: int, seed: int = idl.DEFAULT_SEED) -> dict:
-    b = brandt_matrix(cs, ell, cross_check=False, seed=seed)
+def class_set_json(cs: ClassSet, ell: int) -> dict:
+    b = brandt_matrix(cs, ell, cross_check=False)
     return {
         "p": cs.order0.algebra.p,
         "ell": ell,

@@ -81,7 +81,7 @@ def cmd_brandt(args) -> None:
     _check_ell(args.p, args.ell)
     O0 = idl.root_maximal_orders(args.p)[0]
     cs = brandt.enumerate_classes(O0, args.ell, seed=args.seed)
-    doc = brandt.class_set_json(cs, args.ell, seed=args.seed)
+    doc = brandt.class_set_json(cs, args.ell)
     if args.json:
         _emit(args, json.dumps(doc, indent=1))
     else:
@@ -123,7 +123,7 @@ def cmd_isocheck(args) -> None:
     G = ecgraph.build_isogeny_graph(args.p, args.ell)
     O0 = idl.root_maximal_orders(args.p)[0]
     cs = brandt.enumerate_classes(O0, args.ell, seed=args.seed)
-    Br = brandt.brandt_graph(cs, args.ell, seed=args.seed)
+    Br = brandt.brandt_graph(cs, args.ell)
     witness = brandt.check_graph_isomorphism(G, Br)
     doc = {
         "p": args.p,
@@ -225,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--json", action="store_true", help="emit a JSON document")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap; the implementation is serial, the flag "
-                             "is accepted for interface stability")
         sp.add_argument("--out", help="write data output to this file instead of stdout")
         sp.add_argument("-v", "--verbose", action="store_true")
         return sp

@@ -194,9 +194,10 @@ def root_maximal_orders(p: int, q: int | None = None) -> list[QOrder]:
         gens1 = [i, j, (one + j + k) / 2, (i + 2 * j - k) / 4]
     else:
         qq = alg.q
-        c = next((c for c in range(1, qq) if (c * c * p + 1) % qq == 0), None)
+        # nrd((c i + k)/q) = (c^2 + p)/q, so the generator is integral iff q | c^2 + p
+        c = next((c for c in range(1, qq) if (c * c + p) % qq == 0), None)
         if c is None:
-            raise PreconditionError(f"no c with q | c^2 p + 1 for p={p}, q={qq}")
+            raise PreconditionError(f"no c with q | c^2 + p for p={p}, q={qq}")
         gens0 = [(one + i) / 2, j, (c * i + k) / qq]
         gens1 = [(one + i) / 2, j, (c * i - k) / qq]
     orders = [order_closure(gens0), order_closure(gens1)]

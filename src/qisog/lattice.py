@@ -5,8 +5,8 @@ with a positive common denominator, with the gcd of all entries and the
 denominator divided out.  That canonical form makes lattice equality (and
 hashing, for graph vertex identity) plain tuple equality.
 
-No floating point is used anywhere except as a seed guess inside the
-short-vector enumeration, where every bound is re-verified exactly.
+No floating point is used anywhere: the short-vector enumeration runs on
+integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -121,34 +121,6 @@ def int_det(m) -> int:
     return total
 
 
-def _floor_sqrt_frac(x: Fraction) -> int:
-    """floor(sqrt(x)) for x >= 0."""
-    return math.isqrt(x.numerator * x.denominator) // x.denominator
-
-
-def _max_c_leq(s: Fraction, r: Fraction) -> int:
-    """Largest integer c with c + s <= sqrt(r), r >= 0."""
-    try:
-        guess = math.floor(-float(s) + math.sqrt(float(r))) if r > 0 else math.floor(-s)
-    except (OverflowError, ValueError):
-        guess = _floor_sqrt_frac(r) - math.ceil(s)  # exact, slightly loose
-
-    def ok(c: int) -> bool:
-        t = c + s
-        return t <= 0 or t * t <= r
-
-    while ok(guess + 1):
-        guess += 1
-    while not ok(guess):
-        guess -= 1
-    return guess
-
-
-def _min_c_geq(s: Fraction, r: Fraction) -> int:
-    """Smallest integer c with c + s >= -sqrt(r), r >= 0."""
-    return -_max_c_leq(-s, r)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -244,8 +216,9 @@ class QLattice:
 
     def __mul__(self, other):
         if isinstance(other, QLattice):
-            prods = [a * b for a in self.basis_elements() for b in other.basis_elements()]
-            return QLattice.from_elements(prods)
+            mul = self.algebra.mul_coords
+            prods = [mul(a, b) for a in self.mat for b in other.mat]
+            return QLattice.from_int_rows(self.algebra, prods, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -349,39 +322,49 @@ class QLattice:
     def min_norm_elements(self, bound, cap: int = 10**6) -> list[QuatElement]:
         """All lattice elements with 0 < nrd <= bound, one of each +-pair,
         sorted by (norm, coordinates).  Exact Fincke-Pohst on the integer
-        coordinate Gram matrix."""
+        coordinate Gram matrix.
+
+        With G = L D L^T (L unit lower triangular) the norm form is
+        sum_k D_k (c_k + s_k)^2, s_k = sum_{t>k} L_tk c_t.  Writing
+        L_tk = l_tk / d_k over a per-level denominator d_k and
+        D_k / d_k^2 = w_k / P over one common denominator P, level k admits
+        exactly the c_k with w_k (c_k d_k + S_k)^2 <= rem, where
+        S_k = sum l_tk c_t and rem = floor(bound * den^2 * P) minus the
+        levels above: the search runs on integers alone.  ``cap`` bounds
+        the number of visited nodes (candidate coordinates at any level)."""
         bound = Frac(bound)
         if bound <= 0:
             raise PreconditionError("bound must be positive")
-        g = [[Frac(x) for x in row] for row in self.gram_int]
-        # G = L D L^T with L unit lower triangular
+        g = self.gram_int
         n = 4
         L = [[Frac(int(r == c)) for c in range(n)] for r in range(n)]
         D = [Frac(0)] * n
         for c in range(n):
-            D[c] = g[c][c] - sum(D[t] * L[c][t] ** 2 for t in range(c))
+            D[c] = Frac(g[c][c]) - sum(D[t] * L[c][t] ** 2 for t in range(c))
             assert D[c] > 0, "norm form must be positive definite"
             for r in range(c + 1, n):
                 L[r][c] = (g[r][c] - sum(D[t] * L[r][t] * L[c][t] for t in range(c))) / D[c]
-        limit = bound * self.den**2
+        d = [math.lcm(*(L[t][k].denominator for t in range(k + 1, n))) for k in range(n)]
+        lnum = [[int(L[t][k] * d[k]) for t in range(n)] for k in range(n)]
+        w = [D[k] / d[k] ** 2 for k in range(n)]
+        P = math.lcm(*(x.denominator for x in w))
+        w = [int(x * P) for x in w]
         found: dict[tuple, QuatElement] = {}
         nodes = 0
         c = [0] * n
 
-        def descend(level: int, rem: Fraction):
+        def descend(level: int, rem: int):
             nonlocal nodes
-            s = sum(L[t][level] * c[t] for t in range(level + 1, n))
-            r = rem / D[level]
-            lo = _min_c_geq(s, r)
-            hi = _max_c_leq(s, r)
+            S = sum(lnum[level][t] * c[t] for t in range(level + 1, n))
+            m = math.isqrt(rem // w[level])
+            dk = d[level]
+            lo = -((m + S) // dk)  # smallest v with v dk + S >= -m
+            hi = (m - S) // dk  # largest v with v dk + S <= m
             for v in range(lo, hi + 1):
                 nodes += 1
                 if nodes > cap:
                     raise CapExceeded("short-vector enumeration cap exceeded")
                 c[level] = v
-                used = D[level] * (v + s) ** 2
-                if used > rem:
-                    continue
                 if level == 0:
                     if any(c):
                         vec = [sum(c[t] * self.mat[t][col] for t in range(n)) for col in range(4)]
@@ -396,8 +379,8 @@ class QLattice:
                         )
                         found[tuple(vec)] = elt
                 else:
-                    descend(level - 1, rem - used)
+                    descend(level - 1, rem - w[level] * (v * dk + S) ** 2)
             c[level] = 0
 
-        descend(n - 1, limit)
+        descend(n - 1, math.floor(bound * self.den**2 * P))
         return sorted(found.values(), key=lambda e: e.key())

@@ -34,11 +34,35 @@ class TestClassEnumeration:
 
 
 class TestBrandtMatrix:
-    @pytest.mark.parametrize("p,ell", [(11, 2), (37, 2), (37, 3)])
+    @pytest.mark.parametrize("p,ell", [(11, 2), (37, 2), (37, 3), (101, 2), (101, 3),
+                                       (109, 2), (109, 3)])
     def test_row_sums_and_cross_check(self, p, ell):
         cs = classes(p, ell)
         b = brandt_matrix = brandt.brandt_matrix(cs, ell, cross_check=True)
         assert all(sum(row) == ell + 1 for row in b)
+        a = cs.unit_sizes
+        h = cs.class_number
+        assert all(a[j] * b[i][j] == a[i] * b[j][i] for i in range(h) for j in range(h))
+
+    def test_rows_match_a_second_neighbor_pass(self):
+        cs = classes(37, 3)
+        for i, I in enumerate(cs.representatives):
+            row = [0] * cs.class_number
+            for J in brandt.ell_neighbors(I, 3):
+                J = idl.reduce_ideal(J)
+                hits = [n for n, R in enumerate(cs.representatives)
+                        if idl.is_equivalent(R, J) is not None]
+                assert len(hits) == 1
+                row[hits[0]] += 1
+            assert row == cs.brandt[i]
+
+    def test_mismatched_ell_rejected(self):
+        cs = classes(11, 2)
+        assert cs.ell == 2
+        for fn in (brandt.brandt_matrix, brandt.brandt_graph, brandt.type_graph,
+                   brandt.class_set_json):
+            with pytest.raises(PreconditionError):
+                fn(cs, 3)
 
     def test_p11_l2_shape(self):
         cs = classes(11, 2)

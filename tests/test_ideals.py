@@ -73,6 +73,15 @@ class TestRootOrders:
         assert orders[0].key() != orders[1].key()
         assert len(idl.global_root_orders(p)) == 2
 
+    @pytest.mark.parametrize("p", [73, 193, 241, 313, 337, 409, 457, 577, 673])
+    def test_one_mod_eight_with_large_q(self, p):
+        """(c i + k)/q has reduced norm (c^2 + p)/q, so c must satisfy
+        q | c^2 + p; q | c^2 p + 1 agrees with it only for q = 3."""
+        assert QuatAlgebra.for_prime(p).q in (7, 11)
+        orders = idl.root_maximal_orders(p)
+        assert len(orders) == 2 and all(o.is_maximal for o in orders)
+        assert idl.global_root_orders(p)
+
     def test_small_p_rejected(self):
         with pytest.raises(PreconditionError):
             idl.root_maximal_orders(3)

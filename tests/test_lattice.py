@@ -7,13 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qisog import ideals as idl
-from qisog.errors import PreconditionError
+from qisog.errors import CapExceeded, PreconditionError
 from qisog.lattice import QLattice, hnf_rows
 from qisog.quat import QuatAlgebra, QuatElement
 
 A7 = QuatAlgebra.for_prime(7)
 STD = QLattice.standard_order_lattice(A7)
 O0 = idl.global_root_orders(7)[0].lattice  # Z<i, (1+j)/2>
+A101 = QuatAlgebra.for_prime(101)
+O101 = idl.root_maximal_orders(101)[0].lattice  # den 4
+O113 = idl.root_maximal_orders(113)[0].lattice  # den 6
+# I_3^{-1} I_0 for the classes I_0 = O, I_3 (nrd 4) of the p = 101, l = 2
+# class set: reduced norm 1/4, den 16
+Q101 = QLattice.from_int_rows(
+    A101, ((2, 0, 14, 2), (0, 1, 2, 9), (0, 0, 16, 0), (0, 0, 0, 16)), 16)
 
 
 def brute_short_vectors(lat, bound):
@@ -22,16 +29,18 @@ def brute_short_vectors(lat, bound):
     import math
 
     den = lat.den
+    diag = lat.algebra.norm_diag()
+    limit = Fraction(bound) * den * den  # nrd(vec / den) <= bound
     ranges = []
-    for coef in lat.algebra.norm_diag():
-        m = math.isqrt(int(bound * den * den // coef)) + 1
+    for coef in diag:
+        m = math.isqrt(int(limit // coef)) + 1
         ranges.append(range(-m, m + 1))
     out = {}
     for vec in product(*ranges):
-        if not any(vec):
+        if not 0 < sum(c * x * x for c, x in zip(diag, vec)) <= limit:
             continue
         e = QuatElement(lat.algebra, tuple(Fraction(x, den) for x in vec))
-        if 0 < e.nrd() <= bound and lat.contains(e):
+        if lat.contains(e):
             for x in vec:
                 if x > 0:
                     break
@@ -178,19 +187,45 @@ class TestShortVectors:
             assert O0.contains(e)
             assert 0 < e.nrd() <= 6
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10**6), bound=st.integers(1, 8))
-    def test_against_box_oracle(self, seed, bound):
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           bound=st.fractions(Fraction(1, 3), 8, max_denominator=7),
+           order=st.sampled_from([O0, O101, O113]))
+    def test_against_box_oracle(self, seed, bound, order):
         rng = random.Random(seed)
-        while True:  # random full-rank sublattice of O0
+        while True:  # random full-rank sublattice of the order
             R = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
-            rows = [[sum(R[r][t] * O0.mat[t][c] for t in range(4)) for c in range(4)]
+            rows = [[sum(R[r][t] * order.mat[t][c] for t in range(4)) for c in range(4)]
                     for r in range(4)]
             try:
-                L = QLattice.from_int_rows(A7, rows, O0.den)
+                L = QLattice.from_int_rows(order.algebra, rows, order.den)
                 break
             except PreconditionError:
                 continue
         got = L.min_norm_elements(bound)
         want = brute_short_vectors(L, bound)
         assert [e.coords for e in got] == [e.coords for e in want]
+
+    @pytest.mark.parametrize("bound", [Fraction(1, 4), Fraction(1, 2), Fraction(5, 4),
+                                       Fraction(7, 2)])
+    def test_fractional_norm_quotient_against_box_oracle(self, bound):
+        assert Q101.reduced_norm() == Fraction(1, 4)
+        O = idl.root_maximal_orders(101)[0]
+        I = idl.ideals_of_norm_ell(O, 2)[0]
+        J = idl.ideals_of_norm_ell(O, 3)[1]
+        N = idl.inverse(I).lattice * J.lattice
+        assert N.reduced_norm() == Fraction(3, 2)
+        for L in (Q101, N):
+            got = L.min_norm_elements(bound)
+            assert [e.coords for e in got] == [e.coords for e in brute_short_vectors(L, bound)]
+
+    def test_node_cap_is_pinned(self):
+        """The search visits 1722 nodes here, as the exact rational-arithmetic
+        search did, so cap = 1721 raises and cap = 1722 does not: cap keeps
+        its meaning only while the visited node set stays the same."""
+        bound = Fraction(15, 2)
+        with pytest.raises(CapExceeded):
+            Q101.min_norm_elements(bound, cap=1721)
+        got = Q101.min_norm_elements(bound, cap=1722)
+        assert len(got) == 91
+        assert got == Q101.min_norm_elements(bound)
