@@ -339,7 +339,6 @@ def reduce_graph(g: MultiGraph) -> MultiGraph:
         if key == rep:
             out.add_vertex(rep, j=_fmt(field, rep))
     for rep in out.vertices():
-        for (s, d), rec in g.edges.items():
-            if s == rep:
-                out.add_edge(rep, cls[d], count=rec["count"])
+        for d, rec in g.out_edges(rep).items():
+            out.add_edge(rep, cls[d], count=rec["count"])
     return out

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from . import numth
 from .errors import CapExceeded, PreconditionError
-from .lattice import QLattice, hnf_rows, int_det
+from .lattice import QLattice, hnf_rows, int_det, split_den
 from .quat import QuatAlgebra, QuatElement
 
 Frac = Fraction
@@ -144,14 +144,18 @@ def order_closure(gens, rounds: int = 16) -> QOrder:
 
 
 def reduced_discriminant(order: QOrder) -> int:
-    """discrd via the trace Gram determinant: |det(trd(b_a b_b))| = discrd^2."""
-    bas = order.basis_elements()
-    t = [[(a * b).trd() for b in bas] for a in bas]
-    det = int_det([[Frac(x) for x in row] for row in t])
-    val = abs(Frac(det))
-    assert val.denominator == 1
-    root = math.isqrt(int(val))
-    assert root * root == int(val), "trace Gram determinant must be a square"
+    """discrd via the trace Gram determinant: |det(trd(b_a b_b))| = discrd^2.
+
+    On the integer rows r_a = den b_a the Gram entries are
+    2 mul(r_a, r_b)[0] = den^2 trd(b_a b_b), so the determinant is den^8
+    times the one wanted."""
+    lat = order.lattice
+    mul = order.algebra.mul_coords
+    t = [[2 * mul(a, b)[0] for b in lat.mat] for a in lat.mat]
+    val, rem = divmod(abs(int_det(t)), lat.den**8)
+    assert rem == 0
+    root = math.isqrt(val)
+    assert root * root == val, "trace Gram determinant must be a square"
     return root
 
 
@@ -224,23 +228,19 @@ def global_root_orders(p: int, q: int | None = None) -> list[QOrder]:
 
 
 def _coordinate_matrix(I: QIdeal, O: QOrder):
-    binv = O.lattice.basis_inv
-    rows = []
-    for b in I.lattice.basis_elements():
-        v = b.coords
-        rows.append([sum(v[t] * binv[t][c] for t in range(4)) for c in range(4)])
-    return rows
+    """Coordinates of I's basis in O's basis: integer rows over one
+    denominator.  Scaled by det(O.mat) every row of I lies in O."""
+    lat = O.lattice
+    det = math.prod(lat.mat[t][t] for t in range(4))
+    rows = [lat.int_coords([x * det for x in r]) for r in I.lattice.mat]
+    return rows, det * I.lattice.den
 
 
 def content(I: QIdeal, O: QOrder | None = None) -> Fraction:
     """Positive rational g with (1/g)I primitive integral over its left order."""
     O = O or I.left_order
-    num = 0
-    den = 1
-    for row in _coordinate_matrix(I, O):
-        for x in row:
-            num = math.gcd(num, x.numerator)
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    rows, den = _coordinate_matrix(I, O)
+    num = math.gcd(*(x for row in rows for x in row))
     assert num > 0
     return Frac(num, den)
 
@@ -352,16 +352,16 @@ def connecting_ideal_membership_oracle(O1: QOrder, O2: QOrder, probe: QuatElemen
 
 def _mult_table_mod(O: QOrder, ell: int):
     """Structure constants of O/ell O on the reduced basis."""
-    bas = O.basis_elements()
-    binv = O.lattice.basis_inv
+    lat = O.lattice
+    mul = O.algebra.mul_coords
+    d2 = lat.den * lat.den
     table = []
-    for a in bas:
+    for a in lat.mat:
         row = []
-        for b in bas:
-            v = (a * b).coords
-            coords = [sum(v[t] * binv[t][c] for t in range(4)) for c in range(4)]
-            assert all(x.denominator == 1 for x in coords)
-            row.append(tuple(int(x) % ell for x in coords))
+        for b in lat.mat:
+            coords = lat.int_coords(mul(a, b), d2)
+            assert coords is not None
+            row.append(tuple(x % ell for x in coords))
         table.append(row)
     return table
 
@@ -380,8 +380,7 @@ def _quot_mul(table, ell, u, v):
 
 
 def _one_coords(O: QOrder, ell: int):
-    c = O.lattice.coords_of(O.algebra.one)
-    return tuple(int(x) % ell for x in c)
+    return tuple(x % ell for x in O.lattice.int_coords((1, 0, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -402,19 +401,27 @@ class MatrixSplit:
         return tuple(m)
 
     def image_of(self, elt: QuatElement) -> tuple:
-        coords = self.order.lattice.coords_of(elt)
-        assert all(c.denominator == 1 for c in coords)
-        return self.image_of_coords([int(c) for c in coords])
+        coords = self.order.lattice.int_coords(*split_den(elt.coords))
+        assert coords is not None
+        return self.image_of_coords(coords)
+
+    def lift_row(self, matrix) -> tuple[int, ...]:
+        """Integer row r with r / den in the order mapping to the given
+        2x2 matrix (den the order lattice's denominator)."""
+        vec = [matrix[t] % self.ell for t in range(4)]
+        u = [sum(vec[t] * self.lift_matrix[t][c] for t in range(4)) % self.ell for c in range(4)]
+        return _combine(u, self.order.lattice.mat)
 
     def lift(self, matrix) -> QuatElement:
         """Some element of the order mapping to the given 2x2 matrix."""
-        vec = [matrix[t] % self.ell for t in range(4)]
-        u = [sum(vec[t] * self.lift_matrix[t][c] for t in range(4)) % self.ell for c in range(4)]
-        bas = self.order.basis_elements()
-        out = self.order.algebra.element()
-        for c, b in zip(u, bas):
-            out = out + c * b
-        return out
+        den = self.order.lattice.den
+        return QuatElement(self.order.algebra,
+                           tuple(Frac(x, den) for x in self.lift_row(matrix)))
+
+
+def _combine(u, mat) -> tuple[int, ...]:
+    """The integer row sum_t u_t mat_t."""
+    return tuple(sum(u[t] * mat[t][c] for t in range(4)) for c in range(4))
 
 
 def _mat_inverse_mod(rows, ell):
@@ -453,14 +460,13 @@ def matrix_split(O: QOrder, ell: int, seed: int = DEFAULT_SEED) -> MatrixSplit:
         u = tuple(rng.randrange(ell) for _ in range(4))
         if not any(u):
             continue
-        bas = O.basis_elements()
-        lift = O.algebra.element()
-        for c, b in zip(u, bas):
-            lift = lift + c * b
-        t = lift.trd()
-        n = lift.nrd()
-        assert t.denominator == 1 and n.denominator == 1
-        tt, nn = int(t) % ell, int(n) % ell
+        # trd and nrd of the lift r/den, both integers
+        r = _combine(u, O.lattice.mat)
+        den = O.lattice.den
+        t, t_rem = divmod(2 * r[0], den)
+        n, n_rem = divmod(O.algebra.nrd_coords(r), den * den)
+        assert t_rem == 0 and n_rem == 0
+        tt, nn = t % ell, n % ell
         roots = [r for r in range(ell) if (r * r - tt * r + nn) % ell == 0]
         if len(roots) != 2:
             continue
@@ -576,11 +582,14 @@ def ideals_of_norm_ell(O: QOrder, ell: int, seed: int = DEFAULT_SEED) -> list[QI
     split = matrix_split(O, ell, seed=seed)
     targets = [(0, 0, 0, 1)] + [(1, x, 0, 0) for x in range(ell)]
     out = []
-    bas = O.basis_elements()
+    lat = O.lattice
+    mul = O.algebra.mul_coords
     for m in targets:
-        alpha = split.lift(m)
-        gens = [ell * b for b in bas] + [b * alpha for b in bas]
-        I = QIdeal(QLattice.from_elements(gens))
+        # ell O + O alpha on integer rows over den^2
+        alpha = split.lift_row(m)
+        gens = [[ell * lat.den * x for x in b] for b in lat.mat]
+        gens += [mul(b, alpha) for b in lat.mat]
+        I = QIdeal(QLattice.from_int_rows(O.algebra, gens, lat.den * lat.den))
         assert I.nrd() == ell, f"expected norm {ell}, got {I.nrd()}"
         out.append(I)
     keys = {I.key() for I in out}

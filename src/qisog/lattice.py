@@ -88,6 +88,10 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
 
 
 def frac_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a rational matrix by Gauss-Jordan elimination.
+
+    The lattice and order code no longer calls it; it stays defined because
+    perfbench's tracer resolves it by name."""
     n = len(mat)
     a = [[Frac(x) for x in row] + [Frac(int(r == c)) for c in range(n)] for r, row in enumerate(mat)]
     for col in range(n):
@@ -104,10 +108,6 @@ def frac_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def frac_matmul(a, b):
-    return [[sum(a[r][t] * b[t][c] for t in range(len(b))) for c in range(len(b[0]))] for r in range(len(a))]
-
-
 def int_det(m) -> int:
     """Determinant by fraction-free expansion; inputs are small here."""
     n = len(m)
@@ -119,6 +119,12 @@ def int_det(m) -> int:
             minor = [[row[t] for t in range(n) if t != c] for row in m[1:]]
             total += (-1) ** c * m[0][c] * int_det(minor)
     return total
+
+
+def split_den(coords) -> tuple[list[int], int]:
+    """Rational coordinates as (integer numerators, common denominator)."""
+    vden = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (vden // c.denominator) for c in coords], vden
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +187,44 @@ class QLattice:
             for row in self.mat
         ]
 
-    @cached_property
-    def basis_inv(self) -> list[list[Fraction]]:
-        """Inverse of the rational basis matrix; maps ambient coords to
-        coordinates in this basis."""
-        m = [[Frac(x, self.den) for x in row] for row in self.mat]
-        return frac_inverse(m)
+    def int_coords(self, x, vden: int = 1) -> list[int] | None:
+        """Integer coordinates of the ambient vector x/vden in the basis
+        mat/den, or None when x/vden is not in the lattice.
+
+        mat is upper triangular with positive pivots, so this is forward
+        substitution: x den / vden must be integral, and each pivot must
+        divide what is left of its column."""
+        den = self.den
+        y = []
+        for v in x:
+            n, r = divmod(v * den, vden)
+            if r:
+                return None
+            y.append(n)
+        out = []
+        for t, row in enumerate(self.mat):
+            c, r = divmod(y[t], row[t])
+            if r:
+                return None
+            out.append(c)
+            if c:
+                for s in range(t + 1, 4):
+                    y[s] -= c * row[s]
+        return out
 
     def coords_of(self, elt: QuatElement) -> tuple[Fraction, ...]:
-        v = elt.coords
-        inv = self.basis_inv
-        return tuple(sum(v[t] * inv[t][c] for t in range(4)) for c in range(4))
+        """Rational coordinates of elt in the basis, for any element: scaled
+        by vden det(mat), elt lands in the lattice."""
+        x, vden = split_den(elt.coords)
+        det = math.prod(self.mat[t][t] for t in range(4))
+        coords = self.int_coords([v * det for v in x])
+        return tuple(Frac(c, det * vden) for c in coords)
 
     def contains(self, elt: QuatElement) -> bool:
-        return all(c.denominator == 1 for c in self.coords_of(elt))
+        return self.int_coords(*split_den(elt.coords)) is not None
 
     def contains_lattice(self, other: "QLattice") -> bool:
-        return all(self.contains(b) for b in other.basis_elements())
+        return all(self.int_coords(r, other.den) is not None for r in other.mat)
 
     def covolume(self) -> Fraction:
         return abs(Frac(int_det([list(r) for r in self.mat]), self.den**4))
@@ -278,44 +305,41 @@ class QLattice:
         assert n > 0
         return Frac(n, self.den**2)
 
-    def _mul_matrices(self, side: str):
-        """Matrices of multiplication by each basis element on ambient coords."""
-        alg = self.algebra
-        eye = [(Frac(1), Frac(0), Frac(0), Frac(0)), (Frac(0), Frac(1), Frac(0), Frac(0)),
-               (Frac(0), Frac(0), Frac(1), Frac(0)), (Frac(0), Frac(0), Frac(0), Frac(1))]
-        mats = []
-        for b in self.basis_elements():
-            rows = []
-            for e in eye:
-                if side == "right":
-                    rows.append(list(alg.mul_coords(e, b.coords)))
-                else:
-                    rows.append(list(alg.mul_coords(b.coords, e)))
-            mats.append(rows)
-        return mats
-
     def _order_of(self, side: str) -> "QLattice":
-        binv = self.basis_inv
+        """The intersection over the basis rows b of b^-1 L (right order) or
+        L b^-1 (left order), with b^-1 = conj(b) / nrd(b): for b = r/den the
+        piece is spanned by conj(r) m / nrd(r) over the rows m, resp.
+        m conj(r) / nrd(r)."""
+        alg = self.algebra
+        mul = alg.mul_coords
         lat = None
-        for m in self._mul_matrices(side):
-            cond = frac_matmul(m, binv)
-            piece = QLattice.from_frac_rows(self.algebra, frac_inverse(cond))
+        for r in self.mat:
+            rc = (r[0], -r[1], -r[2], -r[3])
+            if side == "right":
+                rows = [mul(rc, m) for m in self.mat]
+            else:
+                rows = [mul(m, rc) for m in self.mat]
+            piece = QLattice.from_int_rows(alg, rows, alg.nrd_coords(r))
             lat = piece if lat is None else lat.intersect(piece)
         return lat
 
     def left_order(self) -> "QLattice":
         """{a : a L contained in L} as a canonical lattice."""
-        return self._order_of("right")
-
-    def right_order(self) -> "QLattice":
         return self._order_of("left")
 
+    def right_order(self) -> "QLattice":
+        """{a : L a contained in L} as a canonical lattice."""
+        return self._order_of("right")
+
     def is_ring(self) -> bool:
-        one = self.algebra.one
-        if not self.contains(one):
+        """Whether 1 and the 16 products of basis rows, mul(a, b) / den^2,
+        lie in the lattice."""
+        if self.int_coords((1, 0, 0, 0)) is None:
             return False
-        bas = self.basis_elements()
-        return all(self.contains(a * b) for a in bas for b in bas)
+        mul = self.algebra.mul_coords
+        d2 = self.den * self.den
+        return all(self.int_coords(mul(a, b), d2) is not None
+                   for a in self.mat for b in self.mat)
 
     # -- short vectors ------------------------------------------------------
 

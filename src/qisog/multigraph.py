@@ -18,6 +18,9 @@ class MultiGraph:
     meta: dict = field(default_factory=dict)
     vertex_attrs: dict = field(default_factory=dict)  # key -> attr dict
     edges: dict = field(default_factory=dict)  # (src, dst) -> {"count": n, "cls": str|None}
+    # adjacency indexes sharing the records of `edges`: v -> {dst: rec}, v -> {src: rec}
+    _out: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _in: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_vertex(self, key, **attrs):
         if key not in self.vertex_attrs:
@@ -28,7 +31,11 @@ class MultiGraph:
         for v in (src, dst):
             if v not in self.vertex_attrs:
                 raise PreconditionError("edge endpoint not a vertex")
-        rec = self.edges.setdefault((src, dst), {"count": 0, "cls": cls})
+        rec = self.edges.get((src, dst))
+        if rec is None:
+            rec = self.edges[(src, dst)] = {"count": 0, "cls": cls}
+            self._out.setdefault(src, {})[dst] = rec
+            self._in.setdefault(dst, {})[src] = rec
         rec["count"] += count
         if cls is not None:
             rec["cls"] = cls
@@ -44,11 +51,19 @@ class MultiGraph:
     def num_edges(self) -> int:
         return sum(rec["count"] for rec in self.edges.values())
 
+    def out_edges(self, v) -> dict:
+        """{dst: edge record} of the edges leaving v."""
+        return self._out.get(v, {})
+
+    def in_edges(self, v) -> dict:
+        """{src: edge record} of the edges entering v."""
+        return self._in.get(v, {})
+
     def out_degree(self, v) -> int:
-        return sum(rec["count"] for (s, _), rec in self.edges.items() if s == v)
+        return sum(rec["count"] for rec in self.out_edges(v).values())
 
     def in_degree(self, v) -> int:
-        return sum(rec["count"] for (_, d), rec in self.edges.items() if d == v)
+        return sum(rec["count"] for rec in self.in_edges(v).values())
 
     def loop_count(self, v) -> int:
         rec = self.edges.get((v, v))
@@ -86,8 +101,8 @@ class MultiGraph:
         return self.is_connected() and len(self.undirected_edge_set()) == self.num_vertices() - 1
 
     def degree_signature(self, v):
-        outs = sorted(rec["count"] for (s, _), rec in self.edges.items() if s == v)
-        ins = sorted(rec["count"] for (_, d), rec in self.edges.items() if d == v)
+        outs = sorted(rec["count"] for rec in self.out_edges(v).values())
+        ins = sorted(rec["count"] for rec in self.in_edges(v).values())
         return (tuple(outs), tuple(ins), self.loop_count(v))
 
     # -- serialization -------------------------------------------------------

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ideals as idl
 from . import numth
 from .errors import CapExceeded, PreconditionError
 from .ideals import QOrder
-from .lattice import integer_kernel
+from .lattice import integer_kernel, split_den
 from .multigraph import MultiGraph
-from .quat import QuatAlgebra, QuatElement
-
-Frac = Fraction
+from .quat import QuatAlgebra
 
 ASC, HOR, DESC = "A", "H", "D"
 DEPTH_CAP = 6
@@ -69,12 +66,12 @@ def optimal_suborder(order: QOrder, u: str) -> numth.QuadOrderDesc:
     if u not in ("i", "j"):
         raise PreconditionError("subfield tag must be 'i' or 'j'")
     d_u = order.algebra.d_i if u == "i" else order.algebra.d_j
-    den = order.lattice.den
-    rows = [(Frac(x, den), Frac(y, den)) for x, y in _subfield_lattice(order, u)]
+    # trace form on the integer rows, which are den times the basis
+    rows = _subfield_lattice(order, u)
     t = [[2 * (a[0] * b[0] + d_u * a[1] * b[1]) for b in rows] for a in rows]
-    disc = t[0][0] * t[1][1] - t[0][1] * t[1][0]
-    assert disc.denominator == 1 and disc < 0
-    return numth.quad_order_info(int(disc))
+    disc, rem = divmod(t[0][0] * t[1][1] - t[0][1] * t[1][0], order.lattice.den**4)
+    assert rem == 0 and disc < 0
+    return numth.quad_order_info(disc)
 
 
 def conductors(order: QOrder) -> tuple[int, int]:
@@ -97,15 +94,13 @@ def oriented_vertex(order: QOrder) -> OrientedVertex:
 # edge classification
 
 
-def _omega(alg: QuatAlgebra, u: str) -> QuatElement:
-    wi, wj = idl.maximal_quadratic_generators(alg)
-    return wi if u == "i" else wj
-
-
 def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int,
                   cross_check: bool = True) -> str:
     """Two-letter label, field i first: A/H/D per conductor ratio, checked
-    against the membership test of theta/ell in the target order."""
+    against the membership test of theta/ell in the target order, where
+    theta = f omega is the generator of the conductor-f order at v."""
+    omegas = dict(zip("ij", idl.maximal_quadratic_generators(v.order.algebra)))
+    target = w.order.lattice
     labels = []
     for u, fv, fw in (("i", v.f_i, w.f_i), ("j", v.f_j, w.f_j)):
         if fw * ell == fv:
@@ -117,13 +112,15 @@ def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int,
         else:
             raise RuntimeError(f"conductor ratio {fw}/{fv} not in 1/l,1,l")
         if cross_check:
-            theta = fv * _omega(v.order.algebra, u)
-            target = w.order
-            asc = target.contains(theta / ell)
-            hor = target.contains(theta) and not asc
+            # theta = x / xden on integers
+            x, xden = split_den(omegas[u].coords)
+            x = [fv * c for c in x]
+            asc = target.int_coords(x, xden * ell) is not None
+            hor = not asc and target.int_coords(x, xden) is not None
             want = ASC if asc else (HOR if hor else DESC)
             if not asc and not hor:
-                assert target.contains(ell * theta), "theta*l must land in the target"
+                assert target.int_coords([ell * c for c in x], xden) is not None, \
+                    "theta*l must land in the target"
             assert want == lab, f"membership path gives {want}, conductors give {lab}"
         labels.append(lab)
     return "".join(labels)
@@ -281,9 +278,8 @@ def structure_audit(component: MultiGraph, vertex_key, ell: int) -> AuditReport:
     alg = QuatAlgebra(p=alg_meta["p"], d_i=alg_meta["d_i"], d_j=alg_meta["d_j"])
     case, pred = predicted_counts(alg, attrs["f_i"], attrs["f_j"], ell)
     observed: dict = {c: 0 for c in CATEGORIES}
-    for (s, d), rec in component.edges.items():
-        if s == vertex_key:
-            observed[rec["cls"]] += rec["count"]
+    for rec in component.out_edges(vertex_key).values():
+        observed[rec["cls"]] += rec["count"]
     total = sum(observed.values())
     ok = total == ell + 1
     for bucket, want in pred:

@@ -91,7 +91,7 @@ class TestEmbeddingNumbers:
 
 
 class TestSuperorderOracle:
-    @pytest.mark.parametrize("p", [7, 13, 17, 23, 29, 41])
+    @pytest.mark.parametrize("p", [7, 13, 17, 23, 29, 41, 73, 193])
     def test_count_matches_formula(self, p):
         O = bass_for(p)
         supers = bass.enumerate_maximal_superorders(O)

@@ -127,6 +127,39 @@ class TestGraphIsomorphism:
             brandt.check_graph_isomorphism(g, h)
 
 
+class TestMultiGraphIndex:
+    """The adjacency indexes agree with a scan over every edge."""
+
+    @staticmethod
+    def scanned(g, v):
+        outs = sorted(rec["count"] for (s, _), rec in g.edges.items() if s == v)
+        ins = sorted(rec["count"] for (_, d), rec in g.edges.items() if d == v)
+        return sum(outs), sum(ins), (tuple(outs), tuple(ins), g.loop_count(v))
+
+    @pytest.mark.parametrize("p,ell", [(37, 2), (61, 3), (101, 2)])
+    def test_degrees_match_edge_scan(self, p, ell):
+        graphs = [brandt.brandt_graph(classes(p, ell), ell), ecgraph.build_isogeny_graph(p, ell)]
+        graphs.append(ecgraph.reduce_graph(graphs[1]))
+        for g in graphs:
+            for v in g.vertices():
+                want = self.scanned(g, v)
+                assert (g.out_degree(v), g.in_degree(v), g.degree_signature(v)) == want
+                assert g.out_edges(v) == {d: rec for (s, d), rec in g.edges.items() if s == v}
+                assert g.in_edges(v) == {s: rec for (s, d), rec in g.edges.items() if d == v}
+
+    def test_repeated_edges_share_one_record(self):
+        g = MultiGraph()
+        for v in "ab":
+            g.add_vertex(v)
+        g.add_edge("a", "b")
+        g.add_edge("a", "b", count=2, cls="H")
+        g.add_edge("a", "a")
+        assert g.out_edges("a")["b"] is g.edges[("a", "b")]
+        assert g.out_degree("a") == 4 and g.in_degree("b") == 3 and g.in_degree("a") == 1
+        assert g.degree_signature("a") == ((1, 3), (1,), 1)
+        assert g.edge_class("a", "b") == "H"
+
+
 class TestTypeGraph:
     def test_vertex_count_bounded_by_classes(self):
         cs = classes(37, 2)

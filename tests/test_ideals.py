@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qisog import bass
 from qisog import ideals as idl
 from qisog import numth
 from qisog.errors import PreconditionError
@@ -210,6 +211,26 @@ class TestNormEllIdeals:
     def test_ell_equal_p_rejected(self):
         with pytest.raises(PreconditionError):
             idl.ideals_of_norm_ell(ROOT7, 7)
+
+
+class TestOrdersAgainstProductFormula:
+    """left_order and right_order intersect the pieces b^-1 L (or L b^-1)
+    over the basis; the second path is the product formula
+    O_R(I) = I^-1 I of an invertible ideal."""
+
+    @pytest.mark.parametrize("walked", ["walked_orders_13", "walked_orders_37"])
+    def test_norm_ell_ideals_of_walked_orders(self, walked, request):
+        for O in request.getfixturevalue(walked):
+            for ell in (2, 3):
+                for I in idl.ideals_of_norm_ell(O, ell):
+                    assert I.lattice.right_order() == idl.inverse(I).lattice * I.lattice
+                    assert I.lattice.left_order() == O.lattice
+
+    @pytest.mark.parametrize("p", [13, 17, 41])
+    def test_non_maximal_bass_orders_are_their_own_orders(self, p):
+        O = bass.bass_order(QuatAlgebra.for_prime(p))
+        assert not O.is_maximal
+        assert O.lattice.left_order() == O.lattice.right_order() == O.lattice
 
 
 class TestMatrixSplit:

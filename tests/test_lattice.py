@@ -51,6 +51,18 @@ def brute_short_vectors(lat, bound):
     return sorted(out.values(), key=lambda e: e.key())
 
 
+def random_sublattice(rng, order):
+    """Random full-rank sublattice spanned by small combinations of the rows."""
+    while True:
+        R = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+        rows = [[sum(R[r][t] * order.mat[t][c] for t in range(4)) for c in range(4)]
+                for r in range(4)]
+        try:
+            return QLattice.from_int_rows(order.algebra, rows, order.den)
+        except PreconditionError:
+            continue
+
+
 def random_unimodular(rng):
     m = [[int(r == c) for c in range(4)] for r in range(4)]
     for _ in range(8):
@@ -157,6 +169,57 @@ class TestOrders:
         assert I.right_order().is_ring()
 
 
+class TestMembership:
+    """contains, contains_lattice, coords_of and is_ring run on the integer
+    HNF rows; the second path is the HNF of the lattice with x adjoined."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from([O0, O101, O113]))
+    def test_contains_against_adjoined_generator(self, seed, order):
+        rng = random.Random(seed)
+        L = random_sublattice(rng, order)
+        alg = L.algebra
+        bas = L.basis_elements()
+        obas = order.basis_elements()
+        probes = []
+        for _ in range(4):
+            # lattice members, integral elements of the order (mostly off the
+            # sublattice), and denominators that need not divide den
+            probes.append(sum((rng.randint(-3, 3) * b for b in bas), alg.element()))
+            probes.append(sum((rng.randint(-3, 3) * b for b in obas), alg.element()))
+            vden = rng.choice([1, 2, 3, 5, 7, L.den, 2 * L.den, 3 * L.den])
+            probes.append(alg.element(*[Fraction(rng.randint(-9, 9), vden) for _ in range(4)]))
+        hits = 0
+        for x in probes:
+            want = QLattice.from_elements([x] + bas) == L
+            assert L.contains(x) == want, x
+            hits += want
+            coords = L.coords_of(x)
+            assert sum((c * b for c, b in zip(coords, bas)), alg.element()) == x
+            assert all(c.denominator == 1 for c in coords) == want
+        assert hits >= 4  # the members drawn from L itself
+        assert order.contains_lattice(L)
+        assert L.contains_lattice(order) == (L == order)
+
+    def test_ring_rejects_lattice_without_one(self):
+        with pytest.raises(PreconditionError):
+            idl.QOrder(O0.scale(2))
+        assert not O0.scale(2).is_ring()
+
+    def test_ring_rejects_lattice_not_closed(self):
+        one, i, j, k = A7.basis()
+        L = QLattice.from_elements([one, i, j / 2, k])
+        assert L.contains(one) and not L.contains((j / 2) * (j / 2))
+        assert not L.is_ring()
+        with pytest.raises(PreconditionError):
+            idl.QOrder(L)
+
+    @pytest.mark.parametrize("order", [O0, O101, O113])
+    def test_orders_are_rings(self, order):
+        assert order.is_ring()
+        assert idl.QOrder(order).lattice == order
+
+
 class TestReducedNorm:
     def test_order_has_norm_one(self):
         assert O0.reduced_norm() == 1
@@ -192,16 +255,7 @@ class TestShortVectors:
            bound=st.fractions(Fraction(1, 3), 8, max_denominator=7),
            order=st.sampled_from([O0, O101, O113]))
     def test_against_box_oracle(self, seed, bound, order):
-        rng = random.Random(seed)
-        while True:  # random full-rank sublattice of the order
-            R = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
-            rows = [[sum(R[r][t] * order.mat[t][c] for t in range(4)) for c in range(4)]
-                    for r in range(4)]
-            try:
-                L = QLattice.from_int_rows(order.algebra, rows, order.den)
-                break
-            except PreconditionError:
-                continue
+        L = random_sublattice(random.Random(seed), order)
         got = L.min_norm_elements(bound)
         want = brute_short_vectors(L, bound)
         assert [e.coords for e in got] == [e.coords for e in want]
