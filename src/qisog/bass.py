@@ -9,6 +9,7 @@ radical computation in the 4-dimensional algebra O/lO.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -17,7 +18,7 @@ from . import numth
 from .errors import CapExceeded, PreconditionError
 from .ideals import QOrder
 # frac_inverse has no caller here; perfbench's tracer self-test resolves bass.frac_inverse
-from .lattice import QLattice, frac_inverse  # noqa: F401
+from .lattice import QLattice, frac_inverse, triangular_adjugate  # noqa: F401
 from .quat import QuatAlgebra
 
 SUPERORDER_CAP = 10**5
@@ -168,28 +169,34 @@ def _contained_dK(O: QOrder) -> int | None:
     return None
 
 
+def _local_number(sym: int, v: int) -> int:
+    """Local maximal orders above an order at a prime ell != p dividing its
+    discrd exactly v times, from the Eichler symbol at ell."""
+    return v + 1 if sym == 1 else (2 if sym == 0 else 1)
+
+
 def local_embedding_number(O: QOrder, ell: int) -> int:
     """Number of local maximal orders above O at ell."""
     D = O.reduced_discriminant
-    p = O.algebra.p
-    if D % ell != 0 or ell == p:
+    if D % ell != 0 or ell == O.algebra.p:
         return 1
-    sym = eichler_symbol(O, ell, _contained_dK(O)).value
-    if sym == 1:
-        v = 0
-        d = D
-        while d % ell == 0:
-            d //= ell
-            v += 1
-        return v + 1
-    return 2 if sym == 0 else 1
+    return _local_number(eichler_symbol(O, ell, _contained_dK(O)).value, numth.factorize(D)[ell])
+
+
+def embedding_numbers(O: QOrder) -> tuple[dict[int, int], dict[int, int], int]:
+    """Eichler symbol and local embedding number at every prime dividing
+    discrd, and the global embedding number; each symbol is computed, with
+    its cross-check, once."""
+    fac = numth.factorize(O.reduced_discriminant)
+    dK = _contained_dK(O)
+    syms = {ell: eichler_symbol(O, ell, dK).value for ell in sorted(fac)}
+    locs = {ell: 1 if ell == O.algebra.p else _local_number(s, fac[ell])
+            for ell, s in syms.items()}
+    return syms, locs, math.prod(locs.values())
 
 
 def global_embedding_number(O: QOrder) -> int:
-    out = 1
-    for ell in numth.factorize(O.reduced_discriminant):
-        out *= local_embedding_number(O, ell)
-    return out
+    return embedding_numbers(O)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +230,6 @@ def _sublattice_hnfs(index: int):
             yield H
 
 
-def _scaled_inverse(H, index: int) -> list[list[int]]:
-    """index * H^-1 = adj(H) for the upper-triangular H of determinant
-    index, by back-substitution; every division is exact."""
-    X = [[0] * 4 for _ in range(4)]
-    for c in range(4):
-        X[c][c] = index // H[c][c]
-        for r in range(c - 1, -1, -1):
-            s = sum(H[r][t] * X[t][c] for t in range(r + 1, c + 1))
-            X[r][c], rem = divmod(-s, H[r][r])
-            assert rem == 0
-    return X
-
-
 def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
     """Orders containing O with the given index, by dualizing the HNF
     enumeration of sublattices of that index."""
@@ -247,7 +241,7 @@ def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
         count += 1
         if count > cap:
             raise CapExceeded("superorder enumeration cap exceeded")
-        X = _scaled_inverse(H, index)
+        X = triangular_adjugate(H)  # index H^-1, as det(H) = index
         # the columns of H^-1 are the dual basis coordinates
         rows = [[sum(X[t][c] * mat[t][s] for t in range(c + 1)) for s in range(4)]
                 for c in range(4)]

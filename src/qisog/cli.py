@@ -187,11 +187,9 @@ def cmd_embed(args) -> None:
     alg = QuatAlgebra.for_prime(args.p)
     O = bass.bass_order(alg)
     D = O.reduced_discriminant
-    locs = {str(ell): bass.local_embedding_number(O, ell) for ell in sorted(numth.factorize(D))}
-    syms = {}
-    for ell in sorted(numth.factorize(D)):
-        syms[str(ell)] = bass.eichler_symbol(O, ell, bass._contained_dK(O)).value
-    e = bass.global_embedding_number(O)
+    syms, locs, e = bass.embedding_numbers(O)
+    syms = {str(ell): s for ell, s in syms.items()}
+    locs = {str(ell): n for ell, n in locs.items()}
     supers = bass.enumerate_maximal_superorders(O)
     doc = {
         "p": args.p,

@@ -116,30 +116,28 @@ class QIdeal:
 def order_closure(gens, rounds: int = 16) -> QOrder:
     """Smallest order containing the generators: saturate span under products.
 
+    The span is kept as integer HNF rows over one denominator; a round adds
+    the products of the rows over den^2 and divides the gcd back out.
     Non-stabilization within the round cap signals unbounded denominators,
     i.e. the generated ring is not an order.
     """
     if not gens:
         raise PreconditionError("no generators")
     alg = gens[0].algebra
-    current = [alg.one.coords] + [g.coords for g in gens]
+    mul = alg.mul_coords
+    den = math.lcm(*(c.denominator for g in gens for c in g.coords))
+    rows = [(den, 0, 0, 0)] + [[int(c * den) for c in g.coords] for g in gens]
     seen = None
     for _ in range(rounds):
-        elems = [QuatElement(alg, c) for c in current]
-        prods = [a * b for a in elems for b in elems]
-        allrows = current + [p.coords for p in prods]
-        den = 1
-        for r in allrows:
-            for x in r:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = hnf_rows([[int(x * den) for x in r] for r in allrows])
-        nxt = [tuple(Frac(x, den) for x in row) for row in ints]
-        if nxt == seen:
-            if len(nxt) != 4:
+        prods = [mul(a, b) for a in rows for b in rows]
+        h = hnf_rows([[x * den for x in r] for r in rows] + prods)
+        g = math.gcd(den * den, *(x for r in h for x in r))
+        rows, den = [[x // g for x in r] for r in h], den * den // g
+        if (rows, den) == seen:
+            if len(rows) != 4:
                 raise PreconditionError("generators do not span the algebra")
-            return QOrder(QLattice.from_frac_rows(alg, nxt))
-        seen = nxt
-        current = list(nxt)
+            return QOrder(QLattice.from_int_rows(alg, rows, den))
+        seen = (rows, den)
     raise CapExceeded("ring closure did not stabilize; not an order")
 
 

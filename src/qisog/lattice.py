@@ -121,6 +121,20 @@ def int_det(m) -> int:
     return total
 
 
+def triangular_adjugate(m) -> list[list[int]]:
+    """adj(m) = det(m) m^-1 for an upper-triangular integer matrix, by
+    back-substitution; every division is exact."""
+    det = math.prod(m[t][t] for t in range(4))
+    X = [[0] * 4 for _ in range(4)]
+    for c in range(4):
+        X[c][c] = det // m[c][c]
+        for r in range(c - 1, -1, -1):
+            s = sum(m[r][t] * X[t][c] for t in range(r + 1, c + 1))
+            X[r][c], rem = divmod(-s, m[r][r])
+            assert rem == 0
+    return X
+
+
 def split_den(coords) -> tuple[list[int], int]:
     """Rational coordinates as (integer numerators, common denominator)."""
     vden = math.lcm(*(c.denominator for c in coords))
@@ -305,31 +319,28 @@ class QLattice:
         assert n > 0
         return Frac(n, self.den**2)
 
-    def _order_of(self, side: str) -> "QLattice":
-        """The intersection over the basis rows b of b^-1 L (right order) or
-        L b^-1 (left order), with b^-1 = conj(b) / nrd(b): for b = r/den the
-        piece is spanned by conj(r) m / nrd(r) over the rows m, resp.
-        m conj(r) / nrd(r)."""
-        alg = self.algebra
-        mul = alg.mul_coords
-        lat = None
-        for r in self.mat:
-            rc = (r[0], -r[1], -r[2], -r[3])
-            if side == "right":
-                rows = [mul(rc, m) for m in self.mat]
-            else:
-                rows = [mul(m, rc) for m in self.mat]
-            piece = QLattice.from_int_rows(alg, rows, alg.nrd_coords(r))
-            lat = piece if lat is None else lat.intersect(piece)
-        return lat
+    def dual(self) -> "QLattice":
+        """L^# = {x : trd(x L) in Z}.  With the trace Gram
+        T = diag(2, 2 d_i, 2 d_j, -2 d_i d_j) of 1, i, j, k, the pairing of
+        coordinates c with the rows M/den is c T M^T / den, so L^# is spanned
+        by den M^-T T^-1: the rows of den adj(M)^T diag(d_i d_j, d_j, d_i, -1)
+        over det(M) 2 d_i d_j."""
+        di, dj = self.algebra.d_i, self.algebra.d_j
+        adj = triangular_adjugate(self.mat)
+        scale = (di * dj, dj, di, -1)
+        rows = [[self.den * adj[c][a] * scale[c] for c in range(4)] for a in range(4)]
+        det = math.prod(self.mat[t][t] for t in range(4))
+        return QLattice.from_int_rows(self.algebra, rows, det * 2 * di * dj)
 
     def left_order(self) -> "QLattice":
-        """{a : a L contained in L} as a canonical lattice."""
-        return self._order_of("left")
+        """{a : a L contained in L} = (L L^#)^#, since a L lies in L iff
+        trd(a L L^#) lies in Z."""
+        return (self * self.dual()).dual()
 
     def right_order(self) -> "QLattice":
-        """{a : L a contained in L} as a canonical lattice."""
-        return self._order_of("right")
+        """{a : L a contained in L} = (L^# L)^#, since L a lies in L iff
+        trd(L a L^#) = trd(a L^# L) lies in Z."""
+        return (self.dual() * self).dual()
 
     def is_ring(self) -> bool:
         """Whether 1 and the 16 products of basis rows, mul(a, b) / den^2,

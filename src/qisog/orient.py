@@ -165,11 +165,20 @@ def walk_component(start: QOrder, ell: int, depth: int,
     v0 = register(start)
     frontier = [v0]
     seen = {v0.key()}
+    reached_by: dict = {}  # vertex key -> (ideal I it was found through, parent)
     for _ in range(depth):
         nxt = []
         for v in frontier:
+            # conj(I) is the norm-ell ideal of v with right order the parent
+            back = reached_by.get(v.key())
+            back_key = back[0].lattice.conjugate().key() if back else None
+            matched = 0
             for I in idl.ideals_of_norm_ell(v.order, ell, seed=seed):
-                w = register(QOrder(I.lattice.right_order()))
+                if I.key() == back_key:
+                    w = back[1]
+                    matched += 1
+                else:
+                    w = register(QOrder(I.lattice.right_order()))
                 if v.key() == w.key():
                     raise AssertionError("loop in a double-oriented graph")
                 if g.multiplicity(v.key(), w.key()):
@@ -177,7 +186,9 @@ def walk_component(start: QOrder, ell: int, depth: int,
                 g.add_edge(v.key(), w.key(), cls=classify_edge(v, w, ell))
                 if w.key() not in seen:
                     seen.add(w.key())
+                    reached_by[w.key()] = (I, v)
                     nxt.append(w)
+            assert back is None or matched == 1, "parent edge must match exactly one ideal"
         frontier = nxt
     g.meta["depth"] = depth
     return g

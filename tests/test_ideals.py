@@ -1,18 +1,41 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from qisog import bass
 from qisog import ideals as idl
 from qisog import numth
-from qisog.errors import PreconditionError
+from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QIdeal, QOrder
-from qisog.lattice import QLattice
-from qisog.quat import QuatAlgebra
+from qisog.lattice import QLattice, hnf_rows
+from qisog.quat import QuatAlgebra, QuatElement
 
 A7 = QuatAlgebra.for_prime(7)
 A13 = QuatAlgebra.for_prime(13)
 ROOT7 = idl.global_root_orders(7)[0]
+
+
+def fraction_order_closure(gens, rounds: int = 16) -> QLattice:
+    """Oracle for order_closure on Fraction coordinates: each round adds the
+    products of the current span and takes the HNF over the lcm of all the
+    denominators, until the span repeats."""
+    alg = gens[0].algebra
+    current = [alg.one.coords] + [g.coords for g in gens]
+    seen = None
+    for _ in range(rounds):
+        elems = [QuatElement(alg, c) for c in current]
+        allrows = current + [(a * b).coords for a in elems for b in elems]
+        den = math.lcm(*(x.denominator for r in allrows for x in r))
+        nxt = [tuple(Fraction(x, den) for x in row)
+               for row in hnf_rows([[int(x * den) for x in r] for r in allrows])]
+        if nxt == seen:
+            if len(nxt) != 4:
+                raise PreconditionError("generators do not span the algebra")
+            return QLattice.from_frac_rows(alg, nxt)
+        seen = current = nxt
+    raise CapExceeded("ring closure did not stabilize; not an order")
 
 
 class TestOrderClosure:
@@ -29,11 +52,34 @@ class TestOrderClosure:
     def test_scalars_fail_rank(self):
         with pytest.raises(PreconditionError):
             idl.order_closure([A7.one])
+        with pytest.raises(PreconditionError):
+            fraction_order_closure([A7.one])
 
     def test_unbounded_denominators_fail(self):
         one, i, j, k = A7.basis()
-        with pytest.raises(Exception):
+        with pytest.raises(CapExceeded):
             idl.order_closure([i / 2])
+        with pytest.raises(CapExceeded):
+            fraction_order_closure([i / 2])
+
+    def test_root_and_bass_generators_against_fraction_oracle(self, monkeypatch):
+        """Every generator set that root_maximal_orders and bass_order close
+        for 5 <= p < 500 gives the same order on both paths."""
+        calls = []
+        closure = idl.order_closure
+
+        def record(gens, rounds=16):
+            calls.append((gens, closure(gens, rounds)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(idl, "order_closure", record)
+        for p in range(5, 500):
+            if numth.is_prime(p):
+                idl.root_maximal_orders(p)
+                bass.bass_order(QuatAlgebra.for_prime(p))
+        assert len(calls) == 279
+        for gens, O in calls:
+            assert fraction_order_closure(gens) == O.lattice
 
 
 class TestReducedDiscriminant:
@@ -214,9 +260,9 @@ class TestNormEllIdeals:
 
 
 class TestOrdersAgainstProductFormula:
-    """left_order and right_order intersect the pieces b^-1 L (or L b^-1)
-    over the basis; the second path is the product formula
-    O_R(I) = I^-1 I of an invertible ideal."""
+    """left_order and right_order are the trace duals (L L^#)^# and
+    (L^# L)^#; the second path is the product formula O_R(I) = I^-1 I of an
+    invertible ideal."""
 
     @pytest.mark.parametrize("walked", ["walked_orders_13", "walked_orders_37"])
     def test_norm_ell_ideals_of_walked_orders(self, walked, request):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qisog import brandt
 from qisog import ideals as idl
 from qisog.errors import CapExceeded, PreconditionError
 from qisog.lattice import QLattice, hnf_rows
@@ -167,6 +168,88 @@ class TestOrders:
         I = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
         assert I.left_order().is_ring()
         assert I.right_order().is_ring()
+
+
+def piecewise_order(L, side):
+    """Oracle for the orders of L: the intersection over the basis rows b of
+    b^-1 L (right order) or L b^-1 (left order), with b^-1 = conj(b)/nrd(b);
+    for b = r/den the piece is spanned by conj(r) m / nrd(r) over the rows m,
+    resp. m conj(r) / nrd(r).  Valid for every full-rank lattice."""
+    mul = L.algebra.mul_coords
+    out = None
+    for r in L.mat:
+        rc = (r[0], -r[1], -r[2], -r[3])
+        rows = [mul(rc, m) if side == "right" else mul(m, rc) for m in L.mat]
+        piece = QLattice.from_int_rows(L.algebra, rows, L.algebra.nrd_coords(r))
+        out = piece if out is None else out.intersect(piece)
+    return out
+
+
+def class_set_lattices(p):
+    """The class representatives of the p, l = 2 class set and every I^-1 J."""
+    reps = [R.lattice for R in brandt.enumerate_classes(idl.root_maximal_orders(p)[0], 2)
+            .representatives]
+    return reps + [idl.inverse(idl.QIdeal(I)).lattice * J for I in reps for J in reps]
+
+
+class TestOrdersByDuality:
+    """left_order and right_order are (L L^#)^# and (L^# L)^#; the second
+    path is the piecewise intersection of b^-1 L (or L b^-1) over the basis."""
+
+    @staticmethod
+    def assert_both_sides(L):
+        assert L.right_order() == piecewise_order(L, "right")
+        assert L.left_order() == piecewise_order(L, "left")
+
+    @pytest.mark.parametrize("walked", ["walked_orders_13", "walked_orders_37"])
+    def test_norm_ell_ideals_of_walked_orders(self, walked, request):
+        for O in request.getfixturevalue(walked):
+            for ell in (2, 3):
+                for I in idl.ideals_of_norm_ell(O, ell):
+                    self.assert_both_sides(I.lattice)
+
+    @pytest.mark.parametrize("p", [101, 113])
+    def test_class_set_and_quotient_lattices(self, p):
+        for L in class_set_lattices(p):
+            self.assert_both_sides(L)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from([O0, O101, O113]))
+    def test_random_sublattices(self, seed, order):
+        self.assert_both_sides(random_sublattice(random.Random(seed), order))
+
+    def test_random_sublattices_include_non_invertible(self):
+        """L is invertible iff conj(L) L = nrd(L) O_R(L); most draws are not,
+        so the product formula could not stand in for the orders there."""
+        rng = random.Random(5)
+        lats = [random_sublattice(rng, O101) for _ in range(30)]
+        non_invertible = [L for L in lats
+                          if L.conjugate() * L != piecewise_order(L, "right").scale(L.reduced_norm())]
+        assert len(non_invertible) >= 10
+        for L in non_invertible:
+            self.assert_both_sides(L)
+
+
+class TestDual:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from([O0, O101, O113]))
+    def test_dual_is_an_involution(self, seed, order):
+        L = random_sublattice(random.Random(seed), order)
+        assert L.dual().dual() == L
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from([O0, O101, O113]))
+    def test_trace_pairing_is_integral(self, seed, order):
+        """trd(L^# L) lies in Z, so L^# lies inside the dual, and its index
+        shows it is all of it: for L inside the maximal order O, whose dual
+        has index p^2 over O, [L^# : L] = [O : L]^2 p^2."""
+        L = random_sublattice(random.Random(seed), order)
+        D = L.dual()
+        for m in D.basis_elements():
+            for b in L.basis_elements():
+                assert (m * b).trd().denominator == 1
+        p = L.algebra.p
+        assert L.index_in(D) == L.index_in(order) ** 2 * p * p
 
 
 class TestMembership:

@@ -7,6 +7,7 @@ from qisog import numth, orient
 from qisog.errors import PreconditionError
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice
+from qisog.multigraph import MultiGraph
 from qisog.quat import QuatAlgebra
 
 ROOT7 = idl.global_root_orders(7)[0]
@@ -94,6 +95,65 @@ class TestWalk:
 
         with pytest.raises(CapExceeded):
             orient.walk_component(ROOT7, 3, depth=3, vertex_cap=5)
+
+
+def reference_walk(start, ell, depth, seed=0):
+    """walk_component without the parent-edge reuse: the right order of every
+    neighbour ideal is computed, the parent's included."""
+    alg = start.algebra
+    g = MultiGraph(meta={
+        "p": alg.p, "ell": ell, "d_i": alg.d_i, "d_j": alg.d_j, "kind": "oriented",
+    })
+    verts = {}
+
+    def register(order):
+        key = order.key()
+        if key not in verts:
+            verts[key] = ov = orient.oriented_vertex(order)
+            g.add_vertex(key, f_i=ov.f_i, f_j=ov.f_j,
+                         basis=[list(r) for r in order.lattice.mat], den=order.lattice.den)
+        return verts[key]
+
+    frontier = [register(start)]
+    seen = {start.key()}
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
+            for I in idl.ideals_of_norm_ell(v.order, ell, seed=seed):
+                w = register(QOrder(I.lattice.right_order()))
+                assert v.key() != w.key() and not g.multiplicity(v.key(), w.key())
+                g.add_edge(v.key(), w.key(), cls=orient.classify_edge(v, w, ell))
+                if w.key() not in seen:
+                    seen.add(w.key())
+                    nxt.append(w)
+        frontier = nxt
+    g.meta["depth"] = depth
+    return g
+
+
+class TestParentEdgeReuse:
+    """walk_component takes the parent of a vertex from conj(I), I the ideal
+    the vertex was reached by, instead of computing its right order."""
+
+    @pytest.mark.parametrize("p,ell,depth", [(7, 3, 4), (101, 2, 5), (499, 7, 2)])
+    def test_same_json_as_reference_walk(self, p, ell, depth):
+        start = idl.global_root_orders(p)[0]
+        want = reference_walk(start, ell, depth).to_json()
+        assert orient.walk_component(start, ell, depth=depth).to_json() == want
+
+    @pytest.mark.parametrize("p,ell,depth", [(7, 3, 3), (101, 2, 4)])
+    def test_one_right_order_per_non_root_vertex(self, p, ell, depth, monkeypatch):
+        calls = []
+        right_order = QLattice.right_order
+
+        def counted(self):
+            calls.append(self)
+            return right_order(self)
+
+        monkeypatch.setattr(QLattice, "right_order", counted)
+        g = walk(p, ell, depth)
+        assert g.is_tree_undirected()
+        assert len(calls) == g.num_vertices() - 1
 
 
 class TestRoots:
