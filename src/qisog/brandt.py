@@ -7,6 +7,7 @@ short-vector searches inside equivalence testing stay cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,22 +38,57 @@ def ell_neighbors(I: QIdeal, ell: int, seed: int = idl.DEFAULT_SEED) -> list[QId
     return [I * s for s in steps]
 
 
+def theta_prefix(J: QIdeal, K: int) -> tuple[int, ...]:
+    """#{x in J : nrd(x) = k nrd(J)} for k = 1..K, one of each +-pair.
+
+    x -> x alpha maps J onto J alpha and keeps nrd(x) / nrd(J), so this is
+    an invariant of the left ideal class."""
+    n = J.nrd()
+    counts = [0] * K
+    for e in J.lattice.min_norm_elements(K * n):
+        k = e.nrd() / n
+        assert k.denominator == 1, "nrd(J) divides the norm of every element"
+        counts[int(k) - 1] += 1
+    return tuple(counts)
+
+
 def enumerate_classes(O0: QOrder, ell: int, depth_cap: int | None = None,
                       seed: int = idl.DEFAULT_SEED) -> ClassSet:
     """BFS over ell-neighbors from O0, collecting left ideal classes and the
     Brandt matrix in one pass: each reduced neighbor of I_i is matched to the
-    first equivalent representative, or becomes a new one.  Representatives
-    are pairwise inequivalent, so that first match is its class for good.
+    equivalent representative, or becomes a new one.  Representatives are
+    pairwise inequivalent, so that match is its class for good.
 
-    The mass formula sum 1/a_j = (p-1)/12, the row sums ell+1 and the
-    relation a_j b_ij = a_i b_ji are checked before returning."""
+    Classes are bucketed by the theta prefix for k up to K = max(4, isqrt(p)),
+    and a neighbor is tested only against the representatives in its bucket.
+    Once sum 1/a_j reaches the mass (p-1)/12 the class list is complete, so
+    when all other candidates in its bucket fail, the last one is its class
+    without a test.
+
+    The mass formula, the row sums ell+1 and the relation
+    a_j b_ij = a_i b_ji are checked before returning."""
     p = O0.algebra.p
     if ell == p:
         raise PreconditionError("ell must differ from p")
     if depth_cap is None:
         depth_cap = 2 * (p // 6 + 8)
+    K = max(4, math.isqrt(p))
+    mass = Fraction(p - 1, 12)
+    reps: list[QIdeal] = []
+    units: list[int] = []  # a_j = |O_R(I_j)^x| / 2
+    buckets: dict[tuple, list[int]] = {}  # theta prefix -> representative indices
+    found = Fraction(0)  # sum 1/a_j over the representatives so far
+
+    def add(J: QIdeal, key: tuple) -> int:
+        nonlocal found
+        buckets.setdefault(key, []).append(len(reps))
+        reps.append(J)
+        units.append(len(J.right_order.lattice.min_norm_elements(1)))
+        found += Fraction(1, units[-1])
+        return len(reps) - 1
+
     start = QIdeal(O0.lattice)
-    reps = [start]
+    add(start, theta_prefix(start, K))
     rows: list[list[int]] = []  # rows[i]: class index of each neighbor of I_i
     frontier = [start]
     depth = 0
@@ -64,19 +100,25 @@ def enumerate_classes(O0: QOrder, ell: int, depth_cap: int | None = None,
         for I in frontier:
             row = []
             for J in ell_neighbors(I, ell, seed=seed):
-                J = idl.reduce_ideal(J)
-                j = next((n for n, R in enumerate(reps) if idl.is_equivalent(R, J) is not None), None)
+                J = idl.reduce_ideal(J, O0)
+                key = theta_prefix(J, K)
+                bucket = buckets.get(key, [])
+                complete = found == mass
+                tested = bucket[:-1] if complete else bucket
+                j = next((n for n in tested if idl.is_equivalent(reps[n], J) is not None), None)
                 if j is None:
-                    j = len(reps)
-                    reps.append(J)
-                    new.append(J)
+                    if complete:
+                        assert bucket, "class list is complete, yet no class has this invariant"
+                        j = bucket[-1]
+                    else:
+                        j = add(J, key)
+                        new.append(J)
                 row.append(j)
             rows.append(row)
         frontier = new
     h = len(reps)
     b = [[row.count(j) for j in range(h)] for row in rows]
-    units = [len(R.right_order.lattice.min_norm_elements(1)) for R in reps]
-    assert sum(Fraction(1, a) for a in units) == Fraction(p - 1, 12), "mass formula fails"
+    assert found == mass, "mass formula fails"
     assert all(sum(row) == ell + 1 for row in b), "Brandt row sum is not ell+1"
     assert all(units[j] * b[i][j] == units[i] * b[j][i] for i in range(h) for j in range(h)), \
         "Brandt relation a_j b_ij = a_i b_ji fails"

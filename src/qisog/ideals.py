@@ -16,8 +16,8 @@ from functools import cached_property
 
 from . import numth
 from .errors import CapExceeded, PreconditionError
-from .lattice import QLattice, hnf_rows, int_det, split_den
-from .quat import QuatAlgebra, QuatElement
+from .lattice import QLattice, hnf_rows, int_det
+from .quat import QuatAlgebra, QuatElement, split_den
 
 Frac = Fraction
 
@@ -91,18 +91,24 @@ class QIdeal:
     def is_two_sided(self) -> bool:
         return self.left_order == self.right_order
 
+    def _times_element(self, elt: QuatElement, left: bool) -> "QIdeal":
+        """elt I (left) or I elt on the integer rows, over one denominator."""
+        lat = self.lattice
+        x, xden = split_den(elt.coords)
+        mul = self.algebra.mul_coords
+        rows = [mul(x, r) if left else mul(r, x) for r in lat.mat]
+        return QIdeal(QLattice.from_int_rows(self.algebra, rows, lat.den * xden))
+
     def __mul__(self, other):
         if isinstance(other, QIdeal):
             return QIdeal(self.lattice * other.lattice)
         if isinstance(other, QuatElement):
-            rows = [b * other for b in self.lattice.basis_elements()]
-            return QIdeal(QLattice.from_elements(rows))
+            return self._times_element(other, left=False)
         return QIdeal(self.lattice.scale(other))
 
     def __rmul__(self, other):
         if isinstance(other, QuatElement):
-            rows = [other * b for b in self.lattice.basis_elements()]
-            return QIdeal(QLattice.from_elements(rows))
+            return self._times_element(other, left=True)
         return QIdeal(self.lattice.scale(other))
 
     def __repr__(self):
@@ -167,13 +173,8 @@ def two_generator_discriminant(a1: QuatElement, a2: QuatElement) -> Fraction:
 
 def maximal_quadratic_generators(alg: QuatAlgebra) -> tuple[QuatElement, QuatElement]:
     """Generators w_i, w_j of the maximal orders of Q(i), Q(j) inside alg."""
-    out = []
-    for d, u in ((alg.d_i, alg.i), (alg.d_j, alg.j)):
-        if d % 4 == 1:
-            out.append((alg.one + u) / 2)
-        else:
-            out.append(u)
-    return tuple(out)
+    return tuple(QuatElement(alg, tuple(Frac(x, den) for x in row))
+                 for row, den in alg.maximal_quadratic_rows)
 
 
 def root_maximal_orders(p: int, q: int | None = None) -> list[QOrder]:
@@ -257,8 +258,9 @@ def is_primitive_at(I: QIdeal, ell: int) -> bool:
     return c.numerator % ell != 0
 
 
-def primitive_part(I: QIdeal) -> QIdeal:
-    return QIdeal(I.lattice.scale(1 / content(I)))
+def primitive_part(I: QIdeal, O: QOrder | None = None) -> QIdeal:
+    """(1/g) I for g = content(I, O); O is I's left order when known."""
+    return QIdeal(I.lattice.scale(1 / content(I, O)))
 
 
 def inverse(I: QIdeal) -> QIdeal:
@@ -650,9 +652,13 @@ def _two_dim_subspaces(ell: int):
 def is_equivalent(I: QIdeal, J: QIdeal, cap: int = 10**6):
     """Witness alpha with J = I*alpha, or None.
 
-    Works through N = I^{-1} J: a witness exists iff N contains an element of
-    norm exactly nrd(N)."""
-    if I.left_order != J.left_order:
+    Needs O_L(J) = O_L(I) = O.  For maximal O that is O J contained in J
+    (then O lies in O_L(J), hence equals it), which costs 16 memberships
+    instead of J's left order.  Works through N = I^{-1} J: a witness
+    exists iff N contains an element of norm exactly nrd(N)."""
+    O = I.left_order
+    same = J.lattice.is_left_module_over(O.lattice) if O.is_maximal else O == J.left_order
+    if not same:
         raise PreconditionError("equivalence needs matching left orders")
     N = QIdeal(inverse(I).lattice * J.lattice)
     target = N.nrd()
@@ -663,8 +669,9 @@ def is_equivalent(I: QIdeal, J: QIdeal, cap: int = 10**6):
     return None
 
 
-def reduce_ideal(I: QIdeal) -> QIdeal:
-    """Equivalent integral primitive ideal of small norm (same left class)."""
+def reduce_ideal(I: QIdeal, O: QOrder | None = None) -> QIdeal:
+    """Equivalent integral primitive ideal of small norm (same left class).
+    O is I's left order when the caller knows it; otherwise it is computed."""
     n = I.nrd()
     bound = n
     elts = []
@@ -673,4 +680,4 @@ def reduce_ideal(I: QIdeal) -> QIdeal:
         elts = I.lattice.min_norm_elements(bound)
     beta = elts[0]
     J = I * (beta.conjugate() / n)
-    return primitive_part(QIdeal(J.lattice))
+    return primitive_part(J, O)

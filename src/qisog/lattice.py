@@ -5,8 +5,8 @@ with a positive common denominator, with the gcd of all entries and the
 denominator divided out.  That canonical form makes lattice equality (and
 hashing, for graph vertex identity) plain tuple equality.
 
-No floating point is used anywhere: the short-vector enumeration runs on
-integers over one common denominator.
+No floating point is used anywhere: the short-vector enumeration runs on an
+LLL-reduced integer Gram matrix, over one common denominator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import CapExceeded, PreconditionError
-from .quat import QuatAlgebra, QuatElement
+from .quat import QuatAlgebra, QuatElement, split_den
 
 Frac = Fraction
 
@@ -31,34 +31,43 @@ def hnf_rows(rows: list[list[int]], ncols: int = 4) -> list[tuple[int, ...]]:
 
     Pivots are positive and entries above a pivot are reduced into
     [0, pivot).  Rows appear in order of pivot column.
+
+    Each row is folded into a per-column echelon basis: at its leading
+    column it takes one subtraction when that column's pivot divides it,
+    and Euclid steps against the pivot row otherwise; what is left moves
+    on to the next column.  The entries above the pivots are reduced last.
     """
-    work = [list(map(int, r)) for r in rows if any(r)]
-    out: list[list[int]] = []
-    for col in range(ncols):
-        while True:
-            nz = [r for r in work if r[col]]
-            if len(nz) <= 1:
+    piv: list[list[int] | None] = [None] * ncols
+    for r in rows:
+        r = list(map(int, r))
+        for col in range(ncols):
+            if not r[col]:
+                continue
+            b = piv[col]
+            if b is None:
+                piv[col] = r if r[col] > 0 else [-x for x in r]
                 break
-            nz.sort(key=lambda r: abs(r[col]))
-            base = nz[0]
-            for r in nz[1:]:
-                q = r[col] // base[col]
-                for t in range(ncols):
-                    r[t] -= q * base[t]
-        nz = [r for r in work if r[col]]
-        if nz:
-            piv = nz[0]
-            work = [r for r in work if r is not piv and any(r)]
-            if piv[col] < 0:
-                piv = [-a for a in piv]
-            for r in out:
-                q = r[col] // piv[col]
-                if q:
-                    for t in range(ncols):
-                        r[t] -= q * piv[t]
-            out.append(list(piv))
-        else:
-            work = [r for r in work if any(r)]
+            q, rem = divmod(r[col], b[col])
+            if not rem:
+                for t in range(col, ncols):
+                    r[t] -= q * b[t]
+                continue
+            a = b
+            while r[col]:
+                q = a[col] // r[col]
+                for t in range(col, ncols):
+                    a[t] -= q * r[t]
+                a, r = r, a
+            piv[col] = a if a[col] > 0 else [-x for x in a]
+    out = [r for r in piv if r is not None]
+    cols = [c for c in range(ncols) if piv[c] is not None]
+    for s, col in enumerate(cols):
+        b = out[s]
+        for r in out[:s]:
+            q = r[col] // b[col]
+            if q:
+                for t in range(col, ncols):
+                    r[t] -= q * b[t]
     return [tuple(r) for r in out]
 
 
@@ -135,10 +144,91 @@ def triangular_adjugate(m) -> list[list[int]]:
     return X
 
 
-def split_den(coords) -> tuple[list[int], int]:
-    """Rational coordinates as (integer numerators, common denominator)."""
-    vden = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (vden // c.denominator) for c in coords], vden
+def lll_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
+    """Exact integral LLL with delta = 3/4 (Cohen, Alg. 2.6.7) on a positive
+    definite integer Gram matrix g.  Returns (U, G) with U unimodular and
+    G = U g U^T the Gram matrix of the reduced basis U b.
+
+    Only integers occur: d[m] is the Gram determinant of the first m
+    vectors (d[0] = 1) and lam[k][j] = d[j+1] mu_kj.  Size reduction and
+    swaps update G in place, a row and a column at a time."""
+    n = len(gram)
+    G = [list(r) for r in gram]
+    U = [[int(r == c) for c in range(n)] for r in range(n)]
+    d = [1, G[0][0]] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            U[k] = [a - q * b for a, b in zip(U[k], U[l])]
+            G[k] = [a - q * b for a, b in zip(G[k], G[l])]
+            for row in G:
+                row[k] -= q * row[l]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int) -> None:
+        U[k], U[k - 1] = U[k - 1], U[k]
+        G[k], G[k - 1] = G[k - 1], G[k]
+        for row in G:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:  # incremental Gram-Schmidt
+            kmax = k
+            for j in range(k + 1):
+                u = G[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return U, G
+
+
+def fincke_pohst_setup(gram) -> tuple[list[int], list[list[int]], list[int], int]:
+    """Integer data (d, lnum, w, P) of the norm form c g c^T written as
+    sum_k (w_k / P) (c_k d_k + S_k)^2 with S_k = sum_{t>k} lnum[k][t] c_t.
+
+    Bareiss elimination on g gives the leading minors Delta_0 = 1, ...,
+    Delta_n and, at stage k, the eliminated column lnum[k][t] = Delta_{k+1}
+    L_tk of g = L D L^T.  So d_k = Delta_{k+1}, and
+    D_k / d_k^2 = 1 / (Delta_k Delta_{k+1}) = w_k / P."""
+    n = len(gram)
+    M = [list(r) for r in gram]
+    minors = [1]
+    for k in range(n):
+        piv = M[k][k]
+        assert piv > 0, "norm form must be positive definite"
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (piv * M[i][j] - M[i][k] * M[k][j]) // minors[-1]
+        minors.append(piv)
+    lnum = [[M[t][k] if t > k else 0 for t in range(n)] for k in range(n)]
+    dens = [minors[k] * minors[k + 1] for k in range(n)]
+    P = math.lcm(*dens)
+    return minors[1:], lnum, [P // x for x in dens], P
 
 
 # ---------------------------------------------------------------------------
@@ -342,49 +432,40 @@ class QLattice:
         trd(L a L^#) = trd(a L^# L) lies in Z."""
         return (self.dual() * self).dual()
 
-    def is_ring(self) -> bool:
-        """Whether 1 and the 16 products of basis rows, mul(a, b) / den^2,
-        lie in the lattice."""
-        if self.int_coords((1, 0, 0, 0)) is None:
-            return False
+    def is_left_module_over(self, other: "QLattice") -> bool:
+        """Whether other * self lies in self: the 16 products of basis rows,
+        mul(a, b) / (other.den den), are members."""
         mul = self.algebra.mul_coords
-        d2 = self.den * self.den
-        return all(self.int_coords(mul(a, b), d2) is not None
-                   for a in self.mat for b in self.mat)
+        dd = other.den * self.den
+        return all(self.int_coords(mul(a, b), dd) is not None
+                   for a in other.mat for b in self.mat)
+
+    def is_ring(self) -> bool:
+        """Whether 1 lies in the lattice and it is closed under products."""
+        return self.int_coords((1, 0, 0, 0)) is not None and self.is_left_module_over(self)
 
     # -- short vectors ------------------------------------------------------
 
     def min_norm_elements(self, bound, cap: int = 10**6) -> list[QuatElement]:
         """All lattice elements with 0 < nrd <= bound, one of each +-pair,
-        sorted by (norm, coordinates).  Exact Fincke-Pohst on the integer
-        coordinate Gram matrix.
+        sorted by (norm, coordinates).  Exact Fincke-Pohst on an LLL-reduced
+        integer coordinate Gram matrix.
 
-        With G = L D L^T (L unit lower triangular) the norm form is
-        sum_k D_k (c_k + s_k)^2, s_k = sum_{t>k} L_tk c_t.  Writing
-        L_tk = l_tk / d_k over a per-level denominator d_k and
-        D_k / d_k^2 = w_k / P over one common denominator P, level k admits
-        exactly the c_k with w_k (c_k d_k + S_k)^2 <= rem, where
-        S_k = sum l_tk c_t and rem = floor(bound * den^2 * P) minus the
-        levels above: the search runs on integers alone.  ``cap`` bounds
-        the number of visited nodes (candidate coordinates at any level)."""
+        With U the LLL transform, the search enumerates coordinates c in the
+        reduced basis U mat, whose Gram matrix g = U gram_int U^T has the
+        integer set-up of ``fincke_pohst_setup``: level k admits exactly the
+        c_k with w_k (c_k d_k + S_k)^2 <= rem, where rem = floor(bound *
+        den^2 * P) minus the levels above, so the search runs on integers
+        alone.  ``cap`` bounds the number of visited nodes (candidate
+        coordinates at any level)."""
         bound = Frac(bound)
         if bound <= 0:
             raise PreconditionError("bound must be positive")
-        g = self.gram_int
         n = 4
-        L = [[Frac(int(r == c)) for c in range(n)] for r in range(n)]
-        D = [Frac(0)] * n
-        for c in range(n):
-            D[c] = Frac(g[c][c]) - sum(D[t] * L[c][t] ** 2 for t in range(c))
-            assert D[c] > 0, "norm form must be positive definite"
-            for r in range(c + 1, n):
-                L[r][c] = (g[r][c] - sum(D[t] * L[r][t] * L[c][t] for t in range(c))) / D[c]
-        d = [math.lcm(*(L[t][k].denominator for t in range(k + 1, n))) for k in range(n)]
-        lnum = [[int(L[t][k] * d[k]) for t in range(n)] for k in range(n)]
-        w = [D[k] / d[k] ** 2 for k in range(n)]
-        P = math.lcm(*(x.denominator for x in w))
-        w = [int(x * P) for x in w]
-        found: dict[tuple, QuatElement] = {}
+        U, g = lll_reduce(self.gram_int)
+        basis = [[sum(u[s] * self.mat[s][col] for s in range(n)) for col in range(4)] for u in U]
+        d, lnum, w, P = fincke_pohst_setup(g)
+        found: set[tuple] = set()
         nodes = 0
         c = [0] * n
 
@@ -402,20 +483,20 @@ class QLattice:
                 c[level] = v
                 if level == 0:
                     if any(c):
-                        vec = [sum(c[t] * self.mat[t][col] for t in range(n)) for col in range(4)]
+                        vec = [sum(c[t] * basis[t][col] for t in range(n)) for col in range(4)]
                         for x in vec:
                             if x > 0:
                                 break
                             if x < 0:
                                 vec = [-y for y in vec]
                                 break
-                        elt = QuatElement(
-                            self.algebra, tuple(Frac(x, self.den) for x in vec)
-                        )
-                        found[tuple(vec)] = elt
+                        found.add(tuple(vec))
                 else:
                     descend(level - 1, rem - w[level] * (v * dk + S) ** 2)
             c[level] = 0
 
         descend(n - 1, math.floor(bound * self.den**2 * P))
-        return sorted(found.values(), key=lambda e: e.key())
+        # (nrd, coords) of vec / den orders as (nrd of vec, vec) does
+        nrd = self.algebra.nrd_coords
+        return [QuatElement(self.algebra, tuple(Frac(x, self.den) for x in vec))
+                for vec in sorted(found, key=lambda v: (nrd(v), v))]

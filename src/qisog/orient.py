@@ -16,7 +16,7 @@ from . import ideals as idl
 from . import numth
 from .errors import CapExceeded, PreconditionError
 from .ideals import QOrder
-from .lattice import integer_kernel, split_den
+from .lattice import integer_kernel
 from .multigraph import MultiGraph
 from .quat import QuatAlgebra
 
@@ -99,7 +99,7 @@ def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int,
     """Two-letter label, field i first: A/H/D per conductor ratio, checked
     against the membership test of theta/ell in the target order, where
     theta = f omega is the generator of the conductor-f order at v."""
-    omegas = dict(zip("ij", idl.maximal_quadratic_generators(v.order.algebra)))
+    omegas = dict(zip("ij", v.order.algebra.maximal_quadratic_rows))
     target = w.order.lattice
     labels = []
     for u, fv, fw in (("i", v.f_i, w.f_i), ("j", v.f_j, w.f_j)):
@@ -113,7 +113,7 @@ def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int,
             raise RuntimeError(f"conductor ratio {fw}/{fv} not in 1/l,1,l")
         if cross_check:
             # theta = x / xden on integers
-            x, xden = split_den(omegas[u].coords)
+            x, xden = omegas[u]
             x = [fv * c for c in x]
             asc = target.int_coords(x, xden * ell) is not None
             hor = not asc and target.int_coords(x, xden) is not None

@@ -6,6 +6,7 @@ Coordinates are Fractions, so element equality is coordinate equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -15,6 +16,12 @@ from .errors import PreconditionError
 
 Frac = Fraction
 Coords = tuple[Fraction, Fraction, Fraction, Fraction]
+
+
+def split_den(coords) -> tuple[list[int], int]:
+    """Rational coordinates as (integer numerators, common denominator)."""
+    vden = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (vden // c.denominator) for c in coords], vden
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,15 @@ class QuatAlgebra:
     def basis(self) -> tuple["QuatElement", ...]:
         return (self.one, self.i, self.j, self.k)
 
+    @cached_property
+    def maximal_quadratic_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Generators w_i, w_j of the maximal orders of Q(i), Q(j) as integer
+        rows over a denominator: (1 + u)/2 when d_u = 1 mod 4, u otherwise."""
+        out = []
+        for d, u in ((self.d_i, (0, 1, 0, 0)), (self.d_j, (0, 0, 1, 0))):
+            out.append(((1,) + u[1:], 2) if d % 4 == 1 else (u, 1))
+        return tuple(out)
+
     def norm_diag(self) -> tuple[int, int, int, int]:
         """Diagonal Gram of the norm form on the basis 1, i, j, k."""
         return (1, -self.d_i, -self.d_j, self.d_i * self.d_j)
@@ -109,7 +125,11 @@ class QuatElement:
         if isinstance(other, QuatElement):
             self._check(other)
             return QuatElement(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
-        return QuatElement(self.algebra, tuple(a * Frac(other) for a in self.coords))
+        try:
+            r = Frac(other)
+        except TypeError:  # not a scalar: let other.__rmul__ (e.g. an ideal) answer
+            return NotImplemented
+        return QuatElement(self.algebra, tuple(a * r for a in self.coords))
 
     def __rmul__(self, other):
         # scalars commute; quaternion * quaternion goes through __mul__
@@ -128,7 +148,8 @@ class QuatElement:
         return 2 * self.coords[0]
 
     def nrd(self) -> Fraction:
-        return self.algebra.nrd_coords(self.coords)
+        x, vden = split_den(self.coords)
+        return Frac(self.algebra.nrd_coords(x), vden * vden)
 
     def inverse(self) -> "QuatElement":
         n = self.nrd()

@@ -1,13 +1,50 @@
-import pytest
+import math
+from fractions import Fraction
 
-from qisog import brandt, ecgraph
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qisog import brandt, ecgraph, numth
 from qisog import ideals as idl
 from qisog.errors import PreconditionError
+from qisog.ideals import QIdeal
+from qisog.quat import QuatElement
 from qisog.multigraph import MultiGraph
 
 
 def classes(p, ell):
     return brandt.enumerate_classes(idl.root_maximal_orders(p)[0], ell)
+
+
+def first_match_classes(O0, ell):
+    """The former class BFS, kept as the reference for the bucketed lookup:
+    each reduced neighbor is tested against every representative in turn,
+    and the first equivalent one is its class.  Returns the representative
+    keys, the Brandt rows and the unit sizes."""
+    reps = [QIdeal(O0.lattice)]
+    rows = []
+    frontier = list(reps)
+    while frontier:
+        new = []
+        for I in frontier:
+            row = []
+            for J in brandt.ell_neighbors(I, ell):
+                J = idl.reduce_ideal(J)
+                j = next((n for n, R in enumerate(reps) if idl.is_equivalent(R, J) is not None), None)
+                if j is None:
+                    j = len(reps)
+                    reps.append(J)
+                    new.append(J)
+                row.append(j)
+            rows.append(row)
+        frontier = new
+    b = [[row.count(j) for j in range(len(reps))] for row in rows]
+    units = [len(R.right_order.lattice.min_norm_elements(1)) for R in reps]
+    return [R.key() for R in reps], b, units
+
+
+SMALL_PRIMES = [p for p in range(5, 114) if numth.is_prime(p)]
 
 
 class TestClassEnumeration:
@@ -27,10 +64,51 @@ class TestClassEnumeration:
     def test_unit_sizes_p11(self):
         assert sorted(classes(11, 2).unit_sizes) == [2, 3]  # j=1728 and j=0 classes
 
+    @pytest.mark.parametrize("p,ell", [(p, ell) for p in SMALL_PRIMES for ell in (2, 3) if ell != p]
+                             + [(211, 2), (499, 2)])
+    def test_bucketed_lookup_matches_first_match(self, p, ell):
+        O0 = idl.root_maximal_orders(p)[0]
+        cs = brandt.enumerate_classes(O0, ell)
+        assert ([R.key() for R in cs.representatives], cs.brandt, cs.unit_sizes) == \
+            first_match_classes(O0, ell)
+
     def test_representatives_have_left_order_O0(self):
         cs = classes(37, 2)
         for R in cs.representatives:
             assert R.left_order == cs.order0
+
+
+@pytest.fixture(scope="module")
+def classes_101():
+    return classes(101, 2)
+
+
+class TestThetaPrefix:
+    @settings(max_examples=40, deadline=None)
+    @given(rep=st.integers(0, 8), coords=st.tuples(*[st.integers(-4, 4)] * 4),
+           den=st.integers(1, 3))
+    def test_invariant_under_right_multiplication(self, classes_101, rep, coords, den):
+        assume(any(coords))
+        J = classes_101.representatives[rep]
+        alpha = QuatElement(J.algebra, tuple(Fraction(c, den) for c in coords))
+        K = max(4, math.isqrt(101))
+        assert brandt.theta_prefix(J * alpha, K) == brandt.theta_prefix(J, K)
+
+    @pytest.mark.parametrize("p,ell", [(113, 3), (211, 2)])
+    def test_few_equivalence_tests_per_neighbor(self, p, ell, monkeypatch):
+        """Bucketing and the mass-certified lookup leave well under three
+        equivalence tests per neighbor (the first-match loop needs about 20
+        at p = 499)."""
+        calls = []
+        test = idl.is_equivalent
+
+        def counted(I, J):
+            calls.append(1)
+            return test(I, J)
+
+        monkeypatch.setattr(idl, "is_equivalent", counted)
+        cs = classes(p, ell)
+        assert len(calls) <= 3 * cs.class_number * (ell + 1)
 
 
 class TestBrandtMatrix:

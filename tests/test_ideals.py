@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qisog import bass
+from qisog import bass, brandt
 from qisog import ideals as idl
 from qisog import numth
 from qisog.errors import CapExceeded, PreconditionError
@@ -103,6 +105,15 @@ class TestReducedDiscriminant:
 
 
 class TestRootOrders:
+    def test_maximal_quadratic_generators(self):
+        """The integer rows cached on the algebra give (1 + u)/2 for
+        d_u = 1 mod 4 and u otherwise."""
+        for p in (5, 7, 13, 17, 41, 73, 101, 113, 409, 499):
+            alg = QuatAlgebra.for_prime(p)
+            want = tuple((alg.one + u) / 2 if d % 4 == 1 else u
+                         for d, u in ((alg.d_i, alg.i), (alg.d_j, alg.j)))
+            assert idl.maximal_quadratic_generators(alg) == want
+
     @pytest.mark.parametrize("p", [7, 11, 19, 23])
     def test_three_mod_four(self, p):
         orders = idl.root_maximal_orders(p)
@@ -339,6 +350,71 @@ class TestEquivalence:
         other = QIdeal(idl.root_maximal_orders(7)[1].lattice)
         with pytest.raises(PreconditionError):
             idl.is_equivalent(I, other)
+
+
+class TestLeftOrderPrecondition:
+    """For maximal O, O J contained in J (16 memberships) is O_L(J) == O."""
+
+    @staticmethod
+    def assert_agrees(ideals, orders):
+        outcomes = set()
+        for J in ideals:
+            for O in orders:
+                same = J.left_order == O
+                assert J.lattice.is_left_module_over(O.lattice) == same
+                outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_class_set_ideals(self):
+        O0, O1 = idl.root_maximal_orders(101)
+        cs = brandt.enumerate_classes(O0, 2)
+        ideals = list(cs.representatives)
+        for R in cs.representatives:
+            ideals += [idl.reduce_ideal(J) for J in brandt.ell_neighbors(R, 2)]
+        orders = [O0, O1] + [R.right_order for R in cs.representatives]
+        self.assert_agrees(ideals, orders)
+        assert all(J.left_order == O0 for J in ideals)
+
+    @pytest.mark.parametrize("walked", ["walked_orders_13", "walked_orders_37"])
+    def test_walk_ideals(self, walked, request):
+        orders = request.getfixturevalue(walked)
+        ideals = [I for O in orders for I in idl.ideals_of_norm_ell(O, 2)]
+        self.assert_agrees(ideals, orders)
+
+    def test_non_maximal_left_order_is_compared(self):
+        B = bass.bass_order(A13)
+        assert not B.is_maximal
+        I = QIdeal(B.lattice)
+        beta = A13.element(1, 1, 1, 0)
+        assert idl.is_equivalent(I, I * beta) is not None
+        with pytest.raises(PreconditionError):
+            idl.is_equivalent(I, QIdeal(idl.root_maximal_orders(13)[0].lattice))
+        with pytest.raises(PreconditionError):
+            idl.is_equivalent(QIdeal(idl.root_maximal_orders(13)[0].lattice), I)
+
+
+class TestIdealTimesElement:
+    """I alpha and alpha I on the integer rows agree with the products of
+    the Fraction basis elements."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(coords=st.tuples(*[st.integers(-5, 5)] * 4), den=st.integers(1, 6),
+           which=st.integers(0, 2))
+    def test_against_fraction_products(self, coords, den, which):
+        assume(any(coords))
+        I = idl.ideals_of_norm_ell(ROOT7, 3)[which]
+        alpha = QuatElement(A7, tuple(Fraction(c, den) for c in coords))
+        basis = I.lattice.basis_elements()
+        assert (I * alpha).lattice == QLattice.from_elements([b * alpha for b in basis])
+        assert (alpha * I).lattice == QLattice.from_elements([alpha * b for b in basis])
+
+
+class TestReduceIdeal:
+    def test_known_left_order_gives_the_same_ideal(self):
+        O0 = idl.root_maximal_orders(113)[0]
+        for R in brandt.enumerate_classes(O0, 3).representatives:
+            for J in brandt.ell_neighbors(R, 3):
+                assert idl.reduce_ideal(J, O0) == idl.reduce_ideal(QIdeal(J.lattice))
 
 
 class TestTwoSidedIdeal:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from qisog import brandt
 from qisog import ideals as idl
+from qisog import lattice
 from qisog.errors import CapExceeded, PreconditionError
-from qisog.lattice import QLattice, hnf_rows
+from qisog.lattice import QLattice, fincke_pohst_setup, hnf_rows, int_det, lll_reduce
 from qisog.quat import QuatAlgebra, QuatElement
 
 A7 = QuatAlgebra.for_prime(7)
@@ -72,6 +74,78 @@ def random_unimodular(rng):
         for c in range(4):
             m[a][c] += f * m[b][c]
     return m
+
+
+def hnf_rows_oracle(rows, ncols=4):
+    """The former row HNF, kept as the reference: per column, reduce every
+    nonzero entry by the smallest one until a single row is left."""
+    work = [list(map(int, r)) for r in rows if any(r)]
+    out = []
+    for col in range(ncols):
+        while True:
+            nz = [r for r in work if r[col]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda r: abs(r[col]))
+            base = nz[0]
+            for r in nz[1:]:
+                q = r[col] // base[col]
+                for t in range(ncols):
+                    r[t] -= q * base[t]
+        nz = [r for r in work if r[col]]
+        if nz:
+            piv = nz[0]
+            work = [r for r in work if r is not piv and any(r)]
+            if piv[col] < 0:
+                piv = [-a for a in piv]
+            for r in out:
+                q = r[col] // piv[col]
+                if q:
+                    for t in range(ncols):
+                        r[t] -= q * piv[t]
+            out.append(list(piv))
+        else:
+            work = [r for r in work if any(r)]
+    return [tuple(r) for r in out]
+
+
+def random_int_rows(rng):
+    """1-9 rows of 4 entries up to 10^8, rank deficient about a third of the time."""
+    mag = rng.choice([1, 3, 10, 1000, 10**8])
+    rows = [[rng.randint(-mag, mag) for _ in range(4)] for _ in range(rng.randint(1, 9))]
+    if rng.random() < 0.35:
+        a, b = rows[0], rows[-1]
+        rows = [[rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(a, b)]
+                for _ in rows]
+    if rng.random() < 0.2:
+        for r in rows:
+            r[rng.randrange(4)] = 0
+    return rows
+
+
+class TestHnfAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_random_matrices(self, seed):
+        rows = random_int_rows(random.Random(seed))
+        assert hnf_rows([list(r) for r in rows]) == hnf_rows_oracle(rows)
+
+    def test_inputs_of_a_class_set_and_a_walk(self, monkeypatch):
+        from qisog import orient
+
+        seen = []
+
+        def recorder(rows, ncols=4):
+            seen.append([list(r) for r in rows])
+            return hnf_rows(rows, ncols)
+
+        monkeypatch.setattr(lattice, "hnf_rows", recorder)
+        monkeypatch.setattr(idl, "hnf_rows", recorder)
+        brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 3)
+        orient.walk_component(idl.global_root_orders(37)[0], 2, 3)
+        assert len(seen) > 300
+        for rows in seen:
+            assert hnf_rows(rows) == hnf_rows_oracle(rows)
 
 
 class TestCanonicalForm:
@@ -319,6 +393,110 @@ class TestReducedNorm:
             assert n * n == I.index_in(I.left_order())
 
 
+def fraction_fp_setup(gram):
+    """The former Fincke-Pohst set-up, kept as the reference: the Fraction
+    LDL^T of g, d_k the lcm of the denominators of column k of L, and
+    D_k / d_k^2 = w_k / P over the lcm P of their denominators."""
+    n = len(gram)
+    L = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    D = [Fraction(0)] * n
+    for c in range(n):
+        D[c] = Fraction(gram[c][c]) - sum(D[t] * L[c][t] ** 2 for t in range(c))
+        for r in range(c + 1, n):
+            L[r][c] = (gram[r][c] - sum(D[t] * L[r][t] * L[c][t] for t in range(c))) / D[c]
+    d = [math.lcm(*(L[t][k].denominator for t in range(k + 1, n))) for k in range(n)]
+    lnum = [[int(L[t][k] * d[k]) for t in range(n)] for k in range(n)]
+    w = [D[k] / d[k] ** 2 for k in range(n)]
+    P = math.lcm(*(x.denominator for x in w))
+    return d, lnum, [int(x * P) for x in w], P
+
+
+def visited_nodes(L, bound):
+    """Nodes the search visits, as the least cap that does not raise."""
+    lo, hi = 1, 10**6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            L.min_norm_elements(bound, cap=mid)
+            hi = mid
+        except CapExceeded:
+            lo = mid + 1
+    return lo
+
+
+def skewed_gram(rng, L):
+    """L's Gram matrix in a badly reduced basis V mat, V unimodular."""
+    V = random_unimodular(rng)
+    g = L.gram_int
+    return [[sum(V[a][s] * g[s][t] * V[b][t] for s in range(4) for t in range(4))
+             for b in range(4)] for a in range(4)]
+
+
+def gram_schmidt(G):
+    """mu and the squared lengths B of the Gram-Schmidt basis, over Q."""
+    n = len(G)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (Fraction(G[k][j]) - sum(mu[j][i] * mu[k][i] * B[i] for i in range(j))) / B[j]
+        B[k] = Fraction(G[k][k]) - sum(mu[k][i] ** 2 * B[i] for i in range(k))
+    return mu, B
+
+
+class TestLLL:
+    @staticmethod
+    def assert_reduced(g):
+        U, G = lll_reduce(g)
+        assert abs(int_det(U)) == 1
+        assert G == [[sum(U[a][s] * g[s][t] * U[b][t] for s in range(4) for t in range(4))
+                      for b in range(4)] for a in range(4)]
+        mu, B = gram_schmidt(G)
+        for k in range(4):
+            assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k)), "size condition"
+            if k:
+                assert B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1], "Lovasz condition"
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from([O0, O101, O113]))
+    def test_random_sublattices_in_skewed_bases(self, seed, order):
+        rng = random.Random(seed)
+        L = random_sublattice(rng, order)
+        self.assert_reduced([list(r) for r in L.gram_int])
+        self.assert_reduced(skewed_gram(rng, L))
+
+    def test_class_set_and_quotient_lattices(self):
+        for L in class_set_lattices(101):
+            self.assert_reduced([list(r) for r in L.gram_int])
+
+
+class TestBareissSetUp:
+    """The fraction-free set-up gives the same real inequalities as the
+    Fraction LDL^T, so the search visits the same nodes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from([O0, O101, O113]))
+    def test_same_form_as_fraction_ldl(self, seed, order):
+        rng = random.Random(seed)
+        L = random_sublattice(rng, order)
+        for g in (L.gram_int, skewed_gram(rng, L), lll_reduce(L.gram_int)[1]):
+            d, lnum, w, P = fincke_pohst_setup(g)
+            fd, flnum, fw, fP = fraction_fp_setup(g)
+            for k in range(4):
+                assert Fraction(w[k], P) * d[k] ** 2 == Fraction(fw[k], fP) * fd[k] ** 2
+                for t in range(k + 1, 4):
+                    assert Fraction(lnum[k][t], d[k]) == Fraction(flnum[k][t], fd[k])
+
+    def test_same_visited_nodes(self, monkeypatch):
+        rng = random.Random(11)
+        cases = [(Q101, Fraction(15, 2)), (Q101, Fraction(1, 4)), (O101, Fraction(5)),
+                 (O113, Fraction(7, 3))]
+        cases += [(random_sublattice(rng, O113), Fraction(rng.randint(1, 40), 5)) for _ in range(6)]
+        counts = [visited_nodes(L, b) for L, b in cases]
+        monkeypatch.setattr(lattice, "fincke_pohst_setup", fraction_fp_setup)
+        assert [visited_nodes(L, b) for L, b in cases] == counts
+
+
 class TestShortVectors:
     def test_example_standard_order(self):
         got = STD.min_norm_elements(1)
@@ -357,12 +535,13 @@ class TestShortVectors:
             assert [e.coords for e in got] == [e.coords for e in brute_short_vectors(L, bound)]
 
     def test_node_cap_is_pinned(self):
-        """The search visits 1722 nodes here, as the exact rational-arithmetic
-        search did, so cap = 1721 raises and cap = 1722 does not: cap keeps
-        its meaning only while the visited node set stays the same."""
+        """The search on the LLL-reduced Gram matrix visits 264 nodes here
+        (1722 on the unreduced one), so cap = 263 raises and cap = 264 does
+        not: cap keeps its meaning only while the visited node set stays
+        the same."""
         bound = Fraction(15, 2)
         with pytest.raises(CapExceeded):
-            Q101.min_norm_elements(bound, cap=1721)
-        got = Q101.min_norm_elements(bound, cap=1722)
+            Q101.min_norm_elements(bound, cap=263)
+        got = Q101.min_norm_elements(bound, cap=264)
         assert len(got) == 91
         assert got == Q101.min_norm_elements(bound)

@@ -1,7 +1,7 @@
 """Whole-range sweeps over the stated range, every prime p <= 500.  Slow,
 so deselected by default; run with `pytest -m slow`.
 
-Class side (l in {2, 3}): enumerate_classes checks the mass formula, the
+Class side (l in {2, 3, 5, 7}): enumerate_classes checks the mass formula, the
 Brandt row sums and the relation a_j b_ij = a_i b_ji inline; the sweep adds
 the class-number formula and the independent counting-formula cross-check
 of every Brandt entry.
@@ -26,8 +26,7 @@ def class_number(p: int) -> int:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("ell", [2, 3])
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p,ell", [(p, ell) for ell in (2, 3, 5, 7) for p in PRIMES if ell != p])
 def test_class_set_and_brandt_matrix(p, ell):
     cs = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], ell)
     assert cs.class_number == class_number(p)
