@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""sha256 digest of the CLI's stdout over one fixed grid of runs.
+
+Usage (from the repository root)::
+
+    python3 scripts/cli_digest.py > digest.txt
+
+The grid:
+
+* ``oriented --json`` for every prime 5 <= p <= 500 and l in {2, 3, 5, 7},
+  l != p, at depth 5/3/2/2;
+* ``embed --json`` and ``algebra`` for every prime 7 <= p <= 500;
+* ``brandt --json`` and ``isocheck --json`` for every prime 5 <= p <= 113
+  and l in {2, 3}.
+
+Every run goes to ``qisog.cli.main`` in this process.  Each prints one line
+``<sha256 of stdout> <exit code> <argv>``; the last line is ``combined
+<sha256>`` over all the lines before it.  Two trees give the same output on
+the grid exactly when their combined digests agree, so a change that must
+leave the output byte-identical is checked by running this on both sides.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qisog import cli, numth  # noqa: E402
+
+WALK_DEPTH = {2: 5, 3: 3, 5: 2, 7: 2}
+
+
+def grid() -> list[list[str]]:
+    primes = [p for p in range(5, 501) if numth.is_prime(p)]
+    runs = [["oriented", "--p", str(p), "--ell", str(ell), "--depth", str(d), "--json"]
+            for p in primes for ell, d in WALK_DEPTH.items() if ell != p]
+    for p in primes:
+        if p >= 7:
+            runs.append(["embed", "--p", str(p), "--json"])
+            runs.append(["algebra", "--p", str(p)])
+    for p in primes:
+        if p <= 113:
+            for ell in (2, 3):
+                runs.append(["brandt", "--p", str(p), "--ell", str(ell), "--json"])
+                runs.append(["isocheck", "--p", str(p), "--ell", str(ell), "--json"])
+    return runs
+
+
+def main() -> int:
+    combined = hashlib.sha256()
+    for argv in grid():
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        line = f"{hashlib.sha256(out.getvalue().encode()).hexdigest()} {code} {' '.join(argv)}"
+        print(line, flush=True)
+        combined.update((line + "\n").encode())
+    print(f"combined {combined.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

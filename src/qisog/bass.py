@@ -22,6 +22,11 @@ from .lattice import QLattice, frac_inverse, triangular_adjugate  # noqa: F401
 from .quat import QuatAlgebra
 
 SUPERORDER_CAP = 10**5
+"""Most candidates one _superorders_at call may try.  The candidates of
+index N are the subgroups of order N of O^#/O, a group of order discrd^2.
+Over the Bass orders of every p <= 500 the largest count is 99 (N = 8, all
+p = 5 mod 8); at N = q in {3, 7, 11} it is q + 1.  The cap is 1000 times the
+largest, for primes beyond the range, where Pizer's q, hence N, grows."""
 
 
 def bass_order(alg: QuatAlgebra) -> QOrder:
@@ -203,8 +208,14 @@ def global_embedding_number(O: QOrder) -> int:
 # superorder oracle
 
 
-def _sublattice_hnfs(index: int):
-    """Upper-triangular HNF bases of the sublattices of Z^4 of given index."""
+def _sublattice_hnfs(index: int, gram):
+    """Upper-triangular HNF bases H of the sublattices of Z^4 of the given
+    index whose row lattice contains every row of the integer matrix gram.
+
+    H is built a row at a time from the top.  Once rows 0..t-1 are fixed,
+    forward substitution has taken them out of each gram row, and pivot t
+    must divide what is left in column t; a branch stops at the first pivot
+    that does not."""
     profiles = []
 
     def diags(rem, pos, cur):
@@ -218,26 +229,41 @@ def _sublattice_hnfs(index: int):
                 diags(rem // d, pos + 1, cur + [d])
             d += 1
 
+    def rows_from(H, t, rest):
+        d = H[t][t]
+        if any(r[t] % d for r in rest):
+            return
+        if t == 3:
+            yield [list(row) for row in H]
+            return
+        for vals in product(*[range(H[c][c]) for c in range(t + 1, 4)]):
+            H[t][t + 1:] = vals
+            yield from rows_from(H, t + 1, [[x - (r[t] // d) * y for x, y in zip(r, H[t])]
+                                            for r in rest])
+
     diags(index, 0, [])
     for diag in profiles:
-        slots = [(r, c) for c in range(4) for r in range(c)]
-        for vals in product(*[range(diag[c]) for (_, c) in slots]):
-            H = [[0] * 4 for _ in range(4)]
-            for t in range(4):
-                H[t][t] = diag[t]
-            for (rc, v) in zip(slots, vals):
-                H[rc[0]][rc[1]] = v
-            yield H
+        H = [[diag[t] if c == t else 0 for c in range(4)] for t in range(4)]
+        yield from rows_from(H, 0, [list(r) for r in gram])
 
 
 def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
     """Orders containing O with the given index, by dualizing the HNF
-    enumeration of sublattices of that index."""
+    enumeration of sublattices of that index.
+
+    An order O' containing O lies in O'^#, inside O^#.  In O's coordinates
+    O^# is Z^4 G^-1, with G = (trd(b_a b_b)) the integer trace Gram, and the
+    candidate dual to H is spanned by the rows of H^-T; so it lies in O^#
+    exactly when G H^-1 is integral, i.e. when the rows of G lie in the row
+    lattice of H.  Only those H are generated."""
     out = []
     seen = set()
     mat = O.lattice.mat
+    d2 = O.lattice.den ** 2
+    mul = O.algebra.mul_coords
+    gram = [[2 * mul(a, b)[0] // d2 for b in mat] for a in mat]
     count = 0
-    for H in _sublattice_hnfs(index):
+    for H in _sublattice_hnfs(index, gram):
         count += 1
         if count > cap:
             raise CapExceeded("superorder enumeration cap exceeded")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from . import numth
 from .errors import CapExceeded, PreconditionError
-from .lattice import QLattice, hnf_rows, int_det
+from .lattice import QLattice, hnf_rows
 from .quat import QuatAlgebra, QuatElement, split_den
 
 Frac = Fraction
@@ -148,19 +148,16 @@ def order_closure(gens, rounds: int = 16) -> QOrder:
 
 
 def reduced_discriminant(order: QOrder) -> int:
-    """discrd via the trace Gram determinant: |det(trd(b_a b_b))| = discrd^2.
+    """discrd, with |det(trd(b_a b_b))| = discrd^2, read off the HNF pivots.
 
-    On the integer rows r_a = den b_a the Gram entries are
-    2 mul(r_a, r_b)[0] = den^2 trd(b_a b_b), so the determinant is den^8
-    times the one wanted."""
+    The trace Gram of the basis mat/den is mat T mat^T / den^2 with
+    T = diag(2, 2 d_i, 2 d_j, -2 d_i d_j), so its determinant is
+    det(mat)^2 16 (d_i d_j)^2 / den^8, and discrd = det(mat) 4 |d_i d_j| / den^4."""
     lat = order.lattice
-    mul = order.algebra.mul_coords
-    t = [[2 * mul(a, b)[0] for b in lat.mat] for a in lat.mat]
-    val, rem = divmod(abs(int_det(t)), lat.den**8)
-    assert rem == 0
-    root = math.isqrt(val)
-    assert root * root == val, "trace Gram determinant must be a square"
-    return root
+    alg = order.algebra
+    val, rem = divmod(lat.pivot_product() * 4 * abs(alg.d_i * alg.d_j), lat.den**4)
+    assert rem == 0, "discrd of an order must be an integer"
+    return val
 
 
 def two_generator_discriminant(a1: QuatElement, a2: QuatElement) -> Fraction:
@@ -230,7 +227,7 @@ def _coordinate_matrix(I: QIdeal, O: QOrder):
     """Coordinates of I's basis in O's basis: integer rows over one
     denominator.  Scaled by det(O.mat) every row of I lies in O."""
     lat = O.lattice
-    det = math.prod(lat.mat[t][t] for t in range(4))
+    det = lat.pivot_product()
     rows = [lat.int_coords([x * det for x in r]) for r in I.lattice.mat]
     return rows, det * I.lattice.den
 
@@ -492,7 +489,7 @@ def matrix_split(O: QOrder, ell: int, seed: int = DEFAULT_SEED) -> MatrixSplit:
             cols = []
             for ms in (m1, m2):
                 prod = _quot_mul(table, ell, base, ms)
-                sol = _solve_two_mod([m1, m2], prod, ell)
+                sol = _pair_coords_mod(m1, m2, prod, ell)
                 cols.append(sol)
             # action matrix: b*m_s = A[0][s] m1 + A[1][s] m2
             images.append((cols[0][0], cols[1][0], cols[0][1], cols[1][1]))
@@ -545,14 +542,18 @@ def _in_span_mod(basis, vec, ell):
     return not any(x % ell for x in work)
 
 
-def _solve_two_mod(basis, vec, ell):
-    """Coordinates of vec in the span of two independent vectors mod ell."""
-    m1, m2 = basis
-    for a in range(ell):
-        for b in range(ell):
-            if all((a * m1[t] + b * m2[t] - vec[t]) % ell == 0 for t in range(4)):
-                return (a, b)
-    raise AssertionError("vector not in module span")
+def _pair_coords_mod(m1, m2, vec, ell):
+    """Coordinates (a, b) with a m1 + b m2 = vec mod ell, for m1, m2
+    independent mod ell: Cramer's rule on a 2x2 minor invertible mod ell,
+    then the other two entries are checked."""
+    s, t = next((s, t) for s in range(4) for t in range(s + 1, 4)
+                if (m1[s] * m2[t] - m1[t] * m2[s]) % ell)
+    inv = pow(m1[s] * m2[t] - m1[t] * m2[s], -1, ell)
+    a = (vec[s] * m2[t] - vec[t] * m2[s]) * inv % ell
+    b = (m1[s] * vec[t] - m1[t] * vec[s]) * inv % ell
+    if any((a * x + b * y - v) % ell for x, y, v in zip(m1, m2, vec)):
+        raise AssertionError("vector not in module span")
+    return (a, b)
 
 
 def _validate_split(split: MatrixSplit, table, one) -> None:
@@ -595,6 +596,18 @@ def ideals_of_norm_ell(O: QOrder, ell: int, seed: int = DEFAULT_SEED) -> list[QI
     keys = {I.key() for I in out}
     assert len(keys) == ell + 1, "norm-ell ideals must be distinct"
     return sorted(out, key=lambda I: I.key())
+
+
+def norm_ell_right_order(I: QIdeal, ell: int) -> QLattice:
+    """O_R(I) for a left ideal I of reduced norm ell over a maximal order.
+
+    Such an I is invertible, so O_R(I) = I^-1 I = conj(I) I / ell: the 16
+    products mul(conj r_a, r_b) of the integer rows, over den^2 ell."""
+    lat = I.lattice
+    mul = I.algebra.mul_coords
+    conj = [(r[0], -r[1], -r[2], -r[3]) for r in lat.mat]
+    rows = [mul(a, b) for a in conj for b in lat.mat]
+    return QLattice.from_int_rows(I.algebra, rows, lat.den * lat.den * ell)
 
 
 def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QIdeal]:

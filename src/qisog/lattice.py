@@ -117,19 +117,6 @@ def frac_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def int_det(m) -> int:
-    """Determinant by fraction-free expansion; inputs are small here."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for c in range(n):
-        if m[0][c]:
-            minor = [[row[t] for t in range(n) if t != c] for row in m[1:]]
-            total += (-1) ** c * m[0][c] * int_det(minor)
-    return total
-
-
 def triangular_adjugate(m) -> list[list[int]]:
     """adj(m) = det(m) m^-1 for an upper-triangular integer matrix, by
     back-substitution; every division is exact."""
@@ -320,7 +307,7 @@ class QLattice:
         """Rational coordinates of elt in the basis, for any element: scaled
         by vden det(mat), elt lands in the lattice."""
         x, vden = split_den(elt.coords)
-        det = math.prod(self.mat[t][t] for t in range(4))
+        det = self.pivot_product()
         coords = self.int_coords([v * det for v in x])
         return tuple(Frac(c, det * vden) for c in coords)
 
@@ -330,8 +317,13 @@ class QLattice:
     def contains_lattice(self, other: "QLattice") -> bool:
         return all(self.int_coords(r, other.den) is not None for r in other.mat)
 
+    def pivot_product(self) -> int:
+        """det(mat), the product of the (positive) HNF pivots."""
+        return math.prod(self.mat[t][t] for t in range(4))
+
     def covolume(self) -> Fraction:
-        return abs(Frac(int_det([list(r) for r in self.mat]), self.den**4))
+        """|det| of the basis mat/den: the pivot product over den^4."""
+        return Frac(self.pivot_product(), self.den**4)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -419,8 +411,7 @@ class QLattice:
         adj = triangular_adjugate(self.mat)
         scale = (di * dj, dj, di, -1)
         rows = [[self.den * adj[c][a] * scale[c] for c in range(4)] for a in range(4)]
-        det = math.prod(self.mat[t][t] for t in range(4))
-        return QLattice.from_int_rows(self.algebra, rows, det * 2 * di * dj)
+        return QLattice.from_int_rows(self.algebra, rows, self.pivot_product() * 2 * di * dj)
 
     def left_order(self) -> "QLattice":
         """{a : a L contained in L} = (L L^#)^#, since a L lies in L iff

@@ -178,7 +178,7 @@ def walk_component(start: QOrder, ell: int, depth: int,
                     w = back[1]
                     matched += 1
                 else:
-                    w = register(QOrder(I.lattice.right_order()))
+                    w = register(QOrder(idl.norm_ell_right_order(I, ell)))
                 if v.key() == w.key():
                     raise AssertionError("loop in a double-oriented graph")
                 if g.multiplicity(v.key(), w.key()):

@@ -1,9 +1,13 @@
+from itertools import product
+
 import pytest
 
 from qisog import bass
 from qisog import ideals as idl
 from qisog import numth
-from qisog.errors import PreconditionError
+from qisog.errors import CapExceeded, PreconditionError
+from qisog.ideals import QOrder
+from qisog.lattice import QLattice, triangular_adjugate
 from qisog.quat import QuatAlgebra
 
 
@@ -110,3 +114,97 @@ class TestSuperorderOracle:
         O = bass_for(7)
         supers = bass.enumerate_maximal_superorders(O)
         assert len(supers) == 1 and supers[0].key() == O.key()
+
+
+def full_sublattice_hnfs(index):
+    """Oracle: every upper-triangular HNF basis of a sublattice of Z^4 of
+    the given index, with no pruning."""
+    profiles = []
+
+    def diags(rem, pos, cur):
+        if pos == 4:
+            if rem == 1:
+                profiles.append(tuple(cur))
+            return
+        d = 1
+        while d <= rem:
+            if rem % d == 0:
+                diags(rem // d, pos + 1, cur + [d])
+            d += 1
+
+    diags(index, 0, [])
+    for diag in profiles:
+        slots = [(r, c) for c in range(4) for r in range(c)]
+        for vals in product(*[range(diag[c]) for (_, c) in slots]):
+            H = [[0] * 4 for _ in range(4)]
+            for t in range(4):
+                H[t][t] = diag[t]
+            for (rc, v) in zip(slots, vals):
+                H[rc[0]][rc[1]] = v
+            yield H
+
+
+def full_superorders_at(O, index, cap=bass.SUPERORDER_CAP):
+    """Oracle: bass._superorders_at over every sublattice of the index, not
+    only those inside O^#."""
+    out = []
+    seen = set()
+    mat = O.lattice.mat
+    for count, H in enumerate(full_sublattice_hnfs(index), 1):
+        if count > cap:
+            raise CapExceeded("superorder enumeration cap exceeded")
+        X = triangular_adjugate(H)
+        rows = [[sum(X[t][c] * mat[t][s] for t in range(c + 1)) for s in range(4)]
+                for c in range(4)]
+        L = QLattice.from_int_rows(O.algebra, rows, O.lattice.den * index)
+        if L.key() in seen:
+            continue
+        seen.add(L.key())
+        if not L.contains_lattice(O.lattice):
+            continue
+        try:
+            order = QOrder(L)
+        except PreconditionError:
+            continue
+        out.append(order)
+    return out
+
+
+def assert_oracle_agrees(O, monkeypatch):
+    """Superorders of O at every index l^k dividing discrd / p, and the
+    maximal superorders, equal those of the unpruned oracle."""
+    p = O.algebra.p
+    for ell, v in numth.factorize(O.reduced_discriminant // p).items():
+        for k in range(1, v + 1):
+            got = sorted(S.key() for S in bass._superorders_at(O, ell**k, bass.SUPERORDER_CAP))
+            assert got == sorted(S.key() for S in full_superorders_at(O, ell**k))
+    got = bass.enumerate_maximal_superorders(O)
+    with monkeypatch.context() as m:
+        m.setattr(bass, "_superorders_at", full_superorders_at)
+        want = bass.enumerate_maximal_superorders(O)
+    assert [S.key() for S in got] == [S.key() for S in want]
+
+
+class TestPrunedSuperorderOracle:
+    """_superorders_at generates only the candidates inside O^#; the full
+    enumeration is the oracle."""
+
+    @pytest.mark.parametrize("p,q", [(7, 1), (19, 1), (13, 2), (37, 2), (17, 3), (41, 3),
+                                     (73, 7), (97, 7), (193, 11)])
+    def test_same_superorders_as_full_enumeration(self, p, q, monkeypatch):
+        alg = QuatAlgebra.for_prime(p)
+        assert alg.q == q
+        assert_oracle_agrees(bass.bass_order(alg), monkeypatch)
+        # Z<i, j>: discrd 4 |d_i d_j|, non-maximal at 2 also when q = 1
+        assert_oracle_agrees(QOrder(QLattice.standard_order_lattice(alg)), monkeypatch)
+
+    @pytest.mark.parametrize("p,index,pruned,full", [(13, 8, 99, 1395), (73, 7, 8, 400),
+                                                     (193, 11, 12, 1464), (17, 3, 4, 40)])
+    def test_candidate_counts_are_pinned(self, p, index, pruned, full):
+        """Counts at the Bass order, found by bisecting the cap."""
+        O = bass_for(p)
+        assert O.reduced_discriminant == p * index
+        with pytest.raises(CapExceeded):
+            bass._superorders_at(O, index, pruned - 1)
+        assert bass._superorders_at(O, index, pruned)
+        assert sum(1 for _ in full_sublattice_hnfs(index)) == full

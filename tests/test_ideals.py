@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qisog import bass, brandt
+from qisog import bass, brandt, orient
 from qisog import ideals as idl
 from qisog import numth
 from qisog.errors import CapExceeded, PreconditionError
@@ -16,6 +16,7 @@ from qisog.quat import QuatAlgebra, QuatElement
 
 A7 = QuatAlgebra.for_prime(7)
 A13 = QuatAlgebra.for_prime(13)
+A499 = QuatAlgebra.for_prime(499)
 ROOT7 = idl.global_root_orders(7)[0]
 
 
@@ -288,6 +289,60 @@ class TestOrdersAgainstProductFormula:
         O = bass.bass_order(QuatAlgebra.for_prime(p))
         assert not O.is_maximal
         assert O.lattice.left_order() == O.lattice.right_order() == O.lattice
+
+
+class TestNormEllRightOrder:
+    """norm_ell_right_order is conj(I) I / l; the general path is the trace
+    duality formula QLattice.right_order."""
+
+    @staticmethod
+    def assert_agrees(O, ell):
+        for I in idl.ideals_of_norm_ell(O, ell):
+            assert idl.norm_ell_right_order(I, ell) == I.lattice.right_order()
+
+    @pytest.mark.parametrize("walked", ["walked_orders_13", "walked_orders_37"])
+    def test_walked_orders(self, walked, request):
+        for O in request.getfixturevalue(walked):
+            for ell in (2, 3):
+                self.assert_agrees(O, ell)
+
+    def test_p499_ell7_walk(self):
+        g = orient.walk_component(idl.global_root_orders(499)[0], 7, depth=2)
+        orders = [QOrder(QLattice(A499, key[1], key[0])) for key in g.vertices()]
+        assert len(orders) == 65
+        for O in orders:
+            self.assert_agrees(O, 7)
+
+
+def brute_pair_coords(m1, m2, vec, ell):
+    """Oracle: the (a, b) with a m1 + b m2 = vec mod ell, over all ell^2 pairs."""
+    for a in range(ell):
+        for b in range(ell):
+            if all((a * x + b * y - v) % ell == 0 for x, y, v in zip(m1, m2, vec)):
+                return (a, b)
+    raise AssertionError("vector not in module span")
+
+
+class TestPairCoords:
+    @settings(max_examples=200, deadline=None)
+    @given(ell=st.sampled_from([2, 3, 5, 7, 11]),
+           m1=st.lists(st.integers(0, 10), min_size=4, max_size=4),
+           m2=st.lists(st.integers(0, 10), min_size=4, max_size=4),
+           a=st.integers(0, 10), b=st.integers(0, 10), off=st.sampled_from([0, 0, 1]),
+           pos=st.integers(0, 3))
+    def test_against_all_pairs(self, ell, m1, m2, a, b, off, pos):
+        m1, m2 = [x % ell for x in m1], [x % ell for x in m2]
+        assume(any((m1[s] * m2[t] - m1[t] * m2[s]) % ell
+                   for s in range(4) for t in range(s + 1, 4)))
+        vec = [(a * x + b * y) % ell for x, y in zip(m1, m2)]
+        vec[pos] = (vec[pos] + off) % ell
+        try:
+            want = brute_pair_coords(m1, m2, vec, ell)
+        except AssertionError:
+            with pytest.raises(AssertionError, match="not in module span"):
+                idl._pair_coords_mod(m1, m2, vec, ell)
+        else:
+            assert idl._pair_coords_mod(m1, m2, vec, ell) == want
 
 
 class TestMatrixSplit:

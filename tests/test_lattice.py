@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qisog import brandt
+from qisog import bass, brandt, numth
 from qisog import ideals as idl
 from qisog import lattice
 from qisog.errors import CapExceeded, PreconditionError
-from qisog.lattice import QLattice, fincke_pohst_setup, hnf_rows, int_det, lll_reduce
+from qisog.lattice import QLattice, fincke_pohst_setup, hnf_rows, lll_reduce
 from qisog.quat import QuatAlgebra, QuatElement
 
 A7 = QuatAlgebra.for_prime(7)
@@ -52,6 +52,19 @@ def brute_short_vectors(lat, bound):
                     break
             out[vec] = QuatElement(lat.algebra, tuple(Fraction(x, den) for x in vec))
     return sorted(out.values(), key=lambda e: e.key())
+
+
+def int_det(m) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = 0
+    for c in range(n):
+        if m[0][c]:
+            minor = [[row[t] for t in range(n) if t != c] for row in m[1:]]
+            total += (-1) ** c * m[0][c] * int_det(minor)
+    return total
 
 
 def random_sublattice(rng, order):
@@ -216,6 +229,54 @@ class TestBinaryOps:
     def test_index_multiplicative_along_chains(self):
         L, M, N = STD, STD.scale(2), STD.scale(6)
         assert N.index_in(L) == N.index_in(M) * M.index_in(L)
+
+
+def trace_gram_discriminant(order) -> int:
+    """Oracle for discrd: |det(trd(b_a b_b))| = discrd^2, with the Gram
+    entries 2 mul(r_a, r_b)[0] = den^2 trd(b_a b_b) on the integer rows."""
+    lat = order.lattice
+    mul = order.algebra.mul_coords
+    t = [[2 * mul(a, b)[0] for b in lat.mat] for a in lat.mat]
+    val, rem = divmod(abs(int_det(t)), lat.den**8)
+    assert rem == 0
+    root = math.isqrt(val)
+    assert root * root == val, "trace Gram determinant must be a square"
+    return root
+
+
+def orders_over_bass(p):
+    """The root orders, the Bass order and every superorder of the Bass
+    order of index l^k, l^k dividing discrd / p (maximal or not)."""
+    orders = idl.root_maximal_orders(p)
+    O = bass.bass_order(orders[0].algebra)
+    orders.append(O)
+    for ell, v in numth.factorize(O.reduced_discriminant // p).items():
+        for k in range(1, v + 1):
+            orders += bass._superorders_at(O, ell**k, bass.SUPERORDER_CAP)
+    return orders
+
+
+class TestPivotInvariants:
+    """covolume and reduced_discriminant are read off the HNF pivots; the
+    oracle is the cofactor determinant of the basis and of the trace Gram."""
+
+    @pytest.mark.parametrize("p", [p for p in range(7, 114) if numth.is_prime(p)])
+    def test_root_bass_and_superorders(self, p):
+        orders = orders_over_bass(p)
+        assert any(not o.is_maximal for o in orders) == (p % 4 != 3)
+        for O in orders:
+            assert O.reduced_discriminant == trace_gram_discriminant(O)
+
+    @pytest.mark.parametrize("walked", ["walked_orders_13", "walked_orders_37"])
+    def test_walked_orders(self, walked, request):
+        for O in request.getfixturevalue(walked):
+            assert O.reduced_discriminant == trace_gram_discriminant(O) == O.algebra.p
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from([O0, O101, O113]))
+    def test_covolume(self, seed, order):
+        L = random_sublattice(random.Random(seed), order)
+        assert L.covolume() == abs(Fraction(int_det([list(r) for r in L.mat]), L.den**4))
 
 
 class TestOrders:

@@ -144,13 +144,13 @@ class TestParentEdgeReuse:
     @pytest.mark.parametrize("p,ell,depth", [(7, 3, 3), (101, 2, 4)])
     def test_one_right_order_per_non_root_vertex(self, p, ell, depth, monkeypatch):
         calls = []
-        right_order = QLattice.right_order
+        right_order = idl.norm_ell_right_order
 
-        def counted(self):
-            calls.append(self)
-            return right_order(self)
+        def counted(I, n):
+            calls.append(I)
+            return right_order(I, n)
 
-        monkeypatch.setattr(QLattice, "right_order", counted)
+        monkeypatch.setattr(idl, "norm_ell_right_order", counted)
         g = walk(p, ell, depth)
         assert g.is_tree_undirected()
         assert len(calls) == g.num_vertices() - 1

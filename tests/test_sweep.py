@@ -9,7 +9,8 @@ of every Brandt entry.
 Double-oriented side (l in {2, 3, 5, 7}): the walk from the first global
 root order is a full (l+1)-regular tree whose every expanded vertex passes
 the structure audit, and the Bass superorder oracle finds exactly the
-global embedding number of maximal orders.
+global embedding number of maximal orders, the same ones as the unpruned
+enumeration over every sublattice of each index.
 """
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from qisog import bass, brandt, numth, orient
 from qisog import ideals as idl
 from qisog.quat import QuatAlgebra
+from test_bass import assert_oracle_agrees
 
 PRIMES = [p for p in range(5, 501) if numth.is_prime(p)]
 
@@ -49,6 +51,7 @@ def test_oriented_walk_is_an_audited_tree(p, ell):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("p", PRIMES)
-def test_superorder_oracle_matches_embedding_number(p):
+def test_superorder_oracle_matches_embedding_number(p, monkeypatch):
     O = bass.bass_order(QuatAlgebra.for_prime(p))
     assert len(bass.enumerate_maximal_superorders(O)) == bass.global_embedding_number(O)
+    assert_oracle_agrees(O, monkeypatch)
