@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""sha256 digest of the CLI's stdout over one fixed grid of runs.
+"""sha256 digest of the CLI's output over one fixed grid of runs.
 
 Usage (from the repository root)::
 
@@ -8,16 +8,20 @@ Usage (from the repository root)::
 The grid:
 
 * ``oriented --json`` for every prime 5 <= p <= 500 and l in {2, 3, 5, 7},
-  l != p, at depth 5/3/2/2;
+  l != p, at depth 5/3/2/2, each also writing ``--json-file`` and ``--dot``
+  into a temporary directory;
 * ``embed --json`` and ``algebra`` for every prime 7 <= p <= 500;
 * ``brandt --json`` and ``isocheck --json`` for every prime 5 <= p <= 113
   and l in {2, 3}.
 
 Every run goes to ``qisog.cli.main`` in this process.  Each prints one line
-``<sha256 of stdout> <exit code> <argv>``; the last line is ``combined
-<sha256>`` over all the lines before it.  Two trees give the same output on
-the grid exactly when their combined digests agree, so a change that must
-leave the output byte-identical is checked by running this on both sides.
+``<sha256 of stdout> <exit code> <argv>``; an ``oriented`` line also carries
+the sha256 of the exported JSON and DOT files (per-vertex conductors and
+edge classes appear only there), after the stdout digest.  The last line is
+``combined <sha256>`` over all the lines before it.  Two trees give the
+same output on the grid exactly when their combined digests agree, so a
+change that must leave the output byte-identical is checked by running
+this on both sides.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import io
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -51,15 +56,30 @@ def grid() -> list[list[str]]:
     return runs
 
 
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def main() -> int:
     combined = hashlib.sha256()
-    for argv in grid():
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-        line = f"{hashlib.sha256(out.getvalue().encode()).hexdigest()} {code} {' '.join(argv)}"
-        print(line, flush=True)
-        combined.update((line + "\n").encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        exports = [Path(tmp) / "component.json", Path(tmp) / "component.dot"]
+        for argv in grid():
+            extra = []
+            if argv[0] == "oriented":
+                extra = ["--json-file", str(exports[0]), "--dot", str(exports[1])]
+                for path in exports:
+                    path.unlink(missing_ok=True)
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = cli.main(argv + extra)
+            digests = [sha(out.getvalue().encode())]
+            if extra:
+                digests += [sha(path.read_bytes()) if path.exists() else "missing"
+                            for path in exports]
+            line = f"{' '.join(digests)} {code} {' '.join(argv)}"
+            print(line, flush=True)
+            combined.update((line + "\n").encode())
     print(f"combined {combined.hexdigest()}")
     return 0
 

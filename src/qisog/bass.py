@@ -98,8 +98,7 @@ def _radical_trace_kernel(O: QOrder, table, ell):
     power is checked to vanish it is a nilpotent ideal, hence inside rad."""
     bas = O.basis_elements()
     gram = [[int((a * b).trd()) % ell for b in bas] for a in bas]
-    kern = idl._fp_kernel(gram, ell)
-    basis = idl._rref_mod(kern, ell)
+    basis = idl._rref_mod(idl._kernel_mod(gram, ell), ell)
     span = list(basis)
     for _ in range(3):  # span <- span * basis, three times: rad^4 must vanish
         span = [idl._quot_mul(table, ell, x, y) for x in span for y in basis]
@@ -134,7 +133,7 @@ def eichler_symbol_radical(O: QOrder, ell: int) -> EichlerSymbol:
         for coords in product(range(2), repeat=4):
             x = tuple(coords)
             if (idl._quot_mul(table, 2, x, x) == x and any(x) and x != one
-                    and not _in_radical(x, basis, 2)):
+                    and idl._span_coords_mod(basis, x, 2) is None):
                 return EichlerSymbol(1)
         return EichlerSymbol(-1)
     # an order element with non-scalar image generates the 2-dimensional
@@ -146,19 +145,13 @@ def eichler_symbol_radical(O: QOrder, ell: int) -> EichlerSymbol:
     raise AssertionError("no generator of the semisimple quotient among the basis")
 
 
-def _in_radical(x, radical_basis, ell) -> bool:
-    return idl._in_span_mod(radical_basis, list(x), ell)
-
-
-def eichler_symbol(O: QOrder, ell: int, contained_dK: int | None = None,
-                   cross_check: bool = True) -> EichlerSymbol:
+def eichler_symbol(O: QOrder, ell: int, contained_dK: int | None = None) -> EichlerSymbol:
     """Formula path when a contained maximal quadratic order is known,
-    radical oracle otherwise; with cross_check both must agree."""
+    radical oracle otherwise; when both apply they must agree."""
     if contained_dK is None:
         return eichler_symbol_radical(O, ell)
     sym = eichler_symbol_formula(O, ell, contained_dK)
-    if cross_check:
-        assert eichler_symbol_radical(O, ell) == sym, "symbol paths disagree"
+    assert eichler_symbol_radical(O, ell) == sym, "symbol paths disagree"
     return sym
 
 

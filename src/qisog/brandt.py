@@ -32,9 +32,9 @@ class ClassSet:
         return len(self.representatives)
 
 
-def ell_neighbors(I: QIdeal, ell: int, seed: int = idl.DEFAULT_SEED) -> list[QIdeal]:
+def ell_neighbors(I: QIdeal, ell: int) -> list[QIdeal]:
     """The ell+1 ideals J inside I with nrd(J) = ell * nrd(I)."""
-    steps = idl.ideals_of_norm_ell(I.right_order, ell, seed=seed)
+    steps = idl.ideals_of_norm_ell(I.right_order, ell)
     return [I * s for s in steps]
 
 
@@ -52,8 +52,7 @@ def theta_prefix(J: QIdeal, K: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def enumerate_classes(O0: QOrder, ell: int, depth_cap: int | None = None,
-                      seed: int = idl.DEFAULT_SEED) -> ClassSet:
+def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     """BFS over ell-neighbors from O0, collecting left ideal classes and the
     Brandt matrix in one pass: each reduced neighbor of I_i is matched to the
     equivalent representative, or becomes a new one.  Representatives are
@@ -66,12 +65,13 @@ def enumerate_classes(O0: QOrder, ell: int, depth_cap: int | None = None,
     without a test.
 
     The mass formula, the row sums ell+1 and the relation
-    a_j b_ij = a_i b_ji are checked before returning."""
+    a_j b_ij = a_i b_ji are checked before returning.  The class graph is
+    connected, so the BFS takes at most h <= p/12 + 2 levels, well inside
+    its cap of 2 (p // 6 + 8)."""
     p = O0.algebra.p
     if ell == p:
         raise PreconditionError("ell must differ from p")
-    if depth_cap is None:
-        depth_cap = 2 * (p // 6 + 8)
+    depth_cap = 2 * (p // 6 + 8)
     K = max(4, math.isqrt(p))
     mass = Fraction(p - 1, 12)
     reps: list[QIdeal] = []
@@ -99,7 +99,7 @@ def enumerate_classes(O0: QOrder, ell: int, depth_cap: int | None = None,
         new = []
         for I in frontier:
             row = []
-            for J in ell_neighbors(I, ell, seed=seed):
+            for J in ell_neighbors(I, ell):
                 J = idl.reduce_ideal(J, O0)
                 key = theta_prefix(J, K)
                 bucket = buckets.get(key, [])
@@ -125,34 +125,29 @@ def enumerate_classes(O0: QOrder, ell: int, depth_cap: int | None = None,
     return ClassSet(order0=O0, representatives=reps, unit_sizes=units, ell=ell, brandt=b)
 
 
-def brandt_matrix(cs: ClassSet, ell: int, cross_check: bool = True) -> list[list[int]]:
+def brandt_matrix(cs: ClassSet) -> list[list[int]]:
     """b_ij = number of ell-neighbors of I_i equivalent to I_j, as recorded by
-    enumerate_classes.
-
-    With cross_check the counting formula through elements of I_j^{-1} I_i of
-    the right norm, divided by twice the unit size, must agree entrywise.
+    enumerate_classes, cross-checked entrywise by the counting formula:
+    elements of I_j^{-1} I_i of the right norm, divided by twice the unit
+    size.
     """
-    if ell != cs.ell:
-        raise PreconditionError(f"class set was enumerated for ell={cs.ell}, not {ell}")
     b = cs.brandt
-    if cross_check:
-        for i, I in enumerate(cs.representatives):
-            for j, Jrep in enumerate(cs.representatives):
-                N = QIdeal(idl.inverse(Jrep).lattice * I.lattice)
-                target = ell * I.nrd() / Jrep.nrd()
-                hits = [e for e in N.lattice.min_norm_elements(target) if e.nrd() == target]
-                count, rem = divmod(len(hits), cs.unit_sizes[j])
-                assert rem == 0, "norm count not divisible by the unit size"
-                assert count == b[i][j], f"Brandt entry mismatch at ({i},{j})"
+    for i, I in enumerate(cs.representatives):
+        for j, Jrep in enumerate(cs.representatives):
+            N = QIdeal(idl.inverse(Jrep).lattice * I.lattice)
+            target = cs.ell * I.nrd() / Jrep.nrd()
+            hits = [e for e in N.lattice.min_norm_elements(target) if e.nrd() == target]
+            count, rem = divmod(len(hits), cs.unit_sizes[j])
+            assert rem == 0, "norm count not divisible by the unit size"
+            assert count == b[i][j], f"Brandt entry mismatch at ({i},{j})"
     return b
 
 
-def brandt_graph(cs: ClassSet, ell: int) -> MultiGraph:
-    b = brandt_matrix(cs, ell, cross_check=False)
-    g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": ell, "kind": "brandt"})
+def brandt_graph(cs: ClassSet) -> MultiGraph:
+    g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": cs.ell, "kind": "brandt"})
     for i in range(cs.class_number):
         g.add_vertex(i, nrd=str(cs.representatives[i].nrd()))
-    for i, row in enumerate(b):
+    for i, row in enumerate(cs.brandt):
         for j, m in enumerate(row):
             if m:
                 g.add_edge(i, j, count=m)
@@ -177,7 +172,7 @@ def right_orders_conjugate(O1: QOrder, O2: QOrder) -> bool:
     return _is_principal(idl.primitive_part(P * C))
 
 
-def type_graph(cs: ClassSet, ell: int) -> MultiGraph:
+def type_graph(cs: ClassSet) -> MultiGraph:
     """Quotient of the Brandt graph grouping classes with conjugate right
     orders; edges are those of one representative class per type."""
     n = cs.class_number
@@ -192,12 +187,11 @@ def type_graph(cs: ClassSet, ell: int) -> MultiGraph:
         else:
             type_of[i] = len(types)
             types.append(i)
-    b = brandt_matrix(cs, ell, cross_check=False)
-    g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": ell, "kind": "type"})
+    g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": cs.ell, "kind": "type"})
     for t in range(len(types)):
         g.add_vertex(t)
     for t, rep in enumerate(types):
-        for j, m in enumerate(b[rep]):
+        for j, m in enumerate(cs.brandt[rep]):
             if m:
                 g.add_edge(t, type_of[j], count=m)
     return g
@@ -253,12 +247,11 @@ def check_graph_isomorphism(G: MultiGraph, H: MultiGraph):
     return dict(mapping) if backtrack(0) else None
 
 
-def class_set_json(cs: ClassSet, ell: int) -> dict:
-    b = brandt_matrix(cs, ell, cross_check=False)
+def class_set_json(cs: ClassSet) -> dict:
     return {
         "p": cs.order0.algebra.p,
-        "ell": ell,
+        "ell": cs.ell,
         "classes": cs.class_number,
-        "brandt": b,
+        "brandt": cs.brandt,
         "unit_sizes": cs.unit_sizes,
     }

@@ -80,8 +80,8 @@ def cmd_brandt(args) -> None:
     _check_p(args.p)
     _check_ell(args.p, args.ell)
     O0 = idl.root_maximal_orders(args.p)[0]
-    cs = brandt.enumerate_classes(O0, args.ell, seed=args.seed)
-    doc = brandt.class_set_json(cs, args.ell)
+    cs = brandt.enumerate_classes(O0, args.ell)
+    doc = brandt.class_set_json(cs)
     if args.json:
         _emit(args, json.dumps(doc, indent=1))
     else:
@@ -122,8 +122,8 @@ def cmd_isocheck(args) -> None:
     _check_ell(args.p, args.ell)
     G = ecgraph.build_isogeny_graph(args.p, args.ell)
     O0 = idl.root_maximal_orders(args.p)[0]
-    cs = brandt.enumerate_classes(O0, args.ell, seed=args.seed)
-    Br = brandt.brandt_graph(cs, args.ell)
+    cs = brandt.enumerate_classes(O0, args.ell)
+    Br = brandt.brandt_graph(cs)
     witness = brandt.check_graph_isomorphism(G, Br)
     doc = {
         "p": args.p,
@@ -150,7 +150,7 @@ def cmd_oriented(args) -> None:
     _check_ell(args.p, args.ell)
     start = idl.global_root_orders(args.p)[0]
     g = orient.walk_component(start, args.ell, depth=args.depth,
-                              vertex_cap=args.vertex_cap, seed=args.seed)
+                              vertex_cap=args.vertex_cap)
     local, glob = orient.find_roots(g, args.ell)
     reports = orient.audit_component(g, args.ell)
     audit_pass = all(r.ok for r in reports)
@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--json", action="store_true", help="emit a JSON document")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
         sp.add_argument("--out", help="write data output to this file instead of stdout")
         sp.add_argument("-v", "--verbose", action="store_true")
         return sp

@@ -52,9 +52,6 @@ class Fp2:
         p, c = self.p, self.c
         return ((x[0] * y[0] + c * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
 
-    def neg(self, x):
-        return ((-x[0]) % self.p, (-x[1]) % self.p)
-
     def inv(self, x):
         p, c = self.p, self.c
         n = (x[0] * x[0] - c * x[1] * x[1]) % p
@@ -68,9 +65,6 @@ class Fp2:
 
     def frobenius(self, x):
         return (x[0], (-x[1]) % self.p)
-
-    def in_prime_field(self, x) -> bool:
-        return x[1] == 0
 
     def key(self, x):
         return (x[0], x[1])

@@ -21,8 +21,6 @@ from .quat import QuatAlgebra, QuatElement, split_den
 
 Frac = Fraction
 
-DEFAULT_SEED = 0
-
 
 @dataclass(frozen=True)
 class QOrder:
@@ -160,14 +158,6 @@ def reduced_discriminant(order: QOrder) -> int:
     return val
 
 
-def two_generator_discriminant(a1: QuatElement, a2: QuatElement) -> Fraction:
-    """Shortcut discrd for a ring generated by two non-commuting elements."""
-    d1 = a1.trd() ** 2 - 4 * a1.nrd()
-    d2 = a2.trd() ** 2 - 4 * a2.nrd()
-    t = (a1 * a2).trd()
-    return (d1 * d2 - (a1.trd() * a2.trd() - 2 * t) ** 2) / 4
-
-
 def maximal_quadratic_generators(alg: QuatAlgebra) -> tuple[QuatElement, QuatElement]:
     """Generators w_i, w_j of the maximal orders of Q(i), Q(j) inside alg."""
     return tuple(QuatElement(alg, tuple(Frac(x, den) for x in row))
@@ -247,14 +237,6 @@ def is_primitive(I: QIdeal) -> bool:
     return content(I) == 1
 
 
-def is_primitive_at(I: QIdeal, ell: int) -> bool:
-    """Local primitivity read off the l-content of the coordinate matrix."""
-    c = content(I)
-    if c.denominator % ell == 0:
-        raise PreconditionError("ideal not integral at ell")
-    return c.numerator % ell != 0
-
-
 def primitive_part(I: QIdeal, O: QOrder | None = None) -> QIdeal:
     """(1/g) I for g = content(I, O); O is I's left order when known."""
     return QIdeal(I.lattice.scale(1 / content(I, O)))
@@ -263,15 +245,6 @@ def primitive_part(I: QIdeal, O: QOrder | None = None) -> QIdeal:
 def inverse(I: QIdeal) -> QIdeal:
     n = I.nrd()
     return QIdeal(I.lattice.conjugate().scale(1 / n))
-
-
-def colon(I: QIdeal, J: QIdeal, side: str) -> QIdeal:
-    """(I:J) via the product formulas; J must be invertible."""
-    if side == "left":
-        return QIdeal(I.lattice * inverse(J).lattice)
-    if side == "right":
-        return QIdeal(inverse(J).lattice * I.lattice)
-    raise PreconditionError("side must be 'left' or 'right'")
 
 
 def connecting_ideal(O1: QOrder, O2: QOrder) -> QIdeal:
@@ -302,45 +275,11 @@ def two_sided_p_ideal(O: QOrder) -> QIdeal:
     p = O.algebra.p
     bas = O.basis_elements()
     gram = [[int((a * b).trd()) % p for b in bas] for a in bas]
-    kern = _fp_kernel(gram, p)
     rows = [[p * x for x in row] for row in O.lattice.mat]
-    for v in kern:
-        amb = [sum(v[t] * O.lattice.mat[t][c] for t in range(4)) for c in range(4)]
-        rows.append(amb)
+    rows += [_combine(v, O.lattice.mat) for v in _kernel_mod(gram, p)]
     P = QIdeal(QLattice.from_int_rows(O.algebra, rows, O.lattice.den))
     assert P.nrd() == p and P.left_order == O and P.right_order == O
     return P
-
-
-def _fp_kernel(rows, p):
-    """Basis of {v : v.M = 0 mod p}; row-reduce [M | I] and read zero rows."""
-    n = len(rows)
-    ext = [[rows[r][c] % p for c in range(n)] + [int(r == t) for t in range(n)] for r in range(n)]
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(len(ext)) if r not in pivots and ext[r][col] % p), None)
-        if piv is None:
-            continue
-        inv = pow(ext[piv][col], -1, p)
-        ext[piv] = [x * inv % p for x in ext[piv]]
-        for r in range(len(ext)):
-            if r != piv and ext[r][col] % p:
-                f = ext[r][col]
-                ext[r] = [(x - f * y) % p for x, y in zip(ext[r], ext[piv])]
-        pivots.append(piv)
-    return [row[n:] for r, row in enumerate(ext) if r not in pivots and not any(row[:n])]
-
-
-def connecting_ideal_membership_oracle(O1: QOrder, O2: QOrder, probe: QuatElement) -> bool:
-    """Membership predicate from the intersection-index characterization:
-    probe belongs to the minimal connecting ideal iff
-    probe * O2 * conj(probe) lands in [O1 : O1 meet O2] * O1."""
-    n = O1.lattice.intersect(O2.lattice).index_in(O1.lattice)
-    target = O1.lattice.scale(n)
-    return all(
-        target.contains(probe * b * probe.conjugate())
-        for b in O2.basis_elements()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,28 +360,66 @@ def _combine(u, mat) -> tuple[int, ...]:
     return tuple(sum(u[t] * mat[t][c] for t in range(4)) for c in range(4))
 
 
-def _mat_inverse_mod(rows, ell):
-    n = len(rows)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % ell), None)
+def _rref_mod(rows, ell) -> list[tuple[int, ...]]:
+    """Reduced row echelon form of the rows mod ell, zero rows dropped: rows
+    in order of pivot column, each pivot 1 and alone in its column."""
+    width = len(rows[0]) if rows else 0
+    work = [[x % ell for x in r] for r in rows]
+    out: list[list[int]] = []
+    for col in range(width):
+        piv = next((r for r in work if r[col]), None)
         if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, ell)
-        a[col] = [x * inv % ell for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % ell for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+            continue
+        work.remove(piv)
+        inv = pow(piv[col], -1, ell)
+        piv = [x * inv % ell for x in piv]
+        # piv vanishes left of col, so only columns col.. change
+        for r in work + out:
+            f = r[col]
+            if f:
+                for t in range(col, width):
+                    r[t] = (r[t] - f * piv[t]) % ell
+        out.append(piv)
+    return [tuple(r) for r in out]
 
 
-def matrix_split(O: QOrder, ell: int, seed: int = DEFAULT_SEED) -> MatrixSplit:
+def _augmented_rref(rows, ell) -> list[tuple[int, ...]]:
+    """_rref_mod of [M | I]; its rows span {(v M, v)}."""
+    n = len(rows)
+    return _rref_mod([list(r) + [int(i == t) for t in range(n)] for i, r in enumerate(rows)], ell)
+
+
+def _kernel_mod(rows, ell) -> list[tuple[int, ...]]:
+    """Basis of {v : v M = 0 mod ell}: the rows of rref[M | I] that vanish
+    on M's columns, cut to their I part."""
+    width = len(rows[0])
+    return [r[width:] for r in _augmented_rref(rows, ell) if not any(r[:width])]
+
+
+def _inverse_mod(rows, ell) -> list[tuple[int, ...]] | None:
+    """M^-1 mod ell for square M, or None when M is singular: rref[M | I] is
+    [I | M^-1] exactly when its last pivot lies in M's columns."""
+    n = len(rows)
+    ext = _augmented_rref(rows, ell)
+    return [r[n:] for r in ext] if ext[-1][n - 1] else None
+
+
+def _span_coords_mod(rref, vec, ell) -> tuple[int, ...] | None:
+    """Coordinates of vec in an echelon basis from _rref_mod, which are its
+    entries at the pivot columns, or None when vec is not in the span."""
+    # the first nonzero entry of a row is its pivot, 1
+    coords = tuple(vec[r.index(1)] % ell for r in rref)
+    rest = list(vec)
+    for c, r in zip(coords, rref):
+        rest = [x - c * y for x, y in zip(rest, r)]
+    return None if any(x % ell for x in rest) else coords
+
+
+def matrix_split(O: QOrder, ell: int) -> MatrixSplit:
     """Split O/ell O as M2(F_ell) by locating a rank-1 idempotent.
 
-    Random search with a deterministic seed; the quotient is always split
-    for ell != p, so exhausting the attempt cap indicates a bug.
+    Random search, seeded by (O, ell); the quotient is always split for
+    ell != p, so exhausting the attempt cap indicates a bug.
     """
     p = O.algebra.p
     if ell == p or not numth.is_prime(ell):
@@ -451,7 +428,8 @@ def matrix_split(O: QOrder, ell: int, seed: int = DEFAULT_SEED) -> MatrixSplit:
         raise PreconditionError("matrix splitting needs a maximal order")
     table = _mult_table_mod(O, ell)
     one = _one_coords(O, ell)
-    rng = random.Random((seed, O.key(), ell).__repr__())
+    rng = random.Random((O.key(), ell).__repr__())
+    units = [tuple(int(s == a) for s in range(4)) for a in range(4)]
     cap = 4 * ell**4 + 64
     for _ in range(cap):
         u = tuple(rng.randrange(ell) for _ in range(4))
@@ -475,85 +453,26 @@ def matrix_split(O: QOrder, ell: int, seed: int = DEFAULT_SEED) -> MatrixSplit:
         if not any(e) or e == one:
             continue
         # left module (O/ell)e; must be 2-dimensional for a rank-1 idempotent
-        gens = []
-        for a in range(4):
-            base = tuple(int(s == a) for s in range(4))
-            gens.append(_quot_mul(table, ell, base, e))
-        basis = _rref_mod(gens, ell)
+        basis = _rref_mod([_quot_mul(table, ell, b, e) for b in units], ell)
         if len(basis) != 2:
             continue
-        m1, m2 = basis
         images = []
-        for a in range(4):
-            base = tuple(int(s == a) for s in range(4))
+        for b in units:
             cols = []
-            for ms in (m1, m2):
-                prod = _quot_mul(table, ell, base, ms)
-                sol = _pair_coords_mod(m1, m2, prod, ell)
+            for m in basis:
+                sol = _span_coords_mod(basis, _quot_mul(table, ell, b, m), ell)
+                if sol is None:
+                    raise AssertionError("vector not in module span")
                 cols.append(sol)
             # action matrix: b*m_s = A[0][s] m1 + A[1][s] m2
             images.append((cols[0][0], cols[1][0], cols[0][1], cols[1][1]))
-        phi_rows = [list(img) for img in images]
-        lift_m = _mat_inverse_mod(phi_rows, ell)
+        lift_m = _inverse_mod(images, ell)
         if lift_m is None:
             continue
-        split = MatrixSplit(order=O, ell=ell, images=tuple(images), lift_matrix=tuple(tuple(r) for r in lift_m))
+        split = MatrixSplit(order=O, ell=ell, images=tuple(images), lift_matrix=tuple(lift_m))
         _validate_split(split, table, one)
         return split
     raise CapExceeded("no splitting idempotent found; this should not happen")
-
-
-def _rref_mod(rows, ell):
-    work = [list(r) for r in rows]
-    out = []
-    ncols = 4
-    for col in range(ncols):
-        piv = next((r for r in work if r[col] % ell), None)
-        if piv is None:
-            continue
-        work.remove(piv)
-        inv = pow(piv[col] % ell, -1, ell)
-        piv = [x * inv % ell for x in piv]
-        for r in work:
-            f = r[col] % ell
-            if f:
-                for t in range(ncols):
-                    r[t] = (r[t] - f * piv[t]) % ell
-        for r in out:
-            f = r[col] % ell
-            if f:
-                for t in range(ncols):
-                    r[t] = (r[t] - f * piv[t]) % ell
-        out.append(piv)
-        work = [r for r in work if any(x % ell for x in r)]
-    return [tuple(r) for r in out]
-
-
-def _in_span_mod(basis, vec, ell):
-    work = list(vec)
-    for b in basis:
-        lead = next((t for t in range(4) if b[t] % ell), None)
-        if lead is None:
-            continue
-        f = work[lead] * pow(b[lead], -1, ell) % ell
-        if f:
-            for t in range(4):
-                work[t] = (work[t] - f * b[t]) % ell
-    return not any(x % ell for x in work)
-
-
-def _pair_coords_mod(m1, m2, vec, ell):
-    """Coordinates (a, b) with a m1 + b m2 = vec mod ell, for m1, m2
-    independent mod ell: Cramer's rule on a 2x2 minor invertible mod ell,
-    then the other two entries are checked."""
-    s, t = next((s, t) for s in range(4) for t in range(s + 1, 4)
-                if (m1[s] * m2[t] - m1[t] * m2[s]) % ell)
-    inv = pow(m1[s] * m2[t] - m1[t] * m2[s], -1, ell)
-    a = (vec[s] * m2[t] - vec[t] * m2[s]) * inv % ell
-    b = (m1[s] * vec[t] - m1[t] * vec[s]) * inv % ell
-    if any((a * x + b * y - v) % ell for x, y, v in zip(m1, m2, vec)):
-        raise AssertionError("vector not in module span")
-    return (a, b)
 
 
 def _validate_split(split: MatrixSplit, table, one) -> None:
@@ -577,10 +496,11 @@ def _validate_split(split: MatrixSplit, table, one) -> None:
             assert lhs == rhs, "splitting is not multiplicative"
 
 
-def ideals_of_norm_ell(O: QOrder, ell: int, seed: int = DEFAULT_SEED) -> list[QIdeal]:
+def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QIdeal]:
     """All ell+1 integral left O-ideals of reduced norm ell, via the matrix
-    splitting; sorted by canonical lattice key."""
-    split = matrix_split(O, ell, seed=seed)
+    splitting; sorted by canonical lattice key, so which splitting the
+    search finds does not show."""
+    split = matrix_split(O, ell)
     targets = [(0, 0, 0, 1)] + [(1, x, 0, 0) for x in range(ell)]
     out = []
     lat = O.lattice
@@ -616,18 +536,11 @@ def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QIdeal]:
     if ell == O.algebra.p:
         raise PreconditionError("ell must differ from p")
     table = _mult_table_mod(O, ell)
+    units = [tuple(int(s == a) for s in range(4)) for a in range(4)]
     out = []
     for basis in _two_dim_subspaces(ell):
-        ok = True
-        for a in range(4):
-            ea = tuple(int(s == a) for s in range(4))
-            for v in basis:
-                if not _in_span_mod(basis, list(_quot_mul(table, ell, ea, v)), ell):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(_span_coords_mod(basis, _quot_mul(table, ell, ea, v), ell) is not None
+               for ea in units for v in basis):
             bas = O.basis_elements()
             gens = [ell * b for b in bas]
             for v in basis:
@@ -662,7 +575,7 @@ def _two_dim_subspaces(ell: int):
 # equivalence
 
 
-def is_equivalent(I: QIdeal, J: QIdeal, cap: int = 10**6):
+def is_equivalent(I: QIdeal, J: QIdeal):
     """Witness alpha with J = I*alpha, or None.
 
     Needs O_L(J) = O_L(I) = O.  For maximal O that is O J contained in J
@@ -675,7 +588,7 @@ def is_equivalent(I: QIdeal, J: QIdeal, cap: int = 10**6):
         raise PreconditionError("equivalence needs matching left orders")
     N = QIdeal(inverse(I).lattice * J.lattice)
     target = N.nrd()
-    for elt in N.lattice.min_norm_elements(target, cap=cap):
+    for elt in N.lattice.min_norm_elements(target):
         if elt.nrd() == target:
             if (I * elt).lattice == J.lattice:
                 return elt
@@ -684,13 +597,11 @@ def is_equivalent(I: QIdeal, J: QIdeal, cap: int = 10**6):
 
 def reduce_ideal(I: QIdeal, O: QOrder | None = None) -> QIdeal:
     """Equivalent integral primitive ideal of small norm (same left class).
-    O is I's left order when the caller knows it; otherwise it is computed."""
-    n = I.nrd()
-    bound = n
-    elts = []
-    while not elts:
-        bound = bound * 2
-        elts = I.lattice.min_norm_elements(bound)
-    beta = elts[0]
-    J = I * (beta.conjugate() / n)
+    O is I's left order when the caller knows it; otherwise it is computed.
+
+    beta is the element of least (nrd, coordinates) in I; one search bounded
+    by the norm of the first LLL-reduced basis vector holds it."""
+    lat = I.lattice
+    beta = lat.min_norm_elements(Frac(lat.lll[1][0][0], lat.den**2))[0]
+    J = I * (beta.conjugate() / I.nrd())
     return primitive_part(J, O)

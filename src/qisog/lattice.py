@@ -72,28 +72,13 @@ def hnf_rows(rows: list[list[int]], ncols: int = 4) -> list[tuple[int, ...]]:
 
 
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {u : u.M = 0} for the integer matrix M given by rows."""
+    """Basis of {u : u.M = 0} for the integer matrix M given by rows: the
+    rows of the HNF of [M | I] that vanish on M's columns, cut to their I
+    part.  The HNF rows span {(u M, u)}, and being in echelon form, those
+    with a pivot past M's columns span the part with u M = 0."""
     n = len(rows)
-    ext = [list(rows[i]) + [int(i == t) for t in range(n)] for i in range(n)]
-    width = ncols + n
-    done: list[list[int]] = []
-    work = ext
-    for col in range(ncols):
-        while True:
-            nz = [r for r in work if r[col]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            base = nz[0]
-            for r in nz[1:]:
-                q = r[col] // base[col]
-                for t in range(width):
-                    r[t] -= q * base[t]
-        nz = [r for r in work if r[col]]
-        if nz:
-            done.append(nz[0])
-            work = [r for r in work if r is not nz[0]]
-    return [tuple(r[ncols:]) for r in work]
+    ext = [list(r) + [int(i == t) for t in range(n)] for i, r in enumerate(rows)]
+    return [r[ncols:] for r in hnf_rows(ext, ncols + n) if not any(r[:ncols])]
 
 
 def frac_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -389,6 +374,12 @@ class QLattice:
             out.append(tuple(sum(ra[t] * rb[t] * g0[t] for t in range(4)) for rb in self.mat))
         return tuple(out)
 
+    @cached_property
+    def lll(self) -> tuple[list[list[int]], list[list[int]]]:
+        """lll_reduce of gram_int: the transform U and the reduced Gram
+        matrix, whose (0, 0) entry is den^2 nrd of the first reduced vector."""
+        return lll_reduce(self.gram_int)
+
     def reduced_norm(self) -> Fraction:
         """Positive generator of the Z-ideal spanned by norms of elements,
         read off the basis through the polarization identity."""
@@ -453,7 +444,7 @@ class QLattice:
         if bound <= 0:
             raise PreconditionError("bound must be positive")
         n = 4
-        U, g = lll_reduce(self.gram_int)
+        U, g = self.lll
         basis = [[sum(u[s] * self.mat[s][col] for s in range(n)) for col in range(4)] for u in U]
         d, lnum, w, P = fincke_pohst_setup(g)
         found: set[tuple] = set()

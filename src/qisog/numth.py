@@ -159,10 +159,6 @@ class QuadOrderDesc:
     f: int
     gen_case: str  # which shape the standard monic generator takes
 
-    @property
-    def is_fundamental(self) -> bool:
-        return self.f == 1
-
 
 def is_fundamental_discriminant(d: int) -> bool:
     if d >= 0 or d % 4 not in (0, 1):

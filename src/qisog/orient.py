@@ -35,9 +35,6 @@ class OrientedVertex:
     def is_global_root(self) -> bool:
         return self.f_i == 1 and self.f_j == 1
 
-    def is_local_root(self, ell: int) -> bool:
-        return (self.f_i * self.f_j) % ell != 0
-
     def key(self):
         return self.order.key()
 
@@ -94,8 +91,7 @@ def oriented_vertex(order: QOrder) -> OrientedVertex:
 # edge classification
 
 
-def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int,
-                  cross_check: bool = True) -> str:
+def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int) -> str:
     """Two-letter label, field i first: A/H/D per conductor ratio, checked
     against the membership test of theta/ell in the target order, where
     theta = f omega is the generator of the conductor-f order at v."""
@@ -111,17 +107,16 @@ def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int,
             lab = DESC
         else:
             raise RuntimeError(f"conductor ratio {fw}/{fv} not in 1/l,1,l")
-        if cross_check:
-            # theta = x / xden on integers
-            x, xden = omegas[u]
-            x = [fv * c for c in x]
-            asc = target.int_coords(x, xden * ell) is not None
-            hor = not asc and target.int_coords(x, xden) is not None
-            want = ASC if asc else (HOR if hor else DESC)
-            if not asc and not hor:
-                assert target.int_coords([ell * c for c in x], xden) is not None, \
-                    "theta*l must land in the target"
-            assert want == lab, f"membership path gives {want}, conductors give {lab}"
+        # theta = x / xden on integers
+        x, xden = omegas[u]
+        x = [fv * c for c in x]
+        asc = target.int_coords(x, xden * ell) is not None
+        hor = not asc and target.int_coords(x, xden) is not None
+        want = ASC if asc else (HOR if hor else DESC)
+        if not asc and not hor:
+            assert target.int_coords([ell * c for c in x], xden) is not None, \
+                "theta*l must land in the target"
+        assert want == lab, f"membership path gives {want}, conductors give {lab}"
         labels.append(lab)
     return "".join(labels)
 
@@ -131,8 +126,7 @@ def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int,
 
 
 def walk_component(start: QOrder, ell: int, depth: int,
-                   depth_cap: int = DEPTH_CAP, vertex_cap: int = VERTEX_CAP,
-                   seed: int = idl.DEFAULT_SEED) -> MultiGraph:
+                   vertex_cap: int = VERTEX_CAP) -> MultiGraph:
     """BFS over ell-neighbor maximal orders to the given depth.
 
     Vertices carry (f_i, f_j); every directed edge carries its class label.
@@ -140,8 +134,8 @@ def walk_component(start: QOrder, ell: int, depth: int,
     """
     if ell == start.algebra.p:
         raise PreconditionError("ell must differ from p")
-    if depth < 0 or depth > depth_cap:
-        raise PreconditionError(f"depth must be within 0..{depth_cap}")
+    if depth < 0 or depth > DEPTH_CAP:
+        raise PreconditionError(f"depth must be within 0..{DEPTH_CAP}")
     if not start.is_maximal:
         raise PreconditionError("walk starts at a maximal order")
     alg = start.algebra
@@ -173,7 +167,7 @@ def walk_component(start: QOrder, ell: int, depth: int,
             back = reached_by.get(v.key())
             back_key = back[0].lattice.conjugate().key() if back else None
             matched = 0
-            for I in idl.ideals_of_norm_ell(v.order, ell, seed=seed):
+            for I in idl.ideals_of_norm_ell(v.order, ell):
                 if I.key() == back_key:
                     w = back[1]
                     matched += 1

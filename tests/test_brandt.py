@@ -116,7 +116,7 @@ class TestBrandtMatrix:
                                        (109, 2), (109, 3)])
     def test_row_sums_and_cross_check(self, p, ell):
         cs = classes(p, ell)
-        b = brandt_matrix = brandt.brandt_matrix(cs, ell, cross_check=True)
+        b = brandt.brandt_matrix(cs)
         assert all(sum(row) == ell + 1 for row in b)
         a = cs.unit_sizes
         h = cs.class_number
@@ -134,22 +134,14 @@ class TestBrandtMatrix:
                 row[hits[0]] += 1
             assert row == cs.brandt[i]
 
-    def test_mismatched_ell_rejected(self):
-        cs = classes(11, 2)
-        assert cs.ell == 2
-        for fn in (brandt.brandt_matrix, brandt.brandt_graph, brandt.type_graph,
-                   brandt.class_set_json):
-            with pytest.raises(PreconditionError):
-                fn(cs, 3)
-
     def test_p11_l2_shape(self):
         cs = classes(11, 2)
-        b = brandt.brandt_matrix(cs, 2)
+        b = brandt.brandt_matrix(cs)
         assert len(b) == 2 and all(sum(r) == 3 for r in b)
 
     def test_diagonal_matches_norm_ell_units(self):
         cs = classes(37, 2)
-        b = brandt.brandt_matrix(cs, 2, cross_check=False)
+        b = cs.brandt
         for i, R in enumerate(cs.representatives):
             has_norm_2 = any(
                 e.nrd() == 2 for e in R.right_order.lattice.min_norm_elements(2))
@@ -162,7 +154,7 @@ class TestGraphIsomorphism:
     def test_curve_vs_brandt(self, p, ell):
         G = ecgraph.build_isogeny_graph(p, ell)
         cs = classes(p, ell)
-        Br = brandt.brandt_graph(cs, ell)
+        Br = brandt.brandt_graph(cs)
         witness = brandt.check_graph_isomorphism(G, Br)
         assert witness is not None
         # the witness really preserves multiplicities
@@ -216,7 +208,7 @@ class TestMultiGraphIndex:
 
     @pytest.mark.parametrize("p,ell", [(37, 2), (61, 3), (101, 2)])
     def test_degrees_match_edge_scan(self, p, ell):
-        graphs = [brandt.brandt_graph(classes(p, ell), ell), ecgraph.build_isogeny_graph(p, ell)]
+        graphs = [brandt.brandt_graph(classes(p, ell)), ecgraph.build_isogeny_graph(p, ell)]
         graphs.append(ecgraph.reduce_graph(graphs[1]))
         for g in graphs:
             for v in g.vertices():
@@ -241,27 +233,27 @@ class TestMultiGraphIndex:
 class TestTypeGraph:
     def test_vertex_count_bounded_by_classes(self):
         cs = classes(37, 2)
-        t = brandt.type_graph(cs, 2)
+        t = brandt.type_graph(cs)
         assert t.num_vertices() <= cs.class_number
 
     @pytest.mark.parametrize("p,ell", [(11, 2), (37, 2)])
     def test_matches_reduced_curve_graph(self, p, ell):
         cs = classes(p, ell)
-        t = brandt.type_graph(cs, ell)
+        t = brandt.type_graph(cs)
         r = ecgraph.reduce_graph(ecgraph.build_isogeny_graph(p, ell))
         assert t.num_vertices() == r.num_vertices()
         assert brandt.check_graph_isomorphism(r, t) is not None
 
     def test_singleton_when_all_right_orders_conjugate(self):
         cs = classes(13, 2)  # one class, type set is a single point
-        t = brandt.type_graph(cs, 2)
+        t = brandt.type_graph(cs)
         assert t.num_vertices() == 1
 
 
 class TestJson:
     def test_schema(self):
         cs = classes(11, 2)
-        doc = brandt.class_set_json(cs, 2)
+        doc = brandt.class_set_json(cs)
         assert set(doc) == {"p", "ell", "classes", "brandt", "unit_sizes"}
         assert doc["classes"] == 2
         assert len(doc["brandt"]) == 2

@@ -81,10 +81,15 @@ class TestDeterminism:
         ("brandt", "--p", "13", "--ell", "3", "--json"),
         ("oriented", "--p", "7", "--ell", "2", "--depth", "2", "--json"),
     ])
-    def test_identical_output_same_seed(self, capsys, argv):
-        a = run_cli(capsys, *argv, "--seed", "1")
-        b = run_cli(capsys, *argv, "--seed", "1")
+    def test_identical_output_on_repeat(self, capsys, argv):
+        a = run_cli(capsys, *argv)
+        b = run_cli(capsys, *argv)
         assert a == b
+
+    def test_no_seed_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["brandt", "--p", "13", "--ell", "3", "--seed", "1"])
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -20,6 +20,47 @@ A499 = QuatAlgebra.for_prime(499)
 ROOT7 = idl.global_root_orders(7)[0]
 
 
+# ---------------------------------------------------------------------------
+# helpers that only the tests use
+
+
+def two_generator_discriminant(a1: QuatElement, a2: QuatElement) -> Fraction:
+    """Shortcut discrd for a ring generated by two non-commuting elements."""
+    d1 = a1.trd() ** 2 - 4 * a1.nrd()
+    d2 = a2.trd() ** 2 - 4 * a2.nrd()
+    t = (a1 * a2).trd()
+    return (d1 * d2 - (a1.trd() * a2.trd() - 2 * t) ** 2) / 4
+
+
+def is_primitive_at(I: QIdeal, ell: int) -> bool:
+    """Local primitivity read off the l-content of the coordinate matrix."""
+    c = idl.content(I)
+    if c.denominator % ell == 0:
+        raise PreconditionError("ideal not integral at ell")
+    return c.numerator % ell != 0
+
+
+def colon(I: QIdeal, J: QIdeal, side: str) -> QIdeal:
+    """(I:J) via the product formulas; J must be invertible."""
+    if side == "left":
+        return QIdeal(I.lattice * idl.inverse(J).lattice)
+    if side == "right":
+        return QIdeal(idl.inverse(J).lattice * I.lattice)
+    raise PreconditionError("side must be 'left' or 'right'")
+
+
+def connecting_ideal_membership_oracle(O1: QOrder, O2: QOrder, probe: QuatElement) -> bool:
+    """Membership predicate from the intersection-index characterization:
+    probe belongs to the minimal connecting ideal iff
+    probe * O2 * conj(probe) lands in [O1 : O1 meet O2] * O1."""
+    n = O1.lattice.intersect(O2.lattice).index_in(O1.lattice)
+    target = O1.lattice.scale(n)
+    return all(
+        target.contains(probe * b * probe.conjugate())
+        for b in O2.basis_elements()
+    )
+
+
 def fraction_order_closure(gens, rounds: int = 16) -> QLattice:
     """Oracle for order_closure on Fraction coordinates: each round adds the
     products of the current span and takes the HNF over the lcm of all the
@@ -90,7 +131,7 @@ class TestReducedDiscriminant:
         one, i, j, _ = A7.basis()
         a1, a2 = i, (one + j) / 2
         O = idl.order_closure([a1, a2])
-        assert idl.two_generator_discriminant(a1, a2) == O.reduced_discriminant
+        assert two_generator_discriminant(a1, a2) == O.reduced_discriminant
 
     def test_p17_pq(self):
         a17 = QuatAlgebra.for_prime(17)
@@ -167,7 +208,7 @@ class TestPrimitivity:
                     n = rng.choice((1, 1, 2, 3, 6))
                     J = QIdeal(I.lattice.scale(n))
                     locally = all(
-                        idl.is_primitive_at(J, q)
+                        is_primitive_at(J, q)
                         for q in numth.factorize(int(J.nrd()))
                     )
                     assert idl.is_primitive(J) == locally == (n == 1)
@@ -188,18 +229,18 @@ class TestInverseAndColon:
     def test_colon_norms(self):
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
         J = idl.ideals_of_norm_ell(ROOT7, 3)[0]
-        N = idl.colon(J, I, side="right")  # I^{-1} J
+        N = colon(J, I, side="right")  # I^{-1} J
         assert N.nrd() == J.nrd() / I.nrd()
 
     def test_colon_integrality_iff_containment(self):
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
         deeper = idl.ideals_of_norm_ell(I.right_order, 3)[0]
         J = QIdeal(I.lattice * deeper.lattice)  # contained in I
-        N = idl.colon(J, I, side="right")
+        N = colon(J, I, side="right")
         assert I.lattice.contains_lattice(J.lattice)
         assert N.is_integral()
         K = idl.ideals_of_norm_ell(ROOT7, 2)[1]
-        M = idl.colon(K, I, side="right")
+        M = colon(K, I, side="right")
         assert not I.lattice.contains_lattice(K.lattice)
         assert not M.is_integral()
 
@@ -224,11 +265,11 @@ class TestConnectingIdeals:
         O1 = I.right_order
         C = idl.connecting_ideal(ROOT7, O1)
         for b in C.lattice.basis_elements():
-            assert idl.connecting_ideal_membership_oracle(ROOT7, O1, b)
+            assert connecting_ideal_membership_oracle(ROOT7, O1, b)
         # elements outside C must violate the membership predicate
         outside = [e for e in ROOT7.lattice.min_norm_elements(3) if not C.lattice.contains(e)]
         assert outside and all(
-            not idl.connecting_ideal_membership_oracle(ROOT7, O1, e) for e in outside)
+            not connecting_ideal_membership_oracle(ROOT7, O1, e) for e in outside)
 
     def test_two_step_colon_consistency(self):
         I1 = idl.ideals_of_norm_ell(ROOT7, 2)[0]
@@ -324,6 +365,9 @@ def brute_pair_coords(m1, m2, vec, ell):
 
 
 class TestPairCoords:
+    """_span_coords_mod on a 2-dimensional echelon basis, as matrix_split
+    uses it, against a search over all ell^2 coordinate pairs."""
+
     @settings(max_examples=200, deadline=None)
     @given(ell=st.sampled_from([2, 3, 5, 7, 11]),
            m1=st.lists(st.integers(0, 10), min_size=4, max_size=4),
@@ -331,18 +375,184 @@ class TestPairCoords:
            a=st.integers(0, 10), b=st.integers(0, 10), off=st.sampled_from([0, 0, 1]),
            pos=st.integers(0, 3))
     def test_against_all_pairs(self, ell, m1, m2, a, b, off, pos):
-        m1, m2 = [x % ell for x in m1], [x % ell for x in m2]
-        assume(any((m1[s] * m2[t] - m1[t] * m2[s]) % ell
-                   for s in range(4) for t in range(s + 1, 4)))
+        basis = idl._rref_mod([m1, m2], ell)
+        assume(len(basis) == 2)
         vec = [(a * x + b * y) % ell for x, y in zip(m1, m2)]
         vec[pos] = (vec[pos] + off) % ell
         try:
-            want = brute_pair_coords(m1, m2, vec, ell)
+            want = brute_pair_coords(*basis, vec, ell)
         except AssertionError:
-            with pytest.raises(AssertionError, match="not in module span"):
-                idl._pair_coords_mod(m1, m2, vec, ell)
+            assert idl._span_coords_mod(basis, vec, ell) is None
         else:
-            assert idl._pair_coords_mod(m1, m2, vec, ell) == want
+            assert idl._span_coords_mod(basis, vec, ell) == want
+
+
+# ---------------------------------------------------------------------------
+# the former mod-l reducers, kept as oracles for the one echelon form
+
+
+def fp_kernel_oracle(rows, p):
+    """Basis of {v : v.M = 0 mod p} for square M; row-reduce [M | I] and
+    read zero rows."""
+    n = len(rows)
+    ext = [[rows[r][c] % p for c in range(n)] + [int(r == t) for t in range(n)] for r in range(n)]
+    pivots = []
+    for col in range(n):
+        piv = next((r for r in range(len(ext)) if r not in pivots and ext[r][col] % p), None)
+        if piv is None:
+            continue
+        inv = pow(ext[piv][col], -1, p)
+        ext[piv] = [x * inv % p for x in ext[piv]]
+        for r in range(len(ext)):
+            if r != piv and ext[r][col] % p:
+                f = ext[r][col]
+                ext[r] = [(x - f * y) % p for x, y in zip(ext[r], ext[piv])]
+        pivots.append(piv)
+    return [row[n:] for r, row in enumerate(ext) if r not in pivots and not any(row[:n])]
+
+
+def mat_inverse_oracle(rows, ell):
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] % ell), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = pow(a[col][col], -1, ell)
+        a[col] = [x * inv % ell for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % ell for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def rref_oracle(rows, ell):
+    """Reduced echelon form; the former width-4 reducer with its width
+    taken from the rows."""
+    work = [list(r) for r in rows]
+    out = []
+    ncols = len(rows[0])
+    for col in range(ncols):
+        piv = next((r for r in work if r[col] % ell), None)
+        if piv is None:
+            continue
+        work.remove(piv)
+        inv = pow(piv[col] % ell, -1, ell)
+        piv = [x * inv % ell for x in piv]
+        for r in work:
+            f = r[col] % ell
+            if f:
+                for t in range(ncols):
+                    r[t] = (r[t] - f * piv[t]) % ell
+        for r in out:
+            f = r[col] % ell
+            if f:
+                for t in range(ncols):
+                    r[t] = (r[t] - f * piv[t]) % ell
+        out.append(piv)
+        work = [r for r in work if any(x % ell for x in r)]
+    return [tuple(r) for r in out]
+
+
+def in_span_oracle(basis, vec, ell):
+    """Membership of vec in the span of an echelon basis of width 4."""
+    work = list(vec)
+    for b in basis:
+        lead = next((t for t in range(4) if b[t] % ell), None)
+        if lead is None:
+            continue
+        f = work[lead] * pow(b[lead], -1, ell) % ell
+        if f:
+            for t in range(4):
+                work[t] = (work[t] - f * b[t]) % ell
+    return not any(x % ell for x in work)
+
+
+def pair_coords_oracle(m1, m2, vec, ell):
+    """Coordinates (a, b) with a m1 + b m2 = vec mod ell, for m1, m2
+    independent mod ell: Cramer's rule on a 2x2 minor invertible mod ell."""
+    s, t = next((s, t) for s in range(4) for t in range(s + 1, 4)
+                if (m1[s] * m2[t] - m1[t] * m2[s]) % ell)
+    inv = pow(m1[s] * m2[t] - m1[t] * m2[s], -1, ell)
+    a = (vec[s] * m2[t] - vec[t] * m2[s]) * inv % ell
+    b = (m1[s] * vec[t] - m1[t] * vec[s]) * inv % ell
+    if any((a * x + b * y - v) % ell for x, y, v in zip(m1, m2, vec)):
+        raise AssertionError("vector not in module span")
+    return (a, b)
+
+
+@st.composite
+def matrices_mod(draw, width=None, square=False):
+    """(ell, rows): 1-20 rows mod ell in {2, 3, 5, 7, 11, 13}, rank
+    deficient about a third of the time (rows spanned by two of them)."""
+    ell = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(1, 20))
+    width = n if square else (width or draw(st.integers(1, 8)))
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    rows = [[rng.randrange(ell) for _ in range(width)] for _ in range(n)]
+    if rng.random() < 0.35:
+        a, b = rows[0], rows[-1]
+        rows = [[(rng.randrange(ell) * x + rng.randrange(ell) * y) % ell for x, y in zip(a, b)]
+                for _ in rows]
+    return ell, rows
+
+
+class TestModEllEchelon:
+    """_rref_mod, _kernel_mod, _inverse_mod and _span_coords_mod against the
+    five reducers they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=matrices_mod())
+    def test_rref(self, m):
+        ell, rows = m
+        R = idl._rref_mod(rows, ell)
+        assert R == rref_oracle(rows, ell)
+        assert all(idl._span_coords_mod(R, row, ell) is not None for row in rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=matrices_mod(square=True))
+    def test_kernel(self, m):
+        ell, rows = m
+        n = len(rows)
+        got = idl._kernel_mod(rows, ell)
+        for v in got:
+            assert all(sum(v[i] * rows[i][c] for i in range(n)) % ell == 0 for c in range(n))
+        assert idl._rref_mod(got, ell) == idl._rref_mod(fp_kernel_oracle(rows, ell), ell)
+        assert len(got) == n - len(idl._rref_mod(rows, ell))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=matrices_mod(square=True))
+    def test_inverse(self, m):
+        ell, rows = m
+        got = idl._inverse_mod(rows, ell)
+        want = mat_inverse_oracle(rows, ell)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [list(r) for r in got] == [list(r) for r in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=matrices_mod(width=4), vec=st.lists(st.integers(0, 12), min_size=4, max_size=4),
+           inside=st.booleans())
+    def test_span_membership_and_coordinates(self, m, vec, inside):
+        ell, rows = m
+        basis = idl._rref_mod(rows, ell)
+        if inside:
+            vec = [sum(c * r[t] for c, r in zip(vec, rows)) % ell for t in range(4)]
+        vec = [x % ell for x in vec]
+        coords = idl._span_coords_mod(basis, vec, ell)
+        assert (coords is not None) == in_span_oracle(basis, vec, ell)
+        if inside:
+            assert coords is not None
+        if coords is not None:
+            assert [sum(c * r[t] for c, r in zip(coords, basis)) % ell for t in range(4)] == vec
+        if len(basis) == 2:
+            try:
+                want = pair_coords_oracle(*basis, vec, ell)
+            except AssertionError:
+                want = None
+            assert coords == want
 
 
 class TestMatrixSplit:
@@ -464,12 +674,46 @@ class TestIdealTimesElement:
         assert (alpha * I).lattice == QLattice.from_elements([alpha * b for b in basis])
 
 
+def doubling_reduce_ideal(I, O=None):
+    """The former reduce_ideal, kept as the reference: the bound doubles
+    from 2 nrd(I) until the search finds an element."""
+    n = I.nrd()
+    bound = n
+    elts = []
+    while not elts:
+        bound = bound * 2
+        elts = I.lattice.min_norm_elements(bound)
+    return idl.primitive_part(I * (elts[0].conjugate() / n), O)
+
+
 class TestReduceIdeal:
     def test_known_left_order_gives_the_same_ideal(self):
         O0 = idl.root_maximal_orders(113)[0]
         for R in brandt.enumerate_classes(O0, 3).representatives:
             for J in brandt.ell_neighbors(R, 3):
                 assert idl.reduce_ideal(J, O0) == idl.reduce_ideal(QIdeal(J.lattice))
+
+    @pytest.mark.parametrize("p,ell", [(37, 2), (101, 3), (113, 2)])
+    def test_one_search_and_the_doubling_result(self, p, ell, monkeypatch):
+        """One short-vector search per call, and the same ideal as the
+        doubling loop, on every neighbor of every class representative."""
+        O0 = idl.root_maximal_orders(p)[0]
+        neighbors = [J for R in brandt.enumerate_classes(O0, ell).representatives
+                     for J in brandt.ell_neighbors(R, ell)]
+        searches = []
+        search = QLattice.min_norm_elements
+
+        def counted(self, bound, cap=10**6):
+            searches.append(bound)
+            return search(self, bound, cap)
+
+        for J in neighbors:
+            want = doubling_reduce_ideal(J, O0)
+            monkeypatch.setattr(QLattice, "min_norm_elements", counted)
+            got = idl.reduce_ideal(J, O0)
+            monkeypatch.setattr(QLattice, "min_norm_elements", search)
+            assert got == want
+        assert len(searches) == len(neighbors)
 
 
 class TestTwoSidedIdeal:

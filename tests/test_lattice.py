@@ -149,7 +149,7 @@ class TestHnfAgainstOracle:
         seen = []
 
         def recorder(rows, ncols=4):
-            seen.append([list(r) for r in rows])
+            seen.append(([list(r) for r in rows], ncols))
             return hnf_rows(rows, ncols)
 
         monkeypatch.setattr(lattice, "hnf_rows", recorder)
@@ -157,8 +157,76 @@ class TestHnfAgainstOracle:
         brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 3)
         orient.walk_component(idl.global_root_orders(37)[0], 2, 3)
         assert len(seen) > 300
-        for rows in seen:
-            assert hnf_rows(rows) == hnf_rows_oracle(rows)
+        assert {ncols for _, ncols in seen} == {4, 6}  # 6: the subfield kernels
+        for rows, ncols in seen:
+            assert hnf_rows(rows, ncols) == hnf_rows_oracle(rows, ncols)
+
+
+def integer_kernel_oracle(rows, ncols):
+    """The former integer_kernel, kept as the reference: per column, reduce
+    every nonzero entry of [M | I] by the smallest one until a single row
+    is left, and keep the rows that end up zero on M."""
+    n = len(rows)
+    ext = [list(rows[i]) + [int(i == t) for t in range(n)] for i in range(n)]
+    width = ncols + n
+    work = ext
+    for col in range(ncols):
+        while True:
+            nz = [r for r in work if r[col]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda r: abs(r[col]))
+            base = nz[0]
+            for r in nz[1:]:
+                q = r[col] // base[col]
+                for t in range(width):
+                    r[t] -= q * base[t]
+        nz = [r for r in work if r[col]]
+        if nz:
+            work = [r for r in work if r is not nz[0]]
+    return [tuple(r[ncols:]) for r in work]
+
+
+class TestIntegerKernel:
+    """The kernel read off the HNF of [M | I] spans the same lattice as the
+    former reducer's, and each vector v has v M = 0."""
+
+    @staticmethod
+    def assert_agrees(rows, ncols):
+        got = lattice.integer_kernel(rows, ncols)
+        for v in got:
+            assert all(sum(v[i] * rows[i][c] for i in range(len(rows))) == 0 for c in range(ncols))
+        want = integer_kernel_oracle([list(r) for r in rows], ncols)
+        n = len(rows)
+        assert hnf_rows(got, n) == hnf_rows(want, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**9), ncols=st.integers(1, 4))
+    def test_random_matrices(self, seed, ncols):
+        rows = [r[:ncols] for r in random_int_rows(random.Random(seed))]
+        self.assert_agrees(rows, ncols)
+
+    def test_inputs_of_intersections_and_walks(self, monkeypatch):
+        from qisog import orient
+
+        seen = []
+        kernel = lattice.integer_kernel
+
+        def recorder(rows, ncols):
+            seen.append(([list(r) for r in rows], ncols))
+            return kernel(rows, ncols)
+
+        monkeypatch.setattr(lattice, "integer_kernel", recorder)
+        monkeypatch.setattr(orient, "integer_kernel", recorder)
+        orient.walk_component(idl.global_root_orders(37)[0], 3, 2)
+        for p in (101, 113):
+            a, b = (O.lattice for O in idl.root_maximal_orders(p))
+            a.intersect(b)
+            a.intersect(b.scale(Fraction(1, 2)))
+        monkeypatch.undo()
+        assert {ncols for _, ncols in seen} == {2, 4}
+        for rows, ncols in seen:
+            self.assert_agrees(rows, ncols)
 
 
 class TestCanonicalForm:

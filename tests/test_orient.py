@@ -97,7 +97,7 @@ class TestWalk:
             orient.walk_component(ROOT7, 3, depth=3, vertex_cap=5)
 
 
-def reference_walk(start, ell, depth, seed=0):
+def reference_walk(start, ell, depth):
     """walk_component without the parent-edge reuse: the right order of every
     neighbour ideal is computed, the parent's included."""
     alg = start.algebra
@@ -119,7 +119,7 @@ def reference_walk(start, ell, depth, seed=0):
     for _ in range(depth):
         nxt = []
         for v in frontier:
-            for I in idl.ideals_of_norm_ell(v.order, ell, seed=seed):
+            for I in idl.ideals_of_norm_ell(v.order, ell):
                 w = register(QOrder(I.lattice.right_order()))
                 assert v.key() != w.key() and not g.multiplicity(v.key(), w.key())
                 g.add_edge(v.key(), w.key(), cls=orient.classify_edge(v, w, ell))
