@@ -11,8 +11,10 @@ The grid:
   l != p, at depth 5/3/2/2, each also writing ``--json-file`` and ``--dot``
   into a temporary directory;
 * ``embed --json`` and ``algebra`` for every prime 7 <= p <= 500;
-* ``brandt --json`` and ``isocheck --json`` for every prime 5 <= p <= 113
-  and l in {2, 3}.
+* ``brandt --json``, ``isocheck --json`` and ``ssgraph --json`` for every
+  prime 5 <= p <= 113 and l in {2, 3}.
+
+That is every subcommand of the CLI.
 
 Every run goes to ``qisog.cli.main`` in this process.  Each prints one line
 ``<sha256 of stdout> <exit code> <argv>``; an ``oriented`` line also carries
@@ -53,6 +55,7 @@ def grid() -> list[list[str]]:
             for ell in (2, 3):
                 runs.append(["brandt", "--p", str(p), "--ell", str(ell), "--json"])
                 runs.append(["isocheck", "--p", str(p), "--ell", str(ell), "--json"])
+                runs.append(["ssgraph", "--p", str(p), "--ell", str(ell), "--json"])
     return runs
 
 

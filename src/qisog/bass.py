@@ -174,11 +174,9 @@ def _local_number(sym: int, v: int) -> int:
 
 
 def local_embedding_number(O: QOrder, ell: int) -> int:
-    """Number of local maximal orders above O at ell."""
-    D = O.reduced_discriminant
-    if D % ell != 0 or ell == O.algebra.p:
-        return 1
-    return _local_number(eichler_symbol(O, ell, _contained_dK(O)).value, numth.factorize(D)[ell])
+    """Number of local maximal orders above O at ell; 1 where ell does not
+    divide discrd, and at ell = p."""
+    return embedding_numbers(O)[1].get(ell, 1)
 
 
 def embedding_numbers(O: QOrder) -> tuple[dict[int, int], dict[int, int], int]:

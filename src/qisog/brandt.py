@@ -8,7 +8,7 @@ short-vector searches inside equivalence testing stay cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ideals as idl
@@ -21,15 +21,53 @@ ISO_VERTEX_CAP = 64
 
 @dataclass
 class ClassSet:
+    """Left ideal classes of O0 and, once enumerate_classes completes them,
+    the Brandt matrix.
+
+    class_of is the one class lookup.  Classes are bucketed by the theta
+    prefix for k up to K = max(4, isqrt(p)), and an ideal is tested only
+    against the representatives in its bucket.  Once sum 1/a_j reaches the
+    mass (p-1)/12 the list is complete, so when all other candidates in its
+    bucket fail, the last one is its class without a test."""
+
     order0: QOrder
-    representatives: list  # primitive left O0-ideals, pairwise inequivalent
-    unit_sizes: list  # a_j = |O_R(I_j)^x| / 2
     ell: int
-    brandt: list  # b_ij = number of ell-neighbors of I_i equivalent to I_j
+    # primitive left O0-ideals, pairwise inequivalent
+    representatives: list = field(default_factory=list)
+    unit_sizes: list = field(default_factory=list)  # a_j = |O_R(I_j)^x| / 2
+    # b_ij = number of ell-neighbors of I_i equivalent to I_j
+    brandt: list = field(default_factory=list)
+    _buckets: dict = field(default_factory=dict, init=False, repr=False)  # theta prefix -> indices
+    _found: Fraction = field(default=Fraction(0), init=False, repr=False)  # sum 1/a_j
 
     @property
     def class_number(self) -> int:
         return len(self.representatives)
+
+    @property
+    def complete(self) -> bool:
+        return self._found == Fraction(self.order0.algebra.p - 1, 12)
+
+    def class_of(self, J: QIdeal) -> int:
+        """Index of the representative equivalent to J, a left O0-ideal.
+        While the list is incomplete, a J equivalent to none of them becomes
+        the next representative."""
+        key = theta_prefix(J, max(4, math.isqrt(self.order0.algebra.p)))
+        bucket = self._buckets.get(key, [])
+        complete = self.complete
+        tested = bucket[:-1] if complete else bucket
+        reps = self.representatives
+        j = next((n for n in tested if idl.is_equivalent(reps[n], J) is not None), None)
+        if j is not None:
+            return j
+        if complete:
+            assert bucket, f"class list is complete, yet no class has the invariant {key}"
+            return bucket[-1]
+        self._buckets.setdefault(key, []).append(self.class_number)
+        reps.append(J)
+        self.unit_sizes.append(len(J.right_order.lattice.min_norm_elements(1)))
+        self._found += Fraction(1, self.unit_sizes[-1])
+        return self.class_number - 1
 
 
 def ell_neighbors(I: QIdeal, ell: int) -> list[QIdeal]:
@@ -54,15 +92,10 @@ def theta_prefix(J: QIdeal, K: int) -> tuple[int, ...]:
 
 def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     """BFS over ell-neighbors from O0, collecting left ideal classes and the
-    Brandt matrix in one pass: each reduced neighbor of I_i is matched to the
-    equivalent representative, or becomes a new one.  Representatives are
-    pairwise inequivalent, so that match is its class for good.
-
-    Classes are bucketed by the theta prefix for k up to K = max(4, isqrt(p)),
-    and a neighbor is tested only against the representatives in its bucket.
-    Once sum 1/a_j reaches the mass (p-1)/12 the class list is complete, so
-    when all other candidates in its bucket fail, the last one is its class
-    without a test.
+    Brandt matrix in one pass: ClassSet.class_of matches each reduced
+    neighbor of I_i to the equivalent representative, or makes it a new
+    one.  Representatives are pairwise inequivalent, so that match is its
+    class for good.
 
     The mass formula, the row sums ell+1 and the relation
     a_j b_ij = a_i b_ji are checked before returning.  The class graph is
@@ -72,23 +105,9 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     if ell == p:
         raise PreconditionError("ell must differ from p")
     depth_cap = 2 * (p // 6 + 8)
-    K = max(4, math.isqrt(p))
-    mass = Fraction(p - 1, 12)
-    reps: list[QIdeal] = []
-    units: list[int] = []  # a_j = |O_R(I_j)^x| / 2
-    buckets: dict[tuple, list[int]] = {}  # theta prefix -> representative indices
-    found = Fraction(0)  # sum 1/a_j over the representatives so far
-
-    def add(J: QIdeal, key: tuple) -> int:
-        nonlocal found
-        buckets.setdefault(key, []).append(len(reps))
-        reps.append(J)
-        units.append(len(J.right_order.lattice.min_norm_elements(1)))
-        found += Fraction(1, units[-1])
-        return len(reps) - 1
-
+    cs = ClassSet(order0=O0, ell=ell)
     start = QIdeal(O0.lattice)
-    add(start, theta_prefix(start, K))
+    cs.class_of(start)
     rows: list[list[int]] = []  # rows[i]: class index of each neighbor of I_i
     frontier = [start]
     depth = 0
@@ -100,29 +119,18 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
         for I in frontier:
             row = []
             for J in ell_neighbors(I, ell):
-                J = idl.reduce_ideal(J, O0)
-                key = theta_prefix(J, K)
-                bucket = buckets.get(key, [])
-                complete = found == mass
-                tested = bucket[:-1] if complete else bucket
-                j = next((n for n in tested if idl.is_equivalent(reps[n], J) is not None), None)
-                if j is None:
-                    if complete:
-                        assert bucket, "class list is complete, yet no class has this invariant"
-                        j = bucket[-1]
-                    else:
-                        j = add(J, key)
-                        new.append(J)
-                row.append(j)
+                h = cs.class_number
+                row.append(cs.class_of(idl.reduce_ideal(J, O0)))
+                new += cs.representatives[h:]
             rows.append(row)
         frontier = new
-    h = len(reps)
-    b = [[row.count(j) for j in range(h)] for row in rows]
-    assert found == mass, "mass formula fails"
+    h, a = cs.class_number, cs.unit_sizes
+    b = cs.brandt = [[row.count(j) for j in range(h)] for row in rows]
+    assert cs.complete, "mass formula fails"
     assert all(sum(row) == ell + 1 for row in b), "Brandt row sum is not ell+1"
-    assert all(units[j] * b[i][j] == units[i] * b[j][i] for i in range(h) for j in range(h)), \
+    assert all(a[j] * b[i][j] == a[i] * b[j][i] for i in range(h) for j in range(h)), \
         "Brandt relation a_j b_ij = a_i b_ji fails"
-    return ClassSet(order0=O0, representatives=reps, unit_sizes=units, ell=ell, brandt=b)
+    return cs
 
 
 def brandt_matrix(cs: ClassSet) -> list[list[int]]:
@@ -154,46 +162,39 @@ def brandt_graph(cs: ClassSet) -> MultiGraph:
     return g
 
 
-def _is_principal(I: QIdeal) -> bool:
-    n = I.nrd()
-    return any(e.nrd() == n for e in I.lattice.min_norm_elements(n))
+def type_involution(cs: ClassSet) -> list[int]:
+    """sigma(j) = [P I_j] for P the two-sided ideal of norm p of O0.
 
-
-def right_orders_conjugate(O1: QOrder, O2: QOrder) -> bool:
-    """Maximal orders are conjugate iff their primitive connecting ideal, or
-    its twist by the two-sided norm-p ideal, is principal.  The twist covers
-    conjugating elements whose norm carries the ramified prime."""
-    if O1 == O2:
-        return True
-    C = idl.connecting_ideal(O1, O2)
-    if _is_principal(C):
-        return True
-    P = idl.two_sided_p_ideal(O1)
-    return _is_principal(idl.primitive_part(P * C))
+    O_R(P I) = O_R(I).  Conversely, if O_R(I) and O_R(J) are conjugate by
+    beta, then J (I beta)^-1 is a two-sided O0-ideal, which up to Q^x is O0
+    or P; so the classes whose right orders are conjugate to O_R(I_j) are
+    exactly j and sigma(j).  Checked: sigma is an involution and keeps the
+    unit size, and class_of finds each P I_j's theta prefix among the
+    buckets."""
+    O0 = cs.order0
+    P = idl.two_sided_p_ideal(O0)
+    sigma = [cs.class_of(idl.reduce_ideal(P * I, O0)) for I in cs.representatives]
+    assert all(sigma[s] == j for j, s in enumerate(sigma)), "sigma is not an involution"
+    assert all(cs.unit_sizes[s] == a for s, a in zip(sigma, cs.unit_sizes)), \
+        "sigma does not keep the unit size"
+    return sigma
 
 
 def type_graph(cs: ClassSet) -> MultiGraph:
     """Quotient of the Brandt graph grouping classes with conjugate right
-    orders; edges are those of one representative class per type."""
-    n = cs.class_number
-    orders = [R.right_order for R in cs.representatives]
-    type_of = [-1] * n
-    types: list[int] = []  # representative class index per type
-    for i in range(n):
-        for t, rep in enumerate(types):
-            if right_orders_conjugate(orders[rep], orders[i]):
-                type_of[i] = t
-                break
-        else:
-            type_of[i] = len(types)
-            types.append(i)
+    orders: the types are the orbits {j, sigma(j)} of type_involution,
+    numbered by their least class, and a type's edges are its least
+    class's Brandt row."""
+    least = [min(j, s) for j, s in enumerate(type_involution(cs))]
+    types = sorted(set(least))
+    type_of = {rep: t for t, rep in enumerate(types)}
     g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": cs.ell, "kind": "type"})
     for t in range(len(types)):
         g.add_vertex(t)
     for t, rep in enumerate(types):
         for j, m in enumerate(cs.brandt[rep]):
             if m:
-                g.add_edge(t, type_of[j], count=m)
+                g.add_edge(t, type_of[least[j]], count=m)
     return g
 
 

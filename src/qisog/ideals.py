@@ -8,8 +8,8 @@ algebra ramified exactly at {p, oo} an order is maximal iff discrd = p.
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -418,8 +418,10 @@ def _span_coords_mod(rref, vec, ell) -> tuple[int, ...] | None:
 def matrix_split(O: QOrder, ell: int) -> MatrixSplit:
     """Split O/ell O as M2(F_ell) by locating a rank-1 idempotent.
 
-    Random search, seeded by (O, ell); the quotient is always split for
-    ell != p, so exhausting the attempt cap indicates a bug.
+    Scans u over F_ell^4 minus 0 in lexicographic order for one whose
+    eigenvalues are distinct and in F_ell; the quotient is always split for
+    ell != p (the lift of a diagonal matrix qualifies), so an exhausted scan
+    indicates a bug.
     """
     p = O.algebra.p
     if ell == p or not numth.is_prime(ell):
@@ -428,13 +430,8 @@ def matrix_split(O: QOrder, ell: int) -> MatrixSplit:
         raise PreconditionError("matrix splitting needs a maximal order")
     table = _mult_table_mod(O, ell)
     one = _one_coords(O, ell)
-    rng = random.Random((O.key(), ell).__repr__())
     units = [tuple(int(s == a) for s in range(4)) for a in range(4)]
-    cap = 4 * ell**4 + 64
-    for _ in range(cap):
-        u = tuple(rng.randrange(ell) for _ in range(4))
-        if not any(u):
-            continue
+    for u in itertools.islice(itertools.product(range(ell), repeat=4), 1, None):
         # trd and nrd of the lift r/den, both integers
         r = _combine(u, O.lattice.mat)
         den = O.lattice.den
@@ -472,7 +469,7 @@ def matrix_split(O: QOrder, ell: int) -> MatrixSplit:
         split = MatrixSplit(order=O, ell=ell, images=tuple(images), lift_matrix=tuple(lift_m))
         _validate_split(split, table, one)
         return split
-    raise CapExceeded("no splitting idempotent found; this should not happen")
+    raise AssertionError(f"O/{ell}O has no rank-1 idempotent, yet it is split for {ell} != p")
 
 
 def _validate_split(split: MatrixSplit, table, one) -> None:

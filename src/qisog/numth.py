@@ -1,5 +1,5 @@
 """Number-theoretic primitives: Kronecker and Hilbert symbols, quadratic-order
-bookkeeping, splitting types and the ramified-pair parameter search.
+bookkeeping and the ramified-pair parameter search.
 
 Everything here is exact integer arithmetic; symbols at the even place use the
 Kronecker convention so that the split/inert/ramified trichotomy stays
@@ -8,7 +8,6 @@ meaningful at 2.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,15 +159,6 @@ class QuadOrderDesc:
     gen_case: str  # which shape the standard monic generator takes
 
 
-def is_fundamental_discriminant(d: int) -> bool:
-    if d >= 0 or d % 4 not in (0, 1):
-        return False
-    if d % 4 == 1:
-        return squarefree_part(d) == d
-    m = d // 4
-    return squarefree_part(m) == m and m % 4 in (2, 3)
-
-
 def fundamental_discriminant(d: int) -> int:
     """Fundamental discriminant of Q(sqrt(d)) for negative d = 0,1 mod 4."""
     s = squarefree_part(d)
@@ -191,34 +181,6 @@ def quad_order_info(d: int) -> QuadOrderDesc:
     else:
         case = "d_K = 1 mod 4, f even"
     return QuadOrderDesc(d=d, d_K=d_K, f=f, gen_case=case)
-
-
-class Splitting(enum.Enum):
-    SPLIT = "split"
-    INERT = "inert"
-    RAMIFIED = "ramified"
-
-
-@dataclass(frozen=True)
-class SplittingType:
-    kind: Splitting
-    ell_fundamental: bool = True
-
-
-def splitting_type(d_K: int, ell: int) -> SplittingType:
-    """Behaviour of the prime ell in the field of fundamental discriminant d_K."""
-    if not is_fundamental_discriminant(d_K):
-        raise PreconditionError(f"{d_K} is not fundamental")
-    sym = kronecker(d_K, ell)
-    kind = {1: Splitting.SPLIT, -1: Splitting.INERT, 0: Splitting.RAMIFIED}[sym]
-    return SplittingType(kind=kind, ell_fundamental=True)
-
-
-def splitting_in_order(d: int, ell: int) -> SplittingType:
-    """Like splitting_type but for a not necessarily fundamental d."""
-    info = quad_order_info(d)
-    st = splitting_type(info.d_K, ell)
-    return SplittingType(kind=st.kind, ell_fundamental=info.f % ell != 0)
 
 
 def pizer_params(p: int, bound: int | None = None) -> int:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qisog import brandt, ecgraph, numth
 from qisog import ideals as idl
 from qisog.errors import PreconditionError
-from qisog.ideals import QIdeal
+from qisog.ideals import QIdeal, QOrder
 from qisog.quat import QuatElement
 from qisog.multigraph import MultiGraph
 
@@ -42,6 +42,62 @@ def first_match_classes(O0, ell):
     b = [[row.count(j) for j in range(len(reps))] for row in rows]
     units = [len(R.right_order.lattice.min_norm_elements(1)) for R in reps]
     return [R.key() for R in reps], b, units
+
+
+def _is_principal(I: QIdeal) -> bool:
+    n = I.nrd()
+    return any(e.nrd() == n for e in I.lattice.min_norm_elements(n))
+
+
+def right_orders_conjugate(O1: QOrder, O2: QOrder) -> bool:
+    """The former pairwise type test, kept as the oracle for the type
+    involution: maximal orders are conjugate iff their primitive connecting
+    ideal, or its twist by the two-sided norm-p ideal, is principal.  The
+    twist covers conjugating elements whose norm carries the ramified
+    prime."""
+    if O1 == O2:
+        return True
+    C = idl.connecting_ideal(O1, O2)
+    if _is_principal(C):
+        return True
+    P = idl.two_sided_p_ideal(O1)
+    return _is_principal(idl.primitive_part(P * C))
+
+
+def oracle_types(cs) -> list[int]:
+    """Type index of each class, by testing its right order against the
+    first class of each type found so far (the former type_graph)."""
+    orders = [R.right_order for R in cs.representatives]
+    type_of: list[int] = []
+    types: list[int] = []  # first class index per type
+    for i, O in enumerate(orders):
+        t = next((t for t, rep in enumerate(types) if right_orders_conjugate(orders[rep], O)), None)
+        if t is None:
+            t = len(types)
+            types.append(i)
+        type_of.append(t)
+    return type_of
+
+
+def oracle_type_graph(cs) -> MultiGraph:
+    type_of = oracle_types(cs)
+    g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": cs.ell, "kind": "type"})
+    for t in range(max(type_of) + 1):
+        g.add_vertex(t)
+    for t in range(max(type_of) + 1):
+        rep = type_of.index(t)
+        for j, m in enumerate(cs.brandt[rep]):
+            if m:
+                g.add_edge(t, type_of[j], count=m)
+    return g
+
+
+def sigma_types(cs) -> list[int]:
+    """Type index of each class from the type involution: the orbits
+    {j, sigma(j)}, numbered by their least class."""
+    least = [min(j, s) for j, s in enumerate(brandt.type_involution(cs))]
+    firsts = sorted(set(least))
+    return [firsts.index(m) for m in least]
 
 
 SMALL_PRIMES = [p for p in range(5, 114) if numth.is_prime(p)]
@@ -248,6 +304,35 @@ class TestTypeGraph:
         cs = classes(13, 2)  # one class, type set is a single point
         t = brandt.type_graph(cs)
         assert t.num_vertices() == 1
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_matches_pairwise_conjugacy_oracle(self, p):
+        cs = classes(p, 2)
+        assert sigma_types(cs) == oracle_types(cs)
+        assert brandt.type_graph(cs).to_json() == oracle_type_graph(cs).to_json()
+
+
+class TestTypeInvolution:
+    """Each certificate of type_involution trips on a corrupted class set."""
+
+    def test_unknown_invariant_is_reported(self):
+        cs = classes(37, 2)
+        cs._buckets = {}
+        with pytest.raises(AssertionError, match="no class has the invariant"):
+            brandt.type_involution(cs)
+
+    def test_non_involution_is_reported(self):
+        cs = classes(37, 2)
+        cs.class_of = lambda J: 0
+        with pytest.raises(AssertionError, match="not an involution"):
+            brandt.type_involution(cs)
+
+    def test_unit_size_change_is_reported(self):
+        cs = classes(37, 2)
+        moved = next(j for j, s in enumerate(brandt.type_involution(cs)) if s != j)
+        cs.unit_sizes[moved] += 1
+        with pytest.raises(AssertionError, match="unit size"):
+            brandt.type_involution(cs)
 
 
 class TestJson:

@@ -122,18 +122,6 @@ class TestQuadOrders:
         assert info.d_K == dk and info.f == f
 
 
-class TestSplitting:
-    def test_examples(self):
-        assert numth.splitting_type(-7, 2).kind is numth.Splitting.SPLIT
-        assert numth.splitting_type(-4, 2).kind is numth.Splitting.RAMIFIED
-        assert numth.splitting_type(-4, 3).kind is numth.Splitting.INERT
-
-    def test_order_level_flag(self):
-        st_ = numth.splitting_in_order(-28, 2)
-        assert not st_.ell_fundamental
-        assert numth.splitting_in_order(-28, 3).ell_fundamental
-
-
 class TestPizer:
     def test_examples(self):
         assert numth.pizer_params(7) == 1

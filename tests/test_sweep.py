@@ -6,6 +6,11 @@ Brandt row sums and the relation a_j b_ij = a_i b_ji inline; the sweep adds
 the class-number formula and the independent counting-formula cross-check
 of every Brandt entry.
 
+Type side: for l in {2, 3} the Frobenius-reduced curve graph is isomorphic
+to the type graph, and once per p (the types do not depend on l) the
+partition read off the type involution equals the pairwise conjugacy
+oracle's.
+
 Double-oriented side (l in {2, 3, 5, 7}): the walk from the first global
 root order is a full (l+1)-regular tree whose every expanded vertex passes
 the structure audit, and the Bass superorder oracle finds exactly the
@@ -15,10 +20,11 @@ enumeration over every sublattice of each index.
 
 import pytest
 
-from qisog import bass, brandt, numth, orient
+from qisog import bass, brandt, ecgraph, numth, orient
 from qisog import ideals as idl
 from qisog.quat import QuatAlgebra
 from test_bass import assert_oracle_agrees
+from test_brandt import oracle_types, sigma_types
 
 PRIMES = [p for p in range(5, 501) if numth.is_prime(p)]
 
@@ -33,6 +39,21 @@ def test_class_set_and_brandt_matrix(p, ell):
     cs = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], ell)
     assert cs.class_number == class_number(p)
     brandt.brandt_matrix(cs)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,ell", [(p, ell) for ell in (2, 3) for p in PRIMES])
+def test_reduced_curve_graph_matches_type_graph(p, ell):
+    cs = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], ell)
+    reduced = ecgraph.reduce_graph(ecgraph.build_isogeny_graph(p, ell))
+    assert brandt.check_graph_isomorphism(reduced, brandt.type_graph(cs)) is not None
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", PRIMES)
+def test_type_partition_matches_oracle(p):
+    cs = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], 2)
+    assert sigma_types(cs) == oracle_types(cs)
 
 
 WALK_DEPTH = {2: 5, 3: 3, 5: 2, 7: 2}
