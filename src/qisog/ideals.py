@@ -1,6 +1,7 @@
 """Orders and ideals of the quaternion algebra: ring closure, the explicit
 root maximal orders, primitivity, connecting ideals, norm-l neighbor ideals
-through the mod-l matrix-ring splitting, and ideal equivalence testing.
+and the l-neighbour maximal orders, both read off the mod-l matrix-ring
+splitting, and ideal equivalence testing.
 
 Maximality is always certified through the reduced discriminant: in an
 algebra ramified exactly at {p, oo} an order is maximal iff discrd = p.
@@ -493,16 +494,21 @@ def _validate_split(split: MatrixSplit, table, one) -> None:
             assert lhs == rhs, "splitting is not multiplicative"
 
 
+def _line_targets(ell: int) -> list[tuple]:
+    """One rank-1 idempotent m = [[a, b], [c, d]] per line of F_ell^2 (its
+    kernel), as (a, b, c, d)."""
+    return [(0, 0, 0, 1)] + [(1, x, 0, 0) for x in range(ell)]
+
+
 def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QIdeal]:
     """All ell+1 integral left O-ideals of reduced norm ell, via the matrix
     splitting; sorted by canonical lattice key, so which splitting the
     search finds does not show."""
     split = matrix_split(O, ell)
-    targets = [(0, 0, 0, 1)] + [(1, x, 0, 0) for x in range(ell)]
     out = []
     lat = O.lattice
     mul = O.algebra.mul_coords
-    for m in targets:
+    for m in _line_targets(ell):
         # ell O + O alpha on integer rows over den^2
         alpha = split.lift_row(m)
         gens = [[ell * lat.den * x for x in b] for b in lat.mat]
@@ -515,16 +521,52 @@ def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QIdeal]:
     return sorted(out, key=lambda I: I.key())
 
 
-def norm_ell_right_order(I: QIdeal, ell: int) -> QLattice:
-    """O_R(I) for a left ideal I of reduced norm ell over a maximal order.
+def neighbour_orders(O: QOrder, ell: int, parent: QOrder | None = None) -> list[QOrder | None]:
+    """The ell + 1 maximal orders ell-adjacent to O, one per target m of
+    ideals_of_norm_ell, with None in place of ``parent`` (not rebuilt).
 
-    Such an I is invertible, so O_R(I) = I^-1 I = conj(I) I / ell: the 16
-    products mul(conj r_a, r_b) of the integer rows, over den^2 ell."""
-    lat = I.lattice
-    mul = I.algebra.mul_coords
-    conj = [(r[0], -r[1], -r[2], -r[3]) for r in lat.mat]
-    rows = [mul(a, b) for a in conj for b in lat.mat]
-    return QLattice.from_int_rows(I.algebra, rows, lat.den * lat.den * ell)
+    Locally O = End(L) and the neighbours are End(Z_ell v + ell L).  The
+    right order O_v of I_v = ell O + O alpha (alpha a lift of m) meets O in
+    the Eichler order Z + I_v = ell O + Z + Z alpha + Z beta_0, beta_0 a
+    lift of the nilpotent N with ker N = im N = ker m, and O_v = ell O + Z +
+    Z alpha + Z beta/ell for any beta = beta_0 mod ell O with ell^2 | nrd.
+    beta = beta_0 + ell s gamma is one, for a basis row gamma with
+    trd(beta_0 conj(gamma)) a unit mod ell (the trace form of O/ell O is
+    nondegenerate): nrd(beta) = nrd(beta_0) + ell s trd(beta_0 conj(gamma))
+    mod ell^2.  No other neighbour holds beta/ell (two meet inside O), so
+    the parent's line is the one whose beta/ell it contains."""
+    split = matrix_split(O, ell)
+    lat = O.lattice
+    alg = O.algebra
+    den2, g0 = lat.den**2, alg.norm_diag()
+    vden = lat.den * ell
+    base = [[ell * ell * x for x in r] for r in lat.mat] + [[vden, 0, 0, 0]]
+    nilpotents = [(0, 1, 0, 0)] + [(-x, -x * x, 1, x) for x in range(ell)]
+    out = []
+    for m, nil in zip(_line_targets(ell), nilpotents):
+        beta = split.lift_row(nil)
+        n0, rem = divmod(alg.nrd_coords(beta), den2)
+        assert rem == 0 and n0 % ell == 0, "beta_0 must lift a nilpotent"
+        for gamma in lat.mat:
+            # trd(beta_0 conj(gamma)) on the rows over den^2
+            t, rem = divmod(2 * sum(g0[c] * beta[c] * gamma[c] for c in range(4)), den2)
+            assert rem == 0
+            if t % ell:
+                break
+        else:
+            raise AssertionError("trace form of O/ell O is degenerate")
+        s = -(n0 // ell) * pow(t, -1, ell) % ell
+        beta = [b + ell * s * g for b, g in zip(beta, gamma)]
+        assert alg.nrd_coords(beta) % (den2 * ell * ell) == 0, "ell^2 must divide nrd(beta)"
+        # the rows are over vden, so beta/ell is beta/vden
+        if parent is not None and parent.lattice.int_coords(beta, vden) is not None:
+            out.append(None)
+            continue
+        rows = base + [[ell * x for x in split.lift_row(m)], beta]
+        Ov = QOrder(QLattice.from_int_rows(alg, rows, vden))
+        assert Ov.is_maximal, f"neighbour order has discrd {Ov.reduced_discriminant}"
+        out.append(Ov)
+    return out
 
 
 def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QIdeal]:

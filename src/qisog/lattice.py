@@ -367,12 +367,15 @@ class QLattice:
     @cached_property
     def gram_int(self) -> tuple[tuple[int, ...], ...]:
         """Integer Gram matrix of the norm form on the scaled basis rows:
-        entry (a,b) is den^2 * (1/2) trd(b_a conj(b_b))."""
+        entry (a,b) is den^2 * (1/2) trd(b_a conj(b_b)).  The rows are upper
+        triangular, so rows a <= b meet only in the columns t >= b."""
         g0 = self.algebra.norm_diag()
-        out = []
-        for ra in self.mat:
-            out.append(tuple(sum(ra[t] * rb[t] * g0[t] for t in range(4)) for rb in self.mat))
-        return tuple(out)
+        m = self.mat
+        out = [[0] * 4 for _ in range(4)]
+        for a in range(4):
+            for b in range(a, 4):
+                out[a][b] = out[b][a] = sum(m[a][t] * m[b][t] * g0[t] for t in range(b, 4))
+        return tuple(map(tuple, out))
 
     @cached_property
     def lll(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -423,8 +426,21 @@ class QLattice:
                    for a in other.mat for b in self.mat)
 
     def is_ring(self) -> bool:
-        """Whether 1 lies in the lattice and it is closed under products."""
-        return self.int_coords((1, 0, 0, 0)) is not None and self.is_left_module_over(self)
+        """Whether 1 lies in the lattice and it is closed under products.
+
+        A ring has integral nrd, and given 1 and integral nrd (off gram_int)
+        the six products b_a b_b with a < b decide it: then trd(b) and
+        trd(b conj(c)) are integers, and b^2 = trd(b) b - nrd(b) and
+        b c + c b = trd(b) c + trd(c) b - trd(b conj(c)) put the other ten in."""
+        if self.int_coords((1, 0, 0, 0)) is None:
+            return False
+        g, dd = self.gram_int, self.den * self.den
+        # nrd(b_a) = g_aa / den^2 and trd(b_a conj(b_b)) = 2 g_ab / den^2
+        if any((g[a][b] if a == b else 2 * g[a][b]) % dd for a in range(4) for b in range(a, 4)):
+            return False
+        mul = self.algebra.mul_coords
+        return all(self.int_coords(mul(self.mat[a], self.mat[b]), dd) is not None
+                   for a in range(4) for b in range(a + 1, 4))
 
     # -- short vectors ------------------------------------------------------
 

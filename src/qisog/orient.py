@@ -5,6 +5,9 @@ component walking, root detection, and the structure-formula auditor.
 Orientations are the identity embeddings of Q(i) and Q(j) in the
 perpendicular standard basis; every vertex is a maximal order tagged with
 the conductors (f_i, f_j) of its intersections with the two subfields.
+A walk expands each vertex through ideals.neighbour_orders, which builds the
+l + 1 adjacent maximal orders from one matrix split and recognises the
+vertex's parent by membership, so each tree edge builds one order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,11 @@ from .multigraph import MultiGraph
 from .quat import QuatAlgebra
 
 ASC, HOR, DESC = "A", "H", "D"
+# A depth-d walk is the tree of tree_size(ell, d) = 1 + (ell+1)(ell^d - 1)/(ell - 1)
+# vertices: at d = 6, 190, 1457, 23437 and 156865 for ell = 2, 3, 5, 7.
 DEPTH_CAP = 6
+# Checked against tree_size before a walk: of the pairs DEPTH_CAP and
+# ell <= 7 admit, only (ell, depth) = (7, 6) exceeds it.
 VERTEX_CAP = 10**5
 
 
@@ -125,19 +132,28 @@ def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int) -> str:
 # walking
 
 
+def tree_size(ell: int, depth: int) -> int:
+    """Vertices of the (ell+1)-regular tree to the given depth."""
+    return 1 + (ell + 1) * (ell**depth - 1) // (ell - 1)
+
+
 def walk_component(start: QOrder, ell: int, depth: int,
                    vertex_cap: int = VERTEX_CAP) -> MultiGraph:
     """BFS over ell-neighbor maximal orders to the given depth.
 
     Vertices carry (f_i, f_j); every directed edge carries its class label.
     Edges are recorded in both directions once both endpoints are known.
+    A walk whose tree_size(ell, depth) exceeds vertex_cap is refused before
+    the first vertex is expanded.
     """
-    if ell == start.algebra.p:
-        raise PreconditionError("ell must differ from p")
+    if ell == start.algebra.p or not numth.is_prime(ell):
+        raise PreconditionError("ell must be a prime different from p")
     if depth < 0 or depth > DEPTH_CAP:
         raise PreconditionError(f"depth must be within 0..{DEPTH_CAP}")
     if not start.is_maximal:
         raise PreconditionError("walk starts at a maximal order")
+    if tree_size(ell, depth) > vertex_cap:
+        raise CapExceeded("vertex cap exceeded during walk")
     alg = start.algebra
     g = MultiGraph(meta={
         "p": alg.p, "ell": ell, "d_i": alg.d_i, "d_j": alg.d_j, "kind": "oriented",
@@ -159,20 +175,18 @@ def walk_component(start: QOrder, ell: int, depth: int,
     v0 = register(start)
     frontier = [v0]
     seen = {v0.key()}
-    reached_by: dict = {}  # vertex key -> (ideal I it was found through, parent)
+    parent_of: dict = {}  # vertex key -> the vertex it was reached from
     for _ in range(depth):
         nxt = []
         for v in frontier:
-            # conj(I) is the norm-ell ideal of v with right order the parent
-            back = reached_by.get(v.key())
-            back_key = back[0].lattice.conjugate().key() if back else None
+            parent = parent_of.get(v.key())
             matched = 0
-            for I in idl.ideals_of_norm_ell(v.order, ell):
-                if I.key() == back_key:
-                    w = back[1]
+            for order in idl.neighbour_orders(v.order, ell, parent.order if parent else None):
+                if order is None:
+                    w = parent
                     matched += 1
                 else:
-                    w = register(QOrder(idl.norm_ell_right_order(I, ell)))
+                    w = register(order)
                 if v.key() == w.key():
                     raise AssertionError("loop in a double-oriented graph")
                 if g.multiplicity(v.key(), w.key()):
@@ -180,9 +194,9 @@ def walk_component(start: QOrder, ell: int, depth: int,
                 g.add_edge(v.key(), w.key(), cls=classify_edge(v, w, ell))
                 if w.key() not in seen:
                     seen.add(w.key())
-                    reached_by[w.key()] = (I, v)
+                    parent_of[w.key()] = v
                     nxt.append(w)
-            assert back is None or matched == 1, "parent edge must match exactly one ideal"
+            assert parent is None or matched == 1, "parent must match exactly one line"
         frontier = nxt
     g.meta["depth"] = depth
     return g

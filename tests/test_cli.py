@@ -106,6 +106,11 @@ class TestExitCodes:
                              "--depth", "3", "--vertex-cap", "4")
         assert code == 2
 
+    def test_default_cap_refuses_ell7_depth6(self, capsys):
+        # 156865 vertices against VERTEX_CAP = 10^5, refused before the walk
+        code, _, _ = run_cli(capsys, "oriented", "--p", "101", "--ell", "7", "--depth", "6")
+        assert code == 2
+
 
 class TestEntryPoint:
     def test_subprocess_roundtrip(self):

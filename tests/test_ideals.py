@@ -332,14 +332,25 @@ class TestOrdersAgainstProductFormula:
         assert O.lattice.left_order() == O.lattice.right_order() == O.lattice
 
 
+def norm_ell_right_order(I: QIdeal, ell: int) -> QLattice:
+    """Oracle: O_R(I) for a left ideal I of reduced norm ell over a maximal
+    order.  Such an I is invertible, so O_R(I) = I^-1 I = conj(I) I / ell:
+    the 16 products mul(conj r_a, r_b) of the integer rows, over den^2 ell."""
+    lat = I.lattice
+    mul = I.algebra.mul_coords
+    conj = [(r[0], -r[1], -r[2], -r[3]) for r in lat.mat]
+    rows = [mul(a, b) for a in conj for b in lat.mat]
+    return QLattice.from_int_rows(I.algebra, rows, lat.den * lat.den * ell)
+
+
 class TestNormEllRightOrder:
-    """norm_ell_right_order is conj(I) I / l; the general path is the trace
-    duality formula QLattice.right_order."""
+    """The oracle norm_ell_right_order is conj(I) I / l; the general path is
+    the trace duality formula QLattice.right_order."""
 
     @staticmethod
     def assert_agrees(O, ell):
         for I in idl.ideals_of_norm_ell(O, ell):
-            assert idl.norm_ell_right_order(I, ell) == I.lattice.right_order()
+            assert norm_ell_right_order(I, ell) == I.lattice.right_order()
 
     @pytest.mark.parametrize("walked", ["walked_orders_13", "walked_orders_37"])
     def test_walked_orders(self, walked, request):
@@ -353,6 +364,48 @@ class TestNormEllRightOrder:
         assert len(orders) == 65
         for O in orders:
             self.assert_agrees(O, 7)
+
+
+def assert_neighbour_orders_agree(O: QOrder, ell: int) -> None:
+    """neighbour_orders(O, ell) against the right orders of the norm-ell
+    ideals, by conj(I) I / ell and by trace duality; then, from each
+    neighbour W with parent O, the membership test must pick exactly O's
+    line and the other lines must be W's other neighbours."""
+    ideals = idl.ideals_of_norm_ell(O, ell)
+    want = {norm_ell_right_order(I, ell).key() for I in ideals}
+    assert want == {I.lattice.right_order().key() for I in ideals}
+    got = idl.neighbour_orders(O, ell)
+    assert None not in got and {W.key() for W in got} == want
+    assert all(W.is_maximal for W in got)
+    for W in got:
+        lines = idl.neighbour_orders(W, ell, parent=O)
+        assert sum(x is None for x in lines) == 1
+        others = {x.key() for x in lines if x is not None}
+        assert others | {O.key()} == {W2.key() for W2 in idl.neighbour_orders(W, ell)}
+        assert O.key() not in others
+
+
+def assert_root_and_walked_order_agree(p: int, ell: int) -> None:
+    """assert_neighbour_orders_agree at the first global root order and at
+    one of its ell-neighbours, reached by the oracle."""
+    root = idl.global_root_orders(p)[0]
+    assert_neighbour_orders_agree(root, ell)
+    walked = QOrder(norm_ell_right_order(idl.ideals_of_norm_ell(root, ell)[-1], ell))
+    assert_neighbour_orders_agree(walked, ell)
+
+
+class TestNeighbourOrders:
+    """neighbour_orders builds ell O + Z + Z alpha + Z beta/ell; the second
+    path is the right order of each norm-ell ideal."""
+
+    @pytest.mark.parametrize("p,ell", [(p, ell) for p in (7, 101, 499)
+                                       for ell in (2, 3, 5, 7) if ell != p])
+    def test_root_and_walked_order(self, p, ell):
+        assert_root_and_walked_order_agree(p, ell)
+
+    def test_ell_equal_p_rejected(self):
+        with pytest.raises(PreconditionError):
+            idl.neighbour_orders(ROOT7, 7)
 
 
 def brute_pair_coords(m1, m2, vec, ell):

@@ -455,6 +455,69 @@ class TestDual:
         assert L.index_in(D) == L.index_in(order) ** 2 * p * p
 
 
+BASS13 = bass.bass_order(QuatAlgebra.for_prime(13)).lattice  # not maximal
+
+
+def perturbed_order_lattice(rng, order):
+    """An order lattice with one random change, from small combinations
+    x, y of its rows: Z + n O plus up to two of them (1 in it, integral
+    norm form, a ring or not), O + Z x/m (1 in it, integral norm form or
+    not), n O + Z x (1 in it only for n = 1), or a random sublattice."""
+    d = order.den
+
+    def elt():
+        return [sum(rng.randint(-2, 2) * order.mat[t][c] for t in range(4)) for c in range(4)]
+
+    n = rng.choice([1, 2, 3])
+    kind = rng.randrange(4)
+    if kind == 0:
+        rows = [[d, 0, 0, 0]] + [[n * x for x in r] for r in order.mat]
+        rows += [elt() for _ in range(rng.randint(0, 2))]
+        return QLattice.from_int_rows(order.algebra, rows, d)
+    if kind == 1:
+        m = rng.choice([2, 3, 4])
+        rows = [[m * x for x in r] for r in order.mat] + [elt()]
+        return QLattice.from_int_rows(order.algebra, rows, d * m)
+    if kind == 2:
+        rows = [[n * x for x in r] for r in order.mat] + [elt()]
+        return QLattice.from_int_rows(order.algebra, rows, d)
+    return random_sublattice(rng, order)
+
+
+def is_ring_by_definition(L) -> bool:
+    """1 in L and L L in L: all 16 products of basis rows are members."""
+    return L.int_coords((1, 0, 0, 0)) is not None and L.is_left_module_over(L)
+
+
+class TestSixProductRingTest:
+    """is_ring tests six products after 1 and the integrality of the norm
+    form; the second path is the definition with all 16 products."""
+
+    ORDERS = [O0, O101, O113, BASS13]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from(ORDERS))
+    def test_agrees_with_definition(self, seed, order):
+        rng = random.Random(seed)
+        for _ in range(10):
+            L = perturbed_order_lattice(rng, order)
+            assert L.is_ring() == is_ring_by_definition(L), L
+
+    def test_perturbations_cover_every_case(self):
+        # rings; lattices with 1 and integral norm form that are not rings
+        # (the six products decide these); with 1 and a non-integral norm
+        # form; without 1
+        rng = random.Random(0)
+        seen = set()
+        for _ in range(400):
+            L = perturbed_order_lattice(rng, rng.choice(self.ORDERS))
+            has_one = L.int_coords((1, 0, 0, 0)) is not None
+            integral = L.reduced_norm().denominator == 1
+            seen.add((has_one, has_one and integral, is_ring_by_definition(L)))
+        assert seen == {(True, True, True), (True, True, False),
+                        (True, False, False), (False, False, False)}
+
+
 class TestMembership:
     """contains, contains_lattice, coords_of and is_ring run on the integer
     HNF rows; the second path is the HNF of the lattice with x adjoined."""

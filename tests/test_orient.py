@@ -4,7 +4,7 @@ import pytest
 
 from qisog import ideals as idl
 from qisog import numth, orient
-from qisog.errors import PreconditionError
+from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice
 from qisog.multigraph import MultiGraph
@@ -91,10 +91,26 @@ class TestWalk:
             orient.walk_component(ROOT7, 2, depth=9)
 
     def test_vertex_cap(self):
-        from qisog.errors import CapExceeded
-
         with pytest.raises(CapExceeded):
             orient.walk_component(ROOT7, 3, depth=3, vertex_cap=5)
+
+    def test_tree_size(self):
+        assert orient.tree_size(5, 6) == 23437
+        assert orient.tree_size(7, 6) == 156865 > orient.VERTEX_CAP
+        assert [orient.tree_size(2, d) for d in range(4)] == [1, 4, 10, 22]
+        assert orient.tree_size(7, 2) == walk(499, 7, 2).num_vertices() == 65
+
+    def test_cap_refused_before_walking(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(idl, "neighbour_orders", lambda *a, **k: calls.append(a))
+        assert orient.DEPTH_CAP >= 6
+        with pytest.raises(CapExceeded, match="vertex cap exceeded during walk"):
+            orient.walk_component(idl.global_root_orders(101)[0], 7, depth=6)
+        assert calls == []
+
+    def test_cap_equal_to_tree_size_admitted(self):
+        g = orient.walk_component(ROOT7, 3, depth=2, vertex_cap=orient.tree_size(3, 2))
+        assert g.num_vertices() == 17
 
 
 def reference_walk(start, ell, depth):
@@ -132,8 +148,9 @@ def reference_walk(start, ell, depth):
 
 
 class TestParentEdgeReuse:
-    """walk_component takes the parent of a vertex from conj(I), I the ideal
-    the vertex was reached by, instead of computing its right order."""
+    """walk_component finds the parent of a vertex among its neighbour lines
+    by membership of beta/l in the parent's order, instead of building the
+    parent's order again."""
 
     @pytest.mark.parametrize("p,ell,depth", [(7, 3, 4), (101, 2, 5), (499, 7, 2)])
     def test_same_json_as_reference_walk(self, p, ell, depth):
@@ -142,18 +159,25 @@ class TestParentEdgeReuse:
         assert orient.walk_component(start, ell, depth=depth).to_json() == want
 
     @pytest.mark.parametrize("p,ell,depth", [(7, 3, 3), (101, 2, 4)])
-    def test_one_right_order_per_non_root_vertex(self, p, ell, depth, monkeypatch):
-        calls = []
-        right_order = idl.norm_ell_right_order
+    def test_one_order_per_non_root_vertex(self, p, ell, depth, monkeypatch):
+        built, parent_lines = [], []
+        neighbour_orders = idl.neighbour_orders
 
-        def counted(I, n):
-            calls.append(I)
-            return right_order(I, n)
+        def counted(O, n, parent=None):
+            lines = neighbour_orders(O, n, parent)
+            built.extend(x for x in lines if x is not None)
+            if parent is not None:
+                parent_lines.append(sum(x is None for x in lines))
+            return lines
 
-        monkeypatch.setattr(idl, "norm_ell_right_order", counted)
+        monkeypatch.setattr(idl, "neighbour_orders", counted)
         g = walk(p, ell, depth)
         assert g.is_tree_undirected()
-        assert len(calls) == g.num_vertices() - 1
+        assert len(built) == g.num_vertices() - 1
+        assert len({O.key() for O in built}) == len(built)
+        # every expanded vertex but the root, each matched once
+        expanded = sum(1 for v in g.vertices() if g.out_degree(v) > 0)
+        assert parent_lines == [1] * (expanded - 1)
 
 
 class TestRoots:

@@ -15,7 +15,9 @@ Double-oriented side (l in {2, 3, 5, 7}): the walk from the first global
 root order is a full (l+1)-regular tree whose every expanded vertex passes
 the structure audit, and the Bass superorder oracle finds exactly the
 global embedding number of maximal orders, the same ones as the unpruned
-enumeration over every sublattice of each index.
+enumeration over every sublattice of each index.  The walk's neighbour
+orders, at the root and at one of its neighbours, are the right orders of
+the norm-l ideals, and the membership test picks exactly the parent.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from qisog import ideals as idl
 from qisog.quat import QuatAlgebra
 from test_bass import assert_oracle_agrees
 from test_brandt import oracle_types, sigma_types
+from test_ideals import assert_root_and_walked_order_agree
 
 PRIMES = [p for p in range(5, 501) if numth.is_prime(p)]
 
@@ -68,6 +71,12 @@ def test_oriented_walk_is_an_audited_tree(p, ell):
     assert g.num_vertices() == 1 + (ell + 1) * (ell**depth - 1) // (ell - 1)
     reports = orient.audit_component(g, ell)
     assert reports and all(r.ok for r in reports)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,ell", [(p, ell) for p in PRIMES for ell in WALK_DEPTH if ell != p])
+def test_neighbour_orders_match_ideal_right_orders(p, ell):
+    assert_root_and_walked_order_agree(p, ell)
 
 
 @pytest.mark.slow
