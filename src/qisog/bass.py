@@ -173,12 +173,6 @@ def _local_number(sym: int, v: int) -> int:
     return v + 1 if sym == 1 else (2 if sym == 0 else 1)
 
 
-def local_embedding_number(O: QOrder, ell: int) -> int:
-    """Number of local maximal orders above O at ell; 1 where ell does not
-    divide discrd, and at ell = p."""
-    return embedding_numbers(O)[1].get(ell, 1)
-
-
 def embedding_numbers(O: QOrder) -> tuple[dict[int, int], dict[int, int], int]:
     """Eichler symbol and local embedding number at every prime dividing
     discrd, and the global embedding number; each symbol is computed, with

@@ -149,8 +149,7 @@ def cmd_oriented(args) -> None:
     _check_p(args.p)
     _check_ell(args.p, args.ell)
     start = idl.global_root_orders(args.p)[0]
-    g = orient.walk_component(start, args.ell, depth=args.depth,
-                              vertex_cap=args.vertex_cap)
+    g = orient.walk_component(start, args.ell, depth=args.depth)
     local, glob = orient.find_roots(g, args.ell)
     reports = orient.audit_component(g, args.ell)
     audit_pass = all(r.ok for r in reports)
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     spo = add("oriented", cmd_oriented, help="double-oriented component with audit")
     spo.add_argument("--ell", type=int, required=True)
     spo.add_argument("--depth", type=int, default=4)
-    spo.add_argument("--vertex-cap", type=int, default=orient.VERTEX_CAP)
     spo.add_argument("--dot", help="write the component in DOT format to this path")
     spo.add_argument("--json-file", help="write the component as JSON to this path")
     add("embed", cmd_embed, help="Eichler symbols, embedding numbers, oracle comparison")

@@ -1,28 +1,35 @@
 """Curve side: F_p^2 arithmetic, supersingular j-invariant enumeration by
-point counting, classical modular polynomials and the l-isogeny graphs
+an isogeny walk, classical modular polynomials and the l-isogeny graphs
 G(p,l) and their Galois-reduced quotients.
 
-Supersingularity of a candidate j is always decided by an exhaustive point
-count over F_p^2: a curve with that j-invariant is supersingular iff it has
-(p-1)^2 or (p+1)^2 points.  Candidates come from the Legendre family, whose
-supersingular parameters are the roots of the degree-(p-1)/2 Hasse
-polynomial; every isomorphism class has a Legendre model, so no j is missed.
+The supersingular j-invariants are found by a breadth-first walk over
+G(p,2) from one j known to be supersingular: a curve with complex
+multiplication by an order in which p is inert (Deuring).  A curve
+2-isogenous to a supersingular curve is supersingular, and G(p,2) is
+connected, so the walk finds the whole locus and nothing else.  Its size is
+checked against Eichler's class number.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from . import numth
 from .errors import PreconditionError
 from .multigraph import MultiGraph
 
-MAX_P = 1000  # point counting is O(p^2) per candidate
+# The j-list is checked against an independent point-count oracle at every
+# prime up to MAX_P (the slow sweep in tests/test_ecgraph.py); the CM seed
+# table itself covers every prime below 15073.
+MAX_P = 1000
+
+# (D, j) for the class-number-one discriminants D < -4
+CM_SEEDS = ((-7, -3375), (-8, 8000), (-11, -32768), (-19, -884736), (-43, -884736000),
+            (-67, -147197952000), (-163, -262537412640768000))
 
 
 # ---------------------------------------------------------------------------
@@ -66,120 +73,116 @@ class Fp2:
     def frobenius(self, x):
         return (x[0], (-x[1]) % self.p)
 
-    def key(self, x):
-        return (x[0], x[1])
-
-    # -- batch tables over the whole field -----------------------------------
-
-    @property
-    def _all(self):
-        if not hasattr(self, "_all_cache"):
-            p = self.p
-            A, B = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-            self._all_cache = (A.ravel().astype(np.int64), B.ravel().astype(np.int64))
-        return self._all_cache
-
-    @property
-    def chi_table(self):
-        """chi[a*p+b] in {-1,0,1}: quadratic character of a + b t."""
-        if not hasattr(self, "_chi_cache"):
-            p, c = self.p, self.c
-            A, B = self._all
-            SA = (A * A + c * B * B) % p
-            SB = (2 * A * B) % p
-            chi = np.full(p * p, -1, dtype=np.int64)
-            chi[SA * p + SB] = 1
-            chi[0] = 0
-            self._chi_cache = chi
-        return self._chi_cache
-
-    def count_points(self, a, b) -> int:
-        """#E(F_p^2) for y^2 = x^3 + a x + b by a full character sum."""
-        p, c = self.p, self.c
-        A, B = self._all
-        # f(x) = x^3 + a x + b over all x = A + B t
-        XA, XB = A, B
-        X2A = (XA * XA + c * XB * XB) % p
-        X2B = (2 * XA * XB) % p
-        X3A = (X2A * XA + c * X2B * XB) % p
-        X3B = (X2A * XB + X2B * XA) % p
-        FA = (X3A + a[0] * XA + c * a[1] * XB + b[0]) % p
-        FB = (X3B + a[0] * XB + a[1] * XA + b[1]) % p
-        return int(p * p + 1 + self.chi_table[FA * p + FB].sum())
-
 
 @lru_cache(maxsize=None)
 def _field(p: int) -> Fp2:
     return Fp2(p)
 
 
-def curve_from_j(field: Fp2, j):
-    """Short Weierstrass coefficients (a, b) with the given j-invariant."""
-    if j == field.scalar(0):
-        return field.scalar(0), field.scalar(1)
-    if j == field.scalar(1728):
-        return field.scalar(1), field.scalar(0)
-    m = field.mul(j, field.sub(field.scalar(1728), j))  # j(1728 - j)
-    a = field.mul(field.scalar(3), m)
-    b = field.mul(field.scalar(2), field.mul(m, field.sub(field.scalar(1728), j)))
-    return a, b
+# ---------------------------------------------------------------------------
+# polynomials over F_p^2: coefficient lists, ascending, no zero leading term
 
 
-def is_supersingular_j(field: Fp2, j) -> bool:
-    a, b = curve_from_j(field, j)
-    n = field.count_points(a, b)
-    p = field.p
-    return n in ((p - 1) ** 2, (p + 1) ** 2)
+def _trim(f):
+    while f and f[-1] == (0, 0):
+        f = f[:-1]
+    return f
 
 
-def _hasse_lambda_roots(field: Fp2):
-    """Roots in F_p^2 of H_p(x) = sum binom(m,i)^2 x^i, m = (p-1)/2,
-    found by a vectorized Horner scan over the whole field."""
-    p, c = field.p, field.c
-    m = (p - 1) // 2
-    coeffs = [1]
-    for i in range(1, m + 1):
-        coeffs.append(coeffs[-1] * (m - i + 1) // i)
-    coeffs = [co * co % p for co in coeffs]  # degree m, ascending
-    A, B = field._all
-    RA = np.zeros(p * p, dtype=np.int64)
-    RB = np.zeros(p * p, dtype=np.int64)
-    for co in reversed(coeffs):
-        RA, RB = (RA * A + c * RB * B + co) % p, (RA * B + RB * A) % p
-    hits = np.nonzero((RA == 0) & (RB == 0))[0]
-    return [(int(h) // p, int(h) % p) for h in hits]
+def _pmul(field, f, g):
+    out = [(0, 0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for k, b in enumerate(g):
+            out[i + k] = field.add(out[i + k], field.mul(a, b))
+    return out
 
 
-def _j_from_lambda(field: Fp2, lam):
-    one = field.scalar(1)
-    l2 = field.mul(lam, lam)
-    num = field.add(field.sub(l2, lam), one)  # λ^2 - λ + 1
-    num3 = field.mul(field.mul(num, num), num)
-    den = field.mul(l2, field.mul(field.sub(lam, one), field.sub(lam, one)))
-    return field.mul(field.scalar(256), field.mul(num3, field.inv(den)))
+def _psub(field, f, g):
+    n = max(len(f), len(g))
+    f, g = f + [(0, 0)] * (n - len(f)), g + [(0, 0)] * (n - len(g))
+    return _trim([field.sub(a, b) for a, b in zip(f, g)])
+
+
+def _pdivmod(field, f, g):
+    """Quotient and remainder of f by g."""
+    f, q = list(f), [(0, 0)] * max(len(f) - len(g) + 1, 0)
+    inv = field.inv(g[-1])
+    for s in range(len(f) - len(g), -1, -1):
+        c = q[s] = field.mul(f[s + len(g) - 1], inv)
+        for i, b in enumerate(g):
+            f[s + i] = field.sub(f[s + i], field.mul(c, b))
+    return q, _trim(f[:len(g) - 1])
+
+
+def _ppowmod(field, f, e, m):
+    out = [field.scalar(1)]
+    while e:
+        if e & 1:
+            out = _pdivmod(field, _pmul(field, out, f), m)[1]
+        f = _pdivmod(field, _pmul(field, f, f), m)[1]
+        e >>= 1
+    return out
+
+
+def _pgcd(field, f, g):
+    """Monic gcd of f and g."""
+    while g:
+        f, g = g, _pdivmod(field, f, g)[1]
+    inv = field.inv(f[-1])
+    return [field.mul(c, inv) for c in f]
+
+
+def _roots(field: Fp2, f) -> list:
+    """Distinct roots in F_p^2 of f: the factors of g = gcd(f, Y^(p^2) - Y),
+    split by gcd(h, (Y + a)^((p^2 - 1)/2) - 1) with a scanning F_p^2 in
+    lexicographic order."""
+    q, one = field.p ** 2, field.scalar(1)
+    y = [(0, 0), one]
+    g = _pgcd(field, f, _psub(field, _ppowmod(field, y, q, f), y))
+    pending, roots = [g] if len(g) > 1 else [], []
+    scan = itertools.product(range(field.p), repeat=2)
+    while pending:
+        h = pending.pop()
+        if len(h) == 2:
+            roots.append(field.sub((0, 0), h[0]))
+            continue
+        a = next(scan, None)
+        if a is None:
+            raise AssertionError("root splitting scan exhausted")
+        d = _pgcd(field, h, _psub(field, _ppowmod(field, [a, one], (q - 1) // 2, h), [one]))
+        pending += [d, _pdivmod(field, h, d)[0]] if 1 < len(d) < len(h) else [h]
+    return roots
+
+
+def _seed(p: int) -> int:
+    """An integer j that is supersingular mod p: j = 1728 (CM by Z[i]) when
+    p = 3 mod 4, j = 0 (CM by Z[zeta_3]) when p = 2 mod 3, else the j of the
+    first class-number-one discriminant D with (D/p) = -1, so p is inert in
+    O_D.  Such a D exists for every prime p < 15073."""
+    if p % 4 == 3:
+        return 1728
+    if p % 3 == 2:
+        return 0
+    return next(j for D, j in CM_SEEDS if numth.kronecker(D, p) == -1)
 
 
 def supersingular_j_list(p: int) -> list:
-    """All supersingular j-invariants in F_p^2, canonically sorted.
-
-    Candidates from the Legendre parameterization, each decided by the
-    point-count criterion.
-    """
+    """All supersingular j-invariants in F_p^2, sorted, found by a
+    breadth-first walk over G(p, 2) from a CM seed."""
     if p > MAX_P:
         raise PreconditionError(f"p > {MAX_P}; raise MAX_P to force")
     field = _field(p)
-    js = {}
-    for lam in _hasse_lambda_roots(field):
-        if lam in ((0, 0), (1, 0)):  # degenerate Legendre parameters
-            continue
-        j = _j_from_lambda(field, lam)
-        js[field.key(j)] = j
-    out = []
-    for key in sorted(js):
-        j = js[key]
-        if not is_supersingular_j(field, j):
-            raise AssertionError(f"Hasse root mapped to ordinary j={j} at p={p}")
-        out.append(j)
+    phi2 = load_modpoly(2)
+    seed = field.scalar(_seed(p))
+    seen, queue = {seed}, [seed]
+    for j in queue:
+        for r in _roots(field, phi2.eval_poly_in_y(field, j)):
+            if r not in seen:
+                seen.add(r)
+                queue.append(r)
+    out = sorted(seen)
+    if len(out) != p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]:
+        raise AssertionError(f"walk found {len(out)} supersingular j at p={p}, not Eichler's count")
     return out
 
 
@@ -273,18 +276,13 @@ def _root_multiplicities(field: Fp2, coeffs, candidates):
     for j in candidates:
         mult = 0
         while len(work) > 1:
-            # synthetic division by (Y - j): quotient q, remainder acc
-            q = [None] * (len(work) - 1)
-            acc = work[-1]
-            for t in range(len(work) - 2, -1, -1):
-                q[t] = acc
-                acc = field.add(work[t], field.mul(acc, j))
-            if acc != field.scalar(0):
+            q, rem = _pdivmod(field, work, [field.sub((0, 0), j), field.scalar(1)])
+            if rem:
                 break
             work = q
             mult += 1
         if mult:
-            out[field.key(j)] = mult
+            out[j] = mult
     total = sum(out.values())
     if total != deg:
         raise AssertionError("modular polynomial does not split over the supersingular set")
@@ -301,13 +299,13 @@ def build_isogeny_graph(p: int, ell: int) -> MultiGraph:
     js = supersingular_j_list(p)
     g = MultiGraph(meta={"p": p, "ell": ell, "kind": "isogeny"})
     for j in js:
-        g.add_vertex(field.key(j), j=_fmt(field, j))
+        g.add_vertex(j, j=_fmt(field, j))
     for j in js:
         coeffs = mp.eval_poly_in_y(field, j)
         mults = _root_multiplicities(field, coeffs, js)
         for key, m in mults.items():
-            g.add_edge(field.key(j), key, count=m)
-        if g.out_degree(field.key(j)) != ell + 1:
+            g.add_edge(j, key, count=m)
+        if g.out_degree(j) != ell + 1:
             raise AssertionError("out-degree must be ell + 1")
     return g
 
@@ -323,11 +321,7 @@ def reduce_graph(g: MultiGraph) -> MultiGraph:
     representative per class, targets projected."""
     p = g.meta["p"]
     field = _field(p)
-    cls = {}
-    for key in g.vertices():
-        conj = field.key(field.frobenius(key))
-        rep = min(key, conj)
-        cls[key] = rep
+    cls = {key: min(key, field.frobenius(key)) for key in g.vertices()}
     out = MultiGraph(meta=dict(g.meta) | {"kind": "isogeny-reduced"})
     for key, rep in cls.items():
         if key == rep:

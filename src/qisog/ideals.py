@@ -87,9 +87,6 @@ class QIdeal:
     def is_integral(self) -> bool:
         return self.left_order.lattice.contains_lattice(self.lattice)
 
-    def is_two_sided(self) -> bool:
-        return self.left_order == self.right_order
-
     def _times_element(self, elt: QuatElement, left: bool) -> "QIdeal":
         """elt I (left) or I elt on the integer rows, over one denominator."""
         lat = self.lattice
@@ -118,7 +115,13 @@ class QIdeal:
 # orders
 
 
-def order_closure(gens, rounds: int = 16) -> QOrder:
+# Rounds before order_closure gives up.  The root and Bass orders of every
+# prime p < 1000 stabilise in the second round; a ring with unbounded
+# denominators never does.
+CLOSURE_ROUNDS = 16
+
+
+def order_closure(gens) -> QOrder:
     """Smallest order containing the generators: saturate span under products.
 
     The span is kept as integer HNF rows over one denominator; a round adds
@@ -133,7 +136,7 @@ def order_closure(gens, rounds: int = 16) -> QOrder:
     den = math.lcm(*(c.denominator for g in gens for c in g.coords))
     rows = [(den, 0, 0, 0)] + [[int(c * den) for c in g.coords] for g in gens]
     seen = None
-    for _ in range(rounds):
+    for _ in range(CLOSURE_ROUNDS):
         prods = [mul(a, b) for a in rows for b in rows]
         h = hnf_rows([[x * den for x in r] for r in rows] + prods)
         g = math.gcd(den * den, *(x for r in h for x in r))
@@ -165,7 +168,7 @@ def maximal_quadratic_generators(alg: QuatAlgebra) -> tuple[QuatElement, QuatEle
                  for row, den in alg.maximal_quadratic_rows)
 
 
-def root_maximal_orders(p: int, q: int | None = None) -> list[QOrder]:
+def root_maximal_orders(p: int) -> list[QOrder]:
     """The explicit maximal orders containing the standard quadratic pair.
 
     Two orders for every residue class of p; for p = 3 mod 4 only the first
@@ -173,7 +176,7 @@ def root_maximal_orders(p: int, q: int | None = None) -> list[QOrder]:
     """
     if p <= 3:
         raise PreconditionError("p > 3 required")
-    alg = QuatAlgebra.for_prime(p, q)
+    alg = QuatAlgebra.for_prime(p)
     one, i, j, k = alg.basis()
     if p % 4 == 3:
         gens0 = [i, (one + j) / 2]
@@ -198,9 +201,9 @@ def root_maximal_orders(p: int, q: int | None = None) -> list[QOrder]:
     return orders
 
 
-def global_root_orders(p: int, q: int | None = None) -> list[QOrder]:
+def global_root_orders(p: int) -> list[QOrder]:
     """Maximal orders containing both maximal quadratic orders, deduplicated."""
-    orders = root_maximal_orders(p, q)
+    orders = root_maximal_orders(p)
     alg = orders[0].algebra
     wi, wj = maximal_quadratic_generators(alg)
     out = []
@@ -230,12 +233,6 @@ def content(I: QIdeal, O: QOrder | None = None) -> Fraction:
     num = math.gcd(*(x for row in rows for x in row))
     assert num > 0
     return Frac(num, den)
-
-
-def is_primitive(I: QIdeal) -> bool:
-    if not I.is_integral():
-        raise PreconditionError("primitivity is defined for integral ideals")
-    return content(I) == 1
 
 
 def primitive_part(I: QIdeal, O: QOrder | None = None) -> QIdeal:
@@ -337,23 +334,12 @@ class MatrixSplit:
                     m[s] = (m[s] + u[t] * self.images[t][s]) % self.ell
         return tuple(m)
 
-    def image_of(self, elt: QuatElement) -> tuple:
-        coords = self.order.lattice.int_coords(*split_den(elt.coords))
-        assert coords is not None
-        return self.image_of_coords(coords)
-
     def lift_row(self, matrix) -> tuple[int, ...]:
         """Integer row r with r / den in the order mapping to the given
         2x2 matrix (den the order lattice's denominator)."""
         vec = [matrix[t] % self.ell for t in range(4)]
         u = [sum(vec[t] * self.lift_matrix[t][c] for t in range(4)) % self.ell for c in range(4)]
         return _combine(u, self.order.lattice.mat)
-
-    def lift(self, matrix) -> QuatElement:
-        """Some element of the order mapping to the given 2x2 matrix."""
-        den = self.order.lattice.den
-        return QuatElement(self.order.algebra,
-                           tuple(Frac(x, den) for x in self.lift_row(matrix)))
 
 
 def _combine(u, mat) -> tuple[int, ...]:

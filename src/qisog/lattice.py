@@ -247,11 +247,6 @@ class QLattice:
         alg = gens[0].algebra
         return cls.from_frac_rows(alg, [g.coords for g in gens])
 
-    @classmethod
-    def standard_order_lattice(cls, algebra: QuatAlgebra) -> "QLattice":
-        eye = [[int(r == c) for c in range(4)] for r in range(4)]
-        return cls.from_int_rows(algebra, eye, 1)
-
     # -- basic views --------------------------------------------------------
 
     def key(self):
@@ -287,14 +282,6 @@ class QLattice:
                 for s in range(t + 1, 4):
                     y[s] -= c * row[s]
         return out
-
-    def coords_of(self, elt: QuatElement) -> tuple[Fraction, ...]:
-        """Rational coordinates of elt in the basis, for any element: scaled
-        by vden det(mat), elt lands in the lattice."""
-        x, vden = split_den(elt.coords)
-        det = self.pivot_product()
-        coords = self.int_coords([v * det for v in x])
-        return tuple(Frac(c, det * vden) for c in coords)
 
     def contains(self, elt: QuatElement) -> bool:
         return self.int_coords(*split_den(elt.coords)) is not None

@@ -62,9 +62,6 @@ class MultiGraph:
     def out_degree(self, v) -> int:
         return sum(rec["count"] for rec in self.out_edges(v).values())
 
-    def in_degree(self, v) -> int:
-        return sum(rec["count"] for rec in self.in_edges(v).values())
-
     def loop_count(self, v) -> int:
         rec = self.edges.get((v, v))
         return rec["count"] if rec else 0
@@ -72,10 +69,6 @@ class MultiGraph:
     def multiplicity(self, src, dst) -> int:
         rec = self.edges.get((src, dst))
         return rec["count"] if rec else 0
-
-    def edge_class(self, src, dst):
-        rec = self.edges.get((src, dst))
-        return rec.get("cls") if rec else None
 
     def undirected_edge_set(self) -> set:
         return {frozenset((s, d)) for (s, d) in self.edges if s != d}

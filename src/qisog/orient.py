@@ -12,7 +12,6 @@ vertex's parent by membership, so each tree edge builds one order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import ideals as idl
@@ -37,10 +36,6 @@ class OrientedVertex:
     order: QOrder
     f_i: int
     f_j: int
-
-    @property
-    def is_global_root(self) -> bool:
-        return self.f_i == 1 and self.f_j == 1
 
     def key(self):
         return self.order.key()
@@ -137,13 +132,12 @@ def tree_size(ell: int, depth: int) -> int:
     return 1 + (ell + 1) * (ell**depth - 1) // (ell - 1)
 
 
-def walk_component(start: QOrder, ell: int, depth: int,
-                   vertex_cap: int = VERTEX_CAP) -> MultiGraph:
+def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
     """BFS over ell-neighbor maximal orders to the given depth.
 
     Vertices carry (f_i, f_j); every directed edge carries its class label.
     Edges are recorded in both directions once both endpoints are known.
-    A walk whose tree_size(ell, depth) exceeds vertex_cap is refused before
+    A walk whose tree_size(ell, depth) exceeds VERTEX_CAP is refused before
     the first vertex is expanded.
     """
     if ell == start.algebra.p or not numth.is_prime(ell):
@@ -152,7 +146,7 @@ def walk_component(start: QOrder, ell: int, depth: int,
         raise PreconditionError(f"depth must be within 0..{DEPTH_CAP}")
     if not start.is_maximal:
         raise PreconditionError("walk starts at a maximal order")
-    if tree_size(ell, depth) > vertex_cap:
+    if tree_size(ell, depth) > VERTEX_CAP:
         raise CapExceeded("vertex cap exceeded during walk")
     alg = start.algebra
     g = MultiGraph(meta={
@@ -163,7 +157,7 @@ def walk_component(start: QOrder, ell: int, depth: int,
     def register(order: QOrder) -> OrientedVertex:
         key = order.key()
         if key not in verts:
-            if len(verts) >= vertex_cap:
+            if len(verts) >= VERTEX_CAP:
                 raise CapExceeded("vertex cap exceeded during walk")
             ov = oriented_vertex(order)
             verts[key] = ov
@@ -333,21 +327,3 @@ def export_graph(graph: MultiGraph, fmt: str, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
 
-
-def import_graph_json(path: str) -> MultiGraph:
-    with open(path) as fh:
-        doc = json.load(fh)
-    g = MultiGraph(meta={k: v for k, v in doc.items() if k not in ("vertices", "edges")})
-    by_id = {}
-    for rec in doc["vertices"]:
-        attrs = {k: v for k, v in rec.items() if k != "id"}
-        if "basis" in attrs and "den" in attrs:
-            key = (attrs["den"], tuple(tuple(r) for r in attrs["basis"]))
-        else:
-            key = rec["id"]
-        by_id[rec["id"]] = key
-        g.add_vertex(key, **attrs)
-    for rec in doc["edges"]:
-        g.add_edge(by_id[rec["src"]], by_id[rec["dst"]],
-                   count=rec.get("count", 1), cls=rec.get("class"))
-    return g

@@ -35,9 +35,8 @@ class QuatAlgebra:
     q: int | None = None
 
     @classmethod
-    def for_prime(cls, p: int, q: int | None = None) -> "QuatAlgebra":
-        if q is None:
-            q = numth.pizer_params(p)
+    def for_prime(cls, p: int) -> "QuatAlgebra":
+        q = numth.pizer_params(p)
         alg = cls(p=p, d_i=-q, d_j=-p, q=q)
         alg.validate_ramification()
         return alg
@@ -157,9 +156,6 @@ class QuatElement:
             raise PreconditionError("division by zero quaternion")
         return QuatElement(self.algebra, tuple(c / n for c in self.conjugate().coords))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
@@ -190,29 +186,3 @@ class QuatElement:
                 parts.append(f"{c}{n}")
         return " + ".join(parts) if parts else "0"
 
-
-def simultaneous_embedding_check(d1: int, d2: int, s: int, p: int) -> tuple[bool, bool]:
-    """Whether Q(sqrt(d1)), Q(sqrt(d2)) embed simultaneously with tr = s into
-    the algebra ramified at {p, oo} (first flag), and whether additionally
-    their maximal orders generate an order (second flag).
-    """
-    if d1 >= 0 or d2 >= 0 or numth.squarefree_part(d1) != d1 or numth.squarefree_part(d2) != d2:
-        raise PreconditionError("d1, d2 must be negative and squarefree")
-    disc = s * s - 4 * d1 * d2
-    if disc >= 0:
-        raise PreconditionError("s^2 < 4 d1 d2 required")
-    places = {numth.INF} | set(numth.factorize(2 * p * d1 * disc))
-    fields_ok = True
-    for v in places:
-        want = -1 if (v == p or v == numth.INF) else 1
-        if numth.hilbert_symbol(d1, disc, v) != want:
-            fields_ok = False
-            break
-    if d1 % 4 != 1 and d2 % 4 != 1:
-        delta = 1
-    elif d1 % 4 == 1 and d2 % 4 == 1:
-        delta = 4
-    else:
-        delta = 2
-    orders_ok = fields_ok and (s - 2) % delta == 0
-    return fields_ok, orders_ok

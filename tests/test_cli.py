@@ -101,11 +101,6 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "brandt", "--p", "11", "--ell", "11")
         assert code == 1
 
-    def test_cap_exhaustion(self, capsys):
-        code, _, _ = run_cli(capsys, "oriented", "--p", "7", "--ell", "3",
-                             "--depth", "3", "--vertex-cap", "4")
-        assert code == 2
-
     def test_default_cap_refuses_ell7_depth6(self, capsys):
         # 156865 vertices against VERTEX_CAP = 10^5, refused before the walk
         code, _, _ = run_cli(capsys, "oriented", "--p", "101", "--ell", "7", "--depth", "6")

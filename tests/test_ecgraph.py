@@ -1,7 +1,108 @@
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
-from qisog import ecgraph
+from qisog import ecgraph, numth
 from qisog.errors import PreconditionError
+
+# ---------------------------------------------------------------------------
+# the scan oracle: supersingular j-invariants from the Legendre family, each
+# decided by an exhaustive point count over F_p^2 (both costs grow as p^3)
+
+
+@lru_cache(maxsize=None)
+def _all(p: int):
+    """Every element a + b t of F_p^2, as two flat arrays A, B."""
+    A, B = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+    return A.ravel().astype(np.int64), B.ravel().astype(np.int64)
+
+
+@lru_cache(maxsize=None)
+def chi_table(p: int):
+    """chi[a*p+b] in {-1,0,1}: quadratic character of a + b t."""
+    c = ecgraph._field(p).c
+    A, B = _all(p)
+    SA = (A * A + c * B * B) % p
+    SB = (2 * A * B) % p
+    chi = np.full(p * p, -1, dtype=np.int64)
+    chi[SA * p + SB] = 1
+    chi[0] = 0
+    return chi
+
+
+def count_points(field, a, b) -> int:
+    """#E(F_p^2) for y^2 = x^3 + a x + b by a full character sum."""
+    p, c = field.p, field.c
+    A, B = _all(p)
+    # f(x) = x^3 + a x + b over all x = A + B t
+    X2A = (A * A + c * B * B) % p
+    X2B = (2 * A * B) % p
+    X3A = (X2A * A + c * X2B * B) % p
+    X3B = (X2A * B + X2B * A) % p
+    FA = (X3A + a[0] * A + c * a[1] * B + b[0]) % p
+    FB = (X3B + a[0] * B + a[1] * A + b[1]) % p
+    return int(p * p + 1 + chi_table(p)[FA * p + FB].sum())
+
+
+def curve_from_j(field, j):
+    """Short Weierstrass coefficients (a, b) with the given j-invariant."""
+    if j == field.scalar(0):
+        return field.scalar(0), field.scalar(1)
+    if j == field.scalar(1728):
+        return field.scalar(1), field.scalar(0)
+    m = field.mul(j, field.sub(field.scalar(1728), j))  # j(1728 - j)
+    a = field.mul(field.scalar(3), m)
+    b = field.mul(field.scalar(2), field.mul(m, field.sub(field.scalar(1728), j)))
+    return a, b
+
+
+def is_supersingular_j(field, j) -> bool:
+    """A curve with that j-invariant has (p-1)^2 or (p+1)^2 points."""
+    n = count_points(field, *curve_from_j(field, j))
+    p = field.p
+    return n in ((p - 1) ** 2, (p + 1) ** 2)
+
+
+def _hasse_lambda_roots(field):
+    """Roots in F_p^2 of H_p(x) = sum binom(m,i)^2 x^i, m = (p-1)/2,
+    found by a vectorized Horner scan over the whole field."""
+    p, c = field.p, field.c
+    m = (p - 1) // 2
+    coeffs = [1]
+    for i in range(1, m + 1):
+        coeffs.append(coeffs[-1] * (m - i + 1) // i)
+    coeffs = [co * co % p for co in coeffs]  # degree m, ascending
+    A, B = _all(p)
+    RA = np.zeros(p * p, dtype=np.int64)
+    RB = np.zeros(p * p, dtype=np.int64)
+    for co in reversed(coeffs):
+        RA, RB = (RA * A + c * RB * B + co) % p, (RA * B + RB * A) % p
+    hits = np.nonzero((RA == 0) & (RB == 0))[0]
+    return [(int(h) // p, int(h) % p) for h in hits]
+
+
+def _j_from_lambda(field, lam):
+    one = field.scalar(1)
+    l2 = field.mul(lam, lam)
+    num = field.add(field.sub(l2, lam), one)  # λ^2 - λ + 1
+    num3 = field.mul(field.mul(num, num), num)
+    den = field.mul(l2, field.mul(field.sub(lam, one), field.sub(lam, one)))
+    return field.mul(field.scalar(256), field.mul(num3, field.inv(den)))
+
+
+def scanned_j_list(p: int) -> list:
+    """The supersingular j-invariants by the scan: every isomorphism class
+    has a Legendre model, so no j is missed."""
+    field = ecgraph._field(p)
+    js = {_j_from_lambda(field, lam) for lam in _hasse_lambda_roots(field)
+          if lam not in ((0, 0), (1, 0))}  # degenerate Legendre parameters
+    assert all(is_supersingular_j(field, j) for j in js)
+    return sorted(js)
+
+
+def primes(lo, hi):
+    return [p for p in range(lo, hi + 1) if numth.is_prime(p)]
 
 
 class TestSupersingularList:
@@ -11,18 +112,56 @@ class TestSupersingularList:
 
     def test_special_j_values(self):
         # j = 0 supersingular iff p = 2 mod 3; j = 1728 iff p = 3 mod 4
-        f = ecgraph._field(11)
-        js = {f.key(j) for j in ecgraph.supersingular_j_list(11)}
+        js = ecgraph.supersingular_j_list(11)
         assert (0, 0) in js and (1728 % 11, 0) in js
 
     def test_every_reported_j_passes_point_count(self):
         f = ecgraph._field(37)
         for j in ecgraph.supersingular_j_list(37):
-            assert ecgraph.is_supersingular_j(f, j)
+            assert is_supersingular_j(f, j)
 
     def test_ordinary_j_rejected(self):
         f = ecgraph._field(11)
-        assert not ecgraph.is_supersingular_j(f, f.scalar(2))
+        assert not is_supersingular_j(f, f.scalar(2))
+
+    @pytest.mark.parametrize("p", primes(5, 113))
+    def test_walk_matches_scan_oracle(self, p):
+        # includes the CM-seeded primes p = 1 mod 12: 13, 37, 61, 73, 97, 109
+        assert ecgraph.supersingular_j_list(p) == scanned_j_list(p)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("p", primes(5, 1000))
+    def test_walk_matches_scan_oracle_sweep(self, p):
+        assert ecgraph.supersingular_j_list(p) == scanned_j_list(p)
+
+    def test_seed_table_covers_max_p(self):
+        def missed(p):
+            return p % 12 == 1 and all(numth.kronecker(D, p) != -1 for D, _ in ecgraph.CM_SEEDS)
+
+        assert not any(missed(p) for p in primes(5, ecgraph.MAX_P))
+        assert next(p for p in primes(5, 20000) if missed(p)) == 15073
+
+    def test_roots_against_brute_force(self):
+        # Phi_2(j, Y) for every j in F_p: roots outside F_p^2 must be dropped
+        p = 11
+        f = ecgraph._field(p)
+        mp = ecgraph.load_modpoly(2)
+        field_elems = [(a, b) for a in range(p) for b in range(p)]
+        for j0 in range(p):
+            coeffs = mp.eval_poly_in_y(f, f.scalar(j0))
+            want = set()
+            for y in field_elems:
+                acc = (0, 0)
+                for c in reversed(coeffs):
+                    acc = f.add(f.mul(acc, y), c)
+                if acc == (0, 0):
+                    want.add(y)
+            got = ecgraph._roots(f, coeffs)
+            assert len(got) == len(set(got)) and set(got) == want
+
+    def test_p_above_max_rejected(self):
+        with pytest.raises(PreconditionError):
+            ecgraph.supersingular_j_list(1009)
 
 
 class TestModPoly:
@@ -61,7 +200,7 @@ class TestIsogenyGraph:
         for p, ell in ((37, 2), (101, 2), (37, 3)):
             g = ecgraph.build_isogeny_graph(p, ell)
             f = ecgraph._field(p)
-            special = {f.key(f.scalar(0)), f.key(f.scalar(1728))}
+            special = {f.scalar(0), f.scalar(1728)}
             for (s, d), rec in g.edges.items():
                 if s != d and s not in special and d not in special:
                     assert g.multiplicity(d, s) == rec["count"]

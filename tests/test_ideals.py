@@ -12,7 +12,8 @@ from qisog import numth
 from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QIdeal, QOrder
 from qisog.lattice import QLattice, hnf_rows
-from qisog.quat import QuatAlgebra, QuatElement
+from qisog.quat import QuatAlgebra, QuatElement, split_den
+from test_lattice import standard_order_lattice
 
 A7 = QuatAlgebra.for_prime(7)
 A13 = QuatAlgebra.for_prime(13)
@@ -30,6 +31,23 @@ def two_generator_discriminant(a1: QuatElement, a2: QuatElement) -> Fraction:
     d2 = a2.trd() ** 2 - 4 * a2.nrd()
     t = (a1 * a2).trd()
     return (d1 * d2 - (a1.trd() * a2.trd() - 2 * t) ** 2) / 4
+
+
+def is_primitive(I: QIdeal) -> bool:
+    if not I.is_integral():
+        raise PreconditionError("primitivity is defined for integral ideals")
+    return idl.content(I) == 1
+
+
+def is_two_sided(I: QIdeal) -> bool:
+    return I.left_order == I.right_order
+
+
+def image_of(split: idl.MatrixSplit, elt: QuatElement) -> tuple:
+    """The 2x2 matrix of an element of the split order."""
+    coords = split.order.lattice.int_coords(*split_den(elt.coords))
+    assert coords is not None
+    return split.image_of_coords(coords)
 
 
 def is_primitive_at(I: QIdeal, ell: int) -> bool:
@@ -112,8 +130,8 @@ class TestOrderClosure:
         calls = []
         closure = idl.order_closure
 
-        def record(gens, rounds=16):
-            calls.append((gens, closure(gens, rounds)))
+        def record(gens):
+            calls.append((gens, closure(gens)))
             return calls[-1][1]
 
         monkeypatch.setattr(idl, "order_closure", record)
@@ -141,7 +159,7 @@ class TestReducedDiscriminant:
         assert O.reduced_discriminant == 51
 
     def test_maximal_iff_discrd_p(self):
-        std = QOrder(QLattice.standard_order_lattice(A13))
+        std = QOrder(standard_order_lattice(A13))
         assert not std.is_maximal
         assert ROOT7.is_maximal
 
@@ -191,12 +209,12 @@ class TestPrimitivity:
     def test_squarefree_norm_is_primitive(self):
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
         assert I.nrd() == 2
-        assert idl.is_primitive(I)
+        assert is_primitive(I)
 
     def test_scaled_ideal(self):
         I = idl.ideals_of_norm_ell(ROOT7, 3)[1]
         J = QIdeal(I.lattice.scale(3))
-        assert not idl.is_primitive(J)
+        assert not is_primitive(J)
         assert idl.primitive_part(J).lattice == I.lattice
 
     def test_local_global_agreement(self, walked_orders_13):
@@ -211,7 +229,7 @@ class TestPrimitivity:
                         is_primitive_at(J, q)
                         for q in numth.factorize(int(J.nrd()))
                     )
-                    assert idl.is_primitive(J) == locally == (n == 1)
+                    assert is_primitive(J) == locally == (n == 1)
                     count += 1
         assert count >= 20
 
@@ -281,7 +299,7 @@ class TestConnectingIdeals:
         assert idl.primitive_part(prod).lattice == idl.connecting_ideal(ROOT7, far).lattice
 
     def test_requires_maximal(self):
-        std = QOrder(QLattice.standard_order_lattice(A13))
+        std = QOrder(standard_order_lattice(A13))
         with pytest.raises(PreconditionError):
             idl.connecting_ideal(std, std)
 
@@ -297,7 +315,7 @@ class TestNormEllIdeals:
     def test_not_two_sided(self):
         for ell in (2, 3):
             for I in idl.ideals_of_norm_ell(ROOT7, ell):
-                assert not I.is_two_sided()
+                assert not is_two_sided(I)
 
     def test_index_is_norm_squared(self):
         for I in idl.ideals_of_norm_ell(ROOT7, 3):
@@ -611,13 +629,13 @@ class TestModEllEchelon:
 class TestMatrixSplit:
     def test_identity_maps_to_identity(self):
         split = idl.matrix_split(ROOT7, 3)
-        assert split.image_of(A7.one) == (1, 0, 0, 1)
+        assert image_of(split, A7.one) == (1, 0, 0, 1)
 
     def test_char_poly(self):
         for ell in (2, 3, 5):
             split = idl.matrix_split(ROOT7, ell)
             for b in ROOT7.basis_elements():
-                m = split.image_of(b)
+                m = image_of(split, b)
                 tr = (m[0] + m[3]) % ell
                 det = (m[0] * m[3] - m[1] * m[2]) % ell
                 assert tr == int(b.trd()) % ell
@@ -630,19 +648,20 @@ class TestMatrixSplit:
         for _ in range(100):
             x = sum((rng.randrange(5) * b for b in bas), A7.element())
             y = sum((rng.randrange(5) * b for b in bas), A7.element())
-            mx, my = split.image_of(x), split.image_of(y)
+            mx, my = image_of(split, x), image_of(split, y)
             prod = (
                 (mx[0] * my[0] + mx[1] * my[2]) % 5,
                 (mx[0] * my[1] + mx[1] * my[3]) % 5,
                 (mx[2] * my[0] + mx[3] * my[2]) % 5,
                 (mx[2] * my[1] + mx[3] * my[3]) % 5,
             )
-            assert split.image_of(x * y) == prod
+            assert image_of(split, x * y) == prod
 
     def test_lift_section(self):
         split = idl.matrix_split(ROOT7, 3)
         for m in ((0, 0, 0, 1), (1, 2, 0, 0), (2, 1, 1, 1)):
-            assert split.image_of(split.lift(m)) == m
+            lift = tuple(Fraction(x, ROOT7.lattice.den) for x in split.lift_row(m))
+            assert image_of(split, QuatElement(A7, lift)) == m
 
 
 class TestEquivalence:
@@ -773,5 +792,5 @@ class TestTwoSidedIdeal:
     def test_norm_p(self):
         P = idl.two_sided_p_ideal(ROOT7)
         assert P.nrd() == 7
-        assert P.is_two_sided()
+        assert is_two_sided(P)
         assert (QIdeal(P.lattice * P.lattice)).lattice == ROOT7.lattice.scale(7)

@@ -12,10 +12,24 @@ from qisog import ideals as idl
 from qisog import lattice
 from qisog.errors import CapExceeded, PreconditionError
 from qisog.lattice import QLattice, fincke_pohst_setup, hnf_rows, lll_reduce
-from qisog.quat import QuatAlgebra, QuatElement
+from qisog.quat import QuatAlgebra, QuatElement, split_den
+
+
+def standard_order_lattice(alg: QuatAlgebra) -> QLattice:
+    """Z<i, j> = Z + Zi + Zj + Zk."""
+    return QLattice.from_int_rows(alg, [[int(r == c) for c in range(4)] for r in range(4)], 1)
+
+
+def coords_of(L: QLattice, x: QuatElement) -> tuple:
+    """Rational coordinates of x in the basis of L, for any x: scaled by
+    vden det(mat), x lands in the lattice."""
+    v, vden = split_den(x.coords)
+    det = L.pivot_product()
+    return tuple(Fraction(c, det * vden) for c in L.int_coords([a * det for a in v]))
+
 
 A7 = QuatAlgebra.for_prime(7)
-STD = QLattice.standard_order_lattice(A7)
+STD = standard_order_lattice(A7)
 O0 = idl.global_root_orders(7)[0].lattice  # Z<i, (1+j)/2>
 A101 = QuatAlgebra.for_prime(101)
 O101 = idl.root_maximal_orders(101)[0].lattice  # den 4
@@ -543,7 +557,7 @@ class TestMembership:
             want = QLattice.from_elements([x] + bas) == L
             assert L.contains(x) == want, x
             hits += want
-            coords = L.coords_of(x)
+            coords = coords_of(L, x)
             assert sum((c * b for c, b in zip(coords, bas)), alg.element()) == x
             assert all(c.denominator == 1 for c in coords) == want
         assert hits >= 4  # the members drawn from L itself

@@ -13,6 +13,26 @@ from qisog.quat import QuatAlgebra
 ROOT7 = idl.global_root_orders(7)[0]
 
 
+def import_graph_json(path: str) -> MultiGraph:
+    """Read back a graph written by orient.export_graph(..., "json")."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    g = MultiGraph(meta={k: v for k, v in doc.items() if k not in ("vertices", "edges")})
+    by_id = {}
+    for rec in doc["vertices"]:
+        attrs = {k: v for k, v in rec.items() if k != "id"}
+        if "basis" in attrs and "den" in attrs:
+            key = (attrs["den"], tuple(tuple(r) for r in attrs["basis"]))
+        else:
+            key = rec["id"]
+        by_id[rec["id"]] = key
+        g.add_vertex(key, **attrs)
+    for rec in doc["edges"]:
+        g.add_edge(by_id[rec["src"]], by_id[rec["dst"]],
+                   count=rec.get("count", 1), cls=rec.get("class"))
+    return g
+
+
 def walk(p, ell, depth):
     return orient.walk_component(idl.global_root_orders(p)[0], ell, depth=depth)
 
@@ -22,7 +42,7 @@ class TestOptimalSuborder:
         assert orient.optimal_suborder(ROOT7, "i").f == 1
         assert orient.optimal_suborder(ROOT7, "j").f == 1
         v = orient.oriented_vertex(ROOT7)
-        assert v.is_global_root
+        assert (v.f_i, v.f_j) == (1, 1)
 
     def test_depth_one_descent_at_3(self):
         g = walk(7, 3, 1)
@@ -90,9 +110,10 @@ class TestWalk:
         with pytest.raises(PreconditionError):
             orient.walk_component(ROOT7, 2, depth=9)
 
-    def test_vertex_cap(self):
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(orient, "VERTEX_CAP", 5)
         with pytest.raises(CapExceeded):
-            orient.walk_component(ROOT7, 3, depth=3, vertex_cap=5)
+            orient.walk_component(ROOT7, 3, depth=3)
 
     def test_tree_size(self):
         assert orient.tree_size(5, 6) == 23437
@@ -108,8 +129,9 @@ class TestWalk:
             orient.walk_component(idl.global_root_orders(101)[0], 7, depth=6)
         assert calls == []
 
-    def test_cap_equal_to_tree_size_admitted(self):
-        g = orient.walk_component(ROOT7, 3, depth=2, vertex_cap=orient.tree_size(3, 2))
+    def test_cap_equal_to_tree_size_admitted(self, monkeypatch):
+        monkeypatch.setattr(orient, "VERTEX_CAP", orient.tree_size(3, 2))
+        g = orient.walk_component(ROOT7, 3, depth=2)
         assert g.num_vertices() == 17
 
 
@@ -285,7 +307,7 @@ class TestSwapSymmetry:
             remap[key] = swap_order(order, swapped).key()
         assert set(remap.values()) == set(h.vertices())
         for (s, d), rec in g.edges.items():
-            assert h.edge_class(remap[s], remap[d]) == rec["cls"][::-1]
+            assert h.edges[(remap[s], remap[d])]["cls"] == rec["cls"][::-1]
         for key in g.vertices():
             a, b = g.vertex_attrs[key]["f_i"], g.vertex_attrs[key]["f_j"]
             hk = remap[key]
@@ -302,10 +324,10 @@ class TestExport:
         g = walk(7, 2, 2)
         path = tmp_path / "component.json"
         orient.export_graph(g, "json", str(path))
-        h = orient.import_graph_json(str(path))
+        h = import_graph_json(str(path))
         assert set(h.vertices()) == set(g.vertices())
         for (s, d), rec in g.edges.items():
-            assert h.edge_class(s, d) == rec["cls"]
+            assert h.edges[(s, d)]["cls"] == rec["cls"]
         doc = json.loads(path.read_text())
         assert {"p", "ell", "d_i", "d_j", "vertices", "edges"} <= set(doc)
         assert all({"id", "f_i", "f_j", "basis", "den"} <= set(v) for v in doc["vertices"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qisog.errors import PreconditionError
-from qisog.quat import QuatAlgebra, simultaneous_embedding_check
+from qisog.quat import QuatAlgebra
 
 A7 = QuatAlgebra.for_prime(7)
 A13 = QuatAlgebra.for_prime(13)
@@ -84,21 +84,5 @@ class TestAlgebraConstruction:
             QuatAlgebra(p=7, d_i=-1, d_j=-1).validate_ramification()
 
     def test_perpendicular(self):
-        assert (A13.i * A13.j + A13.j * A13.i).is_zero()
+        assert A13.i * A13.j + A13.j * A13.i == A13.element()
 
-
-class TestSimultaneousEmbedding:
-    def test_perpendicular_pair_at_p7(self):
-        assert simultaneous_embedding_check(-1, -7, 0, 7) == (True, True)
-
-    def test_field_condition_fails(self):
-        fields_ok, _ = simultaneous_embedding_check(-1, -1, 0, 7)
-        assert not fields_ok
-
-    def test_congruence_fails_for_two_odd_discriminants(self):
-        _, orders_ok = simultaneous_embedding_check(-3, -7, 0, 7)
-        assert not orders_ok  # both 1 mod 4 forces s = 2 mod 4
-
-    def test_rejects_bad_s(self):
-        with pytest.raises(PreconditionError):
-            simultaneous_embedding_check(-1, -7, 6, 7)
