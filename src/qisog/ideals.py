@@ -1,7 +1,9 @@
 """Orders and ideals of the quaternion algebra: ring closure, the explicit
 root maximal orders, primitivity, connecting ideals, norm-l neighbor ideals
-and the l-neighbour maximal orders, both read off the mod-l matrix-ring
-splitting, and ideal equivalence testing.
+read off the mod-l matrix-ring splitting, the l-adic frame (that splitting
+lifted to matrix units mod l^n, from which every maximal order within
+distance n/2 of O in the Bruhat-Tits tree is read), and ideal equivalence
+testing.
 
 Maximality is always certified through the reduced discriminant: in an
 algebra ramified exactly at {p, oo} an order is maximal iff discrd = p.
@@ -9,6 +11,7 @@ algebra ramified exactly at {p, oo} an order is maximal iff discrd = p.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,6 +53,15 @@ class QOrder:
     @cached_property
     def reduced_discriminant(self) -> int:
         return reduced_discriminant(self)
+
+    @cached_property
+    def structure_constants(self) -> tuple:
+        """Integer coordinates of the 16 basis products b_a b_b, by (a, b)."""
+        lat = self.lattice
+        mul = self.algebra.mul_coords
+        d2 = lat.den * lat.den
+        return tuple(tuple(tuple(lat.int_coords(mul(a, b), d2)) for b in lat.mat)
+                     for a in lat.mat)
 
     @property
     def is_maximal(self) -> bool:
@@ -286,21 +298,12 @@ def two_sided_p_ideal(O: QOrder) -> QIdeal:
 
 def _mult_table_mod(O: QOrder, ell: int):
     """Structure constants of O/ell O on the reduced basis."""
-    lat = O.lattice
-    mul = O.algebra.mul_coords
-    d2 = lat.den * lat.den
-    table = []
-    for a in lat.mat:
-        row = []
-        for b in lat.mat:
-            coords = lat.int_coords(mul(a, b), d2)
-            assert coords is not None
-            row.append(tuple(x % ell for x in coords))
-        table.append(row)
-    return table
+    return [[tuple(x % ell for x in c) for c in row] for row in O.structure_constants]
 
 
-def _quot_mul(table, ell, u, v):
+def _quot_mul(table, q, u, v):
+    """The product of two elements of O/qO given by coordinates, with table
+    the structure constants of O (reduced mod q or not)."""
     out = [0, 0, 0, 0]
     for a in range(4):
         if u[a]:
@@ -309,12 +312,12 @@ def _quot_mul(table, ell, u, v):
                     coef = u[a] * v[b]
                     row = table[a][b]
                     for t in range(4):
-                        out[t] = (out[t] + coef * row[t]) % ell
+                        out[t] = (out[t] + coef * row[t]) % q
     return tuple(out)
 
 
-def _one_coords(O: QOrder, ell: int):
-    return tuple(x % ell for x in O.lattice.int_coords((1, 0, 0, 0)))
+def _one_coords(O: QOrder, q: int):
+    return tuple(x % q for x in O.lattice.int_coords((1, 0, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -334,12 +337,17 @@ class MatrixSplit:
                     m[s] = (m[s] + u[t] * self.images[t][s]) % self.ell
         return tuple(m)
 
+    def lift_coords(self, matrix) -> tuple[int, ...]:
+        """Coordinates mod ell, in the order's basis, of an element mapping
+        to the given 2x2 matrix."""
+        vec = [matrix[t] % self.ell for t in range(4)]
+        return tuple(sum(vec[t] * self.lift_matrix[t][c] for t in range(4)) % self.ell
+                     for c in range(4))
+
     def lift_row(self, matrix) -> tuple[int, ...]:
         """Integer row r with r / den in the order mapping to the given
         2x2 matrix (den the order lattice's denominator)."""
-        vec = [matrix[t] % self.ell for t in range(4)]
-        u = [sum(vec[t] * self.lift_matrix[t][c] for t in range(4)) % self.ell for c in range(4)]
-        return _combine(u, self.order.lattice.mat)
+        return _combine(self.lift_coords(matrix), self.order.lattice.mat)
 
 
 def _combine(u, mat) -> tuple[int, ...]:
@@ -480,12 +488,6 @@ def _validate_split(split: MatrixSplit, table, one) -> None:
             assert lhs == rhs, "splitting is not multiplicative"
 
 
-def _line_targets(ell: int) -> list[tuple]:
-    """One rank-1 idempotent m = [[a, b], [c, d]] per line of F_ell^2 (its
-    kernel), as (a, b, c, d)."""
-    return [(0, 0, 0, 1)] + [(1, x, 0, 0) for x in range(ell)]
-
-
 def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QIdeal]:
     """All ell+1 integral left O-ideals of reduced norm ell, via the matrix
     splitting; sorted by canonical lattice key, so which splitting the
@@ -494,7 +496,8 @@ def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QIdeal]:
     out = []
     lat = O.lattice
     mul = O.algebra.mul_coords
-    for m in _line_targets(ell):
+    # one rank-1 idempotent m = [[a, b], [c, d]] per line of F_ell^2 (its kernel)
+    for m in [(0, 0, 0, 1)] + [(1, x, 0, 0) for x in range(ell)]:
         # ell O + O alpha on integer rows over den^2
         alpha = split.lift_row(m)
         gens = [[ell * lat.den * x for x in b] for b in lat.mat]
@@ -507,52 +510,146 @@ def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QIdeal]:
     return sorted(out, key=lambda I: I.key())
 
 
-def neighbour_orders(O: QOrder, ell: int, parent: QOrder | None = None) -> list[QOrder | None]:
-    """The ell + 1 maximal orders ell-adjacent to O, one per target m of
-    ideals_of_norm_ell, with None in place of ``parent`` (not rebuilt).
+# ---------------------------------------------------------------------------
+# the ell-adic frame: the Bruhat-Tits tree around a maximal order
 
-    Locally O = End(L) and the neighbours are End(Z_ell v + ell L).  The
-    right order O_v of I_v = ell O + O alpha (alpha a lift of m) meets O in
-    the Eichler order Z + I_v = ell O + Z + Z alpha + Z beta_0, beta_0 a
-    lift of the nilpotent N with ker N = im N = ker m, and O_v = ell O + Z +
-    Z alpha + Z beta/ell for any beta = beta_0 mod ell O with ell^2 | nrd.
-    beta = beta_0 + ell s gamma is one, for a basis row gamma with
-    trd(beta_0 conj(gamma)) a unit mod ell (the trace form of O/ell O is
-    nondegenerate): nrd(beta) = nrd(beta_0) + ell s trd(beta_0 conj(gamma))
-    mod ell^2.  No other neighbour holds beta/ell (two meet inside O), so
-    the parent's line is the one whose beta/ell it contains."""
+
+@dataclass(frozen=True)
+class EllAdicFrame:
+    """Matrix units of O/ell^n O = M2(Z/ell^n): units[a][b] holds the
+    coordinates of E_ab in O's basis, reduced mod ell^n.
+
+    Locally at ell, O = End(Z_ell^2), and the maximal orders at distance k
+    from O in the Bruhat-Tits tree are the End(P L_k) = P End(L_k) P^-1, for
+    L_k = Z_ell + ell^k Z_ell, End(L_k) = [[Z_ell, ell^-k Z_ell],
+    [ell^k Z_ell, Z_ell]] and P = tree_point_matrix(w) over the points w of
+    P^1(Z/ell^k): P L_k = Z_ell w + ell^k Z_ell^2."""
+
+    order: QOrder
+    ell: int
+    n: int
+    units: tuple  # ((E11, E12), (E21, E22))
+
+    @property
+    def modulus(self) -> int:
+        return self.ell**self.n
+
+    def mul(self, u, v) -> tuple[int, ...]:
+        return _quot_mul(self.order.structure_constants, self.modulus, u, v)
+
+    def check(self) -> None:
+        """Assert E11 + E22 = 1 and the 16 relations E_ab E_cd = [b = c] E_ad
+        mod ell^n."""
+        E, q = self.units, self.modulus
+        one = tuple((x + y) % q for x, y in zip(E[0][0], E[1][1]))
+        assert one == _one_coords(self.order, q), "E11 + E22 must be 1 mod ell^n"
+        for a, b, c, d in itertools.product(range(2), repeat=4):
+            want = E[a][d] if b == c else (0, 0, 0, 0)
+            assert self.mul(E[a][b], E[c][d]) == want, "matrix-unit relation fails mod ell^n"
+
+    def matrix_of(self, u) -> tuple:
+        """The image ((x11, x12), (x21, x22)) mod ell^n of the element with
+        coordinates u: x_ab = trd(E_ba u)."""
+        lat, q = self.order.lattice, self.modulus
+        trd = [2 * r[0] // lat.den for r in lat.mat]
+
+        def entry(a, b):
+            return sum(c * t for c, t in zip(self.mul(self.units[b][a], u), trd)) % q
+        return tuple(tuple(entry(a, b) for b in range(2)) for a in range(2))
+
+    def conjugate(self, X, P) -> tuple:
+        """P^-1 X P mod ell^n for a 2x2 matrix P of determinant 1."""
+        q = self.modulus
+        return tuple(tuple(x % q for x in r) for r in _mul2(_mul2(_sl2_inverse(P), X), P))
+
+    @cached_property
+    def unit_rows(self) -> tuple:
+        """The integer rows r with r/den = E_ab, by (a, b)."""
+        return tuple(tuple(_combine(u, self.order.lattice.mat) for u in r) for r in self.units)
+
+    def ball_order(self, P, k: int) -> QOrder:
+        """End(P L_k) for an integer 2x2 matrix P of determinant 1:
+        ell^k O + Z e11 + Z e22 + Z e12/ell^k + Z ell^k e21, one 8-row HNF,
+        with e_ab = P E_ab P^-1 mod ell^n.
+
+        e_ab is off by an element of ell^n O, so e12/ell^k by one of
+        ell^(n-k) O, which lies in ell^k O when n >= 2k; away from ell every
+        generator lies in O and ell^k is a unit, so the order is O there."""
+        assert 2 * k <= self.n, "the frame is too coarse for this distance"
+        R, lat = self.unit_rows, self.order.lattice
+        Pinv = _sl2_inverse(P)
+
+        def row(a, b):
+            # P E_ab P^-1 = sum_cd P_ca Pinv_bd E_cd
+            out = [0, 0, 0, 0]
+            for c in range(2):
+                for d in range(2):
+                    x = P[c][a] * Pinv[b][d]
+                    if x:
+                        out = [y + x * z for y, z in zip(out, R[c][d])]
+            return out
+        s = self.ell**k
+        rows = [[s * s * x for x in r] for r in lat.mat]
+        rows += [[s * x for x in row(0, 0)], [s * x for x in row(1, 1)],
+                 row(0, 1), [s * s * x for x in row(1, 0)]]
+        Ov = QOrder(QLattice.from_int_rows(self.order.algebra, rows, lat.den * s))
+        assert Ov.is_maximal, f"ball order has discrd {Ov.reduced_discriminant}"
+        return Ov
+
+
+def _sl2_inverse(P) -> tuple:
+    (a, b), (c, d) = P
+    return ((d, -b), (-c, a))
+
+
+def _mul2(A, B) -> tuple:
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def ell_adic_frame(O: QOrder, ell: int, n: int) -> EllAdicFrame:
+    """matrix_split(O, ell) lifted to matrix units mod ell^n, checked once.
+
+    The lift e of E11 is refined by e <- 3e^2 - 2e^3 until e^2 = e mod
+    ell^n: the new e^2 - e is (e^2 - e)^2 (4(e^2 - e) - 3), so its ell-adic
+    order doubles each round.  E22 = 1 - e, E12 = e x E22 and
+    E21 = E22 y e / c for lifts x, y of E12, E21 mod ell, where
+    E12 E22 y e = c e: e O e is spanned by e over Z/ell^n, and c = 1 mod ell."""
     split = matrix_split(O, ell)
-    lat = O.lattice
-    alg = O.algebra
-    den2, g0 = lat.den**2, alg.norm_diag()
-    vden = lat.den * ell
-    base = [[ell * ell * x for x in r] for r in lat.mat] + [[vden, 0, 0, 0]]
-    nilpotents = [(0, 1, 0, 0)] + [(-x, -x * x, 1, x) for x in range(ell)]
-    out = []
-    for m, nil in zip(_line_targets(ell), nilpotents):
-        beta = split.lift_row(nil)
-        n0, rem = divmod(alg.nrd_coords(beta), den2)
-        assert rem == 0 and n0 % ell == 0, "beta_0 must lift a nilpotent"
-        for gamma in lat.mat:
-            # trd(beta_0 conj(gamma)) on the rows over den^2
-            t, rem = divmod(2 * sum(g0[c] * beta[c] * gamma[c] for c in range(4)), den2)
-            assert rem == 0
-            if t % ell:
-                break
-        else:
-            raise AssertionError("trace form of O/ell O is degenerate")
-        s = -(n0 // ell) * pow(t, -1, ell) % ell
-        beta = [b + ell * s * g for b, g in zip(beta, gamma)]
-        assert alg.nrd_coords(beta) % (den2 * ell * ell) == 0, "ell^2 must divide nrd(beta)"
-        # the rows are over vden, so beta/ell is beta/vden
-        if parent is not None and parent.lattice.int_coords(beta, vden) is not None:
-            out.append(None)
-            continue
-        rows = base + [[ell * x for x in split.lift_row(m)], beta]
-        Ov = QOrder(QLattice.from_int_rows(alg, rows, vden))
-        assert Ov.is_maximal, f"neighbour order has discrd {Ov.reduced_discriminant}"
-        out.append(Ov)
-    return out
+    q = ell**n
+    mul = functools.partial(_quot_mul, O.structure_constants, q)
+    e = split.lift_coords((1, 0, 0, 0))
+    while (e2 := mul(e, e)) != e:
+        e = tuple((3 * a - 2 * b) % q for a, b in zip(e2, mul(e2, e)))
+    f = tuple((a - b) % q for a, b in zip(_one_coords(O, q), e))
+    e12 = mul(mul(e, split.lift_coords((0, 1, 0, 0))), f)
+    e21 = mul(mul(f, split.lift_coords((0, 0, 1, 0))), e)
+    t = next(t for t in range(4) if e[t] % ell)
+    c_inv = pow(mul(e12, e21)[t] * pow(e[t], -1, q), -1, q)
+    e21 = tuple(c_inv * x % q for x in e21)
+    frame = EllAdicFrame(order=O, ell=ell, n=n, units=((e, e12), (e21, f)))
+    frame.check()
+    return frame
+
+
+def tree_point_matrix(point, ell: int) -> tuple:
+    """A determinant-1 matrix P whose first column spans the line of the
+    point: (0, t) is the line through (1, t), (1, s) the one through
+    (ell s, 1)."""
+    kind, x = point
+    return ((1, 0), (x, 1)) if kind == 0 else ((ell * x, -1), (1, 0))
+
+
+def tree_children(point, k: int, ell: int) -> list[tuple[int, int]]:
+    """The ell points of P^1(Z/ell^k) that reduce to the given point of
+    P^1(Z/ell^(k-1)), or the ell + 1 points of P^1(F_ell) for point None.
+    A point (0, t) has t mod ell^k, a point (1, s) has s mod ell^(k-1)."""
+    if point is None:
+        return [(0, t) for t in range(ell)] + [(1, 0)]
+    kind, x = point
+    step = ell ** (k - 1 - kind)
+    return [(kind, x + a * step) for a in range(ell)]
 
 
 def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QIdeal]:

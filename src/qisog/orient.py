@@ -5,9 +5,16 @@ component walking, root detection, and the structure-formula auditor.
 Orientations are the identity embeddings of Q(i) and Q(j) in the
 perpendicular standard basis; every vertex is a maximal order tagged with
 the conductors (f_i, f_j) of its intersections with the two subfields.
-A walk expands each vertex through ideals.neighbour_orders, which builds the
-l + 1 adjacent maximal orders from one matrix split and recognises the
-vertex's parent by membership, so each tree edge builds one order.
+
+A walk of depth d from O reads the whole ball off one l-adic frame of O
+(ideals.ell_adic_frame): matrix units E_ab of O/l^n O = M2(Z/l^n) with
+n = 2d + max v_l(f_0), f_0 O's conductors.  The vertices at distance k are
+the End(Z_l w + l^k Z_l^2) for the points w of P^1(Z/l^k), each built from
+the frame as one 8-row HNF, with w mod l^(k-1) its parent.  Their
+conductors are f_0 l^j, with l^j the least power putting
+l^j P^-1 (f_0 omega) P in End(Z_l + l^k Z_l) (P = tree_point_matrix(w));
+only the start's come from the integer kernels of optimal_suborder, and
+classify_edge's membership test checks every edge's conductor ratio.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .quat import QuatAlgebra
 ASC, HOR, DESC = "A", "H", "D"
 # A depth-d walk is the tree of tree_size(ell, d) = 1 + (ell+1)(ell^d - 1)/(ell - 1)
 # vertices: at d = 6, 190, 1457, 23437 and 156865 for ell = 2, 3, 5, 7.
+# Its frame works mod ell^(2d + v_ell(f_0)), so mod ell^(12 + v_ell(f_0)) at d = 6.
 DEPTH_CAP = 6
 # Checked against tree_size before a walk: of the pairs DEPTH_CAP and
 # ell <= 7 admit, only (ell, depth) = (7, 6) exceeds it.
@@ -77,8 +85,10 @@ def conductors(order: QOrder) -> tuple[int, int]:
     return optimal_suborder(order, "i").f, optimal_suborder(order, "j").f
 
 
-def oriented_vertex(order: QOrder) -> OrientedVertex:
-    f_i, f_j = conductors(order)
+def oriented_vertex(order: QOrder, f_ij: tuple[int, int] | None = None) -> OrientedVertex:
+    """The order with its conductors: f_ij = (f_i, f_j) when the caller has
+    read them off an l-adic frame, conductors(order) otherwise."""
+    f_i, f_j = conductors(order) if f_ij is None else f_ij
     p = order.algebra.p
     for u, f in (("i", f_i), ("j", f_j)):
         d_K = numth.fundamental_discriminant(order.algebra.d_i if u == "i" else order.algebra.d_j)
@@ -132,13 +142,37 @@ def tree_size(ell: int, depth: int) -> int:
     return 1 + (ell + 1) * (ell**depth - 1) // (ell - 1)
 
 
+def _frame_conductor(f0: int, W, k: int, ell: int, n: int) -> int:
+    """f_0 ell^j for the least j with ell^j W in End(L_k) = [[Z_ell,
+    ell^-k Z_ell], [ell^k Z_ell, Z_ell]], L_k = Z_ell + ell^k Z_ell, where
+    W = P^-1 (f_0 omega) P is known mod ell^n.
+
+    The true j is at least -v_ell(f_0), as the conductor is an integer, and
+    at least -k, as ell^k End(L_k) lies in End(L_0) and f_0 is the start's
+    conductor.  An entry 0 mod ell^n
+    reads valuation n, so its term is at most k - n <= -k: the maximum is
+    exact once n >= 2k."""
+    q = ell**n
+
+    def v(x):
+        return n if x % q == 0 else numth._two_adic_split(x, ell)[0]
+    (w11, w12), (w21, w22) = W
+    j = max(-v(f0), -v(w11), -v(w22), -k - v(w12), k - v(w21))
+    f, rem = divmod(f0 * ell ** max(j, 0), ell ** max(-j, 0))
+    assert rem == 0
+    return f
+
+
 def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
-    """BFS over ell-neighbor maximal orders to the given depth.
+    """The ball of the given depth around start in the graph of ell-adjacent
+    maximal orders: a tree.
 
     Vertices carry (f_i, f_j); every directed edge carries its class label.
-    Edges are recorded in both directions once both endpoints are known.
-    A walk whose tree_size(ell, depth) exceeds VERTEX_CAP is refused before
-    the first vertex is expanded.
+    A vertex closer than depth to start has all its ell + 1 out-edges, the
+    one to its parent included; a vertex at distance depth has none.  A
+    walk whose tree_size(ell, depth) exceeds VERTEX_CAP is refused before
+    the frame is built, and depth 0 builds none.  Each edge carries the
+    adjacency certificate ell O_child in O_parent.
     """
     if ell == start.algebra.p or not numth.is_prime(ell):
         raise PreconditionError("ell must be a prime different from p")
@@ -152,46 +186,39 @@ def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
     g = MultiGraph(meta={
         "p": alg.p, "ell": ell, "d_i": alg.d_i, "d_j": alg.d_j, "kind": "oriented",
     })
-    verts: dict = {}
 
-    def register(order: QOrder) -> OrientedVertex:
-        key = order.key()
-        if key not in verts:
-            if len(verts) >= VERTEX_CAP:
-                raise CapExceeded("vertex cap exceeded during walk")
-            ov = oriented_vertex(order)
-            verts[key] = ov
-            g.add_vertex(key, f_i=ov.f_i, f_j=ov.f_j,
-                         basis=[list(r) for r in order.lattice.mat],
-                         den=order.lattice.den)
-        return verts[key]
+    def register(order: QOrder, f: tuple[int, int] | None) -> OrientedVertex:
+        assert order.key() not in g.vertex_attrs, "two points of the ball give one order"
+        ov = oriented_vertex(order, f)
+        g.add_vertex(order.key(), f_i=ov.f_i, f_j=ov.f_j,
+                     basis=[list(r) for r in order.lattice.mat], den=order.lattice.den)
+        return ov
 
-    v0 = register(start)
-    frontier = [v0]
-    seen = {v0.key()}
-    parent_of: dict = {}  # vertex key -> the vertex it was reached from
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            parent = parent_of.get(v.key())
-            matched = 0
-            for order in idl.neighbour_orders(v.order, ell, parent.order if parent else None):
-                if order is None:
-                    w = parent
-                    matched += 1
-                else:
-                    w = register(order)
-                if v.key() == w.key():
-                    raise AssertionError("loop in a double-oriented graph")
-                if g.multiplicity(v.key(), w.key()):
-                    raise AssertionError("multi-edge in a double-oriented graph")
-                g.add_edge(v.key(), w.key(), cls=classify_edge(v, w, ell))
-                if w.key() not in seen:
-                    seen.add(w.key())
-                    parent_of[w.key()] = v
-                    nxt.append(w)
-            assert parent is None or matched == 1, "parent must match exactly one line"
-        frontier = nxt
+    root = register(start, None)
+    if depth:
+        f0 = (root.f_i, root.f_j)
+        n = 2 * depth + max(numth._two_adic_split(f, ell)[0] for f in f0)
+        frame = idl.ell_adic_frame(start, ell, n)
+        # the images of theta = f_0 omega, which lies in start, per subfield
+        thetas = [frame.matrix_of(start.lattice.int_coords([f * c for c in row], rden))
+                  for f, (row, rden) in zip(f0, alg.maximal_quadratic_rows)]
+        frontier = [(root, None)]
+        for k in range(1, depth + 1):
+            nxt = []
+            for v, point in frontier:
+                for child in idl.tree_children(point, k, ell):
+                    P = idl.tree_point_matrix(child, ell)
+                    f = tuple(_frame_conductor(fu, frame.conjugate(X, P), k, ell, n)
+                              for fu, X in zip(f0, thetas))
+                    w = register(frame.ball_order(P, k), f)
+                    lat = w.order.lattice
+                    assert all(v.order.lattice.int_coords([ell * x for x in r], lat.den) is not None
+                               for r in lat.mat), "ell O_child must lie in O_parent"
+                    g.add_edge(v.key(), w.key(), cls=classify_edge(v, w, ell))
+                    if k < depth:
+                        g.add_edge(w.key(), v.key(), cls=classify_edge(w, v, ell))
+                    nxt.append((w, child))
+            frontier = nxt
     g.meta["depth"] = depth
     return g
 

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -384,46 +386,125 @@ class TestNormEllRightOrder:
             self.assert_agrees(O, 7)
 
 
-def assert_neighbour_orders_agree(O: QOrder, ell: int) -> None:
-    """neighbour_orders(O, ell) against the right orders of the norm-ell
-    ideals, by conj(I) I / ell and by trace duality; then, from each
-    neighbour W with parent O, the membership test must pick exactly O's
-    line and the other lines must be W's other neighbours."""
+def frame_orders(frame: idl.EllAdicFrame, point, k: int) -> dict:
+    """{order key: point} over the points of P^1(Z/ell^k) above point."""
+    return {frame.ball_order(idl.tree_point_matrix(w, frame.ell), k).key(): w
+            for w in idl.tree_children(point, k, frame.ell)}
+
+
+def ideal_right_orders(O: QOrder, ell: int) -> set:
+    """Keys of the right orders of O's norm-ell ideals, by conj(I) I / ell,
+    checked against trace duality."""
     ideals = idl.ideals_of_norm_ell(O, ell)
     want = {norm_ell_right_order(I, ell).key() for I in ideals}
     assert want == {I.lattice.right_order().key() for I in ideals}
-    got = idl.neighbour_orders(O, ell)
-    assert None not in got and {W.key() for W in got} == want
-    assert all(W.is_maximal for W in got)
-    for W in got:
-        lines = idl.neighbour_orders(W, ell, parent=O)
-        assert sum(x is None for x in lines) == 1
-        others = {x.key() for x in lines if x is not None}
-        assert others | {O.key()} == {W2.key() for W2 in idl.neighbour_orders(W, ell)}
-        assert O.key() not in others
+    return want
+
+
+def assert_frame_orders_agree(O: QOrder, ell: int) -> None:
+    """The depth-1 orders of O's ell-adic frame against the right orders of
+    O's norm-ell ideals; then, at each depth-1 vertex W, its ell depth-2
+    orders together with O against the right orders of W's ideals."""
+    frame = idl.ell_adic_frame(O, ell, 4)
+    level1 = frame_orders(frame, None, 1)
+    assert len(level1) == ell + 1 and set(level1) == ideal_right_orders(O, ell)
+    for key, w in level1.items():
+        W = QOrder(QLattice(O.algebra, key[1], key[0]))
+        level2 = frame_orders(frame, w, 2)
+        assert len(level2) == ell and O.key() not in level2
+        assert set(level2) | {O.key()} == ideal_right_orders(W, ell)
 
 
 def assert_root_and_walked_order_agree(p: int, ell: int) -> None:
-    """assert_neighbour_orders_agree at the first global root order and at
-    one of its ell-neighbours, reached by the oracle."""
+    """assert_frame_orders_agree at the first global root order and at one
+    of its ell-neighbours, reached by the oracle."""
     root = idl.global_root_orders(p)[0]
-    assert_neighbour_orders_agree(root, ell)
+    assert_frame_orders_agree(root, ell)
     walked = QOrder(norm_ell_right_order(idl.ideals_of_norm_ell(root, ell)[-1], ell))
-    assert_neighbour_orders_agree(walked, ell)
+    assert_frame_orders_agree(walked, ell)
+
+
+FRAME_CASES = [(p, ell) for p in (7, 101, 499) for ell in (2, 3, 5, 7) if ell != p]
 
 
 class TestNeighbourOrders:
-    """neighbour_orders builds ell O + Z + Z alpha + Z beta/ell; the second
-    path is the right order of each norm-ell ideal."""
+    """The frame builds the neighbours End(P L_1) and their neighbours
+    End(P L_2) as ell^k O + Z e11 + Z e22 + Z e12/ell^k + Z ell^k e21; the
+    second path is the right order of each norm-ell ideal."""
 
-    @pytest.mark.parametrize("p,ell", [(p, ell) for p in (7, 101, 499)
-                                       for ell in (2, 3, 5, 7) if ell != p])
+    @pytest.mark.parametrize("p,ell", FRAME_CASES)
     def test_root_and_walked_order(self, p, ell):
         assert_root_and_walked_order_agree(p, ell)
 
     def test_ell_equal_p_rejected(self):
         with pytest.raises(PreconditionError):
-            idl.neighbour_orders(ROOT7, 7)
+            idl.ell_adic_frame(ROOT7, 7, 2)
+
+
+class TestEllAdicFrame:
+    """The matrix units mod ell^n, checked in the algebra itself rather than
+    through the structure constants the frame multiplies with."""
+
+    N = 12
+
+    @staticmethod
+    def element(O: QOrder, u) -> QuatElement:
+        return sum((c * b for c, b in zip(u, O.basis_elements())), O.algebra.element())
+
+    @pytest.mark.parametrize("p,ell", FRAME_CASES)
+    def test_matrix_unit_relations(self, p, ell):
+        O = idl.global_root_orders(p)[0]
+        frame = idl.ell_adic_frame(O, ell, self.N)
+        E = [[self.element(O, u) for u in row] for row in frame.units]
+        q = ell**self.N
+        assert O.contains((E[0][0] + E[1][1] - O.algebra.one) / q)
+        for a, b, c, d in itertools.product(range(2), repeat=4):
+            err = E[a][b] * E[c][d] - (E[a][d] if b == c else O.algebra.element())
+            assert O.contains(err / q), (a, b, c, d)
+        # mod ell the units are the split's matrix units
+        split = idl.matrix_split(O, ell)
+        for a, b in itertools.product(range(2), repeat=2):
+            unit = tuple(int((r, c) == (a, b)) for r in range(2) for c in range(2))
+            assert split.image_of_coords(frame.units[a][b]) == unit
+
+    @pytest.mark.parametrize("p,ell", [(7, 2), (101, 5), (499, 3)])
+    def test_corrupted_unit_trips_the_check(self, p, ell):
+        frame = idl.ell_adic_frame(idl.global_root_orders(p)[0], ell, self.N)
+        (e11, e12), (e21, e22) = frame.units
+        q = frame.modulus
+        bad = tuple((x + ell ** (self.N - 1) * y) % q for x, y in zip(e12, e21))
+        broken = dataclasses.replace(frame, units=((e11, bad), (e21, e22)))
+        with pytest.raises(AssertionError, match="matrix-unit relation"):
+            broken.check()
+
+    @pytest.mark.parametrize("p,ell", [(7, 3), (101, 2), (499, 7)])
+    def test_matrix_of_is_multiplicative(self, p, ell):
+        O = idl.global_root_orders(p)[0]
+        frame = idl.ell_adic_frame(O, ell, 6)
+        q = frame.modulus
+        basis = [tuple(int(s == t) for s in range(4)) for t in range(4)]
+        assert frame.matrix_of(idl._one_coords(O, q)) == ((1, 0), (0, 1))
+        for u in basis:
+            for v in basis:
+                x, y = frame.matrix_of(u), frame.matrix_of(v)
+                xy = tuple(tuple(sum(x[a][c] * y[c][b] for c in range(2)) % q
+                                 for b in range(2)) for a in range(2))
+                assert frame.matrix_of(frame.mul(u, v)) == xy
+
+    def test_points_of_the_projective_line(self):
+        ell = 3
+        for k in (1, 2, 3):
+            level = [None]
+            for j in range(1, k + 1):
+                level = [w for x in level for w in idl.tree_children(x, j, ell)]
+            assert len(level) == len(set(level)) == (ell + 1) * ell ** (k - 1)
+            # each point spans a line of (Z/ell^k)^2 that no other point spans
+            lines = set()
+            for w in level:
+                (a, _), (c, _) = idl.tree_point_matrix(w, ell)
+                lines.add(frozenset(((s * a) % ell**k, (s * c) % ell**k)
+                                    for s in range(ell**k) if s % ell))
+            assert len(lines) == len(level)
 
 
 def brute_pair_coords(m1, m2, vec, ell):

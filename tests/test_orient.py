@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qisog import ideals as idl
-from qisog import numth, orient
+from qisog import cli, numth, orient
 from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice
@@ -123,7 +123,7 @@ class TestWalk:
 
     def test_cap_refused_before_walking(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(idl, "neighbour_orders", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(idl, "ell_adic_frame", lambda *a, **k: calls.append(a))
         assert orient.DEPTH_CAP >= 6
         with pytest.raises(CapExceeded, match="vertex cap exceeded during walk"):
             orient.walk_component(idl.global_root_orders(101)[0], 7, depth=6)
@@ -134,10 +134,21 @@ class TestWalk:
         g = orient.walk_component(ROOT7, 3, depth=2)
         assert g.num_vertices() == 17
 
+    def test_depth_zero_builds_no_frame(self, monkeypatch, capsys):
+        def refuse(*a, **k):
+            raise AssertionError("depth 0 must not split")
+
+        monkeypatch.setattr(idl, "matrix_split", refuse)
+        assert cli.main(["oriented", "--p", "101", "--ell", "3", "--depth", "0"]) == 0
+        assert capsys.readouterr().out == \
+            "1 local root (global); audit: pass; 1 vertices, tree: True\n"
+        g = orient.walk_component(ROOT7, 2, depth=0)
+        assert g.num_vertices() == 1 and not g.edges
+
 
 def reference_walk(start, ell, depth):
-    """walk_component without the parent-edge reuse: the right order of every
-    neighbour ideal is computed, the parent's included."""
+    """The oracle walk: a breadth-first search that computes the right order
+    of every neighbour ideal, the parent's included."""
     alg = start.algebra
     g = MultiGraph(meta={
         "p": alg.p, "ell": ell, "d_i": alg.d_i, "d_j": alg.d_j, "kind": "oriented",
@@ -170,9 +181,10 @@ def reference_walk(start, ell, depth):
 
 
 class TestParentEdgeReuse:
-    """walk_component finds the parent of a vertex among its neighbour lines
-    by membership of beta/l in the parent's order, instead of building the
-    parent's order again."""
+    """walk_component reads every vertex off one ell-adic frame of the start,
+    as End(Z_l w + l^k Z_l^2) for the points w of P^1(Z/l^k), with w mod
+    l^(k-1) its parent: each tree edge builds one order, and no neighbour
+    ideal's right order is computed."""
 
     @pytest.mark.parametrize("p,ell,depth", [(7, 3, 4), (101, 2, 5), (499, 7, 2)])
     def test_same_json_as_reference_walk(self, p, ell, depth):
@@ -182,24 +194,63 @@ class TestParentEdgeReuse:
 
     @pytest.mark.parametrize("p,ell,depth", [(7, 3, 3), (101, 2, 4)])
     def test_one_order_per_non_root_vertex(self, p, ell, depth, monkeypatch):
-        built, parent_lines = [], []
-        neighbour_orders = idl.neighbour_orders
+        built = []
+        ball_order = idl.EllAdicFrame.ball_order
 
-        def counted(O, n, parent=None):
-            lines = neighbour_orders(O, n, parent)
-            built.extend(x for x in lines if x is not None)
-            if parent is not None:
-                parent_lines.append(sum(x is None for x in lines))
-            return lines
+        def counted(frame, P, k):
+            O = ball_order(frame, P, k)
+            built.append((k, O))
+            return O
 
-        monkeypatch.setattr(idl, "neighbour_orders", counted)
+        monkeypatch.setattr(idl.EllAdicFrame, "ball_order", counted)
         g = walk(p, ell, depth)
         assert g.is_tree_undirected()
-        assert len(built) == g.num_vertices() - 1
-        assert len({O.key() for O in built}) == len(built)
-        # every expanded vertex but the root, each matched once
-        expanded = sum(1 for v in g.vertices() if g.out_degree(v) > 0)
-        assert parent_lines == [1] * (expanded - 1)
+        assert len(built) == g.num_vertices() - 1 == orient.tree_size(ell, depth) - 1
+        assert len({O.key() for _, O in built}) == len(built)
+        # (ell + 1) ell^(k-1) orders at distance k, breadth first
+        assert [k for k, _ in built] == [k for k in range(1, depth + 1)
+                                         for _ in range((ell + 1) * ell ** (k - 1))]
+
+    @pytest.mark.parametrize("p,ell,depth", [(499, 2, 5), (101, 3, 3), (211, 7, 2)])
+    def test_one_matrix_split_per_walk(self, p, ell, depth, monkeypatch):
+        calls = []
+        matrix_split = idl.matrix_split
+
+        def counted(O, n):
+            calls.append(O.key())
+            return matrix_split(O, n)
+
+        monkeypatch.setattr(idl, "matrix_split", counted)
+        start = idl.global_root_orders(p)[0]
+        orient.walk_component(start, ell, depth)
+        assert calls == [start.key()]
+
+
+def divisible_start(p: int, ell: int) -> QOrder:
+    """The vertex of the depth-2 walk from the first global root with the
+    most factors ell in f_i f_j (least key among ties): a start whose
+    frame needs the extra precision v_ell(f_0)."""
+    g = walk(p, ell, 2)
+
+    def weight(key):
+        attrs = g.vertex_attrs[key]
+        return sum(numth._two_adic_split(attrs[f], ell)[0] for f in ("f_i", "f_j"))
+
+    key = max(g.vertices(), key=weight)
+    assert weight(key) >= 2
+    return QOrder(QLattice(QuatAlgebra.for_prime(p), key[1], key[0]))
+
+
+class TestDivisibleStart:
+    """Walks from an order with ell | f_i or ell | f_j, whose conductors
+    raise the precision the frame needs, against the oracle."""
+
+    @pytest.mark.parametrize("p,ell", [(7, 2), (13, 3), (101, 2), (499, 7)])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_same_json_as_reference_walk(self, p, ell, depth):
+        start = divisible_start(p, ell)
+        want = reference_walk(start, ell, depth).to_json()
+        assert orient.walk_component(start, ell, depth=depth).to_json() == want
 
 
 class TestRoots:

@@ -13,17 +13,20 @@ oracle's.
 
 Double-oriented side (l in {2, 3, 5, 7}): the walk from the first global
 root order is a full (l+1)-regular tree whose every expanded vertex passes
-the structure audit, and the Bass superorder oracle finds exactly the
-global embedding number of maximal orders, the same ones as the unpruned
-enumeration over every sublattice of each index.  The walk's neighbour
-orders, at the root and at one of its neighbours, are the right orders of
-the norm-l ideals, and the membership test picks exactly the parent.
+the structure audit, every vertex's conductors, read off the l-adic frame,
+are those of the integer kernels of orient.optimal_suborder, and the Bass
+superorder oracle finds exactly the global embedding number of maximal
+orders, the same ones as the unpruned enumeration over every sublattice of
+each index.  The frame's depth-1 and depth-2 orders, at the root and at one
+of its neighbours, are the right orders of the norm-l ideals.
 """
 
 import pytest
 
 from qisog import bass, brandt, ecgraph, numth, orient
 from qisog import ideals as idl
+from qisog.ideals import QOrder
+from qisog.lattice import QLattice
 from qisog.quat import QuatAlgebra
 from test_bass import assert_oracle_agrees
 from test_brandt import oracle_types, sigma_types
@@ -66,11 +69,16 @@ WALK_DEPTH = {2: 5, 3: 3, 5: 2, 7: 2}
 @pytest.mark.parametrize("p,ell", [(p, ell) for p in PRIMES for ell in WALK_DEPTH if ell != p])
 def test_oriented_walk_is_an_audited_tree(p, ell):
     depth = WALK_DEPTH[ell]
-    g = orient.walk_component(idl.global_root_orders(p)[0], ell, depth)
+    start = idl.global_root_orders(p)[0]
+    g = orient.walk_component(start, ell, depth)
     assert g.is_tree_undirected()
     assert g.num_vertices() == 1 + (ell + 1) * (ell**depth - 1) // (ell - 1)
     reports = orient.audit_component(g, ell)
     assert reports and all(r.ok for r in reports)
+    for key in g.vertices():
+        O = QOrder(QLattice(start.algebra, key[1], key[0]))
+        attrs = g.vertex_attrs[key]
+        assert (attrs["f_i"], attrs["f_j"]) == orient.conductors(O)
 
 
 @pytest.mark.slow
