@@ -1,9 +1,10 @@
 """Orders and ideals of the quaternion algebra: ring closure, the explicit
-root maximal orders, primitivity, connecting ideals, norm-l neighbor ideals
-read off the mod-l matrix-ring splitting, the l-adic frame (that splitting
-lifted to matrix units mod l^n, from which every maximal order within
-distance n/2 of O in the Bruhat-Tits tree is read), and ideal equivalence
-testing.
+root maximal orders, primitivity, connecting ideals, the l-adic frame
+(matrix units of O/l^n O = M2(Z/l^n), built around one rank-1 idempotent
+and checked by their 16 relations), norm-l neighbor ideals read off the
+frame at n = 1 (the mod-l splitting), every maximal order within distance
+n/2 of O in the Bruhat-Tits tree read off the frame at n, and ideal
+equivalence testing.
 
 Maximality is always certified through the reduced discriminant: in an
 algebra ramified exactly at {p, oo} an order is maximal iff discrd = p.
@@ -320,36 +321,6 @@ def _one_coords(O: QOrder, q: int):
     return tuple(x % q for x in O.lattice.int_coords((1, 0, 0, 0)))
 
 
-@dataclass(frozen=True)
-class MatrixSplit:
-    """Ring isomorphism O/ell O -> M2(F_ell), recorded by basis images."""
-
-    order: QOrder
-    ell: int
-    images: tuple  # four 2x2 matrices mod ell, one per basis element
-    lift_matrix: tuple  # 4x4 mod ell: matrix entries -> quotient coordinates
-
-    def image_of_coords(self, u) -> tuple:
-        m = [0, 0, 0, 0]
-        for t in range(4):
-            if u[t] % self.ell:
-                for s in range(4):
-                    m[s] = (m[s] + u[t] * self.images[t][s]) % self.ell
-        return tuple(m)
-
-    def lift_coords(self, matrix) -> tuple[int, ...]:
-        """Coordinates mod ell, in the order's basis, of an element mapping
-        to the given 2x2 matrix."""
-        vec = [matrix[t] % self.ell for t in range(4)]
-        return tuple(sum(vec[t] * self.lift_matrix[t][c] for t in range(4)) % self.ell
-                     for c in range(4))
-
-    def lift_row(self, matrix) -> tuple[int, ...]:
-        """Integer row r with r / den in the order mapping to the given
-        2x2 matrix (den the order lattice's denominator)."""
-        return _combine(self.lift_coords(matrix), self.order.lattice.mat)
-
-
 def _combine(u, mat) -> tuple[int, ...]:
     """The integer row sum_t u_t mat_t."""
     return tuple(sum(u[t] * mat[t][c] for t in range(4)) for c in range(4))
@@ -378,25 +349,12 @@ def _rref_mod(rows, ell) -> list[tuple[int, ...]]:
     return [tuple(r) for r in out]
 
 
-def _augmented_rref(rows, ell) -> list[tuple[int, ...]]:
-    """_rref_mod of [M | I]; its rows span {(v M, v)}."""
-    n = len(rows)
-    return _rref_mod([list(r) + [int(i == t) for t in range(n)] for i, r in enumerate(rows)], ell)
-
-
 def _kernel_mod(rows, ell) -> list[tuple[int, ...]]:
     """Basis of {v : v M = 0 mod ell}: the rows of rref[M | I] that vanish
     on M's columns, cut to their I part."""
-    width = len(rows[0])
-    return [r[width:] for r in _augmented_rref(rows, ell) if not any(r[:width])]
-
-
-def _inverse_mod(rows, ell) -> list[tuple[int, ...]] | None:
-    """M^-1 mod ell for square M, or None when M is singular: rref[M | I] is
-    [I | M^-1] exactly when its last pivot lies in M's columns."""
-    n = len(rows)
-    ext = _augmented_rref(rows, ell)
-    return [r[n:] for r in ext] if ext[-1][n - 1] else None
+    width, n = len(rows[0]), len(rows)
+    ext = _rref_mod([list(r) + [int(i == t) for t in range(n)] for i, r in enumerate(rows)], ell)
+    return [r[width:] for r in ext if not any(r[:width])]
 
 
 def _span_coords_mod(rref, vec, ell) -> tuple[int, ...] | None:
@@ -410,96 +368,49 @@ def _span_coords_mod(rref, vec, ell) -> tuple[int, ...] | None:
     return None if any(x % ell for x in rest) else coords
 
 
-def matrix_split(O: QOrder, ell: int) -> MatrixSplit:
-    """Split O/ell O as M2(F_ell) by locating a rank-1 idempotent.
+def matrix_split(O: QOrder, ell: int) -> EllAdicFrame:
+    """Split O/ell O as M2(F_ell): the ell-adic frame of O at n = 1.
 
     Scans u over F_ell^4 minus 0 in lexicographic order for one whose
-    eigenvalues are distinct and in F_ell; the quotient is always split for
-    ell != p (the lift of a diagonal matrix qualifies), so an exhausted scan
-    indicates a bug.
+    eigenvalues l1 != l2 lie in F_ell.  As (u - l1)(u - l2) = 0 (Cayley-
+    Hamilton), e = (u - l1)/(l2 - l1) is an idempotent other than 0 and 1,
+    so of rank 1, and the frame is built around it.  The quotient is always
+    split for ell != p (the lift of a diagonal matrix qualifies), so an
+    exhausted scan indicates a bug.
     """
     p = O.algebra.p
     if ell == p or not numth.is_prime(ell):
         raise PreconditionError("ell must be a prime different from p")
     if not O.is_maximal:
         raise PreconditionError("matrix splitting needs a maximal order")
-    table = _mult_table_mod(O, ell)
     one = _one_coords(O, ell)
-    units = [tuple(int(s == a) for s in range(4)) for a in range(4)]
+    lat = O.lattice
     for u in itertools.islice(itertools.product(range(ell), repeat=4), 1, None):
         # trd and nrd of the lift r/den, both integers
-        r = _combine(u, O.lattice.mat)
-        den = O.lattice.den
-        t, t_rem = divmod(2 * r[0], den)
-        n, n_rem = divmod(O.algebra.nrd_coords(r), den * den)
+        r = _combine(u, lat.mat)
+        t, t_rem = divmod(2 * r[0], lat.den)
+        n, n_rem = divmod(O.algebra.nrd_coords(r), lat.den * lat.den)
         assert t_rem == 0 and n_rem == 0
-        tt, nn = t % ell, n % ell
-        roots = [r for r in range(ell) if (r * r - tt * r + nn) % ell == 0]
-        if len(roots) != 2:
-            continue
-        l1, l2 = roots
-        inv = pow((l2 - l1) % ell, -1, ell)
-        e = tuple((inv * (x - l1 * o)) % ell for x, o in zip(u, one))
-        if _quot_mul(table, ell, e, e) != e:
-            continue
-        if not any(e) or e == one:
-            continue
-        # left module (O/ell)e; must be 2-dimensional for a rank-1 idempotent
-        basis = _rref_mod([_quot_mul(table, ell, b, e) for b in units], ell)
-        if len(basis) != 2:
-            continue
-        images = []
-        for b in units:
-            cols = []
-            for m in basis:
-                sol = _span_coords_mod(basis, _quot_mul(table, ell, b, m), ell)
-                if sol is None:
-                    raise AssertionError("vector not in module span")
-                cols.append(sol)
-            # action matrix: b*m_s = A[0][s] m1 + A[1][s] m2
-            images.append((cols[0][0], cols[1][0], cols[0][1], cols[1][1]))
-        lift_m = _inverse_mod(images, ell)
-        if lift_m is None:
-            continue
-        split = MatrixSplit(order=O, ell=ell, images=tuple(images), lift_matrix=tuple(lift_m))
-        _validate_split(split, table, one)
-        return split
+        roots = [x for x in range(ell) if (x * x - t * x + n) % ell == 0]
+        if len(roots) == 2:
+            l1, l2 = roots
+            inv = pow(l2 - l1, -1, ell)
+            e = tuple(inv * (x - l1 * o) % ell for x, o in zip(u, one))
+            return _frame_around(O, ell, 1, e)
     raise AssertionError(f"O/{ell}O has no rank-1 idempotent, yet it is split for {ell} != p")
-
-
-def _validate_split(split: MatrixSplit, table, one) -> None:
-    ell = split.ell
-    idm = split.image_of_coords(one)
-    assert idm == (1 % ell, 0, 0, 1 % ell), "identity must map to the identity matrix"
-
-    def mat_mul(a, b):
-        return (
-            (a[0] * b[0] + a[1] * b[2]) % ell,
-            (a[0] * b[1] + a[1] * b[3]) % ell,
-            (a[2] * b[0] + a[3] * b[2]) % ell,
-            (a[2] * b[1] + a[3] * b[3]) % ell,
-        )
-    for a in range(4):
-        for b in range(4):
-            ea = tuple(int(s == a) for s in range(4))
-            eb = tuple(int(s == b) for s in range(4))
-            lhs = split.image_of_coords(_quot_mul(table, ell, ea, eb))
-            rhs = mat_mul(split.image_of_coords(ea), split.image_of_coords(eb))
-            assert lhs == rhs, "splitting is not multiplicative"
 
 
 def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QIdeal]:
     """All ell+1 integral left O-ideals of reduced norm ell, via the matrix
     splitting; sorted by canonical lattice key, so which splitting the
     search finds does not show."""
-    split = matrix_split(O, ell)
+    (e11, e12), (_, e22) = matrix_split(O, ell).unit_rows
     out = []
     lat = O.lattice
     mul = O.algebra.mul_coords
-    # one rank-1 idempotent m = [[a, b], [c, d]] per line of F_ell^2 (its kernel)
-    for m in [(0, 0, 0, 1)] + [(1, x, 0, 0) for x in range(ell)]:
+    # one rank-1 idempotent alpha per line of F_ell^2 (its kernel)
+    for alpha in [e22] + [[a + x * b for a, b in zip(e11, e12)] for x in range(ell)]:
         # ell O + O alpha on integer rows over den^2
-        alpha = split.lift_row(m)
         gens = [[ell * lat.den * x for x in b] for b in lat.mat]
         gens += [mul(b, alpha) for b in lat.mat]
         I = QIdeal(QLattice.from_int_rows(O.algebra, gens, lat.den * lat.den))
@@ -539,7 +450,11 @@ class EllAdicFrame:
 
     def check(self) -> None:
         """Assert E11 + E22 = 1 and the 16 relations E_ab E_cd = [b = c] E_ad
-        mod ell^n."""
+        mod ell^n: the one certificate of a split, at every precision.  E11 is
+        nonzero mod ell, else E12 = E11 E12, E21 = E21 E11, E22 = E21 E12 and
+        1 would vanish too; so the units are independent mod ell (E_1a (sum
+        c_ab E_ab) E_b1 = c_ab E11), a basis of O/ell^n O (Nakayama), and
+        E_ab -> e_ab is a ring isomorphism onto M2(Z/ell^n)."""
         E, q = self.units, self.modulus
         one = tuple((x + y) % q for x, y in zip(E[0][0], E[1][1]))
         assert one == _one_coords(self.order, q), "E11 + E22 must be 1 mod ell^n"
@@ -608,29 +523,37 @@ def _mul2(A, B) -> tuple:
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def ell_adic_frame(O: QOrder, ell: int, n: int) -> EllAdicFrame:
-    """matrix_split(O, ell) lifted to matrix units mod ell^n, checked once.
-
-    The lift e of E11 is refined by e <- 3e^2 - 2e^3 until e^2 = e mod
-    ell^n: the new e^2 - e is (e^2 - e)^2 (4(e^2 - e) - 3), so its ell-adic
-    order doubles each round.  E22 = 1 - e, E12 = e x E22 and
-    E21 = E22 y e / c for lifts x, y of E12, E21 mod ell, where
-    E12 E22 y e = c e: e O e is spanned by e over Z/ell^n, and c = 1 mod ell."""
-    split = matrix_split(O, ell)
+def _frame_around(O: QOrder, ell: int, n: int, e) -> EllAdicFrame:
+    """The checked matrix units mod ell^n around a rank-1 idempotent e of
+    O/ell O.  e is lifted by e <- 3e^2 - 2e^3 until e^2 = e mod ell^n: the
+    new e^2 - e is (e^2 - e)^2 (4(e^2 - e) - 3), so its ell-adic order
+    doubles each round.  Then E11 = e, E22 = 1 - e, E12 = e x E22 and
+    E21 = E22 y e / c, with x, y the first basis elements making each
+    product nonzero mod ell.  E12 E22 y e lies in e O e, which is spanned
+    by e over Z/ell^n, so it is c e, and c is a unit: e O E22 and E22 O e
+    are lines mod ell."""
     q = ell**n
     mul = functools.partial(_quot_mul, O.structure_constants, q)
-    e = split.lift_coords((1, 0, 0, 0))
     while (e2 := mul(e, e)) != e:
         e = tuple((3 * a - 2 * b) % q for a, b in zip(e2, mul(e2, e)))
     f = tuple((a - b) % q for a, b in zip(_one_coords(O, q), e))
-    e12 = mul(mul(e, split.lift_coords((0, 1, 0, 0))), f)
-    e21 = mul(mul(f, split.lift_coords((0, 0, 1, 0))), e)
+
+    def first_nonzero(left, right):
+        prods = (mul(mul(left, [int(s == t) for s in range(4)]), right) for t in range(4))
+        return next(z for z in prods if any(c % ell for c in z))
+    e12, e21 = first_nonzero(e, f), first_nonzero(f, e)
     t = next(t for t in range(4) if e[t] % ell)
     c_inv = pow(mul(e12, e21)[t] * pow(e[t], -1, q), -1, q)
     e21 = tuple(c_inv * x % q for x in e21)
     frame = EllAdicFrame(order=O, ell=ell, n=n, units=((e, e12), (e21, f)))
     frame.check()
     return frame
+
+
+def ell_adic_frame(O: QOrder, ell: int, n: int) -> EllAdicFrame:
+    """matrix_split(O, ell) lifted to matrix units mod ell^n: the units
+    around its E11, built as its own are, so they reduce to its units."""
+    return _frame_around(O, ell, n, matrix_split(O, ell).units[0][0])
 
 
 def tree_point_matrix(point, ell: int) -> tuple:

@@ -156,7 +156,6 @@ class QuadOrderDesc:
     d: int
     d_K: int
     f: int
-    gen_case: str  # which shape the standard monic generator takes
 
 
 def fundamental_discriminant(d: int) -> int:
@@ -166,7 +165,7 @@ def fundamental_discriminant(d: int) -> int:
 
 
 def quad_order_info(d: int) -> QuadOrderDesc:
-    """Split a discriminant as d = f^2 * d_K and name the generator shape."""
+    """Split a discriminant as d = f^2 * d_K."""
     if d >= 0 or d % 4 not in (0, 1):
         raise PreconditionError(f"{d} is not a negative quadratic discriminant")
     d_K = fundamental_discriminant(d)
@@ -174,13 +173,7 @@ def quad_order_info(d: int) -> QuadOrderDesc:
     assert rem == 0
     f = math.isqrt(f2)
     assert f * f == f2
-    if d_K % 4 == 0:
-        case = "d_K = 0 mod 4"
-    elif f % 2:
-        case = "d_K = 1 mod 4, f odd"
-    else:
-        case = "d_K = 1 mod 4, f even"
-    return QuadOrderDesc(d=d, d_K=d_K, f=f, gen_case=case)
+    return QuadOrderDesc(d=d, d_K=d_K, f=f)
 
 
 def pizer_params(p: int, bound: int | None = None) -> int:

@@ -8,13 +8,14 @@ the conductors (f_i, f_j) of its intersections with the two subfields.
 
 A walk of depth d from O reads the whole ball off one l-adic frame of O
 (ideals.ell_adic_frame): matrix units E_ab of O/l^n O = M2(Z/l^n) with
-n = 2d + max v_l(f_0), f_0 O's conductors.  The vertices at distance k are
-the End(Z_l w + l^k Z_l^2) for the points w of P^1(Z/l^k), each built from
-the frame as one 8-row HNF, with w mod l^(k-1) its parent.  Their
-conductors are f_0 l^j, with l^j the least power putting
-l^j P^-1 (f_0 omega) P in End(Z_l + l^k Z_l) (P = tree_point_matrix(w));
-only the start's come from the integer kernels of optimal_suborder, and
-classify_edge's membership test checks every edge's conductor ratio.
+n = 2d, as the orders and conductors at distance k need n >= 2k.  The
+vertices at distance k are the End(Z_l w + l^k Z_l^2) for the points w of
+P^1(Z/l^k), each built from the frame as one 8-row HNF, with w mod l^(k-1)
+its parent.  Their conductors are f_0 l^j, with l^j the least power
+putting l^j P^-1 (f_0 omega) P in End(Z_l + l^k Z_l) (P =
+tree_point_matrix(w)); only the start's come from the integer kernels of
+optimal_suborder, and classify_edge's membership test checks every edge's
+conductor ratio.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .quat import QuatAlgebra
 ASC, HOR, DESC = "A", "H", "D"
 # A depth-d walk is the tree of tree_size(ell, d) = 1 + (ell+1)(ell^d - 1)/(ell - 1)
 # vertices: at d = 6, 190, 1457, 23437 and 156865 for ell = 2, 3, 5, 7.
-# Its frame works mod ell^(2d + v_ell(f_0)), so mod ell^(12 + v_ell(f_0)) at d = 6.
+# Its frame works mod ell^(2d), so mod ell^12 at d = 6.
 DEPTH_CAP = 6
 # Checked against tree_size before a walk: of the pairs DEPTH_CAP and
 # ell <= 7 admit, only (ell, depth) = (7, 6) exceeds it.
@@ -197,7 +198,7 @@ def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
     root = register(start, None)
     if depth:
         f0 = (root.f_i, root.f_j)
-        n = 2 * depth + max(numth._two_adic_split(f, ell)[0] for f in f0)
+        n = 2 * depth
         frame = idl.ell_adic_frame(start, ell, n)
         # the images of theta = f_0 omega, which lies in start, per subfield
         thetas = [frame.matrix_of(start.lattice.int_coords([f * c for c in row], rden))

@@ -1,0 +1,31 @@
+"""The CLI's output over the fixed grid of scripts/cli_digest.py, pinned by
+its combined sha256.  Slow (the grid runs every subcommand at every prime
+p <= 500), so deselected by default; run with `pytest -m slow`.
+
+A change that alters the output on purpose updates COMBINED and says which
+lines of the digest changed.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+COMBINED = "18aae8dd163121cd3be7b28ef52233866351895498373a9580241241aa8e75d0"
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
+
+
+@pytest.mark.slow
+def test_combined_digest_is_pinned():
+    spec = importlib.util.spec_from_file_location("cli_digest", SCRIPT)
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_digest.main() == 0
+    *runs, last = out.getvalue().splitlines()
+    assert len(runs) == len(cli_digest.grid())
+    assert last == f"combined {COMBINED}"

@@ -45,11 +45,19 @@ def is_two_sided(I: QIdeal) -> bool:
     return I.left_order == I.right_order
 
 
-def image_of(split: idl.MatrixSplit, elt: QuatElement) -> tuple:
-    """The 2x2 matrix of an element of the split order."""
+def image_of(split: idl.EllAdicFrame, elt: QuatElement) -> tuple:
+    """The 2x2 matrix (a, b, c, d) of an element of the split order."""
     coords = split.order.lattice.int_coords(*split_den(elt.coords))
     assert coords is not None
-    return split.image_of_coords(coords)
+    (a, b), (c, d) = split.matrix_of(coords)
+    return (a, b, c, d)
+
+
+def lift_row(split: idl.EllAdicFrame, m) -> tuple:
+    """The integer row sum m_ab E_ab of the frame's unit rows: over the
+    order's denominator, an element with the 2x2 matrix m = (a, b, c, d)."""
+    rows = [r for pair in split.unit_rows for r in pair]
+    return tuple(sum(x * r[t] for x, r in zip(m, rows)) for t in range(4))
 
 
 def is_primitive_at(I: QIdeal, ell: int) -> bool:
@@ -461,21 +469,40 @@ class TestEllAdicFrame:
         for a, b, c, d in itertools.product(range(2), repeat=4):
             err = E[a][b] * E[c][d] - (E[a][d] if b == c else O.algebra.element())
             assert O.contains(err / q), (a, b, c, d)
-        # mod ell the units are the split's matrix units
+        # mod ell the units are the split's, and those are its matrix units
         split = idl.matrix_split(O, ell)
         for a, b in itertools.product(range(2), repeat=2):
-            unit = tuple(int((r, c) == (a, b)) for r in range(2) for c in range(2))
-            assert split.image_of_coords(frame.units[a][b]) == unit
+            assert tuple(x % ell for x in frame.units[a][b]) == split.units[a][b]
+            unit = tuple(tuple(int((r, c) == (a, b)) for c in range(2)) for r in range(2))
+            assert split.matrix_of(frame.units[a][b]) == unit
+
+    @staticmethod
+    def assert_corrupted_unit_trips_the_check(frame):
+        (e11, e12), (e21, e22) = frame.units
+        q, ell = frame.modulus, frame.ell
+        bad = tuple((x + ell ** (frame.n - 1) * y) % q for x, y in zip(e12, e21))
+        broken = dataclasses.replace(frame, units=((e11, bad), (e21, e22)))
+        with pytest.raises(AssertionError, match="matrix-unit relation"):
+            broken.check()
 
     @pytest.mark.parametrize("p,ell", [(7, 2), (101, 5), (499, 3)])
     def test_corrupted_unit_trips_the_check(self, p, ell):
         frame = idl.ell_adic_frame(idl.global_root_orders(p)[0], ell, self.N)
-        (e11, e12), (e21, e22) = frame.units
-        q = frame.modulus
-        bad = tuple((x + ell ** (self.N - 1) * y) % q for x, y in zip(e12, e21))
-        broken = dataclasses.replace(frame, units=((e11, bad), (e21, e22)))
-        with pytest.raises(AssertionError, match="matrix-unit relation"):
-            broken.check()
+        self.assert_corrupted_unit_trips_the_check(frame)
+
+    @pytest.mark.parametrize("p,ell", [(7, 2), (101, 5), (499, 3)])
+    def test_corrupted_split_trips_the_check(self, p, ell):
+        """The same at n = 1: matrix_split's units, E12 replaced by E12 + E21."""
+        split = idl.matrix_split(idl.global_root_orders(p)[0], ell)
+        assert split.n == 1
+        self.assert_corrupted_unit_trips_the_check(split)
+
+    def test_every_frame_is_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(idl.EllAdicFrame, "check", lambda frame: checked.append(frame.n))
+        idl.matrix_split(ROOT7, 3)
+        idl.ell_adic_frame(ROOT7, 3, 5)
+        assert checked == [1, 1, 5]
 
     @pytest.mark.parametrize("p,ell", [(7, 3), (101, 2), (499, 7)])
     def test_matrix_of_is_multiplicative(self, p, ell):
@@ -517,8 +544,9 @@ def brute_pair_coords(m1, m2, vec, ell):
 
 
 class TestPairCoords:
-    """_span_coords_mod on a 2-dimensional echelon basis, as matrix_split
-    uses it, against a search over all ell^2 coordinate pairs."""
+    """_span_coords_mod on a 2-dimensional echelon basis, as the subspace
+    oracle and bass use it, against a search over all ell^2 coordinate
+    pairs."""
 
     @settings(max_examples=200, deadline=None)
     @given(ell=st.sampled_from([2, 3, 5, 7, 11]),
@@ -561,23 +589,6 @@ def fp_kernel_oracle(rows, p):
                 ext[r] = [(x - f * y) % p for x, y in zip(ext[r], ext[piv])]
         pivots.append(piv)
     return [row[n:] for r, row in enumerate(ext) if r not in pivots and not any(row[:n])]
-
-
-def mat_inverse_oracle(rows, ell):
-    n = len(rows)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % ell), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, ell)
-        a[col] = [x * inv % ell for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % ell for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def rref_oracle(rows, ell):
@@ -652,8 +663,8 @@ def matrices_mod(draw, width=None, square=False):
 
 
 class TestModEllEchelon:
-    """_rref_mod, _kernel_mod, _inverse_mod and _span_coords_mod against the
-    five reducers they replaced."""
+    """_rref_mod, _kernel_mod and _span_coords_mod against the reducers they
+    replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(m=matrices_mod())
@@ -673,16 +684,6 @@ class TestModEllEchelon:
             assert all(sum(v[i] * rows[i][c] for i in range(n)) % ell == 0 for c in range(n))
         assert idl._rref_mod(got, ell) == idl._rref_mod(fp_kernel_oracle(rows, ell), ell)
         assert len(got) == n - len(idl._rref_mod(rows, ell))
-
-    @settings(max_examples=200, deadline=None)
-    @given(m=matrices_mod(square=True))
-    def test_inverse(self, m):
-        ell, rows = m
-        got = idl._inverse_mod(rows, ell)
-        want = mat_inverse_oracle(rows, ell)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert [list(r) for r in got] == [list(r) for r in want]
 
     @settings(max_examples=300, deadline=None)
     @given(m=matrices_mod(width=4), vec=st.lists(st.integers(0, 12), min_size=4, max_size=4),
@@ -741,7 +742,7 @@ class TestMatrixSplit:
     def test_lift_section(self):
         split = idl.matrix_split(ROOT7, 3)
         for m in ((0, 0, 0, 1), (1, 2, 0, 0), (2, 1, 1, 1)):
-            lift = tuple(Fraction(x, ROOT7.lattice.den) for x in split.lift_row(m))
+            lift = tuple(Fraction(x, ROOT7.lattice.den) for x in lift_row(split, m))
             assert image_of(split, QuatElement(A7, lift)) == m
 
 

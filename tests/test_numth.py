@@ -107,9 +107,8 @@ class TestQuadOrders:
     def test_examples(self):
         info = numth.quad_order_info(-28)
         assert (info.d_K, info.f) == (-7, 2)
-        assert info.gen_case == "d_K = 1 mod 4, f even"
         assert numth.quad_order_info(-4).f == 1
-        assert numth.quad_order_info(-36) == numth.QuadOrderDesc(-36, -4, 3, "d_K = 0 mod 4")
+        assert numth.quad_order_info(-36) == numth.QuadOrderDesc(-36, -4, 3)
 
     def test_rejects_non_discriminants(self):
         for bad in (-2, -5, 5, 0):

@@ -229,7 +229,8 @@ class TestParentEdgeReuse:
 def divisible_start(p: int, ell: int) -> QOrder:
     """The vertex of the depth-2 walk from the first global root with the
     most factors ell in f_i f_j (least key among ties): a start whose
-    frame needs the extra precision v_ell(f_0)."""
+    conductors f_0 are divisible by ell, which the frame's precision
+    2 depth does not count."""
     g = walk(p, ell, 2)
 
     def weight(key):
@@ -242,8 +243,8 @@ def divisible_start(p: int, ell: int) -> QOrder:
 
 
 class TestDivisibleStart:
-    """Walks from an order with ell | f_i or ell | f_j, whose conductors
-    raise the precision the frame needs, against the oracle."""
+    """Walks from an order with ell | f_i or ell | f_j against the oracle:
+    the frame mod ell^(2 depth) reads their conductors exactly."""
 
     @pytest.mark.parametrize("p,ell", [(7, 2), (13, 3), (101, 2), (499, 7)])
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -251,6 +252,27 @@ class TestDivisibleStart:
         start = divisible_start(p, ell)
         want = reference_walk(start, ell, depth).to_json()
         assert orient.walk_component(start, ell, depth=depth).to_json() == want
+
+
+class TestFramePrecision:
+    """A depth-d walk lifts its frame to exactly ell^(2d), from a global
+    root and from a start with ell | f_i f_j alike."""
+
+    @pytest.mark.parametrize("p,ell", [(13, 3), (101, 2)])
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("divisible", [False, True])
+    def test_frame_precision_is_twice_the_depth(self, p, ell, depth, divisible, monkeypatch):
+        start = divisible_start(p, ell) if divisible else idl.global_root_orders(p)[0]
+        precisions = []
+        ell_adic_frame = idl.ell_adic_frame
+
+        def recorded(O, ell, n):
+            precisions.append(n)
+            return ell_adic_frame(O, ell, n)
+
+        monkeypatch.setattr(idl, "ell_adic_frame", recorded)
+        orient.walk_component(start, ell, depth)
+        assert precisions == [2 * depth]
 
 
 class TestRoots:
