@@ -8,11 +8,13 @@ Usage (from the repository root)::
 The grid:
 
 * ``oriented --json`` for every prime 5 <= p <= 500 and l in {2, 3, 5, 7},
-  l != p, at depth 5/3/2/2, each also writing ``--json-file`` and ``--dot``
-  into a temporary directory;
+  l != p, at depth 5/3/2/2, and plain ``oriented`` (its one-line summary)
+  for p in {11, 101, 499} at the same depths, each also writing
+  ``--json-file`` and ``--dot`` into a temporary directory;
 * ``embed --json`` and ``algebra`` for every prime 7 <= p <= 500;
 * ``brandt --json``, ``isocheck --json`` and ``ssgraph --json`` for every
-  prime 5 <= p <= 113 and l in {2, 3}.
+  prime 5 <= p <= 113 and l in {2, 3}, and ``brandt --json`` and
+  ``isocheck --json`` for the same primes and l in {5, 7}, l != p.
 
 That is every subcommand of the CLI.
 
@@ -40,12 +42,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qisog import cli, numth  # noqa: E402
 
 WALK_DEPTH = {2: 5, 3: 3, 5: 2, 7: 2}
+PLAIN_WALK_P = (11, 101, 499)  # oriented without --json: the summary line
 
 
 def grid() -> list[list[str]]:
     primes = [p for p in range(5, 501) if numth.is_prime(p)]
     runs = [["oriented", "--p", str(p), "--ell", str(ell), "--depth", str(d), "--json"]
             for p in primes for ell, d in WALK_DEPTH.items() if ell != p]
+    runs += [["oriented", "--p", str(p), "--ell", str(ell), "--depth", str(d)]
+             for p in PLAIN_WALK_P for ell, d in WALK_DEPTH.items()]
     for p in primes:
         if p >= 7:
             runs.append(["embed", "--p", str(p), "--json"])
@@ -56,6 +61,10 @@ def grid() -> list[list[str]]:
                 runs.append(["brandt", "--p", str(p), "--ell", str(ell), "--json"])
                 runs.append(["isocheck", "--p", str(p), "--ell", str(ell), "--json"])
                 runs.append(["ssgraph", "--p", str(p), "--ell", str(ell), "--json"])
+            for ell in (5, 7):
+                if ell != p:
+                    runs.append(["brandt", "--p", str(p), "--ell", str(ell), "--json"])
+                    runs.append(["isocheck", "--p", str(p), "--ell", str(ell), "--json"])
     return runs
 
 

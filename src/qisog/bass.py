@@ -87,7 +87,7 @@ def _radical_bruteforce(table, ell):
         if all(is_nilpotent(idl._quot_mul(table, ell, x, tuple(int(t == a) for t in range(4))))
                for a in range(4)):
             rad.append(x)
-    return idl._rref_mod(rad, ell)
+    return numth.rref_mod(rad, ell)
 
 
 def _radical_trace_kernel(O: QOrder, table, ell):
@@ -98,11 +98,11 @@ def _radical_trace_kernel(O: QOrder, table, ell):
     power is checked to vanish it is a nilpotent ideal, hence inside rad."""
     bas = O.basis_elements()
     gram = [[int((a * b).trd()) % ell for b in bas] for a in bas]
-    basis = idl._rref_mod(idl._kernel_mod(gram, ell), ell)
+    basis = numth.rref_mod(numth.kernel_mod(gram, ell), ell)
     span = list(basis)
     for _ in range(3):  # span <- span * basis, three times: rad^4 must vanish
         span = [idl._quot_mul(table, ell, x, y) for x in span for y in basis]
-        span = idl._rref_mod(span, ell)
+        span = numth.rref_mod(span, ell)
     assert not span, "trace kernel is not nilpotent; not the radical"
     return basis
 
@@ -133,7 +133,7 @@ def eichler_symbol_radical(O: QOrder, ell: int) -> EichlerSymbol:
         for coords in product(range(2), repeat=4):
             x = tuple(coords)
             if (idl._quot_mul(table, 2, x, x) == x and any(x) and x != one
-                    and idl._span_coords_mod(basis, x, 2) is None):
+                    and numth.span_coords_mod(basis, x, 2) is None):
                 return EichlerSymbol(1)
         return EichlerSymbol(-1)
     # an order element with non-scalar image generates the 2-dimensional

@@ -1,8 +1,10 @@
 """Quaternion-side graphs: left ideal class enumeration, Brandt matrices,
 the type-set quotient graph, and exact directed-multigraph isomorphism.
 
-Class representatives are kept reduced (small norm, primitive) so that the
-short-vector searches inside equivalence testing stay cheap.
+A class lookup runs one short-vector search on the neighbour ideal, up to
+K nrd(J): its theta prefix picks the bucket, its minimal vectors carry the
+equivalence tests, and its least element reduces it when it founds a new
+class.  Class representatives are kept reduced (small norm, primitive).
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ class ClassSet:
     the Brandt matrix.
 
     class_of is the one class lookup.  Classes are bucketed by the theta
-    prefix for k up to K = max(4, isqrt(p)), and an ideal is tested only
-    against the representatives in its bucket.  Once sum 1/a_j reaches the
-    mass (p-1)/12 the list is complete, so when all other candidates in its
-    bucket fail, the last one is its class without a test."""
+    prefix for k up to K = theta_length(p), and an ideal is tested, by
+    minimal vectors, only against the representatives in its bucket.  Once
+    sum 1/a_j reaches the mass (p-1)/12 the list is complete, so when all
+    other candidates in its bucket fail, the last one is its class without
+    a test."""
 
     order0: QOrder
     ell: int
@@ -49,10 +52,14 @@ class ClassSet:
         return self._found == Fraction(self.order0.algebra.p - 1, 12)
 
     def class_of(self, J: QIdeal) -> int:
-        """Index of the representative equivalent to J, a left O0-ideal.
-        While the list is incomplete, a J equivalent to none of them becomes
-        the next representative."""
-        key = theta_prefix(J, max(4, math.isqrt(self.order0.algebra.p)))
+        """Index of the representative equivalent to J, a left O0-ideal,
+        reduced or not.  While the list is incomplete, a J equivalent to none
+        of them becomes the next representative, reduced.
+
+        J gets one short-vector search, theta_prefix's up to K nrd(J); by
+        Hermite's bound (see theta_length) it holds J's minimal vectors, on
+        which is_equivalent and reduce_ideal then run without another."""
+        key = theta_prefix(J, theta_length(self.order0.algebra.p))
         bucket = self._buckets.get(key, [])
         complete = self.complete
         tested = bucket[:-1] if complete else bucket
@@ -64,8 +71,9 @@ class ClassSet:
             assert bucket, f"class list is complete, yet no class has the invariant {key}"
             return bucket[-1]
         self._buckets.setdefault(key, []).append(self.class_number)
-        reps.append(J)
-        self.unit_sizes.append(len(J.right_order.lattice.min_norm_elements(1)))
+        R = idl.reduce_ideal(J, self.order0)
+        reps.append(R)
+        self.unit_sizes.append(len(R.right_order.lattice.min_norm_elements(1)))
         self._found += Fraction(1, self.unit_sizes[-1])
         return self.class_number - 1
 
@@ -76,24 +84,41 @@ def ell_neighbors(I: QIdeal, ell: int) -> list[QIdeal]:
     return [I * s for s in steps]
 
 
+def theta_length(p: int) -> int:
+    """K = max(4, isqrt(p)), the length of the theta prefix.
+
+    For J an ideal of a maximal order, the norm form on J has determinant
+    nrd(J)^4 p^2 / 16, so by Hermite's bound (gamma_4 = sqrt(2)) J has an
+    element with nrd(x) / nrd(J) <= sqrt(2) (p^2 / 16)^(1/4) = sqrt(p/2);
+    that ratio is an integer, hence at most isqrt(p // 2) <= K.  So a search
+    up to K nrd(J) holds J's minimal vectors."""
+    return max(4, math.isqrt(p))
+
+
 def theta_prefix(J: QIdeal, K: int) -> tuple[int, ...]:
     """#{x in J : nrd(x) = k nrd(J)} for k = 1..K, one of each +-pair.
 
     x -> x alpha maps J onto J alpha and keeps nrd(x) / nrd(J), so this is
-    an invariant of the left ideal class."""
+    an invariant of the left ideal class.  Counted on integer norms: a row
+    v of J's search has nrd(v/den) / nrd(J) = nrd(v) / (den^2 nrd(J)).
+    Needs K >= theta_length(p), so that the search is non-empty (Hermite's
+    bound) and fills J's minimal vectors."""
     n = J.nrd()
+    vecs = J.lattice.short_vectors(K * n)
+    assert vecs, "Hermite's bound puts a vector within theta_length(p) nrd(J)"
+    n_int = int(n * J.lattice.den**2)
     counts = [0] * K
-    for e in J.lattice.min_norm_elements(K * n):
-        k = e.nrd() / n
-        assert k.denominator == 1, "nrd(J) divides the norm of every element"
-        counts[int(k) - 1] += 1
+    for norm, _ in vecs:
+        k, rem = divmod(norm, n_int)
+        assert rem == 0, "nrd(J) divides the norm of every element"
+        counts[k - 1] += 1
     return tuple(counts)
 
 
 def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     """BFS over ell-neighbors from O0, collecting left ideal classes and the
-    Brandt matrix in one pass: ClassSet.class_of matches each reduced
-    neighbor of I_i to the equivalent representative, or makes it a new
+    Brandt matrix in one pass: ClassSet.class_of matches each neighbor of
+    I_i to the equivalent representative, or makes its reduction a new
     one.  Representatives are pairwise inequivalent, so that match is its
     class for good.
 
@@ -106,10 +131,9 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
         raise PreconditionError("ell must differ from p")
     depth_cap = 2 * (p // 6 + 8)
     cs = ClassSet(order0=O0, ell=ell)
-    start = QIdeal(O0.lattice)
-    cs.class_of(start)
+    cs.class_of(QIdeal(O0.lattice))
     rows: list[list[int]] = []  # rows[i]: class index of each neighbor of I_i
-    frontier = [start]
+    frontier = list(cs.representatives)
     depth = 0
     while frontier:
         depth += 1
@@ -120,7 +144,7 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
             row = []
             for J in ell_neighbors(I, ell):
                 h = cs.class_number
-                row.append(cs.class_of(idl.reduce_ideal(J, O0)))
+                row.append(cs.class_of(J))
                 new += cs.representatives[h:]
             rows.append(row)
         frontier = new
@@ -173,7 +197,7 @@ def type_involution(cs: ClassSet) -> list[int]:
     buckets."""
     O0 = cs.order0
     P = idl.two_sided_p_ideal(O0)
-    sigma = [cs.class_of(idl.reduce_ideal(P * I, O0)) for I in cs.representatives]
+    sigma = [cs.class_of(P * I) for I in cs.representatives]
     assert all(sigma[s] == j for j, s in enumerate(sigma)), "sigma is not an involution"
     assert all(cs.unit_sizes[s] == a for s, a in zip(sigma, cs.unit_sizes)), \
         "sigma does not keep the unit size"

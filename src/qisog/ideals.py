@@ -287,7 +287,7 @@ def two_sided_p_ideal(O: QOrder) -> QIdeal:
     bas = O.basis_elements()
     gram = [[int((a * b).trd()) % p for b in bas] for a in bas]
     rows = [[p * x for x in row] for row in O.lattice.mat]
-    rows += [_combine(v, O.lattice.mat) for v in _kernel_mod(gram, p)]
+    rows += [_combine(v, O.lattice.mat) for v in numth.kernel_mod(gram, p)]
     P = QIdeal(QLattice.from_int_rows(O.algebra, rows, O.lattice.den))
     assert P.nrd() == p and P.left_order == O and P.right_order == O
     return P
@@ -324,48 +324,6 @@ def _one_coords(O: QOrder, q: int):
 def _combine(u, mat) -> tuple[int, ...]:
     """The integer row sum_t u_t mat_t."""
     return tuple(sum(u[t] * mat[t][c] for t in range(4)) for c in range(4))
-
-
-def _rref_mod(rows, ell) -> list[tuple[int, ...]]:
-    """Reduced row echelon form of the rows mod ell, zero rows dropped: rows
-    in order of pivot column, each pivot 1 and alone in its column."""
-    width = len(rows[0]) if rows else 0
-    work = [[x % ell for x in r] for r in rows]
-    out: list[list[int]] = []
-    for col in range(width):
-        piv = next((r for r in work if r[col]), None)
-        if piv is None:
-            continue
-        work.remove(piv)
-        inv = pow(piv[col], -1, ell)
-        piv = [x * inv % ell for x in piv]
-        # piv vanishes left of col, so only columns col.. change
-        for r in work + out:
-            f = r[col]
-            if f:
-                for t in range(col, width):
-                    r[t] = (r[t] - f * piv[t]) % ell
-        out.append(piv)
-    return [tuple(r) for r in out]
-
-
-def _kernel_mod(rows, ell) -> list[tuple[int, ...]]:
-    """Basis of {v : v M = 0 mod ell}: the rows of rref[M | I] that vanish
-    on M's columns, cut to their I part."""
-    width, n = len(rows[0]), len(rows)
-    ext = _rref_mod([list(r) + [int(i == t) for t in range(n)] for i, r in enumerate(rows)], ell)
-    return [r[width:] for r in ext if not any(r[:width])]
-
-
-def _span_coords_mod(rref, vec, ell) -> tuple[int, ...] | None:
-    """Coordinates of vec in an echelon basis from _rref_mod, which are its
-    entries at the pivot columns, or None when vec is not in the span."""
-    # the first nonzero entry of a row is its pivot, 1
-    coords = tuple(vec[r.index(1)] % ell for r in rref)
-    rest = list(vec)
-    for c, r in zip(coords, rref):
-        rest = [x - c * y for x, y in zip(rest, r)]
-    return None if any(x % ell for x in rest) else coords
 
 
 def matrix_split(O: QOrder, ell: int) -> EllAdicFrame:
@@ -584,7 +542,7 @@ def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QIdeal]:
     units = [tuple(int(s == a) for s in range(4)) for a in range(4)]
     out = []
     for basis in _two_dim_subspaces(ell):
-        if all(_span_coords_mod(basis, _quot_mul(table, ell, ea, v), ell) is not None
+        if all(numth.span_coords_mod(basis, _quot_mul(table, ell, ea, v), ell) is not None
                for ea in units for v in basis):
             bas = O.basis_elements()
             gens = [ell * b for b in bas]
@@ -623,30 +581,32 @@ def _two_dim_subspaces(ell: int):
 def is_equivalent(I: QIdeal, J: QIdeal):
     """Witness alpha with J = I*alpha, or None.
 
-    Needs O_L(J) = O_L(I) = O.  For maximal O that is O J contained in J
-    (then O lies in O_L(J), hence equals it), which costs 16 memberships
-    instead of J's left order.  Works through N = I^{-1} J: a witness
-    exists iff N contains an element of norm exactly nrd(N)."""
+    Needs O_L(J) = O_L(I) = O; for maximal O that is O J in J (16
+    memberships).  x -> x alpha maps I onto I alpha, scaling norms by
+    nrd(alpha) and covolumes by nrd(alpha)^2, so minimal vectors onto
+    minimal vectors: J = I alpha iff nrd(alpha) = min(J)/min(I) squares to
+    covol(J)/covol(I) and alpha = conj(x) y / nrd(x) maps I into J, for y
+    J's least minimal vector and some minimal x of I, one of each +-pair."""
     O = I.left_order
     same = J.lattice.is_left_module_over(O.lattice) if O.is_maximal else O == J.left_order
     if not same:
         raise PreconditionError("equivalence needs matching left orders")
-    N = QIdeal(inverse(I).lattice * J.lattice)
-    target = N.nrd()
-    for elt in N.lattice.min_norm_elements(target):
-        if elt.nrd() == target:
-            if (I * elt).lattice == J.lattice:
-                return elt
+    lat, jlat, mul = I.lattice, J.lattice, I.algebra.mul_coords
+    (m, _), (mj, y) = lat.minimal_vectors[0], jlat.minimal_vectors[0]
+    if Frac(mj * lat.den**2, m * jlat.den**2) ** 2 != jlat.covolume() / lat.covolume():
+        return None
+    for _, x in lat.minimal_vectors:
+        a = mul((x[0], -x[1], -x[2], -x[3]), y)  # alpha = a den / (den_J m)
+        if all(jlat.int_coords(mul(r, a), jlat.den * m) is not None for r in lat.mat):
+            return QuatElement(I.algebra, a) * Frac(lat.den, jlat.den * m)
     return None
 
 
 def reduce_ideal(I: QIdeal, O: QOrder | None = None) -> QIdeal:
-    """Equivalent integral primitive ideal of small norm (same left class).
-    O is I's left order when the caller knows it; otherwise it is computed.
-
-    beta is the element of least (nrd, coordinates) in I; one search bounded
-    by the norm of the first LLL-reduced basis vector holds it."""
+    """I conj(beta) / nrd(I) made primitive over O (I's left order, computed
+    if not given), equivalent and of small norm: beta, the least element of I
+    by (nrd, coordinates), heads I's minimal_vectors, so it costs no search
+    once one has run on I."""
     lat = I.lattice
-    beta = lat.min_norm_elements(Frac(lat.lll[1][0][0], lat.den**2))[0]
-    J = I * (beta.conjugate() / I.nrd())
-    return primitive_part(J, O)
+    beta = QuatElement(I.algebra, lat.minimal_vectors[0][1]) * Frac(1, lat.den)
+    return primitive_part(I * (beta.conjugate() / I.nrd()), O)

@@ -433,8 +433,15 @@ class QLattice:
 
     def min_norm_elements(self, bound, cap: int = 10**6) -> list[QuatElement]:
         """All lattice elements with 0 < nrd <= bound, one of each +-pair,
-        sorted by (norm, coordinates).  Exact Fincke-Pohst on an LLL-reduced
-        integer coordinate Gram matrix.
+        sorted by (norm, coordinates): the rows of ``short_vectors`` over
+        den."""
+        return [QuatElement(self.algebra, tuple(Frac(x, self.den) for x in vec))
+                for _, vec in self.short_vectors(bound, cap)]
+
+    def short_vectors(self, bound, cap: int = 10**6) -> list[tuple[int, tuple[int, ...]]]:
+        """Pairs (den^2 nrd(v/den), v) over the integer rows v with v/den in
+        the lattice and 0 < nrd(v/den) <= bound, one of each +-pair, sorted.
+        Exact Fincke-Pohst on an LLL-reduced integer coordinate Gram matrix.
 
         With U the LLL transform, the search enumerates coordinates c in the
         reduced basis U mat, whose Gram matrix g = U gram_int U^T has the
@@ -442,7 +449,10 @@ class QLattice:
         c_k with w_k (c_k d_k + S_k)^2 <= rem, where rem = floor(bound *
         den^2 * P) minus the levels above, so the search runs on integers
         alone.  ``cap`` bounds the number of visited nodes (candidate
-        coordinates at any level)."""
+        coordinates at any level).
+
+        A non-empty answer holds every vector of least norm, so it also
+        fills ``minimal_vectors``."""
         bound = Frac(bound)
         if bound <= 0:
             raise PreconditionError("bound must be positive")
@@ -454,21 +464,23 @@ class QLattice:
         nodes = 0
         c = [0] * n
 
-        def descend(level: int, rem: int):
+        def descend(level: int, rem: int, above: list[int]):
+            # above = sum_{t > level} c_t basis_t, the row so far
             nonlocal nodes
             S = sum(lnum[level][t] * c[t] for t in range(level + 1, n))
             m = math.isqrt(rem // w[level])
             dk = d[level]
             lo = -((m + S) // dk)  # smallest v with v dk + S >= -m
             hi = (m - S) // dk  # largest v with v dk + S <= m
+            row = basis[level]
             for v in range(lo, hi + 1):
                 nodes += 1
                 if nodes > cap:
                     raise CapExceeded("short-vector enumeration cap exceeded")
                 c[level] = v
+                vec = [a + v * b for a, b in zip(above, row)]
                 if level == 0:
                     if any(c):
-                        vec = [sum(c[t] * basis[t][col] for t in range(n)) for col in range(4)]
                         for x in vec:
                             if x > 0:
                                 break
@@ -477,11 +489,21 @@ class QLattice:
                                 break
                         found.add(tuple(vec))
                 else:
-                    descend(level - 1, rem - w[level] * (v * dk + S) ** 2)
+                    descend(level - 1, rem - w[level] * (v * dk + S) ** 2, vec)
             c[level] = 0
 
-        descend(n - 1, math.floor(bound * self.den**2 * P))
+        descend(n - 1, math.floor(bound * self.den**2 * P), [0, 0, 0, 0])
         # (nrd, coords) of vec / den orders as (nrd of vec, vec) does
         nrd = self.algebra.nrd_coords
-        return [QuatElement(self.algebra, tuple(Frac(x, self.den) for x in vec))
-                for vec in sorted(found, key=lambda v: (nrd(v), v))]
+        out = sorted((nrd(v), v) for v in found)
+        if out:
+            self.__dict__.setdefault("minimal_vectors", [x for x in out if x[0] == out[0][0]])
+        return out
+
+    @cached_property
+    def minimal_vectors(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The pairs of ``short_vectors`` of least norm: read off the first
+        non-empty search, or else found by one search bounded by the norm of
+        the first LLL-reduced basis vector."""
+        self.short_vectors(Frac(self.lll[1][0][0], self.den**2))
+        return self.__dict__["minimal_vectors"]  # filled by that search

@@ -1,5 +1,7 @@
 """Number-theoretic primitives: Kronecker and Hilbert symbols, quadratic-order
-bookkeeping and the ramified-pair parameter search.
+bookkeeping, the ramified-pair parameter search, and linear algebra over
+F_ell (one reduced echelon form, from which kernels and span coordinates are
+read).
 
 Everything here is exact integer arithmetic; symbols at the even place use the
 Kronecker convention so that the split/inert/ramified trichotomy stays
@@ -197,3 +199,49 @@ def pizer_params(p: int, bound: int | None = None) -> int:
             return q
         q += 2
     raise PreconditionError(f"no admissible q below bound {bound} for p={p}")
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over F_ell
+
+
+def rref_mod(rows, ell) -> list[tuple[int, ...]]:
+    """Reduced row echelon form of the rows mod ell, zero rows dropped: rows
+    in order of pivot column, each pivot 1 and alone in its column."""
+    width = len(rows[0]) if rows else 0
+    work = [[x % ell for x in r] for r in rows]
+    out: list[list[int]] = []
+    for col in range(width):
+        piv = next((r for r in work if r[col]), None)
+        if piv is None:
+            continue
+        work.remove(piv)
+        inv = pow(piv[col], -1, ell)
+        piv = [x * inv % ell for x in piv]
+        # piv vanishes left of col, so only columns col.. change
+        for r in work + out:
+            f = r[col]
+            if f:
+                for t in range(col, width):
+                    r[t] = (r[t] - f * piv[t]) % ell
+        out.append(piv)
+    return [tuple(r) for r in out]
+
+
+def kernel_mod(rows, ell) -> list[tuple[int, ...]]:
+    """Basis of {v : v M = 0 mod ell}: the rows of rref[M | I] that vanish
+    on M's columns, cut to their I part."""
+    width, n = len(rows[0]), len(rows)
+    ext = rref_mod([list(r) + [int(i == t) for t in range(n)] for i, r in enumerate(rows)], ell)
+    return [r[width:] for r in ext if not any(r[:width])]
+
+
+def span_coords_mod(rref, vec, ell) -> tuple[int, ...] | None:
+    """Coordinates of vec in an echelon basis from rref_mod, which are its
+    entries at the pivot columns, or None when vec is not in the span."""
+    # the first nonzero entry of a row is its pivot, 1
+    coords = tuple(vec[r.index(1)] % ell for r in rref)
+    rest = list(vec)
+    for c, r in zip(coords, rref):
+        rest = [x - c * y for x, y in zip(rest, r)]
+    return None if any(x % ell for x in rest) else coords

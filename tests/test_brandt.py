@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from qisog import brandt, ecgraph, numth
 from qisog import ideals as idl
 from qisog.errors import PreconditionError
 from qisog.ideals import QIdeal, QOrder
+from qisog.lattice import QLattice
 from qisog.quat import QuatElement
 from qisog.multigraph import MultiGraph
+from test_ideals import equivalence_oracle
 
 
 def in_degree(g: MultiGraph, v) -> int:
@@ -24,7 +27,8 @@ def classes(p, ell):
 def first_match_classes(O0, ell):
     """The former class BFS, kept as the reference for the bucketed lookup:
     each reduced neighbor is tested against every representative in turn,
-    and the first equivalent one is its class.  Returns the representative
+    by the equivalence oracle over I^-1 J, and the first equivalent one is
+    its class.  Returns the representative
     keys, the Brandt rows and the unit sizes."""
     reps = [QIdeal(O0.lattice)]
     rows = []
@@ -35,7 +39,7 @@ def first_match_classes(O0, ell):
             row = []
             for J in brandt.ell_neighbors(I, ell):
                 J = idl.reduce_ideal(J)
-                j = next((n for n, R in enumerate(reps) if idl.is_equivalent(R, J) is not None), None)
+                j = next((n for n, R in enumerate(reps) if equivalence_oracle(R, J) is not None), None)
                 if j is None:
                     j = len(reps)
                     reps.append(J)
@@ -153,6 +157,70 @@ class TestThetaPrefix:
         alpha = QuatElement(J.algebra, tuple(Fraction(c, den) for c in coords))
         K = max(4, math.isqrt(101))
         assert brandt.theta_prefix(J * alpha, K) == brandt.theta_prefix(J, K)
+
+    def test_length_covers_hermites_bound(self):
+        """K >= floor(sqrt(p/2)), the bound on nrd(x) / nrd(J) for J's
+        minimal vectors, so one search up to K nrd(J) holds them."""
+        for p in (p for p in range(5, ecgraph.MAX_P + 1) if numth.is_prime(p)):
+            assert brandt.theta_length(p) >= math.isqrt(p // 2)
+
+    @pytest.mark.parametrize("p,ell", [(37, 3), (101, 2), (211, 2)])
+    def test_unreduced_neighbor_has_the_reduced_prefix(self, p, ell):
+        cs = classes(p, ell)
+        K = brandt.theta_length(p)
+        for J in [J for R in cs.representatives for J in brandt.ell_neighbors(R, ell)]:
+            assert brandt.theta_prefix(J, K) == brandt.theta_prefix(idl.reduce_ideal(J), K)
+
+    @pytest.mark.parametrize("p,ell", [(101, 2), (113, 3)])
+    def test_one_search_and_one_reduction_per_lookup(self, p, ell, monkeypatch):
+        """Each class lookup (the BFS and the type involution) runs one
+        short-vector search and one LLL reduction on J, forms no
+        inverse ideal, and calls reduce_ideal exactly when J founds a new
+        class."""
+        reduced_lattices, searched, reductions, lookups = [], [], [], []
+        lll, search, reduce, lookup = (QLattice.lll.func, QLattice.short_vectors,
+                                       idl.reduce_ideal, brandt.ClassSet.class_of)
+
+        def counted_lll(L):
+            reduced_lattices.append(L)
+            return lll(L)
+
+        def counted_search(L, bound, cap=10**6):
+            searched.append(L)
+            return search(L, bound, cap)
+
+        def counted_reduce(I, O=None):
+            reductions.append(I)
+            return reduce(I, O)
+
+        def no_inverse(I):
+            raise AssertionError("a class lookup formed an inverse ideal")
+
+        def counted_lookup(cs, J):
+            reduced_lattices.clear()
+            searched.clear()
+            reductions.clear()
+            h = cs.class_number
+            j = lookup(cs, J)
+            lookups.append((sum(L is J.lattice for L in reduced_lattices),
+                            sum(L is J.lattice for L in searched),
+                            [I is J for I in reductions], cs.class_number - h))
+            return j
+
+        counted_property = functools.cached_property(counted_lll)
+        counted_property.__set_name__(QLattice, "lll")
+        monkeypatch.setattr(QLattice, "lll", counted_property)
+        monkeypatch.setattr(QLattice, "short_vectors", counted_search)
+        monkeypatch.setattr(idl, "reduce_ideal", counted_reduce)
+        monkeypatch.setattr(idl, "inverse", no_inverse)
+        monkeypatch.setattr(brandt.ClassSet, "class_of", counted_lookup)
+        cs = classes(p, ell)
+        brandt.type_involution(cs)
+        assert len(lookups) == 1 + cs.class_number * (ell + 2)
+        for lll_on_J, searches_on_J, reduced, new in lookups:
+            assert lll_on_J == 1 and searches_on_J == 1
+            assert reduced == [True] * new
+        assert sum(new for *_, new in lookups) == cs.class_number
 
     @pytest.mark.parametrize("p,ell", [(113, 3), (211, 2)])
     def test_few_equivalence_tests_per_neighbor(self, p, ell, monkeypatch):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-COMBINED = "18aae8dd163121cd3be7b28ef52233866351895498373a9580241241aa8e75d0"
+COMBINED = "0bedad591ac20a12557a76cd1fe6c1b5d96bdf3f21e53770ea984de1f48a483c"
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
 

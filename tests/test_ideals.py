@@ -544,7 +544,7 @@ def brute_pair_coords(m1, m2, vec, ell):
 
 
 class TestPairCoords:
-    """_span_coords_mod on a 2-dimensional echelon basis, as the subspace
+    """numth.span_coords_mod on a 2-dimensional echelon basis, as the subspace
     oracle and bass use it, against a search over all ell^2 coordinate
     pairs."""
 
@@ -555,16 +555,16 @@ class TestPairCoords:
            a=st.integers(0, 10), b=st.integers(0, 10), off=st.sampled_from([0, 0, 1]),
            pos=st.integers(0, 3))
     def test_against_all_pairs(self, ell, m1, m2, a, b, off, pos):
-        basis = idl._rref_mod([m1, m2], ell)
+        basis = numth.rref_mod([m1, m2], ell)
         assume(len(basis) == 2)
         vec = [(a * x + b * y) % ell for x, y in zip(m1, m2)]
         vec[pos] = (vec[pos] + off) % ell
         try:
             want = brute_pair_coords(*basis, vec, ell)
         except AssertionError:
-            assert idl._span_coords_mod(basis, vec, ell) is None
+            assert numth.span_coords_mod(basis, vec, ell) is None
         else:
-            assert idl._span_coords_mod(basis, vec, ell) == want
+            assert numth.span_coords_mod(basis, vec, ell) == want
 
 
 # ---------------------------------------------------------------------------
@@ -663,38 +663,38 @@ def matrices_mod(draw, width=None, square=False):
 
 
 class TestModEllEchelon:
-    """_rref_mod, _kernel_mod and _span_coords_mod against the reducers they
+    """numth.rref_mod, kernel_mod and span_coords_mod against the reducers they
     replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(m=matrices_mod())
     def test_rref(self, m):
         ell, rows = m
-        R = idl._rref_mod(rows, ell)
+        R = numth.rref_mod(rows, ell)
         assert R == rref_oracle(rows, ell)
-        assert all(idl._span_coords_mod(R, row, ell) is not None for row in rows)
+        assert all(numth.span_coords_mod(R, row, ell) is not None for row in rows)
 
     @settings(max_examples=200, deadline=None)
     @given(m=matrices_mod(square=True))
     def test_kernel(self, m):
         ell, rows = m
         n = len(rows)
-        got = idl._kernel_mod(rows, ell)
+        got = numth.kernel_mod(rows, ell)
         for v in got:
             assert all(sum(v[i] * rows[i][c] for i in range(n)) % ell == 0 for c in range(n))
-        assert idl._rref_mod(got, ell) == idl._rref_mod(fp_kernel_oracle(rows, ell), ell)
-        assert len(got) == n - len(idl._rref_mod(rows, ell))
+        assert numth.rref_mod(got, ell) == numth.rref_mod(fp_kernel_oracle(rows, ell), ell)
+        assert len(got) == n - len(numth.rref_mod(rows, ell))
 
     @settings(max_examples=300, deadline=None)
     @given(m=matrices_mod(width=4), vec=st.lists(st.integers(0, 12), min_size=4, max_size=4),
            inside=st.booleans())
     def test_span_membership_and_coordinates(self, m, vec, inside):
         ell, rows = m
-        basis = idl._rref_mod(rows, ell)
+        basis = numth.rref_mod(rows, ell)
         if inside:
             vec = [sum(c * r[t] for c, r in zip(vec, rows)) % ell for t in range(4)]
         vec = [x % ell for x in vec]
-        coords = idl._span_coords_mod(basis, vec, ell)
+        coords = numth.span_coords_mod(basis, vec, ell)
         assert (coords is not None) == in_span_oracle(basis, vec, ell)
         if inside:
             assert coords is not None
@@ -746,7 +746,47 @@ class TestMatrixSplit:
             assert image_of(split, QuatElement(A7, lift)) == m
 
 
+def equivalence_oracle(I: QIdeal, J: QIdeal):
+    """The former is_equivalent, kept as the independent path: a witness
+    alpha with J = I alpha exists iff N = I^-1 J contains an element of norm
+    exactly nrd(N), found by a short-vector search on N."""
+    O = I.left_order
+    same = J.lattice.is_left_module_over(O.lattice) if O.is_maximal else O == J.left_order
+    if not same:
+        raise PreconditionError("equivalence needs matching left orders")
+    N = QIdeal(idl.inverse(I).lattice * J.lattice)
+    target = N.nrd()
+    for elt in N.lattice.min_norm_elements(target):
+        if elt.nrd() == target and (I * elt).lattice == J.lattice:
+            return elt
+    return None
+
+
 class TestEquivalence:
+    @pytest.mark.parametrize("p", [11, 37, 101, 113, 211])
+    def test_agrees_with_the_oracle(self, p):
+        """On every (representative, neighbour) pair, the neighbour reduced
+        and not, both tests give a valid witness or both give None; the
+        class of a neighbour is the one representative the oracle matches.
+        The sigma-pair misses (J in the class sigma(i) != i, which theta
+        prefixes do not tell from i) are among the Nones."""
+        cs = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], 2)
+        sigma = brandt.type_involution(cs)
+        reps = cs.representatives
+        misses = 0
+        for J in [J for R in reps for J in brandt.ell_neighbors(R, 2)]:
+            for K in (J, idl.reduce_ideal(J)):
+                hits = []
+                for i, R in enumerate(reps):
+                    got, want = idl.is_equivalent(R, K), equivalence_oracle(R, K)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert (R * got).lattice == K.lattice == (R * want).lattice
+                        hits.append(i)
+                assert len(hits) == 1
+                misses += sum(sigma[i] == hits[0] != i for i in range(len(reps)))
+        assert bool(misses) == any(s != j for j, s in enumerate(sigma))
+
     def test_witness_for_translates(self):
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
         beta = A7.element(1, 1, 1, 0)
@@ -849,24 +889,26 @@ class TestReduceIdeal:
 
     @pytest.mark.parametrize("p,ell", [(37, 2), (101, 3), (113, 2)])
     def test_one_search_and_the_doubling_result(self, p, ell, monkeypatch):
-        """One short-vector search per call, and the same ideal as the
-        doubling loop, on every neighbor of every class representative."""
+        """One short-vector search for the first call on an ideal, none for a
+        second call once that search filled its minimal vectors, and the
+        same ideal as the doubling loop, on every neighbor of every class
+        representative."""
         O0 = idl.root_maximal_orders(p)[0]
         neighbors = [J for R in brandt.enumerate_classes(O0, ell).representatives
                      for J in brandt.ell_neighbors(R, ell)]
         searches = []
-        search = QLattice.min_norm_elements
+        search = QLattice.short_vectors
 
         def counted(self, bound, cap=10**6):
             searches.append(bound)
             return search(self, bound, cap)
 
         for J in neighbors:
-            want = doubling_reduce_ideal(J, O0)
-            monkeypatch.setattr(QLattice, "min_norm_elements", counted)
+            monkeypatch.setattr(QLattice, "short_vectors", counted)
             got = idl.reduce_ideal(J, O0)
-            monkeypatch.setattr(QLattice, "min_norm_elements", search)
-            assert got == want
+            again = idl.reduce_ideal(QIdeal(J.lattice), O0)
+            monkeypatch.setattr(QLattice, "short_vectors", search)
+            assert got == again == doubling_reduce_ideal(J, O0)
         assert len(searches) == len(neighbors)
 
 

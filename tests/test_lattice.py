@@ -169,6 +169,7 @@ class TestHnfAgainstOracle:
         monkeypatch.setattr(lattice, "hnf_rows", recorder)
         monkeypatch.setattr(idl, "hnf_rows", recorder)
         brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 3)
+        brandt.enumerate_classes(idl.root_maximal_orders(113)[0], 2)
         orient.walk_component(idl.global_root_orders(37)[0], 2, 3)
         assert len(seen) > 300
         assert {ncols for _, ncols in seen} == {4, 6}  # 6: the subfield kernels
@@ -726,6 +727,24 @@ class TestShortVectors:
         got = L.min_norm_elements(bound)
         want = brute_short_vectors(L, bound)
         assert [e.coords for e in got] == [e.coords for e in want]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           bound=st.fractions(Fraction(1, 3), 8, max_denominator=7),
+           order=st.sampled_from([O0, O101, O113]))
+    def test_minimal_vectors_whichever_search_fills_them(self, seed, bound, order):
+        """The least-norm pairs of short_vectors: the same when an earlier
+        search, wide enough to be non-empty, filled them as when the
+        lattice's own search bounded by its first LLL vector finds them, and
+        the box oracle's elements of least norm."""
+        L = random_sublattice(random.Random(seed), order)
+        own = QLattice(L.algebra, L.mat, L.den).minimal_vectors
+        wide = L.short_vectors(bound)
+        assert ("minimal_vectors" in L.__dict__) == bool(wide)
+        assert L.minimal_vectors == own
+        least = Fraction(own[0][0], L.den**2)
+        assert [v for _, v in own] == [tuple(c * L.den for c in e.coords)
+                                       for e in brute_short_vectors(L, least)]
 
     @pytest.mark.parametrize("bound", [Fraction(1, 4), Fraction(1, 2), Fraction(5, 4),
                                        Fraction(7, 2)])
