@@ -10,6 +10,7 @@ class.  Class representatives are kept reduced (small norm, primitive).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from .errors import CapExceeded, PreconditionError
 from .ideals import QIdeal, QOrder
 from .multigraph import MultiGraph
 
-ISO_VERTEX_CAP = 64
+# Search nodes (refined colourings) per isomorphism search.  Every p < 1000,
+# l in {2, 3, 5, 7} takes at most 5, so 1000 leaves a margin of 200.
+ISO_NODE_CAP = 1000
 
 
 @dataclass
@@ -64,7 +67,8 @@ class ClassSet:
         complete = self.complete
         tested = bucket[:-1] if complete else bucket
         reps = self.representatives
-        j = next((n for n in tested if idl.is_equivalent(reps[n], J) is not None), None)
+        j = next((n for n in tested
+                  if idl.is_equivalent(reps[n], J, self.order0) is not None), None)
         if j is not None:
             return j
         if complete:
@@ -229,47 +233,52 @@ def type_graph(cs: ClassSet) -> MultiGraph:
 def check_graph_isomorphism(G: MultiGraph, H: MultiGraph):
     """Exact search for a bijection preserving directed edge multiplicities.
 
-    Returns the mapping as a dict of vertex keys, or None.  Vertices are
-    grouped by (in, out, loop) degree signature before backtracking.
-    """
+    Returns the least isomorphism as a dict, keys in the search order (G's
+    vertices by the size of their degree-signature class in H, then by
+    str), or None.  Both graphs are refined together by 1-WL: a vertex's
+    next colour is its colour plus the sorted (colour, multiplicity) pairs
+    over its out- and in-edges, numbered over both graphs.  Refinement is
+    isomorphism-invariant, so unequal colour counts cut a branch.  The first
+    vertex in order whose colour is not a singleton is individualized against
+    each H vertex of its colour in turn; a discrete colouring is the map."""
     gv, hv = G.vertices(), H.vertices()
     if len(gv) != len(hv) or G.num_edges() != H.num_edges():
         return None
-    if len(gv) > ISO_VERTEX_CAP:
-        raise PreconditionError(f"isomorphism search capped at {ISO_VERTEX_CAP} vertices")
-    gsig = {v: G.degree_signature(v) for v in gv}
-    hsig = {v: H.degree_signature(v) for v in hv}
-    if sorted(gsig.values()) != sorted(hsig.values()):
-        return None
-    order = sorted(gv, key=lambda v: (sorted(hsig.values()).count(gsig[v]), str(v)))
-    mapping: dict = {}
-    used: set = set()
+    hsize = Counter(H.degree_signature(w) for w in hv)
+    order = sorted(gv, key=lambda v: (hsize[G.degree_signature(v)], str(v)))
+    budget = iter(range(ISO_NODE_CAP))
 
-    def consistent(v, w) -> bool:
-        for v2, w2 in mapping.items():
-            if G.multiplicity(v, v2) != H.multiplicity(w, w2):
-                return False
-            if G.multiplicity(v2, v) != H.multiplicity(w2, w):
-                return False
-        return G.multiplicity(v, v) == H.multiplicity(w, w)
+    def pairs(edges, c):
+        return tuple(sorted((c[u], rec["count"]) for u, rec in edges.items()))
 
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for w in hv:
-            if w in used or hsig[w] != gsig[v]:
-                continue
-            if consistent(v, w):
-                mapping[v] = w
-                used.add(w)
-                if backtrack(pos + 1):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
+    def refine(cols):
+        while True:
+            sigs = [{v: (c[v], pairs(g.out_edges(v), c), pairs(g.in_edges(v), c)) for v in c}
+                    for g, c in zip((G, H), cols)]
+            names = {s: n for n, s in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
+            new = [{v: names[s] for v, s in sig.items()} for sig in sigs]
+            if Counter(new[0].values()) != Counter(new[1].values()):
+                return None
+            if len(names) == len({*cols[0].values(), *cols[1].values()}):
+                return new
+            cols = new
 
-    return dict(mapping) if backtrack(0) else None
+    def search(cols):
+        if next(budget, None) is None:
+            raise CapExceeded(f"isomorphism search node cap {ISO_NODE_CAP} exceeded")
+        if (cols := refine(cols)) is None:
+            return None
+        cg, ch = cols
+        size = Counter(cg.values())
+        v = next((v for v in order if size[cg[v]] > 1), None)
+        if v is None:
+            image = {c: w for w, c in ch.items()}
+            return {u: image[cg[u]] for u in order}
+        fresh = min(cg.values()) - 1
+        found = (search([cg | {v: fresh}, ch | {w: fresh}]) for w in hv if ch[w] == cg[v])
+        return next((m for m in found if m is not None), None)
+
+    return search([dict.fromkeys(gv, 0), dict.fromkeys(hv, 0)])
 
 
 def class_set_json(cs: ClassSet) -> dict:

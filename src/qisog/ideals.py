@@ -578,16 +578,17 @@ def _two_dim_subspaces(ell: int):
 # equivalence
 
 
-def is_equivalent(I: QIdeal, J: QIdeal):
+def is_equivalent(I: QIdeal, J: QIdeal, O: QOrder | None = None):
     """Witness alpha with J = I*alpha, or None.
 
-    Needs O_L(J) = O_L(I) = O; for maximal O that is O J in J (16
-    memberships).  x -> x alpha maps I onto I alpha, scaling norms by
-    nrd(alpha) and covolumes by nrd(alpha)^2, so minimal vectors onto
-    minimal vectors: J = I alpha iff nrd(alpha) = min(J)/min(I) squares to
-    covol(J)/covol(I) and alpha = conj(x) y / nrd(x) maps I into J, for y
-    J's least minimal vector and some minimal x of I, one of each +-pair."""
-    O = I.left_order
+    Needs O_L(J) = O_L(I) = O, I's left order, computed if not given; for
+    maximal O that is O J in J (16 memberships).  x -> x alpha maps I onto
+    I alpha, scaling norms by nrd(alpha) and covolumes by nrd(alpha)^2, so
+    minimal vectors onto minimal vectors: J = I alpha iff nrd(alpha) =
+    min(J)/min(I) squares to covol(J)/covol(I) and alpha = conj(x) y / nrd(x)
+    maps I into J, for y J's least minimal vector and some minimal x of I,
+    one of each +-pair."""
+    O = O or I.left_order
     same = J.lattice.is_left_module_over(O.lattice) if O.is_maximal else O == J.left_order
     if not same:
         raise PreconditionError("equivalence needs matching left orders")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from qisog import brandt, ecgraph, numth
 from qisog import ideals as idl
-from qisog.errors import PreconditionError
+from qisog.cli import main
+from qisog.errors import CapExceeded
 from qisog.ideals import QIdeal, QOrder
 from qisog.lattice import QLattice
 from qisog.quat import QuatElement
@@ -106,6 +107,51 @@ def sigma_types(cs) -> list[int]:
     least = [min(j, s) for j, s in enumerate(brandt.type_involution(cs))]
     firsts = sorted(set(least))
     return [firsts.index(m) for m in least]
+
+
+def backtrack_isomorphism(G: MultiGraph, H: MultiGraph):
+    """The former check_graph_isomorphism, kept as the reference: vertices
+    grouped by degree signature, G's taken by the size of their group in H
+    and then by str, each tried against H's sorted vertices and kept when
+    every multiplicity to the vertices mapped so far agrees.  The first
+    mapping found is the least isomorphism in that order, keys in that
+    order.  Exponential inside a large group: use it only at small p."""
+    gv, hv = G.vertices(), H.vertices()
+    if len(gv) != len(hv) or G.num_edges() != H.num_edges():
+        return None
+    gsig = {v: G.degree_signature(v) for v in gv}
+    hsig = {v: H.degree_signature(v) for v in hv}
+    if sorted(gsig.values()) != sorted(hsig.values()):
+        return None
+    order = sorted(gv, key=lambda v: (sorted(hsig.values()).count(gsig[v]), str(v)))
+    mapping: dict = {}
+    used: set = set()
+
+    def consistent(v, w) -> bool:
+        for v2, w2 in mapping.items():
+            if G.multiplicity(v, v2) != H.multiplicity(w, w2):
+                return False
+            if G.multiplicity(v2, v) != H.multiplicity(w2, w):
+                return False
+        return G.multiplicity(v, v) == H.multiplicity(w, w)
+
+    def backtrack(pos: int) -> bool:
+        if pos == len(order):
+            return True
+        v = order[pos]
+        for w in hv:
+            if w in used or hsig[w] != gsig[v]:
+                continue
+            if consistent(v, w):
+                mapping[v] = w
+                used.add(w)
+                if backtrack(pos + 1):
+                    return True
+                del mapping[v]
+                used.remove(w)
+        return False
+
+    return dict(mapping) if backtrack(0) else None
 
 
 SMALL_PRIMES = [p for p in range(5, 114) if numth.is_prime(p)]
@@ -230,9 +276,9 @@ class TestThetaPrefix:
         calls = []
         test = idl.is_equivalent
 
-        def counted(I, J):
+        def counted(I, J, O=None):
             calls.append(1)
-            return test(I, J)
+            return test(I, J, O)
 
         monkeypatch.setattr(idl, "is_equivalent", counted)
         cs = classes(p, ell)
@@ -278,7 +324,9 @@ class TestBrandtMatrix:
 
 
 class TestGraphIsomorphism:
-    @pytest.mark.parametrize("p,ell", [(37, 2), (37, 3), (11, 5), (13, 7)])
+    """The witness is the backtracking reference's, keys in the same order."""
+
+    @pytest.mark.parametrize("p,ell", [(37, 2), (37, 3), (11, 5), (13, 7), (37, 7)])
     def test_curve_vs_brandt(self, p, ell):
         G = ecgraph.build_isogeny_graph(p, ell)
         cs = classes(p, ell)
@@ -288,6 +336,7 @@ class TestGraphIsomorphism:
         # the witness really preserves multiplicities
         for (s, d), rec in G.edges.items():
             assert Br.multiplicity(witness[s], witness[d]) == rec["count"]
+        assert list(witness.items()) == list(backtrack_isomorphism(G, Br).items())
 
     def test_permuted_self(self):
         g = MultiGraph()
@@ -302,7 +351,8 @@ class TestGraphIsomorphism:
         h.add_edge("z", "x", count=2)
         h.add_edge("x", "y")
         h.add_edge("y", "z")
-        assert brandt.check_graph_isomorphism(g, h) is not None
+        witness = brandt.check_graph_isomorphism(g, h)
+        assert list(witness.items()) == list(backtrack_isomorphism(g, h).items())
 
     def test_non_isomorphic(self):
         g = MultiGraph()
@@ -314,15 +364,38 @@ class TestGraphIsomorphism:
         h.add_edge(0, 1)
         h.add_edge(1, 0)
         assert brandt.check_graph_isomorphism(g, h) is None
+        assert backtrack_isomorphism(g, h) is None
 
-    def test_vertex_cap(self):
+    @staticmethod
+    def cycle(n: int, step: int) -> MultiGraph:
+        """The directed n-cycle v -> v + step mod n, for step prime to n."""
         g = MultiGraph()
-        h = MultiGraph()
-        for v in range(65):
+        for v in range(n):
             g.add_vertex(v)
-            h.add_vertex(v)
-        with pytest.raises(PreconditionError):
-            brandt.check_graph_isomorphism(g, h)
+        for v in range(n):
+            g.add_edge(v, (v + step) % n)
+        return g
+
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_no_vertex_cap(self, n):
+        """A directed cycle against a relabelled copy, and the empty graph
+        against itself: one class of n vertices each, the automorphism group
+        transitive."""
+        g, h = self.cycle(n, 7), self.cycle(n, 1)
+        witness = brandt.check_graph_isomorphism(g, h)
+        assert sorted(witness.values()) == h.vertices()
+        assert all(h.multiplicity(witness[s], witness[d]) == 1 for s, d in g.edges)
+        empty = MultiGraph()
+        for v in range(n):
+            empty.add_vertex(v)
+        witness = brandt.check_graph_isomorphism(empty, empty)
+        assert list(witness.items()) == list(backtrack_isomorphism(empty, empty).items())
+
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(brandt, "ISO_NODE_CAP", 1)
+        with pytest.raises(CapExceeded, match="node cap"):
+            brandt.check_graph_isomorphism(self.cycle(5, 2), self.cycle(5, 1))
+        assert main(["isocheck", "--p", "37", "--ell", "2"]) == 2
 
 
 class TestMultiGraphIndex:

@@ -47,6 +47,18 @@ class TestSubcommands:
         assert code == 0
         assert "isomorphic, 3 vertices" in out
 
+    @pytest.mark.parametrize("p,ell", [(401, 2), (499, 3), (997, 2)])
+    def test_isocheck_settles_large_graphs(self, capsys, p, ell):
+        """Dozens of vertices share one degree signature at (401, 2) and
+        (499, 3), which a backtracking search on degrees alone does not get
+        through; (997, 2) has 83 vertices."""
+        code, out, _ = run_cli(capsys, "isocheck", "--p", str(p), "--ell", str(ell), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["isomorphic"] is True
+        n = range(doc["curve_vertices"])
+        assert sorted(map(int, doc["witness"])) == sorted(doc["witness"].values()) == list(n)
+
     def test_oriented(self, capsys):
         code, out, _ = run_cli(capsys, "oriented", "--p", "7", "--ell", "3", "--depth", "2")
         assert code == 0

@@ -4,7 +4,10 @@ so deselected by default; run with `pytest -m slow`.
 Class side (l in {2, 3, 5, 7}): enumerate_classes checks the mass formula, the
 Brandt row sums and the relation a_j b_ij = a_i b_ji inline; the sweep adds
 the class-number formula and the independent counting-formula cross-check
-of every Brandt entry.
+of every Brandt entry.  The curve graph G(p, l) is isomorphic to the Brandt
+graph: the search finds, within a per-case budget, a bijection that keeps
+every multiplicity, and for p <= 113 it is the backtracking reference's
+witness, keys in the same order.
 
 Type side: for l in {2, 3} the Frobenius-reduced curve graph is isomorphic
 to the type graph, and once per p (the types do not depend on l) the
@@ -21,6 +24,8 @@ each index.  The frame's depth-1 and depth-2 orders, at the root and at one
 of its neighbours, are the right orders of the norm-l ideals.
 """
 
+import time
+
 import pytest
 
 from qisog import bass, brandt, ecgraph, numth, orient
@@ -29,10 +34,13 @@ from qisog.ideals import QOrder
 from qisog.lattice import QLattice
 from qisog.quat import QuatAlgebra
 from test_bass import assert_oracle_agrees
-from test_brandt import oracle_types, sigma_types
+from test_brandt import backtrack_isomorphism, oracle_types, sigma_types
 from test_ideals import assert_root_and_walked_order_agree
 
 PRIMES = [p for p in range(5, 501) if numth.is_prime(p)]
+
+
+ISO_BUDGET_S = 2.0  # per isomorphism search; the range needs at most about 10 ms
 
 
 def class_number(p: int) -> int:
@@ -45,6 +53,15 @@ def test_class_set_and_brandt_matrix(p, ell):
     cs = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], ell)
     assert cs.class_number == class_number(p)
     brandt.brandt_matrix(cs)
+    G, Br = ecgraph.build_isogeny_graph(p, ell), brandt.brandt_graph(cs)
+    start = time.perf_counter()
+    witness = brandt.check_graph_isomorphism(G, Br)
+    assert time.perf_counter() - start < ISO_BUDGET_S
+    assert set(witness) == set(G.vertices()) and sorted(witness.values()) == Br.vertices()
+    for (s, d), rec in G.edges.items():
+        assert Br.multiplicity(witness[s], witness[d]) == rec["count"]
+    if p <= 113:
+        assert list(witness.items()) == list(backtrack_isomorphism(G, Br).items())
 
 
 @pytest.mark.slow
