@@ -1,10 +1,12 @@
 """Quaternion-side graphs: left ideal class enumeration, Brandt matrices,
 the type-set quotient graph, and exact directed-multigraph isomorphism.
 
-A class lookup runs one short-vector search on the neighbour ideal, up to
-K nrd(J): its theta prefix picks the bucket, its minimal vectors carry the
-equivalence tests, and its least element reduces it when it founds a new
-class.  Class representatives are kept reduced (small norm, primitive).
+The classes are found by a BFS over O0's Bruhat-Tits tree, off one l-adic
+frame of O0 (see enumerate_classes).  A class lookup runs one short-vector
+search on the point's ideal, up to K nrd(J): its theta prefix picks the
+bucket, its minimal vectors carry the equivalence tests, and its least
+element reduces it when it founds a new class.  Class representatives are
+kept reduced (small norm, primitive).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import ideals as idl
 from .errors import CapExceeded, PreconditionError
@@ -54,10 +57,12 @@ class ClassSet:
     def complete(self) -> bool:
         return self._found == Fraction(self.order0.algebra.p - 1, 12)
 
-    def class_of(self, J: QIdeal) -> int:
+    def class_of(self, J: QIdeal, order_if_new=None) -> int:
         """Index of the representative equivalent to J, a left O0-ideal,
         reduced or not.  While the list is incomplete, a J equivalent to none
-        of them becomes the next representative, reduced.
+        of them becomes the next representative, reduced; its unit size is
+        read off order_if_new(), an order conjugate to O_R(J), called only
+        then, so a lookup on a complete list needs none.
 
         J gets one short-vector search, theta_prefix's up to K nrd(J); by
         Hermite's bound (see theta_length) it holds J's minimal vectors, on
@@ -77,13 +82,14 @@ class ClassSet:
         self._buckets.setdefault(key, []).append(self.class_number)
         R = idl.reduce_ideal(J, self.order0)
         reps.append(R)
-        self.unit_sizes.append(len(R.right_order.lattice.min_norm_elements(1)))
+        self.unit_sizes.append(len(order_if_new().lattice.min_norm_elements(1)))
         self._found += Fraction(1, self.unit_sizes[-1])
         return self.class_number - 1
 
 
 def ell_neighbors(I: QIdeal, ell: int) -> list[QIdeal]:
-    """The ell+1 ideals J inside I with nrd(J) = ell * nrd(I)."""
+    """The ell+1 ideals J inside I with nrd(J) = ell * nrd(I), by the mod-ell
+    split of I's right order (the class BFS reads them off O0's frame)."""
     steps = idl.ideals_of_norm_ell(I.right_order, ell)
     return [I * s for s in steps]
 
@@ -120,38 +126,43 @@ def theta_prefix(J: QIdeal, K: int) -> tuple[int, ...]:
 
 
 def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
-    """BFS over ell-neighbors from O0, collecting left ideal classes and the
-    Brandt matrix in one pass: ClassSet.class_of matches each neighbor of
-    I_i to the equivalent representative, or makes its reduction a new
-    one.  Representatives are pairwise inequivalent, so that match is its
-    class for good.
+    """BFS over O0's Bruhat-Tits tree at ell, off one ell-adic frame of O0,
+    collecting the classes and the Brandt matrix in one pass.
 
-    The mass formula, the row sums ell+1 and the relation
-    a_j b_ij = a_i b_ji are checked before returning.  The class graph is
-    connected, so the BFS takes at most h <= p/12 + 2 levels, well inside
-    its cap of 2 (p // 6 + 8)."""
+    A point w of P^1(Z/ell^k) has the ideal frame.ball_ideal, whose
+    ell-neighbours are those of its ell children and ell times its parent's.
+    Only a point that founds a class is expanded, so the class that expanded
+    it is a free entry of its row, and ClassSet.class_of gives the children's
+    classes: h ell + 1 lookups after O0's.  A new class's unit size is read
+    off the frame's order at its point, conjugate to its right order.
+    Classes are numbered in founding order.  The frame starts at n = 2 and
+    doubles before a point is expanded whose children it could not found.
+
+    The mass formula, the row sums ell+1 and a_j b_ij = a_i b_ji are checked
+    before returning.  The founding level is capped at 2 (p // 6 + 8); every
+    p <= 500, l in {2, 3, 5, 7} stays within 9."""
     p = O0.algebra.p
     if ell == p:
         raise PreconditionError("ell must differ from p")
-    depth_cap = 2 * (p // 6 + 8)
+    level_cap = 2 * (p // 6 + 8)
+    frame = idl.ell_adic_frame(O0, ell, 2)
     cs = ClassSet(order0=O0, ell=ell)
-    cs.class_of(QIdeal(O0.lattice))
-    rows: list[list[int]] = []  # rows[i]: class index of each neighbor of I_i
-    frontier = list(cs.representatives)
-    depth = 0
-    while frontier:
-        depth += 1
-        if depth > depth_cap:
-            raise CapExceeded("class-set BFS depth cap exceeded")
-        new = []
-        for I in frontier:
-            row = []
-            for J in ell_neighbors(I, ell):
-                h = cs.class_number
-                row.append(cs.class_of(J))
-                new += cs.representatives[h:]
-            rows.append(row)
-        frontier = new
+    cs.class_of(QIdeal(O0.lattice), lambda: O0)
+    founded = [(None, 0, None)]  # (point, level, class that expanded it), by class
+    rows: list[list[int]] = []  # rows[i]: class index of each neighbour of I_i
+    for point, k, parent in founded:
+        if k > level_cap:
+            raise CapExceeded("class-set founding level cap exceeded")
+        if 2 * (k + 1) > frame.n:
+            frame = idl.ell_adic_frame(O0, ell, 2 * frame.n)
+        row = [] if parent is None else [parent]
+        for child in idl.tree_children(point, k + 1, ell):
+            P = idl.tree_point_matrix(child, ell)
+            h = cs.class_number
+            row.append(cs.class_of(frame.ball_ideal(P, k + 1), partial(frame.ball_order, P, k + 1)))
+            if cs.class_number > h:
+                founded.append((child, k + 1, len(rows)))
+        rows.append(row)
     h, a = cs.class_number, cs.unit_sizes
     b = cs.brandt = [[row.count(j) for j in range(h)] for row in rows]
     assert cs.complete, "mass formula fails"

@@ -8,6 +8,7 @@ flags precondition violations, 2 a cap exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -210,6 +211,7 @@ def cmd_embed(args) -> None:
         raise PreconditionError("superorder oracle disagrees with the formula")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qisog",
                                  description="supersingular isogeny graphs and "

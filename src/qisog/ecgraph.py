@@ -73,6 +73,23 @@ class Fp2:
     def frobenius(self, x):
         return (x[0], (-x[1]) % self.p)
 
+    def sqrt(self, x):
+        """A root u + v t of x = a + b t, or None when x is not a square.
+        u^2 + c v^2 = a, and the norm s = u^2 - c v^2 squares to N(x), so
+        u^2 = (a + s)/2 and v^2 = (a - s)/2c for one sign of s = +-sqrt(N(x));
+        2uv = b fixes v's sign.  The root is checked by squaring."""
+        p, c, half = self.p, self.c, (self.p + 1) // 2
+        a, b = x
+        n = numth.sqrt_mod(a * a - c * b * b, p)
+        for s in () if n is None else (n, -n):
+            u = numth.sqrt_mod((a + s) * half, p)
+            v = numth.sqrt_mod((a - s) * half * pow(c, -1, p), p)
+            if u is not None and v is not None:
+                root = (u, v if 2 * u * v % p == b else -v % p)
+                assert self.mul(root, root) == x, "square root check fails"
+                return root
+        return None
+
 
 @lru_cache(maxsize=None)
 def _field(p: int) -> Fp2:
@@ -166,21 +183,35 @@ def _seed(p: int) -> int:
     return next(j for D, j in CM_SEEDS if numth.kronecker(D, p) == -1)
 
 
+def _other_roots(field: Fp2, f, r0) -> list:
+    """The two further roots of a monic cubic f with a root r0 that splits
+    over F_p^2: those of the quadratic f / (Y - r0), by one square root."""
+    (c0, b, _), rem = _pdivmod(field, f, [field.sub((0, 0), r0), field.scalar(1)])
+    assert not rem, "r0 is not a root"
+    s = field.sqrt(field.sub(field.mul(b, b), field.mul(field.scalar(4), c0)))
+    assert s is not None, "the quadratic does not split over F_p^2"
+    half = field.scalar((field.p + 1) // 2)
+    return [field.mul(half, field.sub(x, b)) for x in (s, field.sub((0, 0), s))]
+
+
 def supersingular_j_list(p: int) -> list:
     """All supersingular j-invariants in F_p^2, sorted, found by a
-    breadth-first walk over G(p, 2) from a CM seed."""
+    breadth-first walk over G(p, 2) from a CM seed: the roots of
+    Phi_2(seed, Y) by gcds, and of Phi_2(j, Y) / (Y - r0) for every later
+    j, reached from its neighbour r0."""
     if p > MAX_P:
         raise PreconditionError(f"p > {MAX_P}; raise MAX_P to force")
     field = _field(p)
     phi2 = load_modpoly(2)
     seed = field.scalar(_seed(p))
-    seen, queue = {seed}, [seed]
+    parent, queue = {seed: None}, [seed]
     for j in queue:
-        for r in _roots(field, phi2.eval_poly_in_y(field, j)):
-            if r not in seen:
-                seen.add(r)
+        f = phi2.eval_poly_in_y(field, j)
+        for r in _roots(field, f) if parent[j] is None else _other_roots(field, f, parent[j]):
+            if r not in parent:
+                parent[r] = j
                 queue.append(r)
-    out = sorted(seen)
+    out = sorted(parent)
     if len(out) != p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]:
         raise AssertionError(f"walk found {len(out)} supersingular j at p={p}, not Eichler's count")
     return out

@@ -1,10 +1,11 @@
 """Orders and ideals of the quaternion algebra: ring closure, the explicit
 root maximal orders, primitivity, connecting ideals, the l-adic frame
 (matrix units of O/l^n O = M2(Z/l^n), built around one rank-1 idempotent
-and checked by their 16 relations), norm-l neighbor ideals read off the
-frame at n = 1 (the mod-l splitting), every maximal order within distance
-n/2 of O in the Bruhat-Tits tree read off the frame at n, and ideal
-equivalence testing.
+and checked by their 16 relations), and ideal equivalence testing.  The
+frame at n reads off the Bruhat-Tits tree around O: the maximal order at
+each point w of P^1(Z/l^k), 2k <= n (ball_order), and for k <= n the ideal
+of norm l^k connecting O to it (ball_ideal); the norm-l ideals are those
+of the frame at n = 1 (the mod-l splitting).
 
 Maximality is always certified through the reduced discriminant: in an
 algebra ramified exactly at {p, oo} an order is maximal iff discrd = p.
@@ -359,24 +360,14 @@ def matrix_split(O: QOrder, ell: int) -> EllAdicFrame:
 
 
 def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QIdeal]:
-    """All ell+1 integral left O-ideals of reduced norm ell, via the matrix
-    splitting; sorted by canonical lattice key, so which splitting the
-    search finds does not show."""
-    (e11, e12), (_, e22) = matrix_split(O, ell).unit_rows
-    out = []
-    lat = O.lattice
-    mul = O.algebra.mul_coords
-    # one rank-1 idempotent alpha per line of F_ell^2 (its kernel)
-    for alpha in [e22] + [[a + x * b for a, b in zip(e11, e12)] for x in range(ell)]:
-        # ell O + O alpha on integer rows over den^2
-        gens = [[ell * lat.den * x for x in b] for b in lat.mat]
-        gens += [mul(b, alpha) for b in lat.mat]
-        I = QIdeal(QLattice.from_int_rows(O.algebra, gens, lat.den * lat.den))
-        assert I.nrd() == ell, f"expected norm {ell}, got {I.nrd()}"
-        out.append(I)
-    keys = {I.key() for I in out}
-    assert len(keys) == ell + 1, "norm-ell ideals must be distinct"
-    return sorted(out, key=lambda I: I.key())
+    """All ell+1 integral left O-ideals of reduced norm ell: the split's
+    ball ideals at the points of P^1(F_ell), sorted by canonical lattice
+    key, so which splitting the search finds does not show."""
+    split = matrix_split(O, ell)
+    out = sorted((split.ball_ideal(tree_point_matrix(w, ell), 1)
+                  for w in tree_children(None, 1, ell)), key=QIdeal.key)
+    assert len({I.key() for I in out}) == ell + 1, "norm-ell ideals must be distinct"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +431,15 @@ class EllAdicFrame:
         """The integer rows r with r/den = E_ab, by (a, b)."""
         return tuple(tuple(_combine(u, self.order.lattice.mat) for u in r) for r in self.units)
 
+    def point_unit_row(self, P, a: int, b: int) -> list[int]:
+        """The integer row r with r/den = P E_ab P^-1 = sum_cd P_ca Pinv_bd E_cd
+        mod ell^n, for P of determinant 1."""
+        Pinv, R, out = _sl2_inverse(P), self.unit_rows, [0, 0, 0, 0]
+        for c, d in itertools.product(range(2), repeat=2):
+            if x := P[c][a] * Pinv[b][d]:
+                out = [y + x * z for y, z in zip(out, R[c][d])]
+        return out
+
     def ball_order(self, P, k: int) -> QOrder:
         """End(P L_k) for an integer 2x2 matrix P of determinant 1:
         ell^k O + Z e11 + Z e22 + Z e12/ell^k + Z ell^k e21, one 8-row HNF,
@@ -449,25 +449,27 @@ class EllAdicFrame:
         ell^(n-k) O, which lies in ell^k O when n >= 2k; away from ell every
         generator lies in O and ell^k is a unit, so the order is O there."""
         assert 2 * k <= self.n, "the frame is too coarse for this distance"
-        R, lat = self.unit_rows, self.order.lattice
-        Pinv = _sl2_inverse(P)
-
-        def row(a, b):
-            # P E_ab P^-1 = sum_cd P_ca Pinv_bd E_cd
-            out = [0, 0, 0, 0]
-            for c in range(2):
-                for d in range(2):
-                    x = P[c][a] * Pinv[b][d]
-                    if x:
-                        out = [y + x * z for y, z in zip(out, R[c][d])]
-            return out
-        s = self.ell**k
+        lat, s = self.order.lattice, self.ell**k
+        e = [[self.point_unit_row(P, a, b) for b in range(2)] for a in range(2)]
         rows = [[s * s * x for x in r] for r in lat.mat]
-        rows += [[s * x for x in row(0, 0)], [s * x for x in row(1, 1)],
-                 row(0, 1), [s * s * x for x in row(1, 0)]]
+        rows += [[s * x for x in e[0][0]], [s * x for x in e[1][1]],
+                 e[0][1], [s * s * x for x in e[1][0]]]
         Ov = QOrder(QLattice.from_int_rows(self.order.algebra, rows, lat.den * s))
         assert Ov.is_maximal, f"ball order has discrd {Ov.reduced_discriminant}"
         return Ov
+
+    def ball_ideal(self, P, k: int) -> QIdeal:
+        """ell^k O + O e22, e22 = P E22 P^-1 mod ell^n, one 8-row HNF: the
+        ideal O diag(ell^k, 1) P^-1 = {x in O : x w = 0 mod ell^k} of the
+        point w = P e_1, of norm ell^k, with right order ball_order(P, k).
+        It is an ell-neighbour of the ideal of w mod ell^(k-1)."""
+        assert k <= self.n, "the frame is too coarse for this distance"
+        lat, s, mul = self.order.lattice, self.ell**k, self.order.algebra.mul_coords
+        e22 = self.point_unit_row(P, 1, 1)
+        rows = [[s * lat.den * x for x in r] for r in lat.mat] + [mul(r, e22) for r in lat.mat]
+        I = QIdeal(QLattice.from_int_rows(self.order.algebra, rows, lat.den * lat.den))
+        assert I.nrd() == s, f"ball ideal has norm {I.nrd()}, not {s}"
+        return I
 
 
 def _sl2_inverse(P) -> tuple:
@@ -531,47 +533,6 @@ def tree_children(point, k: int, ell: int) -> list[tuple[int, int]]:
     kind, x = point
     step = ell ** (k - 1 - kind)
     return [(kind, x + a * step) for a in range(ell)]
-
-
-def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QIdeal]:
-    """Oracle path: enumerate 2-dimensional subspaces of O/ell O closed under
-    left multiplication and lift them."""
-    if ell == O.algebra.p:
-        raise PreconditionError("ell must differ from p")
-    table = _mult_table_mod(O, ell)
-    units = [tuple(int(s == a) for s in range(4)) for a in range(4)]
-    out = []
-    for basis in _two_dim_subspaces(ell):
-        if all(numth.span_coords_mod(basis, _quot_mul(table, ell, ea, v), ell) is not None
-               for ea in units for v in basis):
-            bas = O.basis_elements()
-            gens = [ell * b for b in bas]
-            for v in basis:
-                elt = O.algebra.element()
-                for c, b in zip(v, bas):
-                    elt = elt + c * b
-                gens.append(elt)
-            I = QIdeal(QLattice.from_elements(gens))
-            if I.nrd() == ell:
-                out.append(I)
-    return sorted(out, key=lambda I: I.key())
-
-
-def _two_dim_subspaces(ell: int):
-    """Canonical RREF bases of the 2-dimensional subspaces of F_ell^4."""
-    from itertools import combinations, product
-
-    for pivots in combinations(range(4), 2):
-        free_rows = {0: [c for c in range(4) if c not in pivots and c > pivots[0]],
-                     1: [c for c in range(4) if c not in pivots and c > pivots[1]]}
-        slots = [(r, c) for r in (0, 1) for c in free_rows[r]]
-        for vals in product(range(ell), repeat=len(slots)):
-            rows = [[0] * 4 for _ in range(2)]
-            rows[0][pivots[0]] = 1
-            rows[1][pivots[1]] = 1
-            for (r, c), v in zip(slots, vals):
-                rows[r][c] = v
-            yield [tuple(r) for r in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,23 @@ def legendre(a: int, p: int) -> int:
     return kronecker(a, p)
 
 
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod the odd prime p by Tonelli-Shanks, or None
+    when a is not a square mod p."""
+    a %= p
+    if a == 0 or pow(a, (p - 1) // 2, p) != 1:
+        return None if a else 0
+    s, q = _two_adic_split(p - 1, 2)  # p - 1 = 2^s q, q odd
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    # invariant: r^2 = a t, t of order dividing 2^(m-1), c of order 2^m
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def _two_adic_split(n: int, ell: int) -> tuple[int, int]:
     v = 0
     while n % ell == 0:

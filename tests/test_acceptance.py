@@ -21,7 +21,7 @@ from qisog.ideals import QIdeal
 from qisog.lattice import QLattice
 from qisog.quat import QuatAlgebra
 from test_bass import local_embedding_number
-from test_ideals import is_primitive, is_primitive_at, is_two_sided
+from test_ideals import ideals_of_norm_ell_bruteforce, is_primitive, is_primitive_at, is_two_sided
 
 
 class Budget:
@@ -79,7 +79,7 @@ def test_criterion_3_norm_ell_ideals(walked_orders_13, walked_orders_37):
             for ell in (2, 3, 5):
                 fast = idl.ideals_of_norm_ell(O, ell)
                 assert len(fast) == ell + 1
-                slow = idl.ideals_of_norm_ell_bruteforce(O, ell)
+                slow = ideals_of_norm_ell_bruteforce(O, ell)
                 assert [I.key() for I in fast] == [I.key() for I in slow]
                 assert not any(is_two_sided(I) for I in fast)
 

@@ -26,11 +26,11 @@ def classes(p, ell):
 
 
 def first_match_classes(O0, ell):
-    """The former class BFS, kept as the reference for the bucketed lookup:
-    each reduced neighbor is tested against every representative in turn,
-    by the equivalence oracle over I^-1 J, and the first equivalent one is
-    its class.  Returns the representative
-    keys, the Brandt rows and the unit sizes."""
+    """The former class BFS, kept as the reference for the tree BFS: the
+    ell_neighbors of each representative, reduced, are tested against every
+    representative in turn, by the equivalence oracle over I^-1 J, and the
+    first equivalent one is its class.  Returns the representatives, the
+    Brandt rows and the unit sizes."""
     reps = [QIdeal(O0.lattice)]
     rows = []
     frontier = list(reps)
@@ -50,7 +50,23 @@ def first_match_classes(O0, ell):
         frontier = new
     b = [[row.count(j) for j in range(len(reps))] for row in rows]
     units = [len(R.right_order.lattice.min_norm_elements(1)) for R in reps]
-    return [R.key() for R in reps], b, units
+    return reps, b, units
+
+
+def assert_relabels_first_match(cs) -> None:
+    """B = Pi B_old Pi^T and a = Pi a_old, for B_old, a_old those of
+    first_match_classes and Pi the permutation taking class i to the one
+    first-match representative the equivalence oracle finds equivalent to
+    I_i."""
+    reps, b, units = first_match_classes(cs.order0, cs.ell)
+    pi = [[n for n, R in enumerate(reps) if equivalence_oracle(R, I) is not None]
+          for I in cs.representatives]
+    assert all(len(hits) == 1 for hits in pi)
+    pi = [n for n, in pi]
+    h = len(reps)
+    assert sorted(pi) == list(range(h))
+    assert cs.brandt == [[b[pi[i]][pi[j]] for j in range(h)] for i in range(h)]
+    assert cs.unit_sizes == [units[n] for n in pi]
 
 
 def _is_principal(I: QIdeal) -> bool:
@@ -177,10 +193,9 @@ class TestClassEnumeration:
     @pytest.mark.parametrize("p,ell", [(p, ell) for p in SMALL_PRIMES for ell in (2, 3) if ell != p]
                              + [(211, 2), (499, 2)])
     def test_bucketed_lookup_matches_first_match(self, p, ell):
-        O0 = idl.root_maximal_orders(p)[0]
-        cs = brandt.enumerate_classes(O0, ell)
-        assert ([R.key() for R in cs.representatives], cs.brandt, cs.unit_sizes) == \
-            first_match_classes(O0, ell)
+        """The tree BFS numbers the classes in founding order: the same
+        class set as the former BFS up to relabelling."""
+        assert_relabels_first_match(classes(p, ell))
 
     def test_representatives_have_left_order_O0(self):
         cs = classes(37, 2)
@@ -222,7 +237,9 @@ class TestThetaPrefix:
         """Each class lookup (the BFS and the type involution) runs one
         short-vector search and one LLL reduction on J, forms no
         inverse ideal, and calls reduce_ideal exactly when J founds a new
-        class."""
+        class.  The BFS looks up O0 and then h ell + 1 tree points: the
+        ell + 1 at level 1 and each founding point's ell children, its
+        parent's class being known; no ell_neighbors are formed."""
         reduced_lattices, searched, reductions, lookups = [], [], [], []
         lll, search, reduce, lookup = (QLattice.lll.func, QLattice.short_vectors,
                                        idl.reduce_ideal, brandt.ClassSet.class_of)
@@ -242,12 +259,12 @@ class TestThetaPrefix:
         def no_inverse(I):
             raise AssertionError("a class lookup formed an inverse ideal")
 
-        def counted_lookup(cs, J):
+        def counted_lookup(cs, J, order_if_new=None):
             reduced_lattices.clear()
             searched.clear()
             reductions.clear()
             h = cs.class_number
-            j = lookup(cs, J)
+            j = lookup(cs, J, order_if_new)
             lookups.append((sum(L is J.lattice for L in reduced_lattices),
                             sum(L is J.lattice for L in searched),
                             [I is J for I in reductions], cs.class_number - h))
@@ -260,11 +277,15 @@ class TestThetaPrefix:
         monkeypatch.setattr(idl, "reduce_ideal", counted_reduce)
         monkeypatch.setattr(idl, "inverse", no_inverse)
         monkeypatch.setattr(brandt.ClassSet, "class_of", counted_lookup)
+        monkeypatch.setattr(brandt, "ell_neighbors", None)
         cs = classes(p, ell)
+        h = cs.class_number
+        assert len(lookups) == 1 + h * ell + 1
         brandt.type_involution(cs)
-        assert len(lookups) == 1 + cs.class_number * (ell + 2)
-        for lll_on_J, searches_on_J, reduced, new in lookups:
-            assert lll_on_J == 1 and searches_on_J == 1
+        assert len(lookups) == 1 + h * ell + 1 + h
+        for n, (lll_on_J, searches_on_J, reduced, new) in enumerate(lookups):
+            # O0 is its own right order, so its unit-size search is a second one on J
+            assert lll_on_J == 1 and searches_on_J == 1 + (n == 0)
             assert reduced == [True] * new
         assert sum(new for *_, new in lookups) == cs.class_number
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qisog import cli
 from qisog.cli import main
 
 
@@ -102,6 +103,28 @@ class TestDeterminism:
         with pytest.raises(SystemExit):
             main(["brandt", "--p", "13", "--ell", "3", "--seed", "1"])
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    RUNS = [("brandt", "--p", "37", "--ell", "3", "--json"),
+            ("embed", "--p", "13"),
+            ("brandt", "--p", "37", "--ell", "3"),
+            ("oriented", "--p", "7", "--ell", "2", "--depth", "2", "--json")]
+
+    def test_successive_calls_match_fresh_ones(self, capsys):
+        """One parser serves successive calls with other subcommands and
+        flags (--json on, then off), and each gives a fresh parser's output."""
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        reused = [run_cli(capsys, *argv) for argv in self.RUNS]
+        assert cli.build_parser() is parser
+        fresh = []
+        for argv in self.RUNS:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, *_ in reused] == [0] * len(self.RUNS)
+        assert reused[0][1] != reused[2][1] and reused[0][1].startswith("{")
 
 
 class TestExitCodes:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-COMBINED = "0bedad591ac20a12557a76cd1fe6c1b5d96bdf3f21e53770ea984de1f48a483c"
+COMBINED = "01a9755b5cf6df52a1ade749d212d29d91add888c18aee1db86fefa85a903286"
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
 

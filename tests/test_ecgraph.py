@@ -105,6 +105,21 @@ def primes(lo, hi):
     return [p for p in range(lo, hi + 1) if numth.is_prime(p)]
 
 
+def gcd_walk_j_list(p: int) -> list:
+    """The former walk, kept as the reference for the quadratic one: every
+    Phi_2(j, Y) split by gcds with Y^(p^2) - Y (ecgraph._roots)."""
+    field = ecgraph._field(p)
+    phi2 = ecgraph.load_modpoly(2)
+    seed = field.scalar(ecgraph._seed(p))
+    seen, queue = {seed}, [seed]
+    for j in queue:
+        for r in ecgraph._roots(field, phi2.eval_poly_in_y(field, j)):
+            if r not in seen:
+                seen.add(r)
+                queue.append(r)
+    return sorted(seen)
+
+
 class TestSupersingularList:
     @pytest.mark.parametrize("p,count", [(11, 2), (13, 1), (37, 3), (101, 9)])
     def test_counts(self, p, count):
@@ -134,6 +149,11 @@ class TestSupersingularList:
     def test_walk_matches_scan_oracle_sweep(self, p):
         assert ecgraph.supersingular_j_list(p) == scanned_j_list(p)
 
+    @pytest.mark.parametrize("p", [5, 13, 37, 73, 97, 113, 241, 409])
+    def test_walk_matches_gcd_walk(self, p):
+        # CM seeds at 13, 37, 73, 97, 241, 409; p = 1 mod 8 at 73, 97, 113, 241, 409
+        assert ecgraph.supersingular_j_list(p) == gcd_walk_j_list(p)
+
     def test_seed_table_covers_max_p(self):
         def missed(p):
             return p % 12 == 1 and all(numth.kronecker(D, p) != -1 for D, _ in ecgraph.CM_SEEDS)
@@ -162,6 +182,23 @@ class TestSupersingularList:
     def test_p_above_max_rejected(self):
         with pytest.raises(PreconditionError):
             ecgraph.supersingular_j_list(1009)
+
+
+class TestFp2Sqrt:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 41, 73, 97, 113])
+    def test_against_brute_force(self, p):
+        """Every element of F_p^2: a root that squares back for each square,
+        None for each non-square.  17, 41, 73, 97 and 113 are 1 mod 8, where
+        Tonelli-Shanks takes more than one round."""
+        f = ecgraph._field(p)
+        elems = [(a, b) for a in range(p) for b in range(p)]
+        squares = {f.mul(y, y) for y in elems}
+        assert len(squares) == (p * p + 1) // 2
+        for x in elems:
+            r = f.sqrt(x)
+            assert (r is not None) == (x in squares)
+            if r is not None:
+                assert f.mul(r, r) == x
 
 
 class TestModPoly:

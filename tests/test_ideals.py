@@ -35,6 +35,45 @@ def two_generator_discriminant(a1: QuatElement, a2: QuatElement) -> Fraction:
     return (d1 * d2 - (a1.trd() * a2.trd() - 2 * t) ** 2) / 4
 
 
+def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QIdeal]:
+    """The subspace oracle for ideals_of_norm_ell: enumerate 2-dimensional
+    subspaces of O/ell O closed under left multiplication and lift them."""
+    if ell == O.algebra.p:
+        raise PreconditionError("ell must differ from p")
+    table = idl._mult_table_mod(O, ell)
+    units = [tuple(int(s == a) for s in range(4)) for a in range(4)]
+    out = []
+    for basis in _two_dim_subspaces(ell):
+        if all(numth.span_coords_mod(basis, idl._quot_mul(table, ell, ea, v), ell) is not None
+               for ea in units for v in basis):
+            bas = O.basis_elements()
+            gens = [ell * b for b in bas]
+            for v in basis:
+                elt = O.algebra.element()
+                for c, b in zip(v, bas):
+                    elt = elt + c * b
+                gens.append(elt)
+            I = QIdeal(QLattice.from_elements(gens))
+            if I.nrd() == ell:
+                out.append(I)
+    return sorted(out, key=lambda I: I.key())
+
+
+def _two_dim_subspaces(ell: int):
+    """Canonical RREF bases of the 2-dimensional subspaces of F_ell^4."""
+    for pivots in itertools.combinations(range(4), 2):
+        free_rows = {0: [c for c in range(4) if c not in pivots and c > pivots[0]],
+                     1: [c for c in range(4) if c not in pivots and c > pivots[1]]}
+        slots = [(r, c) for r in (0, 1) for c in free_rows[r]]
+        for vals in itertools.product(range(ell), repeat=len(slots)):
+            rows = [[0] * 4 for _ in range(2)]
+            rows[0][pivots[0]] = 1
+            rows[1][pivots[1]] = 1
+            for (r, c), v in zip(slots, vals):
+                rows[r][c] = v
+            yield [tuple(r) for r in rows]
+
+
 def is_primitive(I: QIdeal) -> bool:
     if not I.is_integral():
         raise PreconditionError("primitivity is defined for integral ideals")
@@ -318,7 +357,7 @@ class TestNormEllIdeals:
     @pytest.mark.parametrize("ell", [2, 3, 5])
     def test_count_and_oracle(self, ell):
         fast = idl.ideals_of_norm_ell(ROOT7, ell)
-        slow = idl.ideals_of_norm_ell_bruteforce(ROOT7, ell)
+        slow = ideals_of_norm_ell_bruteforce(ROOT7, ell)
         assert len(fast) == ell + 1
         assert [I.key() for I in fast] == [I.key() for I in slow]
 
@@ -532,6 +571,58 @@ class TestEllAdicFrame:
                 lines.add(frozenset(((s * a) % ell**k, (s * c) % ell**k)
                                     for s in range(ell**k) if s % ell))
             assert len(lines) == len(level)
+
+
+class TestBallIdeal:
+    """ball_ideal(P, k), the ideal of a tree point, against trace duality,
+    the frame's own order at that point, and the ell-neighbours of the
+    ideal by the mod-ell split of its right order."""
+
+    CASES = [(7, 2, 3), (101, 2, 4), (101, 3, 2), (499, 5, 2), (499, 7, 1), (113, 3, 3)]
+
+    @staticmethod
+    def points(ell: int, k: int) -> list:
+        level = [None]
+        for j in range(1, k + 1):
+            level = [w for x in level for w in idl.tree_children(x, j, ell)]
+        return level
+
+    @pytest.mark.parametrize("p,ell,k", CASES)
+    def test_orders_and_norm(self, p, ell, k):
+        O = idl.root_maximal_orders(p)[0]
+        frame = idl.ell_adic_frame(O, ell, 2 * k)
+        coarse = idl.ell_adic_frame(O, ell, k)
+        for w in self.points(ell, k):
+            P = idl.tree_point_matrix(w, ell)
+            I = frame.ball_ideal(P, k)
+            assert I.nrd() == ell**k
+            assert I.lattice.left_order() == O.lattice
+            assert I.right_order == frame.ball_order(P, k)
+            assert coarse.ball_ideal(P, k) == I  # any precision n >= k
+
+    @pytest.mark.parametrize("p,ell,k", CASES)
+    def test_neighbours_are_the_children_and_the_parent(self, p, ell, k):
+        """The ell + 1 ell-neighbours of I_w are the ideals of w's children
+        and ell I_w' for w' its parent (at the root, the ell + 1 children's),
+        along the first-child and the last-child path down to level k."""
+        O = idl.root_maximal_orders(p)[0]
+        frame = idl.ell_adic_frame(O, ell, k + 1)
+
+        def ideal(w, j):
+            if w is None:
+                return QIdeal(O.lattice)
+            return frame.ball_ideal(idl.tree_point_matrix(w, ell), j)
+
+        for pick in (0, -1):
+            parent, w = None, None
+            for j in range(k + 1):
+                children = idl.tree_children(w, j + 1, ell)
+                want = {ideal(c, j + 1).key() for c in children}
+                if j:
+                    want.add((ell * ideal(parent, j - 1)).key())
+                assert len(want) == ell + 1
+                assert {J.key() for J in brandt.ell_neighbors(ideal(w, j), ell)} == want
+                parent, w = w, children[pick]
 
 
 def brute_pair_coords(m1, m2, vec, ell):

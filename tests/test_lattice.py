@@ -171,6 +171,8 @@ class TestHnfAgainstOracle:
         brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 3)
         brandt.enumerate_classes(idl.root_maximal_orders(113)[0], 2)
         brandt.enumerate_classes(idl.root_maximal_orders(61)[0], 5)
+        brandt.enumerate_classes(idl.root_maximal_orders(211)[0], 3)
+        brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 7)
         orient.walk_component(idl.global_root_orders(37)[0], 2, 3)
         assert len(seen) > 300
         assert {ncols for _, ncols in seen} == {4, 6}  # 6: the subfield kernels

@@ -69,6 +69,19 @@ class TestKronecker:
             numth.kronecker(3, 0)
 
 
+class TestSqrtMod:
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 73, 97, 113, 257, 401])
+    def test_against_brute_force(self, p):
+        """The root squares back for every residue, None for every
+        non-residue; 17, 41, 73, 97, 113, 257 and 401 are 1 mod 8."""
+        squares = {x * x % p for x in range(p)}
+        for a in range(-p, 2 * p):
+            r = numth.sqrt_mod(a, p)
+            assert (r is not None) == (a % p in squares)
+            if r is not None:
+                assert 0 <= r < p and r * r % p == a % p
+
+
 class TestHilbert:
     def test_examples(self):
         assert numth.hilbert_symbol(-1, -28, 7) == -1

@@ -7,7 +7,9 @@ the class-number formula and the independent counting-formula cross-check
 of every Brandt entry.  The curve graph G(p, l) is isomorphic to the Brandt
 graph: the search finds, within a per-case budget, a bijection that keeps
 every multiplicity, and for p <= 113 it is the backtracking reference's
-witness, keys in the same order.
+witness, keys in the same order.  The tree BFS gives the former BFS's class
+set up to relabelling: B = Pi B_old Pi^T and a = Pi a_old, with Pi read off
+the equivalence oracle.
 
 Type side: for l in {2, 3} the Frobenius-reduced curve graph is isomorphic
 to the type graph, and once per p (the types do not depend on l) the
@@ -34,7 +36,8 @@ from qisog.ideals import QOrder
 from qisog.lattice import QLattice
 from qisog.quat import QuatAlgebra
 from test_bass import assert_oracle_agrees
-from test_brandt import backtrack_isomorphism, oracle_types, sigma_types
+from test_brandt import (assert_relabels_first_match, backtrack_isomorphism, oracle_types,
+                         sigma_types)
 from test_ideals import assert_root_and_walked_order_agree
 
 PRIMES = [p for p in range(5, 501) if numth.is_prime(p)]
@@ -62,6 +65,12 @@ def test_class_set_and_brandt_matrix(p, ell):
         assert Br.multiplicity(witness[s], witness[d]) == rec["count"]
     if p <= 113:
         assert list(witness.items()) == list(backtrack_isomorphism(G, Br).items())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,ell", [(p, ell) for ell in (2, 3, 5, 7) for p in PRIMES if ell != p])
+def test_class_set_relabels_first_match(p, ell):
+    assert_relabels_first_match(brandt.enumerate_classes(idl.root_maximal_orders(p)[0], ell))
 
 
 @pytest.mark.slow
