@@ -14,7 +14,10 @@ The grid:
 * ``embed --json`` and ``algebra`` for every prime 7 <= p <= 500;
 * ``brandt --json``, ``isocheck --json`` and ``ssgraph --json`` for every
   prime 5 <= p <= 113 and l in {2, 3}, and ``brandt --json`` and
-  ``isocheck --json`` for the same primes and l in {5, 7}, l != p.
+  ``isocheck --json`` for the same primes and l in {5, 7}, l != p;
+* after those, ``ssgraph --json`` for every other prime 5 <= p <= 500 and
+  l in {2, 3, 5, 7}, l != p, so the curve graphs are covered on the whole
+  range.
 
 That is every subcommand of the CLI.
 
@@ -65,6 +68,9 @@ def grid() -> list[list[str]]:
                 if ell != p:
                     runs.append(["brandt", "--p", str(p), "--ell", str(ell), "--json"])
                     runs.append(["isocheck", "--p", str(p), "--ell", str(ell), "--json"])
+    runs += [["ssgraph", "--p", str(p), "--ell", str(ell), "--json"]
+             for p in primes for ell in (2, 3, 5, 7)
+             if ell != p and (p > 113 or ell > 3)]
     return runs
 
 

@@ -145,7 +145,7 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     if ell == p:
         raise PreconditionError("ell must differ from p")
     level_cap = 2 * (p // 6 + 8)
-    frame = idl.ell_adic_frame(O0, ell, 2)
+    frame = idl.matrix_split(O0, ell).lift(2)
     cs = ClassSet(order0=O0, ell=ell)
     cs.class_of(QIdeal(O0.lattice), lambda: O0)
     founded = [(None, 0, None)]  # (point, level, class that expanded it), by class
@@ -154,7 +154,7 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
         if k > level_cap:
             raise CapExceeded("class-set founding level cap exceeded")
         if 2 * (k + 1) > frame.n:
-            frame = idl.ell_adic_frame(O0, ell, 2 * frame.n)
+            frame = frame.lift(2 * frame.n)
         row = [] if parent is None else [parent]
         for child in idl.tree_children(point, k + 1, ell):
             P = idl.tree_point_matrix(child, ell)

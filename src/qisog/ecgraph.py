@@ -12,7 +12,6 @@ checked against Eichler's class number.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,14 +58,6 @@ class Fp2:
         p, c = self.p, self.c
         return ((x[0] * y[0] + c * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
 
-    def inv(self, x):
-        p, c = self.p, self.c
-        n = (x[0] * x[0] - c * x[1] * x[1]) % p
-        if n == 0:
-            raise ZeroDivisionError
-        ni = pow(n, -1, p)
-        return (x[0] * ni % p, (-x[1]) * ni % p)
-
     def scalar(self, n: int):
         return (n % self.p, 0)
 
@@ -96,79 +87,14 @@ def _field(p: int) -> Fp2:
     return Fp2(p)
 
 
-# ---------------------------------------------------------------------------
-# polynomials over F_p^2: coefficient lists, ascending, no zero leading term
-
-
-def _trim(f):
-    while f and f[-1] == (0, 0):
-        f = f[:-1]
-    return f
-
-
-def _pmul(field, f, g):
-    out = [(0, 0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for k, b in enumerate(g):
-            out[i + k] = field.add(out[i + k], field.mul(a, b))
-    return out
-
-
-def _psub(field, f, g):
-    n = max(len(f), len(g))
-    f, g = f + [(0, 0)] * (n - len(f)), g + [(0, 0)] * (n - len(g))
-    return _trim([field.sub(a, b) for a, b in zip(f, g)])
-
-
-def _pdivmod(field, f, g):
-    """Quotient and remainder of f by g."""
-    f, q = list(f), [(0, 0)] * max(len(f) - len(g) + 1, 0)
-    inv = field.inv(g[-1])
-    for s in range(len(f) - len(g), -1, -1):
-        c = q[s] = field.mul(f[s + len(g) - 1], inv)
-        for i, b in enumerate(g):
-            f[s + i] = field.sub(f[s + i], field.mul(c, b))
-    return q, _trim(f[:len(g) - 1])
-
-
-def _ppowmod(field, f, e, m):
-    out = [field.scalar(1)]
-    while e:
-        if e & 1:
-            out = _pdivmod(field, _pmul(field, out, f), m)[1]
-        f = _pdivmod(field, _pmul(field, f, f), m)[1]
-        e >>= 1
-    return out
-
-
-def _pgcd(field, f, g):
-    """Monic gcd of f and g."""
-    while g:
-        f, g = g, _pdivmod(field, f, g)[1]
-    inv = field.inv(f[-1])
-    return [field.mul(c, inv) for c in f]
-
-
-def _roots(field: Fp2, f) -> list:
-    """Distinct roots in F_p^2 of f: the factors of g = gcd(f, Y^(p^2) - Y),
-    split by gcd(h, (Y + a)^((p^2 - 1)/2) - 1) with a scanning F_p^2 in
-    lexicographic order."""
-    q, one = field.p ** 2, field.scalar(1)
-    y = [(0, 0), one]
-    g = _pgcd(field, f, _psub(field, _ppowmod(field, y, q, f), y))
-    pending, roots = [g] if len(g) > 1 else [], []
-    scan = itertools.product(range(field.p), repeat=2)
-    while pending:
-        h = pending.pop()
-        if len(h) == 2:
-            roots.append(field.sub((0, 0), h[0]))
-            continue
-        a = next(scan, None)
-        if a is None:
-            raise AssertionError("root splitting scan exhausted")
-        d = _pgcd(field, h, _psub(field, _ppowmod(field, [a, one], (q - 1) // 2, h), [one]))
-        pending += [d, _pdivmod(field, h, d)[0]] if 1 < len(d) < len(h) else [h]
-    return roots
+def _divide_linear(field: Fp2, f, r):
+    """(q, f(r)) with f = (Y - r) q + f(r), by Horner's rule; coefficient
+    lists ascend in Y."""
+    q, acc = [], (0, 0)
+    for c in reversed(f):
+        q.append(acc)
+        acc = field.add(field.mul(acc, r), c)
+    return q[:0:-1], acc
 
 
 def _seed(p: int) -> int:
@@ -186,8 +112,8 @@ def _seed(p: int) -> int:
 def _other_roots(field: Fp2, f, r0) -> list:
     """The two further roots of a monic cubic f with a root r0 that splits
     over F_p^2: those of the quadratic f / (Y - r0), by one square root."""
-    (c0, b, _), rem = _pdivmod(field, f, [field.sub((0, 0), r0), field.scalar(1)])
-    assert not rem, "r0 is not a root"
+    (c0, b, _), rem = _divide_linear(field, f, r0)
+    assert rem == (0, 0), "r0 is not a root"
     s = field.sqrt(field.sub(field.mul(b, b), field.mul(field.scalar(4), c0)))
     assert s is not None, "the quadratic does not split over F_p^2"
     half = field.scalar((field.p + 1) // 2)
@@ -196,18 +122,23 @@ def _other_roots(field: Fp2, f, r0) -> list:
 
 def supersingular_j_list(p: int) -> list:
     """All supersingular j-invariants in F_p^2, sorted, found by a
-    breadth-first walk over G(p, 2) from a CM seed: the roots of
-    Phi_2(seed, Y) by gcds, and of Phi_2(j, Y) / (Y - r0) for every later
-    j, reached from its neighbour r0."""
+    breadth-first walk over G(p, 2) from a CM seed.  Every j is reached with
+    one root r0 of Phi_2(j, Y) known, and its other two are those of
+    Phi_2(j, Y) / (Y - r0): r0 is the neighbour it was reached from, or for
+    the seed the first root in F_p.  One exists, as Phi_2(seed, Y) is a
+    cubic over F_p whose roots all lie in F_p^2."""
     if p > MAX_P:
         raise PreconditionError(f"p > {MAX_P}; raise MAX_P to force")
     field = _field(p)
     phi2 = load_modpoly(2)
     seed = field.scalar(_seed(p))
-    parent, queue = {seed: None}, [seed]
+    f = phi2.eval_poly_in_y(field, seed)
+    r0 = next((r for r in map(field.scalar, range(p)) if _divide_linear(field, f, r)[1] == (0, 0)),
+              None)
+    assert r0 is not None, "Phi_2(seed, Y) has no root in F_p"
+    parent, queue = {seed: r0}, [seed]
     for j in queue:
-        f = phi2.eval_poly_in_y(field, j)
-        for r in _roots(field, f) if parent[j] is None else _other_roots(field, f, parent[j]):
+        for r in [parent[j], *_other_roots(field, phi2.eval_poly_in_y(field, j), parent[j])]:
             if r not in parent:
                 parent[r] = j
                 queue.append(r)
@@ -232,7 +163,7 @@ class ModPoly:
         return self.coeffs.get((a, b), 0)
 
     def degree(self) -> int:
-        return max(a for a, _ in self.coeffs)
+        return max((a for a, _ in self.coeffs), default=0)
 
     def eval_poly_in_y(self, field: Fp2, j):
         """Coefficients of Phi(j, Y) over F_p^2, ascending in Y."""
@@ -271,23 +202,34 @@ def _modpoly_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+def _int_fields(path: Path, lineno: int, words: list, count: int) -> list[int]:
+    try:
+        values = [int(w) for w in words]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise PreconditionError(f"{path}, line {lineno}: expected {count} integer(s)")
+    return values
+
+
 @lru_cache(maxsize=None)
 def load_modpoly(ell: int) -> ModPoly:
+    """Phi_ell from phi<ell>.txt: a header line "ell <ell>", then one line
+    "a b c" per coefficient c of X^a Y^b with a >= b.  A malformed file is
+    a PreconditionError naming the file and the line."""
     path = _modpoly_dir() / f"phi{ell}.txt"
     if not path.exists():
         raise PreconditionError(f"no modular polynomial data for ell={ell} at {path}")
+    lines = path.read_text(errors="replace").splitlines()
+    header = lines[0].split() if lines else []
+    if header[:1] != ["ell"] or _int_fields(path, 1, header[1:], 1) != [ell]:
+        raise PreconditionError(f"{path}, line 1: bad header")
     coeffs = {}
-    with open(path) as fh:
-        header = fh.readline().split()
-        if header[:1] != ["ell"] or int(header[1]) != ell:
-            raise PreconditionError(f"bad header in {path}")
-        for line in fh:
-            if not line.strip():
-                continue
-            a, b, c = line.split()
-            a, b, c = int(a), int(b), int(c)
-            if a < b:
-                raise PreconditionError("file stores a >= b only")
+    for lineno, line in enumerate(lines[1:], 2):
+        if line.strip():
+            a, b, c = _int_fields(path, lineno, line.split(), 3)
+            if not 0 <= b <= a:
+                raise PreconditionError(f"{path}, line {lineno}: file stores 0 <= b <= a only")
             coeffs[(a, b)] = c
     mp = ModPoly(ell=ell, coeffs=coeffs)
     _validate_modpoly(mp)
@@ -307,8 +249,8 @@ def _root_multiplicities(field: Fp2, coeffs, candidates):
     for j in candidates:
         mult = 0
         while len(work) > 1:
-            q, rem = _pdivmod(field, work, [field.sub((0, 0), j), field.scalar(1)])
-            if rem:
+            q, rem = _divide_linear(field, work, j)
+            if rem != (0, 0):
                 break
             work = q
             mult += 1

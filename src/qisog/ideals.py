@@ -1,7 +1,8 @@
 """Orders and ideals of the quaternion algebra: ring closure, the explicit
 root maximal orders, primitivity, connecting ideals, the l-adic frame
 (matrix units of O/l^n O = M2(Z/l^n), built around one rank-1 idempotent
-and checked by their 16 relations), and ideal equivalence testing.  The
+and checked by their 16 relations: matrix_split finds it mod l, and
+EllAdicFrame.lift lifts it to any n), and ideal equivalence testing.  The
 frame at n reads off the Bruhat-Tits tree around O: the maximal order at
 each point w of P^1(Z/l^k), 2k <= n (ball_order), and for k <= n the ideal
 of norm l^k connecting O to it (ball_ideal); the norm-l ideals are those
@@ -411,6 +412,12 @@ class EllAdicFrame:
             want = E[a][d] if b == c else (0, 0, 0, 0)
             assert self.mul(E[a][b], E[c][d]) == want, "matrix-unit relation fails mod ell^n"
 
+    def lift(self, n: int) -> EllAdicFrame:
+        """The frame mod ell^n around E11 mod ell, which is matrix_split's
+        E11 (every lift reduces to it), so it is built as the split's units
+        are, reduces to them, and does not depend on the frame lifted from."""
+        return _frame_around(self.order, self.ell, n, tuple(x % self.ell for x in self.units[0][0]))
+
     def matrix_of(self, u) -> tuple:
         """The image ((x11, x12), (x21, x22)) mod ell^n of the element with
         coordinates u: x_ab = trd(E_ba u)."""
@@ -508,12 +515,6 @@ def _frame_around(O: QOrder, ell: int, n: int, e) -> EllAdicFrame:
     frame = EllAdicFrame(order=O, ell=ell, n=n, units=((e, e12), (e21, f)))
     frame.check()
     return frame
-
-
-def ell_adic_frame(O: QOrder, ell: int, n: int) -> EllAdicFrame:
-    """matrix_split(O, ell) lifted to matrix units mod ell^n: the units
-    around its E11, built as its own are, so they reduce to its units."""
-    return _frame_around(O, ell, n, matrix_split(O, ell).units[0][0])
 
 
 def tree_point_matrix(point, ell: int) -> tuple:

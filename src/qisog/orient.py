@@ -7,12 +7,12 @@ perpendicular standard basis; every vertex is a maximal order tagged with
 the conductors (f_i, f_j) of its intersections with the two subfields.
 
 A walk of depth d from O reads the whole ball off one l-adic frame of O
-(ideals.ell_adic_frame): matrix units E_ab of O/l^n O = M2(Z/l^n) with
-n = 2d, as the orders and conductors at distance k need n >= 2k.  The
-vertices at distance k are the End(Z_l w + l^k Z_l^2) for the points w of
-P^1(Z/l^k), each built from the frame as one 8-row HNF, with w mod l^(k-1)
-its parent.  Their conductors are f_0 l^j, with l^j the least power
-putting l^j P^-1 (f_0 omega) P in End(Z_l + l^k Z_l) (P =
+(ideals.matrix_split(O, l).lift(n)): matrix units E_ab of O/l^n O =
+M2(Z/l^n) with n = 2d, as the orders and conductors at distance k need
+n >= 2k.  The vertices at distance k are the End(Z_l w + l^k Z_l^2) for
+the points w of P^1(Z/l^k), each built from the frame as one 8-row HNF,
+with w mod l^(k-1) its parent.  Their conductors are f_0 l^j, with l^j the
+least power putting l^j P^-1 (f_0 omega) P in End(Z_l + l^k Z_l) (P =
 tree_point_matrix(w)); only the start's come from the integer kernels of
 optimal_suborder, and classify_edge's membership test checks every edge's
 conductor ratio.
@@ -199,7 +199,7 @@ def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
     if depth:
         f0 = (root.f_i, root.f_j)
         n = 2 * depth
-        frame = idl.ell_adic_frame(start, ell, n)
+        frame = idl.matrix_split(start, ell).lift(n)
         # the images of theta = f_0 omega, which lies in start, per subfield
         thetas = [frame.matrix_of(start.lattice.int_coords([f * c for c in row], rden))
                   for f, (row, rden) in zip(f0, alg.maximal_quadratic_rows)]

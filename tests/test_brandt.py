@@ -197,6 +197,28 @@ class TestClassEnumeration:
         class set as the former BFS up to relabelling."""
         assert_relabels_first_match(classes(p, ell))
 
+    @pytest.mark.parametrize("p,ell", [(499, 2), (211, 3), (101, 7), (13, 2)])
+    def test_one_matrix_split_per_class_set(self, p, ell, monkeypatch):
+        """The frame is split once and then only lifted, to ell^2 and on by
+        doubling, however deep the founding points lie."""
+        splits, lifts = [], []
+        matrix_split, lift = idl.matrix_split, idl.EllAdicFrame.lift
+
+        def counted(O, n):
+            splits.append(O.key())
+            return matrix_split(O, n)
+
+        def recorded(frame, n):
+            lifts.append(n)
+            return lift(frame, n)
+
+        monkeypatch.setattr(idl, "matrix_split", counted)
+        monkeypatch.setattr(idl.EllAdicFrame, "lift", recorded)
+        O0 = idl.root_maximal_orders(p)[0]
+        brandt.enumerate_classes(O0, ell)
+        assert splits == [O0.key()]
+        assert lifts == [2**i for i in range(1, len(lifts) + 1)]
+
     def test_representatives_have_left_order_O0(self):
         cs = classes(37, 2)
         for R in cs.representatives:

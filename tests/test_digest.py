@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-COMBINED = "01a9755b5cf6df52a1ade749d212d29d91add888c18aee1db86fefa85a903286"
+COMBINED = "de5332bab772101f790a31b25e214a3462b381002f924e3f9cba13a44385587c"
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
 

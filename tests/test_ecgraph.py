@@ -3,7 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from qisog import ecgraph, numth
+from qisog import cli, ecgraph, numth
 from qisog.errors import PreconditionError
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,10 @@ def _j_from_lambda(field, lam):
     num = field.add(field.sub(l2, lam), one)  # λ^2 - λ + 1
     num3 = field.mul(field.mul(num, num), num)
     den = field.mul(l2, field.mul(field.sub(lam, one), field.sub(lam, one)))
-    return field.mul(field.scalar(256), field.mul(num3, field.inv(den)))
+    # 1/den = conj(den)/N(den), N(den) = den conj(den) in F_p
+    norm = field.mul(den, field.frobenius(den))[0]
+    inv = field.mul(field.frobenius(den), field.scalar(pow(norm, -1, field.p)))
+    return field.mul(field.scalar(256), field.mul(num3, inv))
 
 
 def scanned_j_list(p: int) -> list:
@@ -103,21 +106,6 @@ def scanned_j_list(p: int) -> list:
 
 def primes(lo, hi):
     return [p for p in range(lo, hi + 1) if numth.is_prime(p)]
-
-
-def gcd_walk_j_list(p: int) -> list:
-    """The former walk, kept as the reference for the quadratic one: every
-    Phi_2(j, Y) split by gcds with Y^(p^2) - Y (ecgraph._roots)."""
-    field = ecgraph._field(p)
-    phi2 = ecgraph.load_modpoly(2)
-    seed = field.scalar(ecgraph._seed(p))
-    seen, queue = {seed}, [seed]
-    for j in queue:
-        for r in ecgraph._roots(field, phi2.eval_poly_in_y(field, j)):
-            if r not in seen:
-                seen.add(r)
-                queue.append(r)
-    return sorted(seen)
 
 
 class TestSupersingularList:
@@ -139,20 +127,16 @@ class TestSupersingularList:
         f = ecgraph._field(11)
         assert not is_supersingular_j(f, f.scalar(2))
 
-    @pytest.mark.parametrize("p", primes(5, 113))
+    @pytest.mark.parametrize("p", primes(5, 113) + [241, 409])
     def test_walk_matches_scan_oracle(self, p):
-        # includes the CM-seeded primes p = 1 mod 12: 13, 37, 61, 73, 97, 109
+        # includes the CM-seeded primes p = 1 mod 12: 13, 37, 61, 73, 97, 109,
+        # 241 and 409, and the primes 1 mod 8: 17, 41, 73, 89, 97, 113, 241, 409
         assert ecgraph.supersingular_j_list(p) == scanned_j_list(p)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("p", primes(5, 1000))
     def test_walk_matches_scan_oracle_sweep(self, p):
         assert ecgraph.supersingular_j_list(p) == scanned_j_list(p)
-
-    @pytest.mark.parametrize("p", [5, 13, 37, 73, 97, 113, 241, 409])
-    def test_walk_matches_gcd_walk(self, p):
-        # CM seeds at 13, 37, 73, 97, 241, 409; p = 1 mod 8 at 73, 97, 113, 241, 409
-        assert ecgraph.supersingular_j_list(p) == gcd_walk_j_list(p)
 
     def test_seed_table_covers_max_p(self):
         def missed(p):
@@ -161,23 +145,35 @@ class TestSupersingularList:
         assert not any(missed(p) for p in primes(5, ecgraph.MAX_P))
         assert next(p for p in primes(5, 20000) if missed(p)) == 15073
 
-    def test_roots_against_brute_force(self):
-        # Phi_2(j, Y) for every j in F_p: roots outside F_p^2 must be dropped
+    def test_seed_cubic_has_root_in_fp(self):
+        """Phi_2(seed, Y) is a cubic over F_p with all roots in F_p^2, so it
+        has a root in F_p, where the walk starts."""
+        phi2 = ecgraph.load_modpoly(2)
+        for p in primes(5, ecgraph.MAX_P):
+            f = ecgraph._field(p)
+            coeffs = phi2.eval_poly_in_y(f, f.scalar(ecgraph._seed(p)))
+            assert all(c[1] == 0 for c in coeffs)
+            assert any(ecgraph._divide_linear(f, coeffs, f.scalar(r))[1] == (0, 0)
+                       for r in range(p))
+
+    def test_divide_linear_against_brute_force(self):
+        # Phi_2(j, Y) for every j in F_p, divided by Y - r for every r in F_p^2
         p = 11
         f = ecgraph._field(p)
         mp = ecgraph.load_modpoly(2)
         field_elems = [(a, b) for a in range(p) for b in range(p)]
         for j0 in range(p):
             coeffs = mp.eval_poly_in_y(f, f.scalar(j0))
-            want = set()
-            for y in field_elems:
-                acc = (0, 0)
+            for r in field_elems:
+                value = (0, 0)
                 for c in reversed(coeffs):
-                    acc = f.add(f.mul(acc, y), c)
-                if acc == (0, 0):
-                    want.add(y)
-            got = ecgraph._roots(f, coeffs)
-            assert len(got) == len(set(got)) and set(got) == want
+                    value = f.add(f.mul(value, r), c)
+                q, rem = ecgraph._divide_linear(f, coeffs, r)
+                assert rem == value and len(q) == len(coeffs) - 1
+                # (Y - r) q + rem = Y q - r q + rem, coefficient by coefficient
+                shifted, scaled = [(0, 0)] + q, [f.mul(r, c) for c in q] + [(0, 0)]
+                back = [f.sub(a, b) for a, b in zip(shifted, scaled)]
+                assert [f.add(back[0], rem)] + back[1:] == coeffs
 
     def test_p_above_max_rejected(self):
         with pytest.raises(PreconditionError):
@@ -218,6 +214,29 @@ class TestModPoly:
     def test_missing_ell_rejected(self):
         with pytest.raises(PreconditionError):
             ecgraph.load_modpoly(13)
+
+    @pytest.mark.parametrize("text,line", [
+        ("", 1), ("ell\n", 1), ("ell two\n", 1), ("ell 3\n", 1), ("phi 2\n", 1),
+        ("ell 2\n3 0 1\n2 1\n", 3), ("ell 2\n3 0 x\n", 2), ("ell 2\n\n3 0 1 4\n", 3),
+        ("ell 2\n0 3 1\n", 2), ("ell 2\n3 -1 1\n", 2), ("ell 2\n3 0 \xff\n", 2),
+        ("ell 2\n", None),
+    ], ids=["empty", "bare-header", "word-ell", "other-ell", "no-ell", "two-fields", "word-field",
+            "four-fields", "a-below-b", "negative-b", "not-utf8", "no-coefficients"])
+    def test_malformed_file_rejected(self, text, line, tmp_path, monkeypatch):
+        """A header or coefficient line that does not parse is a
+        PreconditionError naming the file and the line, and a file with no
+        coefficients fails the degree check; the CLI reports either with
+        exit code 1, not a traceback."""
+        (tmp_path / "phi2.txt").write_bytes(text.encode("latin-1"))
+        monkeypatch.setenv("QISOG_MODPOLY_DIR", str(tmp_path))
+        ecgraph.load_modpoly.cache_clear()
+        try:
+            match = f"phi2.txt, line {line}:" if line else "wrong degree"
+            with pytest.raises(PreconditionError, match=match):
+                ecgraph.load_modpoly(2)
+            assert cli.main(["ssgraph", "--p", "11", "--ell", "2"]) == 1
+        finally:
+            ecgraph.load_modpoly.cache_clear()
 
 
 class TestIsogenyGraph:

@@ -452,7 +452,7 @@ def assert_frame_orders_agree(O: QOrder, ell: int) -> None:
     """The depth-1 orders of O's ell-adic frame against the right orders of
     O's norm-ell ideals; then, at each depth-1 vertex W, its ell depth-2
     orders together with O against the right orders of W's ideals."""
-    frame = idl.ell_adic_frame(O, ell, 4)
+    frame = idl.matrix_split(O, ell).lift(4)
     level1 = frame_orders(frame, None, 1)
     assert len(level1) == ell + 1 and set(level1) == ideal_right_orders(O, ell)
     for key, w in level1.items():
@@ -485,7 +485,7 @@ class TestNeighbourOrders:
 
     def test_ell_equal_p_rejected(self):
         with pytest.raises(PreconditionError):
-            idl.ell_adic_frame(ROOT7, 7, 2)
+            idl.matrix_split(ROOT7, 7)
 
 
 class TestEllAdicFrame:
@@ -501,7 +501,7 @@ class TestEllAdicFrame:
     @pytest.mark.parametrize("p,ell", FRAME_CASES)
     def test_matrix_unit_relations(self, p, ell):
         O = idl.global_root_orders(p)[0]
-        frame = idl.ell_adic_frame(O, ell, self.N)
+        frame = idl.matrix_split(O, ell).lift(self.N)
         E = [[self.element(O, u) for u in row] for row in frame.units]
         q = ell**self.N
         assert O.contains((E[0][0] + E[1][1] - O.algebra.one) / q)
@@ -515,6 +515,18 @@ class TestEllAdicFrame:
             unit = tuple(tuple(int((r, c) == (a, b)) for c in range(2)) for r in range(2))
             assert split.matrix_of(frame.units[a][b]) == unit
 
+    @pytest.mark.parametrize("p,ell", FRAME_CASES)
+    def test_lift_does_not_depend_on_the_frame_lifted_from(self, p, ell):
+        """Lifting the split to ell^16 directly, through ell^2, ell^4 and
+        ell^8, or back down to ell gives the same units: each lift starts
+        from E11 mod ell, which is the split's E11."""
+        split = idl.matrix_split(idl.global_root_orders(p)[0], ell)
+        direct, chained = split.lift(16), split
+        for n in (2, 4, 8, 16):
+            chained = chained.lift(n)
+        assert chained == direct and chained.n == 16
+        assert direct.lift(1) == split.lift(1) == split
+
     @staticmethod
     def assert_corrupted_unit_trips_the_check(frame):
         (e11, e12), (e21, e22) = frame.units
@@ -526,7 +538,7 @@ class TestEllAdicFrame:
 
     @pytest.mark.parametrize("p,ell", [(7, 2), (101, 5), (499, 3)])
     def test_corrupted_unit_trips_the_check(self, p, ell):
-        frame = idl.ell_adic_frame(idl.global_root_orders(p)[0], ell, self.N)
+        frame = idl.matrix_split(idl.global_root_orders(p)[0], ell).lift(self.N)
         self.assert_corrupted_unit_trips_the_check(frame)
 
     @pytest.mark.parametrize("p,ell", [(7, 2), (101, 5), (499, 3)])
@@ -539,14 +551,13 @@ class TestEllAdicFrame:
     def test_every_frame_is_checked(self, monkeypatch):
         checked = []
         monkeypatch.setattr(idl.EllAdicFrame, "check", lambda frame: checked.append(frame.n))
-        idl.matrix_split(ROOT7, 3)
-        idl.ell_adic_frame(ROOT7, 3, 5)
-        assert checked == [1, 1, 5]
+        idl.matrix_split(ROOT7, 3).lift(5)
+        assert checked == [1, 5]
 
     @pytest.mark.parametrize("p,ell", [(7, 3), (101, 2), (499, 7)])
     def test_matrix_of_is_multiplicative(self, p, ell):
         O = idl.global_root_orders(p)[0]
-        frame = idl.ell_adic_frame(O, ell, 6)
+        frame = idl.matrix_split(O, ell).lift(6)
         q = frame.modulus
         basis = [tuple(int(s == t) for s in range(4)) for t in range(4)]
         assert frame.matrix_of(idl._one_coords(O, q)) == ((1, 0), (0, 1))
@@ -590,8 +601,8 @@ class TestBallIdeal:
     @pytest.mark.parametrize("p,ell,k", CASES)
     def test_orders_and_norm(self, p, ell, k):
         O = idl.root_maximal_orders(p)[0]
-        frame = idl.ell_adic_frame(O, ell, 2 * k)
-        coarse = idl.ell_adic_frame(O, ell, k)
+        frame = idl.matrix_split(O, ell).lift(2 * k)
+        coarse = idl.matrix_split(O, ell).lift(k)
         for w in self.points(ell, k):
             P = idl.tree_point_matrix(w, ell)
             I = frame.ball_ideal(P, k)
@@ -606,7 +617,7 @@ class TestBallIdeal:
         and ell I_w' for w' its parent (at the root, the ell + 1 children's),
         along the first-child and the last-child path down to level k."""
         O = idl.root_maximal_orders(p)[0]
-        frame = idl.ell_adic_frame(O, ell, k + 1)
+        frame = idl.matrix_split(O, ell).lift(k + 1)
 
         def ideal(w, j):
             if w is None:

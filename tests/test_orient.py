@@ -123,7 +123,7 @@ class TestWalk:
 
     def test_cap_refused_before_walking(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(idl, "ell_adic_frame", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(idl, "matrix_split", lambda *a, **k: calls.append(a))
         assert orient.DEPTH_CAP >= 6
         with pytest.raises(CapExceeded, match="vertex cap exceeded during walk"):
             orient.walk_component(idl.global_root_orders(101)[0], 7, depth=6)
@@ -264,13 +264,13 @@ class TestFramePrecision:
     def test_frame_precision_is_twice_the_depth(self, p, ell, depth, divisible, monkeypatch):
         start = divisible_start(p, ell) if divisible else idl.global_root_orders(p)[0]
         precisions = []
-        ell_adic_frame = idl.ell_adic_frame
+        lift = idl.EllAdicFrame.lift
 
-        def recorded(O, ell, n):
+        def recorded(frame, n):
             precisions.append(n)
-            return ell_adic_frame(O, ell, n)
+            return lift(frame, n)
 
-        monkeypatch.setattr(idl, "ell_adic_frame", recorded)
+        monkeypatch.setattr(idl.EllAdicFrame, "lift", recorded)
         orient.walk_component(start, ell, depth)
         assert precisions == [2 * depth]
 
