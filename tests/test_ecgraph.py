@@ -88,10 +88,13 @@ def _j_from_lambda(field, lam):
     num = field.add(field.sub(l2, lam), one)  # λ^2 - λ + 1
     num3 = field.mul(field.mul(num, num), num)
     den = field.mul(l2, field.mul(field.sub(lam, one), field.sub(lam, one)))
-    # 1/den = conj(den)/N(den), N(den) = den conj(den) in F_p
-    norm = field.mul(den, field.frobenius(den))[0]
-    inv = field.mul(field.frobenius(den), field.scalar(pow(norm, -1, field.p)))
-    return field.mul(field.scalar(256), field.mul(num3, inv))
+    return field.mul(field.scalar(256), field.mul(num3, _inv(field, den)))
+
+
+def _inv(field, x):
+    """1/x = conj(x)/N(x), N(x) = x conj(x) in F_p."""
+    norm = field.mul(x, field.frobenius(x))[0]
+    return field.mul(field.frobenius(x), field.scalar(pow(norm, -1, field.p)))
 
 
 def scanned_j_list(p: int) -> list:
@@ -106,6 +109,96 @@ def scanned_j_list(p: int) -> list:
 
 def primes(lo, hi):
     return [p for p in range(lo, hi + 1) if numth.is_prime(p)]
+
+
+# ---------------------------------------------------------------------------
+# the gcd oracle: the former walk, which split every Phi_2(j, Y) by
+# polynomial gcds over F_p^2 (coefficient lists, ascending, no zero
+# leading term)
+
+
+def _trim(f):
+    while f and f[-1] == (0, 0):
+        f = f[:-1]
+    return f
+
+
+def _pmul(field, f, g):
+    out = [(0, 0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for k, b in enumerate(g):
+            out[i + k] = field.add(out[i + k], field.mul(a, b))
+    return out
+
+
+def _psub(field, f, g):
+    n = max(len(f), len(g))
+    f, g = f + [(0, 0)] * (n - len(f)), g + [(0, 0)] * (n - len(g))
+    return _trim([field.sub(a, b) for a, b in zip(f, g)])
+
+
+def _pdivmod(field, f, g):
+    """Quotient and remainder of f by g."""
+    f, q = list(f), [(0, 0)] * max(len(f) - len(g) + 1, 0)
+    inv = _inv(field, g[-1])
+    for s in range(len(f) - len(g), -1, -1):
+        c = q[s] = field.mul(f[s + len(g) - 1], inv)
+        for i, b in enumerate(g):
+            f[s + i] = field.sub(f[s + i], field.mul(c, b))
+    return q, _trim(f[:len(g) - 1])
+
+
+def _ppowmod(field, f, e, m):
+    out = [field.scalar(1)]
+    while e:
+        if e & 1:
+            out = _pdivmod(field, _pmul(field, out, f), m)[1]
+        f = _pdivmod(field, _pmul(field, f, f), m)[1]
+        e >>= 1
+    return out
+
+
+def _pgcd(field, f, g):
+    """Monic gcd of f and g."""
+    while g:
+        f, g = g, _pdivmod(field, f, g)[1]
+    inv = _inv(field, f[-1])
+    return [field.mul(c, inv) for c in f]
+
+
+def gcd_roots(field, f) -> list:
+    """Distinct roots in F_p^2 of f: the factors of g = gcd(f, Y^(p^2) - Y),
+    split by gcd(h, (Y + a)^((p^2 - 1)/2) - 1) with a scanning F_p^2 in
+    lexicographic order."""
+    q, one = field.p ** 2, field.scalar(1)
+    y = [(0, 0), one]
+    g = _pgcd(field, f, _psub(field, _ppowmod(field, y, q, f), y))
+    pending, roots = [g] if len(g) > 1 else [], []
+    scan = ((a, b) for a in range(field.p) for b in range(field.p))
+    while pending:
+        h = pending.pop()
+        if len(h) == 2:
+            roots.append(field.sub((0, 0), h[0]))
+            continue
+        a = next(scan)
+        d = _pgcd(field, h, _psub(field, _ppowmod(field, [a, one], (q - 1) // 2, h), [one]))
+        pending += [d, _pdivmod(field, h, d)[0]] if 1 < len(d) < len(h) else [h]
+    return roots
+
+
+def gcd_walk_j_list(p: int) -> list:
+    """The former walk, kept as a reference for the one that divides out a
+    known root: every Phi_2(j, Y) split by gcd_roots."""
+    field = ecgraph._field(p)
+    phi2 = ecgraph.load_modpoly(2)
+    seed = field.scalar(ecgraph._seed(p))
+    seen, queue = {seed}, [seed]
+    for j in queue:
+        for r in gcd_roots(field, phi2.eval_poly_in_y(field, j)):
+            if r not in seen:
+                seen.add(r)
+                queue.append(r)
+    return sorted(seen)
 
 
 class TestSupersingularList:
@@ -138,6 +231,11 @@ class TestSupersingularList:
     def test_walk_matches_scan_oracle_sweep(self, p):
         assert ecgraph.supersingular_j_list(p) == scanned_j_list(p)
 
+    @pytest.mark.parametrize("p", [5, 13, 37, 73, 97, 113, 241, 409])
+    def test_walk_matches_gcd_walk(self, p):
+        # CM seeds at 13, 37, 73, 97, 241, 409; p = 1 mod 8 at 73, 97, 113, 241, 409
+        assert ecgraph.supersingular_j_list(p) == gcd_walk_j_list(p)
+
     def test_seed_table_covers_max_p(self):
         def missed(p):
             return p % 12 == 1 and all(numth.kronecker(D, p) != -1 for D, _ in ecgraph.CM_SEEDS)
@@ -155,6 +253,25 @@ class TestSupersingularList:
             assert all(c[1] == 0 for c in coeffs)
             assert any(ecgraph._divide_linear(f, coeffs, f.scalar(r))[1] == (0, 0)
                        for r in range(p))
+
+    def test_roots_against_brute_force(self):
+        # the gcd oracle on Phi_2(j, Y) for every j in F_p: roots outside
+        # F_p^2 must be dropped
+        p = 11
+        f = ecgraph._field(p)
+        mp = ecgraph.load_modpoly(2)
+        field_elems = [(a, b) for a in range(p) for b in range(p)]
+        for j0 in range(p):
+            coeffs = mp.eval_poly_in_y(f, f.scalar(j0))
+            want = set()
+            for y in field_elems:
+                acc = (0, 0)
+                for c in reversed(coeffs):
+                    acc = f.add(f.mul(acc, y), c)
+                if acc == (0, 0):
+                    want.add(y)
+            got = gcd_roots(f, coeffs)
+            assert len(got) == len(set(got)) and set(got) == want
 
     def test_divide_linear_against_brute_force(self):
         # Phi_2(j, Y) for every j in F_p, divided by Y - r for every r in F_p^2
