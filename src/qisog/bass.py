@@ -96,8 +96,7 @@ def _radical_trace_kernel(O: QOrder, table, ell):
     Nilpotents have reduced trace zero, so rad is inside the kernel; the
     kernel is a two-sided ideal by trace cyclicity, and once its fourth
     power is checked to vanish it is a nilpotent ideal, hence inside rad."""
-    bas = O.basis_elements()
-    gram = [[int((a * b).trd()) % ell for b in bas] for a in bas]
+    gram = [[x % ell for x in row] for row in O.trace_gram]
     basis = numth.rref_mod(numth.kernel_mod(gram, ell), ell)
     span = list(basis)
     for _ in range(3):  # span <- span * basis, three times: rad^4 must vanish
@@ -244,11 +243,8 @@ def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
     out = []
     seen = set()
     mat = O.lattice.mat
-    d2 = O.lattice.den ** 2
-    mul = O.algebra.mul_coords
-    gram = [[2 * mul(a, b)[0] // d2 for b in mat] for a in mat]
     count = 0
-    for H in _sublattice_hnfs(index, gram):
+    for H in _sublattice_hnfs(index, O.trace_gram):
         count += 1
         if count > cap:
             raise CapExceeded("superorder enumeration cap exceeded")

@@ -180,19 +180,22 @@ class ModPoly:
         return out
 
 
-def _validate_modpoly(mp: ModPoly) -> None:
+def _validate_modpoly(mp: ModPoly, path: Path) -> None:
+    """Degree, shape and the mod-ell Kronecker congruence of Phi_ell read
+    from path; a failure is a PreconditionError naming the file."""
     ell = mp.ell
     d = ell + 1
     if mp.degree() != d:
-        raise PreconditionError(f"Phi_{ell} has wrong degree {mp.degree()}")
+        raise PreconditionError(f"{path}: Phi_{ell} has wrong degree {mp.degree()}")
     if mp.coefficient(d, 0) != 1 or mp.coefficient(d, d) != 0:
-        raise PreconditionError(f"Phi_{ell} is not monic of the expected shape")
+        raise PreconditionError(f"{path}: Phi_{ell} is not monic of the expected shape")
     # Kronecker congruence: Phi = (X^l - Y)(X - Y^l) = X^(l+1) - X^l Y^l - XY + Y^(l+1) mod l
     expect = {(d, 0): 1, (ell, ell): -1, (1, 1): -1}
     for a in range(d + 1):
         for b in range(a + 1):
             if mp.coefficient(a, b) % ell != expect.get((a, b), 0) % ell:
-                raise PreconditionError(f"Phi_{ell} fails the mod-{ell} congruence at X^{a}Y^{b}")
+                raise PreconditionError(
+                    f"{path}: Phi_{ell} fails the mod-{ell} congruence at X^{a}Y^{b}")
 
 
 def _modpoly_dir() -> Path:
@@ -232,7 +235,7 @@ def load_modpoly(ell: int) -> ModPoly:
                 raise PreconditionError(f"{path}, line {lineno}: file stores 0 <= b <= a only")
             coeffs[(a, b)] = c
     mp = ModPoly(ell=ell, coeffs=coeffs)
-    _validate_modpoly(mp)
+    _validate_modpoly(mp, path)
     return mp
 
 

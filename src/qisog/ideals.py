@@ -6,7 +6,10 @@ EllAdicFrame.lift lifts it to any n), and ideal equivalence testing.  The
 frame at n reads off the Bruhat-Tits tree around O: the maximal order at
 each point w of P^1(Z/l^k), 2k <= n (ball_order), and for k <= n the ideal
 of norm l^k connecting O to it (ball_ideal); the norm-l ideals are those
-of the frame at n = 1 (the mod-l splitting).
+of the frame at n = 1 (the mod-l splitting).  Both are built in O's own
+coordinates, from small integers: l^k times the order contains l^(2k) O,
+and the ideal contains l^k O, so their generators are only needed mod
+l^(2k), resp. l^k, and reducing them there does not change the lattice.
 
 Maximality is always certified through the reduced discriminant: in an
 algebra ramified exactly at {p, oo} an order is maximal iff discrd = p.
@@ -65,6 +68,16 @@ class QOrder:
         d2 = lat.den * lat.den
         return tuple(tuple(tuple(lat.int_coords(mul(a, b), d2)) for b in lat.mat)
                      for a in lat.mat)
+
+    @cached_property
+    def trace_gram(self) -> tuple:
+        """The integer trace Gram (trd(b_a b_b)), by (a, b): trd(b_a b_b) is
+        2 mul_coords(b_a, b_b)[0] over den^2."""
+        lat = self.lattice
+        mul, d2 = self.algebra.mul_coords, lat.den * lat.den
+        gram = [[2 * mul(a, b)[0] for b in lat.mat] for a in lat.mat]
+        assert not any(x % d2 for row in gram for x in row), "trd of an order must be integral"
+        return tuple(tuple(x // d2 for x in row) for row in gram)
 
     @property
     def is_maximal(self) -> bool:
@@ -286,8 +299,7 @@ def two_sided_p_ideal(O: QOrder) -> QIdeal:
     if not O.is_maximal:
         raise PreconditionError("needs a maximal order")
     p = O.algebra.p
-    bas = O.basis_elements()
-    gram = [[int((a * b).trd()) % p for b in bas] for a in bas]
+    gram = [[x % p for x in row] for row in O.trace_gram]
     rows = [[p * x for x in row] for row in O.lattice.mat]
     rows += [_combine(v, O.lattice.mat) for v in numth.kernel_mod(gram, p)]
     P = QIdeal(QLattice.from_int_rows(O.algebra, rows, O.lattice.den))
@@ -306,17 +318,18 @@ def _mult_table_mod(O: QOrder, ell: int):
 
 def _quot_mul(table, q, u, v):
     """The product of two elements of O/qO given by coordinates, with table
-    the structure constants of O (reduced mod q or not)."""
-    out = [0, 0, 0, 0]
-    for a in range(4):
-        if u[a]:
-            for b in range(4):
-                if v[b]:
-                    coef = u[a] * v[b]
-                    row = table[a][b]
-                    for t in range(4):
-                        out[t] = (out[t] + coef * row[t]) % q
-    return tuple(out)
+    the structure constants of O (reduced mod q or not): the four sums of
+    u_a v_b table[a][b], reduced mod q once."""
+    v0, v1, v2, v3 = v
+    s0 = s1 = s2 = s3 = 0
+    for ua, (r0, r1, r2, r3) in zip(u, table):
+        if ua:
+            c0, c1, c2, c3 = ua * v0, ua * v1, ua * v2, ua * v3
+            s0 += c0 * r0[0] + c1 * r1[0] + c2 * r2[0] + c3 * r3[0]
+            s1 += c0 * r0[1] + c1 * r1[1] + c2 * r2[1] + c3 * r3[1]
+            s2 += c0 * r0[2] + c1 * r1[2] + c2 * r2[2] + c3 * r3[2]
+            s3 += c0 * r0[3] + c1 * r1[3] + c2 * r2[3] + c3 * r3[3]
+    return (s0 % q, s1 % q, s2 % q, s3 % q)
 
 
 def _one_coords(O: QOrder, q: int):
@@ -433,48 +446,68 @@ class EllAdicFrame:
         q = self.modulus
         return tuple(tuple(x % q for x in r) for r in _mul2(_mul2(_sl2_inverse(P), X), P))
 
-    @cached_property
-    def unit_rows(self) -> tuple:
-        """The integer rows r with r/den = E_ab, by (a, b)."""
-        return tuple(tuple(_combine(u, self.order.lattice.mat) for u in r) for r in self.units)
+    def coords_of(self, X, q: int) -> list[int]:
+        """The O-coordinates mod q (a divisor of ell^n) of the element with
+        matrix X = ((x11, x12), (x21, x22)), the sum of the x_ab E_ab."""
+        (x11, x12), (x21, x22) = X
+        (e11, e12), (e21, e22) = self.units
+        return [(x11 * a + x12 * b + x21 * c + x22 * d) % q
+                for a, b, c, d in zip(e11, e12, e21, e22)]
 
-    def point_unit_row(self, P, a: int, b: int) -> list[int]:
-        """The integer row r with r/den = P E_ab P^-1 = sum_cd P_ca Pinv_bd E_cd
-        mod ell^n, for P of determinant 1."""
-        Pinv, R, out = _sl2_inverse(P), self.unit_rows, [0, 0, 0, 0]
-        for c, d in itertools.product(range(2), repeat=2):
-            if x := P[c][a] * Pinv[b][d]:
-                out = [y + x * z for y, z in zip(out, R[c][d])]
-        return out
+    def _span(self, gens, m: int, scale: int) -> QLattice:
+        """The lattice m O + sum Z g over scale, for the O-coordinates g in
+        gens.  The HNF H of [m I; gens] is upper triangular, and so is O's
+        mat, so the integer rows H mat are upper triangular too; they lie
+        over den scale."""
+        lat = self.order.lattice
+        (h00, h01, h02, h03), (_, h11, h12, h13), (_, _, h22, h23), (_, _, _, h33) = hnf_rows(
+            [[m * (s == t) for t in range(4)] for s in range(4)] + gens)
+        (o00, o01, o02, o03), (_, o11, o12, o13), (_, _, o22, o23), (_, _, _, o33) = lat.mat
+        rows = [(h00 * o00, h00 * o01 + h01 * o11, h00 * o02 + h01 * o12 + h02 * o22,
+                 h00 * o03 + h01 * o13 + h02 * o23 + h03 * o33),
+                (0, h11 * o11, h11 * o12 + h12 * o22, h11 * o13 + h12 * o23 + h13 * o33),
+                (0, 0, h22 * o22, h22 * o23 + h23 * o33),
+                (0, 0, 0, h33 * o33)]
+        return QLattice.from_int_rows(self.order.algebra, rows, lat.den * scale)
 
     def ball_order(self, P, k: int) -> QOrder:
         """End(P L_k) for an integer 2x2 matrix P of determinant 1:
-        ell^k O + Z e11 + Z e22 + Z e12/ell^k + Z ell^k e21, one 8-row HNF,
-        with e_ab = P E_ab P^-1 mod ell^n.
+        ell^k O + Z e11 + Z e22 + Z e12/ell^k + Z ell^k e21, with
+        e_ab = P E_ab P^-1, whose matrix is column a of P times row b of P^-1.
 
-        e_ab is off by an element of ell^n O, so e12/ell^k by one of
-        ell^(n-k) O, which lies in ell^k O when n >= 2k; away from ell every
-        generator lies in O and ell^k is a unit, so the order is O there."""
+        It is built in O's coordinates mod m = ell^(2k): ell^k End(P L_k) is
+        m O plus the span of ell^k e11, ell^k e22 and e12 (ell^(2k) e21 lies
+        in m O).  Reducing a generator's coordinates mod m changes it by an
+        element of m O, which the span holds, so the lattice and its key do
+        not change; the frame knows the units mod ell^n, n >= 2k, which is
+        fine enough for that.  Away from ell every generator lies in O and
+        ell^k is a unit, so the order is O there."""
         assert 2 * k <= self.n, "the frame is too coarse for this distance"
-        lat, s = self.order.lattice, self.ell**k
-        e = [[self.point_unit_row(P, a, b) for b in range(2)] for a in range(2)]
-        rows = [[s * s * x for x in r] for r in lat.mat]
-        rows += [[s * x for x in e[0][0]], [s * x for x in e[1][1]],
-                 e[0][1], [s * s * x for x in e[1][0]]]
-        Ov = QOrder(QLattice.from_int_rows(self.order.algebra, rows, lat.den * s))
+        s = self.ell**k
+        m = s * s
+        (a, b), (c, d) = P  # P^-1 = ((d, -b), (-c, a))
+        gens = [self.coords_of(((s * a * d, -s * a * b), (s * c * d, -s * c * b)), m),
+                self.coords_of(((-s * b * c, s * a * b), (-s * c * d, s * a * d)), m),
+                self.coords_of(((-a * c, a * a), (-c * c, a * c)), m)]
+        Ov = QOrder(self._span(gens, m, s))
         assert Ov.is_maximal, f"ball order has discrd {Ov.reduced_discriminant}"
         return Ov
 
     def ball_ideal(self, P, k: int) -> QIdeal:
-        """ell^k O + O e22, e22 = P E22 P^-1 mod ell^n, one 8-row HNF: the
-        ideal O diag(ell^k, 1) P^-1 = {x in O : x w = 0 mod ell^k} of the
-        point w = P e_1, of norm ell^k, with right order ball_order(P, k).
-        It is an ell-neighbour of the ideal of w mod ell^(k-1)."""
+        """The ideal O diag(ell^k, 1) P^-1 = {x in O : x w = 0 mod ell^k} of
+        the point w = P e_1, of norm ell^k, with right order ball_order(P, k).
+        It is an ell-neighbour of the ideal of w mod ell^(k-1).
+
+        Locally x w = 0 mod ell^k says that x P has its first column in
+        ell^k Z_ell^2, so the ideal is ell^k O + Z E12 P^-1 + Z E22 P^-1: it
+        is built in O's coordinates mod ell^k, and reducing a generator's
+        coordinates mod ell^k changes it by an element of ell^k O, which the
+        ideal holds.  Row 2 of P^-1 is (-c, a) for P = ((a, b), (c, d))."""
         assert k <= self.n, "the frame is too coarse for this distance"
-        lat, s, mul = self.order.lattice, self.ell**k, self.order.algebra.mul_coords
-        e22 = self.point_unit_row(P, 1, 1)
-        rows = [[s * lat.den * x for x in r] for r in lat.mat] + [mul(r, e22) for r in lat.mat]
-        I = QIdeal(QLattice.from_int_rows(self.order.algebra, rows, lat.den * lat.den))
+        s = self.ell**k
+        (a, _), (c, _) = P
+        gens = [self.coords_of(((-c, a), (0, 0)), s), self.coords_of(((0, 0), (-c, a)), s)]
+        I = QIdeal(self._span(gens, s, 1))
         assert I.nrd() == s, f"ball ideal has norm {I.nrd()}, not {s}"
         return I
 

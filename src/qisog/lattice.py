@@ -218,17 +218,14 @@ class QLattice:
     def from_int_rows(cls, algebra: QuatAlgebra, rows, den: int) -> "QLattice":
         if den <= 0:
             raise PreconditionError("denominator must be positive")
-        h = hnf_rows([list(r) for r in rows])
+        h = hnf_rows(rows)
         if len(h) != 4:
             raise PreconditionError("generators do not span a full-rank lattice")
-        g = den
-        for row in h:
-            for x in row:
-                g = math.gcd(g, abs(x))
+        g = math.gcd(den, *h[0], *h[1], *h[2], *h[3])
         if g > 1:
             h = [tuple(x // g for x in row) for row in h]
             den //= g
-        return cls(algebra=algebra, mat=tuple(tuple(r) for r in h), den=den)
+        return cls(algebra=algebra, mat=tuple(h), den=den)
 
     @classmethod
     def from_frac_rows(cls, algebra: QuatAlgebra, rows) -> "QLattice":
@@ -265,23 +262,28 @@ class QLattice:
         mat is upper triangular with positive pivots, so this is forward
         substitution: x den / vden must be integral, and each pivot must
         divide what is left of its column."""
+        (p0, a01, a02, a03), (_, p1, a12, a13), (_, _, p2, a23), (_, _, _, p3) = self.mat
         den = self.den
-        y = []
-        for v in x:
-            n, r = divmod(v * den, vden)
-            if r:
-                return None
-            y.append(n)
-        out = []
-        for t, row in enumerate(self.mat):
-            c, r = divmod(y[t], row[t])
-            if r:
-                return None
-            out.append(c)
-            if c:
-                for s in range(t + 1, 4):
-                    y[s] -= c * row[s]
-        return out
+        x0, x1, x2, x3 = x
+        y0, r0 = divmod(x0 * den, vden)
+        y1, r1 = divmod(x1 * den, vden)
+        y2, r2 = divmod(x2 * den, vden)
+        y3, r3 = divmod(x3 * den, vden)
+        if r0 or r1 or r2 or r3:
+            return None
+        c0, r = divmod(y0, p0)
+        if r:
+            return None
+        c1, r = divmod(y1 - c0 * a01, p1)
+        if r:
+            return None
+        c2, r = divmod(y2 - c0 * a02 - c1 * a12, p2)
+        if r:
+            return None
+        c3, r = divmod(y3 - c0 * a03 - c1 * a13 - c2 * a23, p3)
+        if r:
+            return None
+        return [c0, c1, c2, c3]
 
     def contains(self, elt: QuatElement) -> bool:
         return self.int_coords(*split_den(elt.coords)) is not None
@@ -356,13 +358,17 @@ class QLattice:
         """Integer Gram matrix of the norm form on the scaled basis rows:
         entry (a,b) is den^2 * (1/2) trd(b_a conj(b_b)).  The rows are upper
         triangular, so rows a <= b meet only in the columns t >= b."""
-        g0 = self.algebra.norm_diag()
-        m = self.mat
-        out = [[0] * 4 for _ in range(4)]
-        for a in range(4):
-            for b in range(a, 4):
-                out[a][b] = out[b][a] = sum(m[a][t] * m[b][t] * g0[t] for t in range(b, 4))
-        return tuple(map(tuple, out))
+        n0, n1, n2, n3 = self.algebra.norm_diag()
+        (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = self.mat
+        d3n = d3 * n3
+        c2n, c3n = c2 * n2, c3 * n3
+        g03, g13, g23, g33 = a3 * d3n, b3 * d3n, c3 * d3n, d3 * d3n
+        g02, g12, g22 = a2 * c2n + a3 * c3n, b2 * c2n + b3 * c3n, c2 * c2n + c3 * c3n
+        g01 = a1 * b1 * n1 + a2 * b2 * n2 + a3 * b3 * n3
+        g11 = b1 * b1 * n1 + b2 * b2 * n2 + b3 * b3 * n3
+        g00 = a0 * a0 * n0 + a1 * a1 * n1 + a2 * a2 * n2 + a3 * a3 * n3
+        return ((g00, g01, g02, g03), (g01, g11, g12, g13),
+                (g02, g12, g22, g23), (g03, g13, g23, g33))
 
     @cached_property
     def lll(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -421,13 +427,16 @@ class QLattice:
         b c + c b = trd(b) c + trd(c) b - trd(b conj(c)) put the other ten in."""
         if self.int_coords((1, 0, 0, 0)) is None:
             return False
-        g, dd = self.gram_int, self.den * self.den
+        (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = self.gram_int
+        dd = self.den * self.den
         # nrd(b_a) = g_aa / den^2 and trd(b_a conj(b_b)) = 2 g_ab / den^2
-        if any((g[a][b] if a == b else 2 * g[a][b]) % dd for a in range(4) for b in range(a, 4)):
+        if math.gcd(g00, g11, g22, g33, 2 * g01, 2 * g02, 2 * g03, 2 * g12, 2 * g13, 2 * g23) % dd:
             return False
-        mul = self.algebra.mul_coords
-        return all(self.int_coords(mul(self.mat[a], self.mat[b]), dd) is not None
-                   for a in range(4) for b in range(a + 1, 4))
+        mul, coords = self.algebra.mul_coords, self.int_coords
+        b0, b1, b2, b3 = self.mat
+        return (coords(mul(b0, b1), dd) is not None and coords(mul(b0, b2), dd) is not None
+                and coords(mul(b0, b3), dd) is not None and coords(mul(b1, b2), dd) is not None
+                and coords(mul(b1, b3), dd) is not None and coords(mul(b2, b3), dd) is not None)
 
     # -- short vectors ------------------------------------------------------
 

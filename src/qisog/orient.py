@@ -10,12 +10,12 @@ A walk of depth d from O reads the whole ball off one l-adic frame of O
 (ideals.matrix_split(O, l).lift(n)): matrix units E_ab of O/l^n O =
 M2(Z/l^n) with n = 2d, as the orders and conductors at distance k need
 n >= 2k.  The vertices at distance k are the End(Z_l w + l^k Z_l^2) for
-the points w of P^1(Z/l^k), each built from the frame as one 8-row HNF,
-with w mod l^(k-1) its parent.  Their conductors are f_0 l^j, with l^j the
-least power putting l^j P^-1 (f_0 omega) P in End(Z_l + l^k Z_l) (P =
-tree_point_matrix(w)); only the start's come from the integer kernels of
-optimal_suborder, and classify_edge's membership test checks every edge's
-conductor ratio.
+the points w of P^1(Z/l^k), each built from the frame in O's coordinates
+mod l^(2k) (EllAdicFrame.ball_order), with w mod l^(k-1) its parent.
+Their conductors are f_0 l^j, with l^j the least power putting
+l^j P^-1 (f_0 omega) P in End(Z_l + l^k Z_l) (P = tree_point_matrix(w));
+only the start's come from the integer kernels of optimal_suborder, and
+classify_edge's membership test checks every edge's conductor ratio.
 """
 
 from __future__ import annotations
@@ -91,9 +91,8 @@ def oriented_vertex(order: QOrder, f_ij: tuple[int, int] | None = None) -> Orien
     read them off an l-adic frame, conductors(order) otherwise."""
     f_i, f_j = conductors(order) if f_ij is None else f_ij
     p = order.algebra.p
-    for u, f in (("i", f_i), ("j", f_j)):
-        d_K = numth.fundamental_discriminant(order.algebra.d_i if u == "i" else order.algebra.d_j)
-        if numth.kronecker(d_K, p) == 1:
+    for u, f, splits in zip("ij", (f_i, f_j), order.algebra.p_splits):
+        if splits:
             raise PreconditionError(f"p splits in K_{u}; orientation undefined")
         if f % p == 0:
             raise PreconditionError(f"p divides the conductor f_{u}")

@@ -80,6 +80,12 @@ class QuatAlgebra:
             out.append(((1,) + u[1:], 2) if d % 4 == 1 else (u, 1))
         return tuple(out)
 
+    @cached_property
+    def p_splits(self) -> tuple[bool, bool]:
+        """Whether p splits in K_i = Q(i), resp. K_j = Q(j)."""
+        return tuple(numth.kronecker(numth.fundamental_discriminant(d), self.p) == 1
+                     for d in (self.d_i, self.d_j))
+
     def norm_diag(self) -> tuple[int, int, int, int]:
         """Diagonal Gram of the norm form on the basis 1, i, j, k."""
         return (1, -self.d_i, -self.d_j, self.d_i * self.d_j)

@@ -16,6 +16,7 @@ from qisog.ideals import QIdeal, QOrder
 from qisog.lattice import QLattice, hnf_rows
 from qisog.quat import QuatAlgebra, QuatElement, split_den
 from test_lattice import standard_order_lattice
+from test_orient import divisible_start
 
 A7 = QuatAlgebra.for_prime(7)
 A13 = QuatAlgebra.for_prime(13)
@@ -92,10 +93,15 @@ def image_of(split: idl.EllAdicFrame, elt: QuatElement) -> tuple:
     return (a, b, c, d)
 
 
+def unit_rows(frame: idl.EllAdicFrame) -> list:
+    """The integer rows r with r/den = E_ab, by (a, b)."""
+    return [[idl._combine(u, frame.order.lattice.mat) for u in row] for row in frame.units]
+
+
 def lift_row(split: idl.EllAdicFrame, m) -> tuple:
     """The integer row sum m_ab E_ab of the frame's unit rows: over the
     order's denominator, an element with the 2x2 matrix m = (a, b, c, d)."""
-    rows = [r for pair in split.unit_rows for r in pair]
+    rows = [r for pair in unit_rows(split) for r in pair]
     return tuple(sum(x * r[t] for x, r in zip(m, rows)) for t in range(4))
 
 
@@ -582,6 +588,92 @@ class TestEllAdicFrame:
                 lines.add(frozenset(((s * a) % ell**k, (s * c) % ell**k)
                                     for s in range(ell**k) if s % ell))
             assert len(lines) == len(level)
+
+
+def point_unit_row(frame: idl.EllAdicFrame, P, a: int, b: int) -> list:
+    """The integer row r with r/den = P E_ab P^-1 = sum_cd P_ca Pinv_bd E_cd
+    mod ell^n, for P of determinant 1."""
+    Pinv, R, out = idl._sl2_inverse(P), unit_rows(frame), [0, 0, 0, 0]
+    for c, d in itertools.product(range(2), repeat=2):
+        if x := P[c][a] * Pinv[b][d]:
+            out = [y + x * z for y, z in zip(out, R[c][d])]
+    return out
+
+
+def ball_order_oracle(frame: idl.EllAdicFrame, P, k: int) -> QOrder:
+    """The former ball_order, kept as the reference: ell^k O + Z e11 + Z e22
+    + Z e12/ell^k + Z ell^k e21 in standard coordinates, one 8-row HNF."""
+    lat, s = frame.order.lattice, frame.ell**k
+    e = [[point_unit_row(frame, P, a, b) for b in range(2)] for a in range(2)]
+    rows = [[s * s * x for x in r] for r in lat.mat]
+    rows += [[s * x for x in e[0][0]], [s * x for x in e[1][1]],
+             e[0][1], [s * s * x for x in e[1][0]]]
+    return QOrder(QLattice.from_int_rows(frame.order.algebra, rows, lat.den * s))
+
+
+def ball_ideal_oracle(frame: idl.EllAdicFrame, P, k: int) -> QIdeal:
+    """The former ball_ideal, kept as the reference: ell^k O + O e22 from
+    the four products of O's rows with e22, one 8-row HNF."""
+    lat, s, mul = frame.order.lattice, frame.ell**k, frame.order.algebra.mul_coords
+    e22 = point_unit_row(frame, P, 1, 1)
+    rows = [[s * lat.den * x for x in r] for r in lat.mat] + [mul(r, e22) for r in lat.mat]
+    return QIdeal(QLattice.from_int_rows(frame.order.algebra, rows, lat.den * lat.den))
+
+
+ORACLE_DEPTH = {2: 5, 3: 3, 5: 2, 7: 2}
+ORACLE_STARTS = ([(p, ell, False) for p in (7, 101, 499) for ell in (2, 3, 5, 7) if ell != p]
+                 + [(p, ell, True) for p, ell in ((7, 2), (13, 3), (101, 2), (499, 7))])
+
+
+class TestBallAgainstEightRowHnf:
+    """ball_order and ball_ideal work in O's coordinates mod ell^(2k),
+    resp. ell^k; the former 8-row HNFs in standard coordinates are the
+    second path.  Every tree point down to depth 5, 3, 2, 2 for ell = 2, 3,
+    5, 7 is checked, from global roots and from starts with ell | f_i f_j,
+    on frames lifted to exactly what the distance needs and beyond."""
+
+    @pytest.mark.parametrize("p,ell,divisible", ORACLE_STARTS)
+    def test_same_keys(self, p, ell, divisible):
+        O = divisible_start(p, ell) if divisible else idl.global_root_orders(p)[0]
+        split = idl.matrix_split(O, ell)
+        kinds, level = set(), [None]
+        for k in range(1, ORACLE_DEPTH[ell] + 1):
+            level = [w for x in level for w in idl.tree_children(x, k, ell)]
+            for n in (k, 2 * k, 4 * k):
+                frame = split.lift(n)
+                for w in level:
+                    P = idl.tree_point_matrix(w, ell)
+                    if 2 * k <= n:
+                        assert frame.ball_order(P, k).key() == ball_order_oracle(frame, P, k).key()
+                    assert frame.ball_ideal(P, k).key() == ball_ideal_oracle(frame, P, k).key()
+                    kinds.add(w[0])
+        assert kinds == {0, 1}
+
+
+def quot_mul_oracle(table, q, u, v):
+    """The former loop form of ideals._quot_mul, reducing after each term."""
+    out = [0, 0, 0, 0]
+    for a in range(4):
+        for b in range(4):
+            for t in range(4):
+                out[t] = (out[t] + u[a] * v[b] * table[a][b][t]) % q
+    return tuple(out)
+
+
+class TestQuotMul:
+    """_quot_mul sums the products and reduces mod q once; the loop that
+    reduces after each term is the second path, with the structure
+    constants reduced mod q and not."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from([7, 101, 113, 499]), reduced=st.booleans(),
+           q=st.sampled_from([2, 3, 4, 9, 25, 49, 2**10, 3**7]),
+           u=st.lists(st.integers(-60, 60) | st.just(0), min_size=4, max_size=4),
+           v=st.lists(st.integers(-60, 60) | st.just(0), min_size=4, max_size=4))
+    def test_against_loop(self, p, q, reduced, u, v):
+        O = idl.root_maximal_orders(p)[0]
+        table = idl._mult_table_mod(O, q) if reduced else O.structure_constants
+        assert idl._quot_mul(table, q, u, v) == quot_mul_oracle(table, q, u, v)
 
 
 class TestBallIdeal:

@@ -603,6 +603,71 @@ class TestReducedNorm:
             assert n * n == I.index_in(I.left_order())
 
 
+def int_coords_oracle(L: QLattice, x, vden: int = 1):
+    """The former loop form of QLattice.int_coords, kept as the reference:
+    clear the denominators, then forward-substitute column by column."""
+    y = []
+    for v in x:
+        n, r = divmod(v * L.den, vden)
+        if r:
+            return None
+        y.append(n)
+    out = []
+    for t, row in enumerate(L.mat):
+        c, r = divmod(y[t], row[t])
+        if r:
+            return None
+        out.append(c)
+        for s in range(t + 1, 4):
+            y[s] -= c * row[s]
+    return out
+
+
+def gram_int_oracle(L: QLattice):
+    """The former loop form of QLattice.gram_int: den^2 (1/2) trd(b_a
+    conj(b_b)) summed over every column of the diagonal norm form."""
+    g0 = L.algebra.norm_diag()
+    return tuple(tuple(sum(a[t] * b[t] * g0[t] for t in range(4)) for b in L.mat) for a in L.mat)
+
+
+class TestStraightLineKernels:
+    """int_coords and gram_int are written out for rank 4; the loop forms
+    are the second path, on lattices with den = 1 and den > 1."""
+
+    LATTICES = [STD, O0, O101, O113, Q101]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from(LATTICES))
+    def test_int_coords_against_loop(self, seed, order):
+        rng = random.Random(seed)
+        L = random_sublattice(rng, order) if rng.random() < 0.7 else order
+        inside = 0
+        for _ in range(6):
+            # a member x/vden with vden a multiple of den, negative
+            # coefficients allowed; the same vector nudged off the lattice;
+            # and a random vector over a random denominator
+            f = rng.choice([1, 2, 3, 7])
+            c = [rng.randint(-5, 5) for _ in range(4)]
+            x = [f * sum(c[t] * L.mat[t][s] for t in range(4)) for s in range(4)]
+            nudged = list(x)
+            nudged[rng.randrange(4)] += rng.choice([-1, 1])
+            vden = rng.choice([1, 2, 5, L.den, 3 * L.den])
+            for vec, d in ((x, f * L.den), (nudged, f * L.den),
+                           ([rng.randint(-50, 50) for _ in range(4)], vden)):
+                got = L.int_coords(vec, d)
+                assert got == int_coords_oracle(L, vec, d), (vec, d)
+                inside += got is not None
+            assert L.int_coords(x, f * L.den) == c
+        assert inside >= 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from(LATTICES))
+    def test_gram_int_against_loop(self, seed, order):
+        L = random_sublattice(random.Random(seed), order)
+        assert L.gram_int == gram_int_oracle(L)
+        assert order.gram_int == gram_int_oracle(order)
+
+
 def fraction_fp_setup(gram):
     """The former Fincke-Pohst set-up, kept as the reference: the Fraction
     LDL^T of g, d_k the lcm of the denominators of column k of L, and
