@@ -17,7 +17,9 @@ The grid:
   ``isocheck --json`` for the same primes and l in {5, 7}, l != p;
 * after those, ``ssgraph --json`` for every other prime 5 <= p <= 500 and
   l in {2, 3, 5, 7}, l != p, so the curve graphs are covered on the whole
-  range.
+  range;
+* last, ``embed --json`` and ``algebra`` at p = 5, where the superorder
+  oracle runs at index 8 and the radical brute force at l = p = 5.
 
 That is every subcommand of the CLI.
 
@@ -71,6 +73,7 @@ def grid() -> list[list[str]]:
     runs += [["ssgraph", "--p", str(p), "--ell", str(ell), "--json"]
              for p in primes for ell in (2, 3, 5, 7)
              if ell != p and (p > 113 or ell > 3)]
+    runs += [["embed", "--p", "5", "--json"], ["algebra", "--p", "5"]]
     return runs
 
 

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Count the Python opcodes one benchmark workload executes.
+
+    python3 scripts/opcount.py SRC_ROOT WORKLOAD SEED
+
+SRC_ROOT is the root of a checkout (the directory that holds ``src/`` and
+``perfbench/``).  The script builds that checkout's query list for WORKLOAD
+and SEED exactly as ``perfbench/run.py`` does, at the ``run_seconds`` of the
+checkout's BENCHMARK.json, and runs every query through ``qisog.cli.main``
+in this process under ``sys.settrace`` with ``f_trace_opcodes`` set.  It
+prints the opcode count per query kind, with the number of queries and of
+non-zero exits, and the total.
+
+Unlike a timing, the count does not depend on the machine or its load, so
+two checkouts can be sized against each other on one noisy host.  The
+tracing makes the queries run about ten times slower than they do alone.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+
+def count_opcodes(fn) -> int:
+    """Opcodes executed by fn() and everything it calls."""
+    n = 0
+
+    def local(frame, event, arg):
+        nonlocal n
+        if event == "opcode":
+            n += 1
+        return local
+
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(enter)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return n
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    root, workload, seed = Path(argv[0]).resolve(), argv[1], int(argv[2])
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads  # the checkout's own query lists
+    from qisog import cli
+
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    ops, queries, failed = Counter(), Counter(), Counter()
+    for q in workloads.make_queries(workload, seed, seconds):
+        codes = []
+
+        def run():
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                codes.append(cli.main(q.argv()))
+        ops[q.kind] += count_opcodes(run)
+        queries[q.kind] += 1
+        failed[q.kind] += codes[0] != 0
+    print(f"{workload} seed {seed}: opcodes per query kind")
+    for kind in sorted(ops):
+        print(f"  {kind:<9} {ops[kind]:>13,}  "
+              f"({queries[kind]} queries, {failed[kind]} non-zero exits)")
+    print(f"  {'total':<9} {sum(ops.values()):>13,}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -18,7 +18,7 @@ from . import numth
 from .errors import CapExceeded, PreconditionError
 from .ideals import QOrder
 # frac_inverse has no caller here; perfbench's tracer self-test resolves bass.frac_inverse
-from .lattice import QLattice, frac_inverse, triangular_adjugate  # noqa: F401
+from .lattice import QLattice, frac_inverse, hnf_rows, triangular_adjugate  # noqa: F401
 from .quat import QuatAlgebra
 
 SUPERORDER_CAP = 10**5
@@ -26,7 +26,9 @@ SUPERORDER_CAP = 10**5
 index N are the subgroups of order N of O^#/O, a group of order discrd^2.
 Over the Bass orders of every p <= 500 the largest count is 99 (N = 8, all
 p = 5 mod 8); at N = q in {3, 7, 11} it is q + 1.  The cap is 1000 times the
-largest, for primes beyond the range, where Pizer's q, hence N, grows."""
+largest, for primes beyond the range, where Pizer's q, hence N, grows.
+The count is that of the candidate H that _sublattice_hnfs yields, each
+counted before the trace test of _superorders_at can drop it."""
 
 
 def bass_order(alg: QuatAlgebra) -> QOrder:
@@ -41,8 +43,7 @@ def bass_order(alg: QuatAlgebra) -> QOrder:
         )
     wi, wj = idl.maximal_quadratic_generators(alg)
     O = idl.order_closure([wi, wj])
-    dKi = numth.fundamental_discriminant(alg.d_i)
-    dKj = numth.fundamental_discriminant(alg.d_j)
+    dKi, dKj = alg.fundamental_discriminants
     assert O.reduced_discriminant == dKi * dKj // 4, "discriminant formula violated"
     return O
 
@@ -73,19 +74,21 @@ def eichler_symbol_formula(O: QOrder, ell: int, contained_dK: int) -> EichlerSym
 
 
 def _radical_bruteforce(table, ell):
-    """All x with x*y nilpotent for every basis y; elementwise, for tiny ell."""
-
-    def is_nilpotent(x) -> bool:
-        y = x
-        for _ in range(3):
-            y = idl._quot_mul(table, ell, y, x)
-        return not any(y)
-
+    """All x with x*y nilpotent for every basis y; elementwise, for tiny ell.
+    In dimension 4, z is nilpotent iff z^4 = (z^2)^2 vanishes."""
+    right = [[table[b][a] for b in range(4)] for a in range(4)]  # b_b b_a, by a
     rad = []
-    for coords in product(range(ell), repeat=4):
-        x = tuple(coords)
-        if all(is_nilpotent(idl._quot_mul(table, ell, x, tuple(int(t == a) for t in range(4))))
-               for a in range(4)):
+    for x in product(range(ell), repeat=4):
+        x0, x1, x2, x3 = x
+        for r0, r1, r2, r3 in right:  # z = x b_a
+            z = ((x0 * r0[0] + x1 * r1[0] + x2 * r2[0] + x3 * r3[0]) % ell,
+                 (x0 * r0[1] + x1 * r1[1] + x2 * r2[1] + x3 * r3[1]) % ell,
+                 (x0 * r0[2] + x1 * r1[2] + x2 * r2[2] + x3 * r3[2]) % ell,
+                 (x0 * r0[3] + x1 * r1[3] + x2 * r2[3] + x3 * r3[3]) % ell)
+            z2 = idl._quot_mul(table, ell, z, z)
+            if any(z2) and any(idl._quot_mul(table, ell, z2, z2)):
+                break
+        else:
             rad.append(x)
     return numth.rref_mod(rad, ell)
 
@@ -160,9 +163,9 @@ def _contained_dK(O: QOrder) -> int | None:
     alg = O.algebra
     wi, wj = idl.maximal_quadratic_generators(alg)
     if O.contains(wi):
-        return numth.fundamental_discriminant(alg.d_i)
+        return alg.fundamental_discriminants[0]
     if O.contains(wj):
-        return numth.fundamental_discriminant(alg.d_j)
+        return alg.fundamental_discriminants[1]
     return None
 
 
@@ -196,39 +199,54 @@ def _sublattice_hnfs(index: int, gram):
     """Upper-triangular HNF bases H of the sublattices of Z^4 of the given
     index whose row lattice contains every row of the integer matrix gram.
 
-    H is built a row at a time from the top.  Once rows 0..t-1 are fixed,
-    forward substitution has taken them out of each gram row, and pivot t
-    must divide what is left in column t; a branch stops at the first pivot
-    that does not."""
-    profiles = []
+    Such a lattice contains index Z^4, so it holds gram's rows exactly when
+    it holds those of M, the HNF of gram's rows and index I.  A vector that
+    vanishes before column t meets H only through rows t..3, so H holds M
+    exactly when, for each t, row t of M lies in the span of rows t..3 of H.
+    H is therefore built from the bottom, t = 3 down to 0: pivot d_t divides
+    both M[t][t] and the index left, and row t of M is tested as soon as
+    row t of H is fixed."""
+    M = hnf_rows([list(r) for r in gram] + [[index * (s == t) for t in range(4)]
+                                            for s in range(4)])
+    H = [[0] * 4 for _ in range(4)]
 
-    def diags(rem, pos, cur):
-        if pos == 4:
-            if rem == 1:
-                profiles.append(tuple(cur))
-            return
-        d = 1
-        while d <= rem:
-            if rem % d == 0:
-                diags(rem // d, pos + 1, cur + [d])
-            d += 1
+    def holds(t):
+        # row t of M, less its multiples of rows t..3 of H, column by column
+        v = list(M[t])
+        for s in range(t, 4):
+            c, r = divmod(v[s], H[s][s])
+            if r:
+                return False
+            if c:
+                for u in range(s + 1, 4):
+                    v[u] -= c * H[s][u]
+        return True
 
-    def rows_from(H, t, rest):
-        d = H[t][t]
-        if any(r[t] % d for r in rest):
-            return
-        if t == 3:
+    def rows_from(t, rem):
+        if t < 0:
             yield [list(row) for row in H]
             return
-        for vals in product(*[range(H[c][c]) for c in range(t + 1, 4)]):
-            H[t][t + 1:] = vals
-            yield from rows_from(H, t + 1, [[x - (r[t] // d) * y for x, y in zip(r, H[t])]
-                                            for r in rest])
+        for d in range(1, rem + 1) if t else (rem,):
+            if rem % d or M[t][t] % d:
+                continue
+            H[t][t] = d
+            for vals in product(*[range(H[c][c]) for c in range(t + 1, 4)]):
+                H[t][t + 1:] = vals
+                if holds(t):
+                    yield from rows_from(t - 1, rem // d)
 
-    diags(index, 0, [])
-    for diag in profiles:
-        H = [[diag[t] if c == t else 0 for c in range(4)] for t in range(4)]
-        yield from rows_from(H, 0, [list(r) for r in gram])
+    yield from rows_from(3, index)
+
+
+def _trace_integral(X, G, nn: int) -> bool:
+    """Whether X^T G X = 0 mod nn: with G the trace Gram of O and the
+    columns of X over sqrt(nn) the O-coordinates of a basis, whether trd is
+    integral on the products of that basis."""
+    cols = list(zip(*X))
+    GX = [[g0 * x0 + g1 * x1 + g2 * x2 + g3 * x3 for g0, g1, g2, g3 in G]
+          for x0, x1, x2, x3 in cols]
+    return not any((x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3) % nn
+                   for a, (x0, x1, x2, x3) in enumerate(cols) for y0, y1, y2, y3 in GX[a:])
 
 
 def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
@@ -239,23 +257,26 @@ def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
     O^# is Z^4 G^-1, with G = (trd(b_a b_b)) the integer trace Gram, and the
     candidate dual to H is spanned by the rows of H^-T; so it lies in O^#
     exactly when G H^-1 is integral, i.e. when the rows of G lie in the row
-    lattice of H.  Only those H are generated."""
+    lattice of H.  Only those H are generated, each once, and each counts
+    towards cap; distinct H have distinct duals.
+
+    The candidate's basis is the columns of X = adj(H) over index, and an
+    order has integral trd on products, so a candidate with X^T G X not 0
+    mod index^2 is no order and is dropped before the lattice is built; the
+    rest take the containment and ring tests."""
     out = []
-    seen = set()
-    mat = O.lattice.mat
+    mat, G, nn = O.lattice.mat, O.trace_gram, index * index
     count = 0
-    for H in _sublattice_hnfs(index, O.trace_gram):
+    for H in _sublattice_hnfs(index, G):
         count += 1
         if count > cap:
             raise CapExceeded("superorder enumeration cap exceeded")
         X = triangular_adjugate(H)  # index H^-1, as det(H) = index
-        # the columns of H^-1 are the dual basis coordinates
+        if not _trace_integral(X, G, nn):
+            continue
         rows = [[sum(X[t][c] * mat[t][s] for t in range(c + 1)) for s in range(4)]
                 for c in range(4)]
         L = QLattice.from_int_rows(O.algebra, rows, O.lattice.den * index)
-        if L.key() in seen:
-            continue
-        seen.add(L.key())
         if not L.contains_lattice(O.lattice):
             continue
         try:

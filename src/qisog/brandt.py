@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import ideals as idl
+from . import numth
 from .errors import CapExceeded, PreconditionError
 from .ideals import QIdeal, QOrder
 from .multigraph import MultiGraph
@@ -138,13 +139,15 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     Classes are numbered in founding order.  The frame starts at n = 2 and
     doubles before a point is expanded whose children it could not found.
 
-    The mass formula, the row sums ell+1 and a_j b_ij = a_i b_ji are checked
-    before returning.  The founding level is capped at 2 (p // 6 + 8); every
-    p <= 500, l in {2, 3, 5, 7} stays within 9."""
+    The mass formula, the class-number formula, the row sums ell+1 and
+    a_j b_ij = a_i b_ji are checked before returning.  The founding level is
+    capped at h - 1, h = numth.class_number(p): the BFS founds each class at
+    its distance from [O0] in the Brandt graph, which is connected and has h
+    vertices."""
     p = O0.algebra.p
     if ell == p:
         raise PreconditionError("ell must differ from p")
-    level_cap = 2 * (p // 6 + 8)
+    level_cap = numth.class_number(p) - 1
     frame = idl.matrix_split(O0, ell).lift(2)
     cs = ClassSet(order0=O0, ell=ell)
     cs.class_of(QIdeal(O0.lattice), lambda: O0)
@@ -166,6 +169,7 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     h, a = cs.class_number, cs.unit_sizes
     b = cs.brandt = [[row.count(j) for j in range(h)] for row in rows]
     assert cs.complete, "mass formula fails"
+    assert h == numth.class_number(p), "class-number formula fails"
     assert all(sum(row) == ell + 1 for row in b), "Brandt row sum is not ell+1"
     assert all(a[j] * b[i][j] == a[i] * b[j][i] for i in range(h) for j in range(h)), \
         "Brandt relation a_j b_ij = a_i b_ji fails"

@@ -80,7 +80,7 @@ def cmd_algebra(args) -> None:
 def cmd_brandt(args) -> None:
     _check_p(args.p)
     _check_ell(args.p, args.ell)
-    O0 = idl.root_maximal_orders(args.p)[0]
+    O0 = idl.root_maximal_order(args.p)
     cs = brandt.enumerate_classes(O0, args.ell)
     doc = brandt.class_set_json(cs)
     if args.json:
@@ -122,7 +122,7 @@ def cmd_isocheck(args) -> None:
     _check_p(args.p)
     _check_ell(args.p, args.ell)
     G = ecgraph.build_isogeny_graph(args.p, args.ell)
-    O0 = idl.root_maximal_orders(args.p)[0]
+    O0 = idl.root_maximal_order(args.p)
     cs = brandt.enumerate_classes(O0, args.ell)
     Br = brandt.brandt_graph(cs)
     witness = brandt.check_graph_isomorphism(G, Br)
@@ -149,7 +149,7 @@ def cmd_isocheck(args) -> None:
 def cmd_oriented(args) -> None:
     _check_p(args.p)
     _check_ell(args.p, args.ell)
-    start = idl.global_root_orders(args.p)[0]
+    start = idl.root_maximal_order(args.p)
     g = orient.walk_component(start, args.ell, depth=args.depth)
     local, glob = orient.find_roots(g, args.ell)
     reports = orient.audit_component(g, args.ell)

@@ -196,37 +196,49 @@ def maximal_quadratic_generators(alg: QuatAlgebra) -> tuple[QuatElement, QuatEle
                  for row, den in alg.maximal_quadratic_rows)
 
 
+def _root_generators(p: int) -> tuple[list, list]:
+    """Generators of the two explicit root maximal orders."""
+    if p <= 3:
+        raise PreconditionError("p > 3 required")
+    alg = QuatAlgebra.for_prime(p)
+    one, i, j, k = alg.basis()
+    if p % 4 == 3:
+        return [i, (one + j) / 2], [i, (one + k) / 2]
+    if p % 8 == 5:
+        # j is adjoined explicitly: both orders contain Z<i,j> but the ring
+        # closure of the three fractional generators alone only reaches 3j
+        return ([i, j, (one + j + k) / 2, (i + 2 * j + k) / 4],
+                [i, j, (one + j + k) / 2, (i + 2 * j - k) / 4])
+    qq = alg.q
+    # nrd((c i + k)/q) = (c^2 + p)/q, so the generator is integral iff q | c^2 + p
+    c = next((c for c in range(1, qq) if (c * c + p) % qq == 0), None)
+    if c is None:
+        raise PreconditionError(f"no c with q | c^2 + p for p={p}, q={qq}")
+    return [(one + i) / 2, j, (c * i + k) / qq], [(one + i) / 2, j, (c * i - k) / qq]
+
+
 def root_maximal_orders(p: int) -> list[QOrder]:
     """The explicit maximal orders containing the standard quadratic pair.
 
     Two orders for every residue class of p; for p = 3 mod 4 only the first
     contains the full maximal order of Q(j).
     """
-    if p <= 3:
-        raise PreconditionError("p > 3 required")
-    alg = QuatAlgebra.for_prime(p)
-    one, i, j, k = alg.basis()
-    if p % 4 == 3:
-        gens0 = [i, (one + j) / 2]
-        gens1 = [i, (one + k) / 2]
-    elif p % 8 == 5:
-        # j is adjoined explicitly: both orders contain Z<i,j> but the ring
-        # closure of the three fractional generators alone only reaches 3j
-        gens0 = [i, j, (one + j + k) / 2, (i + 2 * j + k) / 4]
-        gens1 = [i, j, (one + j + k) / 2, (i + 2 * j - k) / 4]
-    else:
-        qq = alg.q
-        # nrd((c i + k)/q) = (c^2 + p)/q, so the generator is integral iff q | c^2 + p
-        c = next((c for c in range(1, qq) if (c * c + p) % qq == 0), None)
-        if c is None:
-            raise PreconditionError(f"no c with q | c^2 + p for p={p}, q={qq}")
-        gens0 = [(one + i) / 2, j, (c * i + k) / qq]
-        gens1 = [(one + i) / 2, j, (c * i - k) / qq]
-    orders = [order_closure(gens0), order_closure(gens1)]
+    orders = [order_closure(gens) for gens in _root_generators(p)]
     for o in orders:
         if not o.is_maximal:
             raise PreconditionError(f"constructed root order has discrd {o.reduced_discriminant}")
     return orders
+
+
+def root_maximal_order(p: int) -> QOrder:
+    """The first root order alone, where a query needs one maximal order
+    holding both maximal quadratic orders: it is maximal and holds both for
+    every p < 1000, which is asserted."""
+    O = order_closure(_root_generators(p)[0])
+    wi, wj = maximal_quadratic_generators(O.algebra)
+    assert O.is_maximal and O.contains(wi) and O.contains(wj), \
+        "the first root order must be maximal and hold both maximal quadratic orders"
+    return O
 
 
 def global_root_orders(p: int) -> list[QOrder]:
@@ -444,7 +456,12 @@ class EllAdicFrame:
     def conjugate(self, X, P) -> tuple:
         """P^-1 X P mod ell^n for a 2x2 matrix P of determinant 1."""
         q = self.modulus
-        return tuple(tuple(x % q for x in r) for r in _mul2(_mul2(_sl2_inverse(P), X), P))
+        (a, b), (c, d) = P  # P^-1 = ((d, -b), (-c, a))
+        (x11, x12), (x21, x22) = X
+        u11, u12 = d * x11 - b * x21, d * x12 - b * x22  # the rows of P^-1 X
+        u21, u22 = a * x21 - c * x11, a * x22 - c * x12
+        return (((u11 * a + u12 * c) % q, (u11 * b + u12 * d) % q),
+                ((u21 * a + u22 * c) % q, (u21 * b + u22 * d) % q))
 
     def coords_of(self, X, q: int) -> list[int]:
         """The O-coordinates mod q (a divisor of ell^n) of the element with
@@ -457,18 +474,19 @@ class EllAdicFrame:
     def _span(self, gens, m: int, scale: int) -> QLattice:
         """The lattice m O + sum Z g over scale, for the O-coordinates g in
         gens.  The HNF H of [m I; gens] is upper triangular, and so is O's
-        mat, so the integer rows H mat are upper triangular too; they lie
-        over den scale."""
+        mat, so the integer rows H mat are upper triangular too, with
+        positive pivots; they lie over den scale, and from_triangular_rows
+        makes them canonical without a second HNF."""
         lat = self.order.lattice
         (h00, h01, h02, h03), (_, h11, h12, h13), (_, _, h22, h23), (_, _, _, h33) = hnf_rows(
-            [[m * (s == t) for t in range(4)] for s in range(4)] + gens)
+            [[m, 0, 0, 0], [0, m, 0, 0], [0, 0, m, 0], [0, 0, 0, m]] + gens)
         (o00, o01, o02, o03), (_, o11, o12, o13), (_, _, o22, o23), (_, _, _, o33) = lat.mat
         rows = [(h00 * o00, h00 * o01 + h01 * o11, h00 * o02 + h01 * o12 + h02 * o22,
                  h00 * o03 + h01 * o13 + h02 * o23 + h03 * o33),
                 (0, h11 * o11, h11 * o12 + h12 * o22, h11 * o13 + h12 * o23 + h13 * o33),
                 (0, 0, h22 * o22, h22 * o23 + h23 * o33),
                 (0, 0, 0, h33 * o33)]
-        return QLattice.from_int_rows(self.order.algebra, rows, lat.den * scale)
+        return QLattice.from_triangular_rows(self.order.algebra, rows, lat.den * scale)
 
     def ball_order(self, P, k: int) -> QOrder:
         """End(P L_k) for an integer 2x2 matrix P of determinant 1:
@@ -484,14 +502,24 @@ class EllAdicFrame:
         ell^k is a unit, so the order is O there."""
         assert 2 * k <= self.n, "the frame is too coarse for this distance"
         s = self.ell**k
-        m = s * s
-        (a, b), (c, d) = P  # P^-1 = ((d, -b), (-c, a))
-        gens = [self.coords_of(((s * a * d, -s * a * b), (s * c * d, -s * c * b)), m),
-                self.coords_of(((-s * b * c, s * a * b), (-s * c * d, s * a * d)), m),
-                self.coords_of(((-a * c, a * a), (-c * c, a * c)), m)]
-        Ov = QOrder(self._span(gens, m, s))
+        Ov = QOrder(self._span(self._ball_order_gens(P, s), s * s, s))
         assert Ov.is_maximal, f"ball order has discrd {Ov.reduced_discriminant}"
         return Ov
+
+    def _ball_order_gens(self, P, s: int) -> list[list[int]]:
+        """The O-coordinates mod s^2 of s e11, s e22 and e12, in one pass over
+        the units: e_ab has the matrix with rows (P_1a Pinv_b1, P_1a Pinv_b2)
+        and (P_2a Pinv_b1, P_2a Pinv_b2)."""
+        m = s * s
+        (a, b), (c, d) = P  # P^-1 = ((d, -b), (-c, a))
+        ad, bc, ab, cd, ac, aa, cc = a * d, b * c, a * b, c * d, a * c, a * a, c * c
+        g1, g2, g3 = [], [], []
+        for e11, e12, e21, e22 in zip(*self.units[0], *self.units[1]):
+            w = ab * e12 - cd * e21
+            g1.append(s * (ad * e11 - bc * e22 - w) % m)
+            g2.append(s * (ad * e22 - bc * e11 + w) % m)
+            g3.append((aa * e12 - cc * e21 + ac * (e22 - e11)) % m)
+        return [g1, g2, g3]
 
     def ball_ideal(self, P, k: int) -> QIdeal:
         """The ideal O diag(ell^k, 1) P^-1 = {x in O : x w = 0 mod ell^k} of
@@ -510,17 +538,6 @@ class EllAdicFrame:
         I = QIdeal(self._span(gens, s, 1))
         assert I.nrd() == s, f"ball ideal has norm {I.nrd()}, not {s}"
         return I
-
-
-def _sl2_inverse(P) -> tuple:
-    (a, b), (c, d) = P
-    return ((d, -b), (-c, a))
-
-
-def _mul2(A, B) -> tuple:
-    (a, b), (c, d) = A
-    (e, f), (g, h) = B
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def _frame_around(O: QOrder, ell: int, n: int, e) -> EllAdicFrame:

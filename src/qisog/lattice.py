@@ -221,11 +221,33 @@ class QLattice:
         h = hnf_rows(rows)
         if len(h) != 4:
             raise PreconditionError("generators do not span a full-rank lattice")
+        return cls._content_free(algebra, h, den)
+
+    @classmethod
+    def _content_free(cls, algebra: QuatAlgebra, h, den: int) -> "QLattice":
+        """The lattice of the HNF rows h over den, with the gcd of all entries
+        and den divided out."""
         g = math.gcd(den, *h[0], *h[1], *h[2], *h[3])
         if g > 1:
             h = [tuple(x // g for x in row) for row in h]
             den //= g
         return cls(algebra=algebra, mat=tuple(h), den=den)
+
+    @classmethod
+    def from_triangular_rows(cls, algebra: QuatAlgebra, rows, den: int) -> "QLattice":
+        """from_int_rows for four upper-triangular rows with positive
+        pivots: their HNF only reduces the six entries above the pivots, in
+        hnf_rows' order (column 1, then 2, then 3), before the content is
+        divided out."""
+        (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = rows
+        q = a1 // b1
+        a1, a2, a3 = a1 - q * b1, a2 - q * b2, a3 - q * b3
+        q = a2 // c2
+        a2, a3 = a2 - q * c2, a3 - q * c3
+        q = b2 // c2
+        b2, b3 = b2 - q * c2, b3 - q * c3
+        return cls._content_free(algebra, ((a0, a1, a2, a3 % d3), (0, b1, b2, b3 % d3),
+                                           (0, 0, c2, c3 % d3), (0, 0, 0, d3)), den)
 
     @classmethod
     def from_frac_rows(cls, algebra: QuatAlgebra, rows) -> "QLattice":
@@ -265,31 +287,33 @@ class QLattice:
         (p0, a01, a02, a03), (_, p1, a12, a13), (_, _, p2, a23), (_, _, _, p3) = self.mat
         den = self.den
         x0, x1, x2, x3 = x
-        y0, r0 = divmod(x0 * den, vden)
-        y1, r1 = divmod(x1 * den, vden)
-        y2, r2 = divmod(x2 * den, vden)
-        y3, r3 = divmod(x3 * den, vden)
-        if r0 or r1 or r2 or r3:
+        x0, x1, x2, x3 = x0 * den, x1 * den, x2 * den, x3 * den
+        if x0 % vden or x1 % vden or x2 % vden or x3 % vden:
             return None
-        c0, r = divmod(y0, p0)
-        if r:
+        y = x0 // vden
+        if y % p0:
             return None
-        c1, r = divmod(y1 - c0 * a01, p1)
-        if r:
+        c0 = y // p0
+        y = x1 // vden - c0 * a01
+        if y % p1:
             return None
-        c2, r = divmod(y2 - c0 * a02 - c1 * a12, p2)
-        if r:
+        c1 = y // p1
+        y = x2 // vden - c0 * a02 - c1 * a12
+        if y % p2:
             return None
-        c3, r = divmod(y3 - c0 * a03 - c1 * a13 - c2 * a23, p3)
-        if r:
+        c2 = y // p2
+        y = x3 // vden - c0 * a03 - c1 * a13 - c2 * a23
+        if y % p3:
             return None
-        return [c0, c1, c2, c3]
+        return [c0, c1, c2, y // p3]
 
     def contains(self, elt: QuatElement) -> bool:
         return self.int_coords(*split_den(elt.coords)) is not None
 
     def contains_lattice(self, other: "QLattice") -> bool:
-        return all(self.int_coords(r, other.den) is not None for r in other.mat)
+        coords, (r0, r1, r2, r3), d = self.int_coords, other.mat, other.den
+        return (coords(r0, d) is not None and coords(r1, d) is not None
+                and coords(r2, d) is not None and coords(r3, d) is not None)
 
     def pivot_product(self) -> int:
         """det(mat), the product of the (positive) HNF pivots."""
@@ -432,11 +456,21 @@ class QLattice:
         # nrd(b_a) = g_aa / den^2 and trd(b_a conj(b_b)) = 2 g_ab / den^2
         if math.gcd(g00, g11, g22, g33, 2 * g01, 2 * g02, 2 * g03, 2 * g12, 2 * g13, 2 * g23) % dd:
             return False
-        mul, coords = self.algebra.mul_coords, self.int_coords
-        b0, b1, b2, b3 = self.mat
-        return (coords(mul(b0, b1), dd) is not None and coords(mul(b0, b2), dd) is not None
-                and coords(mul(b0, b3), dd) is not None and coords(mul(b1, b2), dd) is not None
-                and coords(mul(b1, b3), dd) is not None and coords(mul(b2, b3), dd) is not None)
+        # the six products b_a b_b, a < b, of the triangular rows, written out
+        di, dj, coords = self.algebra.d_i, self.algebra.d_j, self.int_coords
+        dij = di * dj
+        (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = self.mat
+        return (coords((di * a1 * b1 + dj * a2 * b2 - dij * a3 * b3,
+                        a0 * b1 - dj * (a2 * b3 - a3 * b2),
+                        a0 * b2 + di * (a1 * b3 - a3 * b1),
+                        a0 * b3 + a1 * b2 - a2 * b1), dd) is not None
+                and coords((dj * (a2 * c2 - di * a3 * c3), dj * (a3 * c2 - a2 * c3),
+                            a0 * c2 + di * a1 * c3, a0 * c3 + a1 * c2), dd) is not None
+                and coords((-dij * a3 * d3, -dj * a2 * d3, di * a1 * d3, a0 * d3), dd) is not None
+                and coords((dj * (b2 * c2 - di * b3 * c3), dj * (b3 * c2 - b2 * c3),
+                            di * b1 * c3, b1 * c2), dd) is not None
+                and coords((-dij * b3 * d3, -dj * b2 * d3, di * b1 * d3, 0), dd) is not None
+                and coords((-dij * c3 * d3, -dj * c2 * d3, 0, 0), dd) is not None)
 
     # -- short vectors ------------------------------------------------------
 

@@ -195,6 +195,13 @@ def quad_order_info(d: int) -> QuadOrderDesc:
     return QuadOrderDesc(d=d, d_K=d_K, f=f)
 
 
+def class_number(p: int) -> int:
+    """Eichler's class number of the quaternion algebra ramified at p and oo:
+    the number of left ideal classes of a maximal order, and of
+    supersingular j-invariants over F_p^2."""
+    return p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
+
+
 def pizer_params(p: int, bound: int | None = None) -> int:
     """Auxiliary q with (-q, -p) ramified exactly at p and the real place.
 

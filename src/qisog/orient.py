@@ -21,12 +21,13 @@ classify_edge's membership test checks every edge's conductor ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import ideals as idl
 from . import numth
 from .errors import CapExceeded, PreconditionError
 from .ideals import QOrder
-from .lattice import integer_kernel
+from .lattice import QLattice, integer_kernel
 from .multigraph import MultiGraph
 from .quat import QuatAlgebra
 
@@ -48,6 +49,13 @@ class OrientedVertex:
 
     def key(self):
         return self.order.key()
+
+    @cached_property
+    def theta_rows(self) -> tuple:
+        """theta = f omega for each subfield, i first, as (integer row, den):
+        the generator of the conductor-f order, which lies in the order."""
+        return tuple(([f * c for c in row], den) for f, (row, den)
+                     in zip((self.f_i, self.f_j), self.order.algebra.maximal_quadratic_rows))
 
 
 def _subfield_lattice(order: QOrder, u: str) -> list:
@@ -107,10 +115,9 @@ def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int) -> str:
     """Two-letter label, field i first: A/H/D per conductor ratio, checked
     against the membership test of theta/ell in the target order, where
     theta = f omega is the generator of the conductor-f order at v."""
-    omegas = dict(zip("ij", v.order.algebra.maximal_quadratic_rows))
     target = w.order.lattice
     labels = []
-    for u, fv, fw in (("i", v.f_i, w.f_i), ("j", v.f_j, w.f_j)):
+    for (x, xden), fv, fw in zip(v.theta_rows, (v.f_i, v.f_j), (w.f_i, w.f_j)):
         if fw * ell == fv:
             lab = ASC
         elif fw == fv:
@@ -120,8 +127,6 @@ def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int) -> str:
         else:
             raise RuntimeError(f"conductor ratio {fw}/{fv} not in 1/l,1,l")
         # theta = x / xden on integers
-        x, xden = omegas[u]
-        x = [fv * c for c in x]
         asc = target.int_coords(x, xden * ell) is not None
         hor = not asc and target.int_coords(x, xden) is not None
         want = ASC if asc else (HOR if hor else DESC)
@@ -153,11 +158,17 @@ def _frame_conductor(f0: int, W, k: int, ell: int, n: int) -> int:
     reads valuation n, so its term is at most k - n <= -k: the maximum is
     exact once n >= 2k."""
     q = ell**n
-
-    def v(x):
-        return n if x % q == 0 else numth._two_adic_split(x, ell)[0]
     (w11, w12), (w21, w22) = W
-    j = max(-v(f0), -v(w11), -v(w22), -k - v(w12), k - v(w21))
+    v = []
+    for x in (f0, w11, w22, w12, w21):
+        e = n
+        if x % q:
+            e = 0
+            while x % ell == 0:
+                x //= ell
+                e += 1
+        v.append(e)
+    j = max(-v[0], -v[1], -v[2], -k - v[3], k - v[4])
     f, rem = divmod(f0 * ell ** max(j, 0), ell ** max(-j, 0))
     assert rem == 0
     return f
@@ -206,14 +217,14 @@ def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
         for k in range(1, depth + 1):
             nxt = []
             for v, point in frontier:
+                lat = v.order.lattice
+                up = QLattice.from_triangular_rows(alg, lat.mat, lat.den * ell)  # ell^-1 O_parent
                 for child in idl.tree_children(point, k, ell):
                     P = idl.tree_point_matrix(child, ell)
                     f = tuple(_frame_conductor(fu, frame.conjugate(X, P), k, ell, n)
                               for fu, X in zip(f0, thetas))
                     w = register(frame.ball_order(P, k), f)
-                    lat = w.order.lattice
-                    assert all(v.order.lattice.int_coords([ell * x for x in r], lat.den) is not None
-                               for r in lat.mat), "ell O_child must lie in O_parent"
+                    assert up.contains_lattice(w.order.lattice), "ell O_child must lie in O_parent"
                     g.add_edge(v.key(), w.key(), cls=classify_edge(v, w, ell))
                     if k < depth:
                         g.add_edge(w.key(), v.key(), cls=classify_edge(w, v, ell))
@@ -273,8 +284,7 @@ def predicted_counts(alg: QuatAlgebra, f_i: int, f_j: int, ell: int) -> tuple[st
     form HH = 1 - (d_Ki/ell)(d_Kj/ell); at ell = 2 it differs when one field
     is split and the other has v_2(d_K) = 2.
     """
-    dKi = numth.fundamental_discriminant(alg.d_i)
-    dKj = numth.fundamental_discriminant(alg.d_j)
+    dKi, dKj = alg.fundamental_discriminants
     si, sj = numth.kronecker(dKi, ell), numth.kronecker(dKj, ell)
     div_i, div_j = f_i % ell == 0, f_j % ell == 0
     total = ell + 1
@@ -307,15 +317,21 @@ def predicted_counts(alg: QuatAlgebra, f_i: int, f_j: int, ell: int) -> tuple[st
     return "both conductors divisible", pred
 
 
-def structure_audit(component: MultiGraph, vertex_key, ell: int) -> AuditReport:
+def _component_algebra(component: MultiGraph) -> QuatAlgebra:
+    meta = component.meta
+    return QuatAlgebra(p=meta["p"], d_i=meta["d_i"], d_j=meta["d_j"])
+
+
+def structure_audit(component: MultiGraph, vertex_key, ell: int,
+                    alg: QuatAlgebra | None = None) -> AuditReport:
     """Compare predicted category counts with the observed out-edges.
 
     The vertex passes when every bucket matches predicted_counts and its
-    out-degree is ell + 1, for every ell alike.
+    out-degree is ell + 1, for every ell alike.  alg is the component's
+    algebra, read off its meta when not given.
     """
     attrs = component.vertex_attrs[vertex_key]
-    alg_meta = component.meta
-    alg = QuatAlgebra(p=alg_meta["p"], d_i=alg_meta["d_i"], d_j=alg_meta["d_j"])
+    alg = alg or _component_algebra(component)
     case, pred = predicted_counts(alg, attrs["f_i"], attrs["f_j"], ell)
     observed: dict = {c: 0 for c in CATEGORIES}
     for rec in component.out_edges(vertex_key).values():
@@ -333,11 +349,9 @@ def structure_audit(component: MultiGraph, vertex_key, ell: int) -> AuditReport:
 def audit_component(component: MultiGraph, ell: int) -> list[AuditReport]:
     """Audit every vertex whose full neighbor list is present (out-degree
     ell + 1 in the walked graph)."""
-    out = []
-    for key in component.vertices():
-        if component.out_degree(key) == ell + 1:
-            out.append(structure_audit(component, key, ell))
-    return out
+    alg = _component_algebra(component)
+    return [structure_audit(component, key, ell, alg) for key in component.vertices()
+            if component.out_degree(key) == ell + 1]
 
 
 # ---------------------------------------------------------------------------

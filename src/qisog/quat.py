@@ -81,10 +81,14 @@ class QuatAlgebra:
         return tuple(out)
 
     @cached_property
+    def fundamental_discriminants(self) -> tuple[int, int]:
+        """The fundamental discriminants of K_i = Q(i) and K_j = Q(j)."""
+        return numth.fundamental_discriminant(self.d_i), numth.fundamental_discriminant(self.d_j)
+
+    @cached_property
     def p_splits(self) -> tuple[bool, bool]:
-        """Whether p splits in K_i = Q(i), resp. K_j = Q(j)."""
-        return tuple(numth.kronecker(numth.fundamental_discriminant(d), self.p) == 1
-                     for d in (self.d_i, self.d_j))
+        """Whether p splits in K_i, resp. K_j."""
+        return tuple(numth.kronecker(dK, self.p) == 1 for dK in self.fundamental_discriminants)
 
     def norm_diag(self) -> tuple[int, int, int, int]:
         """Diagonal Gram of the norm form on the basis 1, i, j, k."""

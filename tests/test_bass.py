@@ -151,30 +151,59 @@ def full_sublattice_hnfs(index):
             yield H
 
 
+def holds_rows(H, rows) -> bool:
+    """Whether every row lies in the row lattice of the upper-triangular H,
+    by forward substitution."""
+    for r in rows:
+        v = list(r)
+        for t in range(4):
+            c, rem = divmod(v[t], H[t][t])
+            if rem:
+                return False
+            v = [x - c * y for x, y in zip(v, H[t])]
+    return True
+
+
+def candidate_order(O, H, index):
+    """The lattice dual to H in O's coordinates, as an order containing O,
+    or None when it is not one."""
+    X, mat = triangular_adjugate(H), O.lattice.mat
+    rows = [[sum(X[t][c] * mat[t][s] for t in range(c + 1)) for s in range(4)] for c in range(4)]
+    L = QLattice.from_int_rows(O.algebra, rows, O.lattice.den * index)
+    if not L.contains_lattice(O.lattice):
+        return None
+    try:
+        return QOrder(L)
+    except PreconditionError:
+        return None
+
+
 def full_superorders_at(O, index, cap=bass.SUPERORDER_CAP):
     """Oracle: bass._superorders_at over every sublattice of the index, not
-    only those inside O^#."""
+    only those inside O^#, and with no trace test."""
     out = []
-    seen = set()
-    mat = O.lattice.mat
     for count, H in enumerate(full_sublattice_hnfs(index), 1):
         if count > cap:
             raise CapExceeded("superorder enumeration cap exceeded")
-        X = triangular_adjugate(H)
-        rows = [[sum(X[t][c] * mat[t][s] for t in range(c + 1)) for s in range(4)]
-                for c in range(4)]
-        L = QLattice.from_int_rows(O.algebra, rows, O.lattice.den * index)
-        if L.key() in seen:
-            continue
-        seen.add(L.key())
-        if not L.contains_lattice(O.lattice):
-            continue
-        try:
-            order = QOrder(L)
-        except PreconditionError:
-            continue
-        out.append(order)
+        if (order := candidate_order(O, H, index)) is not None:
+            out.append(order)
     return out
+
+
+def assert_bottom_up_enumeration_agrees(O):
+    """At every index l^k dividing discrd / p, _sublattice_hnfs yields each
+    HNF of full_sublattice_hnfs whose row lattice holds the trace Gram rows,
+    once, and no other; and the trace test keeps every H whose dual is an
+    order containing O."""
+    G = O.trace_gram
+    for ell, v in numth.factorize(O.reduced_discriminant // O.algebra.p).items():
+        for k in range(1, v + 1):
+            got = [tuple(map(tuple, H)) for H in bass._sublattice_hnfs(ell**k, G)]
+            want = [tuple(map(tuple, H)) for H in full_sublattice_hnfs(ell**k) if holds_rows(H, G)]
+            assert len(got) == len(set(got)) and set(got) == set(want), (ell, k)
+            for H in want:
+                if candidate_order(O, H, ell**k) is not None:
+                    assert bass._trace_integral(triangular_adjugate(H), G, ell ** (2 * k))
 
 
 def assert_oracle_agrees(O, monkeypatch):
@@ -190,6 +219,59 @@ def assert_oracle_agrees(O, monkeypatch):
         m.setattr(bass, "_superorders_at", full_superorders_at)
         want = bass.enumerate_maximal_superorders(O)
     assert [S.key() for S in got] == [S.key() for S in want]
+
+
+class TestBottomUpEnumeration:
+    """_sublattice_hnfs fixes H's rows from the bottom and tests a row of M
+    as soon as it can; the unpruned enumeration, filtered by membership, is
+    the second path.  The whole range is swept in test_sweep.py."""
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 17, 73, 193])
+    def test_same_hnfs_as_filtered_full_enumeration(self, p):
+        O = bass_for(p)
+        assert_bottom_up_enumeration_agrees(O)
+        assert_bottom_up_enumeration_agrees(QOrder(standard_order_lattice(O.algebra)))
+
+    def test_trace_test_drops_candidates(self):
+        """At p = 13, N = 8 the trace test keeps 3 of the 99 candidates, and
+        the ring test still drops one of those."""
+        O = bass_for(13)
+        kept = [H for H in bass._sublattice_hnfs(8, O.trace_gram)
+                if bass._trace_integral(triangular_adjugate(H), O.trace_gram, 64)]
+        assert len(kept) == 3
+        assert sum(candidate_order(O, H, 8) is not None for H in kept) == 2
+
+
+def radical_y4_oracle(table, ell):
+    """The former loop of _radical_bruteforce: x b_a through _quot_mul with
+    a fresh basis vector, then y^4 by three products."""
+    def is_nilpotent(x) -> bool:
+        y = x
+        for _ in range(3):
+            y = idl._quot_mul(table, ell, y, x)
+        return not any(y)
+
+    rad = [x for x in product(range(ell), repeat=4)
+           if all(is_nilpotent(idl._quot_mul(table, ell, x, tuple(int(t == a) for t in range(4))))
+                  for a in range(4))]
+    return numth.rref_mod(rad, ell)
+
+
+class TestRadicalBruteForce:
+    """_radical_bruteforce against the former y^4 loop and, for odd ell,
+    the certified trace kernel: Bass orders with q = 2, 3 and 7, and
+    ell = p."""
+
+    @pytest.mark.parametrize("p,ell", [(13, 2), (29, 2), (17, 3), (41, 3), (73, 7), (97, 7),
+                                       (5, 5), (7, 7)])
+    def test_same_basis(self, p, ell):
+        O = bass_for(p)
+        table = idl._mult_table_mod(O, ell)
+        got = bass._radical_bruteforce(table, ell)
+        assert got == radical_y4_oracle(table, ell)
+        if ell != 2:
+            assert got == bass._radical_trace_kernel(O, table, ell)
+        assert 0 < len(got) < 4
 
 
 class TestPrunedSuperorderOracle:

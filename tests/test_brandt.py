@@ -180,6 +180,26 @@ class TestClassEnumeration:
         assert cs.class_number == h
         assert len(ecgraph.supersingular_j_list(p)) == h
 
+    @pytest.mark.parametrize("p,ell,deepest", [(101, 2, 5), (113, 2, 4), (61, 3, 3)])
+    def test_founding_level_cap_is_tight(self, p, ell, deepest, monkeypatch):
+        """The deepest founding level is the eccentricity of [O0] in the
+        Brandt graph, which the cap h - 1 bounds; a class number one below
+        it makes the cap one below the deepest level, and the BFS stops."""
+        cs = classes(p, ell)
+        dist, frontier = {0: 0}, [0]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j, m in enumerate(cs.brandt[i]):
+                    if m and j not in dist:
+                        dist[j] = dist[i] + 1
+                        nxt.append(j)
+            frontier = nxt
+        assert max(dist.values()) == deepest < cs.class_number
+        monkeypatch.setattr(numth, "class_number", lambda p: deepest)
+        with pytest.raises(CapExceeded, match="founding level"):
+            classes(p, ell)
+
     def test_class_number_independent_of_ell(self):
         assert classes(37, 2).class_number == classes(37, 3).class_number
 

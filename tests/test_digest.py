@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-COMBINED = "de5332bab772101f790a31b25e214a3462b381002f924e3f9cba13a44385587c"
+COMBINED = "f3b6485c774fb33f76d948e2ad6434d0233a5e673b815781eb5dab98faa034c0"
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
 

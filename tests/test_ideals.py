@@ -258,6 +258,16 @@ class TestRootOrders:
     def test_small_p_rejected(self):
         with pytest.raises(PreconditionError):
             idl.root_maximal_orders(3)
+        with pytest.raises(PreconditionError):
+            idl.root_maximal_order(3)
+
+    def test_first_root_order_alone(self):
+        """root_maximal_order builds the first root order only, and it is
+        the first global root order for every p < 1000."""
+        for p in range(5, 1000):
+            if numth.is_prime(p):
+                O = idl.root_maximal_order(p)
+                assert O == idl.root_maximal_orders(p)[0] == idl.global_root_orders(p)[0], p
 
 
 class TestPrimitivity:
@@ -590,10 +600,21 @@ class TestEllAdicFrame:
             assert len(lines) == len(level)
 
 
+def sl2_inverse(P) -> tuple:
+    (a, b), (c, d) = P
+    return ((d, -b), (-c, a))
+
+
+def mul2(A, B) -> tuple:
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
 def point_unit_row(frame: idl.EllAdicFrame, P, a: int, b: int) -> list:
     """The integer row r with r/den = P E_ab P^-1 = sum_cd P_ca Pinv_bd E_cd
     mod ell^n, for P of determinant 1."""
-    Pinv, R, out = idl._sl2_inverse(P), unit_rows(frame), [0, 0, 0, 0]
+    Pinv, R, out = sl2_inverse(P), unit_rows(frame), [0, 0, 0, 0]
     for c, d in itertools.product(range(2), repeat=2):
         if x := P[c][a] * Pinv[b][d]:
             out = [y + x * z for y, z in zip(out, R[c][d])]
@@ -648,6 +669,75 @@ class TestBallAgainstEightRowHnf:
                     assert frame.ball_ideal(P, k).key() == ball_ideal_oracle(frame, P, k).key()
                     kinds.add(w[0])
         assert kinds == {0, 1}
+
+
+def random_sl2(rng, bound: int) -> tuple:
+    """A random integer matrix of determinant 1: a random first column
+    (a, c) with gcd 1, completed by the extended gcd, then a random multiple
+    of it added to the second column."""
+    while True:
+        a, c = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if math.gcd(a, c) == 1:
+            break
+    x0, y0, x1, y1, r0, r1 = 1, 0, 0, 1, a, c  # r_i = a x_i + c y_i
+    while r1:
+        t = r0 // r1
+        x0, y0, x1, y1, r0, r1 = x1, y1, x0 - t * x1, y0 - t * y1, r1, r0 - t * r1
+    x0, y0 = r0 * x0, r0 * y0  # r0 = +-1
+    t = rng.randint(-bound, bound)
+    return ((a, -y0 + t * a), (c, x0 + t * c))
+
+
+FRAMES = [idl.matrix_split(idl.root_maximal_order(p), ell).lift(n)
+          for p, ell, n in ((7, 2, 8), (101, 3, 4), (113, 2, 6), (499, 7, 4))]
+
+
+def conjugate_oracle(frame, X, P) -> tuple:
+    """The former form of EllAdicFrame.conjugate: P^-1 X P by two 2x2
+    products, reduced mod ell^n."""
+    q = frame.modulus
+    return tuple(tuple(x % q for x in r) for r in mul2(mul2(sl2_inverse(P), X), P))
+
+
+def ball_order_gens_oracle(frame, P, s: int) -> list:
+    """The former generators of ball_order: s e11, s e22 and e12 through
+    coords_of, with e_ab = P E_ab P^-1 by 2x2 products."""
+    def e(a, b, f):
+        unit = tuple(tuple(f * int((r, c) == (a, b)) for c in range(2)) for r in range(2))
+        return frame.coords_of(mul2(mul2(P, unit), sl2_inverse(P)), s * s)
+    return [e(0, 0, s), e(1, 1, s), e(0, 1, 1)]
+
+
+class TestStraightLineFrame:
+    """conjugate and the generators of ball_order are written out over P
+    and the units; the 2x2 products and coords_of are the second path, on
+    random matrices of determinant 1, tree points among them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), frame=st.sampled_from(FRAMES))
+    def test_conjugate_against_products(self, seed, frame):
+        rng = random.Random(seed)
+        q = frame.modulus
+        for bound in (1, 5, q):
+            P = random_sl2(rng, bound)
+            X = tuple(tuple(rng.randrange(-q, q) for _ in range(2)) for _ in range(2))
+            assert frame.conjugate(X, P) == conjugate_oracle(frame, X, P)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), frame=st.sampled_from(FRAMES))
+    def test_ball_order_gens_against_coords_of(self, seed, frame):
+        rng = random.Random(seed)
+        ell = frame.ell
+        for k in range(1, frame.n // 2 + 1):
+            s = ell**k
+            point = (rng.randrange(2), rng.randrange(ell**k))
+            for P in (idl.tree_point_matrix(point, ell), random_sl2(rng, ell**k)):
+                assert frame._ball_order_gens(P, s) == ball_order_gens_oracle(frame, P, s)
+
+    def test_random_sl2_spans_every_sign(self):
+        rng = random.Random(1)
+        signs = {tuple(x > 0 for r in random_sl2(rng, 9) for x in r if x) for _ in range(200)}
+        assert len(signs) > 4
 
 
 def quot_mul_oracle(table, q, u, v):

@@ -630,9 +630,38 @@ def gram_int_oracle(L: QLattice):
     return tuple(tuple(sum(a[t] * b[t] * g0[t] for t in range(4)) for b in L.mat) for a in L.mat)
 
 
+def is_ring_oracle(L: QLattice) -> bool:
+    """The former form of QLattice.is_ring: 1, the integral norm form off
+    gram_int, then the six products b_a b_b, a < b, through mul_coords."""
+    if L.int_coords((1, 0, 0, 0)) is None:
+        return False
+    g, dd = L.gram_int, L.den * L.den
+    if math.gcd(*(g[a][a] for a in range(4)),
+                *(2 * g[a][b] for a in range(4) for b in range(a + 1, 4))) % dd:
+        return False
+    mul = L.algebra.mul_coords
+    return all(L.int_coords(mul(L.mat[a], L.mat[b]), dd) is not None
+               for a in range(4) for b in range(a + 1, 4))
+
+
+def random_triangular_rows(rng):
+    """Four upper-triangular integer rows with positive pivots, entries above
+    them of either sign and up to three times the pivot of their column, and
+    a common factor now and then."""
+    piv = [rng.choice([1, 1, 2, 3, 4, 6, 9, 16, 27]) for _ in range(4)]
+    rows = [[0] * 4 for _ in range(4)]
+    for t in range(4):
+        rows[t][t] = piv[t]
+        for c in range(t + 1, 4):
+            rows[t][c] = rng.randint(-3 * piv[c], 3 * piv[c])
+    f = rng.choice([1, 1, 2, 3, 6])
+    return [[f * x for x in r] for r in rows]
+
+
 class TestStraightLineKernels:
-    """int_coords and gram_int are written out for rank 4; the loop forms
-    are the second path, on lattices with den = 1 and den > 1."""
+    """int_coords, gram_int, from_triangular_rows and is_ring are written
+    out for rank 4; the loop forms and from_int_rows are the second path,
+    on lattices with den = 1 and den > 1."""
 
     LATTICES = [STD, O0, O101, O113, Q101]
 
@@ -666,6 +695,23 @@ class TestStraightLineKernels:
         L = random_sublattice(random.Random(seed), order)
         assert L.gram_int == gram_int_oracle(L)
         assert order.gram_int == gram_int_oracle(order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), den=st.sampled_from([1, 2, 3, 4, 6, 12, 36, 64]))
+    def test_triangular_rows_against_hnf(self, seed, den):
+        rng = random.Random(seed)
+        for _ in range(5):
+            rows = random_triangular_rows(rng)
+            got = QLattice.from_triangular_rows(A7, rows, den)
+            assert got == QLattice.from_int_rows(A7, rows, den), (rows, den)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from(TestSixProductRingTest.ORDERS))
+    def test_is_ring_against_mul_coords(self, seed, order):
+        rng = random.Random(seed)
+        for _ in range(10):
+            L = perturbed_order_lattice(rng, order)
+            assert L.is_ring() == is_ring_oracle(L), L
 
 
 def fraction_fp_setup(gram):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qisog import numth
+from qisog import ecgraph, numth
 from qisog.errors import PreconditionError
 
 PLACES = (2, 3, 5, 7, numth.INF)
@@ -148,3 +148,10 @@ class TestPizer:
     def test_bound_failure_is_explicit(self):
         with pytest.raises(PreconditionError):
             numth.pizer_params(97, bound=2)
+
+
+def test_class_number_formula_counts_supersingular_j():
+    """Eichler's class-number formula against the curve side, p < 500."""
+    for p in range(5, 500):
+        if numth.is_prime(p):
+            assert numth.class_number(p) == len(ecgraph.supersingular_j_list(p)), p

@@ -134,6 +134,16 @@ class TestWalk:
         g = orient.walk_component(ROOT7, 3, depth=2)
         assert g.num_vertices() == 17
 
+    @pytest.mark.parametrize("p,ell", [(7, 3), (101, 2)])
+    def test_adjacency_certificate_trips_at_distance_two(self, p, ell, monkeypatch):
+        """A level-1 point handed its own child's order, at distance 2 from
+        the root, fails ell O_child in O_parent before any other check."""
+        ball_order = idl.EllAdicFrame.ball_order
+        monkeypatch.setattr(idl.EllAdicFrame, "ball_order",
+                            lambda frame, P, k: ball_order(frame, P, 2 if k == 1 else k))
+        with pytest.raises(AssertionError, match="ell O_child must lie in O_parent"):
+            orient.walk_component(idl.root_maximal_order(p), ell, depth=2)
+
     def test_depth_zero_builds_no_frame(self, monkeypatch, capsys):
         def refuse(*a, **k):
             raise AssertionError("depth 0 must not split")

@@ -22,7 +22,9 @@ the structure audit, every vertex's conductors, read off the l-adic frame,
 are those of the integer kernels of orient.optimal_suborder, and the Bass
 superorder oracle finds exactly the global embedding number of maximal
 orders, the same ones as the unpruned enumeration over every sublattice of
-each index.  The frame's depth-1 and depth-2 orders, at the root and at one
+each index.  Its bottom-up enumeration yields exactly the sublattices of
+that enumeration that hold the trace Gram rows, and its trace test keeps
+every one whose dual is an order.  The frame's depth-1 and depth-2 orders, at the root and at one
 of its neighbours, are the right orders of the norm-l ideals.
 """
 
@@ -35,7 +37,7 @@ from qisog import ideals as idl
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice
 from qisog.quat import QuatAlgebra
-from test_bass import assert_oracle_agrees
+from test_bass import assert_bottom_up_enumeration_agrees, assert_oracle_agrees
 from test_brandt import (assert_relabels_first_match, backtrack_isomorphism, oracle_types,
                          sigma_types)
 from test_ideals import assert_root_and_walked_order_agree
@@ -46,15 +48,11 @@ PRIMES = [p for p in range(5, 501) if numth.is_prime(p)]
 ISO_BUDGET_S = 2.0  # per isomorphism search; the range needs at most about 10 ms
 
 
-def class_number(p: int) -> int:
-    return p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("p,ell", [(p, ell) for ell in (2, 3, 5, 7) for p in PRIMES if ell != p])
 def test_class_set_and_brandt_matrix(p, ell):
     cs = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], ell)
-    assert cs.class_number == class_number(p)
+    assert cs.class_number == numth.class_number(p)
     brandt.brandt_matrix(cs)
     G, Br = ecgraph.build_isogeny_graph(p, ell), brandt.brandt_graph(cs)
     start = time.perf_counter()
@@ -119,3 +117,9 @@ def test_superorder_oracle_matches_embedding_number(p, monkeypatch):
     O = bass.bass_order(QuatAlgebra.for_prime(p))
     assert len(bass.enumerate_maximal_superorders(O)) == bass.global_embedding_number(O)
     assert_oracle_agrees(O, monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", PRIMES)
+def test_bottom_up_enumeration_matches_filtered_full(p):
+    assert_bottom_up_enumeration_agrees(bass.bass_order(QuatAlgebra.for_prime(p)))
