@@ -44,7 +44,7 @@ def cmd_algebra(args) -> None:
     _check_p(args.p)
     alg = QuatAlgebra.for_prime(args.p)
     roots = idl.root_maximal_orders(args.p)
-    glob = idl.global_root_orders(args.p)
+    glob = idl.global_root_orders(args.p, roots)
     O = bass.bass_order(alg)
     doc = {
         "p": args.p,

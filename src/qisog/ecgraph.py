@@ -143,7 +143,7 @@ def supersingular_j_list(p: int) -> list:
                 parent[r] = j
                 queue.append(r)
     out = sorted(parent)
-    if len(out) != p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]:
+    if len(out) != numth.class_number(p):
         raise AssertionError(f"walk found {len(out)} supersingular j at p={p}, not Eichler's count")
     return out
 

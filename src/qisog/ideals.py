@@ -10,6 +10,8 @@ of the frame at n = 1 (the mod-l splitting).  Both are built in O's own
 coordinates, from small integers: l^k times the order contains l^(2k) O,
 and the ideal contains l^k O, so their generators are only needed mod
 l^(2k), resp. l^k, and reducing them there does not change the lattice.
+The frame gives orders and ideals only; the walk reads each order's
+conductors off memberships in it (orient.edge_step).
 
 Maximality is always certified through the reduced discriminant: in an
 algebra ramified exactly at {p, oo} an order is maximal iff discrd = p.
@@ -241,9 +243,10 @@ def root_maximal_order(p: int) -> QOrder:
     return O
 
 
-def global_root_orders(p: int) -> list[QOrder]:
-    """Maximal orders containing both maximal quadratic orders, deduplicated."""
-    orders = root_maximal_orders(p)
+def global_root_orders(p: int, orders: list[QOrder] | None = None) -> list[QOrder]:
+    """Maximal orders containing both maximal quadratic orders, deduplicated,
+    among orders, root_maximal_orders(p) when not given."""
+    orders = orders or root_maximal_orders(p)
     alg = orders[0].algebra
     wi, wj = maximal_quadratic_generators(alg)
     out = []
@@ -442,26 +445,6 @@ class EllAdicFrame:
         E11 (every lift reduces to it), so it is built as the split's units
         are, reduces to them, and does not depend on the frame lifted from."""
         return _frame_around(self.order, self.ell, n, tuple(x % self.ell for x in self.units[0][0]))
-
-    def matrix_of(self, u) -> tuple:
-        """The image ((x11, x12), (x21, x22)) mod ell^n of the element with
-        coordinates u: x_ab = trd(E_ba u)."""
-        lat, q = self.order.lattice, self.modulus
-        trd = [2 * r[0] // lat.den for r in lat.mat]
-
-        def entry(a, b):
-            return sum(c * t for c, t in zip(self.mul(self.units[b][a], u), trd)) % q
-        return tuple(tuple(entry(a, b) for b in range(2)) for a in range(2))
-
-    def conjugate(self, X, P) -> tuple:
-        """P^-1 X P mod ell^n for a 2x2 matrix P of determinant 1."""
-        q = self.modulus
-        (a, b), (c, d) = P  # P^-1 = ((d, -b), (-c, a))
-        (x11, x12), (x21, x22) = X
-        u11, u12 = d * x11 - b * x21, d * x12 - b * x22  # the rows of P^-1 X
-        u21, u22 = a * x21 - c * x11, a * x22 - c * x12
-        return (((u11 * a + u12 * c) % q, (u11 * b + u12 * d) % q),
-                ((u21 * a + u22 * c) % q, (u21 * b + u22 * d) % q))
 
     def coords_of(self, X, q: int) -> list[int]:
         """The O-coordinates mod q (a divisor of ell^n) of the element with

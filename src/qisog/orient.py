@@ -8,14 +8,13 @@ the conductors (f_i, f_j) of its intersections with the two subfields.
 
 A walk of depth d from O reads the whole ball off one l-adic frame of O
 (ideals.matrix_split(O, l).lift(n)): matrix units E_ab of O/l^n O =
-M2(Z/l^n) with n = 2d, as the orders and conductors at distance k need
-n >= 2k.  The vertices at distance k are the End(Z_l w + l^k Z_l^2) for
-the points w of P^1(Z/l^k), each built from the frame in O's coordinates
-mod l^(2k) (EllAdicFrame.ball_order), with w mod l^(k-1) its parent.
-Their conductors are f_0 l^j, with l^j the least power putting
-l^j P^-1 (f_0 omega) P in End(Z_l + l^k Z_l) (P = tree_point_matrix(w));
-only the start's come from the integer kernels of optimal_suborder, and
-classify_edge's membership test checks every edge's conductor ratio.
+M2(Z/l^n) with n = 2d, as the orders at distance k need n >= 2k.  The
+vertices at distance k are the End(Z_l w + l^k Z_l^2) for the points w of
+P^1(Z/l^k), each built from the frame in O's coordinates mod l^(2k)
+(EllAdicFrame.ball_order), with w mod l^(k-1) its parent.  Only the
+start's conductors come from the integer kernels of optimal_suborder;
+each child's come with its edge label from one membership step
+(edge_step), and classify_edge checks every reverse edge against them.
 """
 
 from __future__ import annotations
@@ -94,10 +93,9 @@ def conductors(order: QOrder) -> tuple[int, int]:
     return optimal_suborder(order, "i").f, optimal_suborder(order, "j").f
 
 
-def oriented_vertex(order: QOrder, f_ij: tuple[int, int] | None = None) -> OrientedVertex:
-    """The order with its conductors: f_ij = (f_i, f_j) when the caller has
-    read them off an l-adic frame, conductors(order) otherwise."""
-    f_i, f_j = conductors(order) if f_ij is None else f_ij
+def oriented_vertex(order: QOrder) -> OrientedVertex:
+    """The order with its conductors, read off the integer kernels."""
+    f_i, f_j = conductors(order)
     p = order.algebra.p
     for u, f, splits in zip("ij", (f_i, f_j), order.algebra.p_splits):
         if splits:
@@ -111,31 +109,36 @@ def oriented_vertex(order: QOrder, f_ij: tuple[int, int] | None = None) -> Orien
 # edge classification
 
 
-def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int) -> str:
-    """Two-letter label, field i first: A/H/D per conductor ratio, checked
-    against the membership test of theta/ell in the target order, where
-    theta = f omega is the generator of the conductor-f order at v."""
-    target = w.order.lattice
-    labels = []
-    for (x, xden), fv, fw in zip(v.theta_rows, (v.f_i, v.f_j), (w.f_i, w.f_j)):
-        if fw * ell == fv:
-            lab = ASC
-        elif fw == fv:
-            lab = HOR
-        elif fw == fv * ell:
-            lab = DESC
-        else:
-            raise RuntimeError(f"conductor ratio {fw}/{fv} not in 1/l,1,l")
+def edge_step(v: OrientedVertex, order: QOrder, ell: int) -> tuple[str, tuple[int, int]]:
+    """The label of the edge from v to an ell-adjacent maximal order, field
+    i first, and that order's conductors (f_i, f_j).  For theta = f_v omega,
+    the generator of v's conductor-f_v order, theta/ell in the order gives
+    A and f_v/ell, else theta gives H and f_v, else ell theta (asserted)
+    gives D and f_v ell.  This fixes f_w once ell O_w lies in O_v, as the
+    walk certifies: then f_v divides ell f_w."""
+    target = order.lattice
+    steps = []
+    for (x, xden), fv in zip(v.theta_rows, (v.f_i, v.f_j)):
         # theta = x / xden on integers
-        asc = target.int_coords(x, xden * ell) is not None
-        hor = not asc and target.int_coords(x, xden) is not None
-        want = ASC if asc else (HOR if hor else DESC)
-        if not asc and not hor:
+        if target.int_coords(x, xden * ell) is not None:
+            steps.append((ASC, fv // ell))
+        elif target.int_coords(x, xden) is not None:
+            steps.append((HOR, fv))
+        else:
             assert target.int_coords([ell * c for c in x], xden) is not None, \
                 "theta*l must land in the target"
-        assert want == lab, f"membership path gives {want}, conductors give {lab}"
-        labels.append(lab)
-    return "".join(labels)
+            steps.append((DESC, fv * ell))
+    (lab_i, f_i), (lab_j, f_j) = steps
+    return lab_i + lab_j, (f_i, f_j)
+
+
+def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int) -> str:
+    """The label edge_step gives the edge from v to w, whose conductors it
+    derives must be w's."""
+    label, f = edge_step(v, w.order, ell)
+    assert f == (w.f_i, w.f_j), \
+        f"edge {label} gives conductors {f}, the target has {(w.f_i, w.f_j)}"
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +148,6 @@ def classify_edge(v: OrientedVertex, w: OrientedVertex, ell: int) -> str:
 def tree_size(ell: int, depth: int) -> int:
     """Vertices of the (ell+1)-regular tree to the given depth."""
     return 1 + (ell + 1) * (ell**depth - 1) // (ell - 1)
-
-
-def _frame_conductor(f0: int, W, k: int, ell: int, n: int) -> int:
-    """f_0 ell^j for the least j with ell^j W in End(L_k) = [[Z_ell,
-    ell^-k Z_ell], [ell^k Z_ell, Z_ell]], L_k = Z_ell + ell^k Z_ell, where
-    W = P^-1 (f_0 omega) P is known mod ell^n.
-
-    The true j is at least -v_ell(f_0), as the conductor is an integer, and
-    at least -k, as ell^k End(L_k) lies in End(L_0) and f_0 is the start's
-    conductor.  An entry 0 mod ell^n
-    reads valuation n, so its term is at most k - n <= -k: the maximum is
-    exact once n >= 2k."""
-    q = ell**n
-    (w11, w12), (w21, w22) = W
-    v = []
-    for x in (f0, w11, w22, w12, w21):
-        e = n
-        if x % q:
-            e = 0
-            while x % ell == 0:
-                x //= ell
-                e += 1
-        v.append(e)
-    j = max(-v[0], -v[1], -v[2], -k - v[3], k - v[4])
-    f, rem = divmod(f0 * ell ** max(j, 0), ell ** max(-j, 0))
-    assert rem == 0
-    return f
 
 
 def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
@@ -184,6 +160,10 @@ def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
     walk whose tree_size(ell, depth) exceeds VERTEX_CAP is refused before
     the frame is built, and depth 0 builds none.  Each edge carries the
     adjacency certificate ell O_child in O_parent.
+
+    A child's label and conductors come from edge_step; classify_edge checks
+    them on the reverse edge.  Only the start needs oriented_vertex's checks:
+    the children's conductors are f_0 ell^j, ell != p, in the same algebra.
     """
     if ell == start.algebra.p or not numth.is_prime(ell):
         raise PreconditionError("ell must be a prime different from p")
@@ -198,21 +178,16 @@ def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
         "p": alg.p, "ell": ell, "d_i": alg.d_i, "d_j": alg.d_j, "kind": "oriented",
     })
 
-    def register(order: QOrder, f: tuple[int, int] | None) -> OrientedVertex:
+    def register(ov: OrientedVertex) -> OrientedVertex:
+        order = ov.order
         assert order.key() not in g.vertex_attrs, "two points of the ball give one order"
-        ov = oriented_vertex(order, f)
         g.add_vertex(order.key(), f_i=ov.f_i, f_j=ov.f_j,
                      basis=[list(r) for r in order.lattice.mat], den=order.lattice.den)
         return ov
 
-    root = register(start, None)
+    root = register(oriented_vertex(start))
     if depth:
-        f0 = (root.f_i, root.f_j)
-        n = 2 * depth
-        frame = idl.matrix_split(start, ell).lift(n)
-        # the images of theta = f_0 omega, which lies in start, per subfield
-        thetas = [frame.matrix_of(start.lattice.int_coords([f * c for c in row], rden))
-                  for f, (row, rden) in zip(f0, alg.maximal_quadratic_rows)]
+        frame = idl.matrix_split(start, ell).lift(2 * depth)
         frontier = [(root, None)]
         for k in range(1, depth + 1):
             nxt = []
@@ -220,12 +195,11 @@ def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
                 lat = v.order.lattice
                 up = QLattice.from_triangular_rows(alg, lat.mat, lat.den * ell)  # ell^-1 O_parent
                 for child in idl.tree_children(point, k, ell):
-                    P = idl.tree_point_matrix(child, ell)
-                    f = tuple(_frame_conductor(fu, frame.conjugate(X, P), k, ell, n)
-                              for fu, X in zip(f0, thetas))
-                    w = register(frame.ball_order(P, k), f)
-                    assert up.contains_lattice(w.order.lattice), "ell O_child must lie in O_parent"
-                    g.add_edge(v.key(), w.key(), cls=classify_edge(v, w, ell))
+                    order = frame.ball_order(idl.tree_point_matrix(child, ell), k)
+                    assert up.contains_lattice(order.lattice), "ell O_child must lie in O_parent"
+                    label, f = edge_step(v, order, ell)
+                    w = register(OrientedVertex(order, *f))
+                    g.add_edge(v.key(), w.key(), cls=label)
                     if k < depth:
                         g.add_edge(w.key(), v.key(), cls=classify_edge(w, v, ell))
                     nxt.append((w, child))

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from qisog import cli
+from qisog import ideals as idl
 from qisog.cli import main
 
 
@@ -19,6 +20,21 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "algebra", "--p", "7")
         assert code == 0
         assert "discrd 7" in out
+
+    def test_algebra_builds_each_order_once(self, capsys, monkeypatch):
+        """The two root orders and the Bass order: three ring closures."""
+        calls = []
+        order_closure = idl.order_closure
+
+        def counted(gens):
+            calls.append(len(gens))
+            return order_closure(gens)
+
+        monkeypatch.setattr(idl, "order_closure", counted)
+        code, out, _ = run_cli(capsys, "algebra", "--p", "101", "--json")
+        assert code == 0
+        assert json.loads(out)["global_root_orders"] == 2
+        assert len(calls) == 3
 
     def test_embed_p13(self, capsys):
         code, out, _ = run_cli(capsys, "embed", "--p", "13")

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,10 +79,58 @@ class TestClassifyEdge:
                 assert len(ups) == 1
 
     def test_conductor_and_membership_paths_agree_everywhere(self):
-        # classify_edge cross-checks internally; a full walk exercises it
-        walk(7, 2, 3)
-        walk(13, 2, 2)
-        walk(17, 3, 2)
+        """Every vertex's conductors, which the walk derives edge by edge
+        from memberships, are those of the integer kernels."""
+        for p, ell, depth in ((7, 2, 3), (13, 2, 2), (17, 3, 2)):
+            g = walk(p, ell, depth)
+            alg = QuatAlgebra.for_prime(p)
+            for key in g.vertices():
+                attrs = g.vertex_attrs[key]
+                O = QOrder(QLattice(alg, key[1], key[0]))
+                assert (attrs["f_i"], attrs["f_j"]) == orient.conductors(O), (p, ell, key)
+
+    def test_wrong_interior_conductor_trips_the_reverse_edge(self, monkeypatch):
+        """A step that gives the root's first child ell times its true f_i
+        is caught when the child's edge back to the root re-derives the
+        root's conductors from it."""
+        step = orient.edge_step
+        corrupted = []
+
+        def wrong_first_child(v, order, ell):
+            label, (f_i, f_j) = step(v, order, ell)
+            if v.key() == ROOT7.key() and not corrupted:
+                corrupted.append(order.key())
+                f_i *= ell
+            return label, (f_i, f_j)
+
+        monkeypatch.setattr(orient, "edge_step", wrong_first_child)
+        with pytest.raises(AssertionError,
+                           match=r"gives conductors \(3, 1\), the target has \(1, 1\)"):
+            orient.walk_component(ROOT7, 3, depth=2)
+        assert len(corrupted) == 1
+
+
+class TestOrientationChecks:
+    """oriented_vertex refuses an order whose orientation is undefined.  The
+    walk runs it at the start only: every child lies in the start's algebra
+    and has conductors f_0 ell^j with ell != p."""
+
+    def test_p_split_in_k_i(self):
+        alg = QuatAlgebra(p=13, d_i=-1, d_j=-13)  # -1 is a square mod 13
+        assert alg.p_splits == (True, False)
+        order = QOrder(QLattice.from_int_rows(alg, [[int(r == c) for c in range(4)]
+                                                    for r in range(4)], 1))
+        with pytest.raises(PreconditionError, match="p splits in K_i"):
+            orient.oriented_vertex(order)
+
+    def test_p_divides_the_conductor(self):
+        """Z + 7 O_0 cuts out Z + 7 O_K in both subfields."""
+        lat = ROOT7.lattice
+        rows = [[lat.den, 0, 0, 0]] + [[7 * c for c in r] for r in lat.mat]
+        order = QOrder(QLattice.from_int_rows(ROOT7.algebra, rows, lat.den))
+        assert orient.conductors(order) == (7, 7)
+        with pytest.raises(PreconditionError, match="p divides the conductor f_i"):
+            orient.oriented_vertex(order)
 
 
 class TestWalk:
@@ -239,8 +289,7 @@ class TestParentEdgeReuse:
 def divisible_start(p: int, ell: int) -> QOrder:
     """The vertex of the depth-2 walk from the first global root with the
     most factors ell in f_i f_j (least key among ties): a start whose
-    conductors f_0 are divisible by ell, which the frame's precision
-    2 depth does not count."""
+    conductors f_0 are divisible by ell, so that its walk ascends."""
     g = walk(p, ell, 2)
 
     def weight(key):
@@ -254,7 +303,7 @@ def divisible_start(p: int, ell: int) -> QOrder:
 
 class TestDivisibleStart:
     """Walks from an order with ell | f_i or ell | f_j against the oracle:
-    the frame mod ell^(2 depth) reads their conductors exactly."""
+    the membership step derives ascending conductors f_0 / ell exactly."""
 
     @pytest.mark.parametrize("p,ell", [(7, 2), (13, 3), (101, 2), (499, 7)])
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -370,6 +419,60 @@ class TestStructureAudit:
             div_i, div_j = attrs["f_i"] % 2 == 0, attrs["f_j"] % 2 == 0
             if div_i != div_j:
                 assert rep.observed["AH"] + rep.observed["HA"] == 1
+
+
+def load_ridge_survey():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "ridge_survey.py"
+    spec = importlib.util.spec_from_file_location("ridge_survey", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRidgeSurvey:
+    """scripts/ridge_survey.py, the one caller of AuditReport.bucket_rows."""
+
+    @pytest.mark.parametrize("p", [7, 13])
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_survey_finds_trees_without_anomalies(self, p, ell):
+        row = load_ridge_survey().survey(p, ell, 2)
+        assert row["tree"] and row["vertices"] == orient.tree_size(ell, 2)
+        assert row["audited"] == sum(row["profiles"].values()) == 1 + (ell + 1)
+        assert row["global"] >= 1 and row["local"] >= row["global"]
+        assert row["mismatches"] == []
+
+    def test_bucket_rows(self):
+        """At a vertex with one conductor divisible by ell the mixed ascents
+        AH and HA share one bucket."""
+        g = walk(7, 2, 3)
+        rep = next(r for r in orient.audit_component(g, 2)
+                   if r.case == "one conductor divisible")
+        rows = rep.bucket_rows()
+        assert [name for name, _, _ in rows] == ["AH+HA", "HD+DH", "DD", "HH", "AA"]
+        assert rows[0] == ("AH+HA", 1, 1)
+        assert all(want == got for _, want, got in rows)
+
+    def test_main_lists_an_anomaly(self, monkeypatch, capsys):
+        """A formula that predicts one HH edge too many at every vertex shows
+        as an anomaly at each audited vertex."""
+        survey = load_ridge_survey()
+        predicted_counts = orient.predicted_counts
+
+        def one_hh_too_many(*args):
+            case, pred = predicted_counts(*args)
+            return case, [(b, n + 1) if b == ("HH",) else (b, n) for b, n in pred]
+
+        monkeypatch.setattr(orient, "predicted_counts", one_hh_too_many)
+        monkeypatch.setattr("sys.argv", ["ridge_survey.py", "5", "1"])
+        survey.main()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "p=  5 l=2: V=   4 tree=True roots local/global=2/2 audited=1",
+            "      anomaly at conductors (1, 1): HH=1(formula 2), DD=2(formula 2)",
+            "p=  5 l=3: V=   5 tree=True roots local/global=1/1 audited=1",
+            "      anomaly at conductors (1, 1): HH=0(formula 1), HD=2(formula 2), "
+            "DH=2(formula 2)",
+        ]
 
 
 class TestSwapSymmetry:

@@ -18,14 +18,15 @@ oracle's.
 
 Double-oriented side (l in {2, 3, 5, 7}): the walk from the first global
 root order is a full (l+1)-regular tree whose every expanded vertex passes
-the structure audit, every vertex's conductors, read off the l-adic frame,
-are those of the integer kernels of orient.optimal_suborder, and the Bass
-superorder oracle finds exactly the global embedding number of maximal
-orders, the same ones as the unpruned enumeration over every sublattice of
-each index.  Its bottom-up enumeration yields exactly the sublattices of
-that enumeration that hold the trace Gram rows, and its trace test keeps
-every one whose dual is an order.  The frame's depth-1 and depth-2 orders, at the root and at one
-of its neighbours, are the right orders of the norm-l ideals.
+the structure audit, every vertex's conductors, derived edge by edge from
+memberships, are those of the integer kernels of orient.optimal_suborder,
+and the Bass superorder oracle finds exactly the global embedding number
+of maximal orders, the same ones as the unpruned enumeration over every
+sublattice of each index.  Its bottom-up enumeration yields exactly the
+sublattices of that enumeration that hold the trace Gram rows, and its
+trace test keeps every one whose dual is an order.  The frame's depth-1
+and depth-2 orders, at the root and at one of its neighbours, are the
+right orders of the norm-l ideals.
 """
 
 import time
