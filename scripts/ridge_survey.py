@@ -19,7 +19,7 @@ from qisog import numth, orient
 
 
 def survey(p: int, ell: int, depth: int):
-    start = idl.global_root_orders(p)[0]
+    start = idl.root_maximal_order(p)
     g = orient.walk_component(start, ell, depth=depth)
     local, glob = orient.find_roots(g, ell)
     reports = orient.audit_component(g, ell)

@@ -287,7 +287,7 @@ def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
     return out
 
 
-def enumerate_maximal_superorders(O: QOrder, cap: int = SUPERORDER_CAP) -> list[QOrder]:
+def enumerate_maximal_superorders(O: QOrder) -> list[QOrder]:
     """All maximal orders containing O, prime by prime: at each ell | f the
     candidates are index-ell^v superorders, and maximality is certified by
     the discriminant."""
@@ -299,7 +299,7 @@ def enumerate_maximal_superorders(O: QOrder, cap: int = SUPERORDER_CAP) -> list[
     for ell, v in sorted(numth.factorize(f).items()):
         step = []
         for cand in current:
-            step.extend(_superorders_at(cand, ell**v, cap))
+            step.extend(_superorders_at(cand, ell**v, SUPERORDER_CAP))
         uniq = {}
         for cand in step:
             uniq[cand.key()] = cand

@@ -44,7 +44,7 @@ def cmd_algebra(args) -> None:
     _check_p(args.p)
     alg = QuatAlgebra.for_prime(args.p)
     roots = idl.root_maximal_orders(args.p)
-    glob = idl.global_root_orders(args.p, roots)
+    glob = idl.global_root_orders(roots)
     O = bass.bass_order(alg)
     doc = {
         "p": args.p,
@@ -155,10 +155,12 @@ def cmd_oriented(args) -> None:
     reports = orient.audit_component(g, args.ell)
     audit_pass = all(r.ok for r in reports)
     if args.dot:
-        orient.export_graph(g, "dot", args.dot)
+        with open(args.dot, "w") as fh:
+            fh.write(g.to_dot())
         log.info("wrote %s", args.dot)
     if args.json_file:
-        orient.export_graph(g, "json", args.json_file)
+        with open(args.json_file, "w") as fh:
+            fh.write(g.to_json())
         log.info("wrote %s", args.json_file)
     doc = {
         "p": args.p,

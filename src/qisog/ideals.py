@@ -243,10 +243,9 @@ def root_maximal_order(p: int) -> QOrder:
     return O
 
 
-def global_root_orders(p: int, orders: list[QOrder] | None = None) -> list[QOrder]:
-    """Maximal orders containing both maximal quadratic orders, deduplicated,
-    among orders, root_maximal_orders(p) when not given."""
-    orders = orders or root_maximal_orders(p)
+def global_root_orders(orders: list[QOrder]) -> list[QOrder]:
+    """The orders among orders, deduplicated, that contain both maximal
+    quadratic orders."""
     alg = orders[0].algebra
     wi, wj = maximal_quadratic_generators(alg)
     out = []
@@ -269,17 +268,17 @@ def _coordinate_matrix(I: QIdeal, O: QOrder):
     return rows, det * I.lattice.den
 
 
-def content(I: QIdeal, O: QOrder | None = None) -> Fraction:
-    """Positive rational g with (1/g)I primitive integral over its left order."""
-    O = O or I.left_order
+def content(I: QIdeal, O: QOrder) -> Fraction:
+    """Positive rational g with (1/g)I primitive integral over O, I's left
+    order."""
     rows, den = _coordinate_matrix(I, O)
     num = math.gcd(*(x for row in rows for x in row))
     assert num > 0
     return Frac(num, den)
 
 
-def primitive_part(I: QIdeal, O: QOrder | None = None) -> QIdeal:
-    """(1/g) I for g = content(I, O); O is I's left order when known."""
+def primitive_part(I: QIdeal, O: QOrder) -> QIdeal:
+    """(1/g) I for g = content(I, O); O is I's left order."""
     return QIdeal(I.lattice.scale(1 / content(I, O)))
 
 
@@ -573,19 +572,19 @@ def tree_children(point, k: int, ell: int) -> list[tuple[int, int]]:
 # equivalence
 
 
-def is_equivalent(I: QIdeal, J: QIdeal, O: QOrder | None = None):
+def is_equivalent(I: QIdeal, J: QIdeal, O: QOrder):
     """Witness alpha with J = I*alpha, or None.
 
-    Needs O_L(J) = O_L(I) = O, I's left order, computed if not given; for
-    maximal O that is O J in J (16 memberships).  x -> x alpha maps I onto
+    Needs O_L(J) = O_L(I) = O, I's left order, which must be maximal: then
+    O_L(J) = O is O J in J (16 memberships).  x -> x alpha maps I onto
     I alpha, scaling norms by nrd(alpha) and covolumes by nrd(alpha)^2, so
     minimal vectors onto minimal vectors: J = I alpha iff nrd(alpha) =
     min(J)/min(I) squares to covol(J)/covol(I) and alpha = conj(x) y / nrd(x)
     maps I into J, for y J's least minimal vector and some minimal x of I,
     one of each +-pair."""
-    O = O or I.left_order
-    same = J.lattice.is_left_module_over(O.lattice) if O.is_maximal else O == J.left_order
-    if not same:
+    if not O.is_maximal:
+        raise PreconditionError("equivalence is decided over a maximal left order")
+    if not J.lattice.is_left_module_over(O.lattice):
         raise PreconditionError("equivalence needs matching left orders")
     lat, jlat, mul = I.lattice, J.lattice, I.algebra.mul_coords
     (m, _), (mj, y) = lat.minimal_vectors[0], jlat.minimal_vectors[0]
@@ -598,11 +597,11 @@ def is_equivalent(I: QIdeal, J: QIdeal, O: QOrder | None = None):
     return None
 
 
-def reduce_ideal(I: QIdeal, O: QOrder | None = None) -> QIdeal:
-    """I conj(beta) / nrd(I) made primitive over O (I's left order, computed
-    if not given), equivalent and of small norm: beta, the least element of I
-    by (nrd, coordinates), heads I's minimal_vectors, so it costs no search
-    once one has run on I."""
+def reduce_ideal(I: QIdeal, O: QOrder) -> QIdeal:
+    """I conj(beta) / nrd(I) made primitive over O, I's left order: an
+    equivalent ideal of small norm.  beta, the least element of I by (nrd,
+    coordinates), heads I's minimal_vectors, so it costs no search once one
+    has run on I."""
     lat = I.lattice
     beta = QuatElement(I.algebra, lat.minimal_vectors[0][1]) * Frac(1, lat.den)
     return primitive_part(I * (beta.conjugate() / I.nrd()), O)

@@ -1,5 +1,5 @@
-"""Number-theoretic primitives: Kronecker and Hilbert symbols, quadratic-order
-bookkeeping, the ramified-pair parameter search, and linear algebra over
+"""Number-theoretic primitives: Kronecker and Hilbert symbols, fundamental
+discriminants, the ramified-pair parameter search, and linear algebra over
 F_ell (one reduced echelon form, from which kernels and span coordinates are
 read).
 
@@ -11,7 +11,6 @@ meaningful at 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -168,31 +167,10 @@ def hilbert_ramified_places(a: int, b: int) -> set:
     return {v for v in places if hilbert_symbol(a, b, v) == -1}
 
 
-@dataclass(frozen=True)
-class QuadOrderDesc:
-    """An imaginary quadratic order recorded by discriminant data."""
-
-    d: int
-    d_K: int
-    f: int
-
-
 def fundamental_discriminant(d: int) -> int:
     """Fundamental discriminant of Q(sqrt(d)) for negative d = 0,1 mod 4."""
     s = squarefree_part(d)
     return s if s % 4 == 1 else 4 * s
-
-
-def quad_order_info(d: int) -> QuadOrderDesc:
-    """Split a discriminant as d = f^2 * d_K."""
-    if d >= 0 or d % 4 not in (0, 1):
-        raise PreconditionError(f"{d} is not a negative quadratic discriminant")
-    d_K = fundamental_discriminant(d)
-    f2, rem = divmod(d, d_K)
-    assert rem == 0
-    f = math.isqrt(f2)
-    assert f * f == f2
-    return QuadOrderDesc(d=d, d_K=d_K, f=f)
 
 
 def class_number(p: int) -> int:

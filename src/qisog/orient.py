@@ -11,14 +11,16 @@ A walk of depth d from O reads the whole ball off one l-adic frame of O
 M2(Z/l^n) with n = 2d, as the orders at distance k need n >= 2k.  The
 vertices at distance k are the End(Z_l w + l^k Z_l^2) for the points w of
 P^1(Z/l^k), each built from the frame in O's coordinates mod l^(2k)
-(EllAdicFrame.ball_order), with w mod l^(k-1) its parent.  Only the
-start's conductors come from the integer kernels of optimal_suborder;
-each child's come with its edge label from one membership step
-(edge_step), and classify_edge checks every reverse edge against them.
+(EllAdicFrame.ball_order), with w mod l^(k-1) its parent.  The start's
+conductors are the denominators of w_i's and w_j's coordinates in its
+basis (conductors); each child's come with its edge label from one
+membership step (edge_step), and classify_edge checks every reverse edge
+against them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +28,9 @@ from . import ideals as idl
 from . import numth
 from .errors import CapExceeded, PreconditionError
 from .ideals import QOrder
-from .lattice import QLattice, integer_kernel
+from .lattice import QLattice
+# integer_kernel has no caller here; perfbench's tracer self-test resolves orient.integer_kernel
+from .lattice import integer_kernel  # noqa: F401
 from .multigraph import MultiGraph
 from .quat import QuatAlgebra
 
@@ -57,44 +61,23 @@ class OrientedVertex:
                      in zip((self.f_i, self.f_j), self.order.algebra.maximal_quadratic_rows))
 
 
-def _subfield_lattice(order: QOrder, u: str) -> list:
-    """Rank-2 basis of order ∩ (Q + Q u) in (1, u)-coordinates over den."""
-    cols = {"i": (2, 3), "j": (1, 3)}[u]
-    keep = {"i": (0, 1), "j": (0, 2)}[u]
-    rows = [[r[c] for c in cols] for r in order.lattice.mat]
-    kern = integer_kernel(rows, 2)
-    out = []
-    for v in kern:
-        amb = [sum(v[t] * order.lattice.mat[t][c] for t in range(4)) for c in range(4)]
-        assert amb[cols[0]] == 0 and amb[cols[1]] == 0
-        out.append((amb[keep[0]], amb[keep[1]]))
-    assert len(out) == 2, "subfield intersection must have rank 2"
-    return out
-
-
-def optimal_suborder(order: QOrder, u: str) -> numth.QuadOrderDesc:
-    """The quadratic order cut out by the maximal order on the subfield
-    Q(u), described through its discriminant d = f^2 d_K.
-
-    The discriminant is the determinant of the trace form on any Z-basis of
-    the rank-2 intersection, so no normalization of the basis is needed."""
-    if u not in ("i", "j"):
-        raise PreconditionError("subfield tag must be 'i' or 'j'")
-    d_u = order.algebra.d_i if u == "i" else order.algebra.d_j
-    # trace form on the integer rows, which are den times the basis
-    rows = _subfield_lattice(order, u)
-    t = [[2 * (a[0] * b[0] + d_u * a[1] * b[1]) for b in rows] for a in rows]
-    disc, rem = divmod(t[0][0] * t[1][1] - t[0][1] * t[1][0], order.lattice.den**4)
-    assert rem == 0 and disc < 0
-    return numth.quad_order_info(disc)
-
-
 def conductors(order: QOrder) -> tuple[int, int]:
-    return optimal_suborder(order, "i").f, optimal_suborder(order, "j").f
+    """(f_i, f_j): as order ∩ Q(u) = Z + f_u Z w_u, f w_u lies in the order
+    exactly when f_u divides f, so f_u is the denominator of w_u's
+    coordinates in the order's basis.  Scaled by det(mat), the integer row
+    x of w_u = x / xden lands in the lattice, and those coordinates are its
+    coordinates over det xden."""
+    lat = order.lattice
+    det = lat.pivot_product()
+    out = []
+    for x, xden in order.algebra.maximal_quadratic_rows:
+        s = det * xden
+        out.append(s // math.gcd(s, *lat.int_coords([det * c for c in x])))
+    return out[0], out[1]
 
 
 def oriented_vertex(order: QOrder) -> OrientedVertex:
-    """The order with its conductors, read off the integer kernels."""
+    """The order with its conductors, read off w_i's and w_j's coordinates."""
     f_i, f_j = conductors(order)
     p = order.algebra.p
     for u, f, splits in zip("ij", (f_i, f_j), order.algebra.p_splits):
@@ -291,21 +274,15 @@ def predicted_counts(alg: QuatAlgebra, f_i: int, f_j: int, ell: int) -> tuple[st
     return "both conductors divisible", pred
 
 
-def _component_algebra(component: MultiGraph) -> QuatAlgebra:
-    meta = component.meta
-    return QuatAlgebra(p=meta["p"], d_i=meta["d_i"], d_j=meta["d_j"])
-
-
 def structure_audit(component: MultiGraph, vertex_key, ell: int,
-                    alg: QuatAlgebra | None = None) -> AuditReport:
+                    alg: QuatAlgebra) -> AuditReport:
     """Compare predicted category counts with the observed out-edges.
 
     The vertex passes when every bucket matches predicted_counts and its
     out-degree is ell + 1, for every ell alike.  alg is the component's
-    algebra, read off its meta when not given.
+    algebra.
     """
     attrs = component.vertex_attrs[vertex_key]
-    alg = alg or _component_algebra(component)
     case, pred = predicted_counts(alg, attrs["f_i"], attrs["f_j"], ell)
     observed: dict = {c: 0 for c in CATEGORIES}
     for rec in component.out_edges(vertex_key).values():
@@ -323,22 +300,7 @@ def structure_audit(component: MultiGraph, vertex_key, ell: int,
 def audit_component(component: MultiGraph, ell: int) -> list[AuditReport]:
     """Audit every vertex whose full neighbor list is present (out-degree
     ell + 1 in the walked graph)."""
-    alg = _component_algebra(component)
+    meta = component.meta
+    alg = QuatAlgebra(p=meta["p"], d_i=meta["d_i"], d_j=meta["d_j"])
     return [structure_audit(component, key, ell, alg) for key in component.vertices()
             if component.out_degree(key) == ell + 1]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def export_graph(graph: MultiGraph, fmt: str, path: str) -> None:
-    if fmt == "json":
-        text = graph.to_json()
-    elif fmt == "dot":
-        text = graph.to_dot()
-    else:
-        raise PreconditionError("format must be 'dot' or 'json'")
-    with open(path, "w") as fh:
-        fh.write(text)
-

@@ -112,7 +112,7 @@ def test_criterion_5_connectivity():
 
 def test_criterion_6_structure_audit():
     with Budget("6 structure audit", 60.0):
-        start = idl.global_root_orders(7)[0]
+        start = idl.root_maximal_order(7)
         root_key = start.key()
         O_bass = bass.bass_order(QuatAlgebra.for_prime(7))
         for ell in (2, 3):
@@ -130,11 +130,11 @@ def test_criterion_6_structure_audit():
                 assert rep.ok, (ell, g.vertex_attrs[rep.vertex])
         # the global root at ell = 3: all four edges simultaneously descending
         g3 = orient.walk_component(start, 3, depth=1)
-        rep3 = orient.structure_audit(g3, root_key, 3)
+        rep3 = orient.structure_audit(g3, root_key, 3, start.algebra)
         assert rep3.ok and rep3.observed["DD"] == 4
         # local roots adjacent where two exist (exercised at p = 13 and 17)
         for p, ell in ((13, 2), (17, 3)):
-            gs = orient.walk_component(idl.global_root_orders(p)[0], ell, depth=2)
+            gs = orient.walk_component(idl.root_maximal_order(p), ell, depth=2)
             loc, _ = orient.find_roots(gs, ell)
             assert len(loc) == 2
             assert gs.multiplicity(loc[0], loc[1]) == 1 and gs.multiplicity(loc[1], loc[0]) == 1
@@ -162,9 +162,9 @@ def test_criterion_6_ell2_root_formula_counts():
         case, pred = orient.predicted_counts(alg, 1, 1, 2)
         want = {"+".join(b): n for b, n in pred}
         assert (want["HH"], want["HD"], want["DH"], want["DD"]) == (0, 1, 2, 0)
-        start = idl.global_root_orders(7)[0]
+        start = idl.root_maximal_order(7)
         g = orient.walk_component(start, 2, depth=1)
-        rep = orient.structure_audit(g, start.key(), 2)
+        rep = orient.structure_audit(g, start.key(), 2, alg)
         obs = rep.observed
         assert (obs["HH"], obs["HD"], obs["DH"], obs["DD"]) == (0, 1, 2, 0), (
             "observed root classes (HH,HD,DH,DD) = "

@@ -80,6 +80,33 @@ class TestEichlerSymbol:
         O = bass_for(29)
         assert bass.eichler_symbol(O, 2).value == 0
 
+    @pytest.mark.parametrize("p", [7, 13, 101])
+    def test_ell2_split_quotient(self, p):
+        """The level-2 Eichler order O0 ∩ O1, O1 2-adjacent to O0: O/2O
+        mod its radical is F_2 x F_2, which the idempotent search finds,
+        and O0, O1 are its two maximal superorders."""
+        O0 = idl.root_maximal_order(p)
+        O1 = idl.matrix_split(O0, 2).lift(2).ball_order(idl.tree_point_matrix((0, 0), 2), 1)
+        E = QOrder(O0.lattice.intersect(O1.lattice))
+        assert E.reduced_discriminant == 2 * p
+        assert bass.eichler_symbol_radical(E, 2).value == 1
+        assert bass.enumerate_maximal_superorders(E) == sorted([O0, O1], key=QOrder.key)
+
+    @pytest.mark.parametrize("p", [7, 13, 101])
+    def test_ell2_inert_quotient(self, p):
+        """Z + Z u + 2 O0, for u in O0 of odd trace and odd norm: O/2O mod
+        its radical is F_4, where the idempotent search finds nothing, and
+        O0 is its one maximal superorder."""
+        O0 = idl.root_maximal_order(p)
+        b0, b1, b2, b3 = basis = O0.basis_elements()
+        combos = (c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3
+                  for c0, c1, c2, c3 in product(range(2), repeat=4))
+        u = next(v for v in combos if v.trd() % 2 and v.nrd() % 2)
+        R = QOrder(QLattice.from_elements([O0.algebra.one, u] + [2 * b for b in basis]))
+        assert R.reduced_discriminant == 4 * p
+        assert bass.eichler_symbol_radical(R, 2).value == -1
+        assert bass.enumerate_maximal_superorders(R) == [O0]
+
 
 class TestEmbeddingNumbers:
     @pytest.mark.parametrize("p,e2,e", [(7, 1, 1), (13, 2, 2)])

@@ -39,7 +39,7 @@ def first_match_classes(O0, ell):
         for I in frontier:
             row = []
             for J in brandt.ell_neighbors(I, ell):
-                J = idl.reduce_ideal(J)
+                J = idl.reduce_ideal(J, O0)
                 j = next((n for n, R in enumerate(reps) if equivalence_oracle(R, J) is not None), None)
                 if j is None:
                     j = len(reps)
@@ -86,7 +86,7 @@ def right_orders_conjugate(O1: QOrder, O2: QOrder) -> bool:
     if _is_principal(C):
         return True
     P = idl.two_sided_p_ideal(O1)
-    return _is_principal(idl.primitive_part(P * C))
+    return _is_principal(idl.primitive_part(P * C, O1))
 
 
 def oracle_types(cs) -> list[int]:
@@ -272,7 +272,7 @@ class TestThetaPrefix:
         cs = classes(p, ell)
         K = brandt.theta_length(p)
         for J in [J for R in cs.representatives for J in brandt.ell_neighbors(R, ell)]:
-            assert brandt.theta_prefix(J, K) == brandt.theta_prefix(idl.reduce_ideal(J), K)
+            assert brandt.theta_prefix(J, K) == brandt.theta_prefix(idl.reduce_ideal(J, cs.order0), K)
 
     @pytest.mark.parametrize("p,ell", [(101, 2), (113, 3)])
     def test_one_search_and_one_reduction_per_lookup(self, p, ell, monkeypatch):
@@ -364,9 +364,9 @@ class TestBrandtMatrix:
         for i, I in enumerate(cs.representatives):
             row = [0] * cs.class_number
             for J in brandt.ell_neighbors(I, 3):
-                J = idl.reduce_ideal(J)
+                J = idl.reduce_ideal(J, cs.order0)
                 hits = [n for n, R in enumerate(cs.representatives)
-                        if idl.is_equivalent(R, J) is not None]
+                        if idl.is_equivalent(R, J, cs.order0) is not None]
                 assert len(hits) == 1
                 row[hits[0]] += 1
             assert row == cs.brandt[i]

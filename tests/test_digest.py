@@ -1,6 +1,7 @@
 """The CLI's output over the fixed grid of scripts/cli_digest.py, pinned by
-its combined sha256.  Slow (the grid runs every subcommand at every prime
-p <= 500), so deselected by default; run with `pytest -m slow`.
+its combined sha256.  The grid runs every subcommand over primes p <= 500,
+about 1200 runs in one process and several seconds, so the pin is part of
+the default run.
 
 A change that alters the output on purpose updates COMBINED and says which
 lines of the digest changed.
@@ -11,14 +12,11 @@ import importlib.util
 import io
 from pathlib import Path
 
-import pytest
-
 COMBINED = "f3b6485c774fb33f76d948e2ad6434d0233a5e673b815781eb5dab98faa034c0"
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
 
 
-@pytest.mark.slow
 def test_combined_digest_is_pinned():
     spec = importlib.util.spec_from_file_location("cli_digest", SCRIPT)
     cli_digest = importlib.util.module_from_spec(spec)

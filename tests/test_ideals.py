@@ -21,7 +21,7 @@ from test_orient import divisible_start
 A7 = QuatAlgebra.for_prime(7)
 A13 = QuatAlgebra.for_prime(13)
 A499 = QuatAlgebra.for_prime(499)
-ROOT7 = idl.global_root_orders(7)[0]
+ROOT7 = idl.root_maximal_order(7)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def _two_dim_subspaces(ell: int):
 def is_primitive(I: QIdeal) -> bool:
     if not I.is_integral():
         raise PreconditionError("primitivity is defined for integral ideals")
-    return idl.content(I) == 1
+    return idl.content(I, I.left_order) == 1
 
 
 def is_two_sided(I: QIdeal) -> bool:
@@ -118,7 +118,7 @@ def lift_row(split: idl.EllAdicFrame, m) -> tuple:
 
 def is_primitive_at(I: QIdeal, ell: int) -> bool:
     """Local primitivity read off the l-content of the coordinate matrix."""
-    c = idl.content(I)
+    c = idl.content(I, I.left_order)
     if c.denominator % ell == 0:
         raise PreconditionError("ideal not integral at ell")
     return c.numerator % ell != 0
@@ -248,14 +248,14 @@ class TestRootOrders:
         wi, wj = idl.maximal_quadratic_generators(alg)
         assert orders[0].contains(wi) and orders[0].contains(wj)
         assert not orders[1].contains(wj)   # only the first holds both
-        assert idl.global_root_orders(p) == [orders[0]]
+        assert idl.global_root_orders(orders) == [orders[0]]
 
     @pytest.mark.parametrize("p", [13, 29, 17, 41])
     def test_one_mod_four(self, p):
         orders = idl.root_maximal_orders(p)
         assert all(o.is_maximal for o in orders)
         assert orders[0].key() != orders[1].key()
-        assert len(idl.global_root_orders(p)) == 2
+        assert len(idl.global_root_orders(orders)) == 2
 
     @pytest.mark.parametrize("p", [73, 193, 241, 313, 337, 409, 457, 577, 673])
     def test_one_mod_eight_with_large_q(self, p):
@@ -264,7 +264,7 @@ class TestRootOrders:
         assert QuatAlgebra.for_prime(p).q in (7, 11)
         orders = idl.root_maximal_orders(p)
         assert len(orders) == 2 and all(o.is_maximal for o in orders)
-        assert idl.global_root_orders(p)
+        assert idl.global_root_orders(orders)
 
     def test_small_p_rejected(self):
         with pytest.raises(PreconditionError):
@@ -278,7 +278,8 @@ class TestRootOrders:
         for p in range(5, 1000):
             if numth.is_prime(p):
                 O = idl.root_maximal_order(p)
-                assert O == idl.root_maximal_orders(p)[0] == idl.global_root_orders(p)[0], p
+                orders = idl.root_maximal_orders(p)
+                assert O == orders[0] == idl.global_root_orders(orders)[0], p
 
 
 class TestPrimitivity:
@@ -291,7 +292,7 @@ class TestPrimitivity:
         I = idl.ideals_of_norm_ell(ROOT7, 3)[1]
         J = QIdeal(I.lattice.scale(3))
         assert not is_primitive(J)
-        assert idl.primitive_part(J).lattice == I.lattice
+        assert idl.primitive_part(J, ROOT7).lattice == I.lattice
 
     def test_local_global_agreement(self, walked_orders_13):
         rng = random.Random(5)
@@ -372,7 +373,7 @@ class TestConnectingIdeals:
         far = I2.right_order
         prod = QIdeal(I1.lattice * I2.lattice)
         assert prod.left_order == ROOT7 and prod.right_order == far
-        assert idl.primitive_part(prod).lattice == idl.connecting_ideal(ROOT7, far).lattice
+        assert idl.primitive_part(prod, ROOT7).lattice == idl.connecting_ideal(ROOT7, far).lattice
 
     def test_requires_maximal(self):
         std = QOrder(standard_order_lattice(A13))
@@ -453,7 +454,7 @@ class TestNormEllRightOrder:
                 self.assert_agrees(O, ell)
 
     def test_p499_ell7_walk(self):
-        g = orient.walk_component(idl.global_root_orders(499)[0], 7, depth=2)
+        g = orient.walk_component(idl.root_maximal_order(499), 7, depth=2)
         orders = [QOrder(QLattice(A499, key[1], key[0])) for key in g.vertices()]
         assert len(orders) == 65
         for O in orders:
@@ -492,7 +493,7 @@ def assert_frame_orders_agree(O: QOrder, ell: int) -> None:
 def assert_root_and_walked_order_agree(p: int, ell: int) -> None:
     """assert_frame_orders_agree at the first global root order and at one
     of its ell-neighbours, reached by the oracle."""
-    root = idl.global_root_orders(p)[0]
+    root = idl.root_maximal_order(p)
     assert_frame_orders_agree(root, ell)
     walked = QOrder(norm_ell_right_order(idl.ideals_of_norm_ell(root, ell)[-1], ell))
     assert_frame_orders_agree(walked, ell)
@@ -527,7 +528,7 @@ class TestEllAdicFrame:
 
     @pytest.mark.parametrize("p,ell", FRAME_CASES)
     def test_matrix_unit_relations(self, p, ell):
-        O = idl.global_root_orders(p)[0]
+        O = idl.root_maximal_order(p)
         frame = idl.matrix_split(O, ell).lift(self.N)
         E = [[self.element(O, u) for u in row] for row in frame.units]
         q = ell**self.N
@@ -547,7 +548,7 @@ class TestEllAdicFrame:
         """Lifting the split to ell^16 directly, through ell^2, ell^4 and
         ell^8, or back down to ell gives the same units: each lift starts
         from E11 mod ell, which is the split's E11."""
-        split = idl.matrix_split(idl.global_root_orders(p)[0], ell)
+        split = idl.matrix_split(idl.root_maximal_order(p), ell)
         direct, chained = split.lift(16), split
         for n in (2, 4, 8, 16):
             chained = chained.lift(n)
@@ -565,13 +566,13 @@ class TestEllAdicFrame:
 
     @pytest.mark.parametrize("p,ell", [(7, 2), (101, 5), (499, 3)])
     def test_corrupted_unit_trips_the_check(self, p, ell):
-        frame = idl.matrix_split(idl.global_root_orders(p)[0], ell).lift(self.N)
+        frame = idl.matrix_split(idl.root_maximal_order(p), ell).lift(self.N)
         self.assert_corrupted_unit_trips_the_check(frame)
 
     @pytest.mark.parametrize("p,ell", [(7, 2), (101, 5), (499, 3)])
     def test_corrupted_split_trips_the_check(self, p, ell):
         """The same at n = 1: matrix_split's units, E12 replaced by E12 + E21."""
-        split = idl.matrix_split(idl.global_root_orders(p)[0], ell)
+        split = idl.matrix_split(idl.root_maximal_order(p), ell)
         assert split.n == 1
         self.assert_corrupted_unit_trips_the_check(split)
 
@@ -583,7 +584,7 @@ class TestEllAdicFrame:
 
     @pytest.mark.parametrize("p,ell", [(7, 3), (101, 2), (499, 7)])
     def test_matrix_of_is_multiplicative(self, p, ell):
-        O = idl.global_root_orders(p)[0]
+        O = idl.root_maximal_order(p)
         frame = idl.matrix_split(O, ell).lift(6)
         q = frame.modulus
         basis = [tuple(int(s == t) for s in range(4)) for t in range(4)]
@@ -666,7 +667,7 @@ class TestBallAgainstEightRowHnf:
 
     @pytest.mark.parametrize("p,ell,divisible", ORACLE_STARTS)
     def test_same_keys(self, p, ell, divisible):
-        O = divisible_start(p, ell) if divisible else idl.global_root_orders(p)[0]
+        O = divisible_start(p, ell) if divisible else idl.root_maximal_order(p)
         split = idl.matrix_split(O, ell)
         kinds, level = set(), [None]
         for k in range(1, ORACLE_DEPTH[ell] + 1):
@@ -1048,15 +1049,16 @@ class TestEquivalence:
         class of a neighbour is the one representative the oracle matches.
         The sigma-pair misses (J in the class sigma(i) != i, which theta
         prefixes do not tell from i) are among the Nones."""
-        cs = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], 2)
+        O0 = idl.root_maximal_orders(p)[0]
+        cs = brandt.enumerate_classes(O0, 2)
         sigma = brandt.type_involution(cs)
         reps = cs.representatives
         misses = 0
         for J in [J for R in reps for J in brandt.ell_neighbors(R, 2)]:
-            for K in (J, idl.reduce_ideal(J)):
+            for K in (J, idl.reduce_ideal(J, O0)):
                 hits = []
                 for i, R in enumerate(reps):
-                    got, want = idl.is_equivalent(R, K), equivalence_oracle(R, K)
+                    got, want = idl.is_equivalent(R, K, O0), equivalence_oracle(R, K)
                     assert (got is None) == (want is None)
                     if got is not None:
                         assert (R * got).lattice == K.lattice == (R * want).lattice
@@ -1069,7 +1071,7 @@ class TestEquivalence:
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
         beta = A7.element(1, 1, 1, 0)
         J = I * beta
-        w = idl.is_equivalent(I, J)
+        w = idl.is_equivalent(I, J, ROOT7)
         assert w is not None
         assert (I * w).lattice == J.lattice
 
@@ -1080,13 +1082,13 @@ class TestEquivalence:
         cs = brandt.enumerate_classes(O0, 2)
         assert cs.class_number == 3
         I, J = cs.representatives[0], cs.representatives[1]
-        assert idl.is_equivalent(I, J) is None
+        assert idl.is_equivalent(I, J, O0) is None
 
     def test_mismatched_left_orders_rejected(self):
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
         other = QIdeal(idl.root_maximal_orders(7)[1].lattice)
         with pytest.raises(PreconditionError):
-            idl.is_equivalent(I, other)
+            idl.is_equivalent(I, other, ROOT7)
 
 
 class TestLeftOrderPrecondition:
@@ -1107,7 +1109,7 @@ class TestLeftOrderPrecondition:
         cs = brandt.enumerate_classes(O0, 2)
         ideals = list(cs.representatives)
         for R in cs.representatives:
-            ideals += [idl.reduce_ideal(J) for J in brandt.ell_neighbors(R, 2)]
+            ideals += [idl.reduce_ideal(J, O0) for J in brandt.ell_neighbors(R, 2)]
         orders = [O0, O1] + [R.right_order for R in cs.representatives]
         self.assert_agrees(ideals, orders)
         assert all(J.left_order == O0 for J in ideals)
@@ -1118,16 +1120,18 @@ class TestLeftOrderPrecondition:
         ideals = [I for O in orders for I in idl.ideals_of_norm_ell(O, 2)]
         self.assert_agrees(ideals, orders)
 
-    def test_non_maximal_left_order_is_compared(self):
+    def test_non_maximal_left_order_is_refused(self):
+        """Equivalence is decided over a maximal left order only, even for
+        a translate, which is equivalent."""
         B = bass.bass_order(A13)
         assert not B.is_maximal
         I = QIdeal(B.lattice)
         beta = A13.element(1, 1, 1, 0)
-        assert idl.is_equivalent(I, I * beta) is not None
-        with pytest.raises(PreconditionError):
-            idl.is_equivalent(I, QIdeal(idl.root_maximal_orders(13)[0].lattice))
-        with pytest.raises(PreconditionError):
-            idl.is_equivalent(QIdeal(idl.root_maximal_orders(13)[0].lattice), I)
+        with pytest.raises(PreconditionError, match="maximal left order"):
+            idl.is_equivalent(I, I * beta, B)
+        O0 = idl.root_maximal_orders(13)[0]
+        with pytest.raises(PreconditionError, match="matching left orders"):
+            idl.is_equivalent(QIdeal(O0.lattice), I, O0)
 
 
 class TestIdealTimesElement:
@@ -1146,7 +1150,7 @@ class TestIdealTimesElement:
         assert (alpha * I).lattice == QLattice.from_elements([alpha * b for b in basis])
 
 
-def doubling_reduce_ideal(I, O=None):
+def doubling_reduce_ideal(I, O):
     """The former reduce_ideal, kept as the reference: the bound doubles
     from 2 nrd(I) until the search finds an element."""
     n = I.nrd()
@@ -1163,7 +1167,8 @@ class TestReduceIdeal:
         O0 = idl.root_maximal_orders(113)[0]
         for R in brandt.enumerate_classes(O0, 3).representatives:
             for J in brandt.ell_neighbors(R, 3):
-                assert idl.reduce_ideal(J, O0) == idl.reduce_ideal(QIdeal(J.lattice))
+                K = QIdeal(J.lattice)
+                assert idl.reduce_ideal(J, O0) == idl.reduce_ideal(K, K.left_order)
 
     @pytest.mark.parametrize("p,ell", [(37, 2), (101, 3), (113, 2)])
     def test_one_search_and_the_doubling_result(self, p, ell, monkeypatch):

@@ -30,7 +30,7 @@ def coords_of(L: QLattice, x: QuatElement) -> tuple:
 
 A7 = QuatAlgebra.for_prime(7)
 STD = standard_order_lattice(A7)
-O0 = idl.global_root_orders(7)[0].lattice  # Z<i, (1+j)/2>
+O0 = idl.root_maximal_order(7).lattice  # Z<i, (1+j)/2>
 A101 = QuatAlgebra.for_prime(101)
 O101 = idl.root_maximal_orders(101)[0].lattice  # den 4
 O113 = idl.root_maximal_orders(113)[0].lattice  # den 6
@@ -159,6 +159,7 @@ class TestHnfAgainstOracle:
 
     def test_inputs_of_a_class_set_and_a_walk(self, monkeypatch):
         from qisog import orient
+        from test_orient import kernel_conductors
 
         seen = []
 
@@ -173,9 +174,12 @@ class TestHnfAgainstOracle:
         brandt.enumerate_classes(idl.root_maximal_orders(61)[0], 5)
         brandt.enumerate_classes(idl.root_maximal_orders(211)[0], 3)
         brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 7)
-        orient.walk_component(idl.global_root_orders(37)[0], 2, 3)
+        g = orient.walk_component(idl.root_maximal_order(37), 2, 3)
+        alg = QuatAlgebra.for_prime(37)
+        for den, mat in g.vertices():  # 6: the kernel oracle's subfield kernels
+            kernel_conductors(idl.QOrder(QLattice(alg, mat, den)))
         assert len(seen) > 300
-        assert {ncols for _, ncols in seen} == {4, 6}  # 6: the subfield kernels
+        assert {ncols for _, ncols in seen} == {4, 6}
         for rows, ncols in seen:
             assert hnf_rows(rows, ncols) == hnf_rows_oracle(rows, ncols)
 
@@ -225,7 +229,10 @@ class TestIntegerKernel:
         self.assert_agrees(rows, ncols)
 
     def test_inputs_of_intersections_and_walks(self, monkeypatch):
+        """Width 2: the kernel oracle's subfield kernels over a walk's
+        orders; width 4: lattice intersections."""
         from qisog import orient
+        from test_orient import kernel_conductors
 
         seen = []
         kernel = lattice.integer_kernel
@@ -235,8 +242,10 @@ class TestIntegerKernel:
             return kernel(rows, ncols)
 
         monkeypatch.setattr(lattice, "integer_kernel", recorder)
-        monkeypatch.setattr(orient, "integer_kernel", recorder)
-        orient.walk_component(idl.global_root_orders(37)[0], 3, 2)
+        g = orient.walk_component(idl.root_maximal_order(37), 3, 2)
+        alg = QuatAlgebra.for_prime(37)
+        for den, mat in g.vertices():
+            kernel_conductors(idl.QOrder(QLattice(alg, mat, den)))
         for p in (101, 113):
             a, b = (O.lattice for O in idl.root_maximal_orders(p))
             a.intersect(b)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -116,21 +117,44 @@ class TestHilbert:
         assert numth.hilbert_symbol(a, b, v) == want
 
 
+@dataclass(frozen=True)
+class QuadOrderDesc:
+    """An imaginary quadratic order recorded by discriminant data."""
+
+    d: int
+    d_K: int
+    f: int
+
+
+def quad_order_info(d: int) -> QuadOrderDesc:
+    """Split a discriminant as d = f^2 d_K.  With the trace-form
+    discriminant of a subfield's integer kernel (test_orient's
+    optimal_suborder) it is the conductor oracle for orient.conductors."""
+    if d >= 0 or d % 4 not in (0, 1):
+        raise PreconditionError(f"{d} is not a negative quadratic discriminant")
+    d_K = numth.fundamental_discriminant(d)
+    f2, rem = divmod(d, d_K)
+    assert rem == 0
+    f = math.isqrt(f2)
+    assert f * f == f2
+    return QuadOrderDesc(d=d, d_K=d_K, f=f)
+
+
 class TestQuadOrders:
     def test_examples(self):
-        info = numth.quad_order_info(-28)
+        info = quad_order_info(-28)
         assert (info.d_K, info.f) == (-7, 2)
-        assert numth.quad_order_info(-4).f == 1
-        assert numth.quad_order_info(-36) == numth.QuadOrderDesc(-36, -4, 3)
+        assert quad_order_info(-4).f == 1
+        assert quad_order_info(-36) == QuadOrderDesc(-36, -4, 3)
 
     def test_rejects_non_discriminants(self):
         for bad in (-2, -5, 5, 0):
             with pytest.raises(PreconditionError):
-                numth.quad_order_info(bad)
+                quad_order_info(bad)
 
     @given(dk=st.sampled_from([-3, -4, -7, -8, -11, -15, -20]), f=st.integers(1, 9))
     def test_roundtrip(self, dk, f):
-        info = numth.quad_order_info(dk * f * f)
+        info = quad_order_info(dk * f * f)
         assert info.d_K == dk and info.f == f
 
 

@@ -5,18 +5,19 @@ from pathlib import Path
 import pytest
 
 from qisog import ideals as idl
-from qisog import cli, numth, orient
+from qisog import cli, lattice, numth, orient
 from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice
 from qisog.multigraph import MultiGraph
 from qisog.quat import QuatAlgebra
+from test_numth import QuadOrderDesc, quad_order_info
 
-ROOT7 = idl.global_root_orders(7)[0]
+ROOT7 = idl.root_maximal_order(7)
 
 
 def import_graph_json(path: str) -> MultiGraph:
-    """Read back a graph written by orient.export_graph(..., "json")."""
+    """Read back a graph written by `qisog oriented --json-file`."""
     with open(path) as fh:
         doc = json.load(fh)
     g = MultiGraph(meta={k: v for k, v in doc.items() if k not in ("vertices", "edges")})
@@ -36,15 +37,59 @@ def import_graph_json(path: str) -> MultiGraph:
 
 
 def walk(p, ell, depth):
-    return orient.walk_component(idl.global_root_orders(p)[0], ell, depth=depth)
+    return orient.walk_component(idl.root_maximal_order(p), ell, depth=depth)
+
+
+def subfield_lattice(order: QOrder, u: str) -> list:
+    """Rank-2 basis of order ∩ (Q + Q u) in (1, u)-coordinates over den: the
+    integer kernel of the two coordinates off the subfield."""
+    cols = {"i": (2, 3), "j": (1, 3)}[u]
+    keep = {"i": (0, 1), "j": (0, 2)}[u]
+    rows = [[r[c] for c in cols] for r in order.lattice.mat]
+    kern = lattice.integer_kernel(rows, 2)
+    out = []
+    for v in kern:
+        amb = [sum(v[t] * order.lattice.mat[t][c] for t in range(4)) for c in range(4)]
+        assert amb[cols[0]] == 0 and amb[cols[1]] == 0
+        out.append((amb[keep[0]], amb[keep[1]]))
+    assert len(out) == 2, "subfield intersection must have rank 2"
+    return out
+
+
+def optimal_suborder(order: QOrder, u: str) -> QuadOrderDesc:
+    """The kernel oracle for orient.conductors: the quadratic order cut out
+    by the order on Q(u), by its discriminant d = f^2 d_K, the determinant
+    of the trace form on any Z-basis of the rank-2 intersection."""
+    d_u = order.algebra.d_i if u == "i" else order.algebra.d_j
+    # trace form on the integer rows, which are den times the basis
+    rows = subfield_lattice(order, u)
+    t = [[2 * (a[0] * b[0] + d_u * a[1] * b[1]) for b in rows] for a in rows]
+    disc, rem = divmod(t[0][0] * t[1][1] - t[0][1] * t[1][0], order.lattice.den**4)
+    assert rem == 0 and disc < 0
+    return quad_order_info(disc)
+
+
+def kernel_conductors(order: QOrder) -> tuple[int, int]:
+    return optimal_suborder(order, "i").f, optimal_suborder(order, "j").f
 
 
 class TestOptimalSuborder:
     def test_global_root_has_trivial_conductors(self):
-        assert orient.optimal_suborder(ROOT7, "i").f == 1
-        assert orient.optimal_suborder(ROOT7, "j").f == 1
+        assert optimal_suborder(ROOT7, "i").f == 1
+        assert optimal_suborder(ROOT7, "j").f == 1
         v = orient.oriented_vertex(ROOT7)
         assert (v.f_i, v.f_j) == (1, 1)
+
+    @pytest.mark.parametrize("p", [7, 13, 101])
+    def test_formula_agrees_with_the_kernels_on_z_plus_m_o(self, p):
+        """Z + m O_0 cuts out Z + m O_K in both subfields, so its conductors
+        are (m, m); at p = 7, w_j = (1 + j)/2 has a denominator."""
+        O = idl.root_maximal_order(p)
+        lat = O.lattice
+        for m in range(1, 13):
+            rows = [[lat.den, 0, 0, 0]] + [[m * c for c in r] for r in lat.mat]
+            order = QOrder(QLattice.from_int_rows(O.algebra, rows, lat.den))
+            assert orient.conductors(order) == kernel_conductors(order) == (m, m), (p, m)
 
     def test_depth_one_descent_at_3(self):
         g = walk(7, 3, 1)
@@ -55,9 +100,9 @@ class TestOptimalSuborder:
                 assert (attrs["f_i"], attrs["f_j"]) == (3, 3)
 
     def test_suborder_discriminants(self):
-        desc = orient.optimal_suborder(ROOT7, "j")
+        desc = optimal_suborder(ROOT7, "j")
         assert desc.d_K == -7 and desc.d == -7
-        desc_i = orient.optimal_suborder(ROOT7, "i")
+        desc_i = optimal_suborder(ROOT7, "i")
         assert desc_i.d_K == -4
 
 
@@ -79,15 +124,16 @@ class TestClassifyEdge:
                 assert len(ups) == 1
 
     def test_conductor_and_membership_paths_agree_everywhere(self):
-        """Every vertex's conductors, which the walk derives edge by edge
-        from memberships, are those of the integer kernels."""
+        """Every vertex's conductors, which the walk derives at the start
+        from coordinates and edge by edge from memberships, are those of
+        the integer kernels."""
         for p, ell, depth in ((7, 2, 3), (13, 2, 2), (17, 3, 2)):
             g = walk(p, ell, depth)
             alg = QuatAlgebra.for_prime(p)
             for key in g.vertices():
                 attrs = g.vertex_attrs[key]
                 O = QOrder(QLattice(alg, key[1], key[0]))
-                assert (attrs["f_i"], attrs["f_j"]) == orient.conductors(O), (p, ell, key)
+                assert (attrs["f_i"], attrs["f_j"]) == kernel_conductors(O), (p, ell, key)
 
     def test_wrong_interior_conductor_trips_the_reverse_edge(self, monkeypatch):
         """A step that gives the root's first child ell times its true f_i
@@ -176,7 +222,7 @@ class TestWalk:
         monkeypatch.setattr(idl, "matrix_split", lambda *a, **k: calls.append(a))
         assert orient.DEPTH_CAP >= 6
         with pytest.raises(CapExceeded, match="vertex cap exceeded during walk"):
-            orient.walk_component(idl.global_root_orders(101)[0], 7, depth=6)
+            orient.walk_component(idl.root_maximal_order(101), 7, depth=6)
         assert calls == []
 
     def test_cap_equal_to_tree_size_admitted(self, monkeypatch):
@@ -208,7 +254,8 @@ class TestWalk:
 
 def reference_walk(start, ell, depth):
     """The oracle walk: a breadth-first search that computes the right order
-    of every neighbour ideal, the parent's included."""
+    of every neighbour ideal, the parent's included, and every vertex's
+    conductors by the kernel oracle."""
     alg = start.algebra
     g = MultiGraph(meta={
         "p": alg.p, "ell": ell, "d_i": alg.d_i, "d_j": alg.d_j, "kind": "oriented",
@@ -218,7 +265,7 @@ def reference_walk(start, ell, depth):
     def register(order):
         key = order.key()
         if key not in verts:
-            verts[key] = ov = orient.oriented_vertex(order)
+            verts[key] = ov = orient.OrientedVertex(order, *kernel_conductors(order))
             g.add_vertex(key, f_i=ov.f_i, f_j=ov.f_j,
                          basis=[list(r) for r in order.lattice.mat], den=order.lattice.den)
         return verts[key]
@@ -248,7 +295,7 @@ class TestParentEdgeReuse:
 
     @pytest.mark.parametrize("p,ell,depth", [(7, 3, 4), (101, 2, 5), (499, 7, 2)])
     def test_same_json_as_reference_walk(self, p, ell, depth):
-        start = idl.global_root_orders(p)[0]
+        start = idl.root_maximal_order(p)
         want = reference_walk(start, ell, depth).to_json()
         assert orient.walk_component(start, ell, depth=depth).to_json() == want
 
@@ -281,7 +328,7 @@ class TestParentEdgeReuse:
             return matrix_split(O, n)
 
         monkeypatch.setattr(idl, "matrix_split", counted)
-        start = idl.global_root_orders(p)[0]
+        start = idl.root_maximal_order(p)
         orient.walk_component(start, ell, depth)
         assert calls == [start.key()]
 
@@ -321,7 +368,7 @@ class TestFramePrecision:
     @pytest.mark.parametrize("depth", [1, 3])
     @pytest.mark.parametrize("divisible", [False, True])
     def test_frame_precision_is_twice_the_depth(self, p, ell, depth, divisible, monkeypatch):
-        start = divisible_start(p, ell) if divisible else idl.global_root_orders(p)[0]
+        start = divisible_start(p, ell) if divisible else idl.root_maximal_order(p)
         precisions = []
         lift = idl.EllAdicFrame.lift
 
@@ -369,7 +416,7 @@ class TestRoots:
 class TestStructureAudit:
     def test_p7_l3_global_root_all_descending(self):
         g = walk(7, 3, 1)
-        rep = orient.structure_audit(g, ROOT7.key(), 3)
+        rep = orient.structure_audit(g, ROOT7.key(), 3, ROOT7.algebra)
         assert rep.ok
         assert rep.observed["DD"] == 4
 
@@ -383,7 +430,7 @@ class TestStructureAudit:
             d["+".join(bucket)] = n
         assert (d["HH"], d["HD"], d["DH"], d["DD"]) == (0, 1, 2, 0)
         g = walk(7, 2, 1)
-        rep = orient.structure_audit(g, ROOT7.key(), 2)
+        rep = orient.structure_audit(g, ROOT7.key(), 2, alg)
         assert rep.ok
         obs = rep.observed
         assert (obs["HH"], obs["HD"], obs["DH"], obs["DD"]) == (0, 1, 2, 0)
@@ -394,8 +441,8 @@ class TestStructureAudit:
         alg = QuatAlgebra.for_prime(97)
         assert (alg.d_i, numth.kronecker(alg.d_i, 2)) == (-7, 1)
         g = walk(97, 2, 1)
-        root = idl.global_root_orders(97)[0].key()
-        rep = orient.structure_audit(g, root, 2)
+        root = idl.root_maximal_order(97).key()
+        rep = orient.structure_audit(g, root, 2, alg)
         assert rep.ok, rep.bucket_rows()
         obs = rep.observed
         assert (obs["HH"], obs["HD"], obs["DH"], obs["DD"]) == (0, 2, 1, 0)
@@ -509,7 +556,8 @@ class TestExport:
     def test_json_roundtrip(self, tmp_path):
         g = walk(7, 2, 2)
         path = tmp_path / "component.json"
-        orient.export_graph(g, "json", str(path))
+        assert cli.main(["oriented", "--p", "7", "--ell", "2", "--depth", "2",
+                         "--json-file", str(path)]) == 0
         h = import_graph_json(str(path))
         assert set(h.vertices()) == set(g.vertices())
         for (s, d), rec in g.edges.items():
@@ -520,10 +568,11 @@ class TestExport:
         assert all({"src", "dst", "class"} <= set(e) for e in doc["edges"])
 
     def test_dot_labels(self, tmp_path):
-        g = walk(7, 3, 1)
         path = tmp_path / "component.dot"
-        orient.export_graph(g, "dot", str(path))
+        assert cli.main(["oriented", "--p", "7", "--ell", "3", "--depth", "1",
+                         "--dot", str(path)]) == 0
         text = path.read_text()
+        assert text == walk(7, 3, 1).to_dot()
         assert '[label="(1,1)"]' in text
         assert 'label="DD"' in text
 

@@ -18,10 +18,11 @@ oracle's.
 
 Double-oriented side (l in {2, 3, 5, 7}): the walk from the first global
 root order is a full (l+1)-regular tree whose every expanded vertex passes
-the structure audit, every vertex's conductors, derived edge by edge from
-memberships, are those of the integer kernels of orient.optimal_suborder,
-and the Bass superorder oracle finds exactly the global embedding number
-of maximal orders, the same ones as the unpruned enumeration over every
+the structure audit.  Every vertex's conductors, read off coordinates at
+the start and derived edge by edge from memberships, are those of the
+integer kernels of test_orient.optimal_suborder, the kernel oracle.  The
+Bass superorder oracle finds exactly the global embedding number of
+maximal orders, the same ones as the unpruned enumeration over every
 sublattice of each index.  Its bottom-up enumeration yields exactly the
 sublattices of that enumeration that hold the trace Gram rows, and its
 trace test keeps every one whose dual is an order.  The frame's depth-1
@@ -42,6 +43,7 @@ from test_bass import assert_bottom_up_enumeration_agrees, assert_oracle_agrees
 from test_brandt import (assert_relabels_first_match, backtrack_isomorphism, oracle_types,
                          sigma_types)
 from test_ideals import assert_root_and_walked_order_agree
+from test_orient import kernel_conductors
 
 PRIMES = [p for p in range(5, 501) if numth.is_prime(p)]
 
@@ -94,7 +96,7 @@ WALK_DEPTH = {2: 5, 3: 3, 5: 2, 7: 2}
 @pytest.mark.parametrize("p,ell", [(p, ell) for p in PRIMES for ell in WALK_DEPTH if ell != p])
 def test_oriented_walk_is_an_audited_tree(p, ell):
     depth = WALK_DEPTH[ell]
-    start = idl.global_root_orders(p)[0]
+    start = idl.root_maximal_order(p)
     g = orient.walk_component(start, ell, depth)
     assert g.is_tree_undirected()
     assert g.num_vertices() == 1 + (ell + 1) * (ell**depth - 1) // (ell - 1)
@@ -103,7 +105,7 @@ def test_oriented_walk_is_an_audited_tree(p, ell):
     for key in g.vertices():
         O = QOrder(QLattice(start.algebra, key[1], key[0]))
         attrs = g.vertex_attrs[key]
-        assert (attrs["f_i"], attrs["f_j"]) == orient.conductors(O)
+        assert (attrs["f_i"], attrs["f_j"]) == kernel_conductors(O)
 
 
 @pytest.mark.slow
