@@ -18,10 +18,15 @@ The grid:
 * after those, ``ssgraph --json`` for every other prime 5 <= p <= 500 and
   l in {2, 3, 5, 7}, l != p, so the curve graphs are covered on the whole
   range;
-* last, ``embed --json`` and ``algebra`` at p = 5, where the superorder
-  oracle runs at index 8 and the radical brute force at l = p = 5.
+* then ``embed --json`` and ``algebra`` at p = 5, where the superorder
+  oracle runs at index 8 and the radical brute force at l = p = 5;
+* last, the outputs not covered above: ``algebra --json`` and plain
+  ``embed`` for every prime 5 <= p <= 500, and plain ``brandt``,
+  ``isocheck`` and ``ssgraph`` for p in {11, 101, 499} and l in
+  {2, 3, 5, 7}.  They come after the rest, so the lines before them read
+  as they did before the grid grew.
 
-That is every subcommand of the CLI.
+That is every subcommand of the CLI, with and without ``--json``.
 
 Every run goes to ``qisog.cli.main`` in this process.  Each prints one line
 ``<sha256 of stdout> <exit code> <argv>``; an ``oriented`` line also carries
@@ -47,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qisog import cli, numth  # noqa: E402
 
 WALK_DEPTH = {2: 5, 3: 3, 5: 2, 7: 2}
-PLAIN_WALK_P = (11, 101, 499)  # oriented without --json: the summary line
+PLAIN_P = (11, 101, 499)  # the runs without --json on a graph: the summary line
 
 
 def grid() -> list[list[str]]:
@@ -55,7 +60,7 @@ def grid() -> list[list[str]]:
     runs = [["oriented", "--p", str(p), "--ell", str(ell), "--depth", str(d), "--json"]
             for p in primes for ell, d in WALK_DEPTH.items() if ell != p]
     runs += [["oriented", "--p", str(p), "--ell", str(ell), "--depth", str(d)]
-             for p in PLAIN_WALK_P for ell, d in WALK_DEPTH.items()]
+             for p in PLAIN_P for ell, d in WALK_DEPTH.items()]
     for p in primes:
         if p >= 7:
             runs.append(["embed", "--p", str(p), "--json"])
@@ -74,6 +79,10 @@ def grid() -> list[list[str]]:
              for p in primes for ell in (2, 3, 5, 7)
              if ell != p and (p > 113 or ell > 3)]
     runs += [["embed", "--p", "5", "--json"], ["algebra", "--p", "5"]]
+    runs += [["algebra", "--p", str(p), "--json"] for p in primes]
+    runs += [["embed", "--p", str(p)] for p in primes]
+    runs += [[cmd, "--p", str(p), "--ell", str(ell)] for p in PLAIN_P for ell in WALK_DEPTH
+             for cmd in ("brandt", "isocheck", "ssgraph")]
     return runs
 
 

@@ -147,26 +147,25 @@ def eichler_symbol_radical(O: QOrder, ell: int) -> EichlerSymbol:
     raise AssertionError("no generator of the semisimple quotient among the basis")
 
 
-def eichler_symbol(O: QOrder, ell: int, contained_dK: int | None = None) -> EichlerSymbol:
-    """Formula path when a contained maximal quadratic order is known,
-    radical oracle otherwise; when both apply they must agree."""
-    if contained_dK is None:
-        return eichler_symbol_radical(O, ell)
+def eichler_symbol(O: QOrder, ell: int, contained_dK: int) -> EichlerSymbol:
+    """The formula path, for O holding the maximal order of a quadratic
+    field of discriminant contained_dK, checked against the radical
+    oracle."""
     sym = eichler_symbol_formula(O, ell, contained_dK)
     assert eichler_symbol_radical(O, ell) == sym, "symbol paths disagree"
     return sym
 
 
-def _contained_dK(O: QOrder) -> int | None:
+def _contained_dK(O: QOrder) -> int:
     """Fundamental discriminant of a quadratic subfield whose maximal order
-    sits inside O, if one of the two standard ones does."""
+    sits inside O: one of the two standard ones must."""
     alg = O.algebra
     wi, wj = idl.maximal_quadratic_generators(alg)
     if O.contains(wi):
         return alg.fundamental_discriminants[0]
     if O.contains(wj):
         return alg.fundamental_discriminants[1]
-    return None
+    raise PreconditionError("O holds neither standard maximal quadratic order")
 
 
 def _local_number(sym: int, v: int) -> int:
@@ -185,10 +184,6 @@ def embedding_numbers(O: QOrder) -> tuple[dict[int, int], dict[int, int], int]:
     locs = {ell: 1 if ell == O.algebra.p else _local_number(s, fac[ell])
             for ell, s in syms.items()}
     return syms, locs, math.prod(locs.values())
-
-
-def global_embedding_number(O: QOrder) -> int:
-    return embedding_numbers(O)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ frame of O0 (see enumerate_classes).  A class lookup runs one short-vector
 search on the point's ideal, up to K nrd(J): its theta prefix picks the
 bucket, its minimal vectors carry the equivalence tests, and its least
 element reduces it when it founds a new class.  Class representatives are
-kept reduced (small norm, primitive).
+kept reduced (small norm, primitive).  Ideals are plain QLattices, as in
+ideals.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from functools import partial
 from . import ideals as idl
 from . import numth
 from .errors import CapExceeded, PreconditionError
-from .ideals import QIdeal, QOrder
+from .ideals import QOrder
+from .lattice import QLattice
 from .multigraph import MultiGraph
 
 # Search nodes (refined colourings) per isomorphism search.  Every p < 1000,
@@ -58,7 +60,7 @@ class ClassSet:
     def complete(self) -> bool:
         return self._found == Fraction(self.order0.algebra.p - 1, 12)
 
-    def class_of(self, J: QIdeal, order_if_new=None) -> int:
+    def class_of(self, J: QLattice, order_if_new=None) -> int:
         """Index of the representative equivalent to J, a left O0-ideal,
         reduced or not.  While the list is incomplete, a J equivalent to none
         of them becomes the next representative, reduced; its unit size is
@@ -88,10 +90,10 @@ class ClassSet:
         return self.class_number - 1
 
 
-def ell_neighbors(I: QIdeal, ell: int) -> list[QIdeal]:
+def ell_neighbors(I: QLattice, ell: int) -> list[QLattice]:
     """The ell+1 ideals J inside I with nrd(J) = ell * nrd(I), by the mod-ell
     split of I's right order (the class BFS reads them off O0's frame)."""
-    steps = idl.ideals_of_norm_ell(I.right_order, ell)
+    steps = idl.ideals_of_norm_ell(QOrder(I.right_order()), ell)
     return [I * s for s in steps]
 
 
@@ -106,7 +108,7 @@ def theta_length(p: int) -> int:
     return max(4, math.isqrt(p))
 
 
-def theta_prefix(J: QIdeal, K: int) -> tuple[int, ...]:
+def theta_prefix(J: QLattice, K: int) -> tuple[int, ...]:
     """#{x in J : nrd(x) = k nrd(J)} for k = 1..K, one of each +-pair.
 
     x -> x alpha maps J onto J alpha and keeps nrd(x) / nrd(J), so this is
@@ -114,10 +116,10 @@ def theta_prefix(J: QIdeal, K: int) -> tuple[int, ...]:
     v of J's search has nrd(v/den) / nrd(J) = nrd(v) / (den^2 nrd(J)).
     Needs K >= theta_length(p), so that the search is non-empty (Hermite's
     bound) and fills J's minimal vectors."""
-    n = J.nrd()
-    vecs = J.lattice.short_vectors(K * n)
+    n = J.reduced_norm()
+    vecs = J.short_vectors(K * n)
     assert vecs, "Hermite's bound puts a vector within theta_length(p) nrd(J)"
-    n_int = int(n * J.lattice.den**2)
+    n_int = int(n * J.den**2)
     counts = [0] * K
     for norm, _ in vecs:
         k, rem = divmod(norm, n_int)
@@ -150,7 +152,7 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     level_cap = numth.class_number(p) - 1
     frame = idl.matrix_split(O0, ell).lift(2)
     cs = ClassSet(order0=O0, ell=ell)
-    cs.class_of(QIdeal(O0.lattice), lambda: O0)
+    cs.class_of(O0.lattice, lambda: O0)
     founded = [(None, 0, None)]  # (point, level, class that expanded it), by class
     rows: list[list[int]] = []  # rows[i]: class index of each neighbour of I_i
     for point, k, parent in founded:
@@ -185,9 +187,9 @@ def brandt_matrix(cs: ClassSet) -> list[list[int]]:
     b = cs.brandt
     for i, I in enumerate(cs.representatives):
         for j, Jrep in enumerate(cs.representatives):
-            N = QIdeal(idl.inverse(Jrep).lattice * I.lattice)
-            target = cs.ell * I.nrd() / Jrep.nrd()
-            hits = [e for e in N.lattice.min_norm_elements(target) if e.nrd() == target]
+            N = idl.inverse(Jrep) * I
+            target = cs.ell * I.reduced_norm() / Jrep.reduced_norm()
+            hits = [e for e in N.min_norm_elements(target) if e.nrd() == target]
             count, rem = divmod(len(hits), cs.unit_sizes[j])
             assert rem == 0, "norm count not divisible by the unit size"
             assert count == b[i][j], f"Brandt entry mismatch at ({i},{j})"
@@ -197,7 +199,7 @@ def brandt_matrix(cs: ClassSet) -> list[list[int]]:
 def brandt_graph(cs: ClassSet) -> MultiGraph:
     g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": cs.ell, "kind": "brandt"})
     for i in range(cs.class_number):
-        g.add_vertex(i, nrd=str(cs.representatives[i].nrd()))
+        g.add_vertex(i, nrd=str(cs.representatives[i].reduced_norm()))
     for i, row in enumerate(cs.brandt):
         for j, m in enumerate(row):
             if m:

@@ -13,6 +13,10 @@ l^(2k), resp. l^k, and reducing them there does not change the lattice.
 The frame gives orders and ideals only; the walk reads each order's
 conductors off memberships in it (orient.edge_step).
 
+An ideal is its lattice: a QLattice, with the left and right orders
+QLattice.left_order and right_order, which a caller wraps in QOrder where
+it needs an order's invariants.
+
 Maximality is always certified through the reduced discriminant: in an
 algebra ramified exactly at {p, oo} an order is maximal iff discrd = p.
 """
@@ -29,7 +33,7 @@ from functools import cached_property
 from . import numth
 from .errors import CapExceeded, PreconditionError
 from .lattice import QLattice, hnf_rows
-from .quat import QuatAlgebra, QuatElement, split_den
+from .quat import QuatAlgebra, QuatElement
 
 Frac = Fraction
 
@@ -87,58 +91,6 @@ class QOrder:
 
     def __repr__(self):
         return f"QOrder(discrd={self.reduced_discriminant}, den={self.lattice.den})"
-
-
-@dataclass(frozen=True)
-class QIdeal:
-    lattice: QLattice
-
-    @property
-    def algebra(self) -> QuatAlgebra:
-        return self.lattice.algebra
-
-    def key(self):
-        return self.lattice.key()
-
-    @cached_property
-    def left_order(self) -> QOrder:
-        return QOrder(self.lattice.left_order())
-
-    @cached_property
-    def right_order(self) -> QOrder:
-        return QOrder(self.lattice.right_order())
-
-    def nrd(self) -> Fraction:
-        return self.lattice.reduced_norm()
-
-    def conjugate(self) -> "QIdeal":
-        return QIdeal(self.lattice.conjugate())
-
-    def is_integral(self) -> bool:
-        return self.left_order.lattice.contains_lattice(self.lattice)
-
-    def _times_element(self, elt: QuatElement, left: bool) -> "QIdeal":
-        """elt I (left) or I elt on the integer rows, over one denominator."""
-        lat = self.lattice
-        x, xden = split_den(elt.coords)
-        mul = self.algebra.mul_coords
-        rows = [mul(x, r) if left else mul(r, x) for r in lat.mat]
-        return QIdeal(QLattice.from_int_rows(self.algebra, rows, lat.den * xden))
-
-    def __mul__(self, other):
-        if isinstance(other, QIdeal):
-            return QIdeal(self.lattice * other.lattice)
-        if isinstance(other, QuatElement):
-            return self._times_element(other, left=False)
-        return QIdeal(self.lattice.scale(other))
-
-    def __rmul__(self, other):
-        if isinstance(other, QuatElement):
-            return self._times_element(other, left=True)
-        return QIdeal(self.lattice.scale(other))
-
-    def __repr__(self):
-        return f"QIdeal(nrd={self.nrd()}, den={self.lattice.den})"
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +211,16 @@ def global_root_orders(orders: list[QOrder]) -> list[QOrder]:
 # primitivity and connecting ideals
 
 
-def _coordinate_matrix(I: QIdeal, O: QOrder):
+def _coordinate_matrix(I: QLattice, O: QOrder):
     """Coordinates of I's basis in O's basis: integer rows over one
     denominator.  Scaled by det(O.mat) every row of I lies in O."""
     lat = O.lattice
     det = lat.pivot_product()
-    rows = [lat.int_coords([x * det for x in r]) for r in I.lattice.mat]
-    return rows, det * I.lattice.den
+    rows = [lat.int_coords([x * det for x in r]) for r in I.mat]
+    return rows, det * I.den
 
 
-def content(I: QIdeal, O: QOrder) -> Fraction:
+def content(I: QLattice, O: QOrder) -> Fraction:
     """Positive rational g with (1/g)I primitive integral over O, I's left
     order."""
     rows, den = _coordinate_matrix(I, O)
@@ -277,17 +229,18 @@ def content(I: QIdeal, O: QOrder) -> Fraction:
     return Frac(num, den)
 
 
-def primitive_part(I: QIdeal, O: QOrder) -> QIdeal:
-    """(1/g) I for g = content(I, O); O is I's left order."""
-    return QIdeal(I.lattice.scale(1 / content(I, O)))
+def primitive_part(I: QLattice, O: QOrder) -> QLattice:
+    """(1/g) I for g = content(I, O); O is I's left order.  As content(c I, O)
+    = c content(I, O) for a positive rational c, c I has the same primitive
+    part as I."""
+    return I.scale(1 / content(I, O))
 
 
-def inverse(I: QIdeal) -> QIdeal:
-    n = I.nrd()
-    return QIdeal(I.lattice.conjugate().scale(1 / n))
+def inverse(I: QLattice) -> QLattice:
+    return I.conjugate().scale(1 / I.reduced_norm())
 
 
-def connecting_ideal(O1: QOrder, O2: QOrder) -> QIdeal:
+def connecting_ideal(O1: QOrder, O2: QOrder) -> QLattice:
     """The primitive integral connecting ideal between two maximal orders.
 
     Any connecting ideal is a rational multiple of the primitive one, so the
@@ -297,14 +250,13 @@ def connecting_ideal(O1: QOrder, O2: QOrder) -> QIdeal:
     for o in (O1, O2):
         if not o.is_maximal:
             raise PreconditionError("connecting ideals need maximal orders")
-    prod = QIdeal(O1.lattice * O2.lattice)
-    out = QIdeal(prod.lattice.scale(1 / content(prod, O1)))
+    out = primitive_part(O1.lattice * O2.lattice, O1)
     expected = O1.lattice.intersect(O2.lattice).index_in(O1.lattice)
-    assert out.nrd() == expected, "connecting ideal norm mismatch"
+    assert out.reduced_norm() == expected, "connecting ideal norm mismatch"
     return out
 
 
-def two_sided_p_ideal(O: QOrder) -> QIdeal:
+def two_sided_p_ideal(O: QOrder) -> QLattice:
     """The unique two-sided ideal of reduced norm p of a maximal order.
 
     Locally at the ramified prime it is the radical, which equals the
@@ -316,8 +268,8 @@ def two_sided_p_ideal(O: QOrder) -> QIdeal:
     gram = [[x % p for x in row] for row in O.trace_gram]
     rows = [[p * x for x in row] for row in O.lattice.mat]
     rows += [_combine(v, O.lattice.mat) for v in numth.kernel_mod(gram, p)]
-    P = QIdeal(QLattice.from_int_rows(O.algebra, rows, O.lattice.den))
-    assert P.nrd() == p and P.left_order == O and P.right_order == O
+    P = QLattice.from_int_rows(O.algebra, rows, O.lattice.den)
+    assert P.reduced_norm() == p and P.left_order() == O.lattice == P.right_order()
     return P
 
 
@@ -387,13 +339,13 @@ def matrix_split(O: QOrder, ell: int) -> EllAdicFrame:
     raise AssertionError(f"O/{ell}O has no rank-1 idempotent, yet it is split for {ell} != p")
 
 
-def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QIdeal]:
+def ideals_of_norm_ell(O: QOrder, ell: int) -> list[QLattice]:
     """All ell+1 integral left O-ideals of reduced norm ell: the split's
     ball ideals at the points of P^1(F_ell), sorted by canonical lattice
     key, so which splitting the search finds does not show."""
     split = matrix_split(O, ell)
     out = sorted((split.ball_ideal(tree_point_matrix(w, ell), 1)
-                  for w in tree_children(None, 1, ell)), key=QIdeal.key)
+                  for w in tree_children(None, 1, ell)), key=QLattice.key)
     assert len({I.key() for I in out}) == ell + 1, "norm-ell ideals must be distinct"
     return out
 
@@ -503,7 +455,7 @@ class EllAdicFrame:
             g3.append((aa * e12 - cc * e21 + ac * (e22 - e11)) % m)
         return [g1, g2, g3]
 
-    def ball_ideal(self, P, k: int) -> QIdeal:
+    def ball_ideal(self, P, k: int) -> QLattice:
         """The ideal O diag(ell^k, 1) P^-1 = {x in O : x w = 0 mod ell^k} of
         the point w = P e_1, of norm ell^k, with right order ball_order(P, k).
         It is an ell-neighbour of the ideal of w mod ell^(k-1).
@@ -517,8 +469,8 @@ class EllAdicFrame:
         s = self.ell**k
         (a, _), (c, _) = P
         gens = [self.coords_of(((-c, a), (0, 0)), s), self.coords_of(((0, 0), (-c, a)), s)]
-        I = QIdeal(self._span(gens, s, 1))
-        assert I.nrd() == s, f"ball ideal has norm {I.nrd()}, not {s}"
+        I = self._span(gens, s, 1)
+        assert I.reduced_norm() == s, f"ball ideal has norm {I.reduced_norm()}, not {s}"
         return I
 
 
@@ -572,7 +524,7 @@ def tree_children(point, k: int, ell: int) -> list[tuple[int, int]]:
 # equivalence
 
 
-def is_equivalent(I: QIdeal, J: QIdeal, O: QOrder):
+def is_equivalent(I: QLattice, J: QLattice, O: QOrder):
     """Witness alpha with J = I*alpha, or None.
 
     Needs O_L(J) = O_L(I) = O, I's left order, which must be maximal: then
@@ -584,24 +536,24 @@ def is_equivalent(I: QIdeal, J: QIdeal, O: QOrder):
     one of each +-pair."""
     if not O.is_maximal:
         raise PreconditionError("equivalence is decided over a maximal left order")
-    if not J.lattice.is_left_module_over(O.lattice):
+    if not J.is_left_module_over(O.lattice):
         raise PreconditionError("equivalence needs matching left orders")
-    lat, jlat, mul = I.lattice, J.lattice, I.algebra.mul_coords
-    (m, _), (mj, y) = lat.minimal_vectors[0], jlat.minimal_vectors[0]
-    if Frac(mj * lat.den**2, m * jlat.den**2) ** 2 != jlat.covolume() / lat.covolume():
+    mul = I.algebra.mul_coords
+    (m, _), (mj, y) = I.minimal_vectors[0], J.minimal_vectors[0]
+    if Frac(mj * I.den**2, m * J.den**2) ** 2 != J.covolume() / I.covolume():
         return None
-    for _, x in lat.minimal_vectors:
+    for _, x in I.minimal_vectors:
         a = mul((x[0], -x[1], -x[2], -x[3]), y)  # alpha = a den / (den_J m)
-        if all(jlat.int_coords(mul(r, a), jlat.den * m) is not None for r in lat.mat):
-            return QuatElement(I.algebra, a) * Frac(lat.den, jlat.den * m)
+        if all(J.int_coords(mul(r, a), J.den * m) is not None for r in I.mat):
+            return QuatElement(I.algebra, a) * Frac(I.den, J.den * m)
     return None
 
 
-def reduce_ideal(I: QIdeal, O: QOrder) -> QIdeal:
-    """I conj(beta) / nrd(I) made primitive over O, I's left order: an
-    equivalent ideal of small norm.  beta, the least element of I by (nrd,
+def reduce_ideal(I: QLattice, O: QOrder) -> QLattice:
+    """I conj(beta) made primitive over O, I's left order: an equivalent
+    ideal of small norm.  beta = v / den, the least element of I by (nrd,
     coordinates), heads I's minimal_vectors, so it costs no search once one
-    has run on I."""
-    lat = I.lattice
-    beta = QuatElement(I.algebra, lat.minimal_vectors[0][1]) * Frac(1, lat.den)
-    return primitive_part(I * (beta.conjugate() / I.nrd()), O)
+    has run on I; I conj(beta) is spanned by the rows r conj(v) over den^2."""
+    mul, (v0, v1, v2, v3) = I.algebra.mul_coords, I.minimal_vectors[0][1]
+    rows = [mul(r, (v0, -v1, -v2, -v3)) for r in I.mat]
+    return primitive_part(QLattice.from_int_rows(I.algebra, rows, I.den**2), O)

@@ -6,7 +6,8 @@ denominator divided out.  That canonical form makes lattice equality (and
 hashing, for graph vertex identity) plain tuple equality.
 
 No floating point is used anywhere: the short-vector enumeration runs on an
-LLL-reduced integer Gram matrix, over one common denominator.
+LLL-reduced integer Gram matrix, over one common denominator, and reads its
+integer Gram-Schmidt data off the LLL run.
 """
 
 from __future__ import annotations
@@ -116,14 +117,14 @@ def triangular_adjugate(m) -> list[list[int]]:
     return X
 
 
-def lll_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
+def lll_reduce(gram) -> tuple[list[list[int]], list[list[int]], list[int], list[list[int]]]:
     """Exact integral LLL with delta = 3/4 (Cohen, Alg. 2.6.7) on a positive
-    definite integer Gram matrix g.  Returns (U, G) with U unimodular and
-    G = U g U^T the Gram matrix of the reduced basis U b.
-
-    Only integers occur: d[m] is the Gram determinant of the first m
-    vectors (d[0] = 1) and lam[k][j] = d[j+1] mu_kj.  Size reduction and
-    swaps update G in place, a row and a column at a time."""
+    definite integer Gram matrix g.  Returns (U, G, d, lam): U unimodular,
+    G = U g U^T the Gram matrix of the reduced basis U b, and its integer
+    Gram-Schmidt data, d[m] the Gram determinant of the first m vectors
+    (d[0] = 1) and lam[k][j] = d[j+1] mu_kj for j < k.  Only integers occur;
+    size reduction and swaps update G in place, a row and a column at a
+    time."""
     n = len(gram)
     G = [list(r) for r in gram]
     U = [[int(r == c) for c in range(n)] for r in range(n)]
@@ -176,31 +177,7 @@ def lll_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    return U, G
-
-
-def fincke_pohst_setup(gram) -> tuple[list[int], list[list[int]], list[int], int]:
-    """Integer data (d, lnum, w, P) of the norm form c g c^T written as
-    sum_k (w_k / P) (c_k d_k + S_k)^2 with S_k = sum_{t>k} lnum[k][t] c_t.
-
-    Bareiss elimination on g gives the leading minors Delta_0 = 1, ...,
-    Delta_n and, at stage k, the eliminated column lnum[k][t] = Delta_{k+1}
-    L_tk of g = L D L^T.  So d_k = Delta_{k+1}, and
-    D_k / d_k^2 = 1 / (Delta_k Delta_{k+1}) = w_k / P."""
-    n = len(gram)
-    M = [list(r) for r in gram]
-    minors = [1]
-    for k in range(n):
-        piv = M[k][k]
-        assert piv > 0, "norm form must be positive definite"
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (piv * M[i][j] - M[i][k] * M[k][j]) // minors[-1]
-        minors.append(piv)
-    lnum = [[M[t][k] if t > k else 0 for t in range(n)] for k in range(n)]
-    dens = [minors[k] * minors[k + 1] for k in range(n)]
-    P = math.lcm(*dens)
-    return minors[1:], lnum, [P // x for x in dens], P
+    return U, G, d, lam
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +372,10 @@ class QLattice:
                 (g02, g12, g22, g23), (g03, g13, g23, g33))
 
     @cached_property
-    def lll(self) -> tuple[list[list[int]], list[list[int]]]:
-        """lll_reduce of gram_int: the transform U and the reduced Gram
-        matrix, whose (0, 0) entry is den^2 nrd of the first reduced vector."""
+    def lll(self) -> tuple[list[list[int]], list[list[int]], list[int], list[list[int]]]:
+        """lll_reduce of gram_int: the transform U, the reduced Gram matrix,
+        whose (0, 0) entry is den^2 nrd of the first reduced vector, and its
+        integer Gram-Schmidt data d and lam."""
         return lll_reduce(self.gram_int)
 
     def reduced_norm(self) -> Fraction:
@@ -487,12 +465,15 @@ class QLattice:
         Exact Fincke-Pohst on an LLL-reduced integer coordinate Gram matrix.
 
         With U the LLL transform, the search enumerates coordinates c in the
-        reduced basis U mat, whose Gram matrix g = U gram_int U^T has the
-        integer set-up of ``fincke_pohst_setup``: level k admits exactly the
-        c_k with w_k (c_k d_k + S_k)^2 <= rem, where rem = floor(bound *
-        den^2 * P) minus the levels above, so the search runs on integers
-        alone.  ``cap`` bounds the number of visited nodes (candidate
-        coordinates at any level).
+        reduced basis U mat, whose norm form c g c^T, g = U gram_int U^T, is
+        sum_k D_k (c_k + sum_{t>k} mu_tk c_t)^2 with D_k = d[k+1] / d[k]; in
+        LLL's integer Gram-Schmidt data that is sum_k (w_k / P) (c_k d[k+1] +
+        S_k)^2 with S_k = sum_{t>k} lam[t][k] c_t, w_k = P / (d[k] d[k+1])
+        and P the lcm of those products.  Level k
+        admits exactly the c_k with w_k (c_k d[k+1] + S_k)^2 <= rem, where
+        rem = floor(bound * den^2 * P) minus the levels above, so the search
+        runs on integers alone.  ``cap`` bounds the number of visited nodes
+        (candidate coordinates at any level).
 
         A non-empty answer holds every vector of least norm, so it also
         fills ``minimal_vectors``."""
@@ -500,9 +481,11 @@ class QLattice:
         if bound <= 0:
             raise PreconditionError("bound must be positive")
         n = 4
-        U, g = self.lll
+        U, _, dd, lam = self.lll
         basis = [[sum(u[s] * self.mat[s][col] for s in range(n)) for col in range(4)] for u in U]
-        d, lnum, w, P = fincke_pohst_setup(g)
+        dens = [dd[k] * dd[k + 1] for k in range(n)]
+        P = math.lcm(*dens)
+        w = [P // x for x in dens]
         found: set[tuple] = set()
         nodes = 0
         c = [0] * n
@@ -510,9 +493,9 @@ class QLattice:
         def descend(level: int, rem: int, above: list[int]):
             # above = sum_{t > level} c_t basis_t, the row so far
             nonlocal nodes
-            S = sum(lnum[level][t] * c[t] for t in range(level + 1, n))
+            S = sum(lam[t][level] * c[t] for t in range(level + 1, n))
             m = math.isqrt(rem // w[level])
-            dk = d[level]
+            dk = dd[level + 1]
             lo = -((m + S) // dk)  # smallest v with v dk + S >= -m
             hi = (m - S) // dk  # largest v with v dk + S <= m
             row = basis[level]

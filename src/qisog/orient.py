@@ -248,9 +248,7 @@ def predicted_counts(alg: QuatAlgebra, f_i: int, f_j: int, ell: int) -> tuple[st
     if not div_i and not div_j:
         if si != -1 and sj != -1:
             # ell | d_Ki d_Kj / 4, the Bass order's reduced discriminant
-            v_disc, _ = numth._two_adic_split(dKi * dKj, ell)
-            v_four, _ = numth._two_adic_split(4, ell)
-            hh = 1 if v_disc > v_four else 0
+            hh = 1 if (dKi * dKj // 4) % ell == 0 else 0
             hd = 1 + si - hh
             dh = 1 + sj - hh
             pred = [(("HH",), hh), (("HD",), hd), (("DH",), dh),

@@ -17,7 +17,7 @@ def random_walk_orders(p: int, count: int, seed: int = 0, ells=(2, 3)) -> list[Q
         ell = rng.choice(ells)
         steps = idl.ideals_of_norm_ell(current, ell)
         I = steps[rng.randrange(len(steps))]
-        current = QOrder(I.lattice.right_order())
+        current = QOrder(I.right_order())
         seen.setdefault(current.key(), current)
         if rng.random() < 0.2:
             current = start  # restart to spread over the graph

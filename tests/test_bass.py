@@ -76,9 +76,18 @@ class TestEichlerSymbol:
             bass.eichler_symbol_formula(O, 3, bass._contained_dK(O))
 
     def test_radical_oracle_standalone(self):
-        # mid-walk orders without a known quadratic maximal order still work
+        # the radical path needs no contained quadratic maximal order
         O = bass_for(29)
-        assert bass.eichler_symbol(O, 2).value == 0
+        assert bass.eichler_symbol_radical(O, 2).value == 0
+
+    def test_contained_dK_needs_a_standard_quadratic_order(self):
+        """Z + 2 O0 holds neither w_i = i nor w_j = (1 + j)/2 at p = 13:
+        (i - a)/2 and (1 - 2a + j)/4 have norms (a^2 + 2)/4 and
+        ((1 - 2a)^2 + 13)/16, never integers."""
+        O0 = idl.root_maximal_order(13)
+        R = QOrder(QLattice.from_elements([O0.algebra.one] + [2 * b for b in O0.basis_elements()]))
+        with pytest.raises(PreconditionError):
+            bass._contained_dK(R)
 
     @pytest.mark.parametrize("p", [7, 13, 101])
     def test_ell2_split_quotient(self, p):
@@ -113,13 +122,13 @@ class TestEmbeddingNumbers:
     def test_examples(self, p, e2, e):
         O = bass_for(p)
         assert local_embedding_number(O, 2) == e2
-        assert bass.global_embedding_number(O) == e
+        assert bass.embedding_numbers(O)[2] == e
 
     def test_p17(self):
         O = bass_for(17)
         assert local_embedding_number(O, 3) == 2
         assert local_embedding_number(O, 17) == 1
-        assert bass.global_embedding_number(O) == 2
+        assert bass.embedding_numbers(O)[2] == 2
 
     def test_always_one_or_two(self):
         for p in (7, 13, 17, 23, 29, 41):
@@ -133,7 +142,7 @@ class TestSuperorderOracle:
     def test_count_matches_formula(self, p):
         O = bass_for(p)
         supers = bass.enumerate_maximal_superorders(O)
-        assert len(supers) == bass.global_embedding_number(O)
+        assert len(supers) == bass.embedding_numbers(O)[2]
         for S in supers:
             assert S.reduced_discriminant == O.algebra.p
             assert S.contains_order(O)

@@ -1,6 +1,6 @@
 """The CLI's output over the fixed grid of scripts/cli_digest.py, pinned by
 its combined sha256.  The grid runs every subcommand over primes p <= 500,
-about 1200 runs in one process and several seconds, so the pin is part of
+about 1400 runs in one process and several seconds, so the pin is part of
 the default run.
 
 A change that alters the output on purpose updates COMBINED and says which
@@ -12,7 +12,7 @@ import importlib.util
 import io
 from pathlib import Path
 
-COMBINED = "f3b6485c774fb33f76d948e2ad6434d0233a5e673b815781eb5dab98faa034c0"
+COMBINED = "c0f8133143d0eeaafbdc322f67477b56f41f4ee1ec63c46b867c8b26b4dba36b"
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
 

@@ -11,7 +11,7 @@ from qisog import bass, brandt, numth
 from qisog import ideals as idl
 from qisog import lattice
 from qisog.errors import CapExceeded, PreconditionError
-from qisog.lattice import QLattice, fincke_pohst_setup, hnf_rows, lll_reduce
+from qisog.lattice import QLattice, hnf_rows, lll_reduce
 from qisog.quat import QuatAlgebra, QuatElement, split_den
 
 
@@ -417,9 +417,8 @@ def piecewise_order(L, side):
 
 def class_set_lattices(p):
     """The class representatives of the p, l = 2 class set and every I^-1 J."""
-    reps = [R.lattice for R in brandt.enumerate_classes(idl.root_maximal_orders(p)[0], 2)
-            .representatives]
-    return reps + [idl.inverse(idl.QIdeal(I)).lattice * J for I in reps for J in reps]
+    reps = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], 2).representatives
+    return reps + [idl.inverse(I) * J for I in reps for J in reps]
 
 
 class TestOrdersByDuality:
@@ -436,7 +435,7 @@ class TestOrdersByDuality:
         for O in request.getfixturevalue(walked):
             for ell in (2, 3):
                 for I in idl.ideals_of_norm_ell(O, ell):
-                    self.assert_both_sides(I.lattice)
+                    self.assert_both_sides(I)
 
     @pytest.mark.parametrize("p", [101, 113])
     def test_class_set_and_quotient_lattices(self, p):
@@ -724,7 +723,7 @@ class TestStraightLineKernels:
 
 
 def fraction_fp_setup(gram):
-    """The former Fincke-Pohst set-up, kept as the reference: the Fraction
+    """The first Fincke-Pohst set-up, kept as the reference: the Fraction
     LDL^T of g, d_k the lcm of the denominators of column k of L, and
     D_k / d_k^2 = w_k / P over the lcm P of their denominators."""
     n = len(gram)
@@ -739,6 +738,20 @@ def fraction_fp_setup(gram):
     w = [D[k] / d[k] ** 2 for k in range(n)]
     P = math.lcm(*(x.denominator for x in w))
     return d, lnum, [int(x * P) for x in w], P
+
+
+def fraction_gs_data(gram):
+    """LLL's integer Gram-Schmidt data of g, recomputed from the Fraction
+    LDL^T: d[m] = D_0 ... D_(m-1) and lam[k][j] = d[j+1] L_kj for j < k."""
+    fd, flnum, fw, fP = fraction_fp_setup(gram)
+    n = len(gram)
+    d = [Fraction(1)]
+    for k in range(n):
+        d.append(d[-1] * Fraction(fw[k], fP) * fd[k] ** 2)
+    lam = [[d[j + 1] * Fraction(flnum[j][k], fd[j]) if j < k else Fraction(0) for j in range(n)]
+           for k in range(n)]
+    assert all(x.denominator == 1 for x in d + [y for row in lam for y in row])
+    return [int(x) for x in d], [[int(y) for y in row] for row in lam]
 
 
 def visited_nodes(L, bound):
@@ -777,7 +790,7 @@ def gram_schmidt(G):
 class TestLLL:
     @staticmethod
     def assert_reduced(g):
-        U, G = lll_reduce(g)
+        U, G, d, lam = lll_reduce(g)
         assert abs(int_det(U)) == 1
         assert G == [[sum(U[a][s] * g[s][t] * U[b][t] for s in range(4) for t in range(4))
                       for b in range(4)] for a in range(4)]
@@ -786,6 +799,8 @@ class TestLLL:
             assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k)), "size condition"
             if k:
                 assert B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1], "Lovasz condition"
+            assert Fraction(d[k + 1], d[k]) == B[k]
+            assert all(lam[k][j] == d[j + 1] * mu[k][j] for j in range(k))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), order=st.sampled_from([O0, O101, O113]))
@@ -801,21 +816,22 @@ class TestLLL:
 
 
 class TestBareissSetUp:
-    """The fraction-free set-up gives the same real inequalities as the
-    Fraction LDL^T, so the search visits the same nodes."""
+    """The search's set-up is LLL's fraction-free Gram-Schmidt data of the
+    reduced basis: the same form as the Fraction LDL^T of the reduced Gram
+    matrix, so the search visits the same nodes on either."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), order=st.sampled_from([O0, O101, O113]))
     def test_same_form_as_fraction_ldl(self, seed, order):
         rng = random.Random(seed)
         L = random_sublattice(rng, order)
-        for g in (L.gram_int, skewed_gram(rng, L), lll_reduce(L.gram_int)[1]):
-            d, lnum, w, P = fincke_pohst_setup(g)
-            fd, flnum, fw, fP = fraction_fp_setup(g)
+        for g in (L.gram_int, skewed_gram(rng, L)):
+            _, G, d, lam = lll_reduce(g)
+            fd, flnum, fw, fP = fraction_fp_setup(G)
             for k in range(4):
-                assert Fraction(w[k], P) * d[k] ** 2 == Fraction(fw[k], fP) * fd[k] ** 2
+                assert Fraction(d[k + 1], d[k]) == Fraction(fw[k], fP) * fd[k] ** 2
                 for t in range(k + 1, 4):
-                    assert Fraction(lnum[k][t], d[k]) == Fraction(flnum[k][t], fd[k])
+                    assert Fraction(lam[t][k], d[k + 1]) == Fraction(flnum[k][t], fd[k])
 
     def test_same_visited_nodes(self, monkeypatch):
         rng = random.Random(11)
@@ -823,8 +839,13 @@ class TestBareissSetUp:
                  (O113, Fraction(7, 3))]
         cases += [(random_sublattice(rng, O113), Fraction(rng.randint(1, 40), 5)) for _ in range(6)]
         counts = [visited_nodes(L, b) for L, b in cases]
-        monkeypatch.setattr(lattice, "fincke_pohst_setup", fraction_fp_setup)
-        assert [visited_nodes(L, b) for L, b in cases] == counts
+
+        def fraction_lll(gram):
+            U, G, _, _ = lll_reduce(gram)
+            return (U, G, *fraction_gs_data(G))
+        monkeypatch.setattr(lattice, "lll_reduce", fraction_lll)
+        fresh = [(QLattice(L.algebra, L.mat, L.den), b) for L, b in cases]
+        assert [visited_nodes(L, b) for L, b in fresh] == counts
 
 
 class TestShortVectors:
@@ -876,7 +897,7 @@ class TestShortVectors:
         O = idl.root_maximal_orders(101)[0]
         I = idl.ideals_of_norm_ell(O, 2)[0]
         J = idl.ideals_of_norm_ell(O, 3)[1]
-        N = idl.inverse(I).lattice * J.lattice
+        N = idl.inverse(I) * J
         assert N.reduced_norm() == Fraction(3, 2)
         for L in (Q101, N):
             got = L.min_norm_elements(bound)

@@ -276,7 +276,7 @@ def reference_walk(start, ell, depth):
         nxt = []
         for v in frontier:
             for I in idl.ideals_of_norm_ell(v.order, ell):
-                w = register(QOrder(I.lattice.right_order()))
+                w = register(QOrder(I.right_order()))
                 assert v.key() != w.key() and not g.multiplicity(v.key(), w.key())
                 g.add_edge(v.key(), w.key(), cls=orient.classify_edge(v, w, ell))
                 if w.key() not in seen:
@@ -409,7 +409,7 @@ class TestRoots:
             if k == rootkey:
                 continue
             C = idl.connecting_ideal(orders[rootkey], orders[k])
-            n = int(C.nrd())
+            n = int(C.reduced_norm())
             assert n > 1 and 3 ** round(math.log(n, 3)) == n
 
 
