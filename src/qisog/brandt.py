@@ -4,10 +4,10 @@ the type-set quotient graph, and exact directed-multigraph isomorphism.
 The classes are found by a BFS over O0's Bruhat-Tits tree, off one l-adic
 frame of O0 (see enumerate_classes).  A class lookup runs one short-vector
 search on the point's ideal, up to K nrd(J): its theta prefix picks the
-bucket, its minimal vectors carry the equivalence tests, and its least
-element reduces it when it founds a new class.  Class representatives are
-kept reduced (small norm, primitive).  Ideals are plain QLattices, as in
-ideals.
+bucket, and its minimal vectors carry the equivalence tests.  A class's
+representative is the tree point's ideal that founded it, of norm l^k at
+founding level k, unreduced: the equivalence tests run on LLL-reduced
+bases anyway.  Ideals are plain QLattices, as in ideals.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ClassSet:
 
     order0: QOrder
     ell: int
-    # primitive left O0-ideals, pairwise inequivalent
+    # the founding tree points' left O0-ideals, pairwise inequivalent
     representatives: list = field(default_factory=list)
     unit_sizes: list = field(default_factory=list)  # a_j = |O_R(I_j)^x| / 2
     # b_ij = number of ell-neighbors of I_i equivalent to I_j
@@ -61,15 +61,16 @@ class ClassSet:
         return self._found == Fraction(self.order0.algebra.p - 1, 12)
 
     def class_of(self, J: QLattice, order_if_new=None) -> int:
-        """Index of the representative equivalent to J, a left O0-ideal,
-        reduced or not.  While the list is incomplete, a J equivalent to none
-        of them becomes the next representative, reduced; its unit size is
-        read off order_if_new(), an order conjugate to O_R(J), called only
-        then, so a lookup on a complete list needs none.
+        """Index of the representative equivalent to J, a left O0-ideal.
+        While the list is incomplete, a J equivalent to none of them becomes
+        the next representative, as it is; its unit size is read off
+        order_if_new(), an order conjugate to O_R(J), called only then, so a
+        lookup on a complete list needs none.
 
         J gets one short-vector search, theta_prefix's up to K nrd(J); by
         Hermite's bound (see theta_length) it holds J's minimal vectors, on
-        which is_equivalent and reduce_ideal then run without another."""
+        which is_equivalent then runs without another, now and whenever J
+        is a representative tested later."""
         key = theta_prefix(J, theta_length(self.order0.algebra.p))
         bucket = self._buckets.get(key, [])
         complete = self.complete
@@ -83,8 +84,7 @@ class ClassSet:
             assert bucket, f"class list is complete, yet no class has the invariant {key}"
             return bucket[-1]
         self._buckets.setdefault(key, []).append(self.class_number)
-        R = idl.reduce_ideal(J, self.order0)
-        reps.append(R)
+        reps.append(J)
         self.unit_sizes.append(len(order_if_new().lattice.min_norm_elements(1)))
         self._found += Fraction(1, self.unit_sizes[-1])
         return self.class_number - 1
@@ -116,7 +116,7 @@ def theta_prefix(J: QLattice, K: int) -> tuple[int, ...]:
     v of J's search has nrd(v/den) / nrd(J) = nrd(v) / (den^2 nrd(J)).
     Needs K >= theta_length(p), so that the search is non-empty (Hermite's
     bound) and fills J's minimal vectors."""
-    n = J.reduced_norm()
+    n = J.reduced_norm
     vecs = J.short_vectors(K * n)
     assert vecs, "Hermite's bound puts a vector within theta_length(p) nrd(J)"
     n_int = int(n * J.den**2)
@@ -188,7 +188,7 @@ def brandt_matrix(cs: ClassSet) -> list[list[int]]:
     for i, I in enumerate(cs.representatives):
         for j, Jrep in enumerate(cs.representatives):
             N = idl.inverse(Jrep) * I
-            target = cs.ell * I.reduced_norm() / Jrep.reduced_norm()
+            target = cs.ell * I.reduced_norm / Jrep.reduced_norm
             hits = [e for e in N.min_norm_elements(target) if e.nrd() == target]
             count, rem = divmod(len(hits), cs.unit_sizes[j])
             assert rem == 0, "norm count not divisible by the unit size"
@@ -197,9 +197,8 @@ def brandt_matrix(cs: ClassSet) -> list[list[int]]:
 
 
 def brandt_graph(cs: ClassSet) -> MultiGraph:
-    g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": cs.ell, "kind": "brandt"})
-    for i in range(cs.class_number):
-        g.add_vertex(i, nrd=str(cs.representatives[i].reduced_norm()))
+    g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": cs.ell, "kind": "brandt"},
+                   vertex_attrs={i: {} for i in range(cs.class_number)})
     for i, row in enumerate(cs.brandt):
         for j, m in enumerate(row):
             if m:

@@ -131,16 +131,15 @@ def lll_reduce(gram) -> tuple[list[list[int]], list[list[int]], list[int], list[
     d = [1, G[0][0]] + [0] * (n - 1)
     lam = [[0] * n for _ in range(n)]
 
-    def red(k: int, l: int) -> None:
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            U[k] = [a - q * b for a, b in zip(U[k], U[l])]
-            G[k] = [a - q * b for a, b in zip(G[k], G[l])]
-            for row in G:
-                row[k] -= q * row[l]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
+    def red(k: int, l: int) -> None:  # where 2 |lam[k][l]| > d[l+1]
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        U[k] = [a - q * b for a, b in zip(U[k], U[l])]
+        G[k] = [a - q * b for a, b in zip(G[k], G[l])]
+        for row in G:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
 
     def swap(k: int) -> None:
         U[k], U[k - 1] = U[k - 1], U[k]
@@ -169,13 +168,15 @@ def lll_reduce(gram) -> tuple[list[list[int]], list[list[int]], list[int], list[
                     lam[k][j] = u
                 else:
                     d[k + 1] = u
-        red(k, k - 1)
+        if 2 * abs(lam[k][k - 1]) > d[k]:
+            red(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             swap(k)
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
-                red(k, l)
+                if 2 * abs(lam[k][l]) > d[l + 1]:
+                    red(k, l)
             k += 1
     return U, G, d, lam
 
@@ -323,6 +324,8 @@ class QLattice:
         return self.scale(other)
 
     def scale(self, r) -> "QLattice":
+        if not isinstance(r, (int, Fraction)):
+            raise PreconditionError(f"a lattice scales only by a rational, not {type(r).__name__}")
         r = Frac(r)
         if r == 0:
             raise PreconditionError("cannot scale a lattice by 0")
@@ -378,6 +381,7 @@ class QLattice:
         integer Gram-Schmidt data d and lam."""
         return lll_reduce(self.gram_int)
 
+    @cached_property
     def reduced_norm(self) -> Fraction:
         """Positive generator of the Z-ideal spanned by norms of elements,
         read off the basis through the polarization identity."""
@@ -469,59 +473,54 @@ class QLattice:
         sum_k D_k (c_k + sum_{t>k} mu_tk c_t)^2 with D_k = d[k+1] / d[k]; in
         LLL's integer Gram-Schmidt data that is sum_k (w_k / P) (c_k d[k+1] +
         S_k)^2 with S_k = sum_{t>k} lam[t][k] c_t, w_k = P / (d[k] d[k+1])
-        and P the lcm of those products.  Level k
-        admits exactly the c_k with w_k (c_k d[k+1] + S_k)^2 <= rem, where
-        rem = floor(bound * den^2 * P) minus the levels above, so the search
-        runs on integers alone.  ``cap`` bounds the number of visited nodes
-        (candidate coordinates at any level).
+        and P the lcm of those products.  Four nested loops, level k = 3 down
+        to 0, admit exactly the c_k with w_k (c_k d[k+1] + S_k)^2 <= rem, for
+        rem = R = floor(bound * den^2 * P) minus the levels above; so the
+        search runs on integers alone, and P nrd(v) is R minus the rem left
+        after level 0.  ``cap`` bounds the number of visited nodes (candidate
+        coordinates at any level).  A row is built once per +-pair: for the c
+        whose highest nonzero coordinate is positive.
 
         A non-empty answer holds every vector of least norm, so it also
         fills ``minimal_vectors``."""
         bound = Frac(bound)
         if bound <= 0:
             raise PreconditionError("bound must be positive")
-        n = 4
-        U, _, dd, lam = self.lll
-        basis = [[sum(u[s] * self.mat[s][col] for s in range(n)) for col in range(4)] for u in U]
-        dens = [dd[k] * dd[k + 1] for k in range(n)]
-        P = math.lcm(*dens)
-        w = [P // x for x in dens]
-        found: set[tuple] = set()
-        nodes = 0
-        c = [0] * n
+        U, _, (_, d1, d2, d3, d4), (_, (l10, *_), (l20, l21, *_), (l30, l31, l32, _)) = self.lll
+        (y0, y1, y2, y3), b1, b2, b3 = (
+            [sum(u[s] * self.mat[s][col] for s in range(4)) for col in range(4)] for u in U)
+        P = math.lcm(d1, d1 * d2, d2 * d3, d3 * d4)
+        w0, w1, w2, w3 = P // d1, P // (d1 * d2), P // (d2 * d3), P // (d3 * d4)
+        R = math.floor(bound * self.den**2 * P)
+        isqrt, out, nodes = math.isqrt, [], 0
 
-        def descend(level: int, rem: int, above: list[int]):
-            # above = sum_{t > level} c_t basis_t, the row so far
+        def visit(S: int, rem: int, w: int, dk: int) -> range:
+            # the v with w (v dk + S)^2 <= rem, each a visited node
             nonlocal nodes
-            S = sum(lam[t][level] * c[t] for t in range(level + 1, n))
-            m = math.isqrt(rem // w[level])
-            dk = dd[level + 1]
-            lo = -((m + S) // dk)  # smallest v with v dk + S >= -m
-            hi = (m - S) // dk  # largest v with v dk + S <= m
-            row = basis[level]
-            for v in range(lo, hi + 1):
-                nodes += 1
-                if nodes > cap:
-                    raise CapExceeded("short-vector enumeration cap exceeded")
-                c[level] = v
-                vec = [a + v * b for a, b in zip(above, row)]
-                if level == 0:
-                    if any(c):
-                        for x in vec:
-                            if x > 0:
-                                break
-                            if x < 0:
-                                vec = [-y for y in vec]
-                                break
-                        found.add(tuple(vec))
-                else:
-                    descend(level - 1, rem - w[level] * (v * dk + S) ** 2, vec)
-            c[level] = 0
+            m = isqrt(rem // w)
+            lo, hi = -((m + S) // dk), (m - S) // dk
+            nodes += hi - lo + 1
+            if nodes > cap:
+                raise CapExceeded("short-vector enumeration cap exceeded")
+            return range(lo, hi + 1)
 
-        descend(n - 1, math.floor(bound * self.den**2 * P), [0, 0, 0, 0])
-        # (nrd, coords) of vec / den orders as (nrd of vec, vec) does
-        nrd = self.algebra.nrd_coords
-        out = sorted((nrd(v), v) for v in found)
+        for c3 in visit(0, R, w3, d4):
+            r3 = R - w3 * (c3 * d4) ** 2
+            for c2 in visit(l32 * c3, r3, w2, d3):
+                r2 = r3 - w2 * (c2 * d3 + l32 * c3) ** 2
+                S1 = l21 * c2 + l31 * c3
+                for c1 in visit(S1, r2, w1, d2):
+                    r1 = r2 - w1 * (c1 * d2 + S1) ** 2
+                    S0 = l10 * c1 + l20 * c2 + l30 * c3
+                    zs = visit(S0, r1, w0, d1)
+                    if (c3, c2, c1) < (0, 0, 0) or not zs:
+                        continue  # the mirror of rows already built, or none
+                    x0, x1, x2, x3 = (c3 * a + c2 * b + c1 * c for a, b, c in zip(b3, b2, b1))
+                    for c0 in (zs if c3 or c2 or c1 else range(1, zs.stop)):
+                        e, v = c0 * d1 + S0, (x0 + c0 * y0, x1 + c0 * y1, x2 + c0 * y2, x3 + c0 * y3)
+                        out.append(((R - r1 + w0 * e * e) // P,
+                                    v if v > (0, 0, 0, 0) else (-v[0], -v[1], -v[2], -v[3])))
+        out.sort()  # (nrd, coords) of v / den orders as (nrd of v, v) does
         if out:
             self.__dict__.setdefault("minimal_vectors", [x for x in out if x[0] == out[0][0]])
         return out

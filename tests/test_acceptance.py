@@ -184,10 +184,10 @@ def test_criterion_7_connecting_ideal_laws(walked_orders_13, walked_orders_37):
         for O1, O2 in pairs:
             C = idl.connecting_ideal(O1, O2)
             index = O1.lattice.intersect(O2.lattice).index_in(O1.lattice)
-            assert C.reduced_norm() == index
+            assert C.reduced_norm == index
             assert C.conjugate() == idl.connecting_ideal(O2, O1)
             assert is_primitive(C)
-            n = int(C.reduced_norm())
+            n = int(C.reduced_norm)
             assert all(is_primitive_at(C, q) for q in numth.factorize(n)) or n == 1
 
 
@@ -212,7 +212,7 @@ def test_criterion_8_property_suites():
             if alpha.nrd() == 0:
                 continue
             I = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
-            assert I.reduced_norm() ** 2 == I.index_in(I.left_order())
+            assert I.reduced_norm ** 2 == I.index_in(I.left_order())
         # HNF canonicality round-trips under unimodular row operations
         for _ in range(50):
             m = [list(r) for r in O0.lattice.mat]

@@ -70,7 +70,7 @@ def assert_relabels_first_match(cs) -> None:
 
 
 def _is_principal(I: QLattice) -> bool:
-    n = I.reduced_norm()
+    n = I.reduced_norm
     return any(e.nrd() == n for e in I.min_norm_elements(n))
 
 
@@ -275,16 +275,17 @@ class TestThetaPrefix:
             assert brandt.theta_prefix(J, K) == brandt.theta_prefix(idl.reduce_ideal(J, cs.order0), K)
 
     @pytest.mark.parametrize("p,ell", [(101, 2), (113, 3)])
-    def test_one_search_and_one_reduction_per_lookup(self, p, ell, monkeypatch):
+    def test_one_search_and_no_reduction_per_lookup(self, p, ell, monkeypatch):
         """Each class lookup (the BFS and the type involution) runs one
-        short-vector search and one LLL reduction on J, forms no
-        inverse ideal, and calls reduce_ideal exactly when J founds a new
-        class.  The BFS looks up O0 and then h ell + 1 tree points: the
-        ell + 1 at level 1 and each founding point's ell children, its
-        parent's class being known; no ell_neighbors are formed."""
-        reduced_lattices, searched, reductions, lookups = [], [], [], []
-        lll, search, reduce, lookup = (QLattice.lll.func, QLattice.short_vectors,
-                                       idl.reduce_ideal, brandt.ClassSet.class_of)
+        LLL reduction and one short-vector search on J, forms no inverse
+        ideal and reduces no ideal: a new class keeps J, whose minimal
+        vectors serve its later equivalence tests.  The only other LLL and
+        search is the unit-size one on a new class's order.  The BFS looks
+        up O0 and then h ell + 1 tree points: the ell + 1 at level 1 and
+        each founding point's ell children, its parent's class being known;
+        no ell_neighbors are formed."""
+        reduced_lattices, searched, lookups = [], [], []
+        lll, search, lookup = QLattice.lll.func, QLattice.short_vectors, brandt.ClassSet.class_of
 
         def counted_lll(L):
             reduced_lattices.append(L)
@@ -294,9 +295,8 @@ class TestThetaPrefix:
             searched.append(L)
             return search(L, bound, cap)
 
-        def counted_reduce(I, O=None):
-            reductions.append(I)
-            return reduce(I, O)
+        def no_reduction(I, O=None):
+            raise AssertionError("a class lookup reduced an ideal")
 
         def no_inverse(I):
             raise AssertionError("a class lookup formed an inverse ideal")
@@ -304,19 +304,18 @@ class TestThetaPrefix:
         def counted_lookup(cs, J, order_if_new=None):
             reduced_lattices.clear()
             searched.clear()
-            reductions.clear()
             h = cs.class_number
             j = lookup(cs, J, order_if_new)
-            lookups.append((sum(L is J for L in reduced_lattices),
-                            sum(L is J for L in searched),
-                            [I is J for I in reductions], cs.class_number - h))
+            lookups.append((sum(L is J for L in reduced_lattices), sum(L is J for L in searched),
+                            sum(L is not J for L in reduced_lattices),
+                            sum(L is not J for L in searched), cs.class_number - h))
             return j
 
         counted_property = functools.cached_property(counted_lll)
         counted_property.__set_name__(QLattice, "lll")
         monkeypatch.setattr(QLattice, "lll", counted_property)
         monkeypatch.setattr(QLattice, "short_vectors", counted_search)
-        monkeypatch.setattr(idl, "reduce_ideal", counted_reduce)
+        monkeypatch.setattr(idl, "reduce_ideal", no_reduction)
         monkeypatch.setattr(idl, "inverse", no_inverse)
         monkeypatch.setattr(brandt.ClassSet, "class_of", counted_lookup)
         monkeypatch.setattr(brandt, "ell_neighbors", None)
@@ -325,11 +324,33 @@ class TestThetaPrefix:
         assert len(lookups) == 1 + h * ell + 1
         brandt.type_involution(cs)
         assert len(lookups) == 1 + h * ell + 1 + h
-        for n, (lll_on_J, searches_on_J, reduced, new) in enumerate(lookups):
+        for n, (lll_on_J, searches_on_J, other_llls, other_searches, new) in enumerate(lookups):
             # O0 is its own right order, so its unit-size search is a second one on J
             assert lll_on_J == 1 and searches_on_J == 1 + (n == 0)
-            assert reduced == [True] * new
+            assert other_llls == other_searches == int(new > 0 and n > 0)
         assert sum(new for *_, new in lookups) == cs.class_number
+
+    @pytest.mark.parametrize("p,ell", [(37, 3), (101, 2), (113, 3), (211, 2)])
+    def test_representatives_are_founding_ball_ideals(self, p, ell, monkeypatch):
+        """Each representative is the ball ideal frame.ball_ideal(P, k) of
+        the tree point that founded its class, of reduced norm ell^k, as a
+        frame lifted afresh to precision k rebuilds it; O0 founds class 0."""
+        built, ball_ideal = [], idl.EllAdicFrame.ball_ideal
+
+        def recorded(frame, P, k):
+            built.append((ball_ideal(frame, P, k), P, k))
+            return built[-1][0]
+
+        monkeypatch.setattr(idl.EllAdicFrame, "ball_ideal", recorded)
+        O0 = idl.root_maximal_orders(p)[0]
+        cs = brandt.enumerate_classes(O0, ell)
+        monkeypatch.undo()
+        assert cs.representatives[0] is O0.lattice
+        split = idl.matrix_split(O0, ell)
+        for R in cs.representatives[1:]:
+            P, k = next((P, k) for I, P, k in built if I is R)
+            assert R.reduced_norm == ell**k
+            assert R == split.lift(k).ball_ideal(P, k)
 
     @pytest.mark.parametrize("p,ell", [(113, 3), (211, 2)])
     def test_few_equivalence_tests_per_neighbor(self, p, ell, monkeypatch):

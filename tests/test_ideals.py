@@ -56,7 +56,7 @@ def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QLattice]:
                     elt = elt + c * b
                 gens.append(elt)
             I = QLattice.from_elements(gens)
-            if I.reduced_norm() == ell:
+            if I.reduced_norm == ell:
                 out.append(I)
     return sorted(out, key=lambda I: I.key())
 
@@ -292,7 +292,7 @@ class TestRootOrders:
 class TestPrimitivity:
     def test_squarefree_norm_is_primitive(self):
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
-        assert I.reduced_norm() == 2
+        assert I.reduced_norm == 2
         assert is_primitive(I)
 
     def test_scaled_ideal(self):
@@ -311,7 +311,7 @@ class TestPrimitivity:
                     J = I.scale(n)
                     locally = all(
                         is_primitive_at(J, q)
-                        for q in numth.factorize(int(J.reduced_norm()))
+                        for q in numth.factorize(int(J.reduced_norm))
                     )
                     assert is_primitive(J) == locally == (n == 1)
                     count += 1
@@ -331,7 +331,7 @@ class TestInverseAndColon:
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
         J = idl.ideals_of_norm_ell(ROOT7, 3)[0]
         N = colon(J, I, side="right")  # I^{-1} J
-        assert N.reduced_norm() == J.reduced_norm() / I.reduced_norm()
+        assert N.reduced_norm == J.reduced_norm / I.reduced_norm
 
     def test_colon_integrality_iff_containment(self):
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
@@ -349,16 +349,16 @@ class TestInverseAndColon:
 class TestConnectingIdeals:
     def test_self_connecting(self):
         C = idl.connecting_ideal(ROOT7, ROOT7)
-        assert C == ROOT7.lattice and C.reduced_norm() == 1
+        assert C == ROOT7.lattice and C.reduced_norm == 1
 
     def test_neighbor_norm_and_conjugate(self):
         for ell in (2, 3):
             I = idl.ideals_of_norm_ell(ROOT7, ell)[0]
             O1 = QOrder(I.right_order())
             C = idl.connecting_ideal(ROOT7, O1)
-            assert C.reduced_norm() == ell
+            assert C.reduced_norm == ell
             meet = ROOT7.lattice.intersect(O1.lattice)
-            assert C.reduced_norm() == meet.index_in(ROOT7.lattice) == meet.index_in(O1.lattice)
+            assert C.reduced_norm == meet.index_in(ROOT7.lattice) == meet.index_in(O1.lattice)
             assert C.conjugate() == idl.connecting_ideal(O1, ROOT7)
 
     def test_membership_set_oracle(self):
@@ -788,7 +788,7 @@ class TestBallIdeal:
         for w in self.points(ell, k):
             P = idl.tree_point_matrix(w, ell)
             I = frame.ball_ideal(P, k)
-            assert I.reduced_norm() == ell**k
+            assert I.reduced_norm == ell**k
             assert I.left_order() == O.lattice
             assert I.right_order() == frame.ball_order(P, k).lattice
             assert coarse.ball_ideal(P, k) == I  # any precision n >= k
@@ -1039,7 +1039,7 @@ def equivalence_oracle(I: QLattice, J: QLattice):
     if not same:
         raise PreconditionError("equivalence needs matching left orders")
     N = idl.inverse(I) * J
-    target = N.reduced_norm()
+    target = N.reduced_norm
     for elt in N.min_norm_elements(target):
         if elt.nrd() == target and times(I, elt) == J:
             return elt
@@ -1143,7 +1143,7 @@ def doubling_reduce_ideal(I, O):
     """The former reduce_ideal, kept as the reference: the bound doubles
     from 2 nrd(I) until the search finds an element, and I conj(beta) /
     nrd(I) is the product of the Fraction basis elements."""
-    n = I.reduced_norm()
+    n = I.reduced_norm
     bound = n
     elts = []
     while not elts:
@@ -1218,6 +1218,6 @@ class TestContentScaling:
 class TestTwoSidedIdeal:
     def test_norm_p(self):
         P = idl.two_sided_p_ideal(ROOT7)
-        assert P.reduced_norm() == 7
+        assert P.reduced_norm == 7
         assert is_two_sided(P)
         assert P * P == ROOT7.lattice.scale(7)

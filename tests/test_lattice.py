@@ -34,8 +34,8 @@ O0 = idl.root_maximal_order(7).lattice  # Z<i, (1+j)/2>
 A101 = QuatAlgebra.for_prime(101)
 O101 = idl.root_maximal_orders(101)[0].lattice  # den 4
 O113 = idl.root_maximal_orders(113)[0].lattice  # den 6
-# I_3^{-1} I_0 for the classes I_0 = O, I_3 (nrd 4) of the p = 101, l = 2
-# class set: reduced norm 1/4, den 16
+# I_4^{-1} I_0 for the representatives I_0 = O, I_4 (nrd 4) of the p = 101,
+# l = 2 class set: reduced norm 1/4, den 16
 Q101 = QLattice.from_int_rows(
     A101, ((2, 0, 14, 2), (0, 1, 2, 9), (0, 0, 16, 0), (0, 0, 0, 16)), 16)
 
@@ -303,6 +303,18 @@ class TestBinaryOps:
         assert O0 + O0 == O0
         assert O0.intersect(O0) == O0
 
+    def test_times_an_element_is_a_precondition_error(self):
+        """A lattice times a rational scales it; I * alpha for an element
+        alpha is not defined on lattices, on either side."""
+        one, i, _, _ = A7.basis()
+        assert O0 * 2 == 2 * O0 == O0 * Fraction(4, 2)
+        assert (O0 * Fraction(1, 3)).den == 3 * O0.den
+        for alpha in (one + i, one):
+            with pytest.raises(PreconditionError, match="rational"):
+                O0 * alpha
+            with pytest.raises(PreconditionError, match="rational"):
+                alpha * O0
+
     def test_sum_and_intersection_against_membership(self):
         L = STD.scale(2)
         S = L + O0
@@ -453,7 +465,7 @@ class TestOrdersByDuality:
         rng = random.Random(5)
         lats = [random_sublattice(rng, O101) for _ in range(30)]
         non_invertible = [L for L in lats
-                          if L.conjugate() * L != piecewise_order(L, "right").scale(L.reduced_norm())]
+                          if L.conjugate() * L != piecewise_order(L, "right").scale(L.reduced_norm)]
         assert len(non_invertible) >= 10
         for L in non_invertible:
             self.assert_both_sides(L)
@@ -538,7 +550,7 @@ class TestSixProductRingTest:
         for _ in range(400):
             L = perturbed_order_lattice(rng, rng.choice(self.ORDERS))
             has_one = L.int_coords((1, 0, 0, 0)) is not None
-            integral = L.reduced_norm().denominator == 1
+            integral = L.reduced_norm.denominator == 1
             seen.add((has_one, has_one and integral, is_ring_by_definition(L)))
         assert seen == {(True, True, True), (True, True, False),
                         (True, False, False), (False, False, False)}
@@ -597,17 +609,17 @@ class TestMembership:
 
 class TestReducedNorm:
     def test_order_has_norm_one(self):
-        assert O0.reduced_norm() == 1
+        assert O0.reduced_norm == 1
 
     def test_homogeneity(self):
         alpha = A7.element(1, 2, 1, 0)
         L = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
-        assert L.scale(2).reduced_norm() == 4 * L.reduced_norm()
+        assert L.scale(2).reduced_norm == 4 * L.reduced_norm
 
     def test_norm_squared_is_index(self):
         for alpha in (A7.element(1, 1, 0, 0), A7.element(0, 1, 1, 1)):
             I = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
-            n = I.reduced_norm()
+            n = I.reduced_norm
             assert n * n == I.index_in(I.left_order())
 
 
@@ -754,6 +766,48 @@ def fraction_gs_data(gram):
     return [int(x) for x in d], [[int(y) for y in row] for row in lam]
 
 
+def recursive_short_vectors(L, bound):
+    """The former recursive Fincke-Pohst descent, kept as the reference:
+    level by level on LLL's d and lam, building each candidate's row as it
+    goes and its norm by nrd_coords, a node per candidate coordinate.
+    Returns short_vectors' sorted (norm, row) pairs and the node count."""
+    n = 4
+    U, _, dd, lam = L.lll
+    basis = [[sum(u[s] * L.mat[s][col] for s in range(n)) for col in range(4)] for u in U]
+    dens = [dd[k] * dd[k + 1] for k in range(n)]
+    P = math.lcm(*dens)
+    w = [P // x for x in dens]
+    found: set[tuple] = set()
+    nodes = 0
+    c = [0] * n
+
+    def descend(level: int, rem: int, above: list[int]):
+        nonlocal nodes
+        S = sum(lam[t][level] * c[t] for t in range(level + 1, n))
+        m = math.isqrt(rem // w[level])
+        dk = dd[level + 1]
+        for v in range(-((m + S) // dk), (m - S) // dk + 1):
+            nodes += 1
+            c[level] = v
+            vec = [a + v * b for a, b in zip(above, basis[level])]
+            if level == 0:
+                if any(c):
+                    for x in vec:
+                        if x > 0:
+                            break
+                        if x < 0:
+                            vec = [-y for y in vec]
+                            break
+                    found.add(tuple(vec))
+            else:
+                descend(level - 1, rem - w[level] * (v * dk + S) ** 2, vec)
+        c[level] = 0
+
+    descend(n - 1, math.floor(Fraction(bound) * L.den**2 * P), [0, 0, 0, 0])
+    nrd = L.algebra.nrd_coords
+    return sorted((nrd(v), v) for v in found), nodes
+
+
 def visited_nodes(L, bound):
     """Nodes the search visits, as the least cap that does not raise."""
     lo, hi = 1, 10**6
@@ -848,6 +902,33 @@ class TestBareissSetUp:
         assert [visited_nodes(L, b) for L, b in fresh] == counts
 
 
+class TestFlatSearch:
+    """The four nested loops return the recursive descent's (norm, row)
+    list, visit as many nodes, and read off each norm nrd_coords(row)."""
+
+    @staticmethod
+    def assert_matches_recursion(L, bound):
+        want, nodes = recursive_short_vectors(L, bound)
+        got = QLattice(L.algebra, L.mat, L.den).short_vectors(bound, cap=nodes)
+        assert got == want
+        assert all(norm == L.algebra.nrd_coords(row) for norm, row in got)
+        with pytest.raises(CapExceeded):
+            QLattice(L.algebra, L.mat, L.den).short_vectors(bound, cap=nodes - 1)
+
+    def test_class_set_lattices(self):
+        for L in class_set_lattices(101):
+            n = L.reduced_norm
+            for k in (1, 3, brandt.theta_length(101)):
+                self.assert_matches_recursion(L, k * n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           bound=st.fractions(Fraction(1, 3), 12, max_denominator=7),
+           order=st.sampled_from([O0, O101, O113]))
+    def test_random_sublattices(self, seed, bound, order):
+        self.assert_matches_recursion(random_sublattice(random.Random(seed), order), bound)
+
+
 class TestShortVectors:
     def test_example_standard_order(self):
         got = STD.min_norm_elements(1)
@@ -893,12 +974,12 @@ class TestShortVectors:
     @pytest.mark.parametrize("bound", [Fraction(1, 4), Fraction(1, 2), Fraction(5, 4),
                                        Fraction(7, 2)])
     def test_fractional_norm_quotient_against_box_oracle(self, bound):
-        assert Q101.reduced_norm() == Fraction(1, 4)
+        assert Q101.reduced_norm == Fraction(1, 4)
         O = idl.root_maximal_orders(101)[0]
         I = idl.ideals_of_norm_ell(O, 2)[0]
         J = idl.ideals_of_norm_ell(O, 3)[1]
         N = idl.inverse(I) * J
-        assert N.reduced_norm() == Fraction(3, 2)
+        assert N.reduced_norm == Fraction(3, 2)
         for L in (Q101, N):
             got = L.min_norm_elements(bound)
             assert [e.coords for e in got] == [e.coords for e in brute_short_vectors(L, bound)]

@@ -409,7 +409,7 @@ class TestRoots:
             if k == rootkey:
                 continue
             C = idl.connecting_ideal(orders[rootkey], orders[k])
-            n = int(C.reduced_norm())
+            n = int(C.reduced_norm)
             assert n > 1 and 3 ** round(math.log(n, 3)) == n
 
 
