@@ -9,7 +9,9 @@ and SEED exactly as ``perfbench/run.py`` does, at the ``run_seconds`` of the
 checkout's BENCHMARK.json, and runs every query through ``qisog.cli.main``
 in this process under ``sys.settrace`` with ``f_trace_opcodes`` set.  It
 prints the opcode count per query kind, with the number of queries and of
-non-zero exits, and the total.
+non-zero exits, and the total; then, for each query kind, the 15 functions
+(``module.qualname``) that executed the most opcodes themselves, not
+counting those of the functions they call.
 
 Unlike a timing, the count does not depend on the machine or its load, so
 two checkouts can be sized against each other on one noisy host.  The
@@ -26,17 +28,24 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 
-def count_opcodes(fn) -> int:
-    """Opcodes executed by fn() and everything it calls."""
+TOP_FUNCTIONS = 15
+
+
+def count_opcodes(fn, per_function: Counter) -> int:
+    """Opcodes executed by fn() and everything it calls; each function's own
+    opcodes are added to per_function under its module-qualified name."""
     n = 0
 
-    def local(frame, event, arg):
-        nonlocal n
-        if event == "opcode":
-            n += 1
-        return local
-
     def enter(frame, event, arg):
+        code = frame.f_code
+        name = f"{frame.f_globals.get('__name__', '?')}.{code.co_qualname}"
+
+        def local(frame, event, arg):
+            nonlocal n
+            if event == "opcode":
+                n += 1
+                per_function[name] += 1
+            return local
         frame.f_trace_opcodes = True
         return local
 
@@ -59,13 +68,14 @@ def main(argv: list[str]) -> int:
 
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
     ops, queries, failed = Counter(), Counter(), Counter()
+    by_function: dict[str, Counter] = {}
     for q in workloads.make_queries(workload, seed, seconds):
         codes = []
 
         def run():
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 codes.append(cli.main(q.argv()))
-        ops[q.kind] += count_opcodes(run)
+        ops[q.kind] += count_opcodes(run, by_function.setdefault(q.kind, Counter()))
         queries[q.kind] += 1
         failed[q.kind] += codes[0] != 0
     print(f"{workload} seed {seed}: opcodes per query kind")
@@ -73,6 +83,10 @@ def main(argv: list[str]) -> int:
         print(f"  {kind:<9} {ops[kind]:>13,}  "
               f"({queries[kind]} queries, {failed[kind]} non-zero exits)")
     print(f"  {'total':<9} {sum(ops.values()):>13,}")
+    for kind in sorted(by_function):
+        print(f"\n{kind}: the {TOP_FUNCTIONS} functions with the most opcodes of their own")
+        for name, n in by_function[kind].most_common(TOP_FUNCTIONS):
+            print(f"  {n:>13,}  {n / ops[kind]:6.1%}  {name}")
     return 0
 
 

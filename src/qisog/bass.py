@@ -41,8 +41,8 @@ def bass_order(alg: QuatAlgebra) -> QOrder:
             "both d_i and d_j are 1 mod 4: the maximal quadratic orders "
             "do not generate an order (s = 0 fails the congruence)"
         )
-    wi, wj = idl.maximal_quadratic_generators(alg)
-    O = idl.order_closure([wi, wj])
+    (xi, di), (xj, dj) = alg.maximal_quadratic_rows
+    O = idl.order_closure(alg, [[c * dj for c in xi], [c * di for c in xj]], di * dj)
     dKi, dKj = alg.fundamental_discriminants
     assert O.reduced_discriminant == dKi * dKj // 4, "discriminant formula violated"
     return O
@@ -192,17 +192,18 @@ def embedding_numbers(O: QOrder) -> tuple[dict[int, int], dict[int, int], int]:
 
 def _sublattice_hnfs(index: int, gram):
     """Upper-triangular HNF bases H of the sublattices of Z^4 of the given
-    index whose row lattice contains every row of the integer matrix gram.
+    index, a prime power, whose row lattice contains every row of the
+    integer matrix gram.
 
     Such a lattice contains index Z^4, so it holds gram's rows exactly when
-    it holds those of M, the HNF of gram's rows and index I.  A vector that
-    vanishes before column t meets H only through rows t..3, so H holds M
-    exactly when, for each t, row t of M lies in the span of rows t..3 of H.
+    it holds those of M, the HNF of gram's rows and index I, echeloned
+    modulo the index.  A vector that vanishes before column t meets H only
+    through rows t..3, so H holds M exactly when, for each t, row t of M
+    lies in the span of rows t..3 of H.
     H is therefore built from the bottom, t = 3 down to 0: pivot d_t divides
     both M[t][t] and the index left, and row t of M is tested as soon as
     row t of H is fixed."""
-    M = hnf_rows([list(r) for r in gram] + [[index * (s == t) for t in range(4)]
-                                            for s in range(4)])
+    M = hnf_rows(gram, modulus=index)
     H = [[0] * 4 for _ in range(4)]
 
     def holds(t):

@@ -150,7 +150,7 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     if ell == p:
         raise PreconditionError("ell must differ from p")
     level_cap = numth.class_number(p) - 1
-    frame = idl.matrix_split(O0, ell).lift(2)
+    frame = idl.matrix_split(O0, ell, 2)
     cs = ClassSet(order0=O0, ell=ell)
     cs.class_of(O0.lattice, lambda: O0)
     founded = [(None, 0, None)]  # (point, level, class that expanded it), by class

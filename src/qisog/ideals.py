@@ -1,15 +1,17 @@
 """Orders and ideals of the quaternion algebra: ring closure, the explicit
 root maximal orders, primitivity, connecting ideals, the l-adic frame
 (matrix units of O/l^n O = M2(Z/l^n), built around one rank-1 idempotent
-and checked by their 16 relations: matrix_split finds it mod l, and
-EllAdicFrame.lift lifts it to any n), and ideal equivalence testing.  The
-frame at n reads off the Bruhat-Tits tree around O: the maximal order at
-each point w of P^1(Z/l^k), 2k <= n (ball_order), and for k <= n the ideal
-of norm l^k connecting O to it (ball_ideal); the norm-l ideals are those
-of the frame at n = 1 (the mod-l splitting).  Both are built in O's own
-coordinates, from small integers: l^k times the order contains l^(2k) O,
-and the ideal contains l^k O, so their generators are only needed mod
-l^(2k), resp. l^k, and reducing them there does not change the lattice.
+and checked by their 16 relations: matrix_split finds it mod l and builds
+the frame at the caller's n, and EllAdicFrame.lift builds the same frame
+at another n), and ideal equivalence testing.  The frame at n reads off
+the Bruhat-Tits tree around O: the maximal order at each point w of
+P^1(Z/l^k), 2k <= n (ball_order), and for k <= n the ideal of norm l^k
+connecting O to it (ball_ideal); the norm-l ideals are those of the frame
+at n = 1 (the mod-l splitting).  Both are built in O's own coordinates,
+from small integers: l^k times the order contains l^(2k) O, and the ideal
+contains l^k O, so their generators are only needed mod l^(2k), resp.
+l^k, reducing them there does not change the lattice, and its HNF is
+echeloned modulo that power of l (lattice.hnf_rows with a modulus).
 The frame gives orders and ideals only; the walk reads each order's
 conductors off memberships in it (orient.edge_step).
 
@@ -98,35 +100,40 @@ class QOrder:
 
 
 # Rounds before order_closure gives up.  The root and Bass orders of every
-# prime p < 1000 stabilise in the second round; a ring with unbounded
-# denominators never does.
+# prime p < 1000 are rings after the first round; a ring with unbounded
+# denominators never stabilises.
 CLOSURE_ROUNDS = 16
 
 
-def order_closure(gens) -> QOrder:
-    """Smallest order containing the generators: saturate span under products.
+def order_closure(alg: QuatAlgebra, gens, den: int) -> QOrder:
+    """Smallest order containing the elements g/den for the integer rows g
+    in gens: saturate their span under products.
 
     The span is kept as integer HNF rows over one denominator; a round adds
-    the products of the rows over den^2 and divides the gcd back out.
-    Non-stabilization within the round cap signals unbounded denominators,
-    i.e. the generated ring is not an order.
+    the products of the rows over den^2 and divides the gcd back out.  The
+    first span of rank 4 that passes QOrder's ring test is the closure, as
+    the next round would leave it as it is; a span of lower rank that
+    repeats does not span the algebra.  Non-stabilization within the round
+    cap signals unbounded denominators, i.e. the generated ring is not an
+    order.
     """
     if not gens:
         raise PreconditionError("no generators")
-    alg = gens[0].algebra
     mul = alg.mul_coords
-    den = math.lcm(*(c.denominator for g in gens for c in g.coords))
-    rows = [(den, 0, 0, 0)] + [[int(c * den) for c in g.coords] for g in gens]
+    rows = [(den, 0, 0, 0)] + [list(g) for g in gens]
     seen = None
     for _ in range(CLOSURE_ROUNDS):
         prods = [mul(a, b) for a in rows for b in rows]
         h = hnf_rows([[x * den for x in r] for r in rows] + prods)
         g = math.gcd(den * den, *(x for r in h for x in r))
-        rows, den = [[x // g for x in r] for r in h], den * den // g
-        if (rows, den) == seen:
-            if len(rows) != 4:
-                raise PreconditionError("generators do not span the algebra")
-            return QOrder(QLattice.from_int_rows(alg, rows, den))
+        rows, den = [tuple(x // g for x in r) for r in h], den * den // g
+        if len(rows) == 4:
+            try:  # the rows are in HNF, with their content divided out
+                return QOrder(QLattice(alg, tuple(rows), den))
+            except PreconditionError:  # not a ring yet
+                pass
+        elif (rows, den) == seen:
+            raise PreconditionError("generators do not span the algebra")
         seen = (rows, den)
     raise CapExceeded("ring closure did not stabilize; not an order")
 
@@ -150,25 +157,28 @@ def maximal_quadratic_generators(alg: QuatAlgebra) -> tuple[QuatElement, QuatEle
                  for row, den in alg.maximal_quadratic_rows)
 
 
-def _root_generators(p: int) -> tuple[list, list]:
-    """Generators of the two explicit root maximal orders."""
+def _root_generators(p: int) -> tuple[QuatAlgebra, int, list, list]:
+    """The algebra, and generators of the two explicit root maximal orders
+    as integer rows over one denominator."""
     if p <= 3:
         raise PreconditionError("p > 3 required")
     alg = QuatAlgebra.for_prime(p)
-    one, i, j, k = alg.basis()
-    if p % 4 == 3:
-        return [i, (one + j) / 2], [i, (one + k) / 2]
+    if p % 4 == 3:  # i, (1 + j)/2 and i, (1 + k)/2
+        return alg, 2, [(0, 2, 0, 0), (1, 0, 1, 0)], [(0, 2, 0, 0), (1, 0, 0, 1)]
     if p % 8 == 5:
-        # j is adjoined explicitly: both orders contain Z<i,j> but the ring
-        # closure of the three fractional generators alone only reaches 3j
-        return ([i, j, (one + j + k) / 2, (i + 2 * j + k) / 4],
-                [i, j, (one + j + k) / 2, (i + 2 * j - k) / 4])
+        # i, j, (1 + j + k)/2, (i + 2j +- k)/4; j is adjoined explicitly: both
+        # orders contain Z<i,j> but the ring closure of the three fractional
+        # generators alone only reaches 3j
+        return (alg, 4, [(0, 4, 0, 0), (0, 0, 4, 0), (2, 0, 2, 2), (0, 1, 2, 1)],
+                [(0, 4, 0, 0), (0, 0, 4, 0), (2, 0, 2, 2), (0, 1, 2, -1)])
     qq = alg.q
     # nrd((c i + k)/q) = (c^2 + p)/q, so the generator is integral iff q | c^2 + p
     c = next((c for c in range(1, qq) if (c * c + p) % qq == 0), None)
     if c is None:
         raise PreconditionError(f"no c with q | c^2 + p for p={p}, q={qq}")
-    return [(one + i) / 2, j, (c * i + k) / qq], [(one + i) / 2, j, (c * i - k) / qq]
+    # (1 + i)/2, j, (c i +- k)/q
+    return (alg, 2 * qq, [(qq, qq, 0, 0), (0, 0, 2 * qq, 0), (0, 2 * c, 0, 2)],
+            [(qq, qq, 0, 0), (0, 0, 2 * qq, 0), (0, 2 * c, 0, -2)])
 
 
 def root_maximal_orders(p: int) -> list[QOrder]:
@@ -177,7 +187,8 @@ def root_maximal_orders(p: int) -> list[QOrder]:
     Two orders for every residue class of p; for p = 3 mod 4 only the first
     contains the full maximal order of Q(j).
     """
-    orders = [order_closure(gens) for gens in _root_generators(p)]
+    alg, den, *gens = _root_generators(p)
+    orders = [order_closure(alg, rows, den) for rows in gens]
     for o in orders:
         if not o.is_maximal:
             raise PreconditionError(f"constructed root order has discrd {o.reduced_discriminant}")
@@ -188,9 +199,10 @@ def root_maximal_order(p: int) -> QOrder:
     """The first root order alone, where a query needs one maximal order
     holding both maximal quadratic orders: it is maximal and holds both for
     every p < 1000, which is asserted."""
-    O = order_closure(_root_generators(p)[0])
-    wi, wj = maximal_quadratic_generators(O.algebra)
-    assert O.is_maximal and O.contains(wi) and O.contains(wj), \
+    alg, den, rows, _ = _root_generators(p)
+    O = order_closure(alg, rows, den)
+    assert O.is_maximal and all(O.lattice.int_coords(x, xden) is not None
+                                for x, xden in alg.maximal_quadratic_rows), \
         "the first root order must be maximal and hold both maximal quadratic orders"
     return O
 
@@ -307,15 +319,17 @@ def _combine(u, mat) -> tuple[int, ...]:
     return tuple(sum(u[t] * mat[t][c] for t in range(4)) for c in range(4))
 
 
-def matrix_split(O: QOrder, ell: int) -> EllAdicFrame:
-    """Split O/ell O as M2(F_ell): the ell-adic frame of O at n = 1.
+def matrix_split(O: QOrder, ell: int, precision: int = 1) -> EllAdicFrame:
+    """The ell-adic frame of O at n = precision: matrix units of O/ell^n O =
+    M2(Z/ell^n), around a rank-1 idempotent of O/ell O = M2(F_ell).
 
     Scans u over F_ell^4 minus 0 in lexicographic order for one whose
     eigenvalues l1 != l2 lie in F_ell.  As (u - l1)(u - l2) = 0 (Cayley-
     Hamilton), e = (u - l1)/(l2 - l1) is an idempotent other than 0 and 1,
-    so of rank 1, and the frame is built around it.  The quotient is always
-    split for ell != p (the lift of a diagonal matrix qualifies), so an
-    exhausted scan indicates a bug.
+    so of rank 1, and the frame is built around it, at the caller's
+    precision; EllAdicFrame.lift gives the same frame at another one.  The
+    quotient is always split for ell != p (the lift of a diagonal matrix
+    qualifies), so an exhausted scan indicates a bug.
     """
     p = O.algebra.p
     if ell == p or not numth.is_prime(ell):
@@ -335,7 +349,7 @@ def matrix_split(O: QOrder, ell: int) -> EllAdicFrame:
             l1, l2 = roots
             inv = pow(l2 - l1, -1, ell)
             e = tuple(inv * (x - l1 * o) % ell for x, o in zip(u, one))
-            return _frame_around(O, ell, 1, e)
+            return _frame_around(O, ell, precision, e)
     raise AssertionError(f"O/{ell}O has no rank-1 idempotent, yet it is split for {ell} != p")
 
 
@@ -392,9 +406,10 @@ class EllAdicFrame:
             assert self.mul(E[a][b], E[c][d]) == want, "matrix-unit relation fails mod ell^n"
 
     def lift(self, n: int) -> EllAdicFrame:
-        """The frame mod ell^n around E11 mod ell, which is matrix_split's
-        E11 (every lift reduces to it), so it is built as the split's units
-        are, reduces to them, and does not depend on the frame lifted from."""
+        """The frame mod ell^n around E11 mod ell, which is the idempotent
+        matrix_split found (every lift reduces to it), so it is the frame
+        matrix_split(order, ell, n) builds, and does not depend on the frame
+        lifted from."""
         return _frame_around(self.order, self.ell, n, tuple(x % self.ell for x in self.units[0][0]))
 
     def coords_of(self, X, q: int) -> list[int]:
@@ -407,13 +422,14 @@ class EllAdicFrame:
 
     def _span(self, gens, m: int, scale: int) -> QLattice:
         """The lattice m O + sum Z g over scale, for the O-coordinates g in
-        gens.  The HNF H of [m I; gens] is upper triangular, and so is O's
-        mat, so the integer rows H mat are upper triangular too, with
-        positive pivots; they lie over den scale, and from_triangular_rows
-        makes them canonical without a second HNF."""
+        gens and m a power of ell.  The HNF H of [m I; gens], echeloned
+        modulo m, is upper triangular, and so is O's mat, so the integer
+        rows H mat are upper triangular too, with positive pivots; they lie
+        over den scale, and from_triangular_rows makes them canonical
+        without a second HNF."""
         lat = self.order.lattice
         (h00, h01, h02, h03), (_, h11, h12, h13), (_, _, h22, h23), (_, _, _, h33) = hnf_rows(
-            [[m, 0, 0, 0], [0, m, 0, 0], [0, 0, m, 0], [0, 0, 0, m]] + gens)
+            gens, modulus=m)
         (o00, o01, o02, o03), (_, o11, o12, o13), (_, _, o22, o23), (_, _, _, o33) = lat.mat
         rows = [(h00 * o00, h00 * o01 + h01 * o11, h00 * o02 + h01 * o12 + h02 * o22,
                  h00 * o03 + h01 * o13 + h02 * o23 + h03 * o33),

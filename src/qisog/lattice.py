@@ -27,8 +27,11 @@ Frac = Fraction
 # integer / rational matrix helpers
 
 
-def hnf_rows(rows: list[list[int]], ncols: int = 4) -> list[tuple[int, ...]]:
-    """Row Hermite normal form; returns the nonzero rows.
+def hnf_rows(rows: list[list[int]], ncols: int = 4, modulus: int | None = None
+             ) -> list[tuple[int, ...]]:
+    """Row Hermite normal form; returns the nonzero rows.  With a modulus m,
+    a prime power, it is that of the rows together with m times the
+    identity, found by _echelon_mod.
 
     Pivots are positive and entries above a pivot are reduced into
     [0, pivot).  Rows appear in order of pivot column.
@@ -38,30 +41,33 @@ def hnf_rows(rows: list[list[int]], ncols: int = 4) -> list[tuple[int, ...]]:
     and Euclid steps against the pivot row otherwise; what is left moves
     on to the next column.  The entries above the pivots are reduced last.
     """
-    piv: list[list[int] | None] = [None] * ncols
-    for r in rows:
-        r = list(map(int, r))
-        for col in range(ncols):
-            if not r[col]:
-                continue
-            b = piv[col]
-            if b is None:
-                piv[col] = r if r[col] > 0 else [-x for x in r]
-                break
-            q, rem = divmod(r[col], b[col])
-            if not rem:
-                for t in range(col, ncols):
-                    r[t] -= q * b[t]
-                continue
-            a = b
-            while r[col]:
-                q = a[col] // r[col]
-                for t in range(col, ncols):
-                    a[t] -= q * r[t]
-                a, r = r, a
-            piv[col] = a if a[col] > 0 else [-x for x in a]
-    out = [r for r in piv if r is not None]
-    cols = [c for c in range(ncols) if piv[c] is not None]
+    if modulus is not None:
+        out, cols = _echelon_mod(rows, ncols, modulus), range(ncols)
+    else:
+        piv: list[list[int] | None] = [None] * ncols
+        for r in rows:
+            r = list(map(int, r))
+            for col in range(ncols):
+                if not r[col]:
+                    continue
+                b = piv[col]
+                if b is None:
+                    piv[col] = r if r[col] > 0 else [-x for x in r]
+                    break
+                q, rem = divmod(r[col], b[col])
+                if not rem:
+                    for t in range(col, ncols):
+                        r[t] -= q * b[t]
+                    continue
+                a = b
+                while r[col]:
+                    q = a[col] // r[col]
+                    for t in range(col, ncols):
+                        a[t] -= q * r[t]
+                    a, r = r, a
+                piv[col] = a if a[col] > 0 else [-x for x in a]
+        cols = [c for c in range(ncols) if piv[c] is not None]
+        out = [piv[c] for c in cols]
     for s, col in enumerate(cols):
         b = out[s]
         for r in out[:s]:
@@ -70,6 +76,52 @@ def hnf_rows(rows: list[list[int]], ncols: int = 4) -> list[tuple[int, ...]]:
                 for t in range(col, ncols):
                     r[t] -= q * b[t]
     return [tuple(r) for r in out]
+
+
+def _echelon_mod(rows, ncols: int, m: int) -> list[list[int]]:
+    """Upper-triangular rows, one per column, with positive pivots, of the
+    lattice spanned by the rows and m Z^ncols, for m = ell^e; the entries
+    right of a pivot stay in [0, m).  This is the HNF modulo D of Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 2.4.8, where a
+    prime power needs no Euclid steps.
+
+    Every working row is zero left of the current column.  Of their
+    entries in it, one of least ell-valuation, x = g u with g = gcd(x, m)
+    and u a unit mod m, divides the others; its row times u^-1 mod m is the
+    pivot row, with entry g, and one subtraction clears each other row.
+    The lattice holds m e_col = (m/g) pivot - (m/g) (pivot right of col),
+    so the latter joins the working rows.  A column with no nonzero entry
+    has the pivot row m e_col.  A composite m can leave a column with no
+    entry that divides the others, or whose cofactor u is a unit; then it
+    raises (PreconditionError, resp. ValueError from pow)."""
+    work = [[x % m for x in r] for r in rows]
+    out = []
+    for col in range(ncols):
+        best, g = None, m
+        for r in work:
+            if r[col]:
+                h = math.gcd(r[col], m)
+                if h < g:
+                    best, g = r, h
+        if best is None:
+            out.append([0] * col + [m] + [0] * (ncols - col - 1))
+            continue
+        u = pow(best[col] // g, -1, m)
+        piv = [0] * col + [g] + [u * x % m for x in best[col + 1:]]
+        # at g = 1, (m/g) pivot vanishes mod m
+        rest = [] if g == 1 else [[0] * (col + 1) + [m // g * x % m for x in piv[col + 1:]]]
+        for r in work:
+            if r is not best:
+                q, rem = divmod(r[col], g)
+                if rem:  # for m = ell^e, g divides every entry of the column
+                    raise PreconditionError(f"modulus {m} is not a prime power")
+                if q:
+                    for t in range(col + 1, ncols):
+                        r[t] = (r[t] - q * piv[t]) % m
+                rest.append(r)
+        work = rest
+        out.append(piv)
+    return out
 
 
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -295,7 +347,8 @@ class QLattice:
 
     def pivot_product(self) -> int:
         """det(mat), the product of the (positive) HNF pivots."""
-        return math.prod(self.mat[t][t] for t in range(4))
+        (a, *_), (_, b, *_), (_, _, c, _), (*_, d) = self.mat
+        return a * b * c * d
 
     def covolume(self) -> Fraction:
         """|det| of the basis mat/den: the pivot product over den^4."""
@@ -479,7 +532,12 @@ class QLattice:
         search runs on integers alone, and P nrd(v) is R minus the rem left
         after level 0.  ``cap`` bounds the number of visited nodes (candidate
         coordinates at any level).  A row is built once per +-pair: for the c
-        whose highest nonzero coordinate is positive.
+        whose highest nonzero coordinate is positive.  The loops run over
+        those c alone: where every coordinate above level k is 0, S_k = 0,
+        so the range at level k is symmetric and the subtree below -c_k
+        mirrors the one below c_k.  It visits as many nodes, and counts as
+        that twin does, so the node count and ``cap`` are those of the
+        whole tree.
 
         A non-empty answer holds every vector of least norm, so it also
         fills ``minimal_vectors``."""
@@ -504,22 +562,37 @@ class QLattice:
                 raise CapExceeded("short-vector enumeration cap exceeded")
             return range(lo, hi + 1)
 
-        for c3 in visit(0, R, w3, d4):
-            r3 = R - w3 * (c3 * d4) ** 2
-            for c2 in visit(l32 * c3, r3, w2, d3):
-                r2 = r3 - w2 * (c2 * d3 + l32 * c3) ** 2
+        def twin(before: int) -> None:
+            # the mirror of the subtree counted since before visits as many nodes
+            nonlocal nodes
+            nodes += nodes - before
+            if nodes > cap:
+                raise CapExceeded("short-vector enumeration cap exceeded")
+
+        for c3 in range(visit(0, R, w3, d4).stop):
+            n3, r3 = nodes, R - w3 * (c3 * d4) ** 2
+            c2s = visit(l32 * c3, r3, w2, d3)
+            for c2 in c2s if c3 else range(c2s.stop):
+                n2, r2 = nodes, r3 - w2 * (c2 * d3 + l32 * c3) ** 2
                 S1 = l21 * c2 + l31 * c3
-                for c1 in visit(S1, r2, w1, d2):
-                    r1 = r2 - w1 * (c1 * d2 + S1) ** 2
+                c1s = visit(S1, r2, w1, d2)
+                for c1 in c1s if c3 or c2 else range(c1s.stop):
+                    n1, r1 = nodes, r2 - w1 * (c1 * d2 + S1) ** 2
                     S0 = l10 * c1 + l20 * c2 + l30 * c3
                     zs = visit(S0, r1, w0, d1)
-                    if (c3, c2, c1) < (0, 0, 0) or not zs:
-                        continue  # the mirror of rows already built, or none
-                    x0, x1, x2, x3 = (c3 * a + c2 * b + c1 * c for a, b, c in zip(b3, b2, b1))
-                    for c0 in (zs if c3 or c2 or c1 else range(1, zs.stop)):
-                        e, v = c0 * d1 + S0, (x0 + c0 * y0, x1 + c0 * y1, x2 + c0 * y2, x3 + c0 * y3)
-                        out.append(((R - r1 + w0 * e * e) // P,
-                                    v if v > (0, 0, 0, 0) else (-v[0], -v[1], -v[2], -v[3])))
+                    if zs:
+                        x0, x1, x2, x3 = (c3 * a + c2 * b + c1 * c for a, b, c in zip(b3, b2, b1))
+                        for c0 in (zs if c3 or c2 or c1 else range(1, zs.stop)):
+                            e = c0 * d1 + S0
+                            v = (x0 + c0 * y0, x1 + c0 * y1, x2 + c0 * y2, x3 + c0 * y3)
+                            out.append(((R - r1 + w0 * e * e) // P,
+                                        v if v > (0, 0, 0, 0) else (-v[0], -v[1], -v[2], -v[3])))
+                    if c1 and not (c3 or c2):
+                        twin(n1)
+                if c2 and not c3:
+                    twin(n2)
+            if c3:
+                twin(n3)
         out.sort()  # (nrd, coords) of v / den orders as (nrd of v, v) does
         if out:
             self.__dict__.setdefault("minimal_vectors", [x for x in out if x[0] == out[0][0]])

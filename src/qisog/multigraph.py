@@ -74,21 +74,19 @@ class MultiGraph:
         return {frozenset((s, d)) for (s, d) in self.edges if s != d}
 
     def is_connected(self) -> bool:
-        verts = self.vertices()
-        if not verts:
+        """Whether the edges, taken undirected, connect every vertex: a
+        search over the adjacency indexes from any one vertex."""
+        if not self.vertex_attrs:
             return True
-        adj: dict = {v: set() for v in verts}
-        for s, d in self.edges:
-            adj[s].add(d)
-            adj[d].add(s)
-        seen = {verts[0]}
-        stack = [verts[0]]
+        start = next(iter(self.vertex_attrs))
+        seen, stack, out, into = {start}, [start], self._out, self._in
         while stack:
-            for w in adj[stack.pop()]:
+            v = stack.pop()
+            for w in (*out.get(v, ()), *into.get(v, ())):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == len(verts)
+        return len(seen) == len(self.vertex_attrs)
 
     def is_tree_undirected(self) -> bool:
         return self.is_connected() and len(self.undirected_edge_set()) == self.num_vertices() - 1

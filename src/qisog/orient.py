@@ -6,23 +6,25 @@ Orientations are the identity embeddings of Q(i) and Q(j) in the
 perpendicular standard basis; every vertex is a maximal order tagged with
 the conductors (f_i, f_j) of its intersections with the two subfields.
 
-A walk of depth d from O reads the whole ball off one l-adic frame of O
-(ideals.matrix_split(O, l).lift(n)): matrix units E_ab of O/l^n O =
-M2(Z/l^n) with n = 2d, as the orders at distance k need n >= 2k.  The
-vertices at distance k are the End(Z_l w + l^k Z_l^2) for the points w of
-P^1(Z/l^k), each built from the frame in O's coordinates mod l^(2k)
-(EllAdicFrame.ball_order), with w mod l^(k-1) its parent.  The start's
+A walk of depth d from O reads the whole ball off one l-adic frame of O,
+built at its precision (ideals.matrix_split(O, l, n)): matrix units E_ab
+of O/l^n O = M2(Z/l^n) with n = 2d, as the orders at distance k need
+n >= 2k.  The vertices at distance k are the End(Z_l w + l^k Z_l^2) for
+the points w of P^1(Z/l^k), each built from the frame in O's coordinates
+mod l^(2k) (EllAdicFrame.ball_order), with w mod l^(k-1) its parent.  The start's
 conductors are the denominators of w_i's and w_j's coordinates in its
 basis (conductors); each child's come with its edge label from one
 membership step (edge_step), and classify_edge checks every reverse edge
-against them.
+against them.  After the walk, the roots and the audit read the vertices
+in the order the walk added them, and the audit evaluates the structure
+formula once per conductor pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from . import ideals as idl
 from . import numth
@@ -98,18 +100,25 @@ def edge_step(v: OrientedVertex, order: QOrder, ell: int) -> tuple[str, tuple[in
     the generator of v's conductor-f_v order, theta/ell in the order gives
     A and f_v/ell, else theta gives H and f_v, else ell theta (asserted)
     gives D and f_v ell.  This fixes f_w once ell O_w lies in O_v, as the
-    walk certifies: then f_v divides ell f_w."""
+    walk certifies: then f_v divides ell f_w.
+
+    The three memberships come from one solve: as in conductors, theta =
+    x/xden has the coordinates c/s in the order's basis, with c those of
+    det x and s = det xden, so with g = gcd(s ell, c) it is theta/ell that
+    lies in the order when g = s ell, theta when s | g, and ell theta when
+    s | ell g."""
     target = order.lattice
+    det = target.pivot_product()
     steps = []
     for (x, xden), fv in zip(v.theta_rows, (v.f_i, v.f_j)):
-        # theta = x / xden on integers
-        if target.int_coords(x, xden * ell) is not None:
+        s = det * xden
+        g = math.gcd(s * ell, *target.int_coords([det * c for c in x]))
+        if g == s * ell:
             steps.append((ASC, fv // ell))
-        elif target.int_coords(x, xden) is not None:
+        elif g % s == 0:
             steps.append((HOR, fv))
         else:
-            assert target.int_coords([ell * c for c in x], xden) is not None, \
-                "theta*l must land in the target"
+            assert ell * g % s == 0, "theta*l must land in the target"
             steps.append((DESC, fv * ell))
     (lab_i, f_i), (lab_j, f_j) = steps
     return lab_i + lab_j, (f_i, f_j)
@@ -161,41 +170,42 @@ def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
         "p": alg.p, "ell": ell, "d_i": alg.d_i, "d_j": alg.d_j, "kind": "oriented",
     })
 
-    def register(ov: OrientedVertex) -> OrientedVertex:
-        order = ov.order
-        assert order.key() not in g.vertex_attrs, "two points of the ball give one order"
-        g.add_vertex(order.key(), f_i=ov.f_i, f_j=ov.f_j,
-                     basis=[list(r) for r in order.lattice.mat], den=order.lattice.den)
-        return ov
+    def register(ov: OrientedVertex) -> tuple:
+        key, lat = ov.order.key(), ov.order.lattice
+        assert key not in g.vertex_attrs, "two points of the ball give one order"
+        g.add_vertex(key, f_i=ov.f_i, f_j=ov.f_j, basis=[list(r) for r in lat.mat], den=lat.den)
+        return key
 
-    root = register(oriented_vertex(start))
+    root = oriented_vertex(start)
+    root_key = register(root)
     if depth:
-        frame = idl.matrix_split(start, ell).lift(2 * depth)
-        frontier = [(root, None)]
+        frame = idl.matrix_split(start, ell, 2 * depth)
+        frontier = [(root, root_key, None)]
         for k in range(1, depth + 1):
             nxt = []
-            for v, point in frontier:
+            for v, vkey, point in frontier:
                 lat = v.order.lattice
                 up = QLattice.from_triangular_rows(alg, lat.mat, lat.den * ell)  # ell^-1 O_parent
                 for child in idl.tree_children(point, k, ell):
                     order = frame.ball_order(idl.tree_point_matrix(child, ell), k)
                     assert up.contains_lattice(order.lattice), "ell O_child must lie in O_parent"
                     label, f = edge_step(v, order, ell)
-                    w = register(OrientedVertex(order, *f))
-                    g.add_edge(v.key(), w.key(), cls=label)
+                    w = OrientedVertex(order, *f)
+                    wkey = register(w)
+                    g.add_edge(vkey, wkey, cls=label)
                     if k < depth:
-                        g.add_edge(w.key(), v.key(), cls=classify_edge(w, v, ell))
-                    nxt.append((w, child))
+                        g.add_edge(wkey, vkey, cls=classify_edge(w, v, ell))
+                    nxt.append((w, wkey, child))
             frontier = nxt
     g.meta["depth"] = depth
     return g
 
 
 def find_roots(component: MultiGraph, ell: int) -> tuple[list, list]:
-    """(local roots, global roots) among the component's vertex keys."""
+    """(local roots, global roots) among the component's vertex keys, in
+    the order the vertices were added."""
     local, glob = [], []
-    for key in component.vertices():
-        attrs = component.vertex_attrs[key]
+    for key, attrs in component.vertex_attrs.items():
         if (attrs["f_i"] * attrs["f_j"]) % ell != 0:
             local.append(key)
         if attrs["f_i"] == 1 and attrs["f_j"] == 1:
@@ -281,7 +291,13 @@ def structure_audit(component: MultiGraph, vertex_key, ell: int,
     algebra.
     """
     attrs = component.vertex_attrs[vertex_key]
-    case, pred = predicted_counts(alg, attrs["f_i"], attrs["f_j"], ell)
+    return _audit_vertex(component, vertex_key, ell,
+                         *predicted_counts(alg, attrs["f_i"], attrs["f_j"], ell))
+
+
+def _audit_vertex(component: MultiGraph, vertex_key, ell: int, case: str,
+                  pred: list) -> AuditReport:
+    """structure_audit with the vertex's predicted_counts given."""
     observed: dict = {c: 0 for c in CATEGORIES}
     for rec in component.out_edges(vertex_key).values():
         observed[rec["cls"]] += rec["count"]
@@ -297,8 +313,11 @@ def structure_audit(component: MultiGraph, vertex_key, ell: int,
 
 def audit_component(component: MultiGraph, ell: int) -> list[AuditReport]:
     """Audit every vertex whose full neighbor list is present (out-degree
-    ell + 1 in the walked graph)."""
+    ell + 1 in the walked graph), in the order the vertices were added;
+    predicted_counts runs once per conductor pair (f_i, f_j)."""
     meta = component.meta
     alg = QuatAlgebra(p=meta["p"], d_i=meta["d_i"], d_j=meta["d_j"])
-    return [structure_audit(component, key, ell, alg) for key in component.vertices()
+    pred = cache(partial(predicted_counts, alg))
+    return [_audit_vertex(component, key, ell, *pred(attrs["f_i"], attrs["f_j"], ell))
+            for key, attrs in component.vertex_attrs.items()
             if component.out_degree(key) == ell + 1]

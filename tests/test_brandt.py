@@ -219,25 +219,32 @@ class TestClassEnumeration:
 
     @pytest.mark.parametrize("p,ell", [(499, 2), (211, 3), (101, 7), (13, 2)])
     def test_one_matrix_split_per_class_set(self, p, ell, monkeypatch):
-        """The frame is split once and then only lifted, to ell^2 and on by
-        doubling, however deep the founding points lie."""
-        splits, lifts = [], []
-        matrix_split, lift = idl.matrix_split, idl.EllAdicFrame.lift
+        """The frame is split once, at ell^2, and then only lifted, on by
+        doubling, however deep the founding points lie: no frame is built
+        at n = 1."""
+        splits, lifts, built = [], [], []
+        matrix_split, lift, frame_around = idl.matrix_split, idl.EllAdicFrame.lift, idl._frame_around
 
-        def counted(O, n):
-            splits.append(O.key())
-            return matrix_split(O, n)
+        def counted(O, ell, precision=1):
+            splits.append((O.key(), precision))
+            return matrix_split(O, ell, precision)
 
         def recorded(frame, n):
             lifts.append(n)
             return lift(frame, n)
 
+        def building(O, ell, n, e):
+            built.append(n)
+            return frame_around(O, ell, n, e)
+
         monkeypatch.setattr(idl, "matrix_split", counted)
         monkeypatch.setattr(idl.EllAdicFrame, "lift", recorded)
+        monkeypatch.setattr(idl, "_frame_around", building)
         O0 = idl.root_maximal_orders(p)[0]
         brandt.enumerate_classes(O0, ell)
-        assert splits == [O0.key()]
-        assert lifts == [2**i for i in range(1, len(lifts) + 1)]
+        assert splits == [(O0.key(), 2)]
+        assert lifts == [2**i for i in range(2, len(lifts) + 2)]
+        assert built == [2] + lifts
 
     def test_representatives_have_left_order_O0(self):
         cs = classes(37, 2)

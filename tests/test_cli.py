@@ -26,9 +26,9 @@ class TestSubcommands:
         calls = []
         order_closure = idl.order_closure
 
-        def counted(gens):
-            calls.append(len(gens))
-            return order_closure(gens)
+        def counted(*args):
+            calls.append(args)
+            return order_closure(*args)
 
         monkeypatch.setattr(idl, "order_closure", counted)
         code, out, _ = run_cli(capsys, "algebra", "--p", "101", "--json")

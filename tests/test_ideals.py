@@ -173,27 +173,34 @@ def fraction_order_closure(gens, rounds: int = 16) -> QLattice:
     raise CapExceeded("ring closure did not stabilize; not an order")
 
 
+def close(gens) -> QOrder:
+    """order_closure of QuatElements: their coordinates as integer rows over
+    the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for g in gens for c in g.coords))
+    return idl.order_closure(gens[0].algebra, [[int(c * den) for c in g.coords] for g in gens], den)
+
+
 class TestOrderClosure:
     def test_p7_root(self):
         one, i, j, k = A7.basis()
-        O = idl.order_closure([i, (one + j) / 2])
+        O = close([i, (one + j) / 2])
         assert O.reduced_discriminant == 7
 
     def test_p13_standard(self):
         _, i, j, _ = A13.basis()
-        O = idl.order_closure([i, j])
+        O = close([i, j])
         assert O.reduced_discriminant == 104  # 8p
 
     def test_scalars_fail_rank(self):
         with pytest.raises(PreconditionError):
-            idl.order_closure([A7.one])
+            close([A7.one])
         with pytest.raises(PreconditionError):
             fraction_order_closure([A7.one])
 
     def test_unbounded_denominators_fail(self):
         one, i, j, k = A7.basis()
         with pytest.raises(CapExceeded):
-            idl.order_closure([i / 2])
+            close([i / 2])
         with pytest.raises(CapExceeded):
             fraction_order_closure([i / 2])
 
@@ -203,8 +210,9 @@ class TestOrderClosure:
         calls = []
         closure = idl.order_closure
 
-        def record(gens):
-            calls.append((gens, closure(gens)))
+        def record(alg, gens, den):
+            calls.append(([QuatElement(alg, tuple(Fraction(x, den) for x in g)) for g in gens],
+                          closure(alg, gens, den)))
             return calls[-1][1]
 
         monkeypatch.setattr(idl, "order_closure", record)
@@ -221,13 +229,13 @@ class TestReducedDiscriminant:
     def test_two_generator_formula_agrees(self):
         one, i, j, _ = A7.basis()
         a1, a2 = i, (one + j) / 2
-        O = idl.order_closure([a1, a2])
+        O = close([a1, a2])
         assert two_generator_discriminant(a1, a2) == O.reduced_discriminant
 
     def test_p17_pq(self):
         a17 = QuatAlgebra.for_prime(17)
         one, i, j, _ = a17.basis()
-        O = idl.order_closure([(one + i) / 2, j])
+        O = close([(one + i) / 2, j])
         assert a17.q == 3
         assert O.reduced_discriminant == 51
 

@@ -157,18 +157,42 @@ class TestHnfAgainstOracle:
         rows = random_int_rows(random.Random(seed))
         assert hnf_rows([list(r) for r in rows]) == hnf_rows_oracle(rows)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**9), ell=st.sampled_from([2, 3, 5, 7]), e=st.integers(0, 12))
+    def test_modulus_prime_powers(self, seed, ell, e):
+        """With a modulus m = ell^e the HNF is that of [m I; rows], whose
+        rows may be anything: wider than m, negative, zero or dependent."""
+        m, rng = ell**e, random.Random(seed)
+        rows = random_int_rows(rng)[:rng.randint(0, 6)]
+        want = hnf_rows_oracle([[m * (s == t) for t in range(4)] for s in range(4)] + rows)
+        assert hnf_rows([list(r) for r in rows], modulus=m) == want
+
+    def test_modulus_must_be_a_prime_power(self):
+        """No entry of 2 and 3 divides the other mod 6, and 8 = 4 * 2 mod 12
+        has no unit cofactor: the echelon raises rather than mis-reduce."""
+        with pytest.raises(PreconditionError, match="not a prime power"):
+            hnf_rows([[2, 0, 0, 0], [3, 0, 0, 0]], modulus=6)
+        with pytest.raises(ValueError):
+            hnf_rows([[8, 0, 0, 0]], modulus=12)
+
     def test_inputs_of_a_class_set_and_a_walk(self, monkeypatch):
+        """Every HNF of five class sets, a walk, the kernel oracle's
+        subfield kernels over it and two superorder enumerations; a call
+        with a modulus m is compared with the oracle on [m I; rows]."""
         from qisog import orient
         from test_orient import kernel_conductors
 
         seen = []
 
-        def recorder(rows, ncols=4):
-            seen.append(([list(r) for r in rows], ncols))
-            return hnf_rows(rows, ncols)
+        def recorder(rows, ncols=4, modulus=None):
+            seen.append(([list(r) for r in rows], ncols, modulus))
+            return hnf_rows(rows, ncols, modulus)
 
         monkeypatch.setattr(lattice, "hnf_rows", recorder)
         monkeypatch.setattr(idl, "hnf_rows", recorder)
+        monkeypatch.setattr(bass, "hnf_rows", recorder)
+        for p in (109, 17):  # discrd 8p (p = 5 mod 8) and 3p (q = 3)
+            bass.enumerate_maximal_superorders(bass.bass_order(QuatAlgebra.for_prime(p)))
         brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 3)
         brandt.enumerate_classes(idl.root_maximal_orders(113)[0], 2)
         brandt.enumerate_classes(idl.root_maximal_orders(61)[0], 5)
@@ -178,10 +202,13 @@ class TestHnfAgainstOracle:
         alg = QuatAlgebra.for_prime(37)
         for den, mat in g.vertices():  # 6: the kernel oracle's subfield kernels
             kernel_conductors(idl.QOrder(QLattice(alg, mat, den)))
-        assert len(seen) > 300
-        assert {ncols for _, ncols in seen} == {4, 6}
-        for rows, ncols in seen:
-            assert hnf_rows(rows, ncols) == hnf_rows_oracle(rows, ncols)
+        moduli = [m for _, _, m in seen if m is not None]
+        assert len(seen) > 300 and len(moduli) > 200 and len(seen) - len(moduli) > 40
+        assert {ncols for _, ncols, _ in seen} == {4, 6}
+        assert set(moduli) >= {2, 4, 8, 3, 9, 27, 81, 5, 7, 16, 64}
+        for rows, ncols, m in seen:
+            ident = [] if m is None else [[m * (s == t) for t in range(ncols)] for s in range(ncols)]
+            assert hnf_rows(rows, ncols, m) == hnf_rows_oracle(ident + rows, ncols)
 
 
 def integer_kernel_oracle(rows, ncols):

@@ -323,14 +323,14 @@ class TestParentEdgeReuse:
         calls = []
         matrix_split = idl.matrix_split
 
-        def counted(O, n):
-            calls.append(O.key())
-            return matrix_split(O, n)
+        def counted(O, ell, precision=1):
+            calls.append((O.key(), precision))
+            return matrix_split(O, ell, precision)
 
         monkeypatch.setattr(idl, "matrix_split", counted)
         start = idl.root_maximal_order(p)
         orient.walk_component(start, ell, depth)
-        assert calls == [start.key()]
+        assert calls == [(start.key(), 2 * depth)]
 
 
 def divisible_start(p: int, ell: int) -> QOrder:
@@ -361,8 +361,8 @@ class TestDivisibleStart:
 
 
 class TestFramePrecision:
-    """A depth-d walk lifts its frame to exactly ell^(2d), from a global
-    root and from a start with ell | f_i f_j alike."""
+    """A depth-d walk builds one frame, at exactly ell^(2d), and lifts
+    none, from a global root and from a start with ell | f_i f_j alike."""
 
     @pytest.mark.parametrize("p,ell", [(13, 3), (101, 2)])
     @pytest.mark.parametrize("depth", [1, 3])
@@ -370,13 +370,17 @@ class TestFramePrecision:
     def test_frame_precision_is_twice_the_depth(self, p, ell, depth, divisible, monkeypatch):
         start = divisible_start(p, ell) if divisible else idl.root_maximal_order(p)
         precisions = []
-        lift = idl.EllAdicFrame.lift
+        frame_around = idl._frame_around
 
-        def recorded(frame, n):
+        def recorded(O, ell, n, e):
             precisions.append(n)
-            return lift(frame, n)
+            return frame_around(O, ell, n, e)
 
-        monkeypatch.setattr(idl.EllAdicFrame, "lift", recorded)
+        def refuse(frame, n):
+            raise AssertionError("a walk lifts no frame")
+
+        monkeypatch.setattr(idl, "_frame_around", recorded)
+        monkeypatch.setattr(idl.EllAdicFrame, "lift", refuse)
         orient.walk_component(start, ell, depth)
         assert precisions == [2 * depth]
 
