@@ -14,9 +14,11 @@ two verdicts:
 - bound: the change's median is worse than the parent's by more than the
   metric's relative bound.
 
-Each run's failed-query count is printed beside its pair.  The script
-writes nothing itself; run.py keeps its per-run files under each
-checkout's perfbench/out/.
+Each run's failed-query count is printed beside its pair, and each
+checkout's ``src/`` line count (its ``*.py`` files) beside the table: a run
+compiles ``src/`` afresh when no bytecode is cached, so ``setup_s`` and
+``peak_rss_mb`` follow its size.  The script writes nothing itself; run.py
+keeps its per-run files under each checkout's perfbench/out/.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def src_lines(root: Path) -> int:
+    return sum(len(f.read_text().splitlines()) for f in (root / "src").rglob("*.py"))
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -60,7 +66,10 @@ def main(argv: list[str]) -> int:
             f"{side} wall_s {runs[side][-1]['metrics']['wall_s']['value']:.3f} "
             f"failed {runs[side][-1]['failed']}/{runs[side][-1]['attempted']}"
             for side in order), flush=True)
-    print(f"\n{workload} seed {seed}, {PAIRS} pairs; median [quartiles]")
+    lines = {side: src_lines(root) for side, root in sides.items()}
+    print(f"\n{workload} seed {seed}, {PAIRS} pairs; median [quartiles]; src/ lines: "
+          f"parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     for metric in bench["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}

@@ -4,10 +4,11 @@ the type-set quotient graph, and exact directed-multigraph isomorphism.
 The classes are found by a BFS over O0's Bruhat-Tits tree, off one l-adic
 frame of O0 (see enumerate_classes).  A class lookup runs one short-vector
 search on the point's ideal, up to K nrd(J): its theta prefix picks the
-bucket, and its minimal vectors carry the equivalence tests.  A class's
-representative is the tree point's ideal that founded it, of norm l^k at
-founding level k, unreduced: the equivalence tests run on LLL-reduced
-bases anyway.  Ideals are plain QLattices, as in ideals.
+bucket, and its minimal vectors carry the equivalence tests and, for a new
+class, its unit size.  A class's representative is the tree point's ideal
+that founded it, of norm l^k at founding level k, unreduced: the
+equivalence tests run on LLL-reduced bases anyway.  No lookup builds an
+order.  Ideals are plain QLattices, as in ideals.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import partial
 
 from . import ideals as idl
 from . import numth
@@ -40,7 +39,8 @@ class ClassSet:
     minimal vectors, only against the representatives in its bucket.  Once
     sum 1/a_j reaches the mass (p-1)/12 the list is complete, so when all
     other candidates in its bucket fail, the last one is its class without
-    a test."""
+    a test.  A unit group modulo +-1 has order 1, 2, 3, 4, 6 or 12, so the
+    sum is kept in integers, as sum 12/a_j against p - 1."""
 
     order0: QOrder
     ell: int
@@ -50,7 +50,7 @@ class ClassSet:
     # b_ij = number of ell-neighbors of I_i equivalent to I_j
     brandt: list = field(default_factory=list)
     _buckets: dict = field(default_factory=dict, init=False, repr=False)  # theta prefix -> indices
-    _found: Fraction = field(default=Fraction(0), init=False, repr=False)  # sum 1/a_j
+    _found: int = field(default=0, init=False, repr=False)  # sum 12/a_j
 
     @property
     def class_number(self) -> int:
@@ -58,19 +58,18 @@ class ClassSet:
 
     @property
     def complete(self) -> bool:
-        return self._found == Fraction(self.order0.algebra.p - 1, 12)
+        return self._found == self.order0.algebra.p - 1
 
-    def class_of(self, J: QLattice, order_if_new=None) -> int:
+    def class_of(self, J: QLattice) -> int:
         """Index of the representative equivalent to J, a left O0-ideal.
         While the list is incomplete, a J equivalent to none of them becomes
-        the next representative, as it is; its unit size is read off
-        order_if_new(), an order conjugate to O_R(J), called only then, so a
-        lookup on a complete list needs none.
+        the next representative, as it is, with the unit size
+        ideals.unit_count(J).
 
         J gets one short-vector search, theta_prefix's up to K nrd(J); by
         Hermite's bound (see theta_length) it holds J's minimal vectors, on
-        which is_equivalent then runs without another, now and whenever J
-        is a representative tested later."""
+        which is_equivalent and unit_count then run without another, now and
+        whenever J is a representative tested later."""
         key = theta_prefix(J, theta_length(self.order0.algebra.p))
         bucket = self._buckets.get(key, [])
         complete = self.complete
@@ -85,8 +84,10 @@ class ClassSet:
             return bucket[-1]
         self._buckets.setdefault(key, []).append(self.class_number)
         reps.append(J)
-        self.unit_sizes.append(len(order_if_new().lattice.min_norm_elements(1)))
-        self._found += Fraction(1, self.unit_sizes[-1])
+        a = idl.unit_count(J)
+        assert 12 % a == 0, f"unit size {a} does not divide 12"
+        self.unit_sizes.append(a)
+        self._found += 12 // a
         return self.class_number - 1
 
 
@@ -119,7 +120,7 @@ def theta_prefix(J: QLattice, K: int) -> tuple[int, ...]:
     n = J.reduced_norm
     vecs = J.short_vectors(K * n)
     assert vecs, "Hermite's bound puts a vector within theta_length(p) nrd(J)"
-    n_int = int(n * J.den**2)
+    n_int = n.numerator * J.den**2 // n.denominator
     counts = [0] * K
     for norm, _ in vecs:
         k, rem = divmod(norm, n_int)
@@ -136,13 +137,16 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     ell-neighbours are those of its ell children and ell times its parent's.
     Only a point that founds a class is expanded, so the class that expanded
     it is a free entry of its row, and ClassSet.class_of gives the children's
-    classes: h ell + 1 lookups after O0's.  A new class's unit size is read
-    off the frame's order at its point, conjugate to its right order.
+    classes: h ell + 1 lookups after O0's.  A new class's unit size is
+    counted on its ideal's minimal vectors; no order is built at a point.
     Classes are numbered in founding order.  The frame starts at n = 2 and
-    doubles before a point is expanded whose children it could not found.
+    doubles before a point at level k is expanded whose children's ideals,
+    of norm ell^(k+1), need n >= k + 1.
 
     The mass formula, the class-number formula, the row sums ell+1 and
-    a_j b_ij = a_i b_ji are checked before returning.  The founding level is
+    a_j b_ij = a_i b_ji are checked before returning, and class 0's unit
+    size against the units of O0, its right order, counted by a search on
+    O0's lattice, whose LLL class 0's lookup cached.  The founding level is
     capped at h - 1, h = numth.class_number(p): the BFS founds each class at
     its distance from [O0] in the Brandt graph, which is connected and has h
     vertices."""
@@ -152,19 +156,19 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     level_cap = numth.class_number(p) - 1
     frame = idl.matrix_split(O0, ell, 2)
     cs = ClassSet(order0=O0, ell=ell)
-    cs.class_of(O0.lattice, lambda: O0)
+    cs.class_of(O0.lattice)
     founded = [(None, 0, None)]  # (point, level, class that expanded it), by class
     rows: list[list[int]] = []  # rows[i]: class index of each neighbour of I_i
     for point, k, parent in founded:
         if k > level_cap:
             raise CapExceeded("class-set founding level cap exceeded")
-        if 2 * (k + 1) > frame.n:
+        if k + 1 > frame.n:
             frame = frame.lift(2 * frame.n)
         row = [] if parent is None else [parent]
         for child in idl.tree_children(point, k + 1, ell):
             P = idl.tree_point_matrix(child, ell)
             h = cs.class_number
-            row.append(cs.class_of(frame.ball_ideal(P, k + 1), partial(frame.ball_order, P, k + 1)))
+            row.append(cs.class_of(frame.ball_ideal(P, k + 1)))
             if cs.class_number > h:
                 founded.append((child, k + 1, len(rows)))
         rows.append(row)
@@ -172,6 +176,7 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     b = cs.brandt = [[row.count(j) for j in range(h)] for row in rows]
     assert cs.complete, "mass formula fails"
     assert h == numth.class_number(p), "class-number formula fails"
+    assert a[0] == len(O0.lattice.min_norm_elements(1)), "class 0's unit size is not O0's"
     assert all(sum(row) == ell + 1 for row in b), "Brandt row sum is not ell+1"
     assert all(a[j] * b[i][j] == a[i] * b[j][i] for i in range(h) for j in range(h)), \
         "Brandt relation a_j b_ij = a_i b_ji fails"

@@ -10,8 +10,8 @@ connecting O to it (ball_ideal); the norm-l ideals are those of the frame
 at n = 1 (the mod-l splitting).  Both are built in O's own coordinates,
 from small integers: l^k times the order contains l^(2k) O, and the ideal
 contains l^k O, so their generators are only needed mod l^(2k), resp.
-l^k, reducing them there does not change the lattice, and its HNF is
-echeloned modulo that power of l (lattice.hnf_rows with a modulus).
+l^k, reducing them there does not change the lattice, and it is
+echeloned modulo that power of l (lattice.echelon_mod).
 The frame gives orders and ideals only; the walk reads each order's
 conductors off memberships in it (orient.edge_step).
 
@@ -34,7 +34,7 @@ from functools import cached_property
 
 from . import numth
 from .errors import CapExceeded, PreconditionError
-from .lattice import QLattice, hnf_rows
+from .lattice import QLattice, echelon_mod, hnf_rows
 from .quat import QuatAlgebra, QuatElement
 
 Frac = Fraction
@@ -422,14 +422,14 @@ class EllAdicFrame:
 
     def _span(self, gens, m: int, scale: int) -> QLattice:
         """The lattice m O + sum Z g over scale, for the O-coordinates g in
-        gens and m a power of ell.  The HNF H of [m I; gens], echeloned
-        modulo m, is upper triangular, and so is O's mat, so the integer
-        rows H mat are upper triangular too, with positive pivots; they lie
-        over den scale, and from_triangular_rows makes them canonical
-        without a second HNF."""
+        gens and m a power of ell.  The echelon H of [m I; gens] modulo m
+        (not reduced above its pivots) is upper triangular, and so is O's
+        mat, so the integer rows H mat are upper triangular too, with
+        positive pivots; they lie over den scale, and from_triangular_rows
+        reduces them to the canonical HNF, the one reduction they get."""
         lat = self.order.lattice
-        (h00, h01, h02, h03), (_, h11, h12, h13), (_, _, h22, h23), (_, _, _, h33) = hnf_rows(
-            gens, modulus=m)
+        (h00, h01, h02, h03), (_, h11, h12, h13), (_, _, h22, h23), (_, _, _, h33) = echelon_mod(
+            gens, 4, m)
         (o00, o01, o02, o03), (_, o11, o12, o13), (_, _, o22, o23), (_, _, _, o33) = lat.mat
         rows = [(h00 * o00, h00 * o01 + h01 * o11, h00 * o02 + h01 * o12 + h02 * o22,
                  h00 * o03 + h01 * o13 + h02 * o23 + h03 * o33),
@@ -540,6 +540,18 @@ def tree_children(point, k: int, ell: int) -> list[tuple[int, int]]:
 # equivalence
 
 
+def _witnesses(I: QLattice, J: QLattice):
+    """The alpha = conj(x) y / nrd(x) with I alpha in J, for y J's least
+    minimal vector and x over I's minimal vectors, one of each +-pair, as
+    integer rows a with alpha = a den_I / (den_J m), m = den_I^2 min(I)."""
+    mul = I.algebra.mul_coords
+    (m, _), (_, y) = I.minimal_vectors[0], J.minimal_vectors[0]
+    for _, x in I.minimal_vectors:
+        a = mul((x[0], -x[1], -x[2], -x[3]), y)
+        if all(J.int_coords(mul(r, a), J.den * m) is not None for r in I.mat):
+            yield a
+
+
 def is_equivalent(I: QLattice, J: QLattice, O: QOrder):
     """Witness alpha with J = I*alpha, or None.
 
@@ -547,22 +559,26 @@ def is_equivalent(I: QLattice, J: QLattice, O: QOrder):
     O_L(J) = O is O J in J (16 memberships).  x -> x alpha maps I onto
     I alpha, scaling norms by nrd(alpha) and covolumes by nrd(alpha)^2, so
     minimal vectors onto minimal vectors: J = I alpha iff nrd(alpha) =
-    min(J)/min(I) squares to covol(J)/covol(I) and alpha = conj(x) y / nrd(x)
-    maps I into J, for y J's least minimal vector and some minimal x of I,
-    one of each +-pair."""
+    min(J)/min(I) squares to covol(J)/covol(I) and one of _witnesses maps
+    I into J.  On integer norms m = den_I^2 min(I) and m_J, and pivot
+    products, the first test reads m_J^2 det(I.mat) = m^2 det(J.mat)."""
     if not O.is_maximal:
         raise PreconditionError("equivalence is decided over a maximal left order")
     if not J.is_left_module_over(O.lattice):
         raise PreconditionError("equivalence needs matching left orders")
-    mul = I.algebra.mul_coords
-    (m, _), (mj, y) = I.minimal_vectors[0], J.minimal_vectors[0]
-    if Frac(mj * I.den**2, m * J.den**2) ** 2 != J.covolume() / I.covolume():
+    m, mj = I.minimal_vectors[0][0], J.minimal_vectors[0][0]
+    if mj * mj * I.pivot_product() != m * m * J.pivot_product():
         return None
-    for _, x in I.minimal_vectors:
-        a = mul((x[0], -x[1], -x[2], -x[3]), y)  # alpha = a den / (den_J m)
-        if all(J.int_coords(mul(r, a), J.den * m) is not None for r in I.mat):
-            return QuatElement(I.algebra, a) * Frac(I.den, J.den * m)
-    return None
+    a = next(_witnesses(I, J), None)
+    return None if a is None else QuatElement(I.algebra, a) * Frac(I.den, J.den * m)
+
+
+def unit_count(J: QLattice) -> int:
+    """|O_R(J)^x| / 2, as the number of _witnesses of J = J alpha.  For a
+    unit u of O_R(J), y u is minimal in J; conversely, alpha = x^-1 y has
+    norm 1 and lies in O_R(J), so is a unit, exactly when J alpha is in J.
+    So the +-pairs x that pass are those of y u^-1, one for each +-pair u."""
+    return sum(1 for _ in _witnesses(J, J))
 
 
 def reduce_ideal(I: QLattice, O: QOrder) -> QLattice:

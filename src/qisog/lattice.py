@@ -31,7 +31,7 @@ def hnf_rows(rows: list[list[int]], ncols: int = 4, modulus: int | None = None
              ) -> list[tuple[int, ...]]:
     """Row Hermite normal form; returns the nonzero rows.  With a modulus m,
     a prime power, it is that of the rows together with m times the
-    identity, found by _echelon_mod.
+    identity, found by echelon_mod.
 
     Pivots are positive and entries above a pivot are reduced into
     [0, pivot).  Rows appear in order of pivot column.
@@ -42,7 +42,7 @@ def hnf_rows(rows: list[list[int]], ncols: int = 4, modulus: int | None = None
     on to the next column.  The entries above the pivots are reduced last.
     """
     if modulus is not None:
-        out, cols = _echelon_mod(rows, ncols, modulus), range(ncols)
+        out, cols = echelon_mod(rows, ncols, modulus), range(ncols)
     else:
         piv: list[list[int] | None] = [None] * ncols
         for r in rows:
@@ -78,7 +78,7 @@ def hnf_rows(rows: list[list[int]], ncols: int = 4, modulus: int | None = None
     return [tuple(r) for r in out]
 
 
-def _echelon_mod(rows, ncols: int, m: int) -> list[list[int]]:
+def echelon_mod(rows, ncols: int, m: int) -> list[list[int]]:
     """Upper-triangular rows, one per column, with positive pivots, of the
     lattice spanned by the rows and m Z^ncols, for m = ell^e; the entries
     right of a pivot stay in [0, m).  This is the HNF modulo D of Cohen, A
@@ -174,61 +174,60 @@ def lll_reduce(gram) -> tuple[list[list[int]], list[list[int]], list[int], list[
     definite integer Gram matrix g.  Returns (U, G, d, lam): U unimodular,
     G = U g U^T the Gram matrix of the reduced basis U b, and its integer
     Gram-Schmidt data, d[m] the Gram determinant of the first m vectors
-    (d[0] = 1) and lam[k][j] = d[j+1] mu_kj for j < k.  Only integers occur;
-    size reduction and swaps update G in place, a row and a column at a
-    time."""
+    (d[0] = 1) and lam[k][j] = d[j+1] mu_kj for j < k.  Only integers occur,
+    and every update is in place.  One loop over l = k-1 down to 0 runs
+    Cohen's steps in his order: RED(k, l) where 2 |lam[k][l]| > d[l+1], and
+    after RED(k, k-1) the Lovasz test, whose failure runs SWAP(k) and steps
+    k back; k moves on once every l is done."""
     n = len(gram)
     G = [list(r) for r in gram]
     U = [[int(r == c) for c in range(n)] for r in range(n)]
     d = [1, G[0][0]] + [0] * (n - 1)
     lam = [[0] * n for _ in range(n)]
-
-    def red(k: int, l: int) -> None:  # where 2 |lam[k][l]| > d[l+1]
-        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-        U[k] = [a - q * b for a, b in zip(U[k], U[l])]
-        G[k] = [a - q * b for a, b in zip(G[k], G[l])]
-        for row in G:
-            row[k] -= q * row[l]
-        lam[k][l] -= q * d[l + 1]
-        for i in range(l):
-            lam[k][i] -= q * lam[l][i]
-
-    def swap(k: int) -> None:
-        U[k], U[k - 1] = U[k - 1], U[k]
-        G[k], G[k - 1] = G[k - 1], G[k]
-        for row in G:
-            row[k], row[k - 1] = row[k - 1], row[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        m = lam[k][k - 1]
-        B = (d[k - 1] * d[k + 1] + m * m) // d[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
-            lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
-        d[k] = B
-
     k, kmax = 1, 0
     while k < n:
+        lk = lam[k]
         if k > kmax:  # incremental Gram-Schmidt
             kmax = k
+            Gk = G[k]
             for j in range(k + 1):
-                u = G[k][j]
+                u, lj = Gk[j], lam[j]
                 for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
                 if j < k:
-                    lam[k][j] = u
+                    lk[j] = u
                 else:
                     d[k + 1] = u
-        if 2 * abs(lam[k][k - 1]) > d[k]:
-            red(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
-            swap(k)
-            k = max(1, k - 1)
+        for l in range(k - 1, -1, -1):
+            dl = d[l + 1]
+            if 2 * abs(lk[l]) > dl:  # RED(k, l)
+                q = (2 * lk[l] + dl) // (2 * dl)
+                Uk, Ul, Gk, Gl = U[k], U[l], G[k], G[l]
+                for t in range(n):
+                    Uk[t] -= q * Ul[t]
+                    Gk[t] -= q * Gl[t]
+                for row in G:
+                    row[k] -= q * row[l]
+                lk[l] -= q * dl
+                for i in range(l):
+                    lk[i] -= q * lam[l][i]
+            if l == k - 1 and 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lk[l] ** 2:  # SWAP
+                U[k], U[l] = U[l], U[k]
+                G[k], G[l] = G[l], G[k]
+                for row in G:
+                    row[k], row[l] = row[l], row[k]
+                for j in range(l):
+                    lk[j], lam[l][j] = lam[l][j], lk[j]
+                m = lk[l]
+                B = (d[l] * d[k + 1] + m * m) // d[k]
+                for li in lam[k + 1:kmax + 1]:
+                    t = li[k]
+                    li[k] = (d[k + 1] * li[l] - m * t) // d[k]
+                    li[l] = (B * t + m * li[k]) // d[k + 1]
+                d[k] = B
+                k = max(1, l)
+                break
         else:
-            for l in range(k - 2, -1, -1):
-                if 2 * abs(lam[k][l]) > d[l + 1]:
-                    red(k, l)
             k += 1
     return U, G, d, lam
 
@@ -545,11 +544,13 @@ class QLattice:
         if bound <= 0:
             raise PreconditionError("bound must be positive")
         U, _, (_, d1, d2, d3, d4), (_, (l10, *_), (l20, l21, *_), (l30, l31, l32, _)) = self.lll
-        (y0, y1, y2, y3), b1, b2, b3 = (
-            [sum(u[s] * self.mat[s][col] for s in range(4)) for col in range(4)] for u in U)
+        (m00, m01, m02, m03), (_, m11, m12, m13), (_, _, m22, m23), (_, _, _, m33) = self.mat
+        (y0, y1, y2, y3), b1, b2, b3 = (  # the rows u mat of the reduced basis
+            (u0 * m00, u0 * m01 + u1 * m11, u0 * m02 + u1 * m12 + u2 * m22,
+             u0 * m03 + u1 * m13 + u2 * m23 + u3 * m33) for u0, u1, u2, u3 in U)
         P = math.lcm(d1, d1 * d2, d2 * d3, d3 * d4)
         w0, w1, w2, w3 = P // d1, P // (d1 * d2), P // (d2 * d3), P // (d3 * d4)
-        R = math.floor(bound * self.den**2 * P)
+        R = bound.numerator * self.den**2 * P // bound.denominator
         isqrt, out, nodes = math.isqrt, [], 0
 
         def visit(S: int, rem: int, w: int, dk: int) -> range:

@@ -170,6 +170,13 @@ def backtrack_isomorphism(G: MultiGraph, H: MultiGraph):
     return dict(mapping) if backtrack(0) else None
 
 
+def assert_unit_sizes_match_right_orders(cs) -> None:
+    """a_j, counted on I_j's minimal vectors, is the number of +-pairs of
+    norm-1 elements of O_R(I_j), the right order found by trace duality."""
+    assert cs.unit_sizes == [len(R.right_order().min_norm_elements(1))
+                             for R in cs.representatives]
+
+
 SMALL_PRIMES = [p for p in range(5, 114) if numth.is_prime(p)]
 
 
@@ -210,6 +217,19 @@ class TestClassEnumeration:
     def test_unit_sizes_p11(self):
         assert sorted(classes(11, 2).unit_sizes) == [2, 3]  # j=1728 and j=0 classes
 
+    @pytest.mark.parametrize("p,ell", [(11, 2), (13, 3), (37, 3), (101, 2), (113, 3), (211, 2)])
+    def test_unit_sizes_match_right_orders(self, p, ell):
+        assert_unit_sizes_match_right_orders(classes(p, ell))
+
+    def test_unit_count_tests_membership(self):
+        """At p = 11 class 1's ideal has 6 minimal vectors, one of each
+        +-pair, but only 3 of the x^-1 y lie in its right order: a count of
+        minimal vectors alone would give a = 6."""
+        cs = classes(11, 2)
+        J = cs.representatives[1]
+        assert len(J.minimal_vectors) == 6
+        assert cs.unit_sizes[1] == idl.unit_count(J) == 3
+
     @pytest.mark.parametrize("p,ell", [(p, ell) for p in SMALL_PRIMES for ell in (2, 3) if ell != p]
                              + [(211, 2), (499, 2)])
     def test_bucketed_lookup_matches_first_match(self, p, ell):
@@ -221,7 +241,10 @@ class TestClassEnumeration:
     def test_one_matrix_split_per_class_set(self, p, ell, monkeypatch):
         """The frame is split once, at ell^2, and then only lifted, on by
         doubling, however deep the founding points lie: no frame is built
-        at n = 1."""
+        at n = 1.  A point at level k is expanded into children's ideals of
+        norm ell^(k+1), so the frame is lifted only when k + 1 > n, and ends
+        at the least power of two n >= 2 with n > D, D the deepest founding
+        level."""
         splits, lifts, built = [], [], []
         matrix_split, lift, frame_around = idl.matrix_split, idl.EllAdicFrame.lift, idl._frame_around
 
@@ -241,10 +264,14 @@ class TestClassEnumeration:
         monkeypatch.setattr(idl.EllAdicFrame, "lift", recorded)
         monkeypatch.setattr(idl, "_frame_around", building)
         O0 = idl.root_maximal_orders(p)[0]
-        brandt.enumerate_classes(O0, ell)
+        cs = brandt.enumerate_classes(O0, ell)
         assert splits == [(O0.key(), 2)]
         assert lifts == [2**i for i in range(2, len(lifts) + 2)]
         assert built == [2] + lifts
+        # a representative founded at level k is a ball ideal of norm ell^k
+        deepest = max(next(k for k in range(64) if ell**k == R.reduced_norm)
+                      for R in cs.representatives)
+        assert built[-1] == max(2, 1 << deepest.bit_length())
 
     def test_representatives_have_left_order_O0(self):
         cs = classes(37, 2)
@@ -283,14 +310,14 @@ class TestThetaPrefix:
 
     @pytest.mark.parametrize("p,ell", [(101, 2), (113, 3)])
     def test_one_search_and_no_reduction_per_lookup(self, p, ell, monkeypatch):
-        """Each class lookup (the BFS and the type involution) runs one
-        LLL reduction and one short-vector search on J, forms no inverse
-        ideal and reduces no ideal: a new class keeps J, whose minimal
-        vectors serve its later equivalence tests.  The only other LLL and
-        search is the unit-size one on a new class's order.  The BFS looks
-        up O0 and then h ell + 1 tree points: the ell + 1 at level 1 and
-        each founding point's ell children, its parent's class being known;
-        no ell_neighbors are formed."""
+        """Each class lookup (the BFS and the type involution) runs exactly
+        one LLL reduction and one short-vector search, both on J, and none
+        on any other lattice, forms no inverse ideal and reduces no ideal:
+        a new class keeps J, whose minimal vectors give its unit size and
+        serve its later equivalence tests.  The BFS looks up O0 and then
+        h ell + 1 tree points: the ell + 1 at level 1 and each founding
+        point's ell children, its parent's class being known; no
+        ell_neighbors are formed."""
         reduced_lattices, searched, lookups = [], [], []
         lll, search, lookup = QLattice.lll.func, QLattice.short_vectors, brandt.ClassSet.class_of
 
@@ -308,14 +335,13 @@ class TestThetaPrefix:
         def no_inverse(I):
             raise AssertionError("a class lookup formed an inverse ideal")
 
-        def counted_lookup(cs, J, order_if_new=None):
+        def counted_lookup(cs, J):
             reduced_lattices.clear()
             searched.clear()
             h = cs.class_number
-            j = lookup(cs, J, order_if_new)
-            lookups.append((sum(L is J for L in reduced_lattices), sum(L is J for L in searched),
-                            sum(L is not J for L in reduced_lattices),
-                            sum(L is not J for L in searched), cs.class_number - h))
+            j = lookup(cs, J)
+            lookups.append(([id(L) for L in reduced_lattices] == [id(J)],
+                            [id(L) for L in searched] == [id(J)], cs.class_number - h))
             return j
 
         counted_property = functools.cached_property(counted_lll)
@@ -331,11 +357,18 @@ class TestThetaPrefix:
         assert len(lookups) == 1 + h * ell + 1
         brandt.type_involution(cs)
         assert len(lookups) == 1 + h * ell + 1 + h
-        for n, (lll_on_J, searches_on_J, other_llls, other_searches, new) in enumerate(lookups):
-            # O0 is its own right order, so its unit-size search is a second one on J
-            assert lll_on_J == 1 and searches_on_J == 1 + (n == 0)
-            assert other_llls == other_searches == int(new > 0 and n > 0)
-        assert sum(new for *_, new in lookups) == cs.class_number
+        assert all(one_lll and one_search for one_lll, one_search, _ in lookups)
+        assert [new for *_, new in lookups].count(1) == h == sum(new for *_, new in lookups)
+
+    @pytest.mark.parametrize("p,ell", [(11, 2), (101, 3), (499, 2)])
+    def test_no_ball_order_is_built(self, p, ell, monkeypatch):
+        """The class BFS builds no order at a tree point: unit sizes come
+        from the founding ideals' minimal vectors."""
+        def no_order(frame, P, k):
+            raise AssertionError("the class BFS built a ball order")
+
+        monkeypatch.setattr(idl.EllAdicFrame, "ball_order", no_order)
+        assert classes(p, ell).class_number == numth.class_number(p)
 
     @pytest.mark.parametrize("p,ell", [(37, 3), (101, 2), (113, 3), (211, 2)])
     def test_representatives_are_founding_ball_ideals(self, p, ell, monkeypatch):

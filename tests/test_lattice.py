@@ -176,21 +176,29 @@ class TestHnfAgainstOracle:
             hnf_rows([[8, 0, 0, 0]], modulus=12)
 
     def test_inputs_of_a_class_set_and_a_walk(self, monkeypatch):
-        """Every HNF of five class sets, a walk, the kernel oracle's
-        subfield kernels over it and two superorder enumerations; a call
-        with a modulus m is compared with the oracle on [m I; rows]."""
+        """Every HNF, and every modular echelon of a tree point
+        (EllAdicFrame._span), of six class sets, a walk, the kernel
+        oracle's subfield kernels over it and two superorder enumerations.
+        A call with a modulus m is compared with the oracle on [m I; rows]:
+        an HNF equals it, and an echelon is upper triangular with positive
+        pivots, unreduced above them, with the oracle's HNF."""
         from qisog import orient
         from test_orient import kernel_conductors
 
-        seen = []
+        seen = []  # (rows, ncols, modulus, the echelon or None)
 
         def recorder(rows, ncols=4, modulus=None):
-            seen.append(([list(r) for r in rows], ncols, modulus))
+            seen.append(([list(r) for r in rows], ncols, modulus, None))
             return hnf_rows(rows, ncols, modulus)
+
+        def echelon_recorder(rows, ncols, m):
+            seen.append(([list(r) for r in rows], ncols, m, lattice.echelon_mod(rows, ncols, m)))
+            return seen[-1][3]
 
         monkeypatch.setattr(lattice, "hnf_rows", recorder)
         monkeypatch.setattr(idl, "hnf_rows", recorder)
         monkeypatch.setattr(bass, "hnf_rows", recorder)
+        monkeypatch.setattr(idl, "echelon_mod", echelon_recorder)
         for p in (109, 17):  # discrd 8p (p = 5 mod 8) and 3p (q = 3)
             bass.enumerate_maximal_superorders(bass.bass_order(QuatAlgebra.for_prime(p)))
         brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 3)
@@ -198,17 +206,23 @@ class TestHnfAgainstOracle:
         brandt.enumerate_classes(idl.root_maximal_orders(61)[0], 5)
         brandt.enumerate_classes(idl.root_maximal_orders(211)[0], 3)
         brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 7)
+        brandt.enumerate_classes(idl.root_maximal_orders(499)[0], 2)  # founding levels up to 8
         g = orient.walk_component(idl.root_maximal_order(37), 2, 3)
         alg = QuatAlgebra.for_prime(37)
         for den, mat in g.vertices():  # 6: the kernel oracle's subfield kernels
             kernel_conductors(idl.QOrder(QLattice(alg, mat, den)))
-        moduli = [m for _, _, m in seen if m is not None]
+        moduli = [m for _, _, m, _ in seen if m is not None]
         assert len(seen) > 300 and len(moduli) > 200 and len(seen) - len(moduli) > 40
-        assert {ncols for _, ncols, _ in seen} == {4, 6}
+        assert {ncols for _, ncols, _, _ in seen} == {4, 6}
         assert set(moduli) >= {2, 4, 8, 3, 9, 27, 81, 5, 7, 16, 64}
-        for rows, ncols, m in seen:
+        assert sum(E is not None for *_, E in seen) > 200
+        for rows, ncols, m, E in seen:
             ident = [] if m is None else [[m * (s == t) for t in range(ncols)] for s in range(ncols)]
-            assert hnf_rows(rows, ncols, m) == hnf_rows_oracle(ident + rows, ncols)
+            if E is None:
+                assert hnf_rows(rows, ncols, m) == hnf_rows_oracle(ident + rows, ncols)
+            else:
+                assert all(E[s][s] > 0 and not any(E[s][:s]) for s in range(ncols))
+                assert hnf_rows_oracle(E, ncols) == hnf_rows_oracle(ident + rows, ncols)
 
 
 def integer_kernel_oracle(rows, ncols):

@@ -9,7 +9,9 @@ graph: the search finds, within a per-case budget, a bijection that keeps
 every multiplicity, and for p <= 113 it is the backtracking reference's
 witness, keys in the same order.  The tree BFS gives the former BFS's class
 set up to relabelling: B = Pi B_old Pi^T and a = Pi a_old, with Pi read off
-the equivalence oracle.
+the equivalence oracle.  Each unit size, counted on the founding ideal's
+minimal vectors, is the number of norm-1 pairs of its right order, found
+by trace duality.
 
 Type side: for l in {2, 3} the Frobenius-reduced curve graph is isomorphic
 to the type graph, and once per p (the types do not depend on l) the
@@ -40,8 +42,8 @@ from qisog.ideals import QOrder
 from qisog.lattice import QLattice
 from qisog.quat import QuatAlgebra
 from test_bass import assert_bottom_up_enumeration_agrees, assert_oracle_agrees
-from test_brandt import (assert_relabels_first_match, backtrack_isomorphism, oracle_types,
-                         sigma_types)
+from test_brandt import (assert_relabels_first_match, assert_unit_sizes_match_right_orders,
+                         backtrack_isomorphism, oracle_types, sigma_types)
 from test_ideals import assert_root_and_walked_order_agree
 from test_orient import kernel_conductors
 
@@ -56,6 +58,7 @@ ISO_BUDGET_S = 2.0  # per isomorphism search; the range needs at most about 10 m
 def test_class_set_and_brandt_matrix(p, ell):
     cs = brandt.enumerate_classes(idl.root_maximal_orders(p)[0], ell)
     assert cs.class_number == numth.class_number(p)
+    assert_unit_sizes_match_right_orders(cs)
     brandt.brandt_matrix(cs)
     G, Br = ecgraph.build_isogeny_graph(p, ell), brandt.brandt_graph(cs)
     start = time.perf_counter()
