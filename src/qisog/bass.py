@@ -18,7 +18,7 @@ from . import numth
 from .errors import CapExceeded, PreconditionError
 from .ideals import QOrder
 # frac_inverse has no caller here; perfbench's tracer self-test resolves bass.frac_inverse
-from .lattice import QLattice, frac_inverse, hnf_rows, triangular_adjugate  # noqa: F401
+from .lattice import QLattice, echelon_mod, frac_inverse, triangular_adjugate  # noqa: F401
 from .quat import QuatAlgebra
 
 SUPERORDER_CAP = 10**5
@@ -160,11 +160,9 @@ def _contained_dK(O: QOrder) -> int:
     """Fundamental discriminant of a quadratic subfield whose maximal order
     sits inside O: one of the two standard ones must."""
     alg = O.algebra
-    wi, wj = idl.maximal_quadratic_generators(alg)
-    if O.contains(wi):
-        return alg.fundamental_discriminants[0]
-    if O.contains(wj):
-        return alg.fundamental_discriminants[1]
+    for (x, xden), dK in zip(alg.maximal_quadratic_rows, alg.fundamental_discriminants):
+        if O.lattice.int_coords(x, xden) is not None:
+            return dK
     raise PreconditionError("O holds neither standard maximal quadratic order")
 
 
@@ -196,14 +194,16 @@ def _sublattice_hnfs(index: int, gram):
     integer matrix gram.
 
     Such a lattice contains index Z^4, so it holds gram's rows exactly when
-    it holds those of M, the HNF of gram's rows and index I, echeloned
-    modulo the index.  A vector that vanishes before column t meets H only
-    through rows t..3, so H holds M exactly when, for each t, row t of M
-    lies in the span of rows t..3 of H.
+    it holds those of M, the echelon of gram's rows and index I modulo the
+    index; only M's pivots and the membership of its rows are read, and
+    neither depends on how far M is reduced above its pivots.  A vector
+    that vanishes before column t meets H only through rows t..3, so H
+    holds M exactly when, for each t, row t of M lies in the span of rows
+    t..3 of H.
     H is therefore built from the bottom, t = 3 down to 0: pivot d_t divides
     both M[t][t] and the index left, and row t of M is tested as soon as
     row t of H is fixed."""
-    M = hnf_rows(gram, modulus=index)
+    M = echelon_mod(gram, 4, index)
     H = [[0] * 4 for _ in range(4)]
 
     def holds(t):

@@ -3,17 +3,16 @@ the type-set quotient graph, and exact directed-multigraph isomorphism.
 
 The classes are found by a BFS over O0's Bruhat-Tits tree, off one l-adic
 frame of O0 (see enumerate_classes).  A class lookup runs one short-vector
-search on the point's ideal, up to K nrd(J): its theta prefix picks the
-bucket, and its minimal vectors carry the equivalence tests and, for a new
-class, its unit size.  A class's representative is the tree point's ideal
-that founded it, of norm l^k at founding level k, unreduced: the
+search on the point's ideal, for its minimal vectors: they give its class
+key, which picks the bucket, and carry the equivalence tests and, for a
+new class, its unit size.  A class's representative is the tree point's
+ideal that founded it, of norm l^k at founding level k, unreduced: the
 equivalence tests run on LLL-reduced bases anyway.  No lookup builds an
 order.  Ideals are plain QLattices, as in ideals.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -34,13 +33,13 @@ class ClassSet:
     """Left ideal classes of O0 and, once enumerate_classes completes them,
     the Brandt matrix.
 
-    class_of is the one class lookup.  Classes are bucketed by the theta
-    prefix for k up to K = theta_length(p), and an ideal is tested, by
-    minimal vectors, only against the representatives in its bucket.  Once
-    sum 1/a_j reaches the mass (p-1)/12 the list is complete, so when all
-    other candidates in its bucket fail, the last one is its class without
-    a test.  A unit group modulo +-1 has order 1, 2, 3, 4, 6 or 12, so the
-    sum is kept in integers, as sum 12/a_j against p - 1."""
+    class_of is the one class lookup.  Classes are bucketed by class_key,
+    and an ideal is tested, by minimal vectors, only against the
+    representatives in its bucket.  Once sum 1/a_j reaches the mass
+    (p-1)/12 the list is complete, so when all other candidates in its
+    bucket fail, the last one is its class without a test.  A unit group
+    modulo +-1 has order 1, 2, 3, 4, 6 or 12, so the sum is kept in
+    integers, as sum 12/a_j against p - 1."""
 
     order0: QOrder
     ell: int
@@ -49,7 +48,7 @@ class ClassSet:
     unit_sizes: list = field(default_factory=list)  # a_j = |O_R(I_j)^x| / 2
     # b_ij = number of ell-neighbors of I_i equivalent to I_j
     brandt: list = field(default_factory=list)
-    _buckets: dict = field(default_factory=dict, init=False, repr=False)  # theta prefix -> indices
+    _buckets: dict = field(default_factory=dict, init=False, repr=False)  # class_key -> indices
     _found: int = field(default=0, init=False, repr=False)  # sum 12/a_j
 
     @property
@@ -66,11 +65,10 @@ class ClassSet:
         the next representative, as it is, with the unit size
         ideals.unit_count(J).
 
-        J gets one short-vector search, theta_prefix's up to K nrd(J); by
-        Hermite's bound (see theta_length) it holds J's minimal vectors, on
-        which is_equivalent and unit_count then run without another, now and
-        whenever J is a representative tested later."""
-        key = theta_prefix(J, theta_length(self.order0.algebra.p))
+        J gets one short-vector search, for its minimal vectors: class_key
+        reads them, and is_equivalent and unit_count run on them without
+        another, now and whenever J is a representative tested later."""
+        key = class_key(J)
         bucket = self._buckets.get(key, [])
         complete = self.complete
         tested = bucket[:-1] if complete else bucket
@@ -98,35 +96,18 @@ def ell_neighbors(I: QLattice, ell: int) -> list[QLattice]:
     return [I * s for s in steps]
 
 
-def theta_length(p: int) -> int:
-    """K = max(4, isqrt(p)), the length of the theta prefix.
+def class_key(J: QLattice) -> tuple[int, int]:
+    """(min(J) / nrd(J), the number of +-pairs of minimal vectors of J).
 
-    For J an ideal of a maximal order, the norm form on J has determinant
-    nrd(J)^4 p^2 / 16, so by Hermite's bound (gamma_4 = sqrt(2)) J has an
-    element with nrd(x) / nrd(J) <= sqrt(2) (p^2 / 16)^(1/4) = sqrt(p/2);
-    that ratio is an integer, hence at most isqrt(p // 2) <= K.  So a search
-    up to K nrd(J) holds J's minimal vectors."""
-    return max(4, math.isqrt(p))
-
-
-def theta_prefix(J: QLattice, K: int) -> tuple[int, ...]:
-    """#{x in J : nrd(x) = k nrd(J)} for k = 1..K, one of each +-pair.
-
-    x -> x alpha maps J onto J alpha and keeps nrd(x) / nrd(J), so this is
-    an invariant of the left ideal class.  Counted on integer norms: a row
-    v of J's search has nrd(v/den) / nrd(J) = nrd(v) / (den^2 nrd(J)).
-    Needs K >= theta_length(p), so that the search is non-empty (Hermite's
-    bound) and fills J's minimal vectors."""
-    n = J.reduced_norm
-    vecs = J.short_vectors(K * n)
-    assert vecs, "Hermite's bound puts a vector within theta_length(p) nrd(J)"
-    n_int = n.numerator * J.den**2 // n.denominator
-    counts = [0] * K
-    for norm, _ in vecs:
-        k, rem = divmod(norm, n_int)
-        assert rem == 0, "nrd(J) divides the norm of every element"
-        counts[k - 1] += 1
-    return tuple(counts)
+    x -> x alpha maps J onto J alpha, scales every norm and nrd(J) by
+    nrd(alpha) and maps minimal vectors onto minimal vectors, so this is
+    an invariant of the left ideal class.  nrd(J) divides every norm in J,
+    so the ratio is an integer, read off integer norms: a row v of J's
+    search has nrd(v/den) / nrd(J) = nrd(v) / (den^2 nrd(J))."""
+    n, vecs = J.reduced_norm, J.minimal_vectors
+    k, rem = divmod(vecs[0][0], n.numerator * J.den**2 // n.denominator)
+    assert rem == 0, "nrd(J) divides the norm of every element"
+    return k, len(vecs)
 
 
 def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
@@ -139,9 +120,9 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     it is a free entry of its row, and ClassSet.class_of gives the children's
     classes: h ell + 1 lookups after O0's.  A new class's unit size is
     counted on its ideal's minimal vectors; no order is built at a point.
-    Classes are numbered in founding order.  The frame starts at n = 2 and
-    doubles before a point at level k is expanded whose children's ideals,
-    of norm ell^(k+1), need n >= k + 1.
+    Classes are numbered in founding order.  The frame is built once, at
+    n = h: founding levels are at most h - 1 (see below), so the deepest
+    children's ideals, of norm ell^h, need n = h.
 
     The mass formula, the class-number formula, the row sums ell+1 and
     a_j b_ij = a_i b_ji are checked before returning, and class 0's unit
@@ -154,7 +135,7 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     if ell == p:
         raise PreconditionError("ell must differ from p")
     level_cap = numth.class_number(p) - 1
-    frame = idl.matrix_split(O0, ell, 2)
+    frame = idl.matrix_split(O0, ell, level_cap + 1)
     cs = ClassSet(order0=O0, ell=ell)
     cs.class_of(O0.lattice)
     founded = [(None, 0, None)]  # (point, level, class that expanded it), by class
@@ -162,8 +143,6 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     for point, k, parent in founded:
         if k > level_cap:
             raise CapExceeded("class-set founding level cap exceeded")
-        if k + 1 > frame.n:
-            frame = frame.lift(2 * frame.n)
         row = [] if parent is None else [parent]
         for child in idl.tree_children(point, k + 1, ell):
             P = idl.tree_point_matrix(child, ell)
@@ -218,7 +197,7 @@ def type_involution(cs: ClassSet) -> list[int]:
     beta, then J (I beta)^-1 is a two-sided O0-ideal, which up to Q^x is O0
     or P; so the classes whose right orders are conjugate to O_R(I_j) are
     exactly j and sigma(j).  Checked: sigma is an involution and keeps the
-    unit size, and class_of finds each P I_j's theta prefix among the
+    unit size, and class_of finds each P I_j's class key among the
     buckets."""
     O0 = cs.order0
     P = idl.two_sided_p_ideal(O0)

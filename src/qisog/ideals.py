@@ -2,11 +2,10 @@
 root maximal orders, primitivity, connecting ideals, the l-adic frame
 (matrix units of O/l^n O = M2(Z/l^n), built around one rank-1 idempotent
 and checked by their 16 relations: matrix_split finds it mod l and builds
-the frame at the caller's n, and EllAdicFrame.lift builds the same frame
-at another n), and ideal equivalence testing.  The frame at n reads off
-the Bruhat-Tits tree around O: the maximal order at each point w of
-P^1(Z/l^k), 2k <= n (ball_order), and for k <= n the ideal of norm l^k
-connecting O to it (ball_ideal); the norm-l ideals are those of the frame
+the frame at the caller's n, the same frame at every n), and ideal
+equivalence testing.  The frame at n reads off the Bruhat-Tits tree around
+O: the maximal order at each point w of P^1(Z/l^k), 2k <= n (ball_order),
+and for k <= n the ideal of norm l^k connecting O to it (ball_ideal); the norm-l ideals are those of the frame
 at n = 1 (the mod-l splitting).  Both are built in O's own coordinates,
 from small integers: l^k times the order contains l^(2k) O, and the ideal
 contains l^k O, so their generators are only needed mod l^(2k), resp.
@@ -57,9 +56,6 @@ class QOrder:
 
     def basis_elements(self):
         return self.lattice.basis_elements()
-
-    def contains(self, elt: QuatElement) -> bool:
-        return self.lattice.contains(elt)
 
     def contains_order(self, other: "QOrder") -> bool:
         return self.lattice.contains_lattice(other.lattice)
@@ -151,12 +147,6 @@ def reduced_discriminant(order: QOrder) -> int:
     return val
 
 
-def maximal_quadratic_generators(alg: QuatAlgebra) -> tuple[QuatElement, QuatElement]:
-    """Generators w_i, w_j of the maximal orders of Q(i), Q(j) inside alg."""
-    return tuple(QuatElement(alg, tuple(Frac(x, den) for x in row))
-                 for row, den in alg.maximal_quadratic_rows)
-
-
 def _root_generators(p: int) -> tuple[QuatAlgebra, int, list, list]:
     """The algebra, and generators of the two explicit root maximal orders
     as integer rows over one denominator."""
@@ -210,11 +200,10 @@ def root_maximal_order(p: int) -> QOrder:
 def global_root_orders(orders: list[QOrder]) -> list[QOrder]:
     """The orders among orders, deduplicated, that contain both maximal
     quadratic orders."""
-    alg = orders[0].algebra
-    wi, wj = maximal_quadratic_generators(alg)
+    rows = orders[0].algebra.maximal_quadratic_rows
     out = []
     for o in orders:
-        if o.contains(wi) and o.contains(wj) and o not in out:
+        if all(o.lattice.int_coords(x, xden) is not None for x, xden in rows) and o not in out:
             out.append(o)
     return out
 
@@ -327,9 +316,10 @@ def matrix_split(O: QOrder, ell: int, precision: int = 1) -> EllAdicFrame:
     eigenvalues l1 != l2 lie in F_ell.  As (u - l1)(u - l2) = 0 (Cayley-
     Hamilton), e = (u - l1)/(l2 - l1) is an idempotent other than 0 and 1,
     so of rank 1, and the frame is built around it, at the caller's
-    precision; EllAdicFrame.lift gives the same frame at another one.  The
-    quotient is always split for ell != p (the lift of a diagonal matrix
-    qualifies), so an exhausted scan indicates a bug.
+    precision.  The scan and the lift of e to ell^n do not depend on the
+    precision, so the frames at two precisions agree modulo the coarser
+    one.  The quotient is always split for ell != p (the lift of a
+    diagonal matrix qualifies), so an exhausted scan indicates a bug.
     """
     p = O.algebra.p
     if ell == p or not numth.is_prime(ell):
@@ -404,13 +394,6 @@ class EllAdicFrame:
         for a, b, c, d in itertools.product(range(2), repeat=4):
             want = E[a][d] if b == c else (0, 0, 0, 0)
             assert self.mul(E[a][b], E[c][d]) == want, "matrix-unit relation fails mod ell^n"
-
-    def lift(self, n: int) -> EllAdicFrame:
-        """The frame mod ell^n around E11 mod ell, which is the idempotent
-        matrix_split found (every lift reduces to it), so it is the frame
-        matrix_split(order, ell, n) builds, and does not depend on the frame
-        lifted from."""
-        return _frame_around(self.order, self.ell, n, tuple(x % self.ell for x in self.units[0][0]))
 
     def coords_of(self, X, q: int) -> list[int]:
         """The O-coordinates mod q (a divisor of ell^n) of the element with

@@ -27,11 +27,8 @@ Frac = Fraction
 # integer / rational matrix helpers
 
 
-def hnf_rows(rows: list[list[int]], ncols: int = 4, modulus: int | None = None
-             ) -> list[tuple[int, ...]]:
-    """Row Hermite normal form; returns the nonzero rows.  With a modulus m,
-    a prime power, it is that of the rows together with m times the
-    identity, found by echelon_mod.
+def hnf_rows(rows: list[list[int]], ncols: int = 4) -> list[tuple[int, ...]]:
+    """Row Hermite normal form; returns the nonzero rows.
 
     Pivots are positive and entries above a pivot are reduced into
     [0, pivot).  Rows appear in order of pivot column.
@@ -41,33 +38,30 @@ def hnf_rows(rows: list[list[int]], ncols: int = 4, modulus: int | None = None
     and Euclid steps against the pivot row otherwise; what is left moves
     on to the next column.  The entries above the pivots are reduced last.
     """
-    if modulus is not None:
-        out, cols = echelon_mod(rows, ncols, modulus), range(ncols)
-    else:
-        piv: list[list[int] | None] = [None] * ncols
-        for r in rows:
-            r = list(map(int, r))
-            for col in range(ncols):
-                if not r[col]:
-                    continue
-                b = piv[col]
-                if b is None:
-                    piv[col] = r if r[col] > 0 else [-x for x in r]
-                    break
-                q, rem = divmod(r[col], b[col])
-                if not rem:
-                    for t in range(col, ncols):
-                        r[t] -= q * b[t]
-                    continue
-                a = b
-                while r[col]:
-                    q = a[col] // r[col]
-                    for t in range(col, ncols):
-                        a[t] -= q * r[t]
-                    a, r = r, a
-                piv[col] = a if a[col] > 0 else [-x for x in a]
-        cols = [c for c in range(ncols) if piv[c] is not None]
-        out = [piv[c] for c in cols]
+    piv: list[list[int] | None] = [None] * ncols
+    for r in rows:
+        r = list(map(int, r))
+        for col in range(ncols):
+            if not r[col]:
+                continue
+            b = piv[col]
+            if b is None:
+                piv[col] = r if r[col] > 0 else [-x for x in r]
+                break
+            q, rem = divmod(r[col], b[col])
+            if not rem:
+                for t in range(col, ncols):
+                    r[t] -= q * b[t]
+                continue
+            a = b
+            while r[col]:
+                q = a[col] // r[col]
+                for t in range(col, ncols):
+                    a[t] -= q * r[t]
+                a, r = r, a
+            piv[col] = a if a[col] > 0 else [-x for x in a]
+    cols = [c for c in range(ncols) if piv[c] is not None]
+    out = [piv[c] for c in cols]
     for s, col in enumerate(cols):
         b = out[s]
         for r in out[:s]:
@@ -536,10 +530,7 @@ class QLattice:
         so the range at level k is symmetric and the subtree below -c_k
         mirrors the one below c_k.  It visits as many nodes, and counts as
         that twin does, so the node count and ``cap`` are those of the
-        whole tree.
-
-        A non-empty answer holds every vector of least norm, so it also
-        fills ``minimal_vectors``."""
+        whole tree."""
         bound = Frac(bound)
         if bound <= 0:
             raise PreconditionError("bound must be positive")
@@ -595,14 +586,11 @@ class QLattice:
             if c3:
                 twin(n3)
         out.sort()  # (nrd, coords) of v / den orders as (nrd of v, v) does
-        if out:
-            self.__dict__.setdefault("minimal_vectors", [x for x in out if x[0] == out[0][0]])
         return out
 
     @cached_property
     def minimal_vectors(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The pairs of ``short_vectors`` of least norm: read off the first
-        non-empty search, or else found by one search bounded by the norm of
-        the first LLL-reduced basis vector."""
-        self.short_vectors(Frac(self.lll[1][0][0], self.den**2))
-        return self.__dict__["minimal_vectors"]  # filled by that search
+        """The pairs of ``short_vectors`` of least norm, by one search
+        bounded by the norm of the first LLL-reduced basis vector."""
+        vecs = self.short_vectors(Frac(self.lll[1][0][0], self.den**2))
+        return [x for x in vecs if x[0] == vecs[0][0]]

@@ -166,18 +166,6 @@ class QuatElement:
             raise PreconditionError("division by zero quaternion")
         return QuatElement(self.algebra, tuple(c / n for c in self.conjugate().coords))
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.algebra.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def key(self):
         """Deterministic sort key: norm first, then coordinates."""
         return (self.nrd(), self.coords)

@@ -47,8 +47,8 @@ def test_criterion_1_root_orders():
             orders = idl.root_maximal_orders(p)
             first = orders[0]
             assert first.reduced_discriminant == p and first.is_maximal
-            wi, wj = idl.maximal_quadratic_generators(first.algebra)
-            assert first.contains(wi) and first.contains(wj)
+            assert all(first.lattice.int_coords(x, xden) is not None
+                       for x, xden in first.algebra.maximal_quadratic_rows)
         for p in (13, 29, 17, 41):
             a, b = idl.root_maximal_orders(p)
             assert a.is_maximal and b.is_maximal

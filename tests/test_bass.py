@@ -95,7 +95,7 @@ class TestEichlerSymbol:
         mod its radical is F_2 x F_2, which the idempotent search finds,
         and O0, O1 are its two maximal superorders."""
         O0 = idl.root_maximal_order(p)
-        O1 = idl.matrix_split(O0, 2).lift(2).ball_order(idl.tree_point_matrix((0, 0), 2), 1)
+        O1 = idl.matrix_split(O0, 2, 2).ball_order(idl.tree_point_matrix((0, 0), 2), 1)
         E = QOrder(O0.lattice.intersect(O1.lattice))
         assert E.reduced_discriminant == 2 * p
         assert bass.eichler_symbol_radical(E, 2).value == 1

@@ -1,5 +1,4 @@
 import functools
-import math
 from fractions import Fraction
 
 import pytest
@@ -239,39 +238,31 @@ class TestClassEnumeration:
 
     @pytest.mark.parametrize("p,ell", [(499, 2), (211, 3), (101, 7), (13, 2)])
     def test_one_matrix_split_per_class_set(self, p, ell, monkeypatch):
-        """The frame is split once, at ell^2, and then only lifted, on by
-        doubling, however deep the founding points lie: no frame is built
-        at n = 1.  A point at level k is expanded into children's ideals of
-        norm ell^(k+1), so the frame is lifted only when k + 1 > n, and ends
-        at the least power of two n >= 2 with n > D, D the deepest founding
-        level."""
-        splits, lifts, built = [], [], []
-        matrix_split, lift, frame_around = idl.matrix_split, idl.EllAdicFrame.lift, idl._frame_around
+        """The frame is split once, at n = h, and no other frame is built at
+        any precision: founding levels are at most h - 1, so the deepest
+        children's ideals, of norm ell^h, need n = h."""
+        splits, built = [], []
+        matrix_split, frame_around = idl.matrix_split, idl._frame_around
 
         def counted(O, ell, precision=1):
             splits.append((O.key(), precision))
             return matrix_split(O, ell, precision)
-
-        def recorded(frame, n):
-            lifts.append(n)
-            return lift(frame, n)
 
         def building(O, ell, n, e):
             built.append(n)
             return frame_around(O, ell, n, e)
 
         monkeypatch.setattr(idl, "matrix_split", counted)
-        monkeypatch.setattr(idl.EllAdicFrame, "lift", recorded)
         monkeypatch.setattr(idl, "_frame_around", building)
         O0 = idl.root_maximal_orders(p)[0]
         cs = brandt.enumerate_classes(O0, ell)
-        assert splits == [(O0.key(), 2)]
-        assert lifts == [2**i for i in range(2, len(lifts) + 2)]
-        assert built == [2] + lifts
+        h = numth.class_number(p)
+        assert splits == [(O0.key(), h)]
+        assert built == [h]
         # a representative founded at level k is a ball ideal of norm ell^k
         deepest = max(next(k for k in range(64) if ell**k == R.reduced_norm)
                       for R in cs.representatives)
-        assert built[-1] == max(2, 1 << deepest.bit_length())
+        assert deepest < h
 
     def test_representatives_have_left_order_O0(self):
         cs = classes(37, 2)
@@ -285,28 +276,33 @@ def classes_101():
 
 
 class TestThetaPrefix:
+    """The class lookup: its key, class_key, and what one lookup runs."""
+
     @settings(max_examples=40, deadline=None)
     @given(rep=st.integers(0, 8), coords=st.tuples(*[st.integers(-4, 4)] * 4),
            den=st.integers(1, 3))
     def test_invariant_under_right_multiplication(self, classes_101, rep, coords, den):
+        """class_key(J alpha) == class_key(J), with J alpha built by times
+        from Fraction products of J's basis, a path apart from the lattice
+        code's integer rows."""
         assume(any(coords))
         J = classes_101.representatives[rep]
         alpha = QuatElement(J.algebra, tuple(Fraction(c, den) for c in coords))
-        K = max(4, math.isqrt(101))
-        assert brandt.theta_prefix(times(J, alpha), K) == brandt.theta_prefix(J, K)
-
-    def test_length_covers_hermites_bound(self):
-        """K >= floor(sqrt(p/2)), the bound on nrd(x) / nrd(J) for J's
-        minimal vectors, so one search up to K nrd(J) holds them."""
-        for p in (p for p in range(5, ecgraph.MAX_P + 1) if numth.is_prime(p)):
-            assert brandt.theta_length(p) >= math.isqrt(p // 2)
+        assert brandt.class_key(times(J, alpha)) == brandt.class_key(J)
 
     @pytest.mark.parametrize("p,ell", [(37, 3), (101, 2), (211, 2)])
-    def test_unreduced_neighbor_has_the_reduced_prefix(self, p, ell):
+    def test_unreduced_neighbor_has_the_reduced_key(self, p, ell):
+        """Each ell-neighbour of a representative, as ell_neighbors forms it,
+        has the class key of its reduction by reduce_ideal, an equivalent
+        ideal of small norm; over the neighbours the keys take more than one
+        value."""
         cs = classes(p, ell)
-        K = brandt.theta_length(p)
+        keys = set()
         for J in [J for R in cs.representatives for J in brandt.ell_neighbors(R, ell)]:
-            assert brandt.theta_prefix(J, K) == brandt.theta_prefix(idl.reduce_ideal(J, cs.order0), K)
+            key = brandt.class_key(J)
+            assert key == brandt.class_key(idl.reduce_ideal(J, cs.order0))
+            keys.add(key)
+        assert len(keys) > 1
 
     @pytest.mark.parametrize("p,ell", [(101, 2), (113, 3)])
     def test_one_search_and_no_reduction_per_lookup(self, p, ell, monkeypatch):
@@ -374,7 +370,7 @@ class TestThetaPrefix:
     def test_representatives_are_founding_ball_ideals(self, p, ell, monkeypatch):
         """Each representative is the ball ideal frame.ball_ideal(P, k) of
         the tree point that founded its class, of reduced norm ell^k, as a
-        frame lifted afresh to precision k rebuilds it; O0 founds class 0."""
+        frame split afresh at precision k rebuilds it; O0 founds class 0."""
         built, ball_ideal = [], idl.EllAdicFrame.ball_ideal
 
         def recorded(frame, P, k):
@@ -386,11 +382,10 @@ class TestThetaPrefix:
         cs = brandt.enumerate_classes(O0, ell)
         monkeypatch.undo()
         assert cs.representatives[0] is O0.lattice
-        split = idl.matrix_split(O0, ell)
         for R in cs.representatives[1:]:
             P, k = next((P, k) for I, P, k in built if I is R)
             assert R.reduced_norm == ell**k
-            assert R == split.lift(k).ball_ideal(P, k)
+            assert R == idl.matrix_split(O0, ell, k).ball_ideal(P, k)
 
     @pytest.mark.parametrize("p,ell", [(113, 3), (211, 2)])
     def test_few_equivalence_tests_per_neighbor(self, p, ell, monkeypatch):

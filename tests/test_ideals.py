@@ -253,16 +253,17 @@ class TestRootOrders:
             alg = QuatAlgebra.for_prime(p)
             want = tuple((alg.one + u) / 2 if d % 4 == 1 else u
                          for d, u in ((alg.d_i, alg.i), (alg.d_j, alg.j)))
-            assert idl.maximal_quadratic_generators(alg) == want
+            assert tuple(QuatElement(alg, tuple(Fraction(x, den) for x in row))
+                         for row, den in alg.maximal_quadratic_rows) == want
 
     @pytest.mark.parametrize("p", [7, 11, 19, 23])
     def test_three_mod_four(self, p):
         orders = idl.root_maximal_orders(p)
         assert all(o.reduced_discriminant == p for o in orders)
-        alg = orders[0].algebra
-        wi, wj = idl.maximal_quadratic_generators(alg)
-        assert orders[0].contains(wi) and orders[0].contains(wj)
-        assert not orders[1].contains(wj)   # only the first holds both
+        (wi, iden), (wj, jden) = orders[0].algebra.maximal_quadratic_rows
+        first, second = orders[0].lattice, orders[1].lattice
+        assert first.int_coords(wi, iden) is not None and first.int_coords(wj, jden) is not None
+        assert second.int_coords(wj, jden) is None   # only the first holds both
         assert idl.global_root_orders(orders) == [orders[0]]
 
     @pytest.mark.parametrize("p", [13, 29, 17, 41])
@@ -493,7 +494,7 @@ def assert_frame_orders_agree(O: QOrder, ell: int) -> None:
     """The depth-1 orders of O's ell-adic frame against the right orders of
     O's norm-ell ideals; then, at each depth-1 vertex W, its ell depth-2
     orders together with O against the right orders of W's ideals."""
-    frame = idl.matrix_split(O, ell).lift(4)
+    frame = idl.matrix_split(O, ell, 4)
     level1 = frame_orders(frame, None, 1)
     assert len(level1) == ell + 1 and set(level1) == ideal_right_orders(O, ell)
     for key, w in level1.items():
@@ -542,13 +543,13 @@ class TestEllAdicFrame:
     @pytest.mark.parametrize("p,ell", FRAME_CASES)
     def test_matrix_unit_relations(self, p, ell):
         O = idl.root_maximal_order(p)
-        frame = idl.matrix_split(O, ell).lift(self.N)
+        frame = idl.matrix_split(O, ell, self.N)
         E = [[self.element(O, u) for u in row] for row in frame.units]
         q = ell**self.N
-        assert O.contains((E[0][0] + E[1][1] - O.algebra.one) / q)
+        assert O.lattice.contains((E[0][0] + E[1][1] - O.algebra.one) / q)
         for a, b, c, d in itertools.product(range(2), repeat=4):
             err = E[a][b] * E[c][d] - (E[a][d] if b == c else O.algebra.element())
-            assert O.contains(err / q), (a, b, c, d)
+            assert O.lattice.contains(err / q), (a, b, c, d)
         # mod ell the units are the split's, and those are its matrix units
         split = idl.matrix_split(O, ell)
         for a, b in itertools.product(range(2), repeat=2):
@@ -558,15 +559,17 @@ class TestEllAdicFrame:
 
     @pytest.mark.parametrize("p,ell", FRAME_CASES)
     def test_lift_does_not_depend_on_the_frame_lifted_from(self, p, ell):
-        """Lifting the split to ell^16 directly, through ell^2, ell^4 and
-        ell^8, or back down to ell gives the same units: each lift starts
-        from E11 mod ell, which is the split's E11."""
-        split = idl.matrix_split(idl.root_maximal_order(p), ell)
-        direct, chained = split.lift(16), split
-        for n in (2, 4, 8, 16):
-            chained = chained.lift(n)
-        assert chained == direct and chained.n == 16
-        assert direct.lift(1) == split.lift(1) == split
+        """The frames at ell^n for n in 1, 2, 4, 8 are the frame at ell^16
+        reduced mod ell^n: each is lifted from the idempotent the same scan
+        finds mod ell, and a lift that is idempotent mod ell^n stays so, and
+        the same mod ell^n, under the later lifting rounds."""
+        O = idl.root_maximal_order(p)
+        fine = idl.matrix_split(O, ell, 16)
+        assert fine.n == 16
+        for n in (1, 2, 4, 8):
+            q = ell**n
+            reduced = tuple(tuple(tuple(x % q for x in u) for u in row) for row in fine.units)
+            assert idl.matrix_split(O, ell, n).units == reduced
 
     @staticmethod
     def assert_corrupted_unit_trips_the_check(frame):
@@ -579,7 +582,7 @@ class TestEllAdicFrame:
 
     @pytest.mark.parametrize("p,ell", [(7, 2), (101, 5), (499, 3)])
     def test_corrupted_unit_trips_the_check(self, p, ell):
-        frame = idl.matrix_split(idl.root_maximal_order(p), ell).lift(self.N)
+        frame = idl.matrix_split(idl.root_maximal_order(p), ell, self.N)
         self.assert_corrupted_unit_trips_the_check(frame)
 
     @pytest.mark.parametrize("p,ell", [(7, 2), (101, 5), (499, 3)])
@@ -592,13 +595,14 @@ class TestEllAdicFrame:
     def test_every_frame_is_checked(self, monkeypatch):
         checked = []
         monkeypatch.setattr(idl.EllAdicFrame, "check", lambda frame: checked.append(frame.n))
-        idl.matrix_split(ROOT7, 3).lift(5)
+        idl.matrix_split(ROOT7, 3)
+        idl.matrix_split(ROOT7, 3, 5)
         assert checked == [1, 5]
 
     @pytest.mark.parametrize("p,ell", [(7, 3), (101, 2), (499, 7)])
     def test_matrix_of_is_multiplicative(self, p, ell):
         O = idl.root_maximal_order(p)
-        frame = idl.matrix_split(O, ell).lift(6)
+        frame = idl.matrix_split(O, ell, 6)
         q = frame.modulus
         basis = [tuple(int(s == t) for s in range(4)) for t in range(4)]
         assert matrix_of(frame, idl._one_coords(O, q)) == ((1, 0), (0, 1))
@@ -676,17 +680,16 @@ class TestBallAgainstEightRowHnf:
     resp. ell^k; the former 8-row HNFs in standard coordinates are the
     second path.  Every tree point down to depth 5, 3, 2, 2 for ell = 2, 3,
     5, 7 is checked, from global roots and from starts with ell | f_i f_j,
-    on frames lifted to exactly what the distance needs and beyond."""
+    on frames at exactly the precision the distance needs and beyond."""
 
     @pytest.mark.parametrize("p,ell,divisible", ORACLE_STARTS)
     def test_same_keys(self, p, ell, divisible):
         O = divisible_start(p, ell) if divisible else idl.root_maximal_order(p)
-        split = idl.matrix_split(O, ell)
         kinds, level = set(), [None]
         for k in range(1, ORACLE_DEPTH[ell] + 1):
             level = [w for x in level for w in idl.tree_children(x, k, ell)]
             for n in (k, 2 * k, 4 * k):
-                frame = split.lift(n)
+                frame = idl.matrix_split(O, ell, n)
                 for w in level:
                     P = idl.tree_point_matrix(w, ell)
                     if 2 * k <= n:
@@ -713,7 +716,7 @@ def random_sl2(rng, bound: int) -> tuple:
     return ((a, -y0 + t * a), (c, x0 + t * c))
 
 
-FRAMES = [idl.matrix_split(idl.root_maximal_order(p), ell).lift(n)
+FRAMES = [idl.matrix_split(idl.root_maximal_order(p), ell, n)
           for p, ell, n in ((7, 2, 8), (101, 3, 4), (113, 2, 6), (499, 7, 4))]
 
 
@@ -791,8 +794,8 @@ class TestBallIdeal:
     @pytest.mark.parametrize("p,ell,k", CASES)
     def test_orders_and_norm(self, p, ell, k):
         O = idl.root_maximal_orders(p)[0]
-        frame = idl.matrix_split(O, ell).lift(2 * k)
-        coarse = idl.matrix_split(O, ell).lift(k)
+        frame = idl.matrix_split(O, ell, 2 * k)
+        coarse = idl.matrix_split(O, ell, k)
         for w in self.points(ell, k):
             P = idl.tree_point_matrix(w, ell)
             I = frame.ball_ideal(P, k)
@@ -807,7 +810,7 @@ class TestBallIdeal:
         and ell I_w' for w' its parent (at the root, the ell + 1 children's),
         along the first-child and the last-child path down to level k."""
         O = idl.root_maximal_orders(p)[0]
-        frame = idl.matrix_split(O, ell).lift(k + 1)
+        frame = idl.matrix_split(O, ell, k + 1)
 
         def ideal(w, j):
             if w is None:
@@ -1194,7 +1197,7 @@ class TestReduceIdeal:
 
 @functools.cache
 def ball_frame(p: int, ell: int) -> idl.EllAdicFrame:
-    return idl.matrix_split(idl.root_maximal_order(p), ell).lift(3)
+    return idl.matrix_split(idl.root_maximal_order(p), ell, 3)
 
 
 class TestContentScaling:

@@ -11,7 +11,7 @@ from qisog import bass, brandt, numth
 from qisog import ideals as idl
 from qisog import lattice
 from qisog.errors import CapExceeded, PreconditionError
-from qisog.lattice import QLattice, hnf_rows, lll_reduce
+from qisog.lattice import QLattice, echelon_mod, hnf_rows, lll_reduce
 from qisog.quat import QuatAlgebra, QuatElement, split_den
 
 
@@ -160,45 +160,50 @@ class TestHnfAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 10**9), ell=st.sampled_from([2, 3, 5, 7]), e=st.integers(0, 12))
     def test_modulus_prime_powers(self, seed, ell, e):
-        """With a modulus m = ell^e the HNF is that of [m I; rows], whose
-        rows may be anything: wider than m, negative, zero or dependent."""
+        """echelon_mod(rows, 4, m), m = ell^e, is upper triangular with
+        positive pivots and entries right of them in [0, m), and spans
+        [m I; rows], whose rows may be anything: wider than m, negative,
+        zero or dependent."""
         m, rng = ell**e, random.Random(seed)
         rows = random_int_rows(rng)[:rng.randint(0, 6)]
+        E = echelon_mod([list(r) for r in rows], 4, m)
+        assert all(E[s][s] > 0 and not any(E[s][:s]) for s in range(4))
+        assert all(0 <= x < m for s in range(4) for x in E[s][s + 1:])
         want = hnf_rows_oracle([[m * (s == t) for t in range(4)] for s in range(4)] + rows)
-        assert hnf_rows([list(r) for r in rows], modulus=m) == want
+        assert hnf_rows_oracle(E) == want
 
     def test_modulus_must_be_a_prime_power(self):
         """No entry of 2 and 3 divides the other mod 6, and 8 = 4 * 2 mod 12
         has no unit cofactor: the echelon raises rather than mis-reduce."""
         with pytest.raises(PreconditionError, match="not a prime power"):
-            hnf_rows([[2, 0, 0, 0], [3, 0, 0, 0]], modulus=6)
+            echelon_mod([[2, 0, 0, 0], [3, 0, 0, 0]], 4, 6)
         with pytest.raises(ValueError):
-            hnf_rows([[8, 0, 0, 0]], modulus=12)
+            echelon_mod([[8, 0, 0, 0]], 4, 12)
 
     def test_inputs_of_a_class_set_and_a_walk(self, monkeypatch):
-        """Every HNF, and every modular echelon of a tree point
-        (EllAdicFrame._span), of six class sets, a walk, the kernel
-        oracle's subfield kernels over it and two superorder enumerations.
-        A call with a modulus m is compared with the oracle on [m I; rows]:
-        an HNF equals it, and an echelon is upper triangular with positive
-        pivots, unreduced above them, with the oracle's HNF."""
+        """Every HNF, and every modular echelon (of a tree point in
+        EllAdicFrame._span, and of a superorder enumeration's trace Gram),
+        of six class sets, a walk, the kernel oracle's subfield kernels
+        over it and two superorder enumerations.  An HNF equals the oracle's
+        on its rows; an echelon modulo m is upper triangular with positive
+        pivots, unreduced above them, with the oracle's HNF of [m I; rows]."""
         from qisog import orient
         from test_orient import kernel_conductors
 
-        seen = []  # (rows, ncols, modulus, the echelon or None)
+        seen = []  # (rows, ncols, modulus or None, the echelon or None)
 
-        def recorder(rows, ncols=4, modulus=None):
-            seen.append(([list(r) for r in rows], ncols, modulus, None))
-            return hnf_rows(rows, ncols, modulus)
+        def recorder(rows, ncols=4):
+            seen.append(([list(r) for r in rows], ncols, None, None))
+            return hnf_rows(rows, ncols)
 
         def echelon_recorder(rows, ncols, m):
-            seen.append(([list(r) for r in rows], ncols, m, lattice.echelon_mod(rows, ncols, m)))
+            seen.append(([list(r) for r in rows], ncols, m, echelon_mod(rows, ncols, m)))
             return seen[-1][3]
 
         monkeypatch.setattr(lattice, "hnf_rows", recorder)
         monkeypatch.setattr(idl, "hnf_rows", recorder)
-        monkeypatch.setattr(bass, "hnf_rows", recorder)
         monkeypatch.setattr(idl, "echelon_mod", echelon_recorder)
+        monkeypatch.setattr(bass, "echelon_mod", echelon_recorder)
         for p in (109, 17):  # discrd 8p (p = 5 mod 8) and 3p (q = 3)
             bass.enumerate_maximal_superorders(bass.bass_order(QuatAlgebra.for_prime(p)))
         brandt.enumerate_classes(idl.root_maximal_orders(101)[0], 3)
@@ -217,10 +222,10 @@ class TestHnfAgainstOracle:
         assert set(moduli) >= {2, 4, 8, 3, 9, 27, 81, 5, 7, 16, 64}
         assert sum(E is not None for *_, E in seen) > 200
         for rows, ncols, m, E in seen:
-            ident = [] if m is None else [[m * (s == t) for t in range(ncols)] for s in range(ncols)]
             if E is None:
-                assert hnf_rows(rows, ncols, m) == hnf_rows_oracle(ident + rows, ncols)
+                assert hnf_rows(rows, ncols) == hnf_rows_oracle(rows, ncols)
             else:
+                ident = [[m * (s == t) for t in range(ncols)] for s in range(ncols)]
                 assert all(E[s][s] > 0 and not any(E[s][:s]) for s in range(ncols))
                 assert hnf_rows_oracle(E, ncols) == hnf_rows_oracle(ident + rows, ncols)
 
@@ -959,7 +964,7 @@ class TestFlatSearch:
     def test_class_set_lattices(self):
         for L in class_set_lattices(101):
             n = L.reduced_norm
-            for k in (1, 3, brandt.theta_length(101)):
+            for k in (1, 3, 10):
                 self.assert_matches_recursion(L, k * n)
 
     @settings(max_examples=40, deadline=None)
@@ -998,19 +1003,20 @@ class TestShortVectors:
     @given(seed=st.integers(0, 10**6),
            bound=st.fractions(Fraction(1, 3), 8, max_denominator=7),
            order=st.sampled_from([O0, O101, O113]))
-    def test_minimal_vectors_whichever_search_fills_them(self, seed, bound, order):
-        """The least-norm pairs of short_vectors: the same when an earlier
-        search, wide enough to be non-empty, filled them as when the
-        lattice's own search bounded by its first LLL vector finds them, and
-        the box oracle's elements of least norm."""
+    def test_minimal_vectors_head_every_non_empty_search(self, seed, bound, order):
+        """minimal_vectors, found by the lattice's own search bounded by its
+        first LLL vector, is the least-norm prefix of any non-empty search,
+        and the box oracle's elements of least norm; no search writes it."""
         L = random_sublattice(random.Random(seed), order)
-        own = QLattice(L.algebra, L.mat, L.den).minimal_vectors
         wide = L.short_vectors(bound)
-        assert ("minimal_vectors" in L.__dict__) == bool(wide)
-        assert L.minimal_vectors == own
-        least = Fraction(own[0][0], L.den**2)
+        assert "minimal_vectors" not in L.__dict__
+        own = L.minimal_vectors
+        least = own[0][0]
+        if wide:
+            assert [x for x in wide if x[0] == wide[0][0]] == own
+        assert all(norm == least for norm, _ in own)
         assert [v for _, v in own] == [tuple(c * L.den for c in e.coords)
-                                       for e in brute_short_vectors(L, least)]
+                                       for e in brute_short_vectors(L, Fraction(least, L.den**2))]
 
     @pytest.mark.parametrize("bound", [Fraction(1, 4), Fraction(1, 2), Fraction(5, 4),
                                        Fraction(7, 2)])

@@ -13,6 +13,10 @@ the equivalence oracle.  Each unit size, counted on the founding ideal's
 minimal vectors, is the number of norm-1 pairs of its right order, found
 by trace duality.
 
+The class side's CLI output over the whole range, brandt --json and
+isocheck --json for every (p, l), is pinned by one sha256, as
+test_digest.py's COMBINED pins the grid that covers it up to p = 113.
+
 Type side: for l in {2, 3} the Frobenius-reduced curve graph is isomorphic
 to the type graph, and once per p (the types do not depend on l) the
 partition read off the type involution equals the pairwise conjugacy
@@ -32,11 +36,14 @@ and depth-2 orders, at the root and at one of its neighbours, are the
 right orders of the norm-l ideals.
 """
 
+import hashlib
+import io
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from qisog import bass, brandt, ecgraph, numth, orient
+from qisog import bass, brandt, cli, ecgraph, numth, orient
 from qisog import ideals as idl
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice
@@ -69,6 +76,29 @@ def test_class_set_and_brandt_matrix(p, ell):
         assert Br.multiplicity(witness[s], witness[d]) == rec["count"]
     if p <= 113:
         assert list(witness.items()) == list(backtrack_isomorphism(G, Br).items())
+
+
+# sha256 over the lines "<sha256 of stdout> <exit code> <argv>" of the runs
+# brandt --json and isocheck --json for every p in PRIMES and l in {2, 3, 5, 7},
+# l != p, in that order, in the format of scripts/cli_digest.py
+CLASS_SIDE_DIGEST = "4c6ce1267b9f43161be48324662f7e7eb955ad6c8334a48c1273f1928b506fa3"
+
+
+@pytest.mark.slow
+def test_class_side_output_is_pinned_over_the_range():
+    combined = hashlib.sha256()
+    for p in PRIMES:
+        for ell in (2, 3, 5, 7):
+            if ell == p:
+                continue
+            for cmd in ("brandt", "isocheck"):
+                argv = [cmd, "--p", str(p), "--ell", str(ell), "--json"]
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                combined.update(f"{digest} {code} {' '.join(argv)}\n".encode())
+    assert combined.hexdigest() == CLASS_SIDE_DIGEST
 
 
 @pytest.mark.slow
