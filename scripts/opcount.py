@@ -11,7 +11,9 @@ in this process under ``sys.settrace`` with ``f_trace_opcodes`` set.  It
 prints the opcode count per query kind, with the number of queries and of
 non-zero exits, and the total; then, for each query kind, the 15 functions
 (``module.qualname``) that executed the most opcodes themselves, not
-counting those of the functions they call.
+counting those of the functions they call, each with its number of calls
+(a generator counts one call per resumption, as ``sys.settrace`` reports
+it).
 
 Unlike a timing, the count does not depend on the machine or its load, so
 two checkouts can be sized against each other on one noisy host.  The
@@ -31,14 +33,16 @@ from pathlib import Path
 TOP_FUNCTIONS = 15
 
 
-def count_opcodes(fn, per_function: Counter) -> int:
+def count_opcodes(fn, per_function: Counter, calls: Counter) -> int:
     """Opcodes executed by fn() and everything it calls; each function's own
-    opcodes are added to per_function under its module-qualified name."""
+    opcodes are added to per_function, and its calls to calls, under its
+    module-qualified name."""
     n = 0
 
     def enter(frame, event, arg):
         code = frame.f_code
         name = f"{frame.f_globals.get('__name__', '?')}.{code.co_qualname}"
+        calls[name] += 1
 
         def local(frame, event, arg):
             nonlocal n
@@ -69,13 +73,15 @@ def main(argv: list[str]) -> int:
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
     ops, queries, failed = Counter(), Counter(), Counter()
     by_function: dict[str, Counter] = {}
+    calls_by_function: dict[str, Counter] = {}
     for q in workloads.make_queries(workload, seed, seconds):
         codes = []
 
         def run():
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 codes.append(cli.main(q.argv()))
-        ops[q.kind] += count_opcodes(run, by_function.setdefault(q.kind, Counter()))
+        ops[q.kind] += count_opcodes(run, by_function.setdefault(q.kind, Counter()),
+                                     calls_by_function.setdefault(q.kind, Counter()))
         queries[q.kind] += 1
         failed[q.kind] += codes[0] != 0
     print(f"{workload} seed {seed}: opcodes per query kind")
@@ -85,8 +91,9 @@ def main(argv: list[str]) -> int:
     print(f"  {'total':<9} {sum(ops.values()):>13,}")
     for kind in sorted(by_function):
         print(f"\n{kind}: the {TOP_FUNCTIONS} functions with the most opcodes of their own")
+        calls = calls_by_function[kind]
         for name, n in by_function[kind].most_common(TOP_FUNCTIONS):
-            print(f"  {n:>13,}  {n / ops[kind]:6.1%}  {name}")
+            print(f"  {n:>13,}  {n / ops[kind]:6.1%}  {calls[name]:>9,} calls  {name}")
     return 0
 
 

@@ -2,17 +2,20 @@
 the type-set quotient graph, and exact directed-multigraph isomorphism.
 
 The classes are found by a BFS over O0's Bruhat-Tits tree, off one l-adic
-frame of O0 (see enumerate_classes).  A class lookup runs one short-vector
-search on the point's ideal, for its minimal vectors: they give its class
-key, which picks the bucket, and carry the equivalence tests and, for a
-new class, its unit size.  A class's representative is the tree point's
-ideal that founded it, of norm l^k at founding level k, unreduced: the
-equivalence tests run on LLL-reduced bases anyway.  No lookup builds an
-order.  Ideals are plain QLattices, as in ideals.
+frame of O0 (see enumerate_classes).  A class lookup reads the point's
+ideal's minimal vectors: they give its class key, which picks the bucket,
+and carry the equivalence tests and, for a new class, its unit size.  The
+BFS seeds them: one Hermite-bounded short-vector search of each expanded
+class's representative gives its l children theirs (seed_minimal_vectors),
+so a class set runs h LLL reductions, one per representative.  A class's
+representative is the tree point's ideal that founded it, of norm l^k at
+founding level k, unreduced.  No lookup builds an order.  Ideals are plain
+QLattices, as in ideals.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -35,11 +38,12 @@ class ClassSet:
 
     class_of is the one class lookup.  Classes are bucketed by class_key,
     and an ideal is tested, by minimal vectors, only against the
-    representatives in its bucket.  Once sum 1/a_j reaches the mass
-    (p-1)/12 the list is complete, so when all other candidates in its
-    bucket fail, the last one is its class without a test.  A unit group
-    modulo +-1 has order 1, 2, 3, 4, 6 or 12, so the sum is kept in
-    integers, as sum 12/a_j against p - 1."""
+    representatives in its bucket; in enumerate_classes the minimal
+    vectors are seeded off the expanded class's search, and a lookup runs
+    no LLL.  Once sum 1/a_j reaches the mass (p-1)/12 the list is complete,
+    so when all other candidates in its bucket fail, the last one is its
+    class without a test.  A unit group modulo +-1 has order 1, 2, 3, 4, 6
+    or 12, so the sum is kept in integers, as sum 12/a_j against p - 1."""
 
     order0: QOrder
     ell: int
@@ -65,9 +69,10 @@ class ClassSet:
         the next representative, as it is, with the unit size
         ideals.unit_count(J).
 
-        J gets one short-vector search, for its minimal vectors: class_key
-        reads them, and is_equivalent and unit_count run on them without
-        another, now and whenever J is a representative tested later."""
+        Everything runs on J's minimal vectors: class_key reads them, and
+        is_equivalent and unit_count run on them, now and whenever J is a
+        representative tested later.  They come from J's own LLL and search
+        unless enumerate_classes seeded them."""
         key = class_key(J)
         bucket = self._buckets.get(key, [])
         complete = self.complete
@@ -110,6 +115,41 @@ def class_key(J: QLattice) -> tuple[int, int]:
     return k, len(vecs)
 
 
+def hermite_ratio(p: int) -> int:
+    """The bound isqrt(p // 2) on the integer min(J) / nrd(J) (class_key) of a
+    left O0-ideal J: the norm form on J has determinant nrd(J)^4 p^2 / 16, so
+    Hermite's gamma_4 = sqrt(2) gives min(J)^2 <= nrd(J)^2 p / 2."""
+    return math.isqrt(p // 2)
+
+
+def seed_minimal_vectors(I: QLattice, children: list[QLattice], ell: int) -> None:
+    """Seed each child J of I (J in I, nrd(J) = ell nrd(I)) with its minimal
+    vectors, off one search of I bounded by min(J) <= hermite_ratio(p) nrd(J).
+    Of its rows, those whose norm nrd(J) divides (the rows of I's ell + 1
+    neighbours inside I) are kept; a child takes those that lie in it, up to
+    its least norm, over its own denominator.  They are the rows of J's own
+    search, in its order, and go in the cached property's slot, so J runs no
+    LLL and no search until it is expanded itself."""
+    n, den = I.reduced_norm, I.den
+    step = ell * n.numerator * den**2 // n.denominator  # den^2 nrd(J)
+    kept = [(m, x) for m, x in I.short_vectors(ell * hermite_ratio(I.algebra.p) * n)
+            if m % step == 0]
+    for J in children:
+        least = []
+        for m, x in kept:
+            if least and m > least[0][0]:
+                break
+            if J.int_coords(x, den) is not None:
+                least.append((m, x))
+        assert least, "a child has no vector within the Hermite bound"
+        if J.den != den:
+            for t, (m, x) in enumerate(least):
+                v = [divmod(c * J.den, den) for c in x]
+                assert not any(r for _, r in v), "a row of J is integral over J's denominator"
+                least[t] = (m * J.den**2 // den**2, tuple(c for c, _ in v))
+        vars(J)["minimal_vectors"] = least
+
+
 def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     """BFS over O0's Bruhat-Tits tree at ell, off one ell-adic frame of O0,
     collecting the classes and the Brandt matrix in one pass.
@@ -118,8 +158,11 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
     ell-neighbours are those of its ell children and ell times its parent's.
     Only a point that founds a class is expanded, so the class that expanded
     it is a free entry of its row, and ClassSet.class_of gives the children's
-    classes: h ell + 1 lookups after O0's.  A new class's unit size is
-    counted on its ideal's minimal vectors; no order is built at a point.
+    classes: h ell + 1 lookups after O0's, on minimal vectors that
+    seed_minimal_vectors reads off one search of the point's ideal, the
+    class's representative; only representatives are LLL-reduced.  A new
+    class's unit size is counted on its ideal's minimal vectors; no order is
+    built at a point.
     Classes are numbered in founding order.  The frame is built once, at
     n = h: founding levels are at most h - 1 (see below), so the deepest
     children's ideals, of norm ell^h, need n = h.
@@ -144,12 +187,14 @@ def enumerate_classes(O0: QOrder, ell: int) -> ClassSet:
         if k > level_cap:
             raise CapExceeded("class-set founding level cap exceeded")
         row = [] if parent is None else [parent]
-        for child in idl.tree_children(point, k + 1, ell):
-            P = idl.tree_point_matrix(child, ell)
+        points = idl.tree_children(point, k + 1, ell)
+        children = [frame.ball_ideal(idl.tree_point_matrix(w, ell), k + 1) for w in points]
+        seed_minimal_vectors(cs.representatives[len(rows)], children, ell)
+        for w, J in zip(points, children):
             h = cs.class_number
-            row.append(cs.class_of(frame.ball_ideal(P, k + 1)))
+            row.append(cs.class_of(J))
             if cs.class_number > h:
-                founded.append((child, k + 1, len(rows)))
+                founded.append((w, k + 1, len(rows)))
         rows.append(row)
     h, a = cs.class_number, cs.unit_sizes
     b = cs.brandt = [[row.count(j) for j in range(h)] for row in rows]

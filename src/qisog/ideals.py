@@ -34,7 +34,7 @@ from functools import cached_property
 from . import numth
 from .errors import CapExceeded, PreconditionError
 from .lattice import QLattice, echelon_mod, hnf_rows
-from .quat import QuatAlgebra, QuatElement
+from .quat import QuatAlgebra
 
 Frac = Fraction
 
@@ -535,25 +535,35 @@ def _witnesses(I: QLattice, J: QLattice):
             yield a
 
 
+@functools.lru_cache(maxsize=1)
+def _is_left_ideal(J: QLattice, O: QOrder) -> bool:
+    """O J in J, remembered for the last (J, O) pair: a class lookup tests
+    one J against several representatives in a row, and pays for one check."""
+    return J.is_left_module_over(O.lattice)
+
+
 def is_equivalent(I: QLattice, J: QLattice, O: QOrder):
-    """Witness alpha with J = I*alpha, or None.
+    """An integer witness (a, s, t) with J = I alpha for alpha = a s / t,
+    or None.  a is an integer row, s = den_I and t = den_J m for m = den_I^2
+    min(I), as _witnesses forms them; no Fraction is built.
 
     Needs O_L(J) = O_L(I) = O, I's left order, which must be maximal: then
-    O_L(J) = O is O J in J (16 memberships).  x -> x alpha maps I onto
-    I alpha, scaling norms by nrd(alpha) and covolumes by nrd(alpha)^2, so
-    minimal vectors onto minimal vectors: J = I alpha iff nrd(alpha) =
-    min(J)/min(I) squares to covol(J)/covol(I) and one of _witnesses maps
-    I into J.  On integer norms m = den_I^2 min(I) and m_J, and pivot
-    products, the first test reads m_J^2 det(I.mat) = m^2 det(J.mat)."""
+    O_L(J) = O is O J in J (16 memberships, checked once for consecutive
+    calls on one J and O).  x -> x alpha maps I onto I alpha, scaling norms
+    by nrd(alpha) and covolumes by nrd(alpha)^2, so minimal vectors onto
+    minimal vectors: J = I alpha iff nrd(alpha) = min(J)/min(I) squares to
+    covol(J)/covol(I) and one of _witnesses maps I into J.  On integer norms
+    m and m_J, and pivot products, the first test reads m_J^2 det(I.mat) =
+    m^2 det(J.mat)."""
     if not O.is_maximal:
         raise PreconditionError("equivalence is decided over a maximal left order")
-    if not J.is_left_module_over(O.lattice):
+    if not _is_left_ideal(J, O):
         raise PreconditionError("equivalence needs matching left orders")
     m, mj = I.minimal_vectors[0][0], J.minimal_vectors[0][0]
     if mj * mj * I.pivot_product() != m * m * J.pivot_product():
         return None
     a = next(_witnesses(I, J), None)
-    return None if a is None else QuatElement(I.algebra, a) * Frac(I.den, J.den * m)
+    return None if a is None else (a, I.den, J.den * m)
 
 
 def unit_count(J: QLattice) -> int:

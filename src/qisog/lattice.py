@@ -591,6 +591,7 @@ class QLattice:
     @cached_property
     def minimal_vectors(self) -> list[tuple[int, tuple[int, ...]]]:
         """The pairs of ``short_vectors`` of least norm, by one search
-        bounded by the norm of the first LLL-reduced basis vector."""
+        bounded by the norm of the first LLL-reduced basis vector, unless
+        brandt.seed_minimal_vectors filled the slot with the same pairs."""
         vecs = self.short_vectors(Frac(self.lll[1][0][0], self.den**2))
         return [x for x in vecs if x[0] == vecs[0][0]]

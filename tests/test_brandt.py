@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -305,20 +306,23 @@ class TestThetaPrefix:
         assert len(keys) > 1
 
     @pytest.mark.parametrize("p,ell", [(101, 2), (113, 3)])
-    def test_one_search_and_no_reduction_per_lookup(self, p, ell, monkeypatch):
-        """Each class lookup (the BFS and the type involution) runs exactly
-        one LLL reduction and one short-vector search, both on J, and none
-        on any other lattice, forms no inverse ideal and reduces no ideal:
-        a new class keeps J, whose minimal vectors give its unit size and
-        serve its later equivalence tests.  The BFS looks up O0 and then
-        h ell + 1 tree points: the ell + 1 at level 1 and each founding
-        point's ell children, its parent's class being known; no
-        ell_neighbors are formed."""
-        reduced_lattices, searched, lookups = [], [], []
+    def test_one_reduction_and_one_search_per_class(self, p, ell, monkeypatch):
+        """A class set runs LLL on O0 and on each representative, h in all,
+        and on no other lattice.  It runs one short-vector search per class,
+        on its representative when the class is expanded, besides O0's
+        lookup and the unit certificate on O0: every BFS lookup after O0's
+        reads the minimal vectors that its parent's search seeded.  No
+        lookup forms an inverse ideal or reduces an ideal, and no
+        ell_neighbors are formed.  The BFS looks up O0 and then h ell + 1
+        tree points: the ell + 1 at level 1 and each founding point's ell
+        children, its parent's class being known.  type_involution's
+        lookups, of the unseeded P I_j, run one LLL and one search each,
+        on J."""
+        reduced, searched, lookups = [], [], []
         lll, search, lookup = QLattice.lll.func, QLattice.short_vectors, brandt.ClassSet.class_of
 
         def counted_lll(L):
-            reduced_lattices.append(L)
+            reduced.append(L)
             return lll(L)
 
         def counted_search(L, bound, cap=10**6):
@@ -332,12 +336,10 @@ class TestThetaPrefix:
             raise AssertionError("a class lookup formed an inverse ideal")
 
         def counted_lookup(cs, J):
-            reduced_lattices.clear()
-            searched.clear()
-            h = cs.class_number
+            n_lll, n_search, h = len(reduced), len(searched), cs.class_number
             j = lookup(cs, J)
-            lookups.append(([id(L) for L in reduced_lattices] == [id(J)],
-                            [id(L) for L in searched] == [id(J)], cs.class_number - h))
+            lookups.append((id(J), [id(L) for L in reduced[n_lll:]],
+                            [id(L) for L in searched[n_search:]], cs.class_number - h))
             return j
 
         counted_property = functools.cached_property(counted_lll)
@@ -348,13 +350,19 @@ class TestThetaPrefix:
         monkeypatch.setattr(idl, "inverse", no_inverse)
         monkeypatch.setattr(brandt.ClassSet, "class_of", counted_lookup)
         monkeypatch.setattr(brandt, "ell_neighbors", None)
-        cs = classes(p, ell)
-        h = cs.class_number
+        O0 = idl.root_maximal_orders(p)[0]
+        cs = brandt.enumerate_classes(O0, ell)
+        h, reps, o0 = cs.class_number, [id(R) for R in cs.representatives], id(O0.lattice)
+        assert [id(L) for L in reduced] == reps
+        assert [id(L) for L in searched] == [o0] + reps + [o0]
         assert len(lookups) == 1 + h * ell + 1
-        brandt.type_involution(cs)
-        assert len(lookups) == 1 + h * ell + 1 + h
-        assert all(one_lll and one_search for one_lll, one_search, _ in lookups)
+        assert lookups[0][:3] == (o0, [o0], [o0])
+        assert all(not lll and not search for _, lll, search, _ in lookups[1:])
         assert [new for *_, new in lookups].count(1) == h == sum(new for *_, new in lookups)
+        bfs = len(lookups)
+        brandt.type_involution(cs)
+        assert len(lookups) == bfs + h
+        assert all(lll == [J] == search for J, lll, search, _ in lookups[bfs:])
 
     @pytest.mark.parametrize("p,ell", [(11, 2), (101, 3), (499, 2)])
     def test_no_ball_order_is_built(self, p, ell, monkeypatch):
@@ -402,6 +410,77 @@ class TestThetaPrefix:
         monkeypatch.setattr(idl, "is_equivalent", counted)
         cs = classes(p, ell)
         assert len(calls) <= 3 * cs.class_number * (ell + 1)
+
+
+SEEDED_CASES = [(p, ell) for p in range(5, 120) if numth.is_prime(p)
+                for ell in (2, 3, 5, 7) if ell != p] + [(499, 2), (499, 7)]
+
+
+class TestSeededMinimalVectors:
+    """The BFS lookups read minimal vectors that seed_minimal_vectors took
+    off one Hermite-bounded search of the expanded class's representative."""
+
+    @pytest.mark.parametrize("p,ell", SEEDED_CASES)
+    def test_seeded_vectors_are_the_lattices_own(self, p, ell, monkeypatch):
+        """At every lookup after O0's, J's minimal vectors are seeded, and
+        they are those a fresh copy of J finds by its own LLL and search."""
+        seeded, lookup = [], brandt.ClassSet.class_of
+
+        def checked(cs, J):
+            seeded.append("minimal_vectors" in vars(J))
+            assert J.minimal_vectors == QLattice(J.algebra, J.mat, J.den).minimal_vectors
+            return lookup(cs, J)
+
+        monkeypatch.setattr(brandt.ClassSet, "class_of", checked)
+        cs = classes(p, ell)
+        assert seeded == [False] + [True] * (cs.class_number * ell + 1)
+
+    def test_the_hermite_bound_is_tight(self, monkeypatch):
+        """At (11, 2) a child J has min(J)/nrd(J) = hermite_ratio(11) =
+        isqrt(5) = 2, so the search bound cannot be lowered: one lower, a
+        child finds no vector and the class set stops."""
+        ratios, lookup = [], brandt.ClassSet.class_of
+
+        def recorded(cs, J):
+            ratios.append(brandt.class_key(J)[0])
+            return lookup(cs, J)
+
+        monkeypatch.setattr(brandt.ClassSet, "class_of", recorded)
+        classes(11, 2)
+        assert max(ratios) == brandt.hermite_ratio(11) == math.isqrt(11 // 2) == 2
+        monkeypatch.setattr(brandt, "hermite_ratio", lambda p: math.isqrt(p // 2) - 1)
+        with pytest.raises(AssertionError, match="Hermite bound"):
+            classes(11, 2)
+
+    @pytest.mark.parametrize("p,ell", [(101, 2), (113, 3)])
+    def test_norm_filter_keeps_the_neighbours_rows(self, p, ell, monkeypatch):
+        """Over the search of each expanded representative I, ell nrd(I)
+        divides nrd(x) exactly for the x in one of I's ell + 1 neighbours
+        inside I, as ell_neighbors forms them: I's ell children and ell
+        I_parent, or at O0 its ell + 1 children."""
+        expanded, seed = [], brandt.seed_minimal_vectors
+
+        def recorded(I, children, ell):
+            expanded.append((I, children))
+            return seed(I, children, ell)
+
+        monkeypatch.setattr(brandt, "seed_minimal_vectors", recorded)
+        cs = classes(p, ell)
+        assert [I for I, _ in expanded] == cs.representatives
+        scaled = [R.scale(ell) for R in cs.representatives]
+        for I, children in expanded:
+            neighbours = brandt.ell_neighbors(I, ell)
+            others = [N for N in neighbours if N not in children]
+            assert len(neighbours) == ell + 1 and all(J in neighbours for J in children)
+            assert len(others) == (0 if I is cs.order0.lattice else 1)
+            assert all(N in scaled for N in others)
+            n = I.reduced_norm
+            step = ell * n.numerator * I.den**2 // n.denominator
+            rows = I.short_vectors(ell * brandt.hermite_ratio(p) * n)
+            kept = [m % step == 0 for m, _ in rows]
+            assert kept == [any(N.int_coords(x, I.den) is not None for N in neighbours)
+                            for _, x in rows]
+            assert any(kept) and not all(kept)
 
 
 class TestBrandtMatrix:

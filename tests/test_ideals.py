@@ -1057,6 +1057,12 @@ def equivalence_oracle(I: QLattice, J: QLattice):
     return None
 
 
+def witness_element(I: QLattice, w) -> QuatElement:
+    """alpha = a s / t for is_equivalent's integer witness (a, s, t)."""
+    a, s, t = w
+    return QuatElement(I.algebra, tuple(Fraction(x * s, t) for x in a))
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("p", [11, 37, 101, 113, 211])
     def test_agrees_with_the_oracle(self, p):
@@ -1077,7 +1083,7 @@ class TestEquivalence:
                     got, want = idl.is_equivalent(R, K, O0), equivalence_oracle(R, K)
                     assert (got is None) == (want is None)
                     if got is not None:
-                        assert times(R, got) == K == times(R, want)
+                        assert times(R, witness_element(R, got)) == K == times(R, want)
                         hits.append(i)
                 assert len(hits) == 1
                 misses += sum(sigma[i] == hits[0] != i for i in range(len(reps)))
@@ -1089,7 +1095,7 @@ class TestEquivalence:
         J = times(I, beta)
         w = idl.is_equivalent(I, J, ROOT7)
         assert w is not None
-        assert times(I, w) == J
+        assert times(I, witness_element(I, w)) == J
 
     def test_distinct_classes_at_p37(self):
         O0 = idl.root_maximal_orders(37)[0]
@@ -1099,6 +1105,28 @@ class TestEquivalence:
         assert cs.class_number == 3
         I, J = cs.representatives[0], cs.representatives[1]
         assert idl.is_equivalent(I, J, O0) is None
+
+    def test_precondition_checked_once_per_pair(self, monkeypatch):
+        """Consecutive tests on one (J, O) pair check O J in J once; another
+        J is checked afresh, so a mismatched J after a matching one is still
+        refused, and the matching J after it is checked again."""
+        checks, check = [], QLattice.is_left_module_over
+
+        def counted(J, other):
+            checks.append(J)
+            return check(J, other)
+
+        monkeypatch.setattr(QLattice, "is_left_module_over", counted)
+        idl._is_left_ideal.cache_clear()
+        I, J = idl.ideals_of_norm_ell(ROOT7, 2)[:2]
+        other = idl.root_maximal_orders(7)[1].lattice
+        for R in (I, J, ROOT7.lattice):
+            idl.is_equivalent(R, J, ROOT7)
+        assert checks == [J]
+        with pytest.raises(PreconditionError, match="matching left orders"):
+            idl.is_equivalent(I, other, ROOT7)
+        idl.is_equivalent(I, J, ROOT7)
+        assert checks == [J, other, J]
 
     def test_mismatched_left_orders_rejected(self):
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]

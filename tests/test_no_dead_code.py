@@ -77,6 +77,7 @@ ALLOWED = {
     "quat.QuatElement.__add__": ELEMENTS,
     "quat.QuatElement.__sub__": ELEMENTS,
     "quat.QuatElement.__neg__": ELEMENTS,
+    "quat.QuatElement.__mul__": ELEMENTS,
     "quat.QuatElement.__rmul__": ELEMENTS,
     "quat.QuatElement.__truediv__": ELEMENTS,
     "quat.QuatElement.conjugate": ELEMENTS,
