@@ -9,7 +9,9 @@ and SEED exactly as ``perfbench/run.py`` does, at the ``run_seconds`` of the
 checkout's BENCHMARK.json, and runs every query through ``qisog.cli.main``
 in this process under ``sys.settrace`` with ``f_trace_opcodes`` set.  It
 prints the opcode count per query kind, with the number of queries and of
-non-zero exits, and the total; then, for each query kind, the 15 functions
+non-zero exits, and the total, and for the ``oriented`` kind the opcodes per
+walked vertex: its opcodes over the sum of the ``vertices`` its answers
+report.  Then, for each query kind, the 15 functions
 (``module.qualname``) that executed the most opcodes themselves, not
 counting those of the functions they call, each with its number of calls
 (a generator counts one call per resumption, as ``sys.settrace`` reports
@@ -71,24 +73,28 @@ def main(argv: list[str]) -> int:
     from qisog import cli
 
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
-    ops, queries, failed = Counter(), Counter(), Counter()
+    ops, queries, failed, vertices = Counter(), Counter(), Counter(), Counter()
     by_function: dict[str, Counter] = {}
     calls_by_function: dict[str, Counter] = {}
     for q in workloads.make_queries(workload, seed, seconds):
-        codes = []
+        codes, out = [], io.StringIO()
 
         def run():
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
                 codes.append(cli.main(q.argv()))
         ops[q.kind] += count_opcodes(run, by_function.setdefault(q.kind, Counter()),
                                      calls_by_function.setdefault(q.kind, Counter()))
         queries[q.kind] += 1
         failed[q.kind] += codes[0] != 0
+        if q.kind == "oriented" and codes[0] == 0:
+            vertices[q.kind] += json.loads(out.getvalue())["vertices"]
     print(f"{workload} seed {seed}: opcodes per query kind")
     for kind in sorted(ops):
         print(f"  {kind:<9} {ops[kind]:>13,}  "
               f"({queries[kind]} queries, {failed[kind]} non-zero exits)")
     print(f"  {'total':<9} {sum(ops.values()):>13,}")
+    for kind, n in sorted(vertices.items()):
+        print(f"  {kind}: {ops[kind] / n:,.0f} opcodes per walked vertex ({n} vertices)")
     for kind in sorted(by_function):
         print(f"\n{kind}: the {TOP_FUNCTIONS} functions with the most opcodes of their own")
         calls = calls_by_function[kind]

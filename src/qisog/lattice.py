@@ -79,42 +79,50 @@ def echelon_mod(rows, ncols: int, m: int) -> list[list[int]]:
     Course in Computational Algebraic Number Theory, Alg. 2.4.8, where a
     prime power needs no Euclid steps.
 
-    Every working row is zero left of the current column.  Of their
-    entries in it, one of least ell-valuation, x = g u with g = gcd(x, m)
-    and u a unit mod m, divides the others; its row times u^-1 mod m is the
-    pivot row, with entry g, and one subtraction clears each other row.
-    The lattice holds m e_col = (m/g) pivot - (m/g) (pivot right of col),
-    so the latter joins the working rows.  A column with no nonzero entry
-    has the pivot row m e_col.  A composite m can leave a column with no
-    entry that divides the others, or whose cofactor u is a unit; then it
-    raises (PreconditionError, resp. ValueError from pow)."""
-    work = [[x % m for x in r] for r in rows]
+    Entries are reduced mod m where they are read.  Of the working rows'
+    entries in the current column, the first of least ell-valuation (the
+    scan stops at a unit), x = g u with g = gcd(x, m) and u a unit mod m,
+    divides the others; its row, times u^-1 mod m and zero left of the
+    column, is the pivot row, built in place, with entry g, and one
+    subtraction clears each other row.  The lattice holds m e_col = (m/g)
+    pivot - (m/g) (pivot right of col), so the latter joins the working
+    rows.  A column with no nonzero entry has the pivot row m e_col.  A
+    composite m can leave a column with no entry that divides the others,
+    or whose cofactor u is a unit; then it raises (PreconditionError, resp.
+    ValueError from pow)."""
+    work = [list(r) for r in rows]
     out = []
     for col in range(ncols):
         best, g = None, m
         for r in work:
-            if r[col]:
-                h = math.gcd(r[col], m)
+            x = r[col] % m
+            if x:
+                h = math.gcd(x, m)
                 if h < g:
-                    best, g = r, h
+                    best, g, bx = r, h, x
+                    if h == 1:
+                        break
         if best is None:
             out.append([0] * col + [m] + [0] * (ncols - col - 1))
             continue
-        u = pow(best[col] // g, -1, m)
-        piv = [0] * col + [g] + [u * x % m for x in best[col + 1:]]
-        # at g = 1, (m/g) pivot vanishes mod m
-        rest = [] if g == 1 else [[0] * (col + 1) + [m // g * x % m for x in piv[col + 1:]]]
+        u = 1 if bx == g else pow(bx // g, -1, m)
+        best[:col + 1] = [0] * col + [g]
+        for t in range(col + 1, ncols):
+            best[t] = u * best[t] % m
+        f = m // g  # at g = 1, (m/g) pivot vanishes mod m
+        rest = [] if g == 1 else [[f * x % m for x in best]]
         for r in work:
             if r is not best:
-                q, rem = divmod(r[col], g)
-                if rem:  # for m = ell^e, g divides every entry of the column
+                x = r[col] % m
+                if x % g:  # for m = ell^e, g divides every entry of the column
                     raise PreconditionError(f"modulus {m} is not a prime power")
+                q = x // g
                 if q:
                     for t in range(col + 1, ncols):
-                        r[t] = (r[t] - q * piv[t]) % m
+                        r[t] = (r[t] - q * best[t]) % m
                 rest.append(r)
         work = rest
-        out.append(piv)
+        out.append(best)
     return out
 
 
@@ -150,17 +158,15 @@ def frac_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def triangular_adjugate(m) -> list[list[int]]:
-    """adj(m) = det(m) m^-1 for an upper-triangular integer matrix, by
-    back-substitution; every division is exact."""
-    det = math.prod(m[t][t] for t in range(4))
-    X = [[0] * 4 for _ in range(4)]
-    for c in range(4):
-        X[c][c] = det // m[c][c]
-        for r in range(c - 1, -1, -1):
-            s = sum(m[r][t] * X[t][c] for t in range(r + 1, c + 1))
-            X[r][c], rem = divmod(-s, m[r][r])
-            assert rem == 0
-    return X
+    """adj(m) = det(m) m^-1 for a 4x4 upper-triangular integer matrix, in
+    closed form: entry (r, c) is the cofactor of m at (c, r), which is 0
+    below the diagonal."""
+    (a, b, c, d), (_, e, f, g), (_, _, h, i), (_, _, _, j) = m
+    hj, ae = h * j, a * e
+    return [[e * hj, -b * hj, (b * f - c * e) * j, b * (g * h - f * i) + (c * i - d * h) * e],
+            [0, a * hj, -a * f * j, a * (f * i - g * h)],
+            [0, 0, ae * j, -ae * i],
+            [0, 0, 0, ae * h]]
 
 
 def lll_reduce(gram) -> tuple[list[list[int]], list[list[int]], list[int], list[list[int]]]:
@@ -252,7 +258,7 @@ class QLattice:
         and den divided out."""
         g = math.gcd(den, *h[0], *h[1], *h[2], *h[3])
         if g > 1:
-            h = [tuple(x // g for x in row) for row in h]
+            h = [tuple([x // g for x in row]) for row in h]
             den //= g
         return cls(algebra=algebra, mat=tuple(h), den=den)
 
@@ -334,9 +340,35 @@ class QLattice:
         return self.int_coords(*split_den(elt.coords)) is not None
 
     def contains_lattice(self, other: "QLattice") -> bool:
-        coords, (r0, r1, r2, r3), d = self.int_coords, other.mat, other.den
-        return (coords(r0, d) is not None and coords(r1, d) is not None
-                and coords(r2, d) is not None and coords(r3, d) is not None)
+        return self._holds_rows(other.mat, other.den)
+
+    def _holds_rows(self, rows, vden: int) -> bool:
+        """Whether x/vden lies in the lattice for every integer row x of
+        rows.  With g = gcd(den, vden), that is x den/g in the row span of
+        (vden/g) mat: int_coords' forward substitution, against that scaled
+        basis, unpacked once for all the rows."""
+        g = math.gcd(self.den, vden)
+        s, q = self.den // g, vden // g
+        (p0, a01, a02, a03), (_, p1, a12, a13), (_, _, p2, a23), (_, _, _, p3) = self.mat
+        if q != 1:
+            p0, a01, a02, a03, p1, a12, a13, p2, a23, p3 = (
+                q * p0, q * a01, q * a02, q * a03, q * p1, q * a12, q * a13, q * p2, q * a23, q * p3)
+        for x0, x1, x2, x3 in rows:
+            if s != 1:
+                x0, x1, x2, x3 = s * x0, s * x1, s * x2, s * x3
+            if x0 % p0:
+                return False
+            c0 = x0 // p0
+            y = x1 - c0 * a01
+            if y % p1:
+                return False
+            c1 = y // p1
+            y = x2 - c0 * a02 - c1 * a12
+            if y % p2:
+                return False
+            if (x3 - c0 * a03 - c1 * a13 - y // p2 * a23) % p3:
+                return False
+        return True
 
     def pivot_product(self) -> int:
         """det(mat), the product of the (positive) HNF pivots."""
@@ -463,42 +495,63 @@ class QLattice:
         return (self.dual() * self).dual()
 
     def is_left_module_over(self, other: "QLattice") -> bool:
-        """Whether other * self lies in self: the 16 products of basis rows,
-        mul(a, b) / (other.den den), are members."""
+        """Whether other * self lies in self: the products of a basis of
+        other with the rows of self, mul(a, b) / (other.den den), are
+        members.  Where 1 is sum e_t b_t over other's rows with some e_t =
+        +-1, 1 and the other three rows are a basis of other (as in
+        is_ring), and 1 self lies in self, so their 12 products decide it;
+        otherwise the 16 of the rows do."""
+        rows, e = other.mat, other.int_coords((1, 0, 0, 0))
+        t = None if e is None else next((t for t, c in enumerate(e) if c * c == 1), None)
+        if t is not None:
+            rows = rows[:t] + rows[t + 1:]
         mul = self.algebra.mul_coords
-        dd = other.den * self.den
-        return all(self.int_coords(mul(a, b), dd) is not None
-                   for a in other.mat for b in self.mat)
+        return self._holds_rows([mul(a, b) for a in rows for b in self.mat], other.den * self.den)
 
     def is_ring(self) -> bool:
         """Whether 1 lies in the lattice and it is closed under products.
 
-        A ring has integral nrd, and given 1 and integral nrd (off gram_int)
-        the six products b_a b_b with a < b decide it: then trd(b) and
-        trd(b conj(c)) are integers, and b^2 = trd(b) b - nrd(b) and
-        b c + c b = trd(b) c + trd(c) b - trd(b conj(c)) put the other ten in."""
-        if self.int_coords((1, 0, 0, 0)) is None:
+        A ring has integral nrd.  Given 1 and integral nrd, trd(b) and
+        trd(b conj(c)) are integers, and b^2 = trd(b) b - nrd(b) and b c +
+        c b = trd(b) c + trd(c) b - trd(b conj(c)), so on a basis holding 1
+        the products b c of the other vectors, one per pair, decide closure.
+        1 is sum e_t b_t over the rows; where some e_t = +-1, 1 and the
+        other three rows are a basis (the change of basis has determinant
+        e_t), and three products decide it; otherwise the six of the rows.
+        On an HNF basis with integral norms some e_t is +-1: e_0 = 2/trd(b_0)
+        is 1 or 2, and at 2 the first nonzero e_t is -2 a_0t / p_t = -1."""
+        e = self.int_coords((1, 0, 0, 0))
+        if e is None:
             return False
-        (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = self.gram_int
-        dd = self.den * self.den
-        # nrd(b_a) = g_aa / den^2 and trd(b_a conj(b_b)) = 2 g_ab / den^2
-        if math.gcd(g00, g11, g22, g33, 2 * g01, 2 * g02, 2 * g03, 2 * g12, 2 * g13, 2 * g23) % dd:
-            return False
-        # the six products b_a b_b, a < b, of the triangular rows, written out
-        di, dj, coords = self.algebra.d_i, self.algebra.d_j, self.int_coords
+        t = next((t for t, c in enumerate(e) if c * c == 1), None)
+        di, dj, den = self.algebra.d_i, self.algebra.d_j, self.den
         dij = di * dj
         (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = self.mat
-        return (coords((di * a1 * b1 + dj * a2 * b2 - dij * a3 * b3,
-                        a0 * b1 - dj * (a2 * b3 - a3 * b2),
-                        a0 * b2 + di * (a1 * b3 - a3 * b1),
-                        a0 * b3 + a1 * b2 - a2 * b1), dd) is not None
-                and coords((dj * (a2 * c2 - di * a3 * c3), dj * (a3 * c2 - a2 * c3),
-                            a0 * c2 + di * a1 * c3, a0 * c3 + a1 * c2), dd) is not None
-                and coords((-dij * a3 * d3, -dj * a2 * d3, di * a1 * d3, a0 * d3), dd) is not None
-                and coords((dj * (b2 * c2 - di * b3 * c3), dj * (b3 * c2 - b2 * c3),
-                            di * b1 * c3, b1 * c2), dd) is not None
-                and coords((-dij * b3 * d3, -dj * b2 * d3, di * b1 * d3, 0), dd) is not None
-                and coords((-dij * c3 * d3, -dj * c2 * d3, 0, 0), dd) is not None)
+        # on the norm form diag(1, -di, -dj, dij): den^2 nrd(b_a), and the
+        # cross terms gram_int[a][b] = den^2 trd(b_a conj(b_b)) / 2, a < b
+        cross = math.gcd(-di * a1 * b1 - dj * a2 * b2 + dij * a3 * b3, -dj * a2 * c2 + dij * a3 * c3,
+                         dij * a3 * d3, -dj * b2 * c2 + dij * b3 * c3, dij * b3 * d3, dij * c3 * d3)
+        if math.gcd(a0 * a0 - di * a1 * a1 - dj * a2 * a2 + dij * a3 * a3,
+                    -di * b1 * b1 - dj * b2 * b2 + dij * b3 * b3, -dj * c2 * c2 + dij * c3 * c3,
+                    dij * d3 * d3, 2 * cross) % (den * den):
+            return False
+        # the products b_a b_b, a < b, of the triangular rows but b_t, written out
+        prods = []
+        if t not in (0, 1):
+            prods.append((di * a1 * b1 + dj * a2 * b2 - dij * a3 * b3, a0 * b1 - dj * (a2 * b3 - a3 * b2),
+                          a0 * b2 + di * (a1 * b3 - a3 * b1), a0 * b3 + a1 * b2 - a2 * b1))
+        if t not in (0, 2):
+            prods.append((dj * (a2 * c2 - di * a3 * c3), dj * (a3 * c2 - a2 * c3),
+                          a0 * c2 + di * a1 * c3, a0 * c3 + a1 * c2))
+        if t not in (0, 3):
+            prods.append((-dij * a3 * d3, -dj * a2 * d3, di * a1 * d3, a0 * d3))
+        if t not in (1, 2):
+            prods.append((dj * (b2 * c2 - di * b3 * c3), dj * (b3 * c2 - b2 * c3), di * b1 * c3, b1 * c2))
+        if t not in (1, 3):
+            prods.append((-dij * b3 * d3, -dj * b2 * d3, di * b1 * d3, 0))
+        if t not in (2, 3):
+            prods.append((-dij * c3 * d3, -dj * c2 * d3, 0, 0))
+        return self._holds_rows(prods, den * den)
 
     # -- short vectors ------------------------------------------------------
 

@@ -28,13 +28,16 @@ class MultiGraph:
         self.vertex_attrs[key].update(attrs)
 
     def add_edge(self, src, dst, count: int = 1, cls: str | None = None):
-        for v in (src, dst):
-            if v not in self.vertex_attrs:
-                raise PreconditionError("edge endpoint not a vertex")
-        rec = self.edges.get((src, dst))
+        """Add count to the edge src -> dst (and set its class if given),
+        found through src's out-edges; a new edge checks both ends are vertices."""
+        out = self._out.get(src)
+        rec = None if out is None else out.get(dst)
         if rec is None:
-            rec = self.edges[(src, dst)] = {"count": 0, "cls": cls}
-            self._out.setdefault(src, {})[dst] = rec
+            if src not in self.vertex_attrs or dst not in self.vertex_attrs:
+                raise PreconditionError("edge endpoint not a vertex")
+            if out is None:
+                out = self._out[src] = {}
+            rec = out[dst] = self.edges[(src, dst)] = {"count": 0, "cls": cls}
             self._in.setdefault(dst, {})[src] = rec
         rec["count"] += count
         if cls is not None:

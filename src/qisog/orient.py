@@ -112,7 +112,8 @@ def edge_step(v: OrientedVertex, order: QOrder, ell: int) -> tuple[str, tuple[in
     steps = []
     for (x, xden), fv in zip(v.theta_rows, (v.f_i, v.f_j)):
         s = det * xden
-        g = math.gcd(s * ell, *target.int_coords([det * c for c in x]))
+        x0, x1, x2, x3 = x
+        g = math.gcd(s * ell, *target.int_coords((det * x0, det * x1, det * x2, det * x3)))
         if g == s * ell:
             steps.append((ASC, fv // ell))
         elif g % s == 0:
@@ -173,7 +174,7 @@ def walk_component(start: QOrder, ell: int, depth: int) -> MultiGraph:
     def register(ov: OrientedVertex) -> tuple:
         key, lat = ov.order.key(), ov.order.lattice
         assert key not in g.vertex_attrs, "two points of the ball give one order"
-        g.add_vertex(key, f_i=ov.f_i, f_j=ov.f_j, basis=[list(r) for r in lat.mat], den=lat.den)
+        g.add_vertex(key, f_i=ov.f_i, f_j=ov.f_j, basis=lat.mat, den=lat.den)
         return key
 
     root = oriented_vertex(start)

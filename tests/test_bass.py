@@ -309,6 +309,17 @@ class TestRadicalBruteForce:
             assert got == bass._radical_trace_kernel(O, table, ell)
         assert 0 < len(got) < 4
 
+    @pytest.mark.parametrize("p", [13, 17, 73, 97])
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7])
+    def test_symmetric_square_against_quot_mul(self, p, ell):
+        """The square of every z in O/ell O against _quot_mul(z, z), on the
+        structure constants reduced mod ell and as they are."""
+        O = bass_for(p)
+        for table in (idl._mult_table_mod(O, ell), O.structure_constants):
+            square = bass._symmetric_square(table, ell)
+            for z in product(range(ell), repeat=4):
+                assert square(*z) == idl._quot_mul(table, ell, z, z), z
+
 
 class TestPrunedSuperorderOracle:
     """_superorders_at generates only the candidates inside O^#; the full

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qisog import brandt, ecgraph, numth
 from qisog import ideals as idl
 from qisog.cli import main
-from qisog.errors import CapExceeded
+from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice
 from qisog.quat import QuatElement
@@ -627,6 +627,21 @@ class TestMultiGraphIndex:
         assert g.out_degree("a") == 4 and in_degree(g, "b") == 3 and in_degree(g, "a") == 1
         assert g.degree_signature("a") == ((1, 3), (1,), 1)
         assert g.edges[("a", "b")]["cls"] == "H"
+
+    def test_missing_endpoint_raises_beside_existing_edges(self):
+        """A new edge checks both ends, also where the other end has edges
+        already, and leaves no record behind."""
+        g = MultiGraph()
+        for v in "ab":
+            g.add_vertex(v)
+        g.add_edge("a", "b")
+        g.add_edge("b", "a")
+        for src, dst in (("a", "z"), ("z", "a"), ("b", "z"), ("z", "z")):
+            with pytest.raises(PreconditionError, match="not a vertex"):
+                g.add_edge(src, dst)
+        assert set(g.edges) == {("a", "b"), ("b", "a")}
+        assert g.out_edges("a").keys() == {"b"} and g.in_edges("a").keys() == {"b"}
+        assert g.out_edges("z") == {} and g.in_edges("z") == {}
 
 
 class TestTypeGraph:

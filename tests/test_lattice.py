@@ -172,6 +172,22 @@ class TestHnfAgainstOracle:
         want = hnf_rows_oracle([[m * (s == t) for t in range(4)] for s in range(4)] + rows)
         assert hnf_rows_oracle(E) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**9), ell=st.sampled_from([2, 3, 5, 7]), e=st.integers(0, 12),
+           zero_col=st.sampled_from([None, 0, 1, 2, 3]))
+    def test_modulus_against_hnf_rows(self, seed, ell, e, zero_col):
+        """echelon_mod's rows and hnf_rows(rows + m I) have one HNF, also
+        with an all-zero column, whose pivot is m."""
+        m, rng = ell**e, random.Random(seed)
+        rows = random_int_rows(rng)[:rng.randint(0, 6)]
+        if zero_col is not None:
+            for r in rows:
+                r[zero_col] = 0
+        E = echelon_mod([list(r) for r in rows], 4, m)
+        assert hnf_rows(E) == hnf_rows(rows + [[m * (s == t) for t in range(4)] for s in range(4)])
+        if zero_col is not None:
+            assert E[zero_col][zero_col] == m
+
     def test_modulus_must_be_a_prime_power(self):
         """No entry of 2 and 3 divides the other mod 6, and 8 = 4 * 2 mod 12
         has no unit cofactor: the echelon raises rather than mis-reduce."""
@@ -179,6 +195,9 @@ class TestHnfAgainstOracle:
             echelon_mod([[2, 0, 0, 0], [3, 0, 0, 0]], 4, 6)
         with pytest.raises(ValueError):
             echelon_mod([[8, 0, 0, 0]], 4, 12)
+        # 4 and 6 mod 12 in a later column, after a unit pivot in the first
+        with pytest.raises(PreconditionError, match="not a prime power"):
+            echelon_mod([[1, 5, 0, 0], [0, 4, 1, 0], [0, 6, 0, 1]], 4, 12)
 
     def test_inputs_of_a_class_set_and_a_walk(self, monkeypatch):
         """Every HNF, and every modular echelon (of a tree point in
@@ -568,14 +587,46 @@ def perturbed_order_lattice(rng, order):
     return random_sublattice(rng, order)
 
 
+def left_module_by_definition(L, O) -> bool:
+    """O L in L: all 16 products of basis rows are members."""
+    mul, dd = L.algebra.mul_coords, O.den * L.den
+    return all(L.int_coords(mul(a, b), dd) is not None for a in O.mat for b in L.mat)
+
+
 def is_ring_by_definition(L) -> bool:
     """1 in L and L L in L: all 16 products of basis rows are members."""
-    return L.int_coords((1, 0, 0, 0)) is not None and L.is_left_module_over(L)
+    return L.int_coords((1, 0, 0, 0)) is not None and left_module_by_definition(L, L)
 
 
-class TestSixProductRingTest:
-    """is_ring tests six products after 1 and the integrality of the norm
-    form; the second path is the definition with all 16 products."""
+def unit_coordinate(L):
+    """The first t with coordinate e_t = +-1 of 1 in L's rows, else None."""
+    e = L.int_coords((1, 0, 0, 0))
+    return None if e is None else next((t for t, c in enumerate(e) if c * c == 1), None)
+
+
+def unreduced_basis(rng, L):
+    """L on another upper-triangular basis with its pivots: each row plus
+    small multiples of the rows below it, so that the entries above the
+    pivots leave [0, pivot) and 1 may have no coordinate +-1."""
+    rows = [list(r) for r in L.mat]
+    for s in range(3):
+        for t in range(s + 1, 4):
+            f = rng.randint(-3, 3)
+            rows[s] = [x + f * y for x, y in zip(rows[s], rows[t])]
+    return QLattice(L.algebra, tuple(tuple(r) for r in rows), L.den)
+
+
+class TestRingTestOnABasisWithOne:
+    """is_ring tests 1 and the integrality of the norm form, then three
+    products on a basis that holds 1 where a coordinate e_t of 1 is +-1,
+    else six; the second path is the definition with all 16 products.
+
+    On a canonical (HNF) basis, once the norm form is integral some e_t is
+    +-1: trd(b_0) = 2/e_0 is an integer, so e_0 is 1 or 2, and at e_0 = 2
+    each e_t, t >= 1, up to the first nonzero one, is -2 a_0t / p_t in
+    (-2, 0], as HNF reduces the entries above the pivots into [0, p_t); they
+    are not all 0, or 1/2 = b_0 would lie in L.  The six products run on
+    the same lattices given by unreduced triangular bases."""
 
     ORDERS = [O0, O101, O113, BASS13]
 
@@ -585,21 +636,77 @@ class TestSixProductRingTest:
         rng = random.Random(seed)
         for _ in range(10):
             L = perturbed_order_lattice(rng, order)
-            assert L.is_ring() == is_ring_by_definition(L), L
+            want = is_ring_by_definition(L)
+            assert L.is_ring() == want, L
+            assert unreduced_basis(rng, L).is_ring() == want, L
 
     def test_perturbations_cover_every_case(self):
         # rings; lattices with 1 and integral norm form that are not rings
-        # (the six products decide these); with 1 and a non-integral norm
-        # form; without 1
+        # (the products decide these), each with and without a coordinate
+        # +-1 of 1; with 1 and a non-integral norm form; without 1
         rng = random.Random(0)
         seen = set()
         for _ in range(400):
             L = perturbed_order_lattice(rng, rng.choice(self.ORDERS))
-            has_one = L.int_coords((1, 0, 0, 0)) is not None
-            integral = L.reduced_norm.denominator == 1
-            seen.add((has_one, has_one and integral, is_ring_by_definition(L)))
-        assert seen == {(True, True, True), (True, True, False),
-                        (True, False, False), (False, False, False)}
+            for M in (L, unreduced_basis(rng, L)):
+                has_one = M.int_coords((1, 0, 0, 0)) is not None
+                integral = has_one and M.reduced_norm.denominator == 1
+                unit = unit_coordinate(M) is not None
+                if integral and M is L:
+                    assert unit, L  # the canonical basis always has one
+                seen.add((has_one, integral, integral and unit, is_ring_by_definition(M)))
+        assert seen == {(True, True, True, True), (True, True, False, True),
+                        (True, True, True, False), (True, True, False, False),
+                        (True, False, False, False), (False, False, False, False)}
+
+    # (p, den, mat, t, (a, b)): lattices holding 1 with integral norm form
+    # whose first coordinate +-1 of 1 is e_t, and whose only product b_a b_b
+    # outside L among the three is_ring tests is the given one
+    ONE_FAILING_PRODUCT = [
+        (7, 2, ((1, 0, 1, 2), (0, 1, 0, 3), (0, 0, 2, 4), (0, 0, 0, 6)), 2, (0, 1)),
+        (113, 6, ((3, 1, 0, 4), (0, 2, 0, 8), (0, 0, 3, 9), (0, 0, 0, 36)), 1, (0, 2)),
+        (113, 6, ((3, 1, 6, 16), (0, 2, 0, 2), (0, 0, 12, 12), (0, 0, 0, 18)), 1, (0, 3)),
+        (13, 1, ((1, 0, 0, 0), (0, 1, 0, 2), (0, 0, 1, 2), (0, 0, 0, 3)), 0, (1, 2)),
+        (13, 1, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)), 0, (1, 3)),
+        (13, 1, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 0, (2, 3)),
+    ]
+
+    @pytest.mark.parametrize("p,den,mat,t,pair", ONE_FAILING_PRODUCT)
+    def test_each_product_decides_a_case(self, p, den, mat, t, pair):
+        """Skipping any one product of is_ring would pass one of these."""
+        L = QLattice.from_int_rows(QuatAlgebra.for_prime(p), mat, den)
+        assert L.mat == mat and unit_coordinate(L) == t and L.reduced_norm.denominator == 1
+        mul = L.algebra.mul_coords
+        for a, b in product(range(4), repeat=2):
+            if a < b and t not in (a, b):
+                inside = L.int_coords(mul(mat[a], mat[b]), den * den) is not None
+                assert inside == ((a, b) != pair), (a, b)
+        assert not L.is_ring() and not is_ring_by_definition(L)
+
+
+class TestLeftModuleOver:
+    """is_left_module_over tests 12 products where a coordinate of 1 in the
+    other lattice's basis is +-1, else 16; the second path is the 16-product
+    definition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from(TestRingTestOnABasisWithOne.ORDERS))
+    def test_agrees_with_definition(self, seed, order):
+        rng = random.Random(seed)
+        for _ in range(10):
+            L = perturbed_order_lattice(rng, order)
+            O = rng.choice([order, perturbed_order_lattice(rng, order)])
+            assert L.is_left_module_over(O) == left_module_by_definition(L, O), (L, O)
+
+    def test_both_branches_and_both_answers(self):
+        rng = random.Random(1)
+        seen = set()
+        for _ in range(300):
+            order = rng.choice(TestRingTestOnABasisWithOne.ORDERS)
+            L = perturbed_order_lattice(rng, order)
+            O = rng.choice([order, perturbed_order_lattice(rng, order)])
+            seen.add((unit_coordinate(O) is not None, left_module_by_definition(L, O)))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestMembership:
@@ -651,6 +758,22 @@ class TestMembership:
     def test_orders_are_rings(self, order):
         assert order.is_ring()
         assert idl.QOrder(order).lattice == order
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from([STD, O0, O101, O113, Q101]))
+    def test_contains_lattice_against_int_coords(self, seed, order):
+        """contains_lattice's one pass against int_coords on each row, for
+        pairs of sublattices, orders, their scalings and unreduced bases."""
+        rng = random.Random(seed)
+        cands = [order, order.scale(Fraction(1, 2)), order.scale(3)]
+        cands += [random_sublattice(rng, order) for _ in range(3)]
+        cands += [unreduced_basis(rng, L) for L in cands[3:]]
+        hits = 0
+        for L, M in product(cands, repeat=2):
+            want = all(L.int_coords(r, M.den) is not None for r in M.mat)
+            assert L.contains_lattice(M) == want, (L, M)
+            hits += want
+        assert 0 < hits < len(cands) ** 2
 
 
 class TestReducedNorm:
@@ -708,6 +831,21 @@ def is_ring_oracle(L: QLattice) -> bool:
     mul = L.algebra.mul_coords
     return all(L.int_coords(mul(L.mat[a], L.mat[b]), dd) is not None
                for a in range(4) for b in range(a + 1, 4))
+
+
+def triangular_adjugate_oracle(m):
+    """The former lattice.triangular_adjugate, kept as the reference:
+    det(m) m^-1 by back-substitution, for nonzero pivots; every division is
+    exact."""
+    det = math.prod(m[t][t] for t in range(4))
+    X = [[0] * 4 for _ in range(4)]
+    for c in range(4):
+        X[c][c] = det // m[c][c]
+        for r in range(c - 1, -1, -1):
+            s = sum(m[r][t] * X[t][c] for t in range(r + 1, c + 1))
+            X[r][c], rem = divmod(-s, m[r][r])
+            assert rem == 0
+    return X
 
 
 def random_triangular_rows(rng):
@@ -772,12 +910,28 @@ class TestStraightLineKernels:
             assert got == QLattice.from_int_rows(A7, rows, den), (rows, den)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**6), order=st.sampled_from(TestSixProductRingTest.ORDERS))
+    @given(seed=st.integers(0, 10**6), order=st.sampled_from(TestRingTestOnABasisWithOne.ORDERS))
     def test_is_ring_against_mul_coords(self, seed, order):
         rng = random.Random(seed)
         for _ in range(10):
             L = perturbed_order_lattice(rng, order)
             assert L.is_ring() == is_ring_oracle(L), L
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_triangular_adjugate(self, seed):
+        """m adj(m) = det(m) I, and the former back-substitution, on upper-
+        triangular matrices with entries of either sign, zero pivots too."""
+        rng = random.Random(seed)
+        m = [[rng.randint(-40, 40) if c > r else 0 for c in range(4)] for r in range(4)]
+        for t in range(4):
+            m[t][t] = rng.choice([-3, -1, 0, 1, 2, 5, 16, 81, 1000])
+        adj = lattice.triangular_adjugate(m)
+        det = math.prod(m[t][t] for t in range(4))
+        assert all(sum(m[r][t] * adj[t][c] for t in range(4)) == det * (r == c)
+                   for r in range(4) for c in range(4))
+        if det:
+            assert adj == triangular_adjugate_oracle(m)
 
 
 def fraction_fp_setup(gram):
