@@ -18,6 +18,12 @@ from qisog import ideals as idl
 from qisog import numth, orient
 
 
+def bucket_rows(rep: orient.AuditReport) -> list[tuple[str, int, int]]:
+    """(bucket name, predicted, observed) for each bucket of the report."""
+    return [("+".join(bucket), want, sum(rep.observed.get(c, 0) for c in bucket))
+            for bucket, want in rep.predicted]
+
+
 def survey(p: int, ell: int, depth: int):
     start = idl.root_maximal_order(p)
     g = orient.walk_component(start, ell, depth=depth)
@@ -30,7 +36,7 @@ def survey(p: int, ell: int, depth: int):
         key = (attrs["f_i"], attrs["f_j"])
         profile[key] += 1
         if not rep.ok:
-            mismatches.append((key, rep.bucket_rows()))
+            mismatches.append((key, bucket_rows(rep)))
     return {
         "vertices": g.num_vertices(),
         "tree": g.is_tree_undirected(),

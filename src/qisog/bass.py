@@ -163,11 +163,19 @@ def eichler_symbol_radical(O: QOrder, ell: int) -> EichlerSymbol:
         return EichlerSymbol(-1)
     # an order element with non-scalar image generates the 2-dimensional
     # etale quotient; split iff its characteristic discriminant is a square
-    for b in O.basis_elements():
-        disc = int(b.trd() ** 2 - 4 * b.nrd()) % ell
+    for r in O.lattice.mat:
+        disc = basis_row_discriminant(O, r) % ell
         if disc:
             return EichlerSymbol(numth.kronecker(disc, ell))
     raise AssertionError("no generator of the semisimple quotient among the basis")
+
+
+def basis_row_discriminant(O: QOrder, r) -> int:
+    """trd(b)^2 - 4 nrd(b) for b = r / den in O: 4 (r0^2 - nrd(r)) / den^2,
+    exact since trd and nrd are integral on an order."""
+    disc, rem = divmod(4 * (r[0] * r[0] - O.algebra.nrd_coords(r)), O.lattice.den ** 2)
+    assert rem == 0, "trd^2 - 4 nrd of an order element is not integral"
+    return disc
 
 
 def eichler_symbol(O: QOrder, ell: int, contained_dK: int) -> EichlerSymbol:

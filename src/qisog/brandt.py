@@ -218,8 +218,10 @@ def brandt_matrix(cs: ClassSet) -> list[list[int]]:
         for j, Jrep in enumerate(cs.representatives):
             N = idl.inverse(Jrep) * I
             target = cs.ell * I.reduced_norm / Jrep.reduced_norm
-            hits = [e for e in N.min_norm_elements(target) if e.nrd() == target]
-            count, rem = divmod(len(hits), cs.unit_sizes[j])
+            m = N.den ** 2 * target
+            assert m.denominator == 1, "den^2 nrd is not integral on N"
+            hits = sum(n == m.numerator for n, _ in N.short_vectors(target))
+            count, rem = divmod(hits, cs.unit_sizes[j])
             assert rem == 0, "norm count not divisible by the unit size"
             assert count == b[i][j], f"Brandt entry mismatch at ({i},{j})"
     return b

@@ -54,9 +54,6 @@ class QOrder:
     def key(self):
         return self.lattice.key()
 
-    def basis_elements(self):
-        return self.lattice.basis_elements()
-
     def contains_order(self, other: "QOrder") -> bool:
         return self.lattice.contains_lattice(other.lattice)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import CapExceeded, PreconditionError
-from .quat import QuatAlgebra, QuatElement, split_den
+from .quat import QuatAlgebra
 
 Frac = Fraction
 
@@ -278,33 +278,10 @@ class QLattice:
         return cls._content_free(algebra, ((a0, a1, a2, a3 % d3), (0, b1, b2, b3 % d3),
                                            (0, 0, c2, c3 % d3), (0, 0, 0, d3)), den)
 
-    @classmethod
-    def from_frac_rows(cls, algebra: QuatAlgebra, rows) -> "QLattice":
-        rows = [[Frac(x) for x in r] for r in rows]
-        den = 1
-        for r in rows:
-            for x in r:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [[int(x * den) for x in r] for r in rows]
-        return cls.from_int_rows(algebra, ints, den)
-
-    @classmethod
-    def from_elements(cls, gens) -> "QLattice":
-        if not gens:
-            raise PreconditionError("no generators")
-        alg = gens[0].algebra
-        return cls.from_frac_rows(alg, [g.coords for g in gens])
-
     # -- basic views --------------------------------------------------------
 
     def key(self):
         return (self.den, self.mat)
-
-    def basis_elements(self) -> list[QuatElement]:
-        return [
-            QuatElement(self.algebra, tuple(Frac(x, self.den) for x in row))
-            for row in self.mat
-        ]
 
     def int_coords(self, x, vden: int = 1) -> list[int] | None:
         """Integer coordinates of the ambient vector x/vden in the basis
@@ -335,9 +312,6 @@ class QLattice:
         if y % p3:
             return None
         return [c0, c1, c2, y // p3]
-
-    def contains(self, elt: QuatElement) -> bool:
-        return self.int_coords(*split_den(elt.coords)) is not None
 
     def contains_lattice(self, other: "QLattice") -> bool:
         return self._holds_rows(other.mat, other.den)
@@ -555,12 +529,12 @@ class QLattice:
 
     # -- short vectors ------------------------------------------------------
 
-    def min_norm_elements(self, bound, cap: int = 10**6) -> list[QuatElement]:
-        """All lattice elements with 0 < nrd <= bound, one of each +-pair,
-        sorted by (norm, coordinates): the rows of ``short_vectors`` over
-        den."""
-        return [QuatElement(self.algebra, tuple(Frac(x, self.den) for x in vec))
-                for _, vec in self.short_vectors(bound, cap)]
+    def min_norm_elements(self, bound, cap: int = 10**6) -> list[tuple[int, ...]]:
+        """The rows of ``short_vectors(bound, cap)``, without their norms:
+        the integer rows v with v/den in the lattice and 0 < nrd <= bound,
+        one of each +-pair.  Callers could read short_vectors directly; the
+        name stays while perfbench/tracer.py spans it."""
+        return [v for _, v in self.short_vectors(bound, cap)]
 
     def short_vectors(self, bound, cap: int = 10**6) -> list[tuple[int, tuple[int, ...]]]:
         """Pairs (den^2 nrd(v/den), v) over the integer rows v with v/den in

@@ -52,9 +52,6 @@ class OrientedVertex:
     f_i: int
     f_j: int
 
-    def key(self):
-        return self.order.key()
-
     @cached_property
     def theta_rows(self) -> tuple:
         """theta = f omega for each subfield, i first, as (integer row, den):
@@ -229,13 +226,6 @@ class AuditReport:
     observed: dict
     ok: bool
 
-    def bucket_rows(self):
-        rows = []
-        for bucket, want in self.predicted:
-            got = sum(self.observed.get(c, 0) for c in bucket)
-            rows.append(("+".join(bucket), want, got))
-        return rows
-
 
 def predicted_counts(alg: QuatAlgebra, f_i: int, f_j: int, ell: int) -> tuple[str, list]:
     """Per-category counts the structure formula predicts at a vertex.
@@ -283,22 +273,11 @@ def predicted_counts(alg: QuatAlgebra, f_i: int, f_j: int, ell: int) -> tuple[st
     return "both conductors divisible", pred
 
 
-def structure_audit(component: MultiGraph, vertex_key, ell: int,
-                    alg: QuatAlgebra) -> AuditReport:
-    """Compare predicted category counts with the observed out-edges.
-
-    The vertex passes when every bucket matches predicted_counts and its
-    out-degree is ell + 1, for every ell alike.  alg is the component's
-    algebra.
-    """
-    attrs = component.vertex_attrs[vertex_key]
-    return _audit_vertex(component, vertex_key, ell,
-                         *predicted_counts(alg, attrs["f_i"], attrs["f_j"], ell))
-
-
 def _audit_vertex(component: MultiGraph, vertex_key, ell: int, case: str,
                   pred: list) -> AuditReport:
-    """structure_audit with the vertex's predicted_counts given."""
+    """Compare the predicted category counts pred (predicted_counts' list)
+    with the vertex's observed out-edges.  The vertex passes when every
+    bucket matches and its out-degree is ell + 1, for every ell alike."""
     observed: dict = {c: 0 for c in CATEGORIES}
     for rec in component.out_edges(vertex_key).values():
         observed[rec["cls"]] += rec["count"]

@@ -1,27 +1,21 @@
-"""Exact arithmetic in a definite rational quaternion algebra with basis
-1, i, j, k where i^2 = d_i, j^2 = d_j and k = ij = -ji.
+"""A definite rational quaternion algebra with basis 1, i, j, k where
+i^2 = d_i, j^2 = d_j and k = ij = -ji: its parameters, and the product and
+reduced norm of integer coordinate rows.
 
-Coordinates are Fractions, so element equality is coordinate equality.
+An element is an integer row x over a denominator, x / den, as in lattice;
+the product and the norm are bilinear and quadratic, so a caller scales
+them by den^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import numth
 from .errors import PreconditionError
 
-Frac = Fraction
-Coords = tuple[Fraction, Fraction, Fraction, Fraction]
-
-
-def split_den(coords) -> tuple[list[int], int]:
-    """Rational coordinates as (integer numerators, common denominator)."""
-    vden = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (vden // c.denominator) for c in coords], vden
+Coords = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -48,28 +42,6 @@ class QuatAlgebra:
                 f"({self.d_i},{self.d_j}) is ramified at {ram}, "
                 f"expected {{{self.p}, oo}}"
             )
-
-    def element(self, x=0, y=0, z=0, w=0) -> "QuatElement":
-        return QuatElement(self, (Frac(x), Frac(y), Frac(z), Frac(w)))
-
-    @cached_property
-    def one(self) -> "QuatElement":
-        return self.element(1)
-
-    @cached_property
-    def i(self) -> "QuatElement":
-        return self.element(0, 1)
-
-    @cached_property
-    def j(self) -> "QuatElement":
-        return self.element(0, 0, 1)
-
-    @cached_property
-    def k(self) -> "QuatElement":
-        return self.element(0, 0, 0, 1)
-
-    def basis(self) -> tuple["QuatElement", ...]:
-        return (self.one, self.i, self.j, self.k)
 
     @cached_property
     def maximal_quadratic_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -105,82 +77,6 @@ class QuatAlgebra:
             x1 * w2 + w1 * x2 + y1 * z2 - z1 * y2,
         )
 
-    def nrd_coords(self, a: Coords) -> Fraction:
+    def nrd_coords(self, a: Coords) -> int:
         x, y, z, w = a
         return x * x - self.d_i * y * y - self.d_j * z * z + self.d_i * self.d_j * w * w
-
-
-@dataclass(frozen=True)
-class QuatElement:
-    algebra: QuatAlgebra
-    coords: Coords
-
-    def _check(self, other: "QuatElement") -> None:
-        if self.algebra != other.algebra:
-            raise PreconditionError("elements live in different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuatElement(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuatElement(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return QuatElement(self.algebra, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, QuatElement):
-            self._check(other)
-            return QuatElement(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
-        try:
-            r = Frac(other)
-        except TypeError:  # not a scalar: let other.__rmul__ (e.g. an ideal) answer
-            return NotImplemented
-        return QuatElement(self.algebra, tuple(a * r for a in self.coords))
-
-    def __rmul__(self, other):
-        # scalars commute; quaternion * quaternion goes through __mul__
-        return self * other
-
-    def __truediv__(self, other):
-        if isinstance(other, QuatElement):
-            return self * other.inverse()
-        return self * (Frac(1) / Frac(other))
-
-    def conjugate(self) -> "QuatElement":
-        x, y, z, w = self.coords
-        return QuatElement(self.algebra, (x, -y, -z, -w))
-
-    def trd(self) -> Fraction:
-        return 2 * self.coords[0]
-
-    def nrd(self) -> Fraction:
-        x, vden = split_den(self.coords)
-        return Frac(self.algebra.nrd_coords(x), vden * vden)
-
-    def inverse(self) -> "QuatElement":
-        n = self.nrd()
-        if n == 0:
-            raise PreconditionError("division by zero quaternion")
-        return QuatElement(self.algebra, tuple(c / n for c in self.conjugate().coords))
-
-    def key(self):
-        """Deterministic sort key: norm first, then coordinates."""
-        return (self.nrd(), self.coords)
-
-    def __repr__(self):
-        names = ("", "i", "j", "k")
-        parts = []
-        for c, n in zip(self.coords, names):
-            if c == 0:
-                continue
-            if n and c == 1:
-                parts.append(n)
-            elif n and c == -1:
-                parts.append(f"-{n}")
-            else:
-                parts.append(f"{c}{n}")
-        return " + ".join(parts) if parts else "0"
-

@@ -21,6 +21,8 @@ from qisog.lattice import QLattice
 from qisog.quat import QuatAlgebra
 from test_bass import local_embedding_number
 from test_ideals import ideals_of_norm_ell_bruteforce, is_primitive, is_primitive_at, is_two_sided
+from test_orient import load_ridge_survey, structure_audit
+from test_quat import basis_elements, element, from_elements
 
 
 class Budget:
@@ -129,7 +131,7 @@ def test_criterion_6_structure_audit():
                 assert rep.ok, (ell, g.vertex_attrs[rep.vertex])
         # the global root at ell = 3: all four edges simultaneously descending
         g3 = orient.walk_component(start, 3, depth=1)
-        rep3 = orient.structure_audit(g3, root_key, 3, start.algebra)
+        rep3 = structure_audit(g3, root_key, 3, start.algebra)
         assert rep3.ok and rep3.observed["DD"] == 4
         # local roots adjacent where two exist (exercised at p = 13 and 17)
         for p, ell in ((13, 2), (17, 3)):
@@ -163,14 +165,14 @@ def test_criterion_6_ell2_root_formula_counts():
         assert (want["HH"], want["HD"], want["DH"], want["DD"]) == (0, 1, 2, 0)
         start = idl.root_maximal_order(7)
         g = orient.walk_component(start, 2, depth=1)
-        rep = orient.structure_audit(g, start.key(), 2, alg)
+        rep = structure_audit(g, start.key(), 2, alg)
         obs = rep.observed
         assert (obs["HH"], obs["HD"], obs["DH"], obs["DD"]) == (0, 1, 2, 0), (
             "observed root classes (HH,HD,DH,DD) = "
             f"({obs['HH']},{obs['HD']},{obs['DH']},{obs['DD']}), but e = 1 and "
             "the field counts force (0,1,2,0)"
         )
-        assert rep.ok, rep.bucket_rows()
+        assert rep.ok, load_ridge_survey().bucket_rows(rep)
 
 
 def test_criterion_7_connecting_ideal_laws(walked_orders_13, walked_orders_37):
@@ -197,7 +199,7 @@ def test_criterion_8_property_suites():
         A13 = QuatAlgebra.for_prime(13)
 
         def rand_elt(alg):
-            return alg.element(*[Fraction(rng.randint(-8, 8), rng.choice((1, 2))) for _ in range(4)])
+            return element(alg, *[Fraction(rng.randint(-8, 8), rng.choice((1, 2))) for _ in range(4)])
 
         for _ in range(200):
             x, y = rand_elt(A13), rand_elt(A13)
@@ -207,11 +209,11 @@ def test_criterion_8_property_suites():
         # nrd(I)^2 = [O_L(I) : I] on integral translates of a maximal order
         O0 = idl.root_maximal_orders(13)[0]
         for _ in range(10):
-            alpha = sum((rng.randint(-3, 3) * b for b in O0.basis_elements()),
-                        A13.element())
+            alpha = sum((rng.randint(-3, 3) * b for b in basis_elements(O0.lattice)),
+                        element(A13))
             if alpha.nrd() == 0:
                 continue
-            I = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
+            I = from_elements([b * alpha for b in basis_elements(O0.lattice)])
             assert I.reduced_norm ** 2 == I.index_in(I.left_order())
         # HNF canonicality round-trips under unimodular row operations
         for _ in range(50):

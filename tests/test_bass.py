@@ -10,6 +10,7 @@ from qisog.ideals import QOrder
 from qisog.lattice import QLattice, triangular_adjugate
 from qisog.quat import QuatAlgebra
 from test_lattice import standard_order_lattice
+from test_quat import basis_elements, element, from_elements
 
 
 def bass_for(p):
@@ -70,6 +71,21 @@ class TestEichlerSymbol:
                 oracle = bass.eichler_symbol_radical(O, ell)
                 assert formula == oracle, (p, ell)
 
+    def test_basis_row_discriminant_against_elements(self):
+        """The radical oracle's integer trd^2 - 4 nrd of each basis row is
+        the Fraction element's, on the Bass order of every prime
+        7 <= p < 500 at every odd ell dividing its discrd."""
+        cases = 0
+        for p in filter(numth.is_prime, range(7, 500)):
+            O = bass_for(p)
+            for ell in numth.factorize(O.reduced_discriminant):
+                if ell == 2:
+                    continue
+                for r, b in zip(O.lattice.mat, basis_elements(O.lattice)):
+                    assert bass.basis_row_discriminant(O, r) == b.trd() ** 2 - 4 * b.nrd(), (p, ell)
+                cases += 1
+        assert cases == 112
+
     def test_undefined_away_from_discriminant(self):
         O = bass_for(13)
         with pytest.raises(PreconditionError):
@@ -85,7 +101,7 @@ class TestEichlerSymbol:
         (i - a)/2 and (1 - 2a + j)/4 have norms (a^2 + 2)/4 and
         ((1 - 2a)^2 + 13)/16, never integers."""
         O0 = idl.root_maximal_order(13)
-        R = QOrder(QLattice.from_elements([O0.algebra.one] + [2 * b for b in O0.basis_elements()]))
+        R = QOrder(from_elements([element(O0.algebra, 1)] + [2 * b for b in basis_elements(O0.lattice)]))
         with pytest.raises(PreconditionError):
             bass._contained_dK(R)
 
@@ -107,11 +123,11 @@ class TestEichlerSymbol:
         its radical is F_4, where the idempotent search finds nothing, and
         O0 is its one maximal superorder."""
         O0 = idl.root_maximal_order(p)
-        b0, b1, b2, b3 = basis = O0.basis_elements()
+        b0, b1, b2, b3 = basis = basis_elements(O0.lattice)
         combos = (c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3
                   for c0, c1, c2, c3 in product(range(2), repeat=4))
         u = next(v for v in combos if v.trd() % 2 and v.nrd() % 2)
-        R = QOrder(QLattice.from_elements([O0.algebra.one, u] + [2 * b for b in basis]))
+        R = QOrder(from_elements([element(O0.algebra, 1), u] + [2 * b for b in basis]))
         assert R.reduced_discriminant == 4 * p
         assert bass.eichler_symbol_radical(R, 2).value == -1
         assert bass.enumerate_maximal_superorders(R) == [O0]

@@ -12,9 +12,9 @@ from qisog.cli import main
 from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice
-from qisog.quat import QuatElement
 from qisog.multigraph import MultiGraph
 from test_ideals import equivalence_oracle, times
+from test_quat import QuatElement, min_norm_elements
 
 
 def in_degree(g: MultiGraph, v) -> int:
@@ -71,7 +71,7 @@ def assert_relabels_first_match(cs) -> None:
 
 def _is_principal(I: QLattice) -> bool:
     n = I.reduced_norm
-    return any(e.nrd() == n for e in I.min_norm_elements(n))
+    return any(e.nrd() == n for e in min_norm_elements(I, n))
 
 
 def right_orders_conjugate(O1: QOrder, O2: QOrder) -> bool:
@@ -516,7 +516,7 @@ class TestBrandtMatrix:
         b = cs.brandt
         for i, R in enumerate(cs.representatives):
             has_norm_2 = any(
-                e.nrd() == 2 for e in R.right_order().min_norm_elements(2))
+                e.nrd() == 2 for e in min_norm_elements(R.right_order(), 2))
             if not has_norm_2:
                 assert b[i][i] == 0
 

@@ -15,9 +15,11 @@ from qisog import numth
 from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice, hnf_rows
-from qisog.quat import QuatAlgebra, QuatElement, split_den
+from qisog.quat import QuatAlgebra
 from test_lattice import standard_order_lattice
 from test_orient import divisible_start
+from test_quat import (QuatElement, basis, basis_elements, contains, element, from_elements,
+                       min_norm_elements, split_den)
 
 A7 = QuatAlgebra.for_prime(7)
 A13 = QuatAlgebra.for_prime(13)
@@ -48,14 +50,14 @@ def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QLattice]:
     for basis in _two_dim_subspaces(ell):
         if all(numth.span_coords_mod(basis, idl._quot_mul(table, ell, ea, v), ell) is not None
                for ea in units for v in basis):
-            bas = O.basis_elements()
+            bas = basis_elements(O.lattice)
             gens = [ell * b for b in bas]
             for v in basis:
-                elt = O.algebra.element()
+                elt = element(O.algebra)
                 for c, b in zip(v, bas):
                     elt = elt + c * b
                 gens.append(elt)
-            I = QLattice.from_elements(gens)
+            I = from_elements(gens)
             if I.reduced_norm == ell:
                 out.append(I)
     return sorted(out, key=lambda I: I.key())
@@ -89,7 +91,7 @@ def is_two_sided(I: QLattice) -> bool:
 
 def times(I: QLattice, alpha: QuatElement) -> QLattice:
     """I alpha, from the Fraction products of I's basis elements."""
-    return QLattice.from_elements([b * alpha for b in I.basis_elements()])
+    return from_elements([b * alpha for b in basis_elements(I)])
 
 
 def matrix_of(frame: idl.EllAdicFrame, u) -> tuple:
@@ -147,8 +149,8 @@ def connecting_ideal_membership_oracle(O1: QOrder, O2: QOrder, probe: QuatElemen
     n = O1.lattice.intersect(O2.lattice).index_in(O1.lattice)
     target = O1.lattice.scale(n)
     return all(
-        target.contains(probe * b * probe.conjugate())
-        for b in O2.basis_elements()
+        contains(target, probe * b * probe.conjugate())
+        for b in basis_elements(O2.lattice)
     )
 
 
@@ -157,7 +159,7 @@ def fraction_order_closure(gens, rounds: int = 16) -> QLattice:
     products of the current span and takes the HNF over the lcm of all the
     denominators, until the span repeats."""
     alg = gens[0].algebra
-    current = [alg.one.coords] + [g.coords for g in gens]
+    current = [element(alg, 1).coords] + [g.coords for g in gens]
     seen = None
     for _ in range(rounds):
         elems = [QuatElement(alg, c) for c in current]
@@ -168,7 +170,7 @@ def fraction_order_closure(gens, rounds: int = 16) -> QLattice:
         if nxt == seen:
             if len(nxt) != 4:
                 raise PreconditionError("generators do not span the algebra")
-            return QLattice.from_frac_rows(alg, nxt)
+            return from_elements([QuatElement(alg, r) for r in nxt])
         seen = current = nxt
     raise CapExceeded("ring closure did not stabilize; not an order")
 
@@ -182,23 +184,23 @@ def close(gens) -> QOrder:
 
 class TestOrderClosure:
     def test_p7_root(self):
-        one, i, j, k = A7.basis()
+        one, i, j, k = basis(A7)
         O = close([i, (one + j) / 2])
         assert O.reduced_discriminant == 7
 
     def test_p13_standard(self):
-        _, i, j, _ = A13.basis()
+        _, i, j, _ = basis(A13)
         O = close([i, j])
         assert O.reduced_discriminant == 104  # 8p
 
     def test_scalars_fail_rank(self):
         with pytest.raises(PreconditionError):
-            close([A7.one])
+            close([element(A7, 1)])
         with pytest.raises(PreconditionError):
-            fraction_order_closure([A7.one])
+            fraction_order_closure([element(A7, 1)])
 
     def test_unbounded_denominators_fail(self):
-        one, i, j, k = A7.basis()
+        one, i, j, k = basis(A7)
         with pytest.raises(CapExceeded):
             close([i / 2])
         with pytest.raises(CapExceeded):
@@ -227,14 +229,14 @@ class TestOrderClosure:
 
 class TestReducedDiscriminant:
     def test_two_generator_formula_agrees(self):
-        one, i, j, _ = A7.basis()
+        one, i, j, _ = basis(A7)
         a1, a2 = i, (one + j) / 2
         O = close([a1, a2])
         assert two_generator_discriminant(a1, a2) == O.reduced_discriminant
 
     def test_p17_pq(self):
         a17 = QuatAlgebra.for_prime(17)
-        one, i, j, _ = a17.basis()
+        one, i, j, _ = basis(a17)
         O = close([(one + i) / 2, j])
         assert a17.q == 3
         assert O.reduced_discriminant == 51
@@ -251,8 +253,9 @@ class TestRootOrders:
         d_u = 1 mod 4 and u otherwise."""
         for p in (5, 7, 13, 17, 41, 73, 101, 113, 409, 499):
             alg = QuatAlgebra.for_prime(p)
-            want = tuple((alg.one + u) / 2 if d % 4 == 1 else u
-                         for d, u in ((alg.d_i, alg.i), (alg.d_j, alg.j)))
+            one, i, j, _ = basis(alg)
+            want = tuple((one + u) / 2 if d % 4 == 1 else u
+                         for d, u in ((alg.d_i, i), (alg.d_j, j)))
             assert tuple(QuatElement(alg, tuple(Fraction(x, den) for x in row))
                          for row, den in alg.maximal_quadratic_rows) == want
 
@@ -374,10 +377,10 @@ class TestConnectingIdeals:
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
         O1 = QOrder(I.right_order())
         C = idl.connecting_ideal(ROOT7, O1)
-        for b in C.basis_elements():
+        for b in basis_elements(C):
             assert connecting_ideal_membership_oracle(ROOT7, O1, b)
         # elements outside C must violate the membership predicate
-        outside = [e for e in ROOT7.lattice.min_norm_elements(3) if not C.contains(e)]
+        outside = [e for e in min_norm_elements(ROOT7.lattice, 3) if not contains(C, e)]
         assert outside and all(
             not connecting_ideal_membership_oracle(ROOT7, O1, e) for e in outside)
 
@@ -538,7 +541,7 @@ class TestEllAdicFrame:
 
     @staticmethod
     def element(O: QOrder, u) -> QuatElement:
-        return sum((c * b for c, b in zip(u, O.basis_elements())), O.algebra.element())
+        return sum((c * b for c, b in zip(u, basis_elements(O.lattice))), element(O.algebra))
 
     @pytest.mark.parametrize("p,ell", FRAME_CASES)
     def test_matrix_unit_relations(self, p, ell):
@@ -546,10 +549,10 @@ class TestEllAdicFrame:
         frame = idl.matrix_split(O, ell, self.N)
         E = [[self.element(O, u) for u in row] for row in frame.units]
         q = ell**self.N
-        assert O.lattice.contains((E[0][0] + E[1][1] - O.algebra.one) / q)
+        assert contains(O.lattice, (E[0][0] + E[1][1] - element(O.algebra, 1)) / q)
         for a, b, c, d in itertools.product(range(2), repeat=4):
-            err = E[a][b] * E[c][d] - (E[a][d] if b == c else O.algebra.element())
-            assert O.lattice.contains(err / q), (a, b, c, d)
+            err = E[a][b] * E[c][d] - (E[a][d] if b == c else element(O.algebra))
+            assert contains(O.lattice, err / q), (a, b, c, d)
         # mod ell the units are the split's, and those are its matrix units
         split = idl.matrix_split(O, ell)
         for a, b in itertools.product(range(2), repeat=2):
@@ -1006,12 +1009,12 @@ class TestModEllEchelon:
 class TestMatrixSplit:
     def test_identity_maps_to_identity(self):
         split = idl.matrix_split(ROOT7, 3)
-        assert image_of(split, A7.one) == (1, 0, 0, 1)
+        assert image_of(split, element(A7, 1)) == (1, 0, 0, 1)
 
     def test_char_poly(self):
         for ell in (2, 3, 5):
             split = idl.matrix_split(ROOT7, ell)
-            for b in ROOT7.basis_elements():
+            for b in basis_elements(ROOT7.lattice):
                 m = image_of(split, b)
                 tr = (m[0] + m[3]) % ell
                 det = (m[0] * m[3] - m[1] * m[2]) % ell
@@ -1021,10 +1024,10 @@ class TestMatrixSplit:
     def test_multiplicative_on_random_pairs(self):
         split = idl.matrix_split(ROOT7, 5)
         rng = random.Random(1)
-        bas = ROOT7.basis_elements()
+        bas = basis_elements(ROOT7.lattice)
         for _ in range(100):
-            x = sum((rng.randrange(5) * b for b in bas), A7.element())
-            y = sum((rng.randrange(5) * b for b in bas), A7.element())
+            x = sum((rng.randrange(5) * b for b in bas), element(A7))
+            y = sum((rng.randrange(5) * b for b in bas), element(A7))
             mx, my = image_of(split, x), image_of(split, y)
             prod = (
                 (mx[0] * my[0] + mx[1] * my[2]) % 5,
@@ -1051,7 +1054,7 @@ def equivalence_oracle(I: QLattice, J: QLattice):
         raise PreconditionError("equivalence needs matching left orders")
     N = idl.inverse(I) * J
     target = N.reduced_norm
-    for elt in N.min_norm_elements(target):
+    for elt in min_norm_elements(N, target):
         if elt.nrd() == target and times(I, elt) == J:
             return elt
     return None
@@ -1091,7 +1094,7 @@ class TestEquivalence:
 
     def test_witness_for_translates(self):
         I = idl.ideals_of_norm_ell(ROOT7, 2)[0]
-        beta = A7.element(1, 1, 1, 0)
+        beta = element(A7, 1, 1, 1, 0)
         J = times(I, beta)
         w = idl.is_equivalent(I, J, ROOT7)
         assert w is not None
@@ -1170,7 +1173,7 @@ class TestLeftOrderPrecondition:
         B = bass.bass_order(A13)
         assert not B.is_maximal
         I = B.lattice
-        beta = A13.element(1, 1, 1, 0)
+        beta = element(A13, 1, 1, 1, 0)
         with pytest.raises(PreconditionError, match="maximal left order"):
             idl.is_equivalent(I, times(I, beta), B)
         O0 = idl.root_maximal_orders(13)[0]
@@ -1187,7 +1190,7 @@ def doubling_reduce_ideal(I, O):
     elts = []
     while not elts:
         bound = bound * 2
-        elts = I.min_norm_elements(bound)
+        elts = min_norm_elements(I, bound)
     return idl.primitive_part(times(I, elts[0].conjugate() / n), O)
 
 

@@ -12,7 +12,9 @@ from qisog import ideals as idl
 from qisog import lattice
 from qisog.errors import CapExceeded, PreconditionError
 from qisog.lattice import QLattice, echelon_mod, hnf_rows, lll_reduce
-from qisog.quat import QuatAlgebra, QuatElement, split_den
+from qisog.quat import QuatAlgebra
+from test_quat import (QuatElement, basis, basis_elements, contains, element, from_elements,
+                       min_norm_elements, split_den)
 
 
 def standard_order_lattice(alg: QuatAlgebra) -> QLattice:
@@ -57,7 +59,7 @@ def brute_short_vectors(lat, bound):
         if not 0 < sum(c * x * x for c, x in zip(diag, vec)) <= limit:
             continue
         e = QuatElement(lat.algebra, tuple(Fraction(x, den) for x in vec))
-        if lat.contains(e):
+        if contains(lat, e):
             for x in vec:
                 if x > 0:
                     break
@@ -323,19 +325,19 @@ class TestIntegerKernel:
 
 class TestCanonicalForm:
     def test_from_generators_examples(self):
-        one, i, j, k = A7.basis()
+        one, i, j, k = basis(A7)
         assert STD.mat == tuple(tuple(int(r == c) for c in range(4)) for r in range(4))
         assert STD.den == 1
-        L = QLattice.from_elements([one, i, (one + j) / 2, (i + k) / 2])
+        L = from_elements([one, i, (one + j) / 2, (i + k) / 2])
         assert L.den == 2
-        M = QLattice.from_elements([2 * one, 2 * i, 2 * j, 2 * k, one + i])
+        M = from_elements([2 * one, 2 * i, 2 * j, 2 * k, one + i])
         assert M.den == 1
         assert M.mat == ((1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
 
     def test_rank_deficient_rejected(self):
-        one, i, _, _ = A7.basis()
+        one, i, _, _ = basis(A7)
         with pytest.raises(PreconditionError):
-            QLattice.from_elements([one, i, one + i])
+            from_elements([one, i, one + i])
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -358,9 +360,9 @@ class TestCanonicalForm:
 
 class TestBinaryOps:
     def test_conjugation_laws(self):
-        one, i, j, k = A7.basis()
+        one, i, j, k = basis(A7)
         L = O0
-        M = QLattice.from_elements([2 * one, 2 * i, 2 * j, 2 * k, one + i])
+        M = from_elements([2 * one, 2 * i, 2 * j, 2 * k, one + i])
         assert L.conjugate().conjugate() == L
         assert (L * M).conjugate() == M.conjugate() * L.conjugate()
 
@@ -371,7 +373,7 @@ class TestBinaryOps:
     def test_times_an_element_is_a_precondition_error(self):
         """A lattice times a rational scales it; I * alpha for an element
         alpha is not defined on lattices, on either side."""
-        one, i, _, _ = A7.basis()
+        one, i, _, _ = basis(A7)
         assert O0 * 2 == 2 * O0 == O0 * Fraction(4, 2)
         assert (O0 * Fraction(1, 3)).den == 3 * O0.den
         for alpha in (one + i, one):
@@ -388,9 +390,9 @@ class TestBinaryOps:
         assert L.contains_lattice(I) and O0.contains_lattice(I)
         # sampled double inclusion: everything in both lattices is in I
         for c in product(range(-2, 3), repeat=4):
-            e = A7.element(*[Fraction(x) for x in c])
-            if L.contains(e) and O0.contains(e):
-                assert I.contains(e)
+            e = element(A7, *[Fraction(x) for x in c])
+            if contains(L, e) and contains(O0, e):
+                assert contains(I, e)
 
     def test_index(self):
         assert STD.scale(2).index_in(STD) == 16
@@ -457,22 +459,22 @@ class TestOrders:
         assert O0.right_order() == O0
 
     def test_right_order_of_principal_lattice(self):
-        alpha = A7.element(1, 1, 0, 0)  # nrd 2
-        L = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
-        conj = QLattice.from_elements(
-            [alpha.inverse() * b * alpha for b in O0.basis_elements()])
+        alpha = element(A7, 1, 1, 0, 0)  # nrd 2
+        L = from_elements([b * alpha for b in basis_elements(O0)])
+        conj = from_elements(
+            [alpha.inverse() * b * alpha for b in basis_elements(O0)])
         assert L.right_order() == conj
         assert L.left_order() == O0
 
     def test_orders_of_conjugate_lattice(self):
-        alpha = A7.element(1, 0, 1, 0)
-        I = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
+        alpha = element(A7, 1, 0, 1, 0)
+        I = from_elements([b * alpha for b in basis_elements(O0)])
         assert I.conjugate().left_order() == I.right_order()
         assert I.conjugate().right_order() == I.left_order()
 
     def test_order_outputs_are_rings(self):
-        alpha = A7.element(2, 1, 1, 0)
-        I = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
+        alpha = element(A7, 2, 1, 1, 0)
+        I = from_elements([b * alpha for b in basis_elements(O0)])
         assert I.left_order().is_ring()
         assert I.right_order().is_ring()
 
@@ -551,8 +553,8 @@ class TestDual:
         has index p^2 over O, [L^# : L] = [O : L]^2 p^2."""
         L = random_sublattice(random.Random(seed), order)
         D = L.dual()
-        for m in D.basis_elements():
-            for b in L.basis_elements():
+        for m in basis_elements(D):
+            for b in basis_elements(L):
                 assert (m * b).trd().denominator == 1
         p = L.algebra.p
         assert L.index_in(D) == L.index_in(order) ** 2 * p * p
@@ -719,23 +721,23 @@ class TestMembership:
         rng = random.Random(seed)
         L = random_sublattice(rng, order)
         alg = L.algebra
-        bas = L.basis_elements()
-        obas = order.basis_elements()
+        bas = basis_elements(L)
+        obas = basis_elements(order)
         probes = []
         for _ in range(4):
             # lattice members, integral elements of the order (mostly off the
             # sublattice), and denominators that need not divide den
-            probes.append(sum((rng.randint(-3, 3) * b for b in bas), alg.element()))
-            probes.append(sum((rng.randint(-3, 3) * b for b in obas), alg.element()))
+            probes.append(sum((rng.randint(-3, 3) * b for b in bas), element(alg)))
+            probes.append(sum((rng.randint(-3, 3) * b for b in obas), element(alg)))
             vden = rng.choice([1, 2, 3, 5, 7, L.den, 2 * L.den, 3 * L.den])
-            probes.append(alg.element(*[Fraction(rng.randint(-9, 9), vden) for _ in range(4)]))
+            probes.append(element(alg, *[Fraction(rng.randint(-9, 9), vden) for _ in range(4)]))
         hits = 0
         for x in probes:
-            want = QLattice.from_elements([x] + bas) == L
-            assert L.contains(x) == want, x
+            want = from_elements([x] + bas) == L
+            assert contains(L, x) == want, x
             hits += want
             coords = coords_of(L, x)
-            assert sum((c * b for c, b in zip(coords, bas)), alg.element()) == x
+            assert sum((c * b for c, b in zip(coords, bas)), element(alg)) == x
             assert all(c.denominator == 1 for c in coords) == want
         assert hits >= 4  # the members drawn from L itself
         assert order.contains_lattice(L)
@@ -747,9 +749,9 @@ class TestMembership:
         assert not O0.scale(2).is_ring()
 
     def test_ring_rejects_lattice_not_closed(self):
-        one, i, j, k = A7.basis()
-        L = QLattice.from_elements([one, i, j / 2, k])
-        assert L.contains(one) and not L.contains((j / 2) * (j / 2))
+        one, i, j, k = basis(A7)
+        L = from_elements([one, i, j / 2, k])
+        assert contains(L, one) and not contains(L, (j / 2) * (j / 2))
         assert not L.is_ring()
         with pytest.raises(PreconditionError):
             idl.QOrder(L)
@@ -781,13 +783,13 @@ class TestReducedNorm:
         assert O0.reduced_norm == 1
 
     def test_homogeneity(self):
-        alpha = A7.element(1, 2, 1, 0)
-        L = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
+        alpha = element(A7, 1, 2, 1, 0)
+        L = from_elements([b * alpha for b in basis_elements(O0)])
         assert L.scale(2).reduced_norm == 4 * L.reduced_norm
 
     def test_norm_squared_is_index(self):
-        for alpha in (A7.element(1, 1, 0, 0), A7.element(0, 1, 1, 1)):
-            I = QLattice.from_elements([b * alpha for b in O0.basis_elements()])
+        for alpha in (element(A7, 1, 1, 0, 0), element(A7, 0, 1, 1, 1)):
+            I = from_elements([b * alpha for b in basis_elements(O0)])
             n = I.reduced_norm
             assert n * n == I.index_in(I.left_order())
 
@@ -1131,16 +1133,24 @@ class TestFlatSearch:
 
 class TestShortVectors:
     def test_example_standard_order(self):
-        got = STD.min_norm_elements(1)
+        got = min_norm_elements(STD, 1)
         assert sorted(e.coords for e in got) == [
             (0, 1, 0, 0), (1, 0, 0, 0)]
 
     def test_below_minimum_empty(self):
         assert STD.min_norm_elements(Fraction(1, 2)) == []
 
+    @pytest.mark.parametrize("L,bound", [(O0, 6), (Q101, Fraction(15, 2))])
+    def test_min_norm_elements_are_the_short_vector_rows(self, L, bound):
+        """min_norm_elements returns the integer rows of short_vectors, in
+        its order, each a lattice vector over den."""
+        rows = [v for _, v in L.short_vectors(bound)]
+        assert len(rows) > 1 and L.min_norm_elements(bound) == rows
+        assert all(L.int_coords(v, L.den) is not None for v in rows)
+
     def test_membership_contract(self):
-        for e in O0.min_norm_elements(6):
-            assert O0.contains(e)
+        for e in min_norm_elements(O0, 6):
+            assert contains(O0, e)
             assert 0 < e.nrd() <= 6
 
     @settings(max_examples=30, deadline=None)
@@ -1149,7 +1159,7 @@ class TestShortVectors:
            order=st.sampled_from([O0, O101, O113]))
     def test_against_box_oracle(self, seed, bound, order):
         L = random_sublattice(random.Random(seed), order)
-        got = L.min_norm_elements(bound)
+        got = min_norm_elements(L, bound)
         want = brute_short_vectors(L, bound)
         assert [e.coords for e in got] == [e.coords for e in want]
 
@@ -1182,7 +1192,7 @@ class TestShortVectors:
         N = idl.inverse(I) * J
         assert N.reduced_norm == Fraction(3, 2)
         for L in (Q101, N):
-            got = L.min_norm_elements(bound)
+            got = min_norm_elements(L, bound)
             assert [e.coords for e in got] == [e.coords for e in brute_short_vectors(L, bound)]
 
     def test_node_cap_is_pinned(self):

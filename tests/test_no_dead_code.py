@@ -27,7 +27,6 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
 
 TRACER = "spanned by perfbench/tracer.py, which resolves it by name"
 ORACLE = "the tests' second path"
-ELEMENTS = "Fraction arithmetic on elements, for the tests' second paths"
 FEATURE = "no subcommand exposes it yet"
 
 ALLOWED = {
@@ -57,34 +56,10 @@ ALLOWED = {
     "lattice.QLattice.__add__": ORACLE,
     "lattice.QLattice._merge_rows": "__add__'s rows",
     "lattice.QLattice.__rmul__": ORACLE,
-    "lattice.QLattice.from_frac_rows": ORACLE,
-    "lattice.QLattice.from_elements": ORACLE,
-    "lattice.QLattice.contains": ELEMENTS,
     "numth.span_coords_mod": "eichler_symbol_radical's l = 2 branch with a 2-dimensional "
                              "semisimple quotient, which no Bass order in the range reaches",
     "multigraph.MultiGraph.multiplicity": "counted by perfbench/tracer.py; the tests' edge checks",
-    "orient.structure_audit": "the tests' audit of one vertex; audit_component audits through "
-                              "_audit_vertex",
-    "orient.AuditReport.bucket_rows": "scripts/ridge_survey.py only",
-    "orient.OrientedVertex.key": "the tests' walk oracle",
-    "quat.QuatAlgebra.element": ELEMENTS,
-    "quat.QuatAlgebra.one": ELEMENTS,
-    "quat.QuatAlgebra.i": ELEMENTS,
-    "quat.QuatAlgebra.j": ELEMENTS,
-    "quat.QuatAlgebra.k": ELEMENTS,
-    "quat.QuatAlgebra.basis": ELEMENTS,
-    "quat.QuatElement._check": ELEMENTS,
-    "quat.QuatElement.__add__": ELEMENTS,
-    "quat.QuatElement.__sub__": ELEMENTS,
-    "quat.QuatElement.__neg__": ELEMENTS,
-    "quat.QuatElement.__mul__": ELEMENTS,
-    "quat.QuatElement.__rmul__": ELEMENTS,
-    "quat.QuatElement.__truediv__": ELEMENTS,
-    "quat.QuatElement.conjugate": ELEMENTS,
-    "quat.QuatElement.inverse": ELEMENTS,
-    "quat.QuatElement.key": ELEMENTS,
     "ideals.QOrder.__repr__": "__repr__",
-    "quat.QuatElement.__repr__": "__repr__",
 }
 
 

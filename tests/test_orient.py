@@ -144,7 +144,7 @@ class TestClassifyEdge:
 
         def wrong_first_child(v, order, ell):
             label, (f_i, f_j) = step(v, order, ell)
-            if v.key() == ROOT7.key() and not corrupted:
+            if v.order.key() == ROOT7.key() and not corrupted:
                 corrupted.append(order.key())
                 f_i *= ell
             return label, (f_i, f_j)
@@ -277,10 +277,11 @@ def reference_walk(start, ell, depth):
         for v in frontier:
             for I in idl.ideals_of_norm_ell(v.order, ell):
                 w = register(QOrder(I.right_order()))
-                assert v.key() != w.key() and not g.multiplicity(v.key(), w.key())
-                g.add_edge(v.key(), w.key(), cls=orient.classify_edge(v, w, ell))
-                if w.key() not in seen:
-                    seen.add(w.key())
+                vkey, wkey = v.order.key(), w.order.key()
+                assert vkey != wkey and not g.multiplicity(vkey, wkey)
+                g.add_edge(vkey, wkey, cls=orient.classify_edge(v, w, ell))
+                if wkey not in seen:
+                    seen.add(wkey)
                     nxt.append(w)
         frontier = nxt
     g.meta["depth"] = depth
@@ -413,10 +414,19 @@ class TestRoots:
             assert n > 1 and 3 ** round(math.log(n, 3)) == n
 
 
+def structure_audit(component: MultiGraph, vertex_key, ell: int,
+                    alg: QuatAlgebra) -> orient.AuditReport:
+    """The audit of one vertex, alg being the component's algebra: its
+    predicted_counts against its out-edges."""
+    attrs = component.vertex_attrs[vertex_key]
+    return orient._audit_vertex(component, vertex_key, ell,
+                                *orient.predicted_counts(alg, attrs["f_i"], attrs["f_j"], ell))
+
+
 class TestStructureAudit:
     def test_p7_l3_global_root_all_descending(self):
         g = walk(7, 3, 1)
-        rep = orient.structure_audit(g, ROOT7.key(), 3, ROOT7.algebra)
+        rep = structure_audit(g, ROOT7.key(), 3, ROOT7.algebra)
         assert rep.ok
         assert rep.observed["DD"] == 4
 
@@ -430,7 +440,7 @@ class TestStructureAudit:
             d["+".join(bucket)] = n
         assert (d["HH"], d["HD"], d["DH"], d["DD"]) == (0, 1, 2, 0)
         g = walk(7, 2, 1)
-        rep = orient.structure_audit(g, ROOT7.key(), 2, alg)
+        rep = structure_audit(g, ROOT7.key(), 2, alg)
         assert rep.ok
         obs = rep.observed
         assert (obs["HH"], obs["HD"], obs["DH"], obs["DD"]) == (0, 1, 2, 0)
@@ -442,8 +452,8 @@ class TestStructureAudit:
         assert (alg.d_i, numth.kronecker(alg.d_i, 2)) == (-7, 1)
         g = walk(97, 2, 1)
         root = idl.root_maximal_order(97).key()
-        rep = orient.structure_audit(g, root, 2, alg)
-        assert rep.ok, rep.bucket_rows()
+        rep = structure_audit(g, root, 2, alg)
+        assert rep.ok, load_ridge_survey().bucket_rows(rep)
         obs = rep.observed
         assert (obs["HH"], obs["HD"], obs["DH"], obs["DD"]) == (0, 2, 1, 0)
 
@@ -477,7 +487,7 @@ def load_ridge_survey():
 
 
 class TestRidgeSurvey:
-    """scripts/ridge_survey.py, the one caller of AuditReport.bucket_rows."""
+    """scripts/ridge_survey.py and its bucket_rows."""
 
     @pytest.mark.parametrize("p", [7, 13])
     @pytest.mark.parametrize("ell", [2, 3, 5])
@@ -494,7 +504,7 @@ class TestRidgeSurvey:
         g = walk(7, 2, 3)
         rep = next(r for r in orient.audit_component(g, 2)
                    if r.case == "one conductor divisible")
-        rows = rep.bucket_rows()
+        rows = load_ridge_survey().bucket_rows(rep)
         assert [name for name, _, _ in rows] == ["AH+HA", "HD+DH", "DD", "HH", "AA"]
         assert rows[0] == ("AH+HA", 1, 1)
         assert all(want == got for _, want, got in rows)
