@@ -19,7 +19,8 @@ The grid:
   l in {2, 3, 5, 7}, l != p, so the curve graphs are covered on the whole
   range;
 * then ``embed --json`` and ``algebra`` at p = 5, where the superorder
-  oracle runs at index 8 and the radical brute force at l = p = 5;
+  oracle runs at index 8 and the radical oracle's trace kernel at
+  l = p = 5;
 * last, the outputs not covered above: ``algebra --json`` and plain
   ``embed`` for every prime 5 <= p <= 500, and plain ``brandt``,
   ``isocheck`` and ``ssgraph`` for p in {11, 101, 499} and l in

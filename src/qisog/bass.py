@@ -18,7 +18,8 @@ from . import numth
 from .errors import CapExceeded, PreconditionError
 from .ideals import QOrder
 # frac_inverse has no caller here; perfbench's tracer self-test resolves bass.frac_inverse
-from .lattice import QLattice, echelon_mod, frac_inverse, triangular_adjugate  # noqa: F401
+from .lattice import (QLattice, echelon_mod, frac_inverse, kernel_mod,  # noqa: F401
+                      span_mod, triangular_adjugate)
 from .quat import QuatAlgebra
 
 SUPERORDER_CAP = 10**5
@@ -73,47 +74,17 @@ def eichler_symbol_formula(O: QOrder, ell: int, contained_dK: int) -> EichlerSym
     return EichlerSymbol(numth.kronecker(contained_dK, ell))
 
 
-def _symmetric_square(table, ell):
-    """z -> z^2 in O/ell O from the structure constants table, written out:
-    z^2 = sum_{a <= b} z_a z_b s_ab with s_aa = b_a^2 and s_ab = b_a b_b +
-    b_b b_a mod ell, 10 monomials per coordinate."""
-    (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9), (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9), \
-        (u0, u1, u2, u3, u4, u5, u6, u7, u8, u9), (v0, v1, v2, v3, v4, v5, v6, v7, v8, v9) = (
-            [(table[a][b][c] + table[b][a][c] if a < b else table[a][a][c]) % ell
-             for a in range(4) for b in range(a, 4)] for c in range(4))
+def _radical_bruteforce(table) -> set[tuple[int, ...]]:
+    """The radical of O/2O as a set: the x with x b_a nilpotent for every
+    basis element b_a.  In dimension 4, z is nilpotent iff z^4 = (z^2)^2 is
+    0."""
+    def nilpotent(z):
+        z2 = idl._quot_mul(table, 2, z, z)
+        return not any(idl._quot_mul(table, 2, z2, z2))
 
-    def square(z0, z1, z2, z3):
-        m0, m1, m2, m3, m4 = z0 * z0, z0 * z1, z0 * z2, z0 * z3, z1 * z1
-        m5, m6, m7, m8, m9 = z1 * z2, z1 * z3, z2 * z2, z2 * z3, z3 * z3
-        return ((m0 * s0 + m1 * s1 + m2 * s2 + m3 * s3 + m4 * s4
-                 + m5 * s5 + m6 * s6 + m7 * s7 + m8 * s8 + m9 * s9) % ell,
-                (m0 * t0 + m1 * t1 + m2 * t2 + m3 * t3 + m4 * t4
-                 + m5 * t5 + m6 * t6 + m7 * t7 + m8 * t8 + m9 * t9) % ell,
-                (m0 * u0 + m1 * u1 + m2 * u2 + m3 * u3 + m4 * u4
-                 + m5 * u5 + m6 * u6 + m7 * u7 + m8 * u8 + m9 * u9) % ell,
-                (m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4
-                 + m5 * v5 + m6 * v6 + m7 * v7 + m8 * v8 + m9 * v9) % ell)
-    return square
-
-
-def _radical_bruteforce(table, ell):
-    """All x with x*y nilpotent for every basis y; elementwise, for tiny ell.
-    In dimension 4, z is nilpotent iff z^4 = (z^2)^2 (_symmetric_square) is 0."""
-    right = [[table[b][a] for b in range(4)] for a in range(4)]  # b_b b_a, by a
-    square = _symmetric_square(table, ell)
-    rad = []
-    for x in product(range(ell), repeat=4):
-        x0, x1, x2, x3 = x
-        for r0, r1, r2, r3 in right:  # z = x b_a
-            z2 = square((x0 * r0[0] + x1 * r1[0] + x2 * r2[0] + x3 * r3[0]) % ell,
-                        (x0 * r0[1] + x1 * r1[1] + x2 * r2[1] + x3 * r3[1]) % ell,
-                        (x0 * r0[2] + x1 * r1[2] + x2 * r2[2] + x3 * r3[2]) % ell,
-                        (x0 * r0[3] + x1 * r1[3] + x2 * r2[3] + x3 * r3[3]) % ell)
-            if any(z2) and any(square(*z2)):
-                break
-        else:
-            rad.append(x)
-    return numth.rref_mod(rad, ell)
+    units = [tuple(int(t == a) for t in range(4)) for a in range(4)]
+    return {x for x in product(range(2), repeat=4)
+            if all(nilpotent(idl._quot_mul(table, 2, x, u)) for u in units)}
 
 
 def _radical_trace_kernel(O: QOrder, table, ell):
@@ -122,12 +93,11 @@ def _radical_trace_kernel(O: QOrder, table, ell):
     Nilpotents have reduced trace zero, so rad is inside the kernel; the
     kernel is a two-sided ideal by trace cyclicity, and once its fourth
     power is checked to vanish it is a nilpotent ideal, hence inside rad."""
-    gram = [[x % ell for x in row] for row in O.trace_gram]
-    basis = numth.rref_mod(numth.kernel_mod(gram, ell), ell)
+    basis = kernel_mod(O.trace_gram, 4, ell)
     span = list(basis)
     for _ in range(3):  # span <- span * basis, three times: rad^4 must vanish
         span = [idl._quot_mul(table, ell, x, y) for x in span for y in basis]
-        span = numth.rref_mod(span, ell)
+        span = span_mod(span, 4, ell)
     assert not span, "trace kernel is not nilpotent; not the radical"
     return basis
 
@@ -135,17 +105,19 @@ def _radical_trace_kernel(O: QOrder, table, ell):
 def eichler_symbol_radical(O: QOrder, ell: int) -> EichlerSymbol:
     """Symbol by classifying A/rad(A) for A = O/ell O.
 
-    The radical comes from elementwise nilpotency search for tiny ell and
-    from the certified trace-kernel computation otherwise."""
+    At odd ell the radical is the certified trace kernel: the trace form of
+    the semisimple quotient is nondegenerate there.  At ell = 2, where
+    trd 1 = 2 = 0 makes it degenerate, the radical is found by an
+    elementwise nilpotency search over the 16 elements of A."""
     if O.reduced_discriminant % ell != 0:
         raise PreconditionError("symbol is only defined at primes dividing discrd")
     table = idl._mult_table_mod(O, ell)
-    one = idl._one_coords(O, ell)
-    if ell <= 7:
-        basis = _radical_bruteforce(table, ell)
+    if ell == 2:
+        rad = _radical_bruteforce(table)
+        raddim = len(rad).bit_length() - 1
+        assert len(rad) == 1 << raddim, "the nilpotency search found no subspace"
     else:
-        basis = _radical_trace_kernel(O, table, ell)
-    raddim = len(basis)
+        raddim = len(_radical_trace_kernel(O, table, ell))
     qdim = 4 - raddim
     if qdim == 4:
         raise PreconditionError("quotient is the full matrix algebra; O is maximal at ell")
@@ -155,10 +127,9 @@ def eichler_symbol_radical(O: QOrder, ell: int) -> EichlerSymbol:
         raise AssertionError(f"semisimple quotient of dimension {qdim} is outside the trichotomy")
     if ell == 2:
         # split iff an idempotent beside 0, 1 exists; 16 candidates
-        for coords in product(range(2), repeat=4):
-            x = tuple(coords)
-            if (idl._quot_mul(table, 2, x, x) == x and any(x) and x != one
-                    and numth.span_coords_mod(basis, x, 2) is None):
+        one = idl._one_coords(O, 2)
+        for x in product(range(2), repeat=4):
+            if idl._quot_mul(table, 2, x, x) == x and any(x) and x != one and x not in rad:
                 return EichlerSymbol(1)
         return EichlerSymbol(-1)
     # an order element with non-scalar image generates the 2-dimensional

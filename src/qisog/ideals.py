@@ -33,7 +33,7 @@ from functools import cached_property
 
 from . import numth
 from .errors import CapExceeded, PreconditionError
-from .lattice import QLattice, echelon_mod, hnf_rows
+from .lattice import QLattice, echelon_mod, hnf_rows, kernel_mod
 from .quat import QuatAlgebra
 
 Frac = Fraction
@@ -263,9 +263,8 @@ def two_sided_p_ideal(O: QOrder) -> QLattice:
     if not O.is_maximal:
         raise PreconditionError("needs a maximal order")
     p = O.algebra.p
-    gram = [[x % p for x in row] for row in O.trace_gram]
     rows = [[p * x for x in row] for row in O.lattice.mat]
-    rows += [_combine(v, O.lattice.mat) for v in numth.kernel_mod(gram, p)]
+    rows += [_combine(v, O.lattice.mat) for v in kernel_mod(O.trace_gram, 4, p)]
     P = QLattice.from_int_rows(O.algebra, rows, O.lattice.den)
     assert P.reduced_norm == p and P.left_order() == O.lattice == P.right_order()
     return P

@@ -136,6 +136,22 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
     return [r[ncols:] for r in hnf_rows(ext, ncols + n) if not any(r[:ncols])]
 
 
+def span_mod(rows, ncols: int, ell: int) -> list[list[int]]:
+    """Echelon basis of the span of the rows mod the prime ell: the rows of
+    echelon_mod with pivot 1.  At a prime modulus every other row of it is
+    ell e_col, which vanishes mod ell."""
+    return [r for col, r in enumerate(echelon_mod(rows, ncols, ell)) if r[col] == 1]
+
+
+def kernel_mod(rows, ncols: int, ell: int) -> list[list[int]]:
+    """Echelon basis of {u : u.M = 0 mod ell} for the prime ell, read off
+    [M | I] as integer_kernel reads its HNF: of the echelon basis of the
+    span of the rows (u M, u) mod ell, those that vanish on M's columns."""
+    n = len(rows)
+    ext = [list(r) + [int(i == t) for t in range(n)] for i, r in enumerate(rows)]
+    return [r[ncols:] for r in span_mod(ext, ncols + n, ell) if not any(r[:ncols])]
+
+
 def frac_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     """Inverse of a rational matrix by Gauss-Jordan elimination.
 

@@ -14,7 +14,7 @@ from qisog import ideals as idl
 from qisog import numth
 from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QOrder
-from qisog.lattice import QLattice, hnf_rows
+from qisog.lattice import QLattice, hnf_rows, kernel_mod, span_mod
 from qisog.quat import QuatAlgebra
 from test_lattice import standard_order_lattice
 from test_orient import divisible_start
@@ -48,7 +48,7 @@ def ideals_of_norm_ell_bruteforce(O: QOrder, ell: int) -> list[QLattice]:
     units = [tuple(int(s == a) for s in range(4)) for a in range(4)]
     out = []
     for basis in _two_dim_subspaces(ell):
-        if all(numth.span_coords_mod(basis, idl._quot_mul(table, ell, ea, v), ell) is not None
+        if all(in_span_oracle(basis, idl._quot_mul(table, ell, ea, v), ell)
                for ea in units for v in basis):
             bas = basis_elements(O.lattice)
             gens = [ell * b for b in bas]
@@ -832,39 +832,6 @@ class TestBallIdeal:
                 parent, w = w, children[pick]
 
 
-def brute_pair_coords(m1, m2, vec, ell):
-    """Oracle: the (a, b) with a m1 + b m2 = vec mod ell, over all ell^2 pairs."""
-    for a in range(ell):
-        for b in range(ell):
-            if all((a * x + b * y - v) % ell == 0 for x, y, v in zip(m1, m2, vec)):
-                return (a, b)
-    raise AssertionError("vector not in module span")
-
-
-class TestPairCoords:
-    """numth.span_coords_mod on a 2-dimensional echelon basis, as the subspace
-    oracle and bass use it, against a search over all ell^2 coordinate
-    pairs."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(ell=st.sampled_from([2, 3, 5, 7, 11]),
-           m1=st.lists(st.integers(0, 10), min_size=4, max_size=4),
-           m2=st.lists(st.integers(0, 10), min_size=4, max_size=4),
-           a=st.integers(0, 10), b=st.integers(0, 10), off=st.sampled_from([0, 0, 1]),
-           pos=st.integers(0, 3))
-    def test_against_all_pairs(self, ell, m1, m2, a, b, off, pos):
-        basis = numth.rref_mod([m1, m2], ell)
-        assume(len(basis) == 2)
-        vec = [(a * x + b * y) % ell for x, y in zip(m1, m2)]
-        vec[pos] = (vec[pos] + off) % ell
-        try:
-            want = brute_pair_coords(*basis, vec, ell)
-        except AssertionError:
-            assert numth.span_coords_mod(basis, vec, ell) is None
-        else:
-            assert numth.span_coords_mod(basis, vec, ell) == want
-
-
 # ---------------------------------------------------------------------------
 # the former mod-l reducers, kept as oracles for the one echelon form
 
@@ -894,7 +861,7 @@ def rref_oracle(rows, ell):
     taken from the rows."""
     work = [list(r) for r in rows]
     out = []
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         piv = next((r for r in work if r[col] % ell), None)
         if piv is None:
@@ -961,49 +928,56 @@ def matrices_mod(draw, width=None, square=False):
 
 
 class TestModEllEchelon:
-    """numth.rref_mod, kernel_mod and span_coords_mod against the reducers they
-    replaced."""
+    """lattice.span_mod and kernel_mod, echelon_mod read at a prime modulus,
+    against the reducers they replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(m=matrices_mod())
     def test_rref(self, m):
         ell, rows = m
-        R = numth.rref_mod(rows, ell)
-        assert R == rref_oracle(rows, ell)
-        assert all(numth.span_coords_mod(R, row, ell) is not None for row in rows)
+        ncols = len(rows[0])
+        S = span_mod(rows, ncols, ell)
+        R = rref_oracle(rows, ell)
+        assert rref_oracle(S, ell) == R
+        assert len(S) == len(R)
+        leads = [next(t for t in range(ncols) if r[t]) for r in S]
+        assert leads == sorted(set(leads))
+        assert all(r[t] == 1 and all(0 <= x < ell for x in r) for r, t in zip(S, leads))
 
     @settings(max_examples=200, deadline=None)
     @given(m=matrices_mod(square=True))
     def test_kernel(self, m):
         ell, rows = m
         n = len(rows)
-        got = numth.kernel_mod(rows, ell)
+        got = kernel_mod(rows, n, ell)
         for v in got:
             assert all(sum(v[i] * rows[i][c] for i in range(n)) % ell == 0 for c in range(n))
-        assert numth.rref_mod(got, ell) == numth.rref_mod(fp_kernel_oracle(rows, ell), ell)
-        assert len(got) == n - len(numth.rref_mod(rows, ell))
+        assert rref_oracle(got, ell) == rref_oracle(fp_kernel_oracle(rows, ell), ell)
+        assert len(got) == n - len(rref_oracle(rows, ell))
 
     @settings(max_examples=300, deadline=None)
     @given(m=matrices_mod(width=4), vec=st.lists(st.integers(0, 12), min_size=4, max_size=4),
            inside=st.booleans())
     def test_span_membership_and_coordinates(self, m, vec, inside):
+        """Membership in span_mod's basis against the rank of the rows with
+        vec added; on a 2-dimensional basis, vec has coordinates (Cramer's
+        rule) exactly when it is inside."""
         ell, rows = m
-        basis = numth.rref_mod(rows, ell)
+        basis = span_mod(rows, 4, ell)
         if inside:
             vec = [sum(c * r[t] for c, r in zip(vec, rows)) % ell for t in range(4)]
         vec = [x % ell for x in vec]
-        coords = numth.span_coords_mod(basis, vec, ell)
-        assert (coords is not None) == in_span_oracle(basis, vec, ell)
+        member = len(rref_oracle(rows + [vec], ell)) == len(rref_oracle(rows, ell))
+        assert in_span_oracle(basis, vec, ell) == member
         if inside:
-            assert coords is not None
-        if coords is not None:
-            assert [sum(c * r[t] for c, r in zip(coords, basis)) % ell for t in range(4)] == vec
+            assert member
         if len(basis) == 2:
             try:
-                want = pair_coords_oracle(*basis, vec, ell)
+                pair_coords_oracle(*basis, vec, ell)
             except AssertionError:
-                want = None
-            assert coords == want
+                assert not member
+            else:
+                assert member
 
 
 class TestMatrixSplit:

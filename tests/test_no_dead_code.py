@@ -1,5 +1,7 @@
 """Every function in src/ runs on a CLI path, or is named below with the
-reason it stays.  Slow, so deselected by default; run with `pytest -m slow`.
+reason it stays.  The grid run is slow, so deselected by default; run it with
+`pytest -m slow`.  That every entry below names a function src/ defines is
+checked in the default run: it only compiles src/.
 
 The CLI runs are those of scripts/cli_digest.py's grid (every subcommand,
 over every prime p <= 500), in a fresh interpreter under sys.setprofile,
@@ -56,8 +58,6 @@ ALLOWED = {
     "lattice.QLattice.__add__": ORACLE,
     "lattice.QLattice._merge_rows": "__add__'s rows",
     "lattice.QLattice.__rmul__": ORACLE,
-    "numth.span_coords_mod": "eichler_symbol_radical's l = 2 branch with a 2-dimensional "
-                             "semisimple quotient, which no Bass order in the range reaches",
     "multigraph.MultiGraph.multiplicity": "counted by perfbench/tracer.py; the tests' edge checks",
     "ideals.QOrder.__repr__": "__repr__",
 }
@@ -110,9 +110,12 @@ def grid_calls() -> set[str]:
     return {f"{Path(f).stem}.{q}" for f, q in doc["calls"] if Path(f).resolve().parent == SRC}
 
 
+def test_allowed_names_defined_functions():
+    assert set(ALLOWED) <= src_functions(), "ALLOWED names a function src/ no longer defines"
+
+
 @pytest.mark.slow
 def test_every_src_function_runs_on_a_cli_path_or_is_allowed():
     defined, called = src_functions(), grid_calls()
-    assert set(ALLOWED) <= defined, "ALLOWED names a function src/ no longer defines"
     assert sorted(defined - called - set(ALLOWED)) == [], "functions no CLI path calls"
     assert sorted(set(ALLOWED) & called) == [], "ALLOWED names functions the grid calls"
