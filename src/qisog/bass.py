@@ -15,21 +15,12 @@ from itertools import product
 
 from . import ideals as idl
 from . import numth
-from .errors import CapExceeded, PreconditionError
+from .errors import PreconditionError
 from .ideals import QOrder
 # frac_inverse has no caller here; perfbench's tracer self-test resolves bass.frac_inverse
 from .lattice import (QLattice, echelon_mod, frac_inverse, kernel_mod,  # noqa: F401
                       span_mod, triangular_adjugate)
 from .quat import QuatAlgebra
-
-SUPERORDER_CAP = 10**5
-"""Most candidates one _superorders_at call may try.  The candidates of
-index N are the subgroups of order N of O^#/O, a group of order discrd^2.
-Over the Bass orders of every p <= 500 the largest count is 99 (N = 8, all
-p = 5 mod 8); at N = q in {3, 7, 11} it is q + 1.  The cap is 1000 times the
-largest, for primes beyond the range, where Pizer's q, hence N, grows.
-The count is that of the candidate H that _sublattice_hnfs yields, each
-counted before the trace test of _superorders_at can drop it."""
 
 
 def bass_order(alg: QuatAlgebra) -> QOrder:
@@ -247,7 +238,7 @@ def _trace_integral(X, G, nn: int) -> bool:
                    for a, (x0, x1, x2, x3) in enumerate(cols) for y0, y1, y2, y3 in GX[a:])
 
 
-def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
+def _superorders_at(O: QOrder, index: int) -> list[QOrder]:
     """Orders containing O with the given index, by dualizing the HNF
     enumeration of sublattices of that index.
 
@@ -255,8 +246,11 @@ def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
     O^# is Z^4 G^-1, with G = (trd(b_a b_b)) the integer trace Gram, and the
     candidate dual to H is spanned by the rows of H^-T; so it lies in O^#
     exactly when G H^-1 is integral, i.e. when the rows of G lie in the row
-    lattice of H.  Only those H are generated, each once, and each counts
-    towards cap; distinct H have distinct duals.
+    lattice of H.  Only those H are generated, each once; distinct H have
+    distinct duals.  The enumeration is finite: at index l^v there are
+    h_v(1, l, l^2, l^3) HNFs in all (the complete homogeneous polynomial of
+    degree v; Lubotzky-Segal, Subgroup Growth, 2003), 40 at 3, 1395 at 8,
+    1464 at 11.
 
     The candidate's basis is the columns of X = adj(H) over index, and an
     order has integral trd on products, so a candidate with X^T G X not 0
@@ -264,11 +258,7 @@ def _superorders_at(O: QOrder, index: int, cap: int) -> list[QOrder]:
     rest take the containment and ring tests."""
     out = []
     mat, G, nn = O.lattice.mat, O.trace_gram, index * index
-    count = 0
     for H in _sublattice_hnfs(index, G):
-        count += 1
-        if count > cap:
-            raise CapExceeded("superorder enumeration cap exceeded")
         X = triangular_adjugate(H)  # index H^-1, as det(H) = index
         if not _trace_integral(X, G, nn):
             continue
@@ -295,14 +285,8 @@ def enumerate_maximal_superorders(O: QOrder) -> list[QOrder]:
         raise PreconditionError("discrd must be divisible by p")
     current = [O]
     for ell, v in sorted(numth.factorize(f).items()):
-        step = []
-        for cand in current:
-            step.extend(_superorders_at(cand, ell**v, SUPERORDER_CAP))
-        uniq = {}
-        for cand in step:
-            uniq[cand.key()] = cand
-        current = list(uniq.values())
+        current = list({S.key(): S for cand in current
+                        for S in _superorders_at(cand, ell**v)}.values())
     out = [cand for cand in current if cand.reduced_discriminant == p]
-    for cand in out:
-        assert cand.contains_order(O)
+    assert all(cand.contains_order(O) for cand in out)
     return sorted(out, key=lambda c: c.key())

@@ -20,6 +20,7 @@ from .errors import CapExceeded, PreconditionError
 from .quat import QuatAlgebra
 
 log = logging.getLogger("qisog")
+LOG_FORMAT = logging.Formatter("%(levelname)s %(name)s: %(message)s")
 
 
 def _emit(args, text: str) -> None:
@@ -239,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     spi.add_argument("--ell", type=int, required=True)
     spo = add("oriented", cmd_oriented, help="double-oriented component with audit")
     spo.add_argument("--ell", type=int, required=True)
-    spo.add_argument("--depth", type=int, default=4)
+    spo.add_argument("--depth", type=int, default=4,
+                     help=f"ball radius; exit 2 if its tree exceeds {orient.VERTEX_CAP} vertices")
     spo.add_argument("--dot", help="write the component in DOT format to this path")
     spo.add_argument("--json-file", help="write the component as JSON to this path")
     add("embed", cmd_embed, help="Eichler symbols, embedding numbers, oracle comparison")
@@ -248,9 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # this call's stderr and level, written once: not by the root's handlers
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(LOG_FORMAT)
+    log.addHandler(handler)
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.propagate = False
     try:
         args.fn(args)
     except PreconditionError as ex:
@@ -259,6 +264,10 @@ def main(argv=None) -> int:
     except CapExceeded as ex:
         log.error("cap exhausted: %s", ex)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
+        log.propagate = True
     return 0
 
 

@@ -3,4 +3,4 @@ class PreconditionError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A configured search or enumeration cap was hit."""
+    """A search or walk hit a module *_CAP or the class BFS's level cap h - 1."""

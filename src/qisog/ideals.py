@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import numth
-from .errors import CapExceeded, PreconditionError
+from .errors import PreconditionError
 from .lattice import QLattice, echelon_mod, hnf_rows, kernel_mod
 from .quat import QuatAlgebra
 
@@ -92,31 +92,28 @@ class QOrder:
 # orders
 
 
-# Rounds before order_closure gives up.  The root and Bass orders of every
-# prime p < 1000 are rings after the first round; a ring with unbounded
-# denominators never stabilises.
-CLOSURE_ROUNDS = 16
-
-
 def order_closure(alg: QuatAlgebra, gens, den: int) -> QOrder:
     """Smallest order containing the elements g/den for the integer rows g
     in gens: saturate their span under products.
 
     The span is kept as integer HNF rows over one denominator; a round adds
     the products of the rows over den^2 and divides the gcd back out.  The
-    first span of rank 4 that passes QOrder's ring test is the closure, as
-    the next round would leave it as it is; a span of lower rank that
-    repeats does not span the algebra.  Non-stabilization within the round
-    cap signals unbounded denominators, i.e. the generated ring is not an
-    order.
+    first span of rank 4 that passes QOrder's ring test is the closure; a
+    span of lower rank that repeats does not span the algebra.  Each span
+    lies in every order holding gens, where trd is integral on products, so
+    a round with a non-integral trd(a b) raises.  An integral span ends
+    (Voight, GTM 288, ch. 15): while the rank stays, the rational span is a
+    subalgebra, whose trace form is nondegenerate, so each growth of index m
+    divides the span's nonzero integer discriminant by m^2 >= 4; and the
+    rank grows at most 3 times.
     """
-    if not gens:
-        raise PreconditionError("no generators")
     mul = alg.mul_coords
     rows = [(den, 0, 0, 0)] + [list(g) for g in gens]
     seen = None
-    for _ in range(CLOSURE_ROUNDS):
+    while True:
         prods = [mul(a, b) for a in rows for b in rows]
+        if any(2 * x[0] % (den * den) for x in prods):
+            raise PreconditionError("trd is not integral on the span; no order holds them")
         h = hnf_rows([[x * den for x in r] for r in rows] + prods)
         g = math.gcd(den * den, *(x for r in h for x in r))
         rows, den = [tuple(x // g for x in r) for r in h], den * den // g
@@ -128,7 +125,6 @@ def order_closure(alg: QuatAlgebra, gens, den: int) -> QOrder:
         elif (rows, den) == seen:
             raise PreconditionError("generators do not span the algebra")
         seen = (rows, den)
-    raise CapExceeded("ring closure did not stabilize; not an order")
 
 
 def reduced_discriminant(order: QOrder) -> int:

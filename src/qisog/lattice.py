@@ -22,6 +22,10 @@ from .quat import QuatAlgebra
 
 Frac = Fraction
 
+# Nodes per short_vectors search, an empirical cap: over isocheck and brandt at
+# every p <= 500, l in {2, 3, 5, 7}, the peak is 716, at (p, l) = (401, 7).
+SHORT_VECTOR_CAP = 10**6
+
 
 # ---------------------------------------------------------------------------
 # integer / rational matrix helpers
@@ -545,14 +549,14 @@ class QLattice:
 
     # -- short vectors ------------------------------------------------------
 
-    def min_norm_elements(self, bound, cap: int = 10**6) -> list[tuple[int, ...]]:
-        """The rows of ``short_vectors(bound, cap)``, without their norms:
+    def min_norm_elements(self, bound) -> list[tuple[int, ...]]:
+        """The rows of ``short_vectors(bound)``, without their norms:
         the integer rows v with v/den in the lattice and 0 < nrd <= bound,
         one of each +-pair.  Callers could read short_vectors directly; the
         name stays while perfbench/tracer.py spans it."""
-        return [v for _, v in self.short_vectors(bound, cap)]
+        return [v for _, v in self.short_vectors(bound)]
 
-    def short_vectors(self, bound, cap: int = 10**6) -> list[tuple[int, tuple[int, ...]]]:
+    def short_vectors(self, bound) -> list[tuple[int, tuple[int, ...]]]:
         """Pairs (den^2 nrd(v/den), v) over the integer rows v with v/den in
         the lattice and 0 < nrd(v/den) <= bound, one of each +-pair, sorted.
         Exact Fincke-Pohst on an LLL-reduced integer coordinate Gram matrix.
@@ -566,14 +570,13 @@ class QLattice:
         to 0, admit exactly the c_k with w_k (c_k d[k+1] + S_k)^2 <= rem, for
         rem = R = floor(bound * den^2 * P) minus the levels above; so the
         search runs on integers alone, and P nrd(v) is R minus the rem left
-        after level 0.  ``cap`` bounds the number of visited nodes (candidate
-        coordinates at any level).  A row is built once per +-pair: for the c
-        whose highest nonzero coordinate is positive.  The loops run over
+        after level 0.  SHORT_VECTOR_CAP bounds the visited nodes (candidate
+        coordinates at any level).  A row is built once per +-pair: for the
+        c whose highest nonzero coordinate is positive.  The loops run over
         those c alone: where every coordinate above level k is 0, S_k = 0,
         so the range at level k is symmetric and the subtree below -c_k
         mirrors the one below c_k.  It visits as many nodes, and counts as
-        that twin does, so the node count and ``cap`` are those of the
-        whole tree."""
+        that twin does, so the node count is that of the whole tree."""
         bound = Frac(bound)
         if bound <= 0:
             raise PreconditionError("bound must be positive")
@@ -593,7 +596,7 @@ class QLattice:
             m = isqrt(rem // w)
             lo, hi = -((m + S) // dk), (m - S) // dk
             nodes += hi - lo + 1
-            if nodes > cap:
+            if nodes > SHORT_VECTOR_CAP:
                 raise CapExceeded("short-vector enumeration cap exceeded")
             return range(lo, hi + 1)
 
@@ -601,7 +604,7 @@ class QLattice:
             # the mirror of the subtree counted since before visits as many nodes
             nonlocal nodes
             nodes += nodes - before
-            if nodes > cap:
+            if nodes > SHORT_VECTOR_CAP:
                 raise CapExceeded("short-vector enumeration cap exceeded")
 
         for c3 in range(visit(0, R, w3, d4).stop):

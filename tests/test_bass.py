@@ -1,12 +1,12 @@
 import math
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from qisog import bass
 from qisog import ideals as idl
 from qisog import numth
-from qisog.errors import CapExceeded, PreconditionError
+from qisog.errors import PreconditionError
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice, triangular_adjugate
 from qisog.quat import QuatAlgebra
@@ -232,16 +232,16 @@ def candidate_order(O, H, index):
         return None
 
 
-def full_superorders_at(O, index, cap=bass.SUPERORDER_CAP):
+def full_superorders_at(O, index):
     """Oracle: bass._superorders_at over every sublattice of the index, not
     only those inside O^#, and with no trace test."""
-    out = []
-    for count, H in enumerate(full_sublattice_hnfs(index), 1):
-        if count > cap:
-            raise CapExceeded("superorder enumeration cap exceeded")
-        if (order := candidate_order(O, H, index)) is not None:
-            out.append(order)
-    return out
+    return [order for H in full_sublattice_hnfs(index)
+            if (order := candidate_order(O, H, index)) is not None]
+
+
+def complete_homogeneous(v, xs):
+    """h_v(xs): the sum of the monomials of degree v in xs."""
+    return sum(math.prod(c) for c in combinations_with_replacement(xs, v))
 
 
 def assert_bottom_up_enumeration_agrees(O):
@@ -266,7 +266,7 @@ def assert_oracle_agrees(O, monkeypatch):
     p = O.algebra.p
     for ell, v in numth.factorize(O.reduced_discriminant // p).items():
         for k in range(1, v + 1):
-            got = sorted(S.key() for S in bass._superorders_at(O, ell**k, bass.SUPERORDER_CAP))
+            got = sorted(S.key() for S in bass._superorders_at(O, ell**k))
             assert got == sorted(S.key() for S in full_superorders_at(O, ell**k))
     got = bass.enumerate_maximal_superorders(O)
     with monkeypatch.context() as m:
@@ -357,10 +357,20 @@ class TestPrunedSuperorderOracle:
     @pytest.mark.parametrize("p,index,pruned,full", [(13, 8, 99, 1395), (73, 7, 8, 400),
                                                      (193, 11, 12, 1464), (17, 3, 4, 40)])
     def test_candidate_counts_are_pinned(self, p, index, pruned, full):
-        """Counts at the Bass order, found by bisecting the cap."""
+        """Candidates _superorders_at tries at the Bass order, and all HNFs
+        of the index."""
         O = bass_for(p)
         assert O.reduced_discriminant == p * index
-        with pytest.raises(CapExceeded):
-            bass._superorders_at(O, index, pruned - 1)
-        assert bass._superorders_at(O, index, pruned)
+        assert sum(1 for _ in bass._sublattice_hnfs(index, O.trace_gram)) == pruned
+        assert bass._superorders_at(O, index)
         assert sum(1 for _ in full_sublattice_hnfs(index)) == full
+
+    @pytest.mark.parametrize("ell,v", [(3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (11, 1)])
+    def test_hnf_count_is_complete_homogeneous(self, ell, v):
+        """The sublattices of Z^4 of index l^v number h_v(1, l, l^2, l^3)
+        (the coefficient of zeta(s) zeta(s-1) zeta(s-2) zeta(s-3); Lubotzky-
+        Segal, Subgroup Growth, 2003): the finite bound on _superorders_at's
+        enumeration."""
+        want = complete_homogeneous(v, (1, ell, ell**2, ell**3))
+        assert sum(1 for _ in full_sublattice_hnfs(ell**v)) == want
+        assert want == {3: 40, 4: 155, 7: 400, 8: 1395, 9: 1210, 11: 1464}[ell**v]

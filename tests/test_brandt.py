@@ -325,9 +325,9 @@ class TestThetaPrefix:
             reduced.append(L)
             return lll(L)
 
-        def counted_search(L, bound, cap=10**6):
+        def counted_search(L, bound):
             searched.append(L)
-            return search(L, bound, cap)
+            return search(L, bound)
 
         def no_reduction(I, O=None):
             raise AssertionError("a class lookup reduced an ideal")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -165,6 +166,39 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["q"] == 1
+
+    def test_each_call_logs_to_its_own_stderr(self, tmp_path):
+        """Three calls in one fresh process, each under its own stderr: the
+        failing call's error, the -v call's "wrote" line and nothing without
+        -v, each in its own buffer; then a call under a root handler on the
+        redirected stderr (perfbench/run.py's set-up) writes its error once.
+        No handler is left on the qisog logger."""
+        script = textwrap.dedent(f"""\
+            import io, json, logging
+            from contextlib import redirect_stderr, redirect_stdout
+            from qisog import cli
+            dot = {str(tmp_path / "g.dot")!r}
+            runs = [["algebra", "--p", "4"], ["ssgraph", "--p", "11", "--ell", "2", "--dot", dot, "-v"],
+                    ["ssgraph", "--p", "11", "--ell", "2", "--dot", dot]]
+            codes, errs = [], []
+            for argv in runs:
+                errs.append(io.StringIO())
+                with redirect_stdout(io.StringIO()), redirect_stderr(errs[-1]):
+                    codes.append(cli.main(argv))
+            sink = io.StringIO()
+            logging.basicConfig(stream=sink, level=logging.WARNING)
+            with redirect_stderr(sink):
+                codes.append(cli.main(runs[0]))
+            print(json.dumps([codes, [e.getvalue() for e in errs], sink.getvalue(),
+                              logging.getLogger("qisog").handlers == []]))
+            """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        codes, errs, sink, clean = json.loads(proc.stdout)
+        error = "ERROR qisog: p must be a prime > 3, got 4\n"
+        assert codes == [1, 0, 0, 1]
+        assert errs == [error, f"INFO qisog: wrote {tmp_path / 'g.dot'}\n", ""]
+        assert sink == error and clean
 
     def test_subprocess_error_stream_separation(self):
         proc = subprocess.run(

@@ -200,11 +200,25 @@ class TestOrderClosure:
             fraction_order_closure([element(A7, 1)])
 
     def test_unbounded_denominators_fail(self):
+        """trd(i/2 i/2) = -1/2: order_closure refuses in its first round,
+        where the oracle, which has no trace test, runs out of rounds."""
         one, i, j, k = basis(A7)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(PreconditionError, match="integral"):
             close([i / 2])
         with pytest.raises(CapExceeded):
             fraction_order_closure([i / 2])
+
+    def test_trace_test_in_a_later_round(self, monkeypatch):
+        """x = (1 + i)/2 has trd 1 and x^2 = i/2 trd 0, so the first span
+        {1, x} passes the trace test; x x^2 = (i - 1)/4 has trd -1/2, and
+        the second round raises."""
+        one, i, j, k = basis(A7)
+        rounds = []
+        hnf = idl.hnf_rows
+        monkeypatch.setattr(idl, "hnf_rows", lambda rows: rounds.append(rows) or hnf(rows))
+        with pytest.raises(PreconditionError, match="integral"):
+            close([(one + i) / 2])
+        assert len(rounds) == 1
 
     def test_root_and_bass_generators_against_fraction_oracle(self, monkeypatch):
         """Every generator set that root_maximal_orders and bass_order close
@@ -1187,9 +1201,9 @@ class TestReduceIdeal:
         searches = []
         search = QLattice.short_vectors
 
-        def counted(self, bound, cap=10**6):
+        def counted(self, bound):
             searches.append(bound)
-            return search(self, bound, cap)
+            return search(self, bound)
 
         for J in neighbors:
             monkeypatch.setattr(QLattice, "short_vectors", counted)

@@ -426,7 +426,7 @@ def orders_over_bass(p):
     orders.append(O)
     for ell, v in numth.factorize(O.reduced_discriminant // p).items():
         for k in range(1, v + 1):
-            orders += bass._superorders_at(O, ell**k, bass.SUPERORDER_CAP)
+            orders += bass._superorders_at(O, ell**k)
     return orders
 
 
@@ -1011,15 +1011,18 @@ def recursive_short_vectors(L, bound):
 
 
 def visited_nodes(L, bound):
-    """Nodes the search visits, as the least cap that does not raise."""
-    lo, hi = 1, 10**6
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            L.min_norm_elements(bound, cap=mid)
-            hi = mid
-        except CapExceeded:
-            lo = mid + 1
+    """Nodes the search visits, as the least SHORT_VECTOR_CAP that does not
+    raise."""
+    lo, hi = 1, lattice.SHORT_VECTOR_CAP
+    with pytest.MonkeyPatch.context() as m:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            m.setattr(lattice, "SHORT_VECTOR_CAP", mid)
+            try:
+                L.min_norm_elements(bound)
+                hi = mid
+            except CapExceeded:
+                lo = mid + 1
     return lo
 
 
@@ -1111,11 +1114,14 @@ class TestFlatSearch:
     @staticmethod
     def assert_matches_recursion(L, bound):
         want, nodes = recursive_short_vectors(L, bound)
-        got = QLattice(L.algebra, L.mat, L.den).short_vectors(bound, cap=nodes)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(lattice, "SHORT_VECTOR_CAP", nodes)
+            got = QLattice(L.algebra, L.mat, L.den).short_vectors(bound)
+            m.setattr(lattice, "SHORT_VECTOR_CAP", nodes - 1)
+            with pytest.raises(CapExceeded):
+                QLattice(L.algebra, L.mat, L.den).short_vectors(bound)
         assert got == want
         assert all(norm == L.algebra.nrd_coords(row) for norm, row in got)
-        with pytest.raises(CapExceeded):
-            QLattice(L.algebra, L.mat, L.den).short_vectors(bound, cap=nodes - 1)
 
     def test_class_set_lattices(self):
         for L in class_set_lattices(101):
@@ -1195,14 +1201,17 @@ class TestShortVectors:
             got = min_norm_elements(L, bound)
             assert [e.coords for e in got] == [e.coords for e in brute_short_vectors(L, bound)]
 
-    def test_node_cap_is_pinned(self):
+    def test_node_cap_is_pinned(self, monkeypatch):
         """The search on the LLL-reduced Gram matrix visits 264 nodes here
-        (1722 on the unreduced one), so cap = 263 raises and cap = 264 does
-        not: cap keeps its meaning only while the visited node set stays
-        the same."""
+        (1722 on the unreduced one), so SHORT_VECTOR_CAP = 263 raises and
+        264 does not: the cap keeps its meaning only while the visited node
+        set stays the same."""
         bound = Fraction(15, 2)
+        want = Q101.min_norm_elements(bound)
+        monkeypatch.setattr(lattice, "SHORT_VECTOR_CAP", 263)
         with pytest.raises(CapExceeded):
-            Q101.min_norm_elements(bound, cap=263)
-        got = Q101.min_norm_elements(bound, cap=264)
+            Q101.min_norm_elements(bound)
+        monkeypatch.setattr(lattice, "SHORT_VECTOR_CAP", 264)
+        got = Q101.min_norm_elements(bound)
         assert len(got) == 91
-        assert got == Q101.min_norm_elements(bound)
+        assert got == want

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -202,9 +203,24 @@ class TestWalk:
             if g.out_degree(d) > 0:  # expanded vertex
                 assert g.multiplicity(d, s) == 1
 
-    def test_depth_cap(self):
-        with pytest.raises(PreconditionError):
-            orient.walk_component(ROOT7, 2, depth=9)
+    def test_depth_limited_by_vertices_alone(self):
+        """Depth 8 at l = 2 walks the whole tree, tree_size(2, 8) = 766
+        vertices, and every vertex passes the audit."""
+        g = walk(101, 2, 8)
+        assert g.num_vertices() == orient.tree_size(2, 8) == 766
+        assert g.is_tree_undirected()
+        assert all(rep.ok for rep in orient.audit_component(g, 2))
+
+    def test_huge_depth_refused_at_once(self, monkeypatch):
+        """A depth past VERTEX_CAP is refused without forming ell**depth and
+        before the frame is built; a negative depth is a precondition."""
+        monkeypatch.setattr(idl, "matrix_split", lambda *a, **k: pytest.fail("frame built"))
+        t = time.perf_counter()
+        with pytest.raises(CapExceeded, match="vertex cap exceeded during walk"):
+            orient.walk_component(ROOT7, 2, depth=10**9)
+        assert time.perf_counter() - t < 0.1
+        with pytest.raises(PreconditionError, match="non-negative"):
+            orient.walk_component(ROOT7, 2, depth=-1)
 
     def test_vertex_cap(self, monkeypatch):
         monkeypatch.setattr(orient, "VERTEX_CAP", 5)
@@ -220,7 +236,6 @@ class TestWalk:
     def test_cap_refused_before_walking(self, monkeypatch):
         calls = []
         monkeypatch.setattr(idl, "matrix_split", lambda *a, **k: calls.append(a))
-        assert orient.DEPTH_CAP >= 6
         with pytest.raises(CapExceeded, match="vertex cap exceeded during walk"):
             orient.walk_component(idl.root_maximal_order(101), 7, depth=6)
         assert calls == []
