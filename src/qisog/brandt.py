@@ -238,18 +238,21 @@ def brandt_graph(cs: ClassSet) -> MultiGraph:
 
 
 def type_involution(cs: ClassSet) -> list[int]:
-    """sigma(j) = [P I_j] for P the two-sided ideal of norm p of O0.
-
+    """sigma(c) = [j I_c], for the Frobenius j: j lies in O0 and nrd(j) = p
+    (checked), so O0 j = j O0 = P, the two-sided ideal of norm p (at p the
+    only ideal of norm p, and O0 away from p), and P I = j I.
     O_R(P I) = O_R(I).  Conversely, if O_R(I) and O_R(J) are conjugate by
     beta, then J (I beta)^-1 is a two-sided O0-ideal, which up to Q^x is O0
-    or P; so the classes whose right orders are conjugate to O_R(I_j) are
-    exactly j and sigma(j).  Checked: sigma is an involution and keeps the
-    unit size, and class_of finds each P I_j's class key among the
-    buckets."""
-    O0 = cs.order0
-    P = idl.two_sided_p_ideal(O0)
-    sigma = [cs.class_of(P * I) for I in cs.representatives]
-    assert all(sigma[s] == j for j, s in enumerate(sigma)), "sigma is not an involution"
+    or P; so the classes whose right orders are conjugate to O_R(I_c) are
+    exactly c and sigma(c).  Checked: sigma is an involution and keeps the
+    unit size, and class_of, whose precondition O0 J in J holds for J = j I_c
+    as j normalises O0, finds each j I_c's class key among the buckets."""
+    alg, j = cs.order0.algebra, (0, 0, 1, 0)
+    assert cs.order0.lattice.int_coords(j) is not None, "j does not lie in O0"
+    assert alg.nrd_coords(j) == alg.p, "nrd(j) is not p"
+    sigma = [cs.class_of(QLattice.from_int_rows(alg, [alg.mul_coords(j, r) for r in I.mat], I.den))
+             for I in cs.representatives]
+    assert all(sigma[s] == c for c, s in enumerate(sigma)), "sigma is not an involution"
     assert all(cs.unit_sizes[s] == a for s, a in zip(sigma, cs.unit_sizes)), \
         "sigma does not keep the unit size"
     return sigma
@@ -257,20 +260,10 @@ def type_involution(cs: ClassSet) -> list[int]:
 
 def type_graph(cs: ClassSet) -> MultiGraph:
     """Quotient of the Brandt graph grouping classes with conjugate right
-    orders: the types are the orbits {j, sigma(j)} of type_involution,
-    numbered by their least class, and a type's edges are its least
-    class's Brandt row."""
-    least = [min(j, s) for j, s in enumerate(type_involution(cs))]
-    types = sorted(set(least))
-    type_of = {rep: t for t, rep in enumerate(types)}
-    g = MultiGraph(meta={"p": cs.order0.algebra.p, "ell": cs.ell, "kind": "type"})
-    for t in range(len(types)):
-        g.add_vertex(t)
-    for t, rep in enumerate(types):
-        for j, m in enumerate(cs.brandt[rep]):
-            if m:
-                g.add_edge(t, type_of[least[j]], count=m)
-    return g
+    orders: the types are the orbits {c, sigma(c)} of type_involution, each
+    keyed by its least class, whose Brandt row gives its edges."""
+    sigma = type_involution(cs)
+    return brandt_graph(cs).quotient({c: min(c, s) for c, s in enumerate(sigma)}, "type")
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def cmd_ssgraph(args) -> None:
     r = ecgraph.reduce_graph(g)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(g.to_dot(label_attr="j"))
+            fh.write(g.to_dot())
         log.info("wrote %s", args.dot)
     doc = {
         "p": args.p,

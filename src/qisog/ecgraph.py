@@ -21,11 +21,6 @@ from . import numth
 from .errors import PreconditionError
 from .multigraph import MultiGraph
 
-# The j-list is checked against an independent point-count oracle at every
-# prime up to MAX_P (the slow sweep in tests/test_ecgraph.py); the CM seed
-# table itself covers every prime below 15073.
-MAX_P = 1000
-
 # (D, j) for the class-number-one discriminants D < -4
 CM_SEEDS = ((-7, -3375), (-8, 8000), (-11, -32768), (-19, -884736), (-43, -884736000),
             (-67, -147197952000), (-163, -262537412640768000))
@@ -101,12 +96,16 @@ def _seed(p: int) -> int:
     """An integer j that is supersingular mod p: j = 1728 (CM by Z[i]) when
     p = 3 mod 4, j = 0 (CM by Z[zeta_3]) when p = 2 mod 3, else the j of the
     first class-number-one discriminant D with (D/p) = -1, so p is inert in
-    O_D.  Such a D exists for every prime p < 15073."""
+    O_D.  Such a D exists for every prime p < 15073; at p = 15073, the first
+    where none does, it is a PreconditionError."""
     if p % 4 == 3:
         return 1728
     if p % 3 == 2:
         return 0
-    return next(j for D, j in CM_SEEDS if numth.kronecker(D, p) == -1)
+    for D, j in CM_SEEDS:
+        if numth.kronecker(D, p) == -1:
+            return j
+    raise PreconditionError(f"no discriminant of the seed table is inert at p = {p}")
 
 
 def _other_roots(field: Fp2, f, r0) -> list:
@@ -127,8 +126,6 @@ def supersingular_j_list(p: int) -> list:
     Phi_2(j, Y) / (Y - r0): r0 is the neighbour it was reached from, or for
     the seed the first root in F_p.  One exists, as Phi_2(seed, Y) is a
     cubic over F_p whose roots all lie in F_p^2."""
-    if p > MAX_P:
-        raise PreconditionError(f"p > {MAX_P}; raise MAX_P to force")
     field = _field(p)
     phi2 = load_modpoly(2)
     seed = field.scalar(_seed(p))
@@ -293,16 +290,7 @@ def _fmt(field: Fp2, x) -> str:
 
 
 def reduce_graph(g: MultiGraph) -> MultiGraph:
-    """Quotient of G(p, l) identifying j with j^p; edges are those of one
-    representative per class, targets projected."""
-    p = g.meta["p"]
-    field = _field(p)
-    cls = {key: min(key, field.frobenius(key)) for key in g.vertices()}
-    out = MultiGraph(meta=dict(g.meta) | {"kind": "isogeny-reduced"})
-    for key, rep in cls.items():
-        if key == rep:
-            out.add_vertex(rep, j=_fmt(field, rep))
-    for rep in out.vertices():
-        for d, rec in g.out_edges(rep).items():
-            out.add_edge(rep, cls[d], count=rec["count"])
-    return out
+    """Quotient of G(p, l) by j -> min(j, j^p): the least j of each Frobenius
+    orbit keeps its out-edges, targets projected."""
+    field = _field(g.meta["p"])
+    return g.quotient({j: min(j, field.frobenius(j)) for j in g.vertex_attrs}, "isogeny-reduced")

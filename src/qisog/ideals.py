@@ -33,7 +33,7 @@ from functools import cached_property
 
 from . import numth
 from .errors import PreconditionError
-from .lattice import QLattice, echelon_mod, hnf_rows, kernel_mod
+from .lattice import QLattice, echelon_mod, hnf_rows
 from .quat import QuatAlgebra
 
 Frac = Fraction
@@ -248,22 +248,6 @@ def connecting_ideal(O1: QOrder, O2: QOrder) -> QLattice:
     expected = O1.lattice.intersect(O2.lattice).index_in(O1.lattice)
     assert out.reduced_norm == expected, "connecting ideal norm mismatch"
     return out
-
-
-def two_sided_p_ideal(O: QOrder) -> QLattice:
-    """The unique two-sided ideal of reduced norm p of a maximal order.
-
-    Locally at the ramified prime it is the radical, which equals the
-    radical of the mod-p trace form since the semisimple quotient F_{p^2}
-    has nondegenerate trace pairing."""
-    if not O.is_maximal:
-        raise PreconditionError("needs a maximal order")
-    p = O.algebra.p
-    rows = [[p * x for x in row] for row in O.lattice.mat]
-    rows += [_combine(v, O.lattice.mat) for v in kernel_mod(O.trace_gram, 4, p)]
-    P = QLattice.from_int_rows(O.algebra, rows, O.lattice.den)
-    assert P.reduced_norm == p and P.left_order() == O.lattice == P.right_order()
-    return P
 
 
 # ---------------------------------------------------------------------------

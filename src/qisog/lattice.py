@@ -375,25 +375,10 @@ class QLattice:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _merge_rows(self, other: "QLattice"):
-        d = self.den * other.den // math.gcd(self.den, other.den)
-        rows = [[x * (d // self.den) for x in r] for r in self.mat]
-        rows += [[x * (d // other.den) for x in r] for r in other.mat]
-        return rows, d
-
-    def __add__(self, other: "QLattice") -> "QLattice":
-        rows, d = self._merge_rows(other)
-        return QLattice.from_int_rows(self.algebra, rows, d)
-
-    def __mul__(self, other):
-        if isinstance(other, QLattice):
-            mul = self.algebra.mul_coords
-            prods = [mul(a, b) for a in self.mat for b in other.mat]
-            return QLattice.from_int_rows(self.algebra, prods, self.den * other.den)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def __mul__(self, other: "QLattice") -> "QLattice":
+        mul = self.algebra.mul_coords
+        prods = [mul(a, b) for a in self.mat for b in other.mat]
+        return QLattice.from_int_rows(self.algebra, prods, self.den * other.den)
 
     def scale(self, r) -> "QLattice":
         if not isinstance(r, (int, Fraction)):

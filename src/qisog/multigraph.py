@@ -99,6 +99,17 @@ class MultiGraph:
         ins = sorted(rec["count"] for rec in self.in_edges(v).values())
         return (tuple(outs), tuple(ins), self.loop_count(v))
 
+    def quotient(self, rep: dict, kind: str) -> "MultiGraph":
+        """The graph on the vertices v with rep[v] == v, each with its own
+        attributes and out-edges, every target w sent to rep[w]; the meta is
+        kept, with kind replaced."""
+        out = MultiGraph(meta=self.meta | {"kind": kind}, vertex_attrs={
+            v: dict(attrs) for v, attrs in self.vertex_attrs.items() if rep[v] == v})
+        for v in out.vertex_attrs:
+            for w, rec in self.out_edges(v).items():
+                out.add_edge(v, rep[w], count=rec["count"], cls=rec["cls"])
+        return out
+
     # -- serialization -------------------------------------------------------
 
     def _index(self) -> dict:
@@ -125,13 +136,14 @@ class MultiGraph:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=1, sort_keys=False)
 
-    def to_dot(self, label_attr: str | None = None) -> str:
+    def to_dot(self) -> str:
+        """Vertices are labelled by their j, else their (f_i,f_j), else their index."""
         idx = self._index()
         lines = ["digraph G {"]
         for v in self.vertices():
             attrs = self.vertex_attrs[v]
-            if label_attr and label_attr in attrs:
-                label = attrs[label_attr]
+            if "j" in attrs:
+                label = attrs["j"]
             elif "f_i" in attrs and "f_j" in attrs:
                 label = f"({attrs['f_i']},{attrs['f_j']})"
             else:

@@ -100,12 +100,6 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def legendre(a: int, p: int) -> int:
-    if p == 2 or not is_prime(p):
-        raise PreconditionError(f"{p} is not an odd prime")
-    return kronecker(a, p)
-
-
 def sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a mod the odd prime p by Tonelli-Shanks, or None
     when a is not a square mod p."""
@@ -196,6 +190,6 @@ def pizer_params(p: int) -> int:
     if p % 8 == 5:
         return 2
     q = 3
-    while not (is_prime(q) and legendre(p, q) == -1):
+    while not (is_prime(q) and kronecker(p, q) == -1):
         q += 4
     return q

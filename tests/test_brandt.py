@@ -13,7 +13,7 @@ from qisog.errors import CapExceeded, PreconditionError
 from qisog.ideals import QOrder
 from qisog.lattice import QLattice
 from qisog.multigraph import MultiGraph
-from test_ideals import equivalence_oracle, times
+from test_ideals import equivalence_oracle, times, two_sided_p_ideal
 from test_quat import QuatElement, min_norm_elements
 
 
@@ -85,7 +85,7 @@ def right_orders_conjugate(O1: QOrder, O2: QOrder) -> bool:
     C = idl.connecting_ideal(O1, O2)
     if _is_principal(C):
         return True
-    P = idl.two_sided_p_ideal(O1)
+    P = two_sided_p_ideal(O1)
     return _is_principal(idl.primitive_part(P * C, O1))
 
 
@@ -644,6 +644,28 @@ class TestMultiGraphIndex:
         assert g.out_edges("z") == {} and g.in_edges("z") == {}
 
 
+class TestQuotient:
+    def test_fixed_vertices_keep_their_edges_and_targets_are_projected(self):
+        """A loop, a 2-cycle inside one orbit, multiplicities, copied
+        attributes, and kind replaced while the rest of the meta is kept."""
+        g = MultiGraph(meta={"p": 5, "kind": "before"})
+        for v in "abc":
+            g.add_vertex(v, name=v.upper())
+        g.add_edge("a", "a")
+        g.add_edge("a", "b", count=2)
+        g.add_edge("b", "a", count=3)
+        g.add_edge("a", "c", cls="H")
+        g.add_edge("c", "b")
+        g.add_edge("c", "a", count=2)
+        q = g.quotient({"a": "a", "b": "a", "c": "c"}, "after")
+        assert q.meta == {"p": 5, "kind": "after"} and g.meta["kind"] == "before"
+        assert q.vertex_attrs == {"a": {"name": "A"}, "c": {"name": "C"}}
+        assert q.vertex_attrs["a"] is not g.vertex_attrs["a"]
+        assert {e: (rec["count"], rec["cls"]) for e, rec in q.edges.items()} == {
+            ("a", "a"): (3, None), ("a", "c"): (1, "H"), ("c", "a"): (3, None)}
+        assert q.in_edges("a").keys() == {"a", "c"}
+
+
 class TestTypeGraph:
     def test_vertex_count_bounded_by_classes(self):
         cs = classes(37, 2)
@@ -691,6 +713,25 @@ class TestTypeInvolution:
         cs.unit_sizes[moved] += 1
         with pytest.raises(AssertionError, match="unit size"):
             brandt.type_involution(cs)
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_matches_two_sided_ideal_action(self, p):
+        """sigma(c) = [j I_c] is [P I_c], for P the radical of the mod-p
+        trace form."""
+        cs = classes(p, 2)
+        P = two_sided_p_ideal(cs.order0)
+        assert brandt.type_involution(cs) == [cs.class_of(P * I) for I in cs.representatives]
+
+    def test_order_without_j_is_reported(self):
+        """The ball orders at (0, 1) and (1, 0), 2-neighbours of O0 at
+        p = 37, lack j."""
+        cs = classes(37, 2)
+        frame = idl.matrix_split(cs.order0, 2, 2)
+        for w in ((0, 1), (1, 0)):
+            cs.order0 = frame.ball_order(idl.tree_point_matrix(w, 2), 1)
+            assert cs.order0.lattice.int_coords((0, 0, 1, 0)) is None
+            with pytest.raises(AssertionError, match="j does not lie in O0"):
+                brandt.type_involution(cs)
 
 
 class TestJson:

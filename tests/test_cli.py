@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,16 +61,30 @@ class TestSubcommands:
         assert code == 0
         assert dot.read_text().startswith("digraph G {")
 
+    @pytest.mark.parametrize("p,digest", [
+        (11, "62a925631eb3229d90e759f7df2c4f26f8fa7ea239678f2383506e1a12c58b71"),
+        (101, "4a6af8e88666573e3b8c2c1f4157e5d3dab812e92bc8ba57b774fa4d147dfe19"),
+        (499, "cef524ab27fe090754887e01afc9b770425739aed566a1a160195386e413875a"),
+    ])
+    def test_ssgraph_dot_bytes(self, capsys, tmp_path, p, digest):
+        """The DOT file, vertices labelled by j, is byte-for-byte the pinned
+        one; the digest grid writes no DOT."""
+        dot = tmp_path / "g.dot"
+        code, _, _ = run_cli(capsys, "ssgraph", "--p", str(p), "--ell", "2", "--dot", str(dot))
+        assert code == 0
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
+
     def test_isocheck(self, capsys):
         code, out, _ = run_cli(capsys, "isocheck", "--p", "37", "--ell", "2")
         assert code == 0
         assert "isomorphic, 3 vertices" in out
 
-    @pytest.mark.parametrize("p,ell", [(401, 2), (499, 3), (997, 2)])
+    @pytest.mark.parametrize("p,ell", [(401, 2), (499, 3), (997, 2), (1009, 2)])
     def test_isocheck_settles_large_graphs(self, capsys, p, ell):
         """Dozens of vertices share one degree signature at (401, 2) and
         (499, 3), which a backtracking search on degrees alone does not get
-        through; (997, 2) has 83 vertices."""
+        through; (997, 2) has 83 vertices, and (1009, 2), past the p bound
+        the j-list once had, 84."""
         code, out, _ = run_cli(capsys, "isocheck", "--p", str(p), "--ell", str(ell), "--json")
         assert code == 0
         doc = json.loads(out)

@@ -111,6 +111,10 @@ def primes(lo, hi):
     return [p for p in range(lo, hi + 1) if numth.is_prime(p)]
 
 
+# the range over which the point-count sweep checks the walk's j-list
+SWEEP_P = 1000
+
+
 # ---------------------------------------------------------------------------
 # the gcd oracle: the former walk, which split every Phi_2(j, Y) by
 # polynomial gcds over F_p^2 (coefficient lists, ascending, no zero
@@ -227,7 +231,7 @@ class TestSupersingularList:
         assert ecgraph.supersingular_j_list(p) == scanned_j_list(p)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("p", primes(5, 1000))
+    @pytest.mark.parametrize("p", primes(5, SWEEP_P))
     def test_walk_matches_scan_oracle_sweep(self, p):
         assert ecgraph.supersingular_j_list(p) == scanned_j_list(p)
 
@@ -240,14 +244,19 @@ class TestSupersingularList:
         def missed(p):
             return p % 12 == 1 and all(numth.kronecker(D, p) != -1 for D, _ in ecgraph.CM_SEEDS)
 
-        assert not any(missed(p) for p in primes(5, ecgraph.MAX_P))
+        assert not any(missed(p) for p in primes(5, SWEEP_P))
         assert next(p for p in primes(5, 20000) if missed(p)) == 15073
+
+    @pytest.mark.parametrize("p", [15073, 18313])
+    def test_seed_table_exhausted(self, p):
+        with pytest.raises(PreconditionError, match="inert"):
+            ecgraph._seed(p)
 
     def test_seed_cubic_has_root_in_fp(self):
         """Phi_2(seed, Y) is a cubic over F_p with all roots in F_p^2, so it
         has a root in F_p, where the walk starts."""
         phi2 = ecgraph.load_modpoly(2)
-        for p in primes(5, ecgraph.MAX_P):
+        for p in primes(5, SWEEP_P):
             f = ecgraph._field(p)
             coeffs = phi2.eval_poly_in_y(f, f.scalar(ecgraph._seed(p)))
             assert all(c[1] == 0 for c in coeffs)
@@ -291,10 +300,6 @@ class TestSupersingularList:
                 shifted, scaled = [(0, 0)] + q, [f.mul(r, c) for c in q] + [(0, 0)]
                 back = [f.sub(a, b) for a, b in zip(shifted, scaled)]
                 assert [f.add(back[0], rem)] + back[1:] == coeffs
-
-    def test_p_above_max_rejected(self):
-        with pytest.raises(PreconditionError):
-            ecgraph.supersingular_j_list(1009)
 
 
 class TestFp2Sqrt:

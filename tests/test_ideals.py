@@ -840,7 +840,7 @@ class TestBallIdeal:
                 children = idl.tree_children(w, j + 1, ell)
                 want = {ideal(c, j + 1).key() for c in children}
                 if j:
-                    want.add((ell * ideal(parent, j - 1)).key())
+                    want.add(ideal(parent, j - 1).scale(ell).key())
                 assert len(want) == ell + 1
                 assert {J.key() for J in brandt.ell_neighbors(ideal(w, j), ell)} == want
                 parent, w = w, children[pick]
@@ -1245,9 +1245,39 @@ class TestContentScaling:
             assert idl.primitive_part(J.scale(c), O) == idl.primitive_part(J, O)
 
 
+def two_sided_p_ideal(O: QOrder) -> QLattice:
+    """The unique two-sided ideal of reduced norm p of a maximal order, kept
+    as the oracle for O0 j: an arbitrary maximal order need not hold j.
+
+    Locally at the ramified prime it is the radical, which equals the
+    radical of the mod-p trace form since the semisimple quotient F_{p^2}
+    has nondegenerate trace pairing."""
+    if not O.is_maximal:
+        raise PreconditionError("needs a maximal order")
+    p = O.algebra.p
+    rows = [[p * x for x in row] for row in O.lattice.mat]
+    rows += [idl._combine(v, O.lattice.mat) for v in kernel_mod(O.trace_gram, 4, p)]
+    P = QLattice.from_int_rows(O.algebra, rows, O.lattice.den)
+    assert P.reduced_norm == p and P.left_order() == O.lattice == P.right_order()
+    return P
+
+
 class TestTwoSidedIdeal:
     def test_norm_p(self):
-        P = idl.two_sided_p_ideal(ROOT7)
+        P = two_sided_p_ideal(ROOT7)
         assert P.reduced_norm == 7
         assert is_two_sided(P)
         assert P * P == ROOT7.lattice.scale(7)
+
+    def test_is_o0_j_and_j_o0(self):
+        """P = O0 j = j O0 at every prime 5 <= p < 1000: j lies in O0 and has
+        norm p, which is what type_involution reads."""
+        j = (0, 0, 1, 0)
+        for p in range(5, 1000):
+            if not numth.is_prime(p):
+                continue
+            O0 = idl.root_maximal_order(p)
+            lat, mul = O0.lattice, O0.algebra.mul_coords
+            left = QLattice.from_int_rows(O0.algebra, [mul(r, j) for r in lat.mat], lat.den)
+            right = QLattice.from_int_rows(O0.algebra, [mul(j, r) for r in lat.mat], lat.den)
+            assert two_sided_p_ideal(O0) == left == right, p

@@ -34,12 +34,11 @@ FEATURE = "no subcommand exposes it yet"
 ALLOWED = {
     "brandt.ell_neighbors": f"{TRACER}; the tests' former class BFS",
     "brandt.brandt_matrix": f"{TRACER}; the Brandt counting cross-check, run by the sweeps",
-    "brandt.type_involution": f"{FEATURE}; the type graph's involution",
+    "brandt.type_involution": f"{FEATURE}; the type graph's involution, which reads j",
     "brandt.type_graph": f"{FEATURE}; the sweeps check it against the reduced curve graph",
     "ideals.ideals_of_norm_ell": f"{TRACER}; the tests' random walks",
     "ideals.inverse": f"{TRACER}; brandt_matrix's counting formula",
     "ideals.reduce_ideal": f"{TRACER}; {ORACLE}",
-    "ideals.two_sided_p_ideal": f"{FEATURE}; type_involution's ideal P",
     "ideals.connecting_ideal": ORACLE,
     "ideals.content": "reduce_ideal's and connecting_ideal's primitive part",
     "ideals.primitive_part": "reduce_ideal's and connecting_ideal's primitive part",
@@ -55,9 +54,6 @@ ALLOWED = {
     "lattice.QLattice.covolume": "index_in's ratio",
     "lattice.QLattice.scale": "inverse's and primitive_part's scaling",
     "lattice.QLattice.conjugate": "inverse's conjugate",
-    "lattice.QLattice.__add__": ORACLE,
-    "lattice.QLattice._merge_rows": "__add__'s rows",
-    "lattice.QLattice.__rmul__": ORACLE,
     "multigraph.MultiGraph.multiplicity": "counted by perfbench/tracer.py; the tests' edge checks",
     "ideals.QOrder.__repr__": "__repr__",
 }

@@ -55,7 +55,7 @@ class QuatElement:
             return QuatElement(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
         try:
             r = Fraction(other)
-        except TypeError:  # not a scalar: let other.__rmul__ (a lattice) answer
+        except TypeError:  # not a scalar
             return NotImplemented
         return QuatElement(self.algebra, tuple(a * r for a in self.coords))
 
